@@ -1,7 +1,6 @@
-//! The perf-baseline harness behind the `perf` binary: the B1–B4 timing
-//! grid of `benches/throughput.rs`, re-run with fixed seeds and emitted as
-//! a machine-readable `BENCH.json` report so revisions can be compared
-//! mechanically.
+//! The perf-baseline harness behind the `perf` binary: the B1–B8 timing
+//! grid, run with fixed seeds and emitted as a machine-readable
+//! `BENCH.json` report so revisions can be compared mechanically.
 //!
 //! # Grid
 //!
@@ -30,12 +29,11 @@
 //!   `BENCH.json` keeps the throughput number, and the imbalance
 //!   comparison lives in the loadgen report and EXPERIMENTS.md B7.
 //! * **B8** — connection scaling: the high-fan-in loadgen client
-//!   (`--connections N` over 2 event-driven client threads) against both
-//!   server connection planes (`threads` / `epoll`), per connection
-//!   count `N ∈ {32, 256, 1024, 4096}`. Each cell's p99 latency is
-//!   printed alongside the timing; `BENCH.json` keeps the throughput
-//!   number. The `threads/c32` vs `epoll/c32` pair is the low-fan-in
-//!   parity check; the high-`N` epoll cells are the C10K story.
+//!   (`--connections N` over 2 event-driven client threads) against
+//!   the server's event loops, per connection count
+//!   `N ∈ {32, 256, 1024, 4096}` (cells `epoll/c{N}`). Each cell's p99
+//!   latency is printed alongside the timing; `BENCH.json` keeps the
+//!   throughput number.
 //!
 //! # `BENCH.json` schema
 //!
@@ -255,10 +253,8 @@ impl PerfConfig {
         }
     }
 
-    /// B8 connection counts. The full grid climbs to 4096 — past the
-    /// point where a thread-per-connection plane is spending its time in
-    /// the scheduler — while smoke stops at 256 so the CI job doesn't
-    /// spawn thousands of threads for the `threads`-plane cells.
+    /// B8 connection counts. The full grid climbs to 4096 (the C10K
+    /// regime); smoke stops at 256 to keep the CI job short.
     fn b8_connections(&self) -> &'static [usize] {
         if self.smoke {
             &[32, 256]
@@ -686,53 +682,51 @@ fn b7_skew_partitioning(cfg: &PerfConfig, entries: &mut Vec<BenchEntry>) {
     }
 }
 
-/// B8: connection-count scaling across both server connection planes.
+/// B8: connection-count scaling of the server's connection plane.
 /// Every cell is the same Zipf mix offered through the high-fan-in
 /// client (`connections` pipelined sockets multiplexed over 2 reactor
-/// threads), so the client never becomes the thread-count bottleneck and
-/// the measured difference between the `threads` and `epoll` cells is
-/// the server's. The per-cell p99 is printed next to the timing (like
-/// B7's imbalance, it is a property of the run rather than a wall-clock
-/// aggregate, and `BENCH.json`'s schema stays unchanged).
+/// threads), so the client never becomes the thread-count bottleneck.
+/// Cells keep the `epoll/c{N}` names they had when a `threads` plane
+/// was measured beside them, so history lines up. The per-cell p99 is
+/// printed next to the timing (like B7's imbalance, it is a property of
+/// the run rather than a wall-clock aggregate, and `BENCH.json`'s
+/// schema stays unchanged).
 fn b8_connection_scaling(cfg: &PerfConfig, entries: &mut Vec<BenchEntry>) {
     let requests = cfg.b8_requests();
     let shards = cfg.b8_shards();
-    for io_mode in ["threads", "epoll"] {
-        for &connections in cfg.b8_connections() {
-            let lg = LoadgenConfig {
-                connections,
-                client_threads: 2,
-                io_mode: io_mode.into(),
-                pipeline: 8,
-                requests,
-                workload: Workload::Zipf { alpha: 0.9 },
-                seed: TRACE_SEED + 40,
-                pages: 4_096,
-                levels: 3,
-                k: 512,
-                weight_seed: WEIGHT_SEED + 40,
-                policy: "landlord".into(),
-                shards,
-                ..LoadgenConfig::default()
-            };
-            let inst = wmlp_serve::default_instance(lg.pages, lg.levels, lg.k, lg.weight_seed)
-                .expect("B8 instance tuple is feasible");
-            let mut p99 = 0u64;
-            let timing = time_best_of(cfg.warmup_iters, cfg.measure_iters, || {
-                let report = wmlp_loadgen::run(&lg).expect("B8 fan-in run");
-                p99 = report.latency.p99;
-                report
-            });
-            println!("b8_connection_scaling {io_mode}/c{connections}: p99 {p99}ns");
-            entries.push(entry(
-                "b8_connection_scaling",
-                format!("{io_mode}/c{connections}"),
-                io_mode,
-                &inst,
-                requests,
-                timing,
-            ));
-        }
+    for &connections in cfg.b8_connections() {
+        let lg = LoadgenConfig {
+            connections,
+            client_threads: 2,
+            pipeline: 8,
+            requests,
+            workload: Workload::Zipf { alpha: 0.9 },
+            seed: TRACE_SEED + 40,
+            pages: 4_096,
+            levels: 3,
+            k: 512,
+            weight_seed: WEIGHT_SEED + 40,
+            policy: "landlord".into(),
+            shards,
+            ..LoadgenConfig::default()
+        };
+        let inst = wmlp_serve::default_instance(lg.pages, lg.levels, lg.k, lg.weight_seed)
+            .expect("B8 instance tuple is feasible");
+        let mut p99 = 0u64;
+        let timing = time_best_of(cfg.warmup_iters, cfg.measure_iters, || {
+            let report = wmlp_loadgen::run(&lg).expect("B8 fan-in run");
+            p99 = report.latency.p99;
+            report
+        });
+        println!("b8_connection_scaling epoll/c{connections}: p99 {p99}ns");
+        entries.push(entry(
+            "b8_connection_scaling",
+            format!("epoll/c{connections}"),
+            "epoll",
+            &inst,
+            requests,
+            timing,
+        ));
     }
 }
 
@@ -1062,18 +1056,16 @@ mod tests {
             );
         }
 
-        for io_mode in ["threads", "epoll"] {
-            for conns in [32, 256] {
-                assert!(
-                    report
-                        .entries
-                        .iter()
-                        .any(|e| e.group == "b8_connection_scaling"
-                            && e.name == format!("{io_mode}/c{conns}")
-                            && e.throughput_rps > 0),
-                    "B8 cell `{io_mode}/c{conns}` missing or zero-throughput"
-                );
-            }
+        for conns in [32, 256] {
+            assert!(
+                report
+                    .entries
+                    .iter()
+                    .any(|e| e.group == "b8_connection_scaling"
+                        && e.name == format!("epoll/c{conns}")
+                        && e.throughput_rps > 0),
+                "B8 cell `epoll/c{conns}` missing or zero-throughput"
+            );
         }
 
         let text = report.to_json();

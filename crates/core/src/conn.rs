@@ -12,7 +12,7 @@
 //!   drive many connections without threads.
 //! - [`FrameReader`] / [`write_frame`] — blocking-stream conveniences
 //!   over [`std::io::Read`] / [`std::io::Write`] for thread-per-connection
-//!   servers and clients.
+//!   clients.
 //!
 //! Nothing here interprets frames; protocol semantics (pipelining,
 //! response ordering) live with the caller and are specified in
@@ -210,9 +210,8 @@ impl FrameBuf {
 /// - writable → `write(2)` from [`Conn::pending`], then
 ///   [`Conn::advance`] by the bytes accepted.
 ///
-/// The thread-per-connection paths in `wmlp-serve`/`wmlp-loadgen` use
-/// the blocking [`FrameReader`]/[`write_frame`] instead; both sit on the
-/// same codec.
+/// The thread-per-connection client in `wmlp-loadgen` uses the blocking
+/// [`FrameReader`]/[`write_frame`] instead; both sit on the same codec.
 #[derive(Debug, Default)]
 pub struct Conn {
     inbound: FrameBuf,

@@ -1,11 +1,11 @@
 //! Dependency-free readiness I/O: a thin, audited wrapper over Linux
 //! `epoll(7)`, `eventfd(2)`, and `fcntl(2)`.
 //!
-//! The serving stack's event-driven connection plane (`wmlp-serve
-//! --io-mode epoll`) and the load generator's high-fan-in client both
-//! need readiness notification, but the workspace policy is "no external
-//! crates". std already links glibc on Linux, so this module declares the
-//! five syscall wrappers it needs via `extern "C"` and exposes a safe,
+//! The serving stack's connection plane (`wmlp-serve`'s event loops)
+//! and the load generator's high-fan-in client both need readiness
+//! notification, but the workspace policy is "no external crates". std
+//! already links glibc on Linux, so this module declares the five
+//! syscall wrappers it needs via `extern "C"` and exposes a safe,
 //! minimal surface:
 //!
 //! * [`Reactor`] — an `epoll` instance: `register`/`reregister`/

@@ -168,7 +168,6 @@ const P1_CRATES: &[&str] = &["core", "sim", "algos", "flow", "lp", "store", "rou
 /// including the rest of the `bench` crate — needs a reasoned inline D2
 /// suppression (the simulation engine's single capture site carries one).
 const D2_ALLOWED_PATHS: &[&str] = &[
-    "crates/bench/benches/",
     "crates/bench/src/perf.rs",
     "crates/bench/src/bin/",
     // The load generator's one latency-measurement site; the rest of the
@@ -702,7 +701,6 @@ mod tests {
         let src = "fn f() { let t = Instant::now(); }\n";
         // Timing loops are allowlisted by path, not by crate…
         for rel in [
-            "crates/bench/benches/throughput.rs",
             "crates/bench/src/perf.rs",
             "crates/bench/src/bin/experiments.rs",
             "crates/loadgen/src/timing.rs",

@@ -2,8 +2,8 @@
 //! connections multiplexed over a few event-driven client threads.
 //!
 //! The wave runner in `lib.rs` spawns one OS thread per connection,
-//! which is exactly the scaling wall the server's `--io-mode epoll`
-//! plane removes — and a client that needs 4096 threads to *offer* 4096
+//! which is exactly the scaling wall the server's event loops
+//! remove — and a client that needs 4096 threads to *offer* 4096
 //! connections would bottleneck before the server does. This module is
 //! the client-side mirror of that plane: each of `client_threads`
 //! threads owns `connections / client_threads` sockets on its own

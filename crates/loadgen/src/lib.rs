@@ -26,7 +26,7 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 
 use wmlp_core::instance::{MlInstance, Request};
-use wmlp_serve::server::{start, IoMode, ServeConfig, ServerHandle};
+use wmlp_serve::server::{start, ServeConfig, ServerHandle};
 use wmlp_sim::Histogram;
 use wmlp_workloads::{cyclic_trace, zipf_trace, LevelDist};
 
@@ -137,9 +137,6 @@ pub struct LoadgenConfig {
     pub connections: usize,
     /// Event-driven client threads in fan-in mode (≥ 1).
     pub client_threads: usize,
-    /// Connection plane for a spawned server: `"threads"` or `"epoll"`
-    /// (the server's `--io-mode`; ignored with an external `addr`).
-    pub io_mode: String,
     /// Open-loop target arrival rate across all connections, requests
     /// per second; 0 = unpaced (the window alone sets the load).
     pub rate: f64,
@@ -175,7 +172,6 @@ impl Default for LoadgenConfig {
             pipeline: 1,
             connections: 0,
             client_threads: 2,
-            io_mode: "threads".into(),
             rate: 0.0,
             sweep: Vec::new(),
             value_size: 64,
@@ -413,10 +409,10 @@ pub fn run(cfg: &LoadgenConfig) -> Result<ServeReport, String> {
     if cfg.connections > 0 {
         // Fail fast with a clear message instead of EMFILE mid-run: the
         // connections plus headroom for the server side (when spawned
-        // in-process, every accepted socket costs fds here too).
+        // in-process, every accepted socket costs an fd here too).
         let headroom = 128;
         let server_side = if cfg.addr.is_none() {
-            2 * cfg.connections as u64 // accepted socket + registry dup
+            cfg.connections as u64
         } else {
             0
         };
@@ -451,7 +447,6 @@ pub fn run(cfg: &LoadgenConfig) -> Result<ServeReport, String> {
                     detector_capacity: cfg.detector_capacity,
                     hot_k: cfg.hot_k,
                     epoch_len: cfg.epoch_len,
-                    io_mode: IoMode::parse(&cfg.io_mode)?,
                     ..ServeConfig::default()
                 },
             )
@@ -723,8 +718,8 @@ mod tests {
     }
 
     /// Fan-in mode end-to-end: 64 multiplexed connections over 2 client
-    /// threads against a spawned epoll-mode server, every request
-    /// answered, accounting exact.
+    /// threads against a spawned server, every request answered,
+    /// accounting exact.
     #[test]
     fn fanin_mode_serves_many_connections_over_few_threads() {
         let report = run(&LoadgenConfig {
@@ -732,7 +727,6 @@ mod tests {
             connections: 64,
             client_threads: 2,
             pipeline: 8,
-            io_mode: "epoll".into(),
             ..LoadgenConfig::smoke()
         })
         .unwrap();
@@ -751,8 +745,7 @@ mod tests {
 
     /// A single fan-in connection replays the identical request sequence
     /// a thread-per-connection pipelined client does, so all
-    /// deterministic outcomes must agree across client architectures
-    /// (and across server io modes).
+    /// deterministic outcomes must agree across client architectures.
     #[test]
     fn fanin_single_connection_matches_pipelined_accounting() {
         let base = LoadgenConfig {
@@ -770,7 +763,6 @@ mod tests {
             connections: 1,
             client_threads: 1,
             pipeline: 32,
-            io_mode: "epoll".into(),
             ..base
         })
         .unwrap();

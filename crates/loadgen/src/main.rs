@@ -17,9 +17,8 @@
 //! wmlp-loadgen --spawn --conns 8 --pipeline 64
 //!
 //! # high fan-in: 1024 pipelined connections over 2 event-driven client
-//! # threads, against a spawned epoll-mode server (C10K smoke)
-//! wmlp-loadgen --spawn --io-mode epoll --connections 1024 \
-//!              --client-threads 2 --pipeline 8
+//! # threads, against a spawned server (C10K smoke)
+//! wmlp-loadgen --spawn --connections 1024 --client-threads 2 --pipeline 8
 //!
 //! # open-loop at 200K req/s with coordinated-omission-corrected
 //! # latency, then sweep offered rates for the throughput-vs-p99 curve
@@ -83,9 +82,6 @@ fn main() {
         pipeline: flag_parse(&args, "--pipeline", base.pipeline),
         connections: flag_parse(&args, "--connections", base.connections),
         client_threads: flag_parse(&args, "--client-threads", base.client_threads),
-        io_mode: flag(&args, "--io-mode")
-            .unwrap_or(&base.io_mode)
-            .to_string(),
         rate: flag_parse(&args, "--rate", base.rate),
         sweep: match flag(&args, "--sweep") {
             None => base.sweep.clone(),

@@ -1,24 +1,21 @@
-//! The event-driven connection plane (`--io-mode epoll`): N reactor
-//! loops own every client socket.
+//! The connection plane: N reactor loops own every client socket.
 //!
-//! Instead of a reader+writer thread pair per connection, `io_threads`
-//! event loops (named `io-{i}`) multiplex all connections over
-//! [`wmlp_core::net::Reactor`]s. Loop 0 owns the (non-blocking) listener
-//! and assigns each accepted connection to loop `id % N` via a handoff
-//! queue plus an `eventfd` doorbell ring. Each loop drives its
-//! connections through the same resumable [`Conn`] state machine the
-//! blocking plane uses:
+//! `io_threads` event loops (named `io-{i}`) multiplex all connections
+//! over [`wmlp_core::net::Reactor`]s. Loop 0 owns the (non-blocking)
+//! listener and assigns each accepted connection to loop `id % N` via a
+//! handoff queue plus an `eventfd` doorbell ring. Each loop drives its
+//! connections through the resumable [`Conn`] state machine:
 //!
 //! * **Reads** are incremental: on readiness the loop reads into
 //!   [`Conn::recv_space`] until `EAGAIN`, decoding every complete frame.
-//!   Decoded requests get the identical treatment to the thread plane's
-//!   `serve_connection` — per-connection sequence numbers, inline STATS/
-//!   SHUTDOWN/error replies, validity and shutdown checks — and are
-//!   routed with [`ReplyTo::Sink`] pointing back at this loop.
-//! * **Backpressure** is readiness-driven instead of a parked reader: a
-//!   connection at `max_inflight` outstanding requests (or with ≥ 1 MiB
-//!   of unflushed output) simply drops read interest; replies draining
-//!   re-arm it. No thread ever blocks.
+//!   Each decoded request takes the connection's next sequence number;
+//!   STATS, SHUTDOWN and error replies are produced inline (still
+//!   sequenced), and valid GET/PUTs are routed with [`ReplyTo::Sink`]
+//!   pointing back at this loop.
+//! * **Backpressure** is readiness-driven: a connection at
+//!   `max_inflight` outstanding requests (or with ≥ 1 MiB of unflushed
+//!   output) simply drops read interest; replies draining re-arm it. No
+//!   thread ever blocks.
 //! * **Writes** go through the per-connection [`Reorder`] buffer into
 //!   [`Conn`]'s outbound buffer, flushed with `EAGAIN`-aware partial
 //!   writes; write interest is registered only while bytes are pending
@@ -28,11 +25,12 @@
 //!   publish-then-ring handshake in [`crate::notify`]), so a shard hands
 //!   a finished batch back without blocking.
 //!
-//! Shutdown mirrors the thread plane: the flag flips, registered sockets
-//! are half-closed (reads drain to EOF, in-flight work completes and is
-//! written back), the listener closes, and each loop exits once its last
-//! connection drains. Dropping the loops' `route_tx` clones then cascades
-//! the router → ring → shard teardown exactly as before.
+//! Shutdown: the flag flips and every doorbell rings; each loop, on
+//! observing the flag, closes the listener (loop 0) and half-closes the
+//! sockets it owns (reads drain to EOF, in-flight work completes and is
+//! written back), then exits once its last connection drains. Dropping
+//! the loops' `route_tx` clones then cascades the router → ring → shard
+//! teardown.
 
 // lint:orderings(SeqCst): the only atomic touched here is the server's
 // one-shot shutdown latch, shared with `server.rs`, which declares the
@@ -54,7 +52,7 @@ use wmlp_core::wire::{ErrorCode, Frame};
 
 use crate::notify::{CompletionQueue, Doorbell};
 use crate::reorder::Reorder;
-use crate::server::{lock_conns, Inner};
+use crate::server::Inner;
 use crate::shard::{CompletionSink, ReplyTo, ShardJob, ShardStats};
 
 /// Reactor token of the listener (loop 0 only).
@@ -65,8 +63,8 @@ const TOK_BELL: u64 = 1;
 /// reserved tokens.
 const FIRST_CONN_ID: u64 = 2;
 /// A connection with this much unflushed output stops reading until the
-/// socket drains — the event-driven analogue of the blocking plane's
-/// writer applying backpressure through `write_all`.
+/// socket drains, so a client that never reads its replies stalls
+/// instead of growing the outbound buffer without bound.
 const OUTBOUND_HIGH_WATER: usize = 1 << 20;
 
 /// An `eventfd` is a counting doorbell: the kernel accumulates rings, so
@@ -119,8 +117,8 @@ fn lock_incoming(shared: &LoopShared) -> MutexGuard<'_, Vec<(u64, TcpStream)>> {
 }
 
 /// Everything the loop tracks per connection. The protocol state machine
-/// ([`Conn`]) is the same one the blocking plane's `FrameReader`/
-/// `write_frame` wrap; only the driving changes.
+/// ([`Conn`]) is the same one blocking clients drive through
+/// `FrameReader`/`write_frame`; only the driving changes.
 struct ConnState {
     stream: TcpStream,
     conn: Conn,
@@ -192,9 +190,8 @@ pub(crate) fn run_io_loop(
         }
 
         // Observe shutdown once: stop accepting, and half-close every
-        // owned socket so reads drain to EOF (the trigger already did
-        // this through the shared registry; repeating it here closes the
-        // race with connections adopted mid-trigger).
+        // owned socket so reads drain to EOF. Connections handed off
+        // after this point are refused by `adopt_conn`.
         if !shutdown_seen && inner.shutdown.load(Ordering::SeqCst) {
             shutdown_seen = true;
             if let Some(l) = listener.take() {
@@ -266,7 +263,7 @@ pub(crate) fn run_io_loop(
             }
             let gone = cs.dead || (cs.read_closed && cs.inflight == 0 && !cs.conn.wants_write());
             if gone || !rearm(&reactor, inner.max_inflight, id, cs) {
-                close_conn(&inner, &reactor, &mut conns, id);
+                close_conn(&reactor, &mut conns, id);
             }
         }
 
@@ -278,7 +275,7 @@ pub(crate) fn run_io_loop(
     // Non-graceful exits (reactor failure) still tear connections down.
     let leftover: Vec<u64> = conns.keys().copied().collect();
     for id in leftover {
-        close_conn(&inner, &reactor, &mut conns, id);
+        close_conn(&reactor, &mut conns, id);
     }
     for (_, stream) in lock_incoming(&shared).drain(..) {
         let _ = stream.shutdown(Shutdown::Both);
@@ -287,9 +284,8 @@ pub(crate) fn run_io_loop(
 
 /// Accept until `EAGAIN`, assigning each connection to loop `id % N`:
 /// locally adopted, or pushed to the target loop's handoff queue with a
-/// doorbell ring. Mirrors the blocking acceptor: the socket is
-/// registered in the shared registry (for shutdown half-close) first,
-/// and connections arriving after the shutdown flag are dropped.
+/// doorbell ring. Connections arriving after the shutdown flag are
+/// dropped.
 #[allow(clippy::too_many_arguments)]
 fn accept_new(
     inner: &Arc<Inner>,
@@ -305,13 +301,10 @@ fn accept_new(
         match listener.accept() {
             Ok((stream, _)) => {
                 if inner.shutdown.load(Ordering::SeqCst) {
-                    continue; // the wake connection, or a late client
+                    continue; // a late client
                 }
                 *next_id += 1;
                 let id = *next_id;
-                if let Ok(dup) = stream.try_clone() {
-                    lock_conns(inner).push((id, dup));
-                }
                 let target = (id as usize) % peers.len();
                 if target == me {
                     adopt_conn(inner, reactor, conns, false, id, stream);
@@ -331,8 +324,8 @@ fn accept_new(
 }
 
 /// Take ownership of an accepted connection: non-blocking, registered
-/// read-only, fresh protocol state. Refused (closed and deregistered)
-/// when the server is shutting down or registration fails.
+/// read-only, fresh protocol state. Refused (closed) when the server is
+/// shutting down or registration fails.
 fn adopt_conn(
     inner: &Arc<Inner>,
     reactor: &Reactor,
@@ -349,7 +342,6 @@ fn adopt_conn(
             .is_err();
     if reject {
         let _ = stream.shutdown(Shutdown::Both);
-        lock_conns(inner).retain(|(cid, _)| *cid != id);
         return;
     }
     conns.insert(
@@ -413,7 +405,7 @@ fn service_read(
         match cs.stream.read(cs.conn.recv_space()) {
             Ok(0) => {
                 // Clean EOF; trailing partial-frame bytes are dropped
-                // exactly as the blocking plane's TruncatedEof path does.
+                // (what `FrameReader` reports as `TruncatedEof`).
                 cs.read_closed = true;
                 break;
             }
@@ -429,10 +421,9 @@ fn service_read(
     }
 }
 
-/// Dispatch one decoded frame: identical semantics to the blocking
-/// plane's `serve_connection` loop, with replies flowing through the
-/// sequence [`Reorder`] into the outbound buffer instead of a writer
-/// thread's inbox.
+/// Dispatch one decoded frame. Control frames (STATS, SHUTDOWN,
+/// protocol errors) are answered inline but still sequenced, so every
+/// response leaves in the order its request arrived.
 fn process_frame(
     inner: &Arc<Inner>,
     route_tx: &mpsc::Sender<ShardJob>,
@@ -564,23 +555,10 @@ fn rearm(reactor: &Reactor, max_inflight: usize, id: u64, cs: &mut ConnState) ->
     true
 }
 
-/// Remove the connection: deregister, close both socket halves, and drop
-/// its registry entry (whose duplicate fd would otherwise hold the
-/// socket open and starve the client of its EOF).
-fn close_conn(
-    inner: &Arc<Inner>,
-    reactor: &Reactor,
-    conns: &mut BTreeMap<u64, ConnState>,
-    id: u64,
-) {
+/// Remove the connection: deregister and close the socket.
+fn close_conn(reactor: &Reactor, conns: &mut BTreeMap<u64, ConnState>, id: u64) {
     if let Some(cs) = conns.remove(&id) {
         let _ = reactor.deregister(cs.stream.as_raw_fd());
         let _ = cs.stream.shutdown(Shutdown::Both);
     }
-    lock_conns(inner).retain(|(cid, stream)| {
-        if *cid == id {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        *cid != id
-    });
 }

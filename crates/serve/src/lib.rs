@@ -12,20 +12,17 @@
 //! * [`shard`] — full-universe per-shard instances, the worker loop
 //!   (with epoch drain markers and replicated-PUT fan-out acks), and
 //!   lock-free stat counters.
-//! * [`window`] — the per-connection in-flight window bounding pipelined
-//!   requests awaiting responses.
-//! * [`reorder`] — the sequence-order reorder buffer connection writers
-//!   drain shard replies through.
-//! * [`server`] — acceptor, per-connection reader/writer thread pairs
-//!   with pipelined in-order replies, the skew-aware router (a
-//!   `wmlp-router` [`wmlp_router::Partitioner`] deciding hash /
-//!   replicate / migrate placement per request), graceful shutdown with
-//!   in-flight draining, and the [`server::ServerHandle`] lifecycle.
+//! * [`reorder`] — the sequence-order reorder buffer each connection's
+//!   shard replies drain through.
+//! * [`server`] — startup, the skew-aware router (a `wmlp-router`
+//!   [`wmlp_router::Partitioner`] deciding hash / replicate / migrate
+//!   placement per request), graceful shutdown with in-flight draining,
+//!   and the [`server::ServerHandle`] lifecycle.
 //! * [`notify`] — the publish-then-ring completion handshake between
-//!   shard workers and event loops (`--io-mode epoll`).
-//! * `event_loop` (crate-private) — the event-driven connection plane:
-//!   epoll reactor loops owning all client sockets with non-blocking
-//!   I/O, selected by [`server::IoMode::Epoll`].
+//!   shard workers and event loops.
+//! * `event_loop` (crate-private) — the connection plane: epoll reactor
+//!   loops owning all client sockets with non-blocking I/O, pipelined
+//!   in-order replies, and readiness-driven backpressure.
 //!
 //! All synchronisation (and thread spawning) goes through the
 //! `wmlp_check` shim layer — a passthrough to `std` in normal builds —
@@ -49,10 +46,9 @@ pub mod replay;
 pub mod server;
 pub mod shard;
 pub mod spsc;
-pub mod window;
 
 pub use replay::{replay_manifest, replay_manifest_with_plan};
-pub use server::{start, IoMode, ServeConfig, ServeError, ServerHandle};
+pub use server::{start, ServeConfig, ServeError, ServerHandle};
 pub use shard::{shard_instances, FanoutAck, ReplyTo, ShardJob, ShardMap, ShardMsg, ShardStats};
 
 use wmlp_core::instance::MlInstance;

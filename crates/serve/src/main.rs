@@ -19,9 +19,8 @@
 //! wmlp-serve --partition replicate --hot-k 64 --epoch-len 4096 ...
 //! wmlp-serve --replay trace.txt --partition migrate --plan-shards 8 ...
 //!
-//! # event-driven connection plane: 2 epoll loops own all sockets
-//! # instead of a thread pair per connection (C10K-friendly)
-//! wmlp-serve --io-mode epoll --io-threads 2 ...
+//! # connection plane: N epoll loops own all client sockets
+//! wmlp-serve --io-threads 2 ...
 //! ```
 //!
 //! The instance is read from `--instance <file>` (wmlp-instance v1
@@ -35,7 +34,7 @@ use wmlp_core::codec;
 use wmlp_core::instance::MlInstance;
 use wmlp_router::{PartitionMode, PartitionSpec};
 use wmlp_serve::cli::{flag, flag_parse};
-use wmlp_serve::{default_instance, replay_manifest_with_plan, server, IoMode, ServeConfig};
+use wmlp_serve::{default_instance, replay_manifest_with_plan, server, ServeConfig};
 use wmlp_store::RecoverMode;
 
 fn fail(msg: &str) -> ! {
@@ -68,6 +67,14 @@ fn load_instance(args: &[String]) -> Arc<MlInstance> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // `--io-mode epoll` is still accepted (existing command lines pass
+    // it); it names the only plane there is.
+    if let Some(mode) = flag(&args, "--io-mode").filter(|&m| m != "epoll") {
+        fail(&format!(
+            "--io-mode {mode}: the threads plane was removed in PR 12; \
+             event loops (`epoll`) are the only connection plane"
+        ));
+    }
     let policy = flag(&args, "--policy").unwrap_or("lru").to_string();
     let seed = flag_parse(&args, "--seed", 0u64);
     let inst = load_instance(&args);
@@ -137,10 +144,6 @@ fn main() {
         detector_capacity: flag_parse(&args, "--detector", 256usize),
         hot_k: flag_parse(&args, "--hot-k", 64usize),
         epoch_len: flag_parse(&args, "--epoch-len", 4096u64),
-        io_mode: match IoMode::parse(flag(&args, "--io-mode").unwrap_or("threads")) {
-            Ok(mode) => mode,
-            Err(e) => fail(&e),
-        },
         io_threads: flag_parse(&args, "--io-threads", 2usize),
     };
     let handle = match server::start(inst, &cfg) {

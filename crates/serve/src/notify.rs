@@ -1,11 +1,10 @@
 //! The wakeup handshake between shard workers and event loops: a
 //! completion queue paired with a doorbell.
 //!
-//! In `--io-mode epoll` there is no parked writer thread to hand a reply
-//! to — the connection's owner is an event loop blocked in `epoll_wait`.
-//! Shard workers instead [`push`](CompletionQueue::push) completed
-//! frames onto the loop's [`CompletionQueue`] and ring its [`Doorbell`]
-//! (an `eventfd` in production). The protocol is strictly
+//! A connection's owner is an event loop blocked in `epoll_wait`, so
+//! shard workers [`push`](CompletionQueue::push) completed frames onto
+//! the loop's [`CompletionQueue`] and ring its [`Doorbell`] (an
+//! `eventfd` in production). The protocol is strictly
 //! **publish-then-ring**: the item is visible in the queue *before* the
 //! doorbell fires, so a consumer woken by ring `i` that drains the queue
 //! observes at least everything pushed before ring `i`.

@@ -1,12 +1,12 @@
-//! Sequence-order reorder buffer for connection writers.
+//! Sequence-order reorder buffer, one per connection.
 //!
-//! Shard replies arrive at a connection's writer in shard *completion*
-//! order, tagged with the per-connection sequence number the reader
-//! assigned on the way in. The writer parks each reply here and emits the
-//! maximal contiguous run starting at the next unemitted sequence number,
-//! restoring request order on the wire (the pipelining contract of
-//! PROTOCOL.md). Extracted as a plain data structure so it is testable on
-//! its own and its driver loop can be model-checked in `tests/model.rs`.
+//! Shard replies arrive at a connection's event loop in shard
+//! *completion* order, tagged with the per-connection sequence number
+//! the loop assigned on the way in. The loop parks each reply here and
+//! emits the maximal contiguous run starting at the next unemitted
+//! sequence number, restoring request order on the wire (the pipelining
+//! contract of PROTOCOL.md). Extracted as a plain data structure so it
+//! is testable on its own.
 
 use std::collections::BTreeMap;
 
@@ -26,7 +26,7 @@ impl<T> Reorder<T> {
     }
 
     /// Park an item under its sequence number. Sequence numbers are
-    /// assigned densely by one reader, so `seq` is always fresh and never
+    /// assigned densely by one loop, so `seq` is always fresh and never
     /// behind the emitted prefix.
     pub fn insert(&mut self, seq: u64, item: T) {
         debug_assert!(

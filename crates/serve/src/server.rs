@@ -1,42 +1,33 @@
-//! The TCP server: acceptor, router, connection handlers, and lifecycle.
+//! The TCP server: event loops, router, shard workers, and lifecycle.
 //!
-//! The connection plane comes in two interchangeable flavours selected
-//! by [`ServeConfig::io_mode`]: the thread-per-connection topology below
-//! (`threads`, the differential reference), and the event-driven plane
-//! in [`crate::event_loop`] (`epoll`), where `io_threads` reactor loops
-//! own every client socket and no per-connection threads exist. Router,
-//! shard workers, and the wire protocol are identical in both modes.
-//!
-//! Thread topology in `threads` mode (plain threads, no async runtime;
-//! every thread is named via `wmlp_check::thread::spawn_named` —
-//! `acceptor`, `router`, `shard-{i}`, `conn-{id}-rd`, `conn-{id}-wr` —
-//! so panics and `/proc` identify the actor, and all synchronisation
-//! goes through the `wmlp_check` shim so the same code runs under the
-//! model checker):
+//! Thread topology (plain threads, no async runtime; every thread is
+//! named via `wmlp_check::thread::spawn_named` — `io-{i}`, `router`,
+//! `shard-{i}` — so panics and `/proc` identify the actor, and all
+//! synchronisation goes through the `wmlp_check` shim so the same code
+//! runs under the model checker):
 //!
 //! ```text
-//! acceptor ──spawns──▶ connection reader + writer thread pairs
-//!                         │  ShardJob (global page ids) over a shared mpsc
-//!                         ▼
-//!                      router (owns the Partitioner)
-//!                         │  consults the partition plan per job
-//!                         ├──SPSC ring per shard──▶ shard workers
-//!                         ▲                                │
-//!                         └── per-connection reply mpsc ◀──┘
+//! io-{i} event loops (own every client socket; see crate::event_loop)
+//!    │  ShardJob (global page ids) over a shared mpsc
+//!    ▼
+//! router (owns the Partitioner)
+//!    │  consults the partition plan per job
+//!    ├──SPSC ring per shard──▶ shard workers
+//!    ▲                                │
+//!    └── per-loop completion queue ◀──┘
 //! ```
 //!
-//! Connections are *pipelined*: the reader thread decodes and routes
+//! Connections are *pipelined*: the owning loop decodes and routes
 //! frames continuously, tagging each with a per-connection sequence
-//! number, while a paired writer thread reorders shard replies by
-//! sequence and writes them back in request order — so many requests
-//! ride each connection concurrently and the socket round-trip is
-//! amortized away. A bounded in-flight window ([`ServeConfig::
-//! max_inflight`]) back-pressures the reader so a client that never
-//! drains responses cannot pin unbounded server memory. The router is
-//! the *single* producer into every shard ring, which is what lets the
-//! rings be true SPSC with blocking backpressure, and shards drain a
-//! batch of jobs per ring wakeup into [`wmlp_sim::engine::
-//! SimSession::step_batch`].
+//! number, reorders shard replies by sequence, and writes them back in
+//! request order — so many requests ride each connection concurrently
+//! and the socket round-trip is amortized away. A bounded in-flight
+//! window ([`ServeConfig::max_inflight`]) pauses a connection's reads so
+//! a client that never drains responses cannot pin unbounded server
+//! memory. The router is the *single* producer into every shard ring,
+//! which is what lets the rings be true SPSC with blocking backpressure,
+//! and shards drain a batch of jobs per ring wakeup into
+//! [`wmlp_sim::engine::SimSession::step_batch`].
 //!
 //! The router owns the skew-aware [`Partitioner`] (`wmlp-router`): under
 //! `--partition replicate|migrate` it feeds every routed page to the
@@ -50,79 +41,36 @@
 //! only after the last replica has written.
 //!
 //! Graceful shutdown (a SHUTDOWN frame or [`ServerHandle::shutdown`])
-//! sets a flag, wakes the acceptor with a loopback connection, and
-//! half-closes client sockets to unblock their reads. Requests already
-//! queued in shard rings are still served and answered — the rings drain
-//! before the workers exit — while requests arriving after the flag are
-//! refused with [`ErrorCode::ShuttingDown`].
+//! sets a flag and rings every loop's doorbell; each loop, on observing
+//! the flag, closes the listener (loop 0) and half-closes its own client
+//! sockets so their reads drain to EOF. Requests already queued in shard
+//! rings are still served and answered — the rings drain before the
+//! workers exit — while requests arriving after the flag are refused
+//! with [`wmlp_core::wire::ErrorCode::ShuttingDown`].
 
 // lint:orderings(SeqCst): the shutdown latch is a one-shot flag read by
-// the acceptor, every connection thread, and the SHUTDOWN handler; it is
+// every event loop and set by the SHUTDOWN handler or the handle; it is
 // set at most once per process and sits nowhere near a fast path, so the
 // strongest ordering is the cheapest correct choice to reason about.
 
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::{mpsc, Arc};
 
 use wmlp_algos::PolicyRegistry;
 use wmlp_check::sync::atomic::{AtomicBool, Ordering};
-use wmlp_check::sync::{Mutex, MutexGuard};
 use wmlp_check::thread::{spawn_named, JoinHandle};
-use wmlp_core::conn::{ConnError, FrameReader};
-use wmlp_core::instance::{MlInstance, Request};
+use wmlp_core::instance::MlInstance;
 use wmlp_core::net::{EventFd, Reactor};
 use wmlp_core::storage::{SimStorage, Storage};
-use wmlp_core::wire::{encode, ErrorCode, Frame, WireStats};
+use wmlp_core::wire::WireStats;
 use wmlp_router::{DrainGate, PartitionMode, PartitionSpec, Partitioner, Route};
 use wmlp_store::{RecoverMode, SegmentStore, StoreOptions};
 
 use crate::event_loop::{run_io_loop, LoopShared};
-use crate::reorder::Reorder;
 use crate::shard::{
     run_shard, shard_instances, FanoutAck, ReplyTo, ShardJob, ShardMsg, ShardStats,
 };
 use crate::spsc;
-use crate::window::Window;
-
-/// Which machinery owns client sockets (the `--io-mode` flag). Both
-/// modes speak the same wire protocol with the same semantics — the e2e
-/// suite runs against both and `--replay` output is byte-identical
-/// across them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoMode {
-    /// Thread-per-connection: a reader/writer thread pair per client
-    /// with blocking sockets. Simple, debuggable, and the differential
-    /// reference for the event-driven plane; scales to hundreds of
-    /// connections.
-    Threads,
-    /// Event-driven: [`ServeConfig::io_threads`] epoll reactor loops own
-    /// all client sockets with non-blocking I/O (see
-    /// [`crate::event_loop`]). Scales to thousands of connections.
-    Epoll,
-}
-
-impl IoMode {
-    /// Parse a `--io-mode` flag value.
-    pub fn parse(s: &str) -> Result<IoMode, String> {
-        match s {
-            "threads" => Ok(IoMode::Threads),
-            "epoll" => Ok(IoMode::Epoll),
-            other => Err(format!(
-                "unknown io mode `{other}` (expected `threads` or `epoll`)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for IoMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            IoMode::Threads => "threads",
-            IoMode::Epoll => "epoll",
-        })
-    }
-}
 
 /// Everything the server needs besides the instance itself.
 #[derive(Debug, Clone)]
@@ -144,7 +92,8 @@ pub struct ServeConfig {
     /// [`wmlp_sim::engine::SimSession::step_batch`] call (≥ 1).
     pub batch: usize,
     /// Per-connection cap on pipelined requests awaiting responses
-    /// (≥ 1); a reader at the cap blocks until its writer catches up.
+    /// (≥ 1); a connection at the cap stops being read until replies
+    /// drain.
     pub max_inflight: usize,
     /// Directory for the tiered on-disk segment store; `None` keeps the
     /// levels simulated in memory ([`SimStorage`]). Each shard owns the
@@ -167,12 +116,8 @@ pub struct ServeConfig {
     /// Routed requests per plan epoch; 0 freezes the plan at the hash
     /// baseline even in non-hash modes.
     pub epoch_len: u64,
-    /// Connection plane: thread-per-connection or event-driven epoll
-    /// loops (the `--io-mode` flag).
-    pub io_mode: IoMode,
-    /// Number of event-loop threads in [`IoMode::Epoll`] (≥ 1; ignored
-    /// in [`IoMode::Threads`]). Two loops saturate most NICs; the loops
-    /// only shuffle bytes, the shards do the work.
+    /// Number of event-loop threads (≥ 1). Two loops saturate most
+    /// NICs; the loops only shuffle bytes, the shards do the work.
     pub io_threads: usize,
 }
 
@@ -193,7 +138,6 @@ impl Default for ServeConfig {
             detector_capacity: 256,
             hot_k: 64,
             epoch_len: 4096,
-            io_mode: IoMode::Threads,
             io_threads: 2,
         }
     }
@@ -246,47 +190,28 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
-/// State shared between the handle, the connection plane (acceptor and
-/// connection threads, or the event loops), and the SHUTDOWN handler.
+/// State shared between the handle, the event loops, and the SHUTDOWN
+/// handler.
 pub(crate) struct Inner {
     pub(crate) addr: SocketAddr,
     pub(crate) inst: Arc<MlInstance>,
     pub(crate) max_inflight: usize,
     pub(crate) shutdown: AtomicBool,
-    /// Handles to live client sockets keyed by connection id, half-closed
-    /// on shutdown to unblock their reads. The owning plane deregisters
-    /// a connection on close (and fully closes the socket then — the
-    /// registered duplicate fd would otherwise hold it open and starve
-    /// clients waiting on EOF).
-    pub(crate) conns: Mutex<Vec<(u64, TcpStream)>>,
     pub(crate) stats: Vec<Arc<ShardStats>>,
     /// Warm pages rebuilt from segment logs at startup, summed over
     /// shards; always 0 for in-memory storage and cold recovery.
     pub(crate) warm_recovered: u64,
-    /// Doorbells of the event loops (empty in thread mode), rung on
-    /// shutdown so loops parked in `epoll_wait` observe the flag.
+    /// Doorbells of the event loops, rung on shutdown so loops parked in
+    /// `epoll_wait` observe the flag.
     pub(crate) bells: Vec<Arc<EventFd>>,
 }
 
-pub(crate) fn lock_conns(inner: &Inner) -> MutexGuard<'_, Vec<(u64, TcpStream)>> {
-    match inner.conns.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    }
-}
-
 impl Inner {
-    /// Flip the shutdown flag; on the first call, wake the acceptor (or
-    /// the event loops) and unblock every connection's pending read.
+    /// Flip the shutdown flag; on the first call, wake every event loop
+    /// so it stops accepting and half-closes its own sockets.
     pub(crate) fn trigger_shutdown(&self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
-        }
-        // Wake the acceptor out of `accept` with a throwaway connection
-        // (in epoll mode this also pokes loop 0's listener readiness).
-        let _ = TcpStream::connect(self.addr);
-        for (_, c) in lock_conns(self).iter() {
-            let _ = c.shutdown(std::net::Shutdown::Read);
         }
         for bell in &self.bells {
             let _ = bell.ring();
@@ -299,9 +224,8 @@ impl Inner {
 /// and then [`ServerHandle::join`]).
 pub struct ServerHandle {
     inner: Arc<Inner>,
-    /// The connection plane: the single acceptor in thread mode, the
-    /// event loops in epoll mode. Either way, these threads own every
-    /// client socket and their exit means all connections have drained.
+    /// The event loops: they own every client socket, and their exit
+    /// means all connections have drained.
     io: Vec<JoinHandle<()>>,
     router: Option<JoinHandle<()>>,
     shards: Vec<JoinHandle<()>>,
@@ -333,12 +257,10 @@ impl ServerHandle {
     /// [`ServerHandle::shutdown`] call) and return the final aggregate
     /// stats after every shard has drained.
     pub fn join(mut self) -> WireStats {
-        // The connection plane exits only after every connection drains
-        // (the acceptor joins its connection threads; an event loop exits
-        // once its last connection closes), which drops the last router
-        // sender; the router then exits, closing the shard rings; the
-        // shards drain and exit. This ordering is what guarantees
-        // in-flight requests are served.
+        // An event loop exits only once its last connection closes; the
+        // last loop to exit drops the last router sender; the router then
+        // exits, closing the shard rings; the shards drain and exit. This
+        // ordering is what guarantees in-flight requests are served.
         for h in self.io.drain(..) {
             let _ = h.join();
         }
@@ -407,18 +329,16 @@ pub fn start(inst: Arc<MlInstance>, cfg: &ServeConfig) -> Result<ServerHandle, S
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
 
-    // The event-loop plane's kernel resources (epoll instances and
-    // doorbell eventfds) are created before any thread spawns, so an
-    // fd-limit failure surfaces here instead of inside a worker.
-    let io_threads = cfg.io_threads.max(1);
+    listener.set_nonblocking(true)?;
+
+    // The event loops' kernel resources (epoll instances and doorbell
+    // eventfds) are created before any thread spawns, so an fd-limit
+    // failure surfaces here instead of inside a worker.
     let mut io_shareds: Vec<Arc<LoopShared>> = Vec::new();
     let mut reactors: Vec<Reactor> = Vec::new();
-    if cfg.io_mode == IoMode::Epoll {
-        listener.set_nonblocking(true)?;
-        for _ in 0..io_threads {
-            io_shareds.push(LoopShared::new()?);
-            reactors.push(Reactor::new()?);
-        }
+    for _ in 0..cfg.io_threads.max(1) {
+        io_shareds.push(LoopShared::new()?);
+        reactors.push(Reactor::new()?);
     }
 
     let stats: Vec<Arc<ShardStats>> = shard_insts
@@ -430,7 +350,6 @@ pub fn start(inst: Arc<MlInstance>, cfg: &ServeConfig) -> Result<ServerHandle, S
         inst,
         max_inflight: cfg.max_inflight.max(1),
         shutdown: AtomicBool::new(false),
-        conns: Mutex::new(Vec::new()),
         stats: stats.clone(),
         warm_recovered,
         bells: io_shareds.iter().map(|s| Arc::clone(&s.bell)).collect(),
@@ -466,61 +385,25 @@ pub fn start(inst: Arc<MlInstance>, cfg: &ServeConfig) -> Result<ServerHandle, S
         })
     };
 
-    // The connection plane. Either way, the threads spawned here hold
-    // every clone of `route_tx`, so their collective exit closes the
-    // router's channel only once all in-flight requests are routed.
-    let io_handles = match cfg.io_mode {
-        IoMode::Threads => {
-            // Acceptor: owns the listener and every connection handle.
+    // The event loops hold every clone of `route_tx`, so their
+    // collective exit closes the router's channel only once all
+    // in-flight requests are routed.
+    let peers = Arc::new(io_shareds);
+    let mut listener = Some(listener); // loop 0 owns it
+    let io_handles: Vec<JoinHandle<()>> = reactors
+        .into_iter()
+        .enumerate()
+        .map(|(i, reactor)| {
             let inner = Arc::clone(&inner);
-            vec![spawn_named("acceptor", move || {
-                let mut conn_handles = Vec::new();
-                let mut next_id = 0u64;
-                for stream in listener.incoming() {
-                    if inner.shutdown.load(Ordering::SeqCst) {
-                        break; // the wake connection, or a late client
-                    }
-                    let Ok(stream) = stream else { continue };
-                    next_id += 1;
-                    let id = next_id;
-                    if let Ok(registered) = stream.try_clone() {
-                        lock_conns(&inner).push((id, registered));
-                    }
-                    let inner = Arc::clone(&inner);
-                    let route_tx = route_tx.clone();
-                    conn_handles.push(spawn_named(format!("conn-{id}-rd"), move || {
-                        serve_connection(&inner, id, stream, &route_tx);
-                    }));
-                }
-                for h in conn_handles {
-                    let _ = h.join();
-                }
-                // `route_tx` (the original) drops here, after every clone
-                // in the connection threads.
-            })]
-        }
-        IoMode::Epoll => {
-            let peers = Arc::new(io_shareds);
-            let mut listener = Some(listener); // loop 0 owns it
-            let handles: Vec<JoinHandle<()>> = reactors
-                .into_iter()
-                .enumerate()
-                .map(|(i, reactor)| {
-                    let inner = Arc::clone(&inner);
-                    let peers = Arc::clone(&peers);
-                    let route_tx = route_tx.clone();
-                    let listener = listener.take();
-                    spawn_named(format!("io-{i}"), move || {
-                        run_io_loop(inner, i, reactor, peers, listener, route_tx);
-                    })
-                })
-                .collect();
-            // Loops hold clones; drop the original so the router's
-            // channel closes when the last loop exits.
-            drop(route_tx);
-            handles
-        }
-    };
+            let peers = Arc::clone(&peers);
+            let route_tx = route_tx.clone();
+            let listener = listener.take();
+            spawn_named(format!("io-{i}"), move || {
+                run_io_loop(inner, i, reactor, peers, listener, route_tx);
+            })
+        })
+        .collect();
+    drop(route_tx);
 
     Ok(ServerHandle {
         inner,
@@ -571,12 +454,10 @@ pub(crate) fn run_router(
                 }
             }
             Route::Fanout { home } => match job.reply {
-                reply @ (ReplyTo::Conn(_) | ReplyTo::Sink { .. }) => {
+                reply @ ReplyTo::Sink { .. } => {
                     // Replicated PUT: one copy per shard; the last
-                    // completion forwards the home shard's reply (to the
-                    // connection's writer inbox or the owning event
-                    // loop's completion queue, whichever the job came
-                    // with).
+                    // completion forwards the home shard's reply to the
+                    // owning event loop's completion queue.
                     let ack = FanoutAck::new(rings.len(), job.seq, reply);
                     for (shard, ring) in rings.iter().enumerate() {
                         stats[shard].note_enqueued();
@@ -596,7 +477,7 @@ pub(crate) fn run_router(
                     }
                 }
                 // Already a fan-out reply (cannot happen for jobs from
-                // connection readers): serve single-copy at home rather
+                // event loops): serve single-copy at home rather
                 // than nest countdowns.
                 other => {
                     stats[home].note_enqueued();
@@ -611,162 +492,4 @@ pub(crate) fn run_router(
             },
         }
     }
-}
-
-/// One client connection, pipelined: this (reader) thread decodes and
-/// routes frames, assigning each a sequence number; a paired writer
-/// thread reorders replies by sequence and writes them back in request
-/// order. Control frames (STATS, SHUTDOWN, protocol errors) are answered
-/// inline but still sequenced, so every response leaves in the order its
-/// request arrived.
-fn serve_connection(inner: &Inner, id: u64, stream: TcpStream, route_tx: &mpsc::Sender<ShardJob>) {
-    let Ok(write_half) = stream.try_clone() else {
-        lock_conns(inner).retain(|(cid, _)| *cid != id);
-        return;
-    };
-    let (reply_tx, reply_rx) = mpsc::channel::<(u64, Frame)>();
-    let window = Arc::new(Window::new(inner.max_inflight));
-    let writer = {
-        let window = Arc::clone(&window);
-        spawn_named(format!("conn-{id}-wr"), move || {
-            write_replies(write_half, reply_rx, &window)
-        })
-    };
-    let mut reader = FrameReader::new(stream);
-    let mut next_seq = 0u64;
-    loop {
-        let frame = match reader.next_frame() {
-            Ok(Some(f)) => f,
-            Ok(None) => break, // clean EOF
-            Err(e @ (ConnError::Codec(_) | ConnError::Version { .. })) => {
-                // Protocol violation (corrupt framing or version skew):
-                // explain, then hang up — the byte stream is off the
-                // rails and nothing downstream is trustworthy.
-                window.acquire();
-                let _ = reply_tx.send((
-                    next_seq,
-                    Frame::Error {
-                        code: ErrorCode::BadRequest,
-                        detail: e.to_string(),
-                    },
-                ));
-                break;
-            }
-            Err(_) => break, // io error, truncated EOF, or closed
-        };
-        window.acquire();
-        let seq = next_seq;
-        next_seq += 1;
-        let (req, put) = match frame {
-            Frame::Get { page, level } => (Request::new(page, level), None),
-            Frame::Put { page, value } => (Request::new(page, 1), Some(value)),
-            Frame::Stats => {
-                let _ = reply_tx.send((seq, Frame::StatsReply(ShardStats::payload(&inner.stats))));
-                continue;
-            }
-            Frame::Shutdown => {
-                let _ = reply_tx.send((seq, Frame::Bye));
-                inner.trigger_shutdown();
-                break;
-            }
-            // Response opcodes are meaningless as requests.
-            _ => {
-                let _ = reply_tx.send((
-                    seq,
-                    Frame::Error {
-                        code: ErrorCode::BadRequest,
-                        detail: "not a request frame".into(),
-                    },
-                ));
-                continue;
-            }
-        };
-        if inner.shutdown.load(Ordering::SeqCst) {
-            let _ = reply_tx.send((
-                seq,
-                Frame::Error {
-                    code: ErrorCode::ShuttingDown,
-                    detail: "server is draining".into(),
-                },
-            ));
-        } else if !inner.inst.request_valid(req) {
-            let _ = reply_tx.send((
-                seq,
-                Frame::Error {
-                    code: ErrorCode::BadRequest,
-                    detail: format!(
-                        "request ({}, {}) outside instance (n = {}, max level {})",
-                        req.page,
-                        req.level,
-                        inner.inst.n(),
-                        inner.inst.max_levels()
-                    ),
-                },
-            ));
-        } else {
-            // Global page ids end-to-end; the router thread picks the
-            // shard(s) against the current partition plan and bumps the
-            // target's queue gauge at enqueue time.
-            let job = ShardJob {
-                req,
-                put,
-                seq,
-                reply: ReplyTo::Conn(reply_tx.clone()),
-            };
-            if route_tx.send(job).is_err() {
-                // Router gone: server is tearing down. The job (and its
-                // reply sender) died inside the failed send.
-                break;
-            }
-        }
-    }
-    // Dropping our reply sender lets the writer exit once every routed
-    // job's clone has replied — i.e. after all in-flight responses are
-    // on the wire. Join it before closing the socket.
-    drop(reply_tx);
-    let _ = writer.join();
-    // Close the socket for real (the registry's duplicate fd would keep
-    // it open and leave the client waiting on an EOF that never comes),
-    // then drop our registration.
-    lock_conns(inner).retain(|(cid, stream)| {
-        if *cid == id {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        *cid != id
-    });
-}
-
-/// The connection's writer half: reorder `(seq, frame)` replies into
-/// sequence order and write maximal contiguous runs per flush, freeing a
-/// window slot per frame. Exits when every reply sender is gone (reader
-/// done *and* all routed jobs answered) or on a socket error.
-fn write_replies(stream: TcpStream, rx: mpsc::Receiver<(u64, Frame)>, window: &Window) {
-    let mut out = std::io::BufWriter::new(stream);
-    let mut pending: Reorder<Frame> = Reorder::new();
-    let mut scratch = Vec::new();
-    'drain: while let Ok((seq, frame)) = rx.recv() {
-        pending.insert(seq, frame);
-        // Take whatever else is already queued before touching the
-        // socket, so one syscall covers a burst of replies.
-        while let Ok((s, f)) = rx.try_recv() {
-            pending.insert(s, f);
-        }
-        let mut wrote = false;
-        while let Some(frame) = pending.pop_next() {
-            scratch.clear();
-            encode(&frame, &mut scratch);
-            if out.write_all(&scratch).is_err() {
-                break 'drain;
-            }
-            wrote = true;
-            window.release();
-        }
-        if wrote && out.flush().is_err() {
-            break;
-        }
-    }
-    // On early exit (socket error) the reader may be parked on a full
-    // window that will never drain; let it through so it can notice the
-    // dead socket itself.
-    window.poison();
 }

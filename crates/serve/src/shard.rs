@@ -27,7 +27,7 @@
 // store and the final decrement acquires them all, so the last shard to
 // finish observes the home shard's reply frame (the Arc-drop pattern).
 
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 
 use wmlp_check::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -226,9 +226,8 @@ impl ShardStats {
 pub struct FanoutAck {
     remaining: AtomicUsize,
     seq: u64,
-    /// Where the final (home) frame goes — a connection writer inbox in
-    /// `--io-mode threads`, an event-loop completion queue in
-    /// `--io-mode epoll`. Never itself a [`ReplyTo::Fanout`]; the router
+    /// Where the final (home) frame goes — the owning event loop's
+    /// completion queue. Never itself a [`ReplyTo::Fanout`]; the router
     /// guards against nesting countdowns.
     reply: ReplyTo,
     /// The home shard's reply frame, parked until the countdown ends.
@@ -271,12 +270,11 @@ impl FanoutAck {
     }
 }
 
-/// A destination for completed frames from connections owned by an event
-/// loop rather than a dedicated writer thread: shard workers (and the
-/// router's fan-out countdown) hand `(connection, seq, frame)` triples to
-/// the loop without blocking, and the implementation is responsible for
-/// waking the loop (the epoll plane uses an `eventfd` doorbell; see the
-/// `notify` module for the model-checked handshake).
+/// A destination for completed frames: shard workers (and the router's
+/// fan-out countdown) hand `(connection, seq, frame)` triples to the
+/// event loop owning the connection without blocking, and the
+/// implementation is responsible for waking the loop (an `eventfd`
+/// doorbell; see the `notify` module for the model-checked handshake).
 pub trait CompletionSink: Send + Sync {
     /// Deliver `frame` for sequence slot `seq` of connection `conn`.
     fn complete(&self, conn: u64, seq: u64, frame: Frame);
@@ -284,11 +282,8 @@ pub trait CompletionSink: Send + Sync {
 
 /// Where a served job's reply frame goes.
 pub enum ReplyTo {
-    /// Straight to the originating connection's writer inbox
-    /// (`--io-mode threads`).
-    Conn(mpsc::Sender<(u64, Frame)>),
-    /// Into the completion queue of the event loop owning the connection
-    /// (`--io-mode epoll`).
+    /// Into the completion queue of the event loop owning the
+    /// connection.
     Sink {
         /// The owning event loop's completion queue.
         sink: Arc<dyn CompletionSink>,
@@ -309,11 +304,6 @@ impl ReplyTo {
     /// Deliver `frame` for the job holding sequence slot `seq`.
     pub fn deliver(&self, seq: u64, frame: Frame) {
         match self {
-            // A send failure just means the connection hung up before
-            // its response; the step itself is already accounted.
-            ReplyTo::Conn(tx) => {
-                let _ = tx.send((seq, frame));
-            }
             ReplyTo::Sink { sink, conn } => sink.complete(*conn, seq, frame),
             ReplyTo::Fanout { ack, home } => ack.complete(frame, *home),
         }
@@ -329,8 +319,8 @@ pub struct ShardJob {
     /// storage backend once the engine has made room at level 1.
     pub put: Option<Vec<u8>>,
     /// Position in the originating connection's response order; the
-    /// connection's writer emits replies in `seq` order regardless of
-    /// shard completion order.
+    /// owning loop emits replies in `seq` order regardless of shard
+    /// completion order.
     pub seq: u64,
     /// Where the response frame goes.
     pub reply: ReplyTo,
@@ -480,6 +470,29 @@ pub fn run_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+
+    /// Channel-backed sink standing in for an event loop: replies land
+    /// on an mpsc the test drains.
+    struct ChanSink(mpsc::Sender<(u64, Frame)>);
+
+    impl CompletionSink for ChanSink {
+        fn complete(&self, _conn: u64, seq: u64, frame: Frame) {
+            let _ = self.0.send((seq, frame));
+        }
+    }
+
+    fn chan_sink() -> (Arc<dyn CompletionSink>, mpsc::Receiver<(u64, Frame)>) {
+        let (tx, rx) = mpsc::channel();
+        (Arc::new(ChanSink(tx)), rx)
+    }
+
+    fn reply_to(sink: &Arc<dyn CompletionSink>) -> ReplyTo {
+        ReplyTo::Sink {
+            sink: Arc::clone(sink),
+            conn: 0,
+        }
+    }
 
     fn global() -> MlInstance {
         MlInstance::from_rows(4, (0..10).map(|p| vec![10 + p as u64, 2]).collect()).unwrap()
@@ -533,7 +546,7 @@ mod tests {
         let mut store = SimStorage::new(inst.n(), inst.max_levels(), 16);
         let stats = ShardStats::default();
         let (tx, rx) = spsc::channel(8);
-        let (reply_tx, reply_rx) = mpsc::channel();
+        let (sink, reply_rx) = chan_sink();
         for (seq, page) in [0u32, 1, 0, 9].into_iter().enumerate() {
             stats.note_enqueued();
             assert!(tx
@@ -541,7 +554,7 @@ mod tests {
                     req: Request::top(page),
                     put: if seq == 1 { Some(b"v1".to_vec()) } else { None },
                     seq: seq as u64,
-                    reply: ReplyTo::Conn(reply_tx.clone()),
+                    reply: reply_to(&sink),
                 }))
                 .is_ok());
         }
@@ -601,7 +614,7 @@ mod tests {
             let mut store = SimStorage::new(inst.n(), inst.max_levels(), 8);
             let stats = ShardStats::default();
             let (tx, rx) = spsc::channel(ring_cap);
-            let (reply_tx, reply_rx) = mpsc::channel();
+            let (sink, reply_rx) = chan_sink();
             for (seq, &page) in pages.iter().enumerate() {
                 stats.note_enqueued();
                 assert!(tx
@@ -609,7 +622,7 @@ mod tests {
                         req: Request::top(page),
                         put: None,
                         seq: seq as u64,
-                        reply: ReplyTo::Conn(reply_tx.clone()),
+                        reply: reply_to(&sink),
                     }))
                     .is_ok());
             }
@@ -632,7 +645,7 @@ mod tests {
         let mut store = SimStorage::new(inst.n(), inst.max_levels(), 16);
         let stats = ShardStats::default();
         let (tx, rx) = spsc::channel(8);
-        let (reply_tx, reply_rx) = mpsc::channel();
+        let (sink, reply_rx) = chan_sink();
         let gate = DrainGate::new(1);
         stats.note_enqueued();
         assert!(tx
@@ -640,7 +653,7 @@ mod tests {
                 req: Request::top(3),
                 put: None,
                 seq: 0,
-                reply: ReplyTo::Conn(reply_tx.clone()),
+                reply: reply_to(&sink),
             }))
             .is_ok());
         assert!(tx.send(ShardMsg::Drain(gate.clone())).is_ok());
@@ -650,7 +663,7 @@ mod tests {
                 req: Request::top(5),
                 put: None,
                 seq: 1,
-                reply: ReplyTo::Conn(reply_tx),
+                reply: reply_to(&sink),
             }))
             .is_ok());
         drop(tx);
@@ -665,8 +678,8 @@ mod tests {
 
     #[test]
     fn fanout_ack_forwards_the_home_frame_last() {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let ack = FanoutAck::new(3, 7, ReplyTo::Conn(reply_tx));
+        let (sink, reply_rx) = chan_sink();
+        let ack = FanoutAck::new(3, 7, reply_to(&sink));
         let frame = |level: u8| Frame::Served {
             hit: false,
             level,

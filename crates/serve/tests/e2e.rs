@@ -2,21 +2,23 @@
 //! hand-rolled protocol client, plus replay-mode determinism through the
 //! actual `wmlp-serve` binary.
 //!
-//! The behavioral tests run against both connection planes (`--io-mode
-//! threads|epoll`), and the pipelined test uses the thread plane as the
-//! differential reference for the event-driven one: identical requests
-//! must produce byte-identical reply sequences in either mode.
+//! The reply oracle is [`sequential_model`]: a single-threaded replay of
+//! the same request stream through one `SimSession` per shard, built only
+//! from public items, so it depends on nothing in the connection plane.
 
 use std::io::{BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
+use wmlp_algos::PolicyRegistry;
 use wmlp_core::codec;
 use wmlp_core::conn::{write_frame, FrameReader};
-use wmlp_core::instance::Request;
+use wmlp_core::instance::{MlInstance, Request};
+use wmlp_core::storage::SimStorage;
 use wmlp_core::wire::{request_frame, ErrorCode, Frame};
-use wmlp_serve::server::{start, IoMode, ServeConfig};
-use wmlp_serve::{default_instance, replay_manifest};
+use wmlp_serve::server::{start, ServeConfig};
+use wmlp_serve::{default_instance, replay_manifest, shard_instances, ShardMap};
+use wmlp_sim::engine::{BatchLog, SimSession, StoreRequest};
 
 struct Client {
     writer: BufWriter<TcpStream>,
@@ -55,26 +57,57 @@ fn serve_cfg(shards: usize) -> ServeConfig {
     }
 }
 
-fn serve_cfg_io(shards: usize, io_mode: IoMode) -> ServeConfig {
-    ServeConfig {
-        io_mode,
-        ..serve_cfg(shards)
-    }
+/// What a strictly sequential server answers to `reqs` sent from one
+/// connection as `request_frame(req, b"")` (so level-1 requests are PUTs
+/// of an empty value) under hash partitioning: per shard one
+/// `SimSession`, the registry policy seeded `seed + s`, and an in-memory
+/// store, stepped one request at a time in arrival order.
+fn sequential_model(inst: &MlInstance, cfg: &ServeConfig, reqs: &[Request]) -> Vec<Frame> {
+    let insts = shard_instances(inst, cfg.shards).unwrap();
+    let map = ShardMap::new(cfg.shards);
+    let registry = PolicyRegistry::standard();
+    let mut shards: Vec<_> = insts
+        .iter()
+        .enumerate()
+        .map(|(s, si)| {
+            (
+                SimSession::new(si),
+                registry
+                    .build(&cfg.policy, si, cfg.seed + s as u64)
+                    .unwrap(),
+                SimStorage::new(si.n(), si.max_levels(), cfg.value_size),
+            )
+        })
+        .collect();
+    let mut log = BatchLog::new();
+    reqs.iter()
+        .map(|&req| {
+            let s = map.shard_of(req.page);
+            let (session, policy, store) = &mut shards[s];
+            let put = (req.level == 1).then_some(&b""[..]);
+            let batch = [StoreRequest { req, put }];
+            session.step_batch_store(&insts[s], policy.as_mut(), &batch, store, &mut log);
+            let out = log.outcomes()[0].as_ref().expect("model step");
+            Frame::Served {
+                hit: out.hit,
+                level: out.serve_level,
+                cost: out.fetch_cost,
+                value: log.take_values().remove(0),
+            }
+        })
+        .collect()
+}
+
+/// Open file descriptors of this process (server and client ends alike:
+/// the server under test runs in-process).
+fn open_fds() -> usize {
+    std::fs::read_dir("/proc/self/fd").expect("procfs").count()
 }
 
 #[test]
 fn sharded_server_serves_gets_puts_stats_and_shuts_down() {
-    sharded_server_case(IoMode::Threads);
-}
-
-#[test]
-fn sharded_server_epoll_mode_behaves_identically() {
-    sharded_server_case(IoMode::Epoll);
-}
-
-fn sharded_server_case(io_mode: IoMode) {
     let inst = Arc::new(default_instance(256, 3, 32, 7).unwrap());
-    let handle = start(Arc::clone(&inst), &serve_cfg_io(4, io_mode)).unwrap();
+    let handle = start(Arc::clone(&inst), &serve_cfg(4)).unwrap();
     let mut client = Client::connect(handle.addr());
 
     let mut served = 0u64;
@@ -136,21 +169,10 @@ fn sharded_server_case(io_mode: IoMode) {
 
 /// Pipelining: blast every request down the socket without reading a
 /// single reply, then read all replies — they must come back exactly in
-/// request order, and must match what a closed-loop client sees.
+/// request order. Both that run and a closed-loop run of the same
+/// requests must equal the sequential model frame for frame.
 #[test]
-fn pipelined_requests_get_in_order_replies_matching_closed_loop() {
-    pipelined_case(IoMode::Threads);
-}
-
-/// The differential check across planes: the closed-loop reference runs
-/// on the thread plane, the pipelined run on the event-driven one; the
-/// reply sequences must be identical frame for frame.
-#[test]
-fn pipelined_epoll_replies_match_thread_plane_reference() {
-    pipelined_case(IoMode::Epoll);
-}
-
-fn pipelined_case(io_mode: IoMode) {
+fn closed_loop_and_pipelined_replies_match_the_sequential_model() {
     let inst = Arc::new(default_instance(256, 3, 32, 7).unwrap());
     let reqs: Vec<Request> = (0..200u32)
         .map(|i| {
@@ -158,21 +180,23 @@ fn pipelined_case(io_mode: IoMode) {
             Request::new(page, 1 + (i % u32::from(inst.levels(page))) as u8)
         })
         .collect();
+    let model = sequential_model(&inst, &serve_cfg(4), &reqs);
 
-    // Closed-loop reference on a fresh server.
+    // Closed-loop run on a fresh server.
     let handle = start(Arc::clone(&inst), &serve_cfg(4)).unwrap();
     let mut closed = Client::connect(handle.addr());
-    let reference: Vec<Frame> = reqs
+    let got: Vec<Frame> = reqs
         .iter()
         .map(|&r| closed.roundtrip(&request_frame(r, b"")))
         .collect();
+    assert_eq!(got, model, "closed-loop replies diverge from the model");
     assert!(matches!(closed.roundtrip(&Frame::Shutdown), Frame::Bye));
     handle.join();
 
     // Pipelined run: write everything, reader thread collects replies
     // concurrently (the bounded in-flight window would otherwise
     // deadlock a writer that never drains responses).
-    let handle = start(Arc::clone(&inst), &serve_cfg_io(4, io_mode)).unwrap();
+    let handle = start(Arc::clone(&inst), &serve_cfg(4)).unwrap();
     let stream = TcpStream::connect(handle.addr()).unwrap();
     let read_half = stream.try_clone().unwrap();
     let n = reqs.len();
@@ -190,7 +214,7 @@ fn pipelined_case(io_mode: IoMode) {
     }
     writer.flush().unwrap();
     let got = reader.join().unwrap();
-    assert_eq!(got, reference, "pipelined replies diverge from closed-loop");
+    assert_eq!(got, model, "pipelined replies diverge from the model");
 
     // Control frames are sequenced with the stream: STATS pipelined
     // behind requests answers after them, in order.
@@ -215,19 +239,82 @@ fn pipelined_case(io_mode: IoMode) {
     handle.join();
 }
 
+/// Backpressure (PROTOCOL.md: "a client that never reads replies will
+/// eventually block on writes"): one connection offers far more GETs
+/// than `max_inflight` plus 1 MiB of unflushed replies can absorb and
+/// reads nothing. The server must stall that connection — served
+/// requests stop short of the number offered — while still answering
+/// others, then serve the rest in order once the client drains.
+#[test]
+fn a_client_that_never_reads_stalls_then_drains_in_order() {
+    const OFFERED: usize = 3000;
+    let inst = Arc::new(default_instance(256, 3, 32, 7).unwrap());
+    // 16 KiB replies: 1 MiB of outbound buffer holds 64 of them, and the
+    // kernel's socket buffers a few hundred more at the very most.
+    let cfg = ServeConfig {
+        value_size: 16 * 1024,
+        ..serve_cfg(2)
+    };
+    let reqs: Vec<Request> = (0..OFFERED as u32)
+        .map(|i| Request::new((i * 7) % 256, 2))
+        .collect();
+    let model = sequential_model(&inst, &cfg, &reqs);
+    let handle = start(Arc::clone(&inst), &cfg).unwrap();
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut observer = Client::connect(handle.addr());
+    let served = |c: &mut Client| match c.roundtrip(&Frame::Stats) {
+        Frame::StatsReply(stats) => stats.total.requests,
+        other => panic!("unexpected reply {other:?}"),
+    };
+
+    std::thread::scope(|scope| {
+        // The writer may itself block once every buffer on the request
+        // path is full, so it gets its own thread.
+        let write_half = stream.try_clone().unwrap();
+        let reqs = &reqs;
+        scope.spawn(move || {
+            let mut writer = BufWriter::new(write_half);
+            for &r in reqs {
+                write_frame(&mut writer, &request_frame(r, b"")).unwrap();
+            }
+            writer.flush().unwrap();
+        });
+
+        // Two equal nonzero snapshots a pause apart: the connection has
+        // stalled. It must have stalled short of what was offered.
+        let pause = std::time::Duration::from_millis(100);
+        let mut last = served(&mut observer);
+        let stalled = loop {
+            std::thread::sleep(pause);
+            let now = served(&mut observer);
+            if now == last && now > 0 {
+                break now;
+            }
+            last = now;
+        };
+        assert!(
+            stalled < OFFERED as u64,
+            "served all {OFFERED} requests for a client that reads nothing"
+        );
+        assert!(stalled >= cfg.max_inflight as u64);
+
+        // Drain: every reply arrives, in request order.
+        let mut reader = FrameReader::new(stream.try_clone().unwrap());
+        for (i, want) in model.iter().enumerate() {
+            let got = reader.next_frame().expect("read").expect("reply");
+            assert_eq!(&got, want, "reply {i} diverges from the model");
+        }
+    });
+    assert_eq!(served(&mut observer), OFFERED as u64);
+    assert!(matches!(observer.roundtrip(&Frame::Shutdown), Frame::Bye));
+    drop(stream);
+    assert_eq!(handle.join().requests, OFFERED as u64);
+}
+
 #[test]
 fn corrupt_bytes_get_an_error_then_disconnect() {
-    corrupt_bytes_case(IoMode::Threads);
-}
-
-#[test]
-fn corrupt_bytes_epoll_mode_errors_then_disconnects() {
-    corrupt_bytes_case(IoMode::Epoll);
-}
-
-fn corrupt_bytes_case(io_mode: IoMode) {
     let inst = Arc::new(default_instance(64, 2, 8, 7).unwrap());
-    let handle = start(inst, &serve_cfg_io(1, io_mode)).unwrap();
+    let handle = start(inst, &serve_cfg(1)).unwrap();
     let stream = TcpStream::connect(handle.addr()).unwrap();
     let mut writer = stream.try_clone().unwrap();
     writer.write_all(b"GET / HTTP/1.1\r\n").unwrap(); // wrong protocol
@@ -244,17 +331,8 @@ fn corrupt_bytes_case(io_mode: IoMode) {
 
 #[test]
 fn requests_after_shutdown_are_refused_but_drained_work_completes() {
-    shutdown_refusal_case(IoMode::Threads);
-}
-
-#[test]
-fn requests_after_shutdown_epoll_mode_refused_but_drained() {
-    shutdown_refusal_case(IoMode::Epoll);
-}
-
-fn shutdown_refusal_case(io_mode: IoMode) {
     let inst = Arc::new(default_instance(64, 2, 8, 7).unwrap());
-    let handle = start(inst, &serve_cfg_io(2, io_mode)).unwrap();
+    let handle = start(inst, &serve_cfg(2)).unwrap();
     let mut a = Client::connect(handle.addr());
     let mut b = Client::connect(handle.addr());
     assert!(matches!(
@@ -325,8 +403,8 @@ fn replay_binary_is_byte_identical_across_runs_and_shard_counts() {
         run("8", &[]),
         "shard count leaked into replay output"
     );
-    // The connection plane cannot leak into replay output either: replay
-    // is a single canonical engine, io mode or not.
+    // `--io-mode epoll` is still accepted (as a no-op) and cannot leak
+    // into replay output: replay is a single canonical engine.
     assert_eq!(
         first,
         run("8", &["--io-mode", "epoll"]),
@@ -369,6 +447,32 @@ fn replay_binary_is_byte_identical_across_runs_and_shard_counts() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The threads plane is gone; asking for it (or for anything else that
+/// is not `epoll`) is refused before the server binds.
+#[test]
+fn removed_plane_flag_values_exit_2_before_binding() {
+    for mode in ["threads", "bogus"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_wmlp-serve"))
+            .args([
+                "--io-mode",
+                mode,
+                "--pages",
+                "64",
+                "--levels",
+                "2",
+                "--k",
+                "8",
+            ])
+            .output()
+            .expect("run wmlp-serve");
+        assert_eq!(out.status.code(), Some(2), "--io-mode {mode}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(err.lines().count(), 1, "one-line explanation: {err}");
+        assert!(err.contains("removed in PR 12"), "{err}");
+        assert!(out.stdout.is_empty(), "refused before `listening on`");
+    }
+}
+
 /// The tiered on-disk store across server lifetimes: a value PUT before
 /// a graceful shutdown reads back byte-identical after a warm restart
 /// (warm tier rebuilt from the segment logs) and after a cold restart
@@ -404,17 +508,9 @@ fn on_disk_store_survives_restart_warm_and_cold() {
     assert!(matches!(client.roundtrip(&Frame::Shutdown), Frame::Bye));
     handle.join();
 
-    // Warm restart — on the event-driven plane, so the store round-trips
-    // across io modes too: the warm tier is rebuilt from the segment
-    // logs and the value still reads back byte-identical.
-    let handle = start(
-        Arc::clone(&inst),
-        &ServeConfig {
-            io_mode: IoMode::Epoll,
-            ..cfg_with(RecoverMode::Warm)
-        },
-    )
-    .unwrap();
+    // Warm restart: the warm tier is rebuilt from the segment logs and
+    // the value still reads back byte-identical.
+    let handle = start(Arc::clone(&inst), &cfg_with(RecoverMode::Warm)).unwrap();
     assert!(handle.warm_recovered() > 0, "warm tier must be rebuilt");
     let mut client = Client::connect(handle.addr());
     match client.roundtrip(&request_frame(Request::new(17, 2), b"")) {
@@ -445,10 +541,10 @@ fn on_disk_store_survives_restart_warm_and_cold() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The event-driven plane under fan-in: far more connections than event
-/// loops (or than the thread plane would want to carry), all pipelining
+/// Fan-in: far more connections than event loops, all pipelining
 /// concurrently from a single client thread. Every connection must get
-/// its own replies, in its own request order.
+/// its own replies, in its own request order, and must cost the server
+/// exactly one file descriptor.
 #[test]
 fn epoll_plane_serves_many_concurrent_pipelined_connections() {
     const CONNS: usize = 192;
@@ -456,9 +552,10 @@ fn epoll_plane_serves_many_concurrent_pipelined_connections() {
     let inst = Arc::new(default_instance(256, 3, 32, 7).unwrap());
     let cfg = ServeConfig {
         io_threads: 2,
-        ..serve_cfg_io(4, IoMode::Epoll)
+        ..serve_cfg(4)
     };
     let handle = start(Arc::clone(&inst), &cfg).unwrap();
+    let fds_before = open_fds();
 
     // Open every connection first, then write every request, then read
     // every reply — maximal concurrency without a client thread per
@@ -484,6 +581,14 @@ fn epoll_plane_serves_many_concurrent_pipelined_connections() {
             }
         }
     }
+    // Every connection is accepted, adopted and answered: each holds one
+    // client-end and one server-end descriptor, nothing more. The slack
+    // covers sibling tests opening sockets in this process meanwhile.
+    let grown = open_fds().saturating_sub(fds_before);
+    assert!(
+        grown <= 2 * CONNS + 32,
+        "{grown} fds for {CONNS} connections: more than one per side"
+    );
     // Replies must be per-connection in order; spot-check with a marker
     // PUT/GET pair on one connection while the rest stay open.
     let mut client = Client::connect(handle.addr());

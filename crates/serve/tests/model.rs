@@ -1,21 +1,20 @@
 //! Model-checked properties of the serving stack's concurrency primitives.
 //!
-//! Every test runs the *real* production code (`spsc`, `Window`,
-//! `Reorder`-driven writer loop, `run_shard`) under the `wmlp-check`
-//! exhaustive interleaving explorer. The checked properties, per ISSUE 7:
+//! Every test runs the *real* production code (`spsc`, `run_shard`,
+//! `CompletionQueue`) under the `wmlp-check` exhaustive interleaving
+//! explorer. The checked properties:
 //!
 //! 1. no lost wakeups   — every blocking handoff completes in every schedule
 //! 2. no deadlock       — detected automatically by the explorer
 //! 3. close drains all items
 //! 4. `recv_batch` ≡ sequential `recv` × n
-//! 5. in-flight never exceeds the window cap
-//! 6. shutdown never drops an accepted request (ring drain through the
+//! 5. shutdown never drops an accepted request (ring drain through the
 //!    real `run_shard` worker)
-//! 7. the migration drain handshake (router + two shard workers through
+//! 6. the migration drain handshake (router + two shard workers through
 //!    `DrainGate` markers) preserves per-key ordering in every schedule
 //!    and never deadlocks — and the seeded mutant that bumps the epoch
 //!    *without* draining is caught by the checker
-//! 8. the epoll plane's eventfd wakeup handshake (per ISSUE 10): the real
+//! 7. the event loops' eventfd wakeup handshake: the real
 //!    `CompletionQueue` over a model doorbell with eventfd *counting*
 //!    semantics loses no wakeup in any schedule, a completion racing a
 //!    shutdown ring is never stranded, and the seeded dropped-notify
@@ -38,13 +37,28 @@ use wmlp_check::sync::{Condvar, Mutex};
 use wmlp_check::{explore, Config};
 use wmlp_router::DrainGate;
 use wmlp_serve::notify::{CompletionQueue, Doorbell};
-use wmlp_serve::shard::{run_shard, ReplyTo, ShardJob, ShardMsg, ShardStats};
+use wmlp_serve::shard::{run_shard, CompletionSink, ReplyTo, ShardJob, ShardMsg, ShardStats};
 use wmlp_serve::spsc;
-use wmlp_serve::window::Window;
 
 use wmlp_check::thread::spawn_named;
 use wmlp_core::instance::{MlInstance, Request};
 use wmlp_core::storage::SimStorage;
+use wmlp_core::wire::Frame;
+
+/// Channel-backed sink standing in for an event loop: replies land on an
+/// mpsc (which never blocks, so it adds no yield points) the test drains.
+struct ChanSink(mpsc::Sender<(u64, Frame)>);
+
+impl CompletionSink for ChanSink {
+    fn complete(&self, _conn: u64, seq: u64, frame: Frame) {
+        let _ = self.0.send((seq, frame));
+    }
+}
+
+fn chan_sink() -> (Arc<dyn CompletionSink>, mpsc::Receiver<(u64, Frame)>) {
+    let (tx, rx) = mpsc::channel();
+    (Arc::new(ChanSink(tx)), rx)
+}
 
 fn cfg() -> Config {
     Config::default()
@@ -141,60 +155,7 @@ fn spsc_recv_batch_equals_sequential_recv() {
     assert!(!batched.truncated && !sequential.truncated);
 }
 
-/// Property 5: the reader/writer window handoff — reader acquires a slot
-/// per request, writer releases per emitted reply — never exceeds the cap
-/// and never wedges. Uses the real `Window` + `spsc` + the writer's
-/// drain-then-release discipline with a capacity-1 window.
-#[test]
-fn window_inflight_never_exceeds_cap() {
-    let report = explore(cfg(), || {
-        let window = Arc::new(Window::new(1));
-        let (tx, rx) = spsc::channel::<u64>(2);
-        let w2 = Arc::clone(&window);
-        let reader = spawn_named("conn-rd", move || {
-            for seq in 0..3u64 {
-                w2.acquire();
-                assert!(w2.inflight() <= w2.cap(), "window overshoot");
-                assert!(tx.send(seq).is_ok());
-            }
-        });
-        // Writer side: drain replies in order, releasing one slot each.
-        let mut pending = wmlp_serve::reorder::Reorder::new();
-        let mut emitted = Vec::new();
-        while let Some(seq) = rx.recv() {
-            pending.insert(seq, seq);
-            while let Some(s) = pending.pop_next() {
-                emitted.push(s);
-                window.release();
-            }
-        }
-        assert_eq!(emitted, vec![0, 1, 2], "in-order emission");
-        reader.join().expect("join reader");
-    });
-    assert!(report.failure.is_none(), "{}", report.failure.unwrap());
-    assert!(!report.truncated);
-}
-
-/// Window poison: a dying writer must wave a blocked reader through
-/// rather than leaving it parked forever (the lost-wakeup shape of the
-/// early-exit path).
-#[test]
-fn window_poison_unblocks_a_parked_reader() {
-    let report = explore(cfg(), || {
-        let window = Arc::new(Window::new(1));
-        window.acquire(); // fill the window up front
-        let w2 = Arc::clone(&window);
-        let reader = spawn_named("conn-rd", move || {
-            w2.acquire(); // blocks until poison
-        });
-        window.poison();
-        reader.join().expect("join reader");
-    });
-    assert!(report.failure.is_none(), "{}", report.failure.unwrap());
-    assert!(!report.truncated);
-}
-
-/// Property 6: graceful shutdown through the *real* shard worker — every
+/// Property 5: graceful shutdown through the *real* shard worker — every
 /// job accepted into the ring before close is answered exactly once, and
 /// the queue gauge returns to zero. `run_shard` runs as a checked virtual
 /// thread (its engine work is pure compute; the reply mpsc never blocks).
@@ -205,7 +166,7 @@ fn shutdown_never_drops_an_accepted_request() {
             MlInstance::from_rows(2, (0..3).map(|p| vec![10 + p as u64]).collect()).expect("inst");
         let stats = Arc::new(ShardStats::default());
         let (tx, rx) = spsc::channel::<ShardMsg>(2);
-        let (reply_tx, reply_rx) = mpsc::channel();
+        let (sink, reply_rx) = chan_sink();
         let st2 = Arc::clone(&stats);
         let inst2 = inst.clone();
         let worker = spawn_named("shard-0", move || {
@@ -222,7 +183,10 @@ fn shutdown_never_drops_an_accepted_request() {
                     req: Request::top(page),
                     put: None,
                     seq: seq as u64,
-                    reply: ReplyTo::Conn(reply_tx.clone()),
+                    reply: ReplyTo::Sink {
+                        sink: Arc::clone(&sink),
+                        conn: 0,
+                    },
                 }))
                 .is_ok(),
                 "worker alive during send"
@@ -230,7 +194,6 @@ fn shutdown_never_drops_an_accepted_request() {
         }
         drop(tx); // close: the worker must drain, then exit
         worker.join().expect("join shard worker");
-        drop(reply_tx);
         let replies: Vec<u64> = reply_rx.try_iter().map(|(seq, _)| seq).collect();
         assert_eq!(
             replies,
@@ -256,7 +219,7 @@ fn shutdown_never_drops_an_accepted_request() {
 fn migration_fixture(drain: bool) {
     let inst =
         MlInstance::from_rows(2, (0..3).map(|p| vec![10 + p as u64]).collect()).expect("inst");
-    let (reply_tx, reply_rx) = mpsc::channel();
+    let (sink, reply_rx) = chan_sink();
     let mut rings = Vec::new();
     let mut workers = Vec::new();
     let mut stats = Vec::new();
@@ -279,7 +242,10 @@ fn migration_fixture(drain: bool) {
             req: Request::top(0),
             put: None,
             seq,
-            reply: ReplyTo::Conn(reply_tx.clone()),
+            reply: ReplyTo::Sink {
+                sink: Arc::clone(&sink),
+                conn: 0,
+            },
         })
     };
     // Old plan: page 0 lives on shard 0.
@@ -300,7 +266,6 @@ fn migration_fixture(drain: bool) {
     for w in workers {
         w.join().expect("join shard worker");
     }
-    drop(reply_tx);
     let order: Vec<u64> = reply_rx.try_iter().map(|(seq, _)| seq).collect();
     assert_eq!(
         order,
@@ -309,7 +274,7 @@ fn migration_fixture(drain: bool) {
     );
 }
 
-/// Property 7 (correct protocol): with the drain handshake, per-key
+/// Property 6 (correct protocol): with the drain handshake, per-key
 /// completion order matches route order in *every* schedule, and the
 /// handshake itself never loses a wakeup or deadlocks.
 #[test]
@@ -319,7 +284,7 @@ fn migration_drain_preserves_per_key_ordering() {
     assert!(!report.truncated, "fixture must be exhaustively explored");
 }
 
-/// Property 7 (seeded mutant): bumping the epoch *without* draining lets
+/// Property 6 (seeded mutant): bumping the epoch *without* draining lets
 /// shard 1 answer the re-homed request before shard 0 answers the
 /// old-plan one — the checker must find that schedule.
 #[test]
@@ -384,7 +349,7 @@ impl Doorbell for ModelBell {
     }
 }
 
-/// Property 8 (no lost wakeup): two shard workers push completions onto
+/// Property 7 (no lost wakeup): two shard workers push completions onto
 /// the real [`CompletionQueue`] while the event loop waits on the model
 /// bell. In every schedule the loop collects both completions — a ring
 /// landing between the loop's drain and its next wait is accumulated by
@@ -418,7 +383,7 @@ fn eventfd_handshake_never_loses_a_wakeup() {
     assert!(!report.truncated, "fixture must be exhaustively explored");
 }
 
-/// Property 8 (concurrent close): a shard completion races
+/// Property 7 (concurrent close): a shard completion races
 /// `trigger_shutdown`'s ring. The loop keeps waiting until it has seen
 /// *both* the shutdown flag and the in-flight completion — mirroring the
 /// production loop, which only exits once its connections have drained.
@@ -452,7 +417,7 @@ fn completion_racing_a_shutdown_ring_is_never_stranded() {
     assert!(!report.truncated);
 }
 
-/// Property 8 (seeded mutant): a bell that publishes its count but never
+/// Property 7 (seeded mutant): a bell that publishes its count but never
 /// notifies. The checker must find the schedule where the loop parks on
 /// the condvar *before* the worker rings — a consumer asleep with work
 /// published and nobody left to wake it, reported as a deadlock.

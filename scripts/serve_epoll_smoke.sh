@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# High-fan-in smoke for wmlp-serve's epoll connection plane.
+# High-fan-in smoke for wmlp-serve's connection plane (epoll event loops).
 #
-# A standalone server started with `--io-mode epoll --io-threads 2` is
-# driven by the loadgen's fan-in client: CONNS pipelined connections
-# (default 256) multiplexed over 2 event-driven client threads. The smoke
+# A standalone server started with `--io-threads 2` is driven by the
+# loadgen's fan-in client: CONNS pipelined connections (default 256)
+# multiplexed over 2 event-driven client threads. The smoke
 # fails unless every connection completes its slice with zero errors and
 # the shutdown handshake lands cleanly (the loadgen's own smoke contract),
 # and the server process exits 0 after the drain.
@@ -23,7 +23,7 @@ TUPLE=(--pages 1024 --levels 3 --k 128 --weight-seed 7 --policy lru --shards 4)
 
 LOG="$WORK/epoll.log"
 "$SERVE_BIN" --addr 127.0.0.1:0 "${TUPLE[@]}" \
-    --io-mode epoll --io-threads 2 >"$LOG" 2>&1 &
+    --io-threads 2 >"$LOG" 2>&1 &
 SERVER_PID=$!
 wait_for_banner "$LOG" "epoll"
 ADDR=$(server_addr "$LOG")
@@ -34,7 +34,7 @@ ADDR=$(server_addr "$LOG")
     --requests $((CONNS * 16)) --connections "$CONNS" --client-threads 2 \
     --pipeline 8 --workload zipf --alpha 0.9 --seed 11 \
     --out "$WORK/SERVE.epoll.json" ||
-    die "$LOG" "fan-in loadgen failed against the epoll plane"
+    die "$LOG" "fan-in loadgen failed"
 reap_server "$LOG" "epoll"
 
 grep -q "\"conns\": $CONNS" "$WORK/SERVE.epoll.json" ||
