@@ -28,9 +28,9 @@
 //!   measured max/mean shard imbalance in its name-adjacent log line;
 //!   `BENCH.json` keeps the throughput number, and the imbalance
 //!   comparison lives in the loadgen report and EXPERIMENTS.md B7.
-//! * **B8** — connection scaling: the high-fan-in loadgen client
-//!   (`--connections N` over 2 event-driven client threads) against
-//!   the server's event loops, per connection count
+//! * **B8** — connection scaling: the loadgen client (`--conns N`
+//!   multiplexed over 2 event-driven client threads) against the
+//!   server's event loops, per connection count
 //!   `N ∈ {32, 256, 1024, 4096}` (cells `epoll/c{N}`). Each cell's p99
 //!   latency is printed alongside the timing; `BENCH.json` keeps the
 //!   throughput number.
@@ -683,9 +683,9 @@ fn b7_skew_partitioning(cfg: &PerfConfig, entries: &mut Vec<BenchEntry>) {
 }
 
 /// B8: connection-count scaling of the server's connection plane.
-/// Every cell is the same Zipf mix offered through the high-fan-in
-/// client (`connections` pipelined sockets multiplexed over 2 reactor
-/// threads), so the client never becomes the thread-count bottleneck.
+/// Every cell is the same Zipf mix offered over `conns` pipelined
+/// sockets, which the loadgen multiplexes over 2 reactor threads, so the
+/// client never becomes the thread-count bottleneck.
 /// Cells keep the `epoll/c{N}` names they had when a `threads` plane
 /// was measured beside them, so history lines up. The per-cell p99 is
 /// printed next to the timing (like B7's imbalance, it is a property of
@@ -694,10 +694,9 @@ fn b7_skew_partitioning(cfg: &PerfConfig, entries: &mut Vec<BenchEntry>) {
 fn b8_connection_scaling(cfg: &PerfConfig, entries: &mut Vec<BenchEntry>) {
     let requests = cfg.b8_requests();
     let shards = cfg.b8_shards();
-    for &connections in cfg.b8_connections() {
+    for &conns in cfg.b8_connections() {
         let lg = LoadgenConfig {
-            connections,
-            client_threads: 2,
+            conns,
             pipeline: 8,
             requests,
             workload: Workload::Zipf { alpha: 0.9 },
@@ -718,10 +717,10 @@ fn b8_connection_scaling(cfg: &PerfConfig, entries: &mut Vec<BenchEntry>) {
             p99 = report.latency.p99;
             report
         });
-        println!("b8_connection_scaling epoll/c{connections}: p99 {p99}ns");
+        println!("b8_connection_scaling epoll/c{conns}: p99 {p99}ns");
         entries.push(entry(
             "b8_connection_scaling",
-            format!("epoll/c{connections}"),
+            format!("epoll/c{conns}"),
             "epoll",
             &inst,
             requests,

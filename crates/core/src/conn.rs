@@ -11,8 +11,8 @@
 //!   with partial-write tracking, so a readiness-based event loop can
 //!   drive many connections without threads.
 //! - [`FrameReader`] / [`write_frame`] — blocking-stream conveniences
-//!   over [`std::io::Read`] / [`std::io::Write`] for thread-per-connection
-//!   clients.
+//!   over [`std::io::Read`] / [`std::io::Write`] for one-connection
+//!   callers (control connections, test clients).
 //!
 //! Nothing here interprets frames; protocol semantics (pipelining,
 //! response ordering) live with the caller and are specified in
@@ -210,8 +210,10 @@ impl FrameBuf {
 /// - writable → `write(2)` from [`Conn::pending`], then
 ///   [`Conn::advance`] by the bytes accepted.
 ///
-/// The thread-per-connection client in `wmlp-loadgen` uses the blocking
-/// [`FrameReader`]/[`write_frame`] instead; both sit on the same codec.
+/// `wmlp-loadgen`'s client engine is driven the same way. Callers with a
+/// single blocking connection (the loadgen's STATS/SHUTDOWN control
+/// connection, test clients) use [`FrameReader`]/[`write_frame`]
+/// instead; both sit on the same codec.
 #[derive(Debug, Default)]
 pub struct Conn {
     inbound: FrameBuf,

@@ -1,38 +1,17 @@
-//! Client connections: closed-loop and pipelined.
-//!
-//! [`run_requests`] is the classic closed-loop connection — write a
-//! request frame, block for the reply, record the round-trip, repeat —
-//! whose measured latency is the honest end-to-end service time under
-//! the offered concurrency (= number of connections).
-//!
-//! [`run_pipelined`] keeps up to a *window* of requests in flight per
-//! connection (the server answers in request order, so no wire ids are
-//! needed) and optionally paces sends against an **open-loop arrival
-//! schedule** of intended-start times. Latency is then measured from the
-//! *intended* start, not the actual send — the standard coordinated-
-//! omission correction: a client that falls behind schedule charges the
-//! queueing it caused to the requests that suffered it. The gap between
-//! actual and intended send is reported separately as *send lag*.
+//! What the client engine (`fanin.rs`'s reactor loop) shares with
+//! the rest of the crate: the typed [`ClientError`], the deterministic PUT
+//! payload generator [`PutValues`], the per-connection tally
+//! [`ConnOutcome`], and the blocking control connection that fetches
+//! STATS and sends SHUTDOWN once the load is done
+//! ([`stats_and_shutdown`]).
 
-// lint:orderings(SeqCst): `dead` is a one-shot reader-death latch paired
-// with a condvar broadcast; it is off every per-request fast path, so the
-// strongest ordering is the cheapest correct choice to reason about.
-
-use std::io::{BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{mpsc, Arc};
-
-use wmlp_check::sync::atomic::{AtomicBool, Ordering};
-use wmlp_check::sync::{Condvar, Mutex};
-use wmlp_check::thread::spawn_named;
 
 use wmlp_core::conn::{write_frame, ConnError, FrameReader};
-use wmlp_core::instance::Request;
-use wmlp_core::wire::{encode, request_frame, Frame, StatsPayload};
+use wmlp_core::wire::{Frame, StatsPayload};
 use wmlp_sim::Histogram;
 
-use crate::report::Totals;
-use crate::timing::{Clock, Stopwatch};
+use crate::report::{ClientErrorEntry, Totals};
 
 /// A client-side failure, classified for the SERVE.json
 /// `client_errors` array.
@@ -50,19 +29,16 @@ pub enum ClientError {
     Conn(ConnError),
     /// The server answered with a frame that makes no sense here.
     Protocol(String),
-    /// Caller misuse (e.g. a schedule of the wrong length).
-    Config(String),
 }
 
 impl ClientError {
     /// Stable failure class for the report: a [`ConnError::kind`] for
-    /// transport errors, `"io"`, `"protocol"`, or `"config"` otherwise.
+    /// transport errors, `"io"` or `"protocol"` otherwise.
     pub fn kind(&self) -> &'static str {
         match self {
             ClientError::Io { .. } => "io",
             ClientError::Conn(e) => e.kind(),
             ClientError::Protocol(_) => "protocol",
-            ClientError::Config(_) => "config",
         }
     }
 }
@@ -73,7 +49,6 @@ impl std::fmt::Display for ClientError {
             ClientError::Io { what, source } => write!(f, "{what}: {source}"),
             ClientError::Conn(e) => write!(f, "{e}"),
             ClientError::Protocol(m) => write!(f, "protocol error: {m}"),
-            ClientError::Config(m) => write!(f, "config error: {m}"),
         }
     }
 }
@@ -84,6 +59,15 @@ impl std::error::Error for ClientError {
             ClientError::Io { source, .. } => Some(source),
             ClientError::Conn(e) => Some(e),
             _ => None,
+        }
+    }
+}
+
+impl From<ClientError> for ClientErrorEntry {
+    fn from(e: ClientError) -> Self {
+        ClientErrorEntry {
+            kind: e.kind().into(),
+            detail: e.to_string(),
         }
     }
 }
@@ -128,12 +112,11 @@ impl PutValues {
 /// What one connection measured.
 #[derive(Debug, Default)]
 pub struct ConnOutcome {
-    /// Per-request latencies, nanoseconds: round-trips for the
-    /// closed-loop client, intended-start → completion for the pipelined
-    /// one.
+    /// Per-request latencies, nanoseconds, intended start → reply (the
+    /// intended start is the send itself on an unpaced connection).
     pub hist: Histogram,
     /// Actual-send minus intended-send per request, nanoseconds (empty
-    /// for the closed-loop client, which has no schedule to lag).
+    /// for an unpaced connection, which has no schedule to lag).
     pub send_lag: Histogram,
     /// Reply counts.
     pub totals: Totals,
@@ -164,207 +147,11 @@ impl ConnOutcome {
     }
 }
 
-fn read_reply(reader: &mut FrameReader<TcpStream>) -> Result<Frame, ClientError> {
-    match reader.next_frame() {
-        Ok(Some(f)) => Ok(f),
-        Ok(None) => Err(ConnError::Closed.into()),
-        Err(e) => Err(e.into()),
-    }
-}
-
-fn open(addr: &SocketAddr) -> Result<(BufWriter<TcpStream>, FrameReader<TcpStream>), ClientError> {
-    let io = |what: String| move |source: std::io::Error| ClientError::Io { what, source };
-    let stream = TcpStream::connect(addr).map_err(io(format!("connect {addr}")))?;
-    let write_half = stream.try_clone().map_err(io("clone socket".into()))?;
-    Ok((BufWriter::new(write_half), FrameReader::new(stream)))
-}
-
-fn write_err(source: std::io::Error) -> ClientError {
-    ClientError::Io {
-        what: "write failed".into(),
-        source,
-    }
-}
-
-/// Replay `reqs` over one connection, closed-loop, timing every
-/// round-trip. Level-1 requests become PUTs carrying `puts` payloads.
-pub fn run_requests(
-    addr: &SocketAddr,
-    reqs: &[Request],
-    puts: PutValues,
-) -> Result<ConnOutcome, ClientError> {
-    let (mut writer, mut reader) = open(addr)?;
-    let mut out = ConnOutcome::default();
-    let mut value = Vec::new();
-    for &req in reqs {
-        if req.level == 1 {
-            puts.fill(req.page, &mut value);
-        }
-        let frame = request_frame(req, &value);
-        let sw = Stopwatch::start();
-        write_frame(&mut writer, &frame).map_err(write_err)?;
-        let reply = read_reply(&mut reader)?;
-        out.hist.record(sw.elapsed_nanos());
-        out.record_reply(reply)?;
-    }
-    Ok(out)
-}
-
-/// Replay `reqs` over one connection with up to `window` requests in
-/// flight, recording coordinated-omission-corrected latency.
-///
-/// When `schedule` is given it holds one intended-start time (nanoseconds
-/// on `clock`) per request; sends are paced to it and latency is measured
-/// from it. Without a schedule the connection is closed-loop-pipelined:
-/// the intended start *is* the send time, and the window alone sets the
-/// offered concurrency.
-pub fn run_pipelined(
-    addr: &SocketAddr,
-    reqs: &[Request],
-    window: usize,
-    schedule: Option<&[u64]>,
-    clock: Clock,
-    puts: PutValues,
-) -> Result<ConnOutcome, ClientError> {
-    if let Some(s) = schedule {
-        if s.len() != reqs.len() {
-            return Err(ClientError::Config("schedule length mismatch".into()));
-        }
-    }
-    let (mut writer, mut reader) = open(addr)?;
-    let window = window.max(1);
-    let n = reqs.len();
-    // In-flight slot counter, bumped by this (send) side and released by
-    // the reader thread; `dead` short-circuits the wait if the reader
-    // exits early.
-    let inflight = Arc::new((Mutex::new(0usize), Condvar::new()));
-    let dead = Arc::new(AtomicBool::new(false));
-    // Per-request (intended, actual_send) metadata; replies come back in
-    // request order, so a FIFO channel pairs them up exactly.
-    let (meta_tx, meta_rx) = mpsc::channel::<(u64, u64)>();
-
-    let reader_thread = {
-        let inflight = Arc::clone(&inflight);
-        let dead = Arc::clone(&dead);
-        spawn_named("lg-reader", move || -> Result<ConnOutcome, ClientError> {
-            let mut out = ConnOutcome::default();
-            let release = |k: &Arc<(Mutex<usize>, Condvar)>| {
-                let mut held = match k.0.lock() {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                };
-                *held = held.saturating_sub(1);
-                drop(held);
-                k.1.notify_one();
-            };
-            for _ in 0..n {
-                let reply = match read_reply(&mut reader) {
-                    Ok(f) => f,
-                    Err(e) => {
-                        dead.store(true, Ordering::SeqCst);
-                        inflight.1.notify_all();
-                        return Err(e);
-                    }
-                };
-                let (intended, actual) = match meta_rx.recv() {
-                    Ok(m) => m,
-                    Err(_) => break, // sender died mid-run
-                };
-                let now = clock.now_nanos();
-                out.hist.record(now.saturating_sub(intended));
-                out.send_lag.record(actual.saturating_sub(intended));
-                release(&inflight);
-                if let Err(e) = out.record_reply(reply) {
-                    dead.store(true, Ordering::SeqCst);
-                    inflight.1.notify_all();
-                    return Err(e);
-                }
-            }
-            Ok(out)
-        })
-    };
-
-    let mut scratch = Vec::new();
-    let mut value = Vec::new();
-    let mut send_err: Option<ClientError> = None;
-    let mut written = 0usize;
-    for (i, &req) in reqs.iter().enumerate() {
-        if let Some(sched) = schedule {
-            clock.sleep_until(sched[i]);
-        }
-        // Take a window slot; flush buffered frames before blocking so
-        // the server can generate the replies that free the window.
-        {
-            let mut held = match inflight.0.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-            if *held >= window {
-                drop(held);
-                if let Err(e) = writer.flush() {
-                    send_err = Some(write_err(e));
-                    break;
-                }
-                held = match inflight.0.lock() {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                };
-                while *held >= window && !dead.load(Ordering::SeqCst) {
-                    held = match inflight.1.wait(held) {
-                        Ok(g) => g,
-                        Err(p) => p.into_inner(),
-                    };
-                }
-            }
-            if dead.load(Ordering::SeqCst) {
-                break;
-            }
-            *held += 1;
-        }
-        let intended = match schedule {
-            Some(s) => s[i],
-            None => clock.now_nanos(),
-        };
-        let actual = clock.now_nanos();
-        if meta_tx.send((intended, actual)).is_err() {
-            break;
-        }
-        if req.level == 1 {
-            puts.fill(req.page, &mut value);
-        }
-        scratch.clear();
-        encode(&request_frame(req, &value), &mut scratch);
-        if let Err(e) = writer.write_all(&scratch) {
-            send_err = Some(write_err(e));
-            break;
-        }
-        written += 1;
-        // Paced sends flush immediately — the schedule, not the buffer,
-        // sets the batch size; windowed sends batch until the window
-        // fills or the run ends.
-        if schedule.is_some() {
-            if let Err(e) = writer.flush() {
-                send_err = Some(write_err(e));
-                break;
-            }
-        }
-    }
-    let _ = writer.flush();
-    drop(meta_tx);
-    if written < n {
-        // The reader is waiting for replies that will never be sent;
-        // kill the socket so its blocking read fails instead of hanging.
-        let _ = writer.get_ref().shutdown(std::net::Shutdown::Both);
-    }
-    let outcome = match reader_thread.join() {
-        Ok(r) => r,
-        Err(_) => Err(ClientError::Protocol("reader thread panicked".into())),
-    };
-    match (outcome, send_err) {
-        (Err(e), _) => Err(e),
-        (Ok(_), Some(e)) => Err(e),
-        (Ok(o), None) => Ok(o),
-    }
+/// `map_err` adapter tagging a socket error with what the client was
+/// doing.
+pub(crate) fn io_err(what: impl Into<String>) -> impl FnOnce(std::io::Error) -> ClientError {
+    let what = what.into();
+    move |source| ClientError::Io { what, source }
 }
 
 /// Fetch server counters and (optionally) shut the server down over a
@@ -374,9 +161,13 @@ pub fn stats_and_shutdown(
     addr: &SocketAddr,
     shutdown: bool,
 ) -> Result<(StatsPayload, bool), ClientError> {
-    let (mut writer, mut reader) = open(addr)?;
-    write_frame(&mut writer, &Frame::Stats).map_err(write_err)?;
-    let stats = match read_reply(&mut reader)? {
+    let stream = TcpStream::connect(addr).map_err(io_err(format!("connect {addr}")))?;
+    let mut reader = FrameReader::new(&stream);
+    let mut roundtrip = |frame: &Frame| -> Result<Frame, ClientError> {
+        write_frame(&mut &stream, frame).map_err(io_err("write failed"))?;
+        reader.next_frame()?.ok_or(ConnError::Closed.into())
+    };
+    let stats = match roundtrip(&Frame::Stats)? {
         Frame::StatsReply(s) => s,
         other => {
             return Err(ClientError::Protocol(format!(
@@ -387,7 +178,6 @@ pub fn stats_and_shutdown(
     if !shutdown {
         return Ok((stats, false));
     }
-    write_frame(&mut writer, &Frame::Shutdown).map_err(write_err)?;
-    let clean = matches!(read_reply(&mut reader)?, Frame::Bye);
+    let clean = matches!(roundtrip(&Frame::Shutdown)?, Frame::Bye);
     Ok((stats, clean))
 }

@@ -16,12 +16,13 @@
 //! # pipelined: keep up to 64 requests in flight per connection
 //! wmlp-loadgen --spawn --conns 8 --pipeline 64
 //!
-//! # high fan-in: 1024 pipelined connections over 2 event-driven client
-//! # threads, against a spawned server (C10K smoke)
-//! wmlp-loadgen --spawn --connections 1024 --client-threads 2 --pipeline 8
+//! # high fan-in: 1024 pipelined connections against a spawned server
+//! # (C10K smoke); any --conns runs on at most 2 client threads
+//! wmlp-loadgen --spawn --conns 1024 --pipeline 8
 //!
 //! # open-loop at 200K req/s with coordinated-omission-corrected
 //! # latency, then sweep offered rates for the throughput-vs-p99 curve
+//! # (pacing combines with any --conns / --pipeline)
 //! wmlp-loadgen --spawn --pipeline 64 --rate 200000 \
 //!              --sweep 50000,100000,200000,400000 --out SERVE.json
 //!
@@ -29,17 +30,42 @@
 //! # shutdown handshake completed
 //! wmlp-loadgen --smoke --pipeline 16 --out SERVE.json
 //! ```
+//!
+//! A flag value that does not parse, or a flag removed with the old
+//! thread-per-connection client (`--connections`, `--client-threads`),
+//! exits 2 with a one-line message before anything connects or spawns.
 
 use wmlp_loadgen::{run, zipf_head_mass, LoadgenConfig, Workload};
-use wmlp_serve::cli::{flag, flag_parse, switch};
+use wmlp_serve::cli::{flag, switch};
 
 fn fail(msg: &str) -> ! {
     eprintln!("wmlp-loadgen: {msg}");
     std::process::exit(2);
 }
 
+/// The value following `name`, parsed; `default` when the flag is absent.
+/// A value that is missing or does not parse exits 2 — a typo must not
+/// silently run a different experiment.
+fn flag_parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
+    match flag(args, name) {
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| fail(&format!("{name} {v}: not a valid value"))),
+        None if switch(args, name) => fail(&format!("{name}: missing value")),
+        None => default,
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    for removed in ["--connections", "--client-threads"] {
+        if switch(&args, removed) {
+            fail(&format!(
+                "{removed}: removed in PR 13; use --conns (any connection \
+                 count runs on at most 2 client threads)"
+            ));
+        }
+    }
     let base = if switch(&args, "--smoke") {
         LoadgenConfig::smoke()
     } else {
@@ -80,8 +106,6 @@ fn main() {
         hot_k: flag_parse(&args, "--hot-k", base.hot_k),
         epoch_len: flag_parse(&args, "--epoch-len", base.epoch_len),
         pipeline: flag_parse(&args, "--pipeline", base.pipeline),
-        connections: flag_parse(&args, "--connections", base.connections),
-        client_threads: flag_parse(&args, "--client-threads", base.client_threads),
         rate: flag_parse(&args, "--rate", base.rate),
         sweep: match flag(&args, "--sweep") {
             None => base.sweep.clone(),

@@ -13,7 +13,8 @@
 //!     "policy": str,        // server policy spec (informational)
 //!     "shards": u64,        // server shard count (informational)
 //!     "partition": str,     // "hash" | "replicate" | "migrate"
-//!     "conns": u64,         // client connections
+//!     "conns": u64,         // client connections (--conns; any count
+//!                           // runs on at most 2 client threads)
 //!     "pipeline": u64,      // per-connection in-flight window (1 = closed-loop)
 //!     "rate_rps": f64,      // open-loop target arrival rate (0 = unpaced)
 //!     "requests": u64,      // total requests attempted
@@ -31,15 +32,16 @@
 //!     "shard_share": [f64], // per-shard fraction of all served requests
 //!     "imbalance": f64      // max shard share / mean shard share (1.0 = even)
 //!   },
-//!   "latency": {            // per-request, nanoseconds: closed-loop
-//!     "count": u64,         // round-trips, or intended-start → completion
-//!     "p50": u64, "p90": u64, "p95": u64, "p99": u64,   // (coordinated-
-//!     "max": u64, "mean": u64                           // omission-corrected)
-//!   },
+//!   "latency": {            // per-request, nanoseconds, intended start →
+//!     "count": u64,         // reply: the send itself when unpaced, the
+//!     "p50": u64, "p90": u64, "p95": u64, "p99": u64,   // due time when
+//!     "max": u64, "mean": u64   // paced (coordinated-omission-corrected);
+//!   },                      // never includes a connection handshake
 //!   "send_lag": {           // actual-send minus intended-send, ns; how
 //!     ... same shape ...    // far the client fell behind its schedule
-//!   },                      // (count 0 for closed-loop runs)
-//!   "wall_nanos": u64,      // whole-run wall time (machine-dependent)
+//!   },                      // (count 0 for every unpaced run)
+//!   "wall_nanos": u64,      // main run's wall time, connection setup
+//!                           // included (machine-dependent)
 //!   "throughput_rps": f64,  // sent / wall seconds (machine-dependent)
 //!   "sweep": [              // optional throughput-vs-latency sweep
 //!     { "target_rps": f64, "achieved_rps": f64,
@@ -106,7 +108,8 @@ pub struct ReportConfig {
     /// Partition mode of a spawned server: `"hash"`, `"replicate"`, or
     /// `"migrate"` (informational for an external server).
     pub partition: String,
-    /// Concurrent client connections.
+    /// Concurrent client connections (`--conns`), multiplexed over at
+    /// most [`crate::CLIENT_THREADS`] client threads.
     pub conns: u64,
     /// Per-connection in-flight window (1 = closed-loop).
     pub pipeline: u64,
@@ -320,13 +323,18 @@ pub struct ServeReport {
     pub config: ReportConfig,
     /// Client-side outcome counts.
     pub totals: Totals,
-    /// Latency summary, nanoseconds (coordinated-omission-corrected for
-    /// paced runs; machine-dependent).
+    /// Latency summary, nanoseconds, intended start → reply: the send
+    /// itself when unpaced, the schedule's due time when paced
+    /// (coordinated-omission-corrected). Every connection is set up
+    /// before the first request is stamped, so no sample includes a
+    /// handshake. Machine-dependent.
     pub latency: LatencySummary,
-    /// Actual-send minus intended-send summary, nanoseconds (count 0
-    /// for closed-loop runs; machine-dependent).
+    /// Actual-send minus intended-send summary, nanoseconds: one sample
+    /// per request of a paced (`rate_rps > 0`) run, count 0 for every
+    /// unpaced run whatever its window (machine-dependent).
     pub send_lag: LatencySummary,
-    /// Whole-run wall time in nanoseconds (machine-dependent).
+    /// The main run's wall time in nanoseconds, connection setup
+    /// included (machine-dependent).
     pub wall_nanos: u64,
     /// Served requests per wall-clock second (machine-dependent).
     pub throughput_rps: f64,

@@ -11,30 +11,11 @@
 
 use std::time::Instant;
 
-/// A started wall-clock timer.
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    start: Instant,
-}
-
-impl Stopwatch {
-    /// Start timing now.
-    pub fn start() -> Self {
-        Stopwatch {
-            start: Instant::now(),
-        }
-    }
-
-    /// Nanoseconds since [`Stopwatch::start`], saturating at `u64::MAX`.
-    pub fn elapsed_nanos(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-}
-
-/// A shared epoch for open-loop schedules: every timestamp is
-/// "nanoseconds since this clock started", so intended-start times
-/// computed up front and actual send/completion times observed later
-/// are directly comparable — the basis of coordinated-omission-corrected
+/// A started wall-clock epoch: every timestamp is "nanoseconds since
+/// this clock started". One times a wave's wall; another is the wave's
+/// shared epoch for open-loop schedules, so intended-start times computed
+/// from the rate and actual send/completion times observed later are
+/// directly comparable — the basis of coordinated-omission-corrected
 /// latency (service time measured from when the request *should* have
 /// been sent, not from when a backed-up client finally sent it).
 #[derive(Debug, Clone, Copy)]
@@ -54,15 +35,6 @@ impl Clock {
     pub fn now_nanos(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
-
-    /// Sleep until `deadline_nanos` on this clock (returns immediately
-    /// if the deadline already passed).
-    pub fn sleep_until(&self, deadline_nanos: u64) {
-        let now = self.now_nanos();
-        if deadline_nanos > now {
-            std::thread::sleep(std::time::Duration::from_nanos(deadline_nanos - now));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -70,20 +42,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn elapsed_is_monotone() {
-        let sw = Stopwatch::start();
-        let a = sw.elapsed_nanos();
-        let b = sw.elapsed_nanos();
-        assert!(b >= a);
-    }
-
-    #[test]
-    fn clock_advances_and_sleep_until_reaches_deadline() {
+    fn clock_is_monotone() {
         let clock = Clock::start();
         let a = clock.now_nanos();
-        clock.sleep_until(a + 1_000_000); // 1ms
-        assert!(clock.now_nanos() >= a + 1_000_000);
-        // Past deadlines return immediately.
-        clock.sleep_until(0);
+        assert!(clock.now_nanos() >= a);
     }
 }

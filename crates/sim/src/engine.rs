@@ -94,7 +94,7 @@ pub struct RunResult {
     pub counters: RunCounters,
 }
 
-/// What one [`SimSession::step`] did, as seen by the request.
+/// What one engine step did, as seen by the request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepOutcome {
     /// Whether the cache served the request before the policy acted.
@@ -106,7 +106,7 @@ pub struct StepOutcome {
     /// Copies evicted by this step.
     pub evictions: u32,
     /// Dirty writebacks the step's evictions forced out of the storage
-    /// backend — always 0 for the storage-less [`SimSession::step`].
+    /// backend — always 0 for the storage-less [`SimSession::step_batch`].
     pub flushes: u32,
 }
 
@@ -206,8 +206,8 @@ impl BatchLog {
 /// whole trace up front.
 ///
 /// A session owns the cache, the cost ledger, the run counters and the
-/// scratch [`StepLog`]; [`SimSession::step`] serves one request with the
-/// same validation (`served`, `≤ k` copies) and the same zero-allocation
+/// scratch [`StepLog`]; each request of a [`SimSession::step_batch`] is
+/// served with the same validation (`served`, `≤ k` copies) and the same zero-allocation
 /// hot path as the batch runner. [`run_policy`] is a thin loop over this
 /// type, so batch and incremental execution cannot drift apart.
 #[derive(Debug, Clone)]
@@ -231,16 +231,16 @@ impl SimSession {
         }
     }
 
-    /// Serve a batch of requests in order, draining each through the same
-    /// scratch-[`StepLog`] machinery as [`SimSession::step`], recording
-    /// one entry per request into `out` (cleared first).
+    /// Serve a batch of requests in order, draining each through one
+    /// scratch [`StepLog`], recording one entry per request into `out`
+    /// (cleared first).
     ///
     /// Batching amortizes the caller's per-wakeup overhead — a `wmlp-serve`
     /// shard drains its whole queue into one `step_batch` call instead of
     /// paying a ring handoff per request — while the engine semantics stay
-    /// exactly those of stepping each request individually: a batch of one
-    /// is [`SimSession::step`], and any split of a trace into batches
-    /// yields the same ledger, counters, and cache state.
+    /// exactly those of stepping each request individually: any split of
+    /// a trace into batches yields the same ledger, counters, and cache
+    /// state.
     ///
     /// Errors do not abort the batch: a [`SimError::BadRequest`] consumes
     /// its slot with the cache untouched, and a policy-bug error
@@ -269,12 +269,12 @@ impl SimSession {
     }
 
     /// Serve one request — the batch-of-one case of
-    /// [`SimSession::step_batch`]: validate the request, let `policy` act,
+    /// [`SimSession::step_batch`], which is the public way in: validate the request, let `policy` act,
     /// enforce feasibility, and record costs and counters. Time advances
     /// by one per call (also past a [`SimError::BadRequest`], which
     /// faithfully consumes a trace slot; the cache is untouched in that
     /// case).
-    pub fn step(
+    fn step(
         &mut self,
         inst: &MlInstance,
         policy: &mut dyn OnlinePolicy,
@@ -327,23 +327,9 @@ impl SimSession {
         })
     }
 
-    /// Serve one request with a physical [`Storage`] backend mirroring
-    /// the policy's actions: first the request is stepped exactly as in
-    /// [`SimSession::step`] (identical ledger, counters, and cache — a
-    /// storage-backed run stays byte-identical in its manifest), then
-    /// every logged action is applied to `store` in order — a `Fetch`
-    /// becomes a [`Storage::promote`] (a *measured* read for an on-disk
-    /// backend) and an `Evict` becomes a [`Storage::flush`] (a
-    /// *measured* dirty writeback, counted in
-    /// [`StepOutcome::flushes`]) — and finally the request itself
-    /// touches its value: a write (`put = Some(bytes)`) lands in the
-    /// warm tier dirty, a read appends the page's current value to
-    /// `value_out`.
-    ///
-    /// A storage failure surfaces as [`SimError::Storage`]; the engine
-    /// state has already stepped at that point, so callers should treat
-    /// the session as poisoned for determinism purposes.
-    pub fn step_store(
+    /// One request of [`SimSession::step_batch_store`] (which documents
+    /// the contract); a read appends the page's value to `value_out`.
+    fn step_store(
         &mut self,
         inst: &MlInstance,
         policy: &mut dyn OnlinePolicy,
@@ -378,9 +364,18 @@ impl SimSession {
     }
 
     /// The storage-backed batch path: [`SimSession::step_batch`] with a
-    /// [`Storage`] mirrored behind each step (see
-    /// [`SimSession::step_store`]). Read values are recorded into
-    /// `out`'s value slots, index-aligned with its outcomes.
+    /// [`Storage`] mirrored behind each step. Each request is first
+    /// stepped exactly as the storage-less path steps it (identical
+    /// ledger, counters, and cache — a storage-backed run stays
+    /// byte-identical in its manifest), then every logged action is
+    /// applied to `store` in order — a `Fetch` becomes a
+    /// [`Storage::promote`], an `Evict` a [`Storage::flush`] (a dirty
+    /// writeback, counted in [`StepOutcome::flushes`]) — and finally the
+    /// request touches its value: a write lands in the warm tier dirty, a
+    /// read is recorded into `out`'s value slots, index-aligned with its
+    /// outcomes. A storage failure surfaces as [`SimError::Storage`]; the
+    /// engine has already stepped by then, so treat the session as
+    /// poisoned for determinism purposes.
     pub fn step_batch_store(
         &mut self,
         inst: &MlInstance,

@@ -2,8 +2,8 @@
 # High-fan-in smoke for wmlp-serve's connection plane (epoll event loops).
 #
 # A standalone server started with `--io-threads 2` is driven by the
-# loadgen's fan-in client: CONNS pipelined connections (default 256)
-# multiplexed over 2 event-driven client threads. The smoke
+# loadgen at high fan-in: CONNS pipelined connections (default 256),
+# which the loadgen multiplexes over 2 event-driven client threads. The smoke
 # fails unless every connection completes its slice with zero errors and
 # the shutdown handshake lands cleanly (the loadgen's own smoke contract),
 # and the server process exits 0 after the drain.
@@ -31,7 +31,7 @@ ADDR=$(server_addr "$LOG")
 # 16 requests per connection: enough that every connection pipelines past
 # its 8-deep window at least once.
 "$LOADGEN_BIN" --addr "$ADDR" "${TUPLE[@]}" \
-    --requests $((CONNS * 16)) --connections "$CONNS" --client-threads 2 \
+    --requests $((CONNS * 16)) --conns "$CONNS" \
     --pipeline 8 --workload zipf --alpha 0.9 --seed 11 \
     --out "$WORK/SERVE.epoll.json" ||
     die "$LOG" "fan-in loadgen failed"
