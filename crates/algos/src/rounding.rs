@@ -21,8 +21,6 @@
 //! The class-0 reset enforces `|C| ≤ k` outright, so feasibility never
 //! depends on the random choices (Lemma 4.6).
 
-use std::collections::BTreeMap;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wmlp_core::instance::{MlInstance, Request};
@@ -146,14 +144,12 @@ impl RoundingWP {
             "RoundingWP requires a 1-level instance"
         );
         let classes = num_weight_classes(inst.weights().max_weight());
-        let mut book = ClassBook::new(classes);
-        // Initially x ≡ 1: all k_{≥i} are 0 and the cache is empty.
-        book.k_geq.iter_mut().for_each(|v| *v = 0.0);
         RoundingWP {
             beta,
             rng: StdRng::seed_from_u64(seed),
             x: vec![1.0; inst.n()],
-            book,
+            // Initially x ≡ 1: all k_{≥i} are 0 and the cache is empty.
+            book: ClassBook::new(classes),
             inst: inst.clone(),
         }
     }
@@ -241,12 +237,21 @@ pub struct RoundingML {
     /// Mirror of the prefix variables `u(p, i)`.
     u: Vec<Vec<f64>>,
     book: ClassBook,
+    /// Per-step scratch, reused across steps: the row of `u` as it was
+    /// before the step for every page the step's deltas touch (one slab,
+    /// `stride` slots per page), whether a page's row has been saved yet,
+    /// and the touched pages in first-appearance order.
+    old_u: Vec<f64>,
+    stride: usize,
+    touched: Vec<bool>,
+    order: Vec<PageId>,
 }
 
 impl RoundingML {
     /// New rounding state with amplification `β` and RNG seed.
     pub fn new(inst: &MlInstance, beta: f64, seed: u64) -> Self {
         let classes = num_weight_classes(inst.weights().max_weight());
+        let stride = inst.max_levels() as usize;
         RoundingML {
             beta,
             rng: StdRng::seed_from_u64(seed),
@@ -254,6 +259,10 @@ impl RoundingML {
                 .map(|p| vec![1.0; inst.levels(p as PageId) as usize])
                 .collect(),
             book: ClassBook::new(classes),
+            old_u: vec![0.0; inst.n() * stride],
+            stride,
+            touched: vec![false; inst.n()],
+            order: Vec::new(),
             inst: inst.clone(),
         }
     }
@@ -297,17 +306,19 @@ impl RoundingML {
             }
         }
 
-        // Save old u rows for every page with deltas, then commit the new
+        // Save the old u row of every page with deltas, then commit the new
         // values (the demotion rule mixes new values at level i-1 with old
         // values at level i). Pages are processed in first-appearance
-        // order so runs are reproducible for a fixed seed.
-        let mut old_rows: BTreeMap<PageId, Vec<f64>> = BTreeMap::new();
-        let mut page_order: Vec<PageId> = Vec::new();
+        // order — it fixes the order of the RNG draws, so runs are
+        // reproducible for a fixed seed.
+        self.order.clear();
         for d in deltas {
-            old_rows.entry(d.page).or_insert_with(|| {
-                page_order.push(d.page);
-                self.u[d.page as usize].clone()
-            });
+            let p = d.page as usize;
+            if !std::mem::replace(&mut self.touched[p], true) {
+                self.order.push(d.page);
+                let row = &self.u[p];
+                self.old_u[p * self.stride..][..row.len()].copy_from_slice(row);
+            }
         }
         for d in deltas {
             let row = &mut self.u[d.page as usize];
@@ -327,15 +338,16 @@ impl RoundingML {
 
         // Lines 8-13: cascading demotions for every page with fractional
         // movement, other than p_t.
-        for &p in &page_order {
+        for &p in &self.order {
+            self.touched[p as usize] = false;
             if p == p_t {
                 continue;
             }
-            let old_row = &old_rows[&p];
             let Some(mut i) = txn.cache().level_of(p) else {
                 continue;
             };
             let levels = self.inst.levels(p);
+            let old_row = &self.old_u[p as usize * self.stride..][..levels as usize];
             loop {
                 let new_row = &self.u[p as usize];
                 let v_new_i = self.v_of(new_row, i);
@@ -414,8 +426,9 @@ mod tests {
     }
 
     /// Drive a fractional policy and rounding together over a trace,
-    /// validating the integral run through the standard engine machinery.
-    fn run_rounded_wp(inst: &MlInstance, trace: &[Request], beta: f64, seed: u64) -> (f64, u64) {
+    /// validating the integral run through the standard engine machinery;
+    /// returns the run's eviction cost.
+    fn run_rounded_wp(inst: &MlInstance, trace: &[Request], beta: f64, seed: u64) -> u64 {
         let mut frac = FracMultiplicative::new(inst);
         let mut rounding = RoundingWP::new(inst, beta, seed);
         let mut cache = wmlp_core::cache::CacheState::empty(inst.n());
@@ -432,7 +445,7 @@ mod tests {
             assert!(cache.serves(req), "unserved at t={t}");
             ledger.record_step(inst, &log);
         }
-        (0.0, ledger.eviction_cost)
+        ledger.eviction_cost
     }
 
     #[test]
@@ -440,7 +453,7 @@ mod tests {
         let inst = MlInstance::weighted_paging(4, vec![1, 2, 4, 8, 16, 32, 3, 5, 9, 17]).unwrap();
         let trace = zipf_trace(&inst, 1.0, 1000, LevelDist::Top, 11);
         for seed in 0..5 {
-            run_rounded_wp(&inst, &trace, default_beta(inst.k()), seed);
+            assert!(run_rounded_wp(&inst, &trace, default_beta(inst.k()), seed) > 0);
         }
     }
 
