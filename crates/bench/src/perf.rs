@@ -743,10 +743,14 @@ const B6_VALUE: usize = 64;
 /// `SimStorage` and the on-disk `SegmentStore` — so the extra latency of
 /// making a level physical is measured per operation class:
 ///
-/// * `put/*` — warm-tier writes (unbuffered log appends for disk).
-/// * `put_flush/*` — write-then-evict of a dirty page; the disk cell pays
-///   a real writeback `fsync` per op, so this is the slow path a policy
-///   eviction of a dirty page costs.
+/// * `put/*` — warm-tier writes (RAM only on both backends).
+/// * `put_flush/*` — write-then-evict of a dirty page, committed after
+///   every op: the disk cell pays one `write` and one `fsync` per op,
+///   which is what one durable writeback costs when nothing shares its
+///   commit.
+/// * `put_flush_commit64/*` — the same ops committed once per 64: the
+///   group-commit figure in isolation (one `write` + one `fsync` per 64
+///   writebacks).
 /// * `promote_cycle/*` — cold→warm→cold churn of a clean page: the disk
 ///   cell pays a log read per promotion plus two marker appends.
 /// * `promote_deep/*` — deep-tier residency bookkeeping (marker-only).
@@ -800,26 +804,33 @@ fn b6_storage_tiers(cfg: &PerfConfig, entries: &mut Vec<BenchEntry>) {
             timing,
         ));
 
-        // put_flush: dirty the page, then evict it — the writeback path.
-        let mut store = make(backend, "put_flush");
-        let timing = time_best_of(cfg.warmup_iters, cfg.measure_iters, || {
-            let mut writebacks = 0u64;
-            for i in 0..fsync_ops {
-                let p = (i % B6_PAGES) as PageId;
-                store.put(p, &value).expect("B6 put");
-                writebacks += u64::from(store.flush(p).expect("B6 dirty flush"));
-            }
-            assert_eq!(writebacks, fsync_ops as u64, "every flush wrote back");
-            writebacks
-        });
-        entries.push(entry(
-            "b6_storage_tiers",
-            format!("put_flush/{backend}"),
-            backend,
-            &inst,
-            fsync_ops,
-            timing,
-        ));
+        // put_flush: dirty the page, then evict it — the writeback path,
+        // with a commit point after every op or after every 64.
+        for (name, commit_every) in [("put_flush", 1), ("put_flush_commit64", 64)] {
+            let mut store = make(backend, name);
+            let timing = time_best_of(cfg.warmup_iters, cfg.measure_iters, || {
+                let mut writebacks = 0u64;
+                for i in 0..fsync_ops {
+                    let p = (i % B6_PAGES) as PageId;
+                    store.put(p, &value).expect("B6 put");
+                    writebacks += u64::from(store.flush(p).expect("B6 dirty flush"));
+                    if (i + 1) % commit_every == 0 {
+                        store.commit().expect("B6 commit");
+                    }
+                }
+                store.commit().expect("B6 final commit");
+                assert_eq!(writebacks, fsync_ops as u64, "every flush wrote back");
+                writebacks
+            });
+            entries.push(entry(
+                "b6_storage_tiers",
+                format!("{name}/{backend}"),
+                backend,
+                &inst,
+                fsync_ops,
+                timing,
+            ));
+        }
 
         // promote_cycle: seed durable values once (cheap: one fsync via
         // flush_all, then clean evictions), then churn cold→warm→cold.
@@ -1029,6 +1040,8 @@ mod tests {
             "put/disk",
             "put_flush/sim",
             "put_flush/disk",
+            "put_flush_commit64/sim",
+            "put_flush_commit64/disk",
             "promote_cycle/sim",
             "promote_cycle/disk",
             "promote_deep/sim",

@@ -116,16 +116,23 @@ pub struct StorageSnapshot {
     /// Measured wall time inside promotions, nanoseconds (0 when the
     /// backend is clock-free).
     pub promote_nanos: u64,
-    /// Measured wall time inside dirty writebacks, nanoseconds (0 when
-    /// the backend is clock-free).
+    /// Measured wall time making dirty writebacks durable (the `fsync`s),
+    /// nanoseconds (0 when the backend is clock-free).
     pub flush_nanos: u64,
+    /// [`Storage::commit`] calls that handed buffered records to the
+    /// kernel (0 for a backend with nothing to commit).
+    pub commits: u64,
+    /// `fsync`s paid — one per commit whose records held a dirty
+    /// writeback (0 for a backend with nothing to sync).
+    pub syncs: u64,
 }
 
 /// A physical backing tier behind the paging engine.
 ///
 /// The engine drives it with the *policy's* actions: `promote` for every
 /// `Fetch`, `flush` for every `Evict`, then `put` (write request) or
-/// `get` (read request) for the serve itself. Implementations must be
+/// `get` (read request) for the serve itself, and `commit` once after
+/// the last request of a batch. Implementations must be
 /// deterministic in their visible state (values, residency, dirty set)
 /// for a fixed operation sequence; only the `*_nanos` counters may vary
 /// run to run.
@@ -152,6 +159,17 @@ pub trait Storage {
     /// Write back every dirty page without evicting anything (graceful
     /// shutdown). Returns the number of writebacks.
     fn flush_all(&mut self) -> Result<u64, StorageError>;
+
+    /// The durability barrier between a batch of operations and its
+    /// replies: when this returns `Ok`, everything the backend was asked
+    /// to log since the previous commit is as durable as the backend
+    /// makes it (for the on-disk store: in the kernel, and `fsync`ed if
+    /// any of it was a dirty writeback). On `Err` nothing of the batch
+    /// may be acknowledged. The default suits a backend with nothing to
+    /// make durable.
+    fn commit(&mut self) -> Result<(), StorageError> {
+        Ok(())
+    }
 
     /// Residency and operation counters.
     fn snapshot(&self) -> StorageSnapshot;
@@ -342,6 +360,8 @@ impl Storage for SimStorage {
             flushes: self.counters.flushes,
             promote_nanos: self.counters.promote_nanos,
             flush_nanos: self.counters.flush_nanos,
+            commits: 0,
+            syncs: 0,
         }
     }
 }
@@ -445,9 +465,11 @@ mod tests {
         s.put(0, b"x").unwrap();
         s.promote(1, 1).unwrap();
         s.flush(0).unwrap();
+        s.commit().unwrap();
         let snap = s.snapshot();
         assert_eq!(snap.promote_nanos, 0);
         assert_eq!(snap.flush_nanos, 0);
+        assert_eq!((snap.commits, snap.syncs), (0, 0), "nothing to commit");
         assert_eq!(snap.promotions, 1);
         assert_eq!(snap.flushes, 1);
     }

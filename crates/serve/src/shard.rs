@@ -109,7 +109,9 @@ pub struct ShardStats {
     fetches: AtomicU64,
     evictions: AtomicU64,
     cost: AtomicU64,
-    /// Steps rejected by the engine (policy misbehaviour).
+    /// Requests answered with an error: steps the engine rejected
+    /// (policy misbehaviour), storage failures, and every request of a
+    /// batch whose commit failed.
     errors: AtomicU64,
     /// Gauge, not a counter: requests routed to this shard but not yet
     /// answered. Incremented by the router side on enqueue, decremented
@@ -134,7 +136,7 @@ impl ShardStats {
         }
     }
 
-    /// Engine-rejected steps so far.
+    /// Requests answered with an error so far.
     pub fn errors(&self) -> u64 {
         self.errors.load(Ordering::Relaxed)
     }
@@ -404,9 +406,11 @@ fn serve_batch(
 /// (up to `batch_max`), step the engine over each run of jobs with
 /// [`SimSession::step_batch_store`] — every miss pays a measured
 /// promotion out of `store` and every eviction of a dirty page pays a
-/// real flush — then reply per job with a [`Frame::Served`] carrying the
-/// read value (or [`Frame::Error`] if the policy misbehaves) and publish
-/// counters. A [`ShardMsg::Drain`] marker cuts the batch: everything
+/// real writeback, made durable by the one [`Storage::commit`] that ends
+/// the batch — then reply per job with a [`Frame::Served`] carrying the
+/// read value (or [`Frame::Error`] if the policy misbehaves, the store
+/// fails, or the batch's commit fails) and publish counters. No reply of
+/// a batch leaves before its commit returns. A [`ShardMsg::Drain`] marker cuts the batch: everything
 /// before it is served, then the worker arrives at the marker's gate so
 /// the router can install a new partition plan. Returns when the ring
 /// closes and every queued job has been served — the graceful-shutdown
@@ -471,6 +475,7 @@ pub fn run_shard(
 mod tests {
     use super::*;
     use std::sync::mpsc;
+    use wmlp_core::storage::{StorageError, StorageSnapshot};
 
     /// Channel-backed sink standing in for an event loop: replies land
     /// on an mpsc the test drains.
@@ -634,6 +639,88 @@ mod tests {
         for batch_max in [2, 5, 64] {
             assert_eq!(collect(batch_max, 16), one_at_a_time, "batch {batch_max}");
         }
+    }
+
+    /// A `SimStorage` whose first commit fails.
+    struct FirstCommitFails {
+        inner: wmlp_core::storage::SimStorage,
+        commits: u32,
+    }
+
+    impl Storage for FirstCommitFails {
+        fn get(&mut self, page: u32, out: &mut Vec<u8>) -> Result<u8, StorageError> {
+            self.inner.get(page, out)
+        }
+        fn put(&mut self, page: u32, value: &[u8]) -> Result<(), StorageError> {
+            self.inner.put(page, value)
+        }
+        fn promote(&mut self, page: u32, level: u8) -> Result<(), StorageError> {
+            self.inner.promote(page, level)
+        }
+        fn flush(&mut self, page: u32) -> Result<bool, StorageError> {
+            self.inner.flush(page)
+        }
+        fn flush_all(&mut self) -> Result<u64, StorageError> {
+            self.inner.flush_all()
+        }
+        fn commit(&mut self) -> Result<(), StorageError> {
+            self.commits += 1;
+            if self.commits == 1 {
+                return Err(StorageError::Io {
+                    op: "fsync",
+                    source: std::io::Error::other("injected"),
+                });
+            }
+            Ok(())
+        }
+        fn snapshot(&self) -> StorageSnapshot {
+            self.inner.snapshot()
+        }
+    }
+
+    #[test]
+    fn a_failed_commit_answers_its_whole_batch_with_errors() {
+        use wmlp_algos::PolicyRegistry;
+        let inst = global();
+        let mut policy = PolicyRegistry::standard().build("lru", &inst, 0).unwrap();
+        let mut store = FirstCommitFails {
+            inner: wmlp_core::storage::SimStorage::new(inst.n(), inst.max_levels(), 16),
+            commits: 0,
+        };
+        let stats = ShardStats::default();
+        let (tx, rx) = spsc::channel(8);
+        let (sink, reply_rx) = chan_sink();
+        for (seq, page) in [0u32, 1, 2, 0, 1, 2].into_iter().enumerate() {
+            stats.note_enqueued();
+            assert!(tx
+                .send(ShardMsg::Job(ShardJob {
+                    req: Request::top(page),
+                    put: (seq % 3 == 1).then(|| b"v".to_vec()),
+                    seq: seq as u64,
+                    reply: reply_to(&sink),
+                }))
+                .is_ok());
+        }
+        drop(tx);
+        // Two wakeups of three jobs each: the first batch's commit fails.
+        run_shard(&inst, policy.as_mut(), rx, &stats, 3, &mut store);
+        let frames: Vec<(u64, Frame)> = reply_rx.try_iter().collect();
+        assert!(frames.iter().map(|(s, _)| *s).eq(0..6), "one reply each");
+        for (seq, frame) in &frames[..3] {
+            assert!(
+                matches!(frame, Frame::Error { code: ErrorCode::Internal, detail }
+                    if detail.contains("commit")),
+                "request {seq} was acknowledged past a failed commit: {frame:?}"
+            );
+        }
+        // The worker kept serving: the next batch is answered normally.
+        for (seq, frame) in &frames[3..] {
+            assert!(matches!(frame, Frame::Served { .. }), "request {seq}");
+        }
+        assert_eq!(store.commits, 2, "one commit per batch");
+        assert_eq!(stats.errors(), 3, "the failed batch, whole");
+        assert_eq!(stats.snapshot().requests, 3);
+        assert_eq!(stats.load().queue_depth, 0);
     }
 
     #[test]

@@ -376,6 +376,13 @@ impl SimSession {
     /// outcomes. A storage failure surfaces as [`SimError::Storage`]; the
     /// engine has already stepped by then, so treat the session as
     /// poisoned for determinism purposes.
+    ///
+    /// After the last request the batch is committed — exactly one
+    /// [`Storage::commit`] per call — and only then does the call return,
+    /// so a caller that releases replies after it never acknowledges
+    /// work the store has not made durable. A failed commit acknowledges
+    /// nothing: every `Ok` outcome of the batch becomes
+    /// [`SimError::Storage`] and its value slot is cleared.
     pub fn step_batch_store(
         &mut self,
         inst: &MlInstance,
@@ -393,6 +400,19 @@ impl SimSession {
             }
             out.outcomes.push(outcome);
             out.values.push(value);
+        }
+        if let Err(e) = store.commit() {
+            let first_t = self.t - reqs.len();
+            let detail = format!("batch commit failed: {e}");
+            for (i, (outcome, value)) in out.outcomes.iter_mut().zip(&mut out.values).enumerate() {
+                if outcome.is_ok() {
+                    *outcome = Err(SimError::Storage {
+                        t: first_t + i,
+                        detail: detail.clone(),
+                    });
+                    value.clear();
+                }
+            }
         }
     }
 
@@ -508,7 +528,7 @@ pub fn run_policy(
 mod tests {
     use super::*;
     use wmlp_core::cost::CostModel;
-    use wmlp_core::types::CopyRef;
+    use wmlp_core::types::{CopyRef, PageId};
     use wmlp_core::validate::validate_run;
 
     /// Minimal demand policy: fetch the requested copy, evicting the page's
@@ -876,6 +896,104 @@ mod tests {
         let values = log.take_values();
         assert_eq!(values.len(), 3);
         assert!(log.values().is_empty());
+    }
+
+    /// A `SimStorage` whose `fail_on`-th commit fails.
+    struct FailingCommit {
+        inner: wmlp_core::storage::SimStorage,
+        commits: u32,
+        fail_on: u32,
+    }
+
+    impl Storage for FailingCommit {
+        fn get(&mut self, page: PageId, out: &mut Vec<u8>) -> Result<Level, StorageError> {
+            self.inner.get(page, out)
+        }
+        fn put(&mut self, page: PageId, value: &[u8]) -> Result<(), StorageError> {
+            self.inner.put(page, value)
+        }
+        fn promote(&mut self, page: PageId, level: Level) -> Result<(), StorageError> {
+            self.inner.promote(page, level)
+        }
+        fn flush(&mut self, page: PageId) -> Result<bool, StorageError> {
+            self.inner.flush(page)
+        }
+        fn flush_all(&mut self) -> Result<u64, StorageError> {
+            self.inner.flush_all()
+        }
+        fn commit(&mut self) -> Result<(), StorageError> {
+            self.commits += 1;
+            if self.commits == self.fail_on {
+                return Err(StorageError::Io {
+                    op: "fsync",
+                    source: std::io::Error::other("injected"),
+                });
+            }
+            Ok(())
+        }
+        fn snapshot(&self) -> wmlp_core::storage::StorageSnapshot {
+            self.inner.snapshot()
+        }
+    }
+
+    #[test]
+    fn a_failed_commit_acknowledges_nothing_of_its_batch() {
+        let inst = inst();
+        let mut session = SimSession::new(&inst);
+        let mut store = FailingCommit {
+            inner: wmlp_core::storage::SimStorage::new(inst.n(), inst.max_levels(), 8),
+            commits: 0,
+            fail_on: 2,
+        };
+        let mut log = BatchLog::new();
+        let reqs = [
+            StoreRequest {
+                req: Request::new(0, 1),
+                put: Some(b"abc"),
+            },
+            StoreRequest {
+                req: Request::new(0, 2),
+                put: None,
+            },
+            StoreRequest {
+                req: Request::new(9, 1), // invalid
+                put: None,
+            },
+        ];
+        // Batch 1 commits: outcomes and values are what the steps made them.
+        session.step_batch_store(&inst, &mut Demand, &reqs, &mut store, &mut log);
+        assert_eq!(store.commits, 1, "exactly one commit per batch");
+        assert!(log.outcomes()[0].is_ok() && log.outcomes()[1].is_ok());
+        assert_eq!(log.values()[1], b"abc");
+        assert!(matches!(
+            log.outcomes()[2],
+            Err(SimError::BadRequest { t: 2, .. })
+        ));
+
+        // Batch 2's commit fails: no Ok outcome and no value survives; the
+        // step that had already failed keeps its own error.
+        session.step_batch_store(&inst, &mut Demand, &reqs, &mut store, &mut log);
+        assert_eq!(store.commits, 2);
+        for (i, outcome) in log.outcomes().iter().take(2).enumerate() {
+            match outcome {
+                Err(SimError::Storage { t, detail }) => {
+                    assert_eq!(*t, 3 + i);
+                    assert!(detail.contains("commit"), "{detail}");
+                }
+                other => panic!("request {i} acknowledged past a failed commit: {other:?}"),
+            }
+        }
+        assert!(matches!(
+            log.outcomes()[2],
+            Err(SimError::BadRequest { t: 5, .. })
+        ));
+        assert!(log.values().iter().all(Vec::is_empty));
+
+        // The next batch commits and is served normally again.
+        session.step_batch_store(&inst, &mut Demand, &reqs, &mut store, &mut log);
+        assert_eq!(store.commits, 3);
+        assert!(log.outcomes()[0].is_ok());
+        assert_eq!(log.values()[1], b"abc");
     }
 
     #[test]

@@ -17,5 +17,5 @@ pub mod segment;
 pub mod store;
 mod timed;
 
-pub use segment::{crc32, decode_record, encode_record, Decoded, Record};
+pub use segment::{crc32, decode_record, encode_put, encode_record, Decoded, Record};
 pub use store::{RecoverMode, SegmentStore, StoreOptions};

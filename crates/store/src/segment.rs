@@ -108,11 +108,21 @@ fn le_u32(buf: &[u8]) -> u32 {
 
 /// Append the encoded record to `out`.
 pub fn encode_record(rec: &Record, out: &mut Vec<u8>) {
-    let (op, page, level, value): (u8, PageId, Level, &[u8]) = match rec {
-        Record::Put { page, value } => (OP_PUT, *page, 0, value.as_slice()),
-        Record::Promote { page, level } => (OP_PROMOTE, *page, *level, &[]),
-        Record::Evict { page } => (OP_EVICT, *page, 0, &[]),
-    };
+    match rec {
+        Record::Put { page, value } => encode_put(*page, value, out),
+        Record::Promote { page, level } => encode_parts(OP_PROMOTE, *page, *level, &[], out),
+        Record::Evict { page } => encode_parts(OP_EVICT, *page, 0, &[], out),
+    }
+}
+
+/// Append the encoded `PUT` record for `page` to `out`, straight from
+/// borrowed value bytes — the same bytes [`encode_record`] produces for
+/// a [`Record::Put`], without owning the value first.
+pub fn encode_put(page: PageId, value: &[u8], out: &mut Vec<u8>) {
+    encode_parts(OP_PUT, page, 0, value, out);
+}
+
+fn encode_parts(op: u8, page: PageId, level: Level, value: &[u8], out: &mut Vec<u8>) {
     let body_len = BODY_HEADER + value.len();
     let start = out.len();
     out.extend_from_slice(&(body_len as u32).to_le_bytes());
@@ -208,6 +218,19 @@ mod tests {
                 }
                 other => panic!("expected Complete, got {other:?} for {rec:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn encode_put_writes_the_bytes_of_a_put_record() {
+        for rec in samples() {
+            let Record::Put { page, value } = &rec else {
+                continue;
+            };
+            let (mut owned, mut borrowed) = (vec![0xEE], vec![0xEE]);
+            encode_record(&rec, &mut owned);
+            encode_put(*page, value, &mut borrowed);
+            assert_eq!(borrowed, owned, "page {page}");
         }
     }
 

@@ -6,7 +6,7 @@
 //!
 //! * **Warm tier (level 1)** — values held in RAM. Writes land here and
 //!   are *dirty* until flushed; a policy `Evict` writes a dirty page
-//!   back as a `PUT` record (followed by `fsync`) before dropping it.
+//!   back as a `PUT` record before dropping it.
 //! * **Backing tiers (levels ≥ 2)** — the segment log. The latest `PUT`
 //!   record per page is the page's durable value; a page with no `PUT`
 //!   reads as its synthesized [`default_value`].
@@ -14,10 +14,23 @@
 //! Residency changes are logged as `PROMOTE`/`EVICT` marker records, so
 //! opening a store replays the log and — in [`RecoverMode::Warm`] — can
 //! rebuild the warm set a crashed process had promoted: warm = pages
-//! whose last marker is `PROMOTE(p, 1)`. Marker and data records are
-//! appended straight to the kernel (no user-space buffering), so they
-//! survive a `kill -9`; only `fsync` (on dirty writebacks) is reserved
-//! for power-loss durability.
+//! whose last marker is `PROMOTE(p, 1)`.
+//!
+//! # Durability contract (group commit)
+//!
+//! Records are encoded into a per-store commit buffer;
+//! [`Storage::commit`] — called once per batch, before any reply of the
+//! batch is released — hands the buffer to the kernel with one `write`
+//! and then pays one `fsync` iff the buffer held a dirty writeback. So:
+//! *when a reply is visible to a client, every record of its batch and
+//! of all earlier batches is in the kernel (survives `kill -9`), and
+//! every dirty writeback among them is `fsync`ed (survives power loss);
+//! an unacknowledged batch may vanish whole; an acknowledged PUT still
+//! dirty in RAM is lost on any crash.* Rotation commits before it
+//! leaves a segment, [`Storage::flush_all`] and `Drop` commit, and a
+//! fixed size backstop commits early, so a caller that never commits
+//! still holds a bounded buffer and leaves a complete log. A value
+//! whose `PUT` is still in the buffer is read back from the buffer.
 //!
 //! Recovery invariants:
 //!
@@ -29,15 +42,16 @@
 //! 3. Rebuilt warm values are the *durable* values (last flushed `PUT`
 //!    or the default) — un-flushed dirty bytes are honestly lost.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 
 use wmlp_core::storage::{default_value, Storage, StorageError, StorageSnapshot, MAX_VALUE};
 use wmlp_core::types::{Level, PageId};
 
-use crate::segment::{decode_record, encode_record, Decoded, Record, VALUE_OFFSET};
+use crate::segment::{decode_record, encode_put, encode_record, Decoded, Record, VALUE_OFFSET};
 use crate::timed::OpTimer;
 
 /// What to rebuild from the segment log when opening a store.
@@ -97,12 +111,25 @@ struct ValueLoc {
     len: u32,
 }
 
+/// Commit early once this many bytes are buffered, so a caller that
+/// never calls [`Storage::commit`] holds a bounded buffer (and `Drop`
+/// commits the rest). A server batch is far smaller, so it still pays
+/// one `write` and at most one `fsync`.
+const COMMIT_BACKSTOP_BYTES: usize = 1 << 20;
+
+/// Read handles kept open at once. The log is unbounded and a process
+/// runs one store per shard, so the cache cannot be: past this many the
+/// oldest segment's handle is closed and reopened on demand.
+const READ_HANDLES: usize = 32;
+
 #[derive(Debug, Default)]
 struct Counters {
     promotions: u64,
     flushes: u64,
     promote_nanos: u64,
     flush_nanos: u64,
+    commits: u64,
+    syncs: u64,
 }
 
 /// Replay state accumulated while scanning segments on open.
@@ -150,12 +177,20 @@ pub struct SegmentStore {
     opts: StoreOptions,
     seg_id: u64,
     seg_file: File,
+    /// Logical length of the current segment: the bytes in the file
+    /// plus the bytes in `pending`.
     seg_len: u64,
+    /// Encoded records of the current segment not yet handed to the
+    /// kernel; they belong at file offset [`Self::committed_len`].
+    pending: Vec<u8>,
+    /// Whether a dirty writeback was logged since the last `fsync`.
+    needs_sync: bool,
+    /// Read handles by segment id, at most [`READ_HANDLES`].
+    readers: BTreeMap<u64, File>,
     index: BTreeMap<PageId, ValueLoc>,
     warm: BTreeMap<PageId, Vec<u8>>,
     dirty: BTreeSet<PageId>,
     resident: BTreeMap<PageId, Level>,
-    scratch: Vec<u8>,
     counters: Counters,
 }
 
@@ -165,6 +200,26 @@ fn io_err(op: &'static str, source: std::io::Error) -> StorageError {
 
 fn segment_name(id: u64) -> String {
     format!("seg-{id:06}.log")
+}
+
+/// Create (or reopen) segment `id` for positional writes. A new file's
+/// directory entry is `fsync`ed too: the writebacks later synced into
+/// the file must not vanish with it on power loss.
+fn open_segment(dir: &Path, id: u64) -> Result<File, StorageError> {
+    let path = dir.join(segment_name(id));
+    let fresh = !path.exists();
+    let file = OpenOptions::new()
+        .create(true)
+        .truncate(false)
+        .write(true)
+        .open(path)
+        .map_err(|e| io_err("open segment", e))?;
+    if fresh {
+        File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| io_err("fsync store dir", e))?;
+    }
+    Ok(file)
 }
 
 impl SegmentStore {
@@ -196,12 +251,7 @@ impl SegmentStore {
         }
 
         let seg_id = seg_ids.last().copied().unwrap_or(0);
-        let path = dir.join(segment_name(seg_id));
-        let seg_file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| io_err("open segment", e))?;
+        let seg_file = open_segment(dir, seg_id)?;
         let seg_len = if seg_ids.is_empty() { 0 } else { last_len };
 
         let mut store = SegmentStore {
@@ -210,11 +260,13 @@ impl SegmentStore {
             seg_id,
             seg_file,
             seg_len,
+            pending: Vec::new(),
+            needs_sync: false,
+            readers: BTreeMap::new(),
             index: replay.index,
             warm: BTreeMap::new(),
             dirty: BTreeSet::new(),
             resident: replay.resident,
-            scratch: Vec::new(),
             counters: Counters::default(),
         };
         match store.opts.recover {
@@ -288,79 +340,93 @@ impl SegmentStore {
         }
     }
 
-    /// Append one record to the current segment, optionally fsyncing,
-    /// then rotate if the segment is full. Returns `(segment, offset)`
-    /// of the record.
-    fn append_record(&mut self, rec: &Record, sync: bool) -> Result<(u64, u64), StorageError> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        encode_record(rec, &mut scratch);
-        // Straight to the kernel, record-at-a-time: no user-space buffer
-        // means markers survive a SIGKILL (though not power loss — that
-        // is what the writeback fsync below is for).
-        let res = self.seg_file.write_all(&scratch);
-        let written = scratch.len() as u64;
-        self.scratch = scratch;
-        res.map_err(|e| io_err("append record", e))?;
-        let at = (self.seg_id, self.seg_len);
-        self.seg_len += written;
-        if sync {
-            self.seg_file.sync_data().map_err(|e| io_err("fsync", e))?;
-        }
-        if self.seg_len >= self.opts.segment_bytes {
-            self.rotate()?;
-        }
-        Ok(at)
+    /// Bytes of the current segment already handed to the kernel: where
+    /// `pending` starts in the file.
+    fn committed_len(&self) -> u64 {
+        self.seg_len - self.pending.len() as u64
     }
 
-    fn rotate(&mut self) -> Result<(), StorageError> {
-        self.seg_id += 1;
-        let path = self.dir.join(segment_name(self.seg_id));
-        self.seg_file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| io_err("rotate segment", e))?;
-        self.seg_len = 0;
+    /// Account for the record just encoded at `pending[start..]`. A full
+    /// segment is committed and rotated away, so `pending` only ever
+    /// holds records of the current segment; the size backstop commits
+    /// in place.
+    fn appended(&mut self, start: usize) -> Result<(), StorageError> {
+        self.seg_len += (self.pending.len() - start) as u64;
+        if self.seg_len >= self.opts.segment_bytes {
+            self.commit()?;
+            self.seg_id += 1;
+            self.seg_file = open_segment(&self.dir, self.seg_id)?;
+            self.seg_len = 0;
+        } else if self.pending.len() >= COMMIT_BACKSTOP_BYTES {
+            self.commit()?;
+        }
         Ok(())
     }
 
+    /// Buffer a residency marker.
+    fn append_marker(&mut self, rec: &Record) -> Result<(), StorageError> {
+        let start = self.pending.len();
+        encode_record(rec, &mut self.pending);
+        self.appended(start)
+    }
+
+    /// The cached read handle of segment `seg`.
+    fn reader(&mut self, seg: u64) -> Result<&File, StorageError> {
+        if self.readers.len() >= READ_HANDLES && !self.readers.contains_key(&seg) {
+            self.readers.pop_first();
+        }
+        Ok(match self.readers.entry(seg) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(v) => v.insert(
+                File::open(self.dir.join(segment_name(seg)))
+                    .map_err(|e| io_err("open segment for read", e))?,
+            ),
+        })
+    }
+
     /// Append the page's durable value — last flushed `PUT`, read back
-    /// from its segment, or the synthesized default.
-    fn read_durable(&self, page: PageId, out: &mut Vec<u8>) -> Result<(), StorageError> {
+    /// from the commit buffer or its segment, or the synthesized default.
+    fn read_durable(&mut self, page: PageId, out: &mut Vec<u8>) -> Result<(), StorageError> {
         let Some(loc) = self.index.get(&page).copied() else {
             default_value(page, self.opts.value_size, out);
             return Ok(());
         };
-        let path = self.dir.join(segment_name(loc.seg));
-        let mut f = File::open(path).map_err(|e| io_err("open segment for read", e))?;
-        f.seek(SeekFrom::Start(loc.offset))
-            .map_err(|e| io_err("seek value", e))?;
+        let len = loc.len as usize;
+        let committed = self.committed_len();
+        if loc.seg == self.seg_id && loc.offset >= committed {
+            // Written back and wanted again before its batch committed:
+            // the record is whole in the buffer (commits never split one).
+            let at = (loc.offset - committed) as usize;
+            out.extend_from_slice(&self.pending[at..at + len]);
+            return Ok(());
+        }
         let start = out.len();
-        out.resize(start + loc.len as usize, 0);
-        f.read_exact(&mut out[start..])
-            .map_err(|e| io_err("read value", e))?;
-        Ok(())
+        out.resize(start + len, 0);
+        self.reader(loc.seg)?
+            .read_exact_at(&mut out[start..], loc.offset)
+            .map_err(|e| io_err("read value", e))
     }
 
-    /// Write `page` back if dirty (PUT record + fsync). Returns whether
-    /// a writeback happened. Leaves warm membership untouched.
-    fn writeback(&mut self, page: PageId, sync: bool) -> Result<bool, StorageError> {
+    /// Write `page` back if dirty: buffer its `PUT` record and mark the
+    /// buffer as owing an `fsync` at the next commit. Returns whether a
+    /// writeback happened. Leaves warm membership untouched.
+    fn writeback(&mut self, page: PageId) -> Result<bool, StorageError> {
         if !self.dirty.remove(&page) {
             return Ok(false);
         }
-        let value = self.warm.get(&page).cloned().unwrap_or_default();
-        let vlen = value.len() as u32;
-        let (seg, offset) = self.append_record(&Record::Put { page, value }, sync)?;
-        self.index.insert(
-            page,
-            ValueLoc {
-                seg,
-                offset: offset + VALUE_OFFSET as u64,
-                len: vlen,
-            },
-        );
+        let value = self.warm.get(&page).map_or(&[][..], Vec::as_slice);
+        let loc = ValueLoc {
+            seg: self.seg_id,
+            offset: self.seg_len + VALUE_OFFSET as u64,
+            len: value.len() as u32,
+        };
+        let start = self.pending.len();
+        encode_put(page, value, &mut self.pending);
+        self.index.insert(page, loc);
         self.counters.flushes += 1;
+        // Set before `appended`: a rotation there must sync this record.
+        self.needs_sync = true;
+        self.appended(start)?;
         Ok(true)
     }
 
@@ -426,27 +492,19 @@ impl Storage for SegmentStore {
         } else {
             // Demotion out of the warm tier: the dirty bytes must reach
             // the log before the RAM copy goes away.
-            let timer = OpTimer::start();
-            let wrote = self.writeback(page, true)?;
-            if wrote {
-                self.counters.flush_nanos += timer.elapsed_nanos();
-            }
+            self.writeback(page)?;
             self.warm.remove(&page);
         }
-        self.append_record(&Record::Promote { page, level }, false)?;
+        self.append_marker(&Record::Promote { page, level })?;
         self.resident.insert(page, level);
         Ok(())
     }
 
     fn flush(&mut self, page: PageId) -> Result<bool, StorageError> {
         self.check_page(page)?;
-        let timer = OpTimer::start();
-        let wrote = self.writeback(page, true)?;
-        if wrote {
-            self.counters.flush_nanos += timer.elapsed_nanos();
-        }
+        let wrote = self.writeback(page)?;
         if self.warm.remove(&page).is_some() || self.resident.contains_key(&page) {
-            self.append_record(&Record::Evict { page }, false)?;
+            self.append_marker(&Record::Evict { page })?;
         }
         self.resident.remove(&page);
         Ok(wrote)
@@ -454,18 +512,34 @@ impl Storage for SegmentStore {
 
     fn flush_all(&mut self) -> Result<u64, StorageError> {
         let dirty: Vec<PageId> = self.dirty.iter().copied().collect();
-        let timer = OpTimer::start();
         let mut wrote = 0u64;
         for page in dirty {
-            // One fsync at the end covers the batch (modulo rotation,
-            // which syncs implicitly rarely enough not to matter).
-            wrote += u64::from(self.writeback(page, false)?);
+            wrote += u64::from(self.writeback(page)?);
         }
-        if wrote > 0 {
+        // One commit (one fsync) covers them all.
+        self.commit()?;
+        Ok(wrote)
+    }
+
+    fn commit(&mut self) -> Result<(), StorageError> {
+        if !self.pending.is_empty() {
+            // Positional, not O_APPEND: a commit retried after a failed
+            // or short write lands on the same bytes instead of after
+            // its own torn copy.
+            self.seg_file
+                .write_all_at(&self.pending, self.committed_len())
+                .map_err(|e| io_err("commit records", e))?;
+            self.pending.clear();
+            self.counters.commits += 1;
+        }
+        if self.needs_sync {
+            let timer = OpTimer::start();
             self.seg_file.sync_data().map_err(|e| io_err("fsync", e))?;
+            self.needs_sync = false;
+            self.counters.syncs += 1;
             self.counters.flush_nanos += timer.elapsed_nanos();
         }
-        Ok(wrote)
+        Ok(())
     }
 
     fn snapshot(&self) -> StorageSnapshot {
@@ -484,6 +558,16 @@ impl Storage for SegmentStore {
             flushes: self.counters.flushes,
             promote_nanos: self.counters.promote_nanos,
             flush_nanos: self.counters.flush_nanos,
+            commits: self.counters.commits,
+            syncs: self.counters.syncs,
         }
+    }
+}
+
+impl Drop for SegmentStore {
+    fn drop(&mut self) {
+        // A store dropped mid-batch still leaves a complete log behind;
+        // the error has no one to go to here.
+        let _ = self.commit();
     }
 }
