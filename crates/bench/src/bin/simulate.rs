@@ -21,6 +21,7 @@
 use std::process::ExitCode;
 
 use wmlp_algos::PolicyRegistry;
+use wmlp_core::cli::{flag, flag_parse, switch};
 use wmlp_core::codec;
 use wmlp_core::instance::MlInstance;
 use wmlp_sim::runner::{Runner, RunnerError, Scenario};
@@ -51,15 +52,22 @@ fn list_policies() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-use wmlp_bench::cli::{flag, flag_parse, switch};
+/// [`flag_parse`], with a missing or unparsable value exiting 2 before
+/// anything is generated, read or run.
+fn parsed<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
+    flag_parse(args, name, default).unwrap_or_else(|e| {
+        eprintln!("simulate: {e}");
+        std::process::exit(2)
+    })
+}
 
 fn gen(args: &[String]) -> ExitCode {
-    let k = flag_parse(args, "--k", 16usize);
-    let pages = flag_parse(args, "--pages", 128usize);
-    let levels = flag_parse(args, "--levels", 1u8);
-    let len = flag_parse(args, "--len", 10_000usize);
-    let seed = flag_parse(args, "--seed", 0u64);
-    let alpha = flag_parse(args, "--alpha", 1.0f64);
+    let k = parsed(args, "--k", 16usize);
+    let pages = parsed(args, "--pages", 128usize);
+    let levels = parsed(args, "--levels", 1u8);
+    let len = parsed(args, "--len", 10_000usize);
+    let seed = parsed(args, "--seed", 0u64);
+    let alpha = parsed(args, "--alpha", 1.0f64);
 
     let rows = ml_rows_geometric(pages, levels, 16, 256, 4, seed);
     let inst = match MlInstance::from_rows(k, rows) {
@@ -110,6 +118,7 @@ fn run(args: &[String]) -> ExitCode {
         eprintln!("run requires --instance and --trace");
         return ExitCode::FAILURE;
     };
+    let seed = parsed(args, "--seed", 0u64);
     let inst = match std::fs::read_to_string(inst_path)
         .map_err(|e| e.to_string())
         .and_then(|t| codec::parse_instance(&t).map_err(|e| e.to_string()))
@@ -134,7 +143,6 @@ fn run(args: &[String]) -> ExitCode {
         eprintln!("trace request {i} is invalid for this instance");
         return ExitCode::FAILURE;
     }
-    let seed = flag_parse(args, "--seed", 0u64);
     let names = flag(args, "--alg").unwrap_or("lru,landlord,waterfill,randomized");
 
     let opt = if switch(args, "--opt") {

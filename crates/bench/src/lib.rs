@@ -18,12 +18,11 @@
 //! | E10 | ablations of `β` (rounding) and `η` (fractional update) |
 //!
 //! Run them with `cargo run -p wmlp-bench --release --bin experiments --
-//! all` (or a list of ids). Criterion throughput benchmarks live in
-//! `benches/`.
+//! all` (or a list of ids). The in-process timing grid is [`perf`] (the
+//! `perf` binary); the serving stack is timed by `benchmark/run.sh`.
 
 #![warn(missing_docs)]
 
-pub mod cli;
 pub mod experiments;
 pub mod opt;
 pub mod perf;

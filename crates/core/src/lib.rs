@@ -28,12 +28,13 @@
 //! protocol spoken by the serving stack — split into the pure frame
 //! codec ([`wire`]) and its transport adapters ([`conn`]), plus the
 //! dependency-free epoll reactor behind the event-driven connection
-//! plane ([`net`]).
+//! plane ([`net`]). The binaries' shared flag parsing is [`cli`].
 
 #![warn(missing_docs)]
 
 pub mod action;
 pub mod cache;
+pub mod cli;
 pub mod codec;
 pub mod conn;
 pub mod cost;

@@ -35,25 +35,17 @@
 //! thread-per-connection client (`--connections`, `--client-threads`),
 //! exits 2 with a one-line message before anything connects or spawns.
 
+use wmlp_core::cli::{flag, flag_parse, switch};
 use wmlp_loadgen::{run, zipf_head_mass, LoadgenConfig, Workload};
-use wmlp_serve::cli::{flag, switch};
 
 fn fail(msg: &str) -> ! {
     eprintln!("wmlp-loadgen: {msg}");
     std::process::exit(2);
 }
 
-/// The value following `name`, parsed; `default` when the flag is absent.
-/// A value that is missing or does not parse exits 2 — a typo must not
-/// silently run a different experiment.
-fn flag_parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    match flag(args, name) {
-        Some(v) => v
-            .parse()
-            .unwrap_or_else(|_| fail(&format!("{name} {v}: not a valid value"))),
-        None if switch(args, name) => fail(&format!("{name}: missing value")),
-        None => default,
-    }
+/// [`flag_parse`], with a missing or unparsable value exiting 2.
+fn parsed<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
+    flag_parse(args, name, default).unwrap_or_else(|e| fail(&e))
 }
 
 fn main() {
@@ -81,32 +73,32 @@ fn main() {
     };
     let workload = match Workload::parse(
         flag(&args, "--workload").unwrap_or("zipf"),
-        flag_parse(&args, "--alpha", 0.9f64),
-        flag_parse(&args, "--write-ratio", 0.3f64),
+        parsed(&args, "--alpha", 0.9f64),
+        parsed(&args, "--write-ratio", 0.3f64),
     ) {
         Ok(w) => w,
         Err(e) => fail(&e),
     };
     let cfg = LoadgenConfig {
         addr,
-        conns: flag_parse(&args, "--conns", base.conns),
-        requests: flag_parse(&args, "--requests", base.requests),
+        conns: parsed(&args, "--conns", base.conns),
+        requests: parsed(&args, "--requests", base.requests),
         workload,
-        seed: flag_parse(&args, "--seed", base.seed),
-        pages: flag_parse(&args, "--pages", base.pages),
-        levels: flag_parse(&args, "--levels", base.levels),
-        k: flag_parse(&args, "--k", base.k),
-        weight_seed: flag_parse(&args, "--weight-seed", base.weight_seed),
+        seed: parsed(&args, "--seed", base.seed),
+        pages: parsed(&args, "--pages", base.pages),
+        levels: parsed(&args, "--levels", base.levels),
+        k: parsed(&args, "--k", base.k),
+        weight_seed: parsed(&args, "--weight-seed", base.weight_seed),
         policy: flag(&args, "--policy").unwrap_or(&base.policy).to_string(),
-        shards: flag_parse(&args, "--shards", base.shards),
+        shards: parsed(&args, "--shards", base.shards),
         partition: flag(&args, "--partition")
             .unwrap_or(&base.partition)
             .to_string(),
-        detector_capacity: flag_parse(&args, "--detector", base.detector_capacity),
-        hot_k: flag_parse(&args, "--hot-k", base.hot_k),
-        epoch_len: flag_parse(&args, "--epoch-len", base.epoch_len),
-        pipeline: flag_parse(&args, "--pipeline", base.pipeline),
-        rate: flag_parse(&args, "--rate", base.rate),
+        detector_capacity: parsed(&args, "--detector", base.detector_capacity),
+        hot_k: parsed(&args, "--hot-k", base.hot_k),
+        epoch_len: parsed(&args, "--epoch-len", base.epoch_len),
+        pipeline: parsed(&args, "--pipeline", base.pipeline),
+        rate: parsed(&args, "--rate", base.rate),
         sweep: match flag(&args, "--sweep") {
             None => base.sweep.clone(),
             Some(spec) => match spec
@@ -118,7 +110,7 @@ fn main() {
                 Err(e) => fail(&format!("--sweep {spec}: {e}")),
             },
         },
-        value_size: flag_parse(&args, "--value-size", base.value_size),
+        value_size: parsed(&args, "--value-size", base.value_size),
         shutdown: !switch(&args, "--no-shutdown"),
     };
 

@@ -38,7 +38,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cli;
 mod event_loop;
 pub mod notify;
 pub mod reorder;

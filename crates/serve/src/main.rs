@@ -30,16 +30,21 @@
 
 use std::sync::Arc;
 
+use wmlp_core::cli::{flag, flag_parse};
 use wmlp_core::codec;
 use wmlp_core::instance::MlInstance;
 use wmlp_router::{PartitionMode, PartitionSpec};
-use wmlp_serve::cli::{flag, flag_parse};
 use wmlp_serve::{default_instance, replay_manifest_with_plan, server, ServeConfig};
 use wmlp_store::RecoverMode;
 
 fn fail(msg: &str) -> ! {
     eprintln!("wmlp-serve: {msg}");
     std::process::exit(2);
+}
+
+/// [`flag_parse`], with a missing or unparsable value exiting 2.
+fn parsed<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
+    flag_parse(args, name, default).unwrap_or_else(|e| fail(&e))
 }
 
 fn load_instance(args: &[String]) -> Arc<MlInstance> {
@@ -52,10 +57,10 @@ fn load_instance(args: &[String]) -> Arc<MlInstance> {
             Err(e) => fail(&format!("--instance {path}: {e}")),
         },
         None => {
-            let pages = flag_parse(args, "--pages", 65_536usize);
-            let levels = flag_parse(args, "--levels", 3u8);
-            let k = flag_parse(args, "--k", 4096usize);
-            let weight_seed = flag_parse(args, "--weight-seed", 7u64);
+            let pages = parsed(args, "--pages", 65_536usize);
+            let levels = parsed(args, "--levels", 3u8);
+            let k = parsed(args, "--k", 4096usize);
+            let weight_seed = parsed(args, "--weight-seed", 7u64);
             match default_instance(pages, levels, k, weight_seed) {
                 Ok(inst) => inst,
                 Err(e) => fail(&e),
@@ -76,7 +81,7 @@ fn main() {
         ));
     }
     let policy = flag(&args, "--policy").unwrap_or("lru").to_string();
-    let seed = flag_parse(&args, "--seed", 0u64);
+    let seed = parsed(&args, "--seed", 0u64);
     let inst = load_instance(&args);
 
     if let Some(trace_path) = flag(&args, "--replay") {
@@ -99,10 +104,10 @@ fn main() {
             "hash" => None,
             other => match PartitionMode::parse(other) {
                 Ok(mode) => Some(PartitionSpec {
-                    shards: flag_parse(&args, "--plan-shards", 8usize).max(1),
-                    detector_capacity: flag_parse(&args, "--detector", 256usize).max(1),
-                    hot_k: flag_parse(&args, "--hot-k", 64usize),
-                    epoch_len: flag_parse(&args, "--epoch-len", 4096u64),
+                    shards: parsed(&args, "--plan-shards", 8usize).max(1),
+                    detector_capacity: parsed(&args, "--detector", 256usize).max(1),
+                    hot_k: parsed(&args, "--hot-k", 64usize),
+                    epoch_len: parsed(&args, "--epoch-len", 4096u64),
                     ..PartitionSpec::new(mode, 8)
                 }),
                 Err(e) => fail(&e),
@@ -131,22 +136,22 @@ fn main() {
     };
     let cfg = ServeConfig {
         addr: flag(&args, "--addr").unwrap_or("127.0.0.1:0").to_string(),
-        shards: flag_parse(&args, "--shards", 1usize),
-        queue_depth: flag_parse(&args, "--queue-depth", 64usize),
+        shards: parsed(&args, "--shards", 1usize),
+        queue_depth: parsed(&args, "--queue-depth", 64usize),
         policy,
         seed,
-        batch: flag_parse(&args, "--batch", 64usize),
-        max_inflight: flag_parse(&args, "--max-inflight", 256usize),
+        batch: parsed(&args, "--batch", 64usize),
+        max_inflight: parsed(&args, "--max-inflight", 256usize),
         store_dir: flag(&args, "--store").map(str::to_string),
         recover,
-        value_size: flag_parse(&args, "--value-size", 64usize),
+        value_size: parsed(&args, "--value-size", 64usize),
         partition: flag(&args, "--partition").unwrap_or("hash").to_string(),
-        detector_capacity: flag_parse(&args, "--detector", 256usize),
-        hot_k: flag_parse(&args, "--hot-k", 64usize),
-        epoch_len: flag_parse(&args, "--epoch-len", 4096u64),
-        io_threads: flag_parse(&args, "--io-threads", 2usize),
+        detector_capacity: parsed(&args, "--detector", 256usize),
+        hot_k: parsed(&args, "--hot-k", 64usize),
+        epoch_len: parsed(&args, "--epoch-len", 4096u64),
+        io_threads: parsed(&args, "--io-threads", 2usize),
     };
-    let handle = match server::start(inst, &cfg) {
+    let mut handle = match server::start(inst, &cfg) {
         Ok(h) => h,
         Err(e) => fail(&e.to_string()),
     };
@@ -162,9 +167,15 @@ fn main() {
     // Scripts (and the loadgen --wait-banner mode) parse this line for
     // the resolved port, so keep its shape stable.
     println!("listening on {}", handle.addr());
-    let stats = handle.join();
+    handle.wait_stopped();
+    let stats = handle.stats();
     println!(
-        "served {} requests ({} hits, {} fetches, {} evictions, cost {})",
-        stats.requests, stats.hits, stats.fetches, stats.evictions, stats.cost
+        "served {} requests ({} hits, {} fetches, {} evictions, cost {}), {} errors",
+        stats.requests,
+        stats.hits,
+        stats.fetches,
+        stats.evictions,
+        stats.cost,
+        handle.errors()
     );
 }

@@ -242,6 +242,12 @@ impl ServerHandle {
         ShardStats::aggregate(&self.inner.stats)
     }
 
+    /// Requests answered with an error, summed over shards (policy
+    /// rejections, storage failures, failed batch commits).
+    pub fn errors(&self) -> u64 {
+        self.inner.stats.iter().map(|s| s.errors()).sum()
+    }
+
     /// Warm pages recovered from on-disk segment logs at startup, summed
     /// over shards (0 for in-memory storage or cold recovery).
     pub fn warm_recovered(&self) -> u64 {
@@ -254,9 +260,10 @@ impl ServerHandle {
     }
 
     /// Wait for the server to stop (a SHUTDOWN frame or a prior
-    /// [`ServerHandle::shutdown`] call) and return the final aggregate
-    /// stats after every shard has drained.
-    pub fn join(mut self) -> WireStats {
+    /// [`ServerHandle::shutdown`] call); once it returns every shard has
+    /// drained and [`ServerHandle::stats`] / [`ServerHandle::errors`]
+    /// are final.
+    pub fn wait_stopped(&mut self) {
         // An event loop exits only once its last connection closes; the
         // last loop to exit drops the last router sender; the router then
         // exits, closing the shard rings; the shards drain and exit. This
@@ -270,7 +277,12 @@ impl ServerHandle {
         for h in self.shards.drain(..) {
             let _ = h.join();
         }
-        ShardStats::aggregate(&self.inner.stats)
+    }
+
+    /// [`ServerHandle::wait_stopped`], returning the final aggregate stats.
+    pub fn join(mut self) -> WireStats {
+        self.wait_stopped();
+        self.stats()
     }
 
     /// [`ServerHandle::shutdown`] then [`ServerHandle::join`].

@@ -473,6 +473,31 @@ fn removed_plane_flag_values_exit_2_before_binding() {
     }
 }
 
+/// A flag value that does not parse must not silently fall back to the
+/// default (`--shards 8x` used to serve with 1 shard): it is refused
+/// before the server binds, naming the flag.
+#[test]
+fn unparsable_flag_values_exit_2_before_binding() {
+    let cases: [(&[&str], &str); 4] = [
+        (&["--k", "8", "--shards", "8x"], "--shards 8x"),
+        (&["--k", "sixteen"], "--k sixteen"),
+        (&["--k", "8", "--batch", "-1"], "--batch -1"),
+        (&["--k", "8", "--io-threads"], "--io-threads: missing value"),
+    ];
+    for (flags, expect) in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_wmlp-serve"))
+            .args(["--pages", "64", "--levels", "2"])
+            .args(flags)
+            .output()
+            .expect("run wmlp-serve");
+        assert_eq!(out.status.code(), Some(2), "{flags:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(err.lines().count(), 1, "one-line explanation: {err}");
+        assert!(err.contains(expect), "{err}");
+        assert!(out.stdout.is_empty(), "refused before `listening on`");
+    }
+}
+
 /// The tiered on-disk store across server lifetimes: a value PUT before
 /// a graceful shutdown reads back byte-identical after a warm restart
 /// (warm tier rebuilt from the segment logs) and after a cold restart

@@ -6,7 +6,8 @@
 # which the loadgen multiplexes over 2 event-driven client threads. The smoke
 # fails unless every connection completes its slice with zero errors and
 # the shutdown handshake lands cleanly (the loadgen's own smoke contract),
-# and the server process exits 0 after the drain.
+# and the server process exits 0 after the drain with `0 errors` in its
+# exit banner (the shards' own count: policy rejections, storage failures).
 #
 # Usage: CONNS=1024 scripts/serve_epoll_smoke.sh [wmlp-serve-bin [wmlp-loadgen-bin]]
 # (defaults assume `cargo build --release` has run from the repo root)
@@ -36,6 +37,8 @@ ADDR=$(server_addr "$LOG")
     --out "$WORK/SERVE.epoll.json" ||
     die "$LOG" "fan-in loadgen failed"
 reap_server "$LOG" "epoll"
+grep -q "^served .*, 0 errors$" "$LOG" ||
+    die "$LOG" "server exit banner does not report 0 errors"
 
 grep -q "\"conns\": $CONNS" "$WORK/SERVE.epoll.json" ||
     die "$LOG" "SERVE.json does not record $CONNS connections"
