@@ -602,7 +602,7 @@ fn b6_storage_tiers(pass: &mut Pass) {
 /// B9: the router's per-request step. One seeded Zipf(1.1) page stream
 /// over 4096 pages is routed across 8 shards twice: `hash` is the bare
 /// modulo route every request pays, `migrate` adds what skew-awareness
-/// costs on the router thread — the 1-in-4 detector sample, the override
+/// costs the dispatching event loop — the 1-in-4 detector sample, the override
 /// lookup, and a plan recompute every 1024 routes.
 fn b9_router_route(pass: &mut Pass) {
     pass.group = "b9_router_route";

@@ -1,8 +1,9 @@
 //! Epoch drain gate: the barrier between plan versions.
 //!
 //! Before installing a plan whose overrides differ from the current
-//! ones, the serve router thread pushes a drain marker down every shard
-//! ring and blocks on a [`DrainGate`] until all shards have processed
+//! ones, the event loop dispatching through the serve router (under its
+//! lock) pushes a drain marker down every shard ring and blocks on a
+//! [`DrainGate`] until all shards have processed
 //! everything enqueued before the marker. SPSC rings are FIFO, so when
 //! the last shard arrives at the gate there are no in-flight requests
 //! routed under the old plan — a key can then change home (or become

@@ -8,7 +8,8 @@
 //! * every routed request feeds the [`SpaceSaving`] detector (except in
 //!   pure hash mode, where the detector is bypassed entirely);
 //! * after each `epoch_len` routed requests an epoch is *due*; the
-//!   caller (the serve router thread) drains in-flight work, calls
+//!   caller (the serve router, on the dispatching event loop) drains
+//!   in-flight work, calls
 //!   [`Partitioner::advance_epoch`], and only then routes on;
 //! * overrides are recomputed from the detector's top-K at each epoch,
 //!   so the plan is a pure function of the request prefix — no wall
@@ -84,7 +85,7 @@ pub struct PartitionSpec {
     /// routed requests, so the sampled sub-stream — and every plan
     /// derived from it — is still a pure function of the request
     /// prefix. Sampling exists because the sketch update is the single
-    /// biggest per-request cost on the router thread; hot keys appear
+    /// biggest per-request cost of routing; hot keys appear
     /// thousands of times, so a 1-in-4 thinning loses nothing that
     /// matters while quartering that cost.
     pub sample_every: u64,
@@ -183,7 +184,7 @@ pub struct EpochChange {
 
 /// Streaming partitioner: detector + current plan + epoch clock.
 ///
-/// Single-owner by design (the serve router thread); determinism holds
+/// Single-owner by design (the serve router's lock); determinism holds
 /// for any fixed request sequence fed through [`route`](Self::route).
 #[derive(Debug, Clone)]
 pub struct Partitioner {

@@ -10,12 +10,15 @@
 //!   [`Conn::recv_space`] until `EAGAIN`, decoding every complete frame.
 //!   Each decoded request takes the connection's next sequence number;
 //!   STATS, SHUTDOWN and error replies are produced inline (still
-//!   sequenced), and valid GET/PUTs are routed with [`ReplyTo::Sink`]
-//!   pointing back at this loop.
+//!   sequenced), and valid GET/PUTs are routed right here, through
+//!   [`Router::dispatch`], with replies pointed back at this loop.
 //! * **Backpressure** is readiness-driven: a connection at
 //!   `max_inflight` outstanding requests (or with ≥ 1 MiB of unflushed
-//!   output) simply drops read interest; replies draining re-arm it. No
-//!   thread ever blocks.
+//!   output) simply drops read interest; replies draining re-arm it. A
+//!   loop blocks in exactly two places, both inside `dispatch`: on a
+//!   full shard ring, and through an epoch drain. Neither waits on a
+//!   loop — shards answer through the non-blocking completion queue —
+//!   so a full ring stalls the reading loop instead of growing a queue.
 //! * **Writes** go through the per-connection [`Reorder`] buffer into
 //!   [`Conn`]'s outbound buffer, flushed with `EAGAIN`-aware partial
 //!   writes; write interest is registered only while bytes are pending
@@ -28,9 +31,9 @@
 //! Shutdown: the flag flips and every doorbell rings; each loop, on
 //! observing the flag, closes the listener (loop 0) and half-closes the
 //! sockets it owns (reads drain to EOF, in-flight work completes and is
-//! written back), then exits once its last connection drains. Dropping
-//! the loops' `route_tx` clones then cascades the router → ring → shard
-//! teardown.
+//! written back), then exits once its last connection drains. The last
+//! loop out drops the [`Router`], which closes the shard rings; the
+//! shards drain and exit.
 
 // lint:orderings(SeqCst): the only atomic touched here is the server's
 // one-shot shutdown latch, shared with `server.rs`, which declares the
@@ -41,7 +44,7 @@ use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 use wmlp_check::sync::atomic::Ordering;
 use wmlp_check::sync::{Mutex, MutexGuard};
@@ -52,8 +55,8 @@ use wmlp_core::wire::{ErrorCode, Frame};
 
 use crate::notify::{CompletionQueue, Doorbell};
 use crate::reorder::Reorder;
-use crate::server::Inner;
-use crate::shard::{CompletionSink, ReplyTo, ShardJob, ShardStats};
+use crate::server::{Inner, Router};
+use crate::shard::{CompletionSink, ShardStats};
 
 /// Reactor token of the listener (loop 0 only).
 const TOK_LISTENER: u64 = 0;
@@ -131,8 +134,8 @@ struct ConnState {
     pending: Reorder<Frame>,
     /// Interest currently registered with the reactor.
     interest: Interest,
-    /// No more requests will be read (EOF, protocol error, shutdown, or
-    /// router teardown); the connection drains and closes.
+    /// No more requests will be read (EOF, protocol error, or shutdown);
+    /// the connection drains and closes.
     read_closed: bool,
     /// The socket is unusable (write error); close without draining.
     dead: bool,
@@ -147,9 +150,10 @@ pub(crate) fn run_io_loop(
     reactor: Reactor,
     peers: Arc<Vec<Arc<LoopShared>>>,
     mut listener: Option<TcpListener>,
-    route_tx: mpsc::Sender<ShardJob>,
+    router: Arc<Router>,
 ) {
     let shared = Arc::clone(&peers[me]);
+    let sink: Arc<dyn CompletionSink> = shared.clone();
     if reactor
         .register(shared.bell.fd(), Token(TOK_BELL), Interest::READABLE)
         .is_err()
@@ -240,7 +244,7 @@ pub(crate) fn run_io_loop(
                 flush_conn(cs);
             }
             if readable {
-                service_read(&inner, &route_tx, &shared, id, cs);
+                service_read(&inner, &router, &sink, id, cs);
             }
             touched.push(id);
         }
@@ -258,7 +262,7 @@ pub(crate) fn run_io_loop(
                 // Replies draining may have unblocked frames already
                 // buffered inbound; the socket read below is non-blocking
                 // and harmless when there is nothing new.
-                service_read(&inner, &route_tx, &shared, id, cs);
+                service_read(&inner, &router, &sink, id, cs);
                 flush_conn(cs);
             }
             let gone = cs.dead || (cs.read_closed && cs.inflight == 0 && !cs.conn.wants_write());
@@ -365,15 +369,15 @@ fn adopt_conn(
 /// contract, readiness-style).
 fn service_read(
     inner: &Arc<Inner>,
-    route_tx: &mpsc::Sender<ShardJob>,
-    shared: &Arc<LoopShared>,
+    router: &Router,
+    sink: &Arc<dyn CompletionSink>,
     id: u64,
     cs: &mut ConnState,
 ) {
     loop {
         while !cs.read_closed && cs.inflight < inner.max_inflight {
             match cs.conn.next_frame() {
-                Ok(Some(frame)) => process_frame(inner, route_tx, shared, id, cs, frame),
+                Ok(Some(frame)) => process_frame(inner, router, sink, id, cs, frame),
                 Ok(None) => break,
                 Err(e) => {
                     // Protocol violation (corrupt framing or version
@@ -426,8 +430,8 @@ fn service_read(
 /// response leaves in the order its request arrived.
 fn process_frame(
     inner: &Arc<Inner>,
-    route_tx: &mpsc::Sender<ShardJob>,
-    shared: &Arc<LoopShared>,
+    router: &Router,
+    sink: &Arc<dyn CompletionSink>,
     id: u64,
     cs: &mut ConnState,
     frame: Frame,
@@ -489,22 +493,11 @@ fn process_frame(
                 ),
             },
         );
-    } else {
-        let job = ShardJob {
-            req,
-            put,
-            seq,
-            reply: ReplyTo::Sink {
-                sink: Arc::clone(shared) as Arc<dyn CompletionSink>,
-                conn: id,
-            },
-        };
-        if route_tx.send(job).is_err() {
-            // Router gone: the server is tearing down abnormally and the
-            // reply for this slot can never arrive; drop the connection
-            // rather than strand its reorder buffer.
-            cs.dead = true;
-        }
+    } else if router.dispatch(req, put, seq, sink, id).is_err() {
+        // A shard is gone: the server is tearing down abnormally and the
+        // reply for this slot can never arrive; drop the connection
+        // rather than strand its reorder buffer.
+        cs.dead = true;
     }
 }
 

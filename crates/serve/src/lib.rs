@@ -14,24 +14,24 @@
 //!   lock-free stat counters.
 //! * [`reorder`] — the sequence-order reorder buffer each connection's
 //!   shard replies drain through.
-//! * [`server`] — startup, the skew-aware router (a `wmlp-router`
-//!   [`wmlp_router::Partitioner`] deciding hash / replicate / migrate
-//!   placement per request), graceful shutdown with in-flight draining,
-//!   and the [`server::ServerHandle`] lifecycle.
+//! * [`server`] — startup, the [`server::Router`] the event loops share
+//!   under one lock (a `wmlp-router` [`wmlp_router::Partitioner`] placing
+//!   each request, and the epoch drain handshake), graceful shutdown with
+//!   in-flight draining, and the [`server::ServerHandle`] lifecycle.
 //! * [`notify`] — the publish-then-ring completion handshake between
 //!   shard workers and event loops.
 //! * `event_loop` (crate-private) — the connection plane: epoll reactor
-//!   loops owning all client sockets with non-blocking I/O, pipelined
-//!   in-order replies, and readiness-driven backpressure.
+//!   loops owning all client sockets, routing each decoded request
+//!   themselves, pipelined in-order replies, readiness-driven backpressure.
+//! * [`replay`] — `--replay` mode: a single-engine canonical reference
+//!   run whose JSON manifest is byte-identical across repeats, machines,
+//!   and shard counts.
 //!
 //! All synchronisation (and thread spawning) goes through the
 //! `wmlp_check` shim layer — a passthrough to `std` in normal builds —
 //! so the concurrency protocol of every piece above is exhaustively
 //! explored by the `wmlp-check` model checker in `tests/model.rs`; see
 //! the "Concurrency model" section of DESIGN.md.
-//! * [`replay`] — `--replay` mode: a single-engine canonical reference
-//!   run whose JSON manifest is byte-identical across repeats, machines,
-//!   and shard counts.
 //!
 //! The companion `wmlp-loadgen` crate is the matching client: closed
 //! loop, pipelined, or paced by an open-loop arrival schedule.

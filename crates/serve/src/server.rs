@@ -1,17 +1,14 @@
-//! The TCP server: event loops, router, shard workers, and lifecycle.
+//! The TCP server: event loops, their shared router, shards, lifecycle.
 //!
 //! Thread topology (plain threads, no async runtime; every thread is
-//! named via `wmlp_check::thread::spawn_named` — `io-{i}`, `router`,
-//! `shard-{i}` — so panics and `/proc` identify the actor, and all
-//! synchronisation goes through the `wmlp_check` shim so the same code
-//! runs under the model checker):
+//! named via `wmlp_check::thread::spawn_named` — `io-{i}`, `shard-{i}` —
+//! so panics and `/proc` identify the actor, and all synchronisation
+//! goes through the `wmlp_check` shim so the same code runs under the
+//! model checker):
 //!
 //! ```text
 //! io-{i} event loops (own every client socket; see crate::event_loop)
-//!    │  ShardJob (global page ids) over a shared mpsc
-//!    ▼
-//! router (owns the Partitioner)
-//!    │  consults the partition plan per job
+//!    │  Router::dispatch under one shared lock (owns the Partitioner)
 //!    ├──SPSC ring per shard──▶ shard workers
 //!    ▲                                │
 //!    └── per-loop completion queue ◀──┘
@@ -24,21 +21,22 @@
 //! and the socket round-trip is amortized away. A bounded in-flight
 //! window ([`ServeConfig::max_inflight`]) pauses a connection's reads so
 //! a client that never drains responses cannot pin unbounded server
-//! memory. The router is the *single* producer into every shard ring,
-//! which is what lets the rings be true SPSC with blocking backpressure,
-//! and shards drain a batch of jobs per ring wakeup into
-//! [`wmlp_sim::engine::SimSession::step_batch`].
+//! memory. Whichever loop holds the [`Router`] lock is the *single*
+//! producer into every shard ring, which is what lets the rings be true
+//! SPSC with blocking backpressure, and shards drain a batch of jobs per
+//! ring wakeup into [`wmlp_sim::engine::SimSession::step_batch_store`].
 //!
 //! The router owns the skew-aware [`Partitioner`] (`wmlp-router`): under
 //! `--partition replicate|migrate` it feeds every routed page to the
 //! hot-key detector, and at epoch boundaries (counted in routed
 //! requests, never wall time) recomputes per-key overrides. When the
-//! override set changes, the router pushes a [`ShardMsg::Drain`] marker
-//! down every ring and blocks on a [`DrainGate`] until all shards have
-//! served everything routed under the old plan — so a key's requests
-//! are never reordered by a re-homing. Replicated PUTs fan out to every
-//! shard through a [`FanoutAck`] that forwards the home shard's reply
-//! only after the last replica has written.
+//! override set changes, the dispatching loop pushes a
+//! [`ShardMsg::Drain`] marker down every ring and blocks on a
+//! [`DrainGate`] until all shards have served everything routed under
+//! the old plan — so a key's requests are never reordered by a
+//! re-homing. Replicated PUTs fan out to every shard through a
+//! [`FanoutAck`] that forwards the home shard's reply only after the
+//! last replica has written.
 //!
 //! Graceful shutdown (a SHUTDOWN frame or [`ServerHandle::shutdown`])
 //! sets a flag and rings every loop's doorbell; each loop, on observing
@@ -54,12 +52,13 @@
 // strongest ordering is the cheapest correct choice to reason about.
 
 use std::net::{SocketAddr, TcpListener};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 use wmlp_algos::PolicyRegistry;
 use wmlp_check::sync::atomic::{AtomicBool, Ordering};
+use wmlp_check::sync::Mutex;
 use wmlp_check::thread::{spawn_named, JoinHandle};
-use wmlp_core::instance::MlInstance;
+use wmlp_core::instance::{MlInstance, Request};
 use wmlp_core::net::{EventFd, Reactor};
 use wmlp_core::storage::{SimStorage, Storage};
 use wmlp_core::wire::WireStats;
@@ -68,7 +67,7 @@ use wmlp_store::{RecoverMode, SegmentStore, StoreOptions};
 
 use crate::event_loop::{run_io_loop, LoopShared};
 use crate::shard::{
-    run_shard, shard_instances, FanoutAck, ReplyTo, ShardJob, ShardMsg, ShardStats,
+    run_shard, shard_instances, CompletionSink, FanoutAck, ReplyTo, ShardJob, ShardMsg, ShardStats,
 };
 use crate::spsc;
 
@@ -80,7 +79,8 @@ pub struct ServeConfig {
     pub addr: String,
     /// Number of shard workers (≥ 1).
     pub shards: usize,
-    /// Per-shard ring capacity; a full ring back-pressures the router.
+    /// Per-shard ring capacity; a full ring back-pressures the event
+    /// loop routing into it.
     pub queue_depth: usize,
     /// Policy spec, in [`PolicyRegistry`] syntax (e.g.
     /// `"landlord(eta=0.5)"`).
@@ -89,7 +89,7 @@ pub struct ServeConfig {
     /// don't move in lock-step.
     pub seed: u64,
     /// Max requests a shard drains per ring wakeup into one
-    /// [`wmlp_sim::engine::SimSession::step_batch`] call (≥ 1).
+    /// [`wmlp_sim::engine::SimSession::step_batch_store`] call (≥ 1).
     pub batch: usize,
     /// Per-connection cap on pipelined requests awaiting responses
     /// (≥ 1); a connection at the cap stops being read until replies
@@ -227,7 +227,6 @@ pub struct ServerHandle {
     /// The event loops: they own every client socket, and their exit
     /// means all connections have drained.
     io: Vec<JoinHandle<()>>,
-    router: Option<JoinHandle<()>>,
     shards: Vec<JoinHandle<()>>,
 }
 
@@ -265,13 +264,10 @@ impl ServerHandle {
     /// are final.
     pub fn wait_stopped(&mut self) {
         // An event loop exits only once its last connection closes; the
-        // last loop to exit drops the last router sender; the router then
-        // exits, closing the shard rings; the shards drain and exit. This
-        // ordering is what guarantees in-flight requests are served.
+        // last loop to exit drops the `Router`, closing the shard rings;
+        // the shards drain and exit. This ordering is what guarantees
+        // in-flight requests are served.
         for h in self.io.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.router.take() {
             let _ = h.join();
         }
         for h in self.shards.drain(..) {
@@ -385,21 +381,10 @@ pub fn start(inst: Arc<MlInstance>, cfg: &ServeConfig) -> Result<ServerHandle, S
         }));
     }
 
-    // Router: sole producer into every ring; owns the partitioner.
-    let (route_tx, route_rx) = mpsc::channel::<ShardJob>();
-    let router = {
-        let stats = inner.stats.clone();
-        spawn_named("router", move || {
-            let mut partitioner = Partitioner::new(partition_spec);
-            run_router(&mut partitioner, &route_rx, &rings, &stats);
-            // Dropping `rings` here closes the shard rings; workers drain
-            // whatever is queued and exit.
-        })
-    };
-
-    // The event loops hold every clone of `route_tx`, so their
-    // collective exit closes the router's channel only once all
+    // The event loops hold every reference to the router, so the last
+    // loop to exit drops it — closing the shard rings only once all
     // in-flight requests are routed.
+    let router = Arc::new(Router::new(partition_spec, rings, inner.stats.clone()));
     let peers = Arc::new(io_shareds);
     let mut listener = Some(listener); // loop 0 owns it
     let io_handles: Vec<JoinHandle<()>> = reactors
@@ -408,100 +393,139 @@ pub fn start(inst: Arc<MlInstance>, cfg: &ServeConfig) -> Result<ServerHandle, S
         .map(|(i, reactor)| {
             let inner = Arc::clone(&inner);
             let peers = Arc::clone(&peers);
-            let route_tx = route_tx.clone();
+            let router = Arc::clone(&router);
             let listener = listener.take();
             spawn_named(format!("io-{i}"), move || {
-                run_io_loop(inner, i, reactor, peers, listener, route_tx);
+                run_io_loop(inner, i, reactor, peers, listener, router);
             })
         })
         .collect();
-    drop(route_tx);
+    drop(router);
 
     Ok(ServerHandle {
         inner,
         io: io_handles,
-        router: Some(router),
         shards: shard_handles,
     })
 }
 
-/// The router loop: consult the partition plan per job, enqueue on the
-/// chosen ring(s), and run the epoch drain handshake whenever the plan's
-/// override set changes.
-///
-/// Exposed to the crate's model tests, which drive it (and [`run_shard`])
-/// as virtual threads under the `wmlp-check` scheduler.
-pub(crate) fn run_router(
-    partitioner: &mut Partitioner,
-    route_rx: &mpsc::Receiver<ShardJob>,
-    rings: &[spsc::Sender<ShardMsg>],
-    stats: &[Arc<ShardStats>],
-) {
-    while let Ok(job) = route_rx.recv() {
+/// A request no ring would take: a shard worker is gone, so its reply can
+/// never arrive.
+#[derive(Debug, PartialEq, Eq)]
+pub struct ShardGone;
+
+/// The router every event loop shares: it consults the partition plan per
+/// request, enqueues on the chosen ring(s), and runs the epoch drain
+/// handshake whenever the plan's override set changes. One lock
+/// serialises every [`Router::dispatch`]: there is a single global
+/// routing order (the drain handshake and the replay-pinned plan rely on
+/// it), and the holder is the one producer of every ring. Dropping the
+/// router closes the rings.
+pub struct Router {
+    /// The partitioner and every ring's producer end.
+    state: Mutex<(Partitioner, Vec<spsc::Sender<ShardMsg>>)>,
+    /// `stats[s]` carries ring `s`'s queue gauge.
+    stats: Vec<Arc<ShardStats>>,
+}
+
+impl Router {
+    /// A router placing by `spec` over one ring per shard.
+    pub fn new(
+        spec: PartitionSpec,
+        rings: Vec<spsc::Sender<ShardMsg>>,
+        stats: Vec<Arc<ShardStats>>,
+    ) -> Router {
+        let state = Mutex::new((Partitioner::new(spec), rings));
+        Router { state, stats }
+    }
+
+    /// Route one request whose reply goes to connection `conn` of `sink`
+    /// under sequence slot `seq`. Blocks while a chosen ring is full, and
+    /// through an epoch drain; neither waits on an event loop, since
+    /// shards answer through the non-blocking [`CompletionSink`].
+    pub fn dispatch(
+        &self,
+        req: Request,
+        put: Option<Vec<u8>>,
+        seq: u64,
+        sink: &Arc<dyn CompletionSink>,
+        conn: u64,
+    ) -> Result<(), ShardGone> {
+        let mut guard = match self.state.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        let (partitioner, rings) = &mut *guard;
         if partitioner.epoch_due() && partitioner.advance_epoch().changed {
             // The new plan may re-home keys. Quiesce every ring before
             // routing anything under it: the drain markers sit behind
             // all old-plan jobs (rings are FIFO), so the gate opening
             // means no shard still holds old-plan work.
             let gate = DrainGate::new(rings.len());
-            let mut dead = false;
-            for ring in rings {
-                if ring.send(ShardMsg::Drain(gate.clone())).is_err() {
-                    dead = true;
-                }
-            }
-            if dead {
+            let marked = rings
+                .iter()
+                .filter(|ring| ring.send(ShardMsg::Drain(gate.clone())).is_ok());
+            if marked.count() < rings.len() {
                 // A shard died mid-teardown; its marker will never ack,
                 // so waiting would deadlock the drain.
-                return;
+                return Err(ShardGone);
             }
             gate.wait_zero();
         }
-        let is_put = job.put.is_some();
-        match partitioner.route(job.req.page, is_put) {
+        let enqueue = |shard: usize, put, reply| {
+            // A job the ring refuses is un-counted again.
+            self.stats[shard].note_enqueued();
+            let job = ShardJob {
+                req,
+                put,
+                seq,
+                reply,
+            };
+            rings[shard].send(ShardMsg::Job(job)).map_err(|_| {
+                self.stats[shard].note_done();
+                ShardGone
+            })
+        };
+        match partitioner.route(req.page, put.is_some()) {
             Route::One(shard) => {
-                stats[shard].note_enqueued();
-                if rings[shard].send(ShardMsg::Job(job)).is_err() {
-                    return; // shard died; nothing sensible left to do
-                }
+                let sink = Arc::clone(sink);
+                enqueue(shard, put, ReplyTo::Sink { sink, conn })
             }
-            Route::Fanout { home } => match job.reply {
-                reply @ ReplyTo::Sink { .. } => {
-                    // Replicated PUT: one copy per shard; the last
-                    // completion forwards the home shard's reply to the
-                    // owning event loop's completion queue.
-                    let ack = FanoutAck::new(rings.len(), job.seq, reply);
-                    for (shard, ring) in rings.iter().enumerate() {
-                        stats[shard].note_enqueued();
-                        let copy = ShardJob {
-                            req: job.req,
-                            put: job.put.clone(),
-                            seq: job.seq,
-                            reply: ReplyTo::Fanout {
-                                ack: Arc::clone(&ack),
-                                home: shard == home,
-                            },
-                        };
-                        if ring.send(ShardMsg::Job(copy)).is_err() {
-                            stats[shard].note_done();
-                            return;
-                        }
-                    }
+            Route::Fanout { home } => {
+                // Replicated PUT: one copy per shard; the last completion
+                // forwards the home shard's reply to `sink`.
+                let ack = FanoutAck::new(rings.len(), seq, Arc::clone(sink), conn);
+                for shard in 0..rings.len() {
+                    let (ack, home) = (Arc::clone(&ack), shard == home);
+                    enqueue(shard, put.clone(), ReplyTo::Fanout { ack, home })?;
                 }
-                // Already a fan-out reply (cannot happen for jobs from
-                // event loops): serve single-copy at home rather
-                // than nest countdowns.
-                other => {
-                    stats[home].note_enqueued();
-                    let copy = ShardJob {
-                        reply: other,
-                        ..job
-                    };
-                    if rings[home].send(ShardMsg::Job(copy)).is_err() {
-                        return;
-                    }
-                }
-            },
+                Ok(())
+            }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wmlp_core::wire::Frame;
+
+    struct NullSink;
+
+    impl CompletionSink for NullSink {
+        fn complete(&self, _conn: u64, _seq: u64, _frame: Frame) {}
+    }
+
+    #[test]
+    fn a_refused_dispatch_leaves_the_queue_gauge_at_zero() {
+        let stats = Arc::new(ShardStats::default());
+        let (tx, rx) = spsc::channel(4);
+        drop(rx);
+        let router = Router::new(PartitionSpec::hash(1), vec![tx], vec![Arc::clone(&stats)]);
+        let sink: Arc<dyn CompletionSink> = Arc::new(NullSink);
+        let got = router.dispatch(Request::top(3), None, 0, &sink, 0);
+        assert_eq!(got, Err(ShardGone));
+        assert_eq!(stats.load().queue_depth, 0);
+        assert_eq!(stats.load().queue_hwm, 1, "the attempt was still seen");
     }
 }

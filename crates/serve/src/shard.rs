@@ -9,9 +9,9 @@
 //! [`SimSession`]. Full-universe instances are what make replication
 //! and migration possible: any shard can serve any page, and a key
 //! re-homed by the partitioner needs no id rewriting. Shards share
-//! nothing but their input ring and a snapshot-friendly [`ShardStats`]
-//! block, so they scale without synchronization on the eviction hot
-//! path.
+//! nothing but their input ring (fed under the router lock) and a
+//! snapshot-friendly [`ShardStats`] block, so they scale without
+//! synchronization on the eviction hot path.
 //!
 //! Sharded capacity is *partitioned*, not pooled: `N` shards of capacity
 //! `k/N` behave like `N` small caches, not one big one. The canonical
@@ -114,8 +114,8 @@ pub struct ShardStats {
     /// batch whose commit failed.
     errors: AtomicU64,
     /// Gauge, not a counter: requests routed to this shard but not yet
-    /// answered. Incremented by the router side on enqueue, decremented
-    /// by the worker after replying.
+    /// answered. Incremented by the dispatching event loop on enqueue,
+    /// decremented by the worker after replying.
     queued: AtomicU64,
     /// High-water mark of `queued`, sampled at enqueue time and again at
     /// batch-drain time (so a backlog that built up while the worker
@@ -228,22 +228,23 @@ impl ShardStats {
 pub struct FanoutAck {
     remaining: AtomicUsize,
     seq: u64,
-    /// Where the final (home) frame goes — the owning event loop's
-    /// completion queue. Never itself a [`ReplyTo::Fanout`]; the router
-    /// guards against nesting countdowns.
-    reply: ReplyTo,
+    /// Where the final (home) frame goes — connection `conn` of the
+    /// owning event loop's completion queue — so countdowns cannot nest.
+    sink: Arc<dyn CompletionSink>,
+    conn: u64,
     /// The home shard's reply frame, parked until the countdown ends.
     home_frame: Mutex<Option<Frame>>,
 }
 
 impl FanoutAck {
     /// An ack waiting for `fanout` shard completions, forwarding the
-    /// home frame to `reply` under sequence slot `seq`.
-    pub fn new(fanout: usize, seq: u64, reply: ReplyTo) -> Arc<Self> {
+    /// home frame to connection `conn` of `sink` under slot `seq`.
+    pub fn new(fanout: usize, seq: u64, sink: Arc<dyn CompletionSink>, conn: u64) -> Arc<Self> {
         Arc::new(FanoutAck {
             remaining: AtomicUsize::new(fanout.max(1)),
             seq,
-            reply,
+            sink,
+            conn,
             home_frame: Mutex::new(None),
         })
     }
@@ -267,14 +268,14 @@ impl FanoutAck {
                 code: ErrorCode::Internal,
                 detail: "replicated PUT completed without a home reply".to_string(),
             });
-            self.reply.deliver(self.seq, frame);
+            self.sink.complete(self.conn, self.seq, frame);
         }
     }
 }
 
-/// A destination for completed frames: shard workers (and the router's
-/// fan-out countdown) hand `(connection, seq, frame)` triples to the
-/// event loop owning the connection without blocking, and the
+/// A destination for completed frames: shard workers (directly, or
+/// through a fan-out countdown) hand `(connection, seq, frame)` triples
+/// to the event loop owning the connection without blocking, and the
 /// implementation is responsible for waking the loop (an `eventfd`
 /// doorbell; see the `notify` module for the model-checked handshake).
 pub trait CompletionSink: Send + Sync {
@@ -766,7 +767,7 @@ mod tests {
     #[test]
     fn fanout_ack_forwards_the_home_frame_last() {
         let (sink, reply_rx) = chan_sink();
-        let ack = FanoutAck::new(3, 7, reply_to(&sink));
+        let ack = FanoutAck::new(3, 7, Arc::clone(&sink), 0);
         let frame = |level: u8| Frame::Served {
             hit: false,
             level,

@@ -1,9 +1,9 @@
 //! A bounded single-producer single-consumer channel.
 //!
-//! Each shard worker consumes from exactly one of these rings, fed by the
-//! single router thread — so the hot path between router and shard is a
-//! true SPSC handoff with backpressure: [`Sender::send`] blocks while the
-//! ring is full, bounding the memory a fast client can pin server-side.
+//! Each shard worker consumes from exactly one of these rings, fed by
+//! the event loop holding the router lock — so the hot path between loop
+//! and shard is a true SPSC handoff with backpressure: [`Sender::send`]
+//! blocks while the ring is full, bounding the memory a client can pin.
 //!
 //! Neither endpoint is `Clone`, so single-producer/single-consumer is
 //! enforced by the type system rather than by convention. Dropping either

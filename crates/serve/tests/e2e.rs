@@ -17,7 +17,9 @@ use wmlp_core::instance::{MlInstance, Request};
 use wmlp_core::storage::SimStorage;
 use wmlp_core::wire::{request_frame, ErrorCode, Frame};
 use wmlp_serve::server::{start, ServeConfig};
-use wmlp_serve::{default_instance, replay_manifest, shard_instances, ShardMap};
+use wmlp_serve::{
+    default_instance, replay_manifest, replay_manifest_with_plan, shard_instances, ShardMap,
+};
 use wmlp_sim::engine::{BatchLog, SimSession, StoreRequest};
 
 struct Client {
@@ -635,4 +637,135 @@ fn epoll_plane_serves_many_concurrent_pipelined_connections() {
     drop(streams);
     let stats = handle.join();
     assert!(stats.requests >= (CONNS * PER_CONN) as u64);
+}
+
+/// Names of this process's threads, from `/proc/self/task/*/comm`.
+fn thread_names() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .map(|task| {
+            let comm = task.expect("task entry").path().join("comm");
+            std::fs::read_to_string(comm)
+                .unwrap_or_default()
+                .trim()
+                .to_string()
+        })
+        .collect()
+}
+
+/// Plan changes under two event loops. Four pipelined connections with
+/// disjoint keys each repeat the round GET hot, GET hot, PUT cold, GET
+/// cold against `--partition migrate` with a short epoch. The four hot
+/// keys all hash-home on shard 0, so the planner re-homes them — live
+/// drains, run by whichever loop routes across an epoch boundary — while
+/// no cold key (1/512 of the traffic) ever ranks in the top `hot_k`, so
+/// every GET of a cold key must return its connection's last PUT. The
+/// replay of the same stream shows the adopted plan change, the live
+/// STATS show shard 0 relieved of traffic hash placement would give it,
+/// and no thread is named `router`.
+#[test]
+fn plan_changes_under_two_loops_keep_every_connections_writes() {
+    const CONNS: u32 = 4;
+    const ROUNDS: u32 = 128;
+    const COLD: u32 = 32;
+    let inst = Arc::new(default_instance(256, 3, 32, 7).unwrap());
+    let cfg = ServeConfig {
+        io_threads: 2,
+        partition: "migrate".into(),
+        epoch_len: 256,
+        hot_k: 4,
+        ..serve_cfg(4)
+    };
+    let value = |c: u32, r: u32| format!("conn {c} round {r}").into_bytes();
+    let round = |c: u32, r: u32| {
+        let (hot, cold) = (4 * c, 64 + c * COLD + r % COLD);
+        [
+            Request::new(hot, 2),
+            Request::new(hot, 2),
+            Request::new(cold, 1),
+            Request::new(cold, 2),
+        ]
+    };
+    let frame = |c: u32, r: u32, req: Request| match req.level {
+        1 => request_frame(req, &value(c, r)),
+        _ => request_frame(req, b""),
+    };
+
+    let handle = start(Arc::clone(&inst), &cfg).unwrap();
+    let streams: Vec<TcpStream> = (0..CONNS)
+        .map(|_| TcpStream::connect(handle.addr()).expect("connect"))
+        .collect();
+    std::thread::scope(|scope| {
+        for (c, stream) in (0..CONNS).zip(&streams) {
+            let mut writer = BufWriter::new(stream.try_clone().unwrap());
+            scope.spawn(move || {
+                for r in 0..ROUNDS {
+                    for req in round(c, r) {
+                        write_frame(&mut writer, &frame(c, r, req)).unwrap();
+                    }
+                }
+                writer.flush().unwrap();
+            });
+            let mut reader = FrameReader::new(stream.try_clone().unwrap());
+            scope.spawn(move || {
+                for r in 0..ROUNDS {
+                    for (i, req) in round(c, r).into_iter().enumerate() {
+                        let reply = reader.next_frame().expect("read").expect("reply");
+                        let Frame::Served { value: got, .. } = reply else {
+                            panic!("conn {c} round {r}: unexpected reply {reply:?}");
+                        };
+                        if i == 3 {
+                            assert_eq!(got, value(c, r), "conn {c} GET {} lost its PUT", req.page);
+                        }
+                    }
+                }
+            });
+        }
+    });
+
+    let names = thread_names();
+    assert!(names.iter().any(|n| n == "io-1"), "{names:?}");
+    assert!(!names.iter().any(|n| n == "router"), "{names:?}");
+
+    // Hash placement would send every request for a page ≡ 0 (mod 4) to
+    // shard 0; the adopted plan moved most of that traffic elsewhere.
+    let hash_home0 = (0..CONNS)
+        .flat_map(|c| (0..ROUNDS).flat_map(move |r| round(c, r)))
+        .filter(|req| req.page % 4 == 0)
+        .count() as u64;
+    let mut observer = Client::connect(handle.addr());
+    match observer.roundtrip(&Frame::Stats) {
+        Frame::StatsReply(stats) => {
+            assert_eq!(stats.total.requests, u64::from(CONNS * ROUNDS * 4));
+            assert!(
+                stats.shards[0].requests < hash_home0,
+                "shard 0 served {} of its {hash_home0} hash-placed requests: no plan change",
+                stats.shards[0].requests
+            );
+        }
+        other => panic!("unexpected reply {other:?}"),
+    }
+    assert!(matches!(observer.roundtrip(&Frame::Shutdown), Frame::Bye));
+    drop(streams);
+    handle.join();
+
+    // The same stream, one round per connection in turn, replayed with
+    // the server's partition spec: the pinned plan trace adopts a change.
+    let trace: Vec<Request> = (0..ROUNDS)
+        .flat_map(|r| (0..CONNS).flat_map(move |c| round(c, r)))
+        .collect();
+    let spec = cfg.partition_spec(cfg.shards).unwrap();
+    let manifest =
+        replay_manifest_with_plan(inst, trace, &cfg.policy, cfg.seed, Some(spec)).unwrap();
+    let doc = serde::json::parse(&manifest).unwrap();
+    let epochs = doc.field("partition").unwrap().field("epochs").unwrap();
+    let adopted = epochs.as_array().unwrap().iter().any(|epoch| {
+        !epoch
+            .field("overrides")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .is_empty()
+    });
+    assert!(adopted, "no plan change adopted in the replay:\n{manifest}");
 }

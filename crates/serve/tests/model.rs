@@ -1,8 +1,8 @@
 //! Model-checked properties of the serving stack's concurrency primitives.
 //!
 //! Every test runs the *real* production code (`spsc`, `run_shard`,
-//! `CompletionQueue`) under the `wmlp-check` exhaustive interleaving
-//! explorer. The checked properties:
+//! `Router`, `CompletionQueue`) under the `wmlp-check` exhaustive
+//! interleaving explorer. The checked properties:
 //!
 //! 1. no lost wakeups   — every blocking handoff completes in every schedule
 //! 2. no deadlock       — detected automatically by the explorer
@@ -10,7 +10,8 @@
 //! 4. `recv_batch` ≡ sequential `recv` × n
 //! 5. shutdown never drops an accepted request (ring drain through the
 //!    real `run_shard` worker)
-//! 6. the migration drain handshake (router + two shard workers through
+//! 6. the migration drain handshake (the real `Router::dispatch` with a
+//!    real `Partitioner` re-homing a key, + two shard workers through
 //!    `DrainGate` markers) preserves per-key ordering in every schedule
 //!    and never deadlocks — and the seeded mutant that bumps the epoch
 //!    *without* draining is caught by the checker
@@ -20,8 +21,11 @@
 //!    shutdown ring is never stranded, and the seeded dropped-notify
 //!    mutant (a bell that publishes its count but never notifies) is
 //!    caught as a deadlock
+//! 8. two event loops sharing the router lock, dispatching into
+//!    capacity-1 rings through a plan change, never deadlock and keep
+//!    each connection's order
 //!
-//! Fixtures are deliberately tiny (ring capacities 1–2, ≤ 3 threads,
+//! Fixtures are deliberately tiny (ring capacities 1–2, ≤ 4 threads,
 //! 2–4 items) — exhaustive exploration is exponential in yield points —
 //! and each test also asserts determinism where the schedule count is part
 //! of the contract.
@@ -35,27 +39,29 @@ use std::sync::{mpsc, Arc};
 use wmlp_check::sync::atomic::AtomicBool;
 use wmlp_check::sync::{Condvar, Mutex};
 use wmlp_check::{explore, Config};
-use wmlp_router::DrainGate;
+use wmlp_router::{PartitionMode, PartitionSpec};
 use wmlp_serve::notify::{CompletionQueue, Doorbell};
+use wmlp_serve::server::Router;
 use wmlp_serve::shard::{run_shard, CompletionSink, ReplyTo, ShardJob, ShardMsg, ShardStats};
 use wmlp_serve::spsc;
 
-use wmlp_check::thread::spawn_named;
+use wmlp_check::thread::{spawn_named, JoinHandle};
 use wmlp_core::instance::{MlInstance, Request};
 use wmlp_core::storage::SimStorage;
 use wmlp_core::wire::Frame;
 
-/// Channel-backed sink standing in for an event loop: replies land on an
-/// mpsc (which never blocks, so it adds no yield points) the test drains.
-struct ChanSink(mpsc::Sender<(u64, Frame)>);
+/// Channel-backed sink standing in for an event loop: `(conn, seq)` of
+/// every reply lands on an mpsc (which never blocks, so it adds no yield
+/// points) the test drains.
+struct ChanSink(mpsc::Sender<(u64, u64)>);
 
 impl CompletionSink for ChanSink {
-    fn complete(&self, _conn: u64, seq: u64, frame: Frame) {
-        let _ = self.0.send((seq, frame));
+    fn complete(&self, conn: u64, seq: u64, _frame: Frame) {
+        let _ = self.0.send((conn, seq));
     }
 }
 
-fn chan_sink() -> (Arc<dyn CompletionSink>, mpsc::Receiver<(u64, Frame)>) {
+fn chan_sink() -> (Arc<dyn CompletionSink>, mpsc::Receiver<(u64, u64)>) {
     let (tx, rx) = mpsc::channel();
     (Arc::new(ChanSink(tx)), rx)
 }
@@ -194,7 +200,7 @@ fn shutdown_never_drops_an_accepted_request() {
         }
         drop(tx); // close: the worker must drain, then exit
         worker.join().expect("join shard worker");
-        let replies: Vec<u64> = reply_rx.try_iter().map(|(seq, _)| seq).collect();
+        let replies: Vec<u64> = reply_rx.try_iter().map(|(_, seq)| seq).collect();
         assert_eq!(
             replies,
             vec![0, 1, 2],
@@ -207,24 +213,23 @@ fn shutdown_never_drops_an_accepted_request() {
     assert!(!report.truncated);
 }
 
-/// The migration drain fixture: the main thread plays the router, two
-/// real `run_shard` workers play the shards, and page 0 is re-homed
-/// from shard 0 to shard 1 mid-stream. With `drain: true` the router
-/// runs the production handshake (a [`DrainGate`] marker down every
-/// ring, then `wait_zero`) before routing under the new plan; with
-/// `drain: false` it is the seeded mutant — epoch bump without drain —
-/// which can serve the re-homed request before the old-plan one.
-///
-/// Returns the reply arrival order observed for the two page-0 requests.
-fn migration_fixture(drain: bool) {
+/// Two real `run_shard` workers: the rings' producer ends, the shards'
+/// stats and the worker handles.
+struct Shards {
+    rings: Vec<spsc::Sender<ShardMsg>>,
+    stats: Vec<Arc<ShardStats>>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+/// [`Shards`] over a 3-page instance, one ring of capacity `cap` each.
+fn spawn_shards(cap: usize) -> Shards {
     let inst =
         MlInstance::from_rows(2, (0..3).map(|p| vec![10 + p as u64]).collect()).expect("inst");
-    let (sink, reply_rx) = chan_sink();
     let mut rings = Vec::new();
-    let mut workers = Vec::new();
     let mut stats = Vec::new();
+    let mut workers = Vec::new();
     for s in 0..2 {
-        let (tx, rx) = spsc::channel::<ShardMsg>(2);
+        let (tx, rx) = spsc::channel::<ShardMsg>(cap);
         rings.push(tx);
         let st = Arc::new(ShardStats::default());
         stats.push(Arc::clone(&st));
@@ -237,63 +242,166 @@ fn migration_fixture(drain: bool) {
             run_shard(&inst2, policy.as_mut(), rx, &st, 2, &mut store);
         }));
     }
-    let job = |seq: u64| {
-        ShardMsg::Job(ShardJob {
-            req: Request::top(0),
-            put: None,
-            seq,
-            reply: ReplyTo::Sink {
-                sink: Arc::clone(&sink),
-                conn: 0,
-            },
-        })
-    };
-    // Old plan: page 0 lives on shard 0.
-    stats[0].note_enqueued();
-    assert!(rings[0].send(job(0)).is_ok());
-    if drain {
-        // Epoch boundary: quiesce both rings before the new plan routes.
-        let gate = DrainGate::new(2);
-        for ring in &rings {
-            assert!(ring.send(ShardMsg::Drain(gate.clone())).is_ok());
-        }
-        gate.wait_zero();
+    Shards {
+        rings,
+        stats,
+        workers,
     }
-    // New plan: page 0 re-homed to shard 1.
-    stats[1].note_enqueued();
-    assert!(rings[1].send(job(1)).is_ok());
-    drop(rings);
-    for w in workers {
-        w.join().expect("join shard worker");
-    }
-    let order: Vec<u64> = reply_rx.try_iter().map(|(seq, _)| seq).collect();
-    assert_eq!(
-        order,
-        vec![0, 1],
-        "page 0's requests must complete in route order across the re-homing"
-    );
 }
 
-/// Property 6 (correct protocol): with the drain handshake, per-key
-/// completion order matches route order in *every* schedule, and the
-/// handshake itself never loses a wakeup or deadlocks.
+/// A migrate plan over 2 shards that re-homes page 0 at its first epoch
+/// boundary. After routing pages 2 and 0 (both hash-homed on shard 0),
+/// `hot_k = 1` keeps page 0 as the one hot key (ties break toward the
+/// smaller id) and page 2 stays background load on shard 0, so LPT moves
+/// page 0 to shard 1 — halving the estimated max load, which the
+/// adoption hysteresis accepts.
+fn rehoming_router(rings: Vec<spsc::Sender<ShardMsg>>, stats: Vec<Arc<ShardStats>>) -> Router {
+    let spec = PartitionSpec {
+        mode: PartitionMode::Migrate,
+        shards: 2,
+        detector_capacity: 4,
+        hot_k: 1,
+        epoch_len: 2,
+        sample_every: 1,
+    };
+    Router::new(spec, rings, stats)
+}
+
+/// Property 6 (correct protocol): the real [`Router::dispatch`] routes
+/// pages 2, 0, 0 into two real `run_shard` workers; the epoch boundary
+/// before the third request re-homes page 0 from shard 0 to shard 1,
+/// through the production drain handshake. Page 0's completions match
+/// its route order in *every* schedule, and the handshake itself never
+/// loses a wakeup or deadlocks.
 #[test]
 fn migration_drain_preserves_per_key_ordering() {
-    let report = explore(cfg(), || migration_fixture(true));
+    let report = explore(cfg(), || {
+        let Shards {
+            rings,
+            stats,
+            workers,
+        } = spawn_shards(2);
+        let router = rehoming_router(rings, stats.clone());
+        let (sink, reply_rx) = chan_sink();
+        for (seq, page) in [2u32, 0, 0].into_iter().enumerate() {
+            let routed = router.dispatch(Request::top(page), None, seq as u64, &sink, 0);
+            assert!(routed.is_ok(), "workers alive during dispatch");
+        }
+        drop(router); // closes the rings: the workers drain, then exit
+        for w in workers {
+            w.join().expect("join shard worker");
+        }
+        let page0: Vec<u64> = reply_rx
+            .try_iter()
+            .map(|(_, seq)| seq)
+            .filter(|&seq| seq != 0)
+            .collect();
+        assert_eq!(
+            page0,
+            vec![1, 2],
+            "page 0's requests must complete in route order across the re-homing"
+        );
+        assert_eq!(
+            stats[1].snapshot().requests,
+            1,
+            "the plan change re-homed page 0 onto shard 1"
+        );
+    });
     assert!(report.failure.is_none(), "{}", report.failure.unwrap());
     assert!(!report.truncated, "fixture must be exhaustively explored");
 }
 
-/// Property 6 (seeded mutant): bumping the epoch *without* draining lets
-/// shard 1 answer the re-homed request before shard 0 answers the
-/// old-plan one — the checker must find that schedule.
+/// Property 6 (seeded mutant): a hand-rolled router that bumps the epoch
+/// *without* draining — page 0 goes to shard 0 under the old plan, then
+/// straight to shard 1 under the new one. Shard 1 can answer the
+/// re-homed request before shard 0 answers the old-plan one; the checker
+/// must find that schedule.
 #[test]
 fn epoch_bump_without_drain_is_caught() {
-    let report = explore(cfg(), || migration_fixture(false));
+    let report = explore(cfg(), || {
+        let Shards {
+            rings,
+            stats,
+            workers,
+        } = spawn_shards(2);
+        let (sink, reply_rx) = chan_sink();
+        for (seq, shard) in [0usize, 1].into_iter().enumerate() {
+            stats[shard].note_enqueued();
+            let job = ShardMsg::Job(ShardJob {
+                req: Request::top(0),
+                put: None,
+                seq: seq as u64,
+                reply: ReplyTo::Sink {
+                    sink: Arc::clone(&sink),
+                    conn: 0,
+                },
+            });
+            assert!(rings[shard].send(job).is_ok());
+        }
+        drop(rings);
+        for w in workers {
+            w.join().expect("join shard worker");
+        }
+        let order: Vec<u64> = reply_rx.try_iter().map(|(_, seq)| seq).collect();
+        assert_eq!(order, vec![0, 1], "page 0 reordered across the re-homing");
+    });
     assert!(
         report.failure.is_some(),
         "the undrained mutant must reorder page 0 in some schedule"
     );
+}
+
+/// Property 8: two event loops dispatch through the one shared router
+/// lock into capacity-1 rings drained by real `run_shard` workers. Loop
+/// 0 routes page 0 twice on connection 0, loop 1 page 2 once on
+/// connection 1; whenever page 2 is routed before page 0's second
+/// request, the epoch boundary re-homes page 0 — a drain run by one loop
+/// while the other may be contending for the lock. No schedule
+/// deadlocks (a loop blocked on a full ring or in a drain never waits on
+/// a loop), and every connection's replies arrive in dispatch order.
+#[test]
+fn two_loops_share_the_router_without_deadlock_or_reordering() {
+    // Four virtual threads: one preemption keeps the search exhaustive
+    // (~19 K schedules). Switching away from a thread blocked on the
+    // router lock, a full ring or the drain gate is not a preemption, so
+    // every contention shape is still explored.
+    let bounds = Config {
+        preemption_bound: 1,
+        ..cfg()
+    };
+    let report = explore(bounds, || {
+        let Shards {
+            rings,
+            stats,
+            workers,
+        } = spawn_shards(1);
+        let router = Arc::new(rehoming_router(rings, stats));
+        let (sink, reply_rx) = chan_sink();
+        let (r1, s1) = (Arc::clone(&router), Arc::clone(&sink));
+        let loop1 = spawn_named("io-1", move || {
+            assert!(r1.dispatch(Request::top(2), None, 0, &s1, 1).is_ok());
+        });
+        for seq in 0..2 {
+            assert!(router
+                .dispatch(Request::top(0), None, seq, &sink, 0)
+                .is_ok());
+        }
+        loop1.join().expect("join io-1");
+        drop(router); // the last reference: closes the rings
+        for w in workers {
+            w.join().expect("join shard worker");
+        }
+        let replies: Vec<(u64, u64)> = reply_rx.try_iter().collect();
+        let conn0: Vec<u64> = replies
+            .iter()
+            .filter(|(conn, _)| *conn == 0)
+            .map(|(_, seq)| *seq)
+            .collect();
+        assert_eq!(conn0, vec![0, 1], "connection 0 reordered");
+        assert_eq!(replies.len(), 3, "every dispatched request answered once");
+    });
+    assert!(report.failure.is_none(), "{}", report.failure.unwrap());
+    assert!(!report.truncated, "fixture must be exhaustively explored");
 }
 
 /// A model doorbell with `eventfd` counting semantics: each ring bumps a

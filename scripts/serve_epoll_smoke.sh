@@ -8,6 +8,8 @@
 # the shutdown handshake lands cleanly (the loadgen's own smoke contract),
 # and the server process exits 0 after the drain with `0 errors` in its
 # exit banner (the shards' own count: policy rejections, storage failures).
+# Before the load, the server must run exactly `io-0`, `io-1` and its
+# `shard-*` threads besides main (the loops route; no `router` thread).
 #
 # Usage: CONNS=1024 scripts/serve_epoll_smoke.sh [wmlp-serve-bin [wmlp-loadgen-bin]]
 # (defaults assume `cargo build --release` has run from the repo root)
@@ -28,6 +30,14 @@ LOG="$WORK/epoll.log"
 SERVER_PID=$!
 wait_for_banner "$LOG" "epoll"
 ADDR=$(server_addr "$LOG")
+
+# The plane's threads, besides main: exactly the two event loops and the
+# four shards. The loops route requests themselves — no `router` thread.
+THREADS=$(for t in /proc/"$SERVER_PID"/task/*; do
+    [ "${t##*/}" = "$SERVER_PID" ] || cat "$t/comm"
+done | sort | tr '\n' ' ')
+[ "$THREADS" = "io-0 io-1 shard-0 shard-1 shard-2 shard-3 " ] ||
+    die "$LOG" "unexpected server threads besides main: $THREADS"
 
 # 16 requests per connection: enough that every connection pipelines past
 # its 8-deep window at least once.

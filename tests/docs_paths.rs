@@ -1,6 +1,7 @@
 //! Docs that cannot drift: every backticked repo path, and every
-//! `file.rs::test_name` citation, in THEOREMS.md, DESIGN.md and README.md
-//! resolves to a file in the checkout / to a `fn` in that file.
+//! `file.rs::name` citation, in THEOREMS.md, DESIGN.md, README.md,
+//! EXPERIMENTS.md and PROTOCOL.md resolves to a file in the checkout / to
+//! a `fn`, `struct`, `enum` or `trait` defined in that file.
 //!
 //! A citation is an inline-code span (outside fenced blocks) shaped like
 //! a source path: it contains a `/` or a `::name` suffix, and its path
@@ -11,7 +12,13 @@
 
 use std::path::{Path, PathBuf};
 
-const DOCS: [&str; 3] = ["THEOREMS.md", "DESIGN.md", "README.md"];
+const DOCS: [&str; 5] = [
+    "THEOREMS.md",
+    "DESIGN.md",
+    "README.md",
+    "EXPERIMENTS.md",
+    "PROTOCOL.md",
+];
 const SOURCE_EXTENSIONS: [&str; 6] = [".rs", ".sh", ".md", ".toml", ".json", ".yml"];
 
 /// Every file in the checkout, relative to `root` (build output and VCS
@@ -31,7 +38,19 @@ fn repo_files(root: &Path, dir: &Path, out: &mut Vec<String>) {
     }
 }
 
-/// `(path, cited fn)` if the inline-code span `code` is a citation.
+/// Whether `source` defines a `fn`, `struct`, `enum` or `trait` called
+/// `name` (the keyword, one space, then `name` ending the identifier).
+fn defines(source: &str, name: &str) -> bool {
+    ["fn", "struct", "enum", "trait"].iter().any(|kind| {
+        let head = format!("{kind} {name}");
+        source.match_indices(&head).any(|(at, _)| {
+            let next = source[at + head.len()..].chars().next();
+            !next.is_some_and(|c| c.is_alphanumeric() || c == '_')
+        })
+    })
+}
+
+/// `(path, cited item)` if the inline-code span `code` is a citation.
 fn citation(code: &str) -> Option<(&str, Option<&str>)> {
     let (path, test) = match code.split_once("::") {
         Some((path, test)) => (path, Some(test)),
@@ -81,7 +100,7 @@ fn cited_paths_and_tests_resolve() {
                     None => !matches.is_empty(),
                     Some(test) => matches.iter().any(|f| {
                         let source = std::fs::read_to_string(root.join(f)).unwrap();
-                        source.contains(&format!("fn {test}("))
+                        defines(&source, test)
                     }),
                 };
                 if !resolved {
@@ -111,6 +130,17 @@ fn citation_shapes() {
         citation("rounding.rs::some_test"),
         Some(("rounding.rs", Some("some_test")))
     );
+    assert_eq!(
+        citation("benchmark/src/layers.rs::TimedStorage"),
+        Some(("benchmark/src/layers.rs", Some("TimedStorage")))
+    );
+    let source = "pub struct TimedStorage<S> {}\nenum Mode {}\nfn run() {}\ntrait Sink: Send {}\nstruct Unit;\n";
+    for item in ["TimedStorage", "Mode", "run", "Sink", "Unit"] {
+        assert!(defines(source, item), "{item}");
+    }
+    for not_defined in ["Timed", "runs", "Storage", "S"] {
+        assert!(!defines(source, not_defined), "{not_defined}");
+    }
     for not_a_citation in [
         "README.md",
         "lp::simplex::{dual, check_feasible}",
