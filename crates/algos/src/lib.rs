@@ -6,9 +6,9 @@
 //!   water-filling algorithm (Section 4.1, Theorems 1.1 and 1.5).
 //! * [`fractional::FracMultiplicative`] — the deterministic fractional
 //!   `O(log k)`-competitive multiplicative-update algorithm (Section 4.2).
-//! * [`rounding::RoundingWP`] / [`rounding::RoundingML`] — the
-//!   distribution-free online rounding (Algorithms 1 and 2, Section 4.3),
-//!   losing `O(log k)` against the fractional cost.
+//! * [`rounding::RoundingML`] — the distribution-free online rounding
+//!   (Algorithm 2, Section 4.3; Algorithm 1 is its `ℓ = 1` case), losing
+//!   `O(log k)` against the fractional cost.
 //! * [`randomized::RandomizedMlPaging`] — fractional + rounding composed
 //!   into the `O(log² k)`-competitive randomized algorithm (Theorems 1.2
 //!   and 1.5).
@@ -52,8 +52,8 @@ pub use adapters::{run_ml_policy_on_writeback, run_spec_on_writeback, WbViaRwRes
 pub use baselines::{Fifo, Landlord, Lru, Marking};
 pub use fractional::FracMultiplicative;
 pub use quantize::Quantized;
-pub use randomized::{RandomizedMlPaging, RandomizedWeightedPaging};
+pub use randomized::RandomizedMlPaging;
 pub use registry::{PolicyRegistry, PolicySpec, WbPolicyRegistry};
-pub use rounding::{RoundingML, RoundingWP};
+pub use rounding::RoundingML;
 pub use waterfill::WaterFill;
 pub use wb_baselines::{WbFifo, WbGreedyDual, WbLru};

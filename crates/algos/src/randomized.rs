@@ -4,12 +4,16 @@
 //! `O(log² k)`-competitive polynomial-time randomized online algorithm for
 //! weighted multi-level paging — and hence (via Lemma 2.1) for
 //! writeback-aware caching.
+//!
+//! On a one-level instance the same policy is the paper's "extremely
+//! simple" randomized weighted-paging algorithm (§1.2): its rounding is
+//! then Algorithm 1, the `ℓ = 1` case of Algorithm 2.
 
 use wmlp_core::instance::{MlInstance, Request};
 use wmlp_core::policy::{CacheTxn, FracDelta, FractionalPolicy, OnlinePolicy, PolicyCtx};
 
 use crate::fractional::FracMultiplicative;
-use crate::rounding::{default_beta, RoundingML, RoundingWP};
+use crate::rounding::{default_beta, RoundingML};
 
 /// The `O(log² k)`-competitive randomized algorithm for weighted
 /// multi-level paging (works for any `ℓ`, including `ℓ = 1`).
@@ -71,70 +75,11 @@ impl OnlinePolicy for RandomizedMlPaging {
     }
 }
 
-/// The `ℓ = 1` specialization using Algorithm 1 — the "extremely simple and
-/// clean" randomized weighted-paging algorithm highlighted in Section 1.2
-/// of the paper.
-#[derive(Debug, Clone)]
-pub struct RandomizedWeightedPaging {
-    frac: FracMultiplicative,
-    rounding: RoundingWP,
-    scratch: Vec<FracDelta>,
-}
-
-impl RandomizedWeightedPaging {
-    /// Paper defaults: `η = 1/k`, `β = 4 log k`. Requires `ℓ = 1`.
-    pub fn with_default_beta(inst: &MlInstance, seed: u64) -> Self {
-        Self::new(inst, 1.0 / inst.k() as f64, default_beta(inst.k()), seed)
-    }
-
-    /// Fully parameterized construction.
-    pub fn new(inst: &MlInstance, eta: f64, beta: f64, seed: u64) -> Self {
-        RandomizedWeightedPaging {
-            frac: FracMultiplicative::with_eta(inst, eta),
-            rounding: RoundingWP::new(inst, beta, seed),
-            scratch: Vec::new(),
-        }
-    }
-
-    /// `(count, total weight)` of reset evictions so far.
-    pub fn reset_stats(&self) -> (u64, u64) {
-        (self.rounding.reset_evictions(), self.rounding.reset_cost())
-    }
-}
-
-impl OnlinePolicy for RandomizedWeightedPaging {
-    fn name(&self) -> &str {
-        "randomized-wp"
-    }
-
-    fn on_request(&mut self, _ctx: PolicyCtx<'_>, t: usize, req: Request, txn: &mut CacheTxn<'_>) {
-        self.scratch.clear();
-        self.frac.on_request(t, req, &mut self.scratch);
-        self.rounding.on_step(req, &self.scratch, txn);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wmlp_core::cost::CostModel;
     use wmlp_sim::engine::run_policy;
     use wmlp_workloads::{zipf_trace, LevelDist};
-
-    #[test]
-    fn randomized_wp_feasible_and_seed_deterministic() {
-        let inst = MlInstance::weighted_paging(4, vec![1, 2, 4, 8, 16, 32, 64, 128]).unwrap();
-        let trace = zipf_trace(&inst, 1.0, 1200, LevelDist::Top, 2);
-        let cost = |seed| {
-            let mut alg = RandomizedWeightedPaging::with_default_beta(&inst, seed);
-            run_policy(&inst, &trace, &mut alg, false)
-                .unwrap()
-                .ledger
-                .total(CostModel::Fetch)
-        };
-        assert_eq!(cost(1), cost(1), "same seed must reproduce exactly");
-        assert!(cost(1) > 0);
-    }
 
     #[test]
     fn randomized_ml_feasible_across_levels() {

@@ -8,11 +8,11 @@
 //! lru
 //! randomized
 //! randomized(eta=0.25,beta=0.5)
-//! rounding-wp(beta=0.1)
+//! randomized(beta=0.1)
 //! ```
 //!
 //! [`PolicyRegistry`] covers the integral multi-level policies (classical
-//! baselines plus the paper's randomized algorithms); [`WbPolicyRegistry`]
+//! baselines plus the paper's randomized algorithm); [`WbPolicyRegistry`]
 //! covers the native writeback baselines. Both expose their name lists so
 //! callers can print what is available.
 
@@ -21,7 +21,7 @@ use wmlp_core::policy::OnlinePolicy;
 use wmlp_core::writeback::{WbInstance, WbPolicy};
 
 use crate::baselines::{Fifo, Landlord, Lru, Marking};
-use crate::randomized::{RandomizedMlPaging, RandomizedWeightedPaging};
+use crate::randomized::RandomizedMlPaging;
 use crate::rounding::default_beta;
 use crate::waterfill::WaterFill;
 use crate::wb_baselines::{WbFifo, WbGreedyDual, WbLru};
@@ -149,18 +149,6 @@ impl PolicyRegistry {
                     let eta = spec.param("eta").unwrap_or(1.0 / inst.k() as f64);
                     let beta = spec.param("beta").unwrap_or_else(|| default_beta(inst.k()));
                     Ok(Box::new(RandomizedMlPaging::new(inst, eta, beta, seed)))
-                },
-            },
-            MlEntry {
-                name: "randomized-wp",
-                summary: "fractional + rounding for 1-level weighted paging",
-                params: &["eta", "beta"],
-                ctor: |spec, inst, seed| {
-                    let eta = spec.param("eta").unwrap_or(1.0 / inst.k() as f64);
-                    let beta = spec.param("beta").unwrap_or_else(|| default_beta(inst.k()));
-                    Ok(Box::new(RandomizedWeightedPaging::new(
-                        inst, eta, beta, seed,
-                    )))
                 },
             },
         ];
@@ -377,7 +365,7 @@ mod tests {
         // specs must at least construct and run.
         let reg = PolicyRegistry::standard();
         let trace: Vec<Request> = (0..60).map(|i| Request::top((i * 3) % 4)).collect();
-        for spec in ["randomized(eta=0.9,beta=0.9)", "randomized-wp(beta=0.05)"] {
+        for spec in ["randomized(eta=0.9,beta=0.9)", "randomized(beta=0.05)"] {
             let mut p = reg.build(spec, &inst, 3).unwrap();
             run_policy(&inst, &trace, p.as_mut(), false).unwrap();
         }

@@ -3,19 +3,18 @@
 //! Given the stream of fractional solutions `x(t)` (as prefix-variable
 //! deltas), the rounding maintains a *single* integral cache state `C(t)`
 //! and updates it with local randomized rules, losing an expected
-//! `O(log k)` factor against the fractional cost:
+//! `O(log k)` factor against the fractional cost.
 //!
-//! * [`RoundingWP`] — Algorithm 1 for weighted paging (`ℓ = 1`): evict a
-//!   cached page `p ≠ p_t` with probability `Δy_p/(1 − y_p(t−1))`, where
-//!   `y_p = min(β·x_p, 1)` amplifies the fractional absence by
-//!   `β = Θ(log k)`.
-//! * [`RoundingML`] — Algorithm 2 for multi-level paging: a cached copy
-//!   `(p,i)` is *demoted* to `(p,i+1)` (evicted, for `i = ℓ`) with
-//!   probability `Δv(p,i)/(v(p,i−1,t) − v(p,i,t−1))`, where
-//!   `v(p,i) = min(β·u(p,i), 1)` and `v(p,0) = 1`; demotions cascade.
+//! [`RoundingML`] is Algorithm 2 for multi-level paging: a cached copy
+//! `(p,i)` is *demoted* to `(p,i+1)` (evicted, for `i = ℓ`) with
+//! probability `Δv(p,i)/(v(p,i−1,t) − v(p,i,t−1))`, where
+//! `v(p,i) = min(β·u(p,i), 1)` and `v(p,0) = 1`; demotions cascade.
+//! Algorithm 1 (weighted paging) is its `ℓ = 1` case: with `v(p,0) = 1`
+//! the demotion rule is Algorithm 1's eviction rule `Δy_p/(1 − y_p(t−1))`
+//! for `y_p = min(β·x_p, 1)`, and the reset scan is the same.
 //!
-//! Both algorithms end each step with the **reset** scan: for weight
-//! classes `i` in decreasing order, while the cache holds more class-`≥ i`
+//! Each step ends with the **reset** scan: for weight classes `i` in
+//! decreasing order, while the cache holds more class-`≥ i`
 //! copies than `⌈k_{≥i}(t)⌉` (the fractional space used by those classes),
 //! an arbitrary class-`i` copy other than the requested page is evicted.
 //! The class-0 reset enforces `|C| ≤ k` outright, so feasibility never
@@ -38,9 +37,9 @@ fn noisy_ceil(x: f64) -> usize {
     (x - 1e-6).ceil().max(0.0) as usize
 }
 
-/// Class bookkeeping shared by both rounding algorithms: per weight class
-/// `c`, the set of pages whose cached copy has class exactly `c`, plus the
-/// fractional mass sums `k_{≥ i}`.
+/// Class bookkeeping of the rounding: per weight class `c`, the set of
+/// pages whose cached copy has class exactly `c`, plus the fractional mass
+/// sums `k_{≥ i}`.
 #[derive(Debug, Clone)]
 struct ClassBook {
     /// `k_geq[i] = Σ` fractional in-cache mass of copies with class `≥ i`.
@@ -79,7 +78,7 @@ impl ClassBook {
         v.swap_remove(pos);
     }
 
-    /// Add `delta` to `k_{≥ i}` for all `i ≤ hi`... i.e. classes `lo..=hi`.
+    /// Add `delta` to `k_{≥ i}` for every class `i` in `lo..=hi`.
     fn bump_range(&mut self, lo: u32, hi: u32, delta: f64) {
         for i in lo as usize..=hi as usize {
             self.k_geq[i] += delta;
@@ -124,111 +123,8 @@ impl ClassBook {
     }
 }
 
-/// Algorithm 1: online rounding for weighted paging (`ℓ = 1`).
-#[derive(Debug, Clone)]
-pub struct RoundingWP {
-    inst: MlInstance,
-    beta: f64,
-    rng: StdRng,
-    /// Mirror of the fractional absence `x_p = u(p, 1)`.
-    x: Vec<f64>,
-    book: ClassBook,
-}
-
-impl RoundingWP {
-    /// New rounding state with amplification `β` and RNG seed.
-    pub fn new(inst: &MlInstance, beta: f64, seed: u64) -> Self {
-        assert_eq!(
-            inst.max_levels(),
-            1,
-            "RoundingWP requires a 1-level instance"
-        );
-        let classes = num_weight_classes(inst.weights().max_weight());
-        RoundingWP {
-            beta,
-            rng: StdRng::seed_from_u64(seed),
-            x: vec![1.0; inst.n()],
-            // Initially x ≡ 1: all k_{≥i} are 0 and the cache is empty.
-            book: ClassBook::new(classes),
-            inst: inst.clone(),
-        }
-    }
-
-    /// Rounding with the paper's default `β = 4 log k`.
-    pub fn with_default_beta(inst: &MlInstance, seed: u64) -> Self {
-        let beta = default_beta(inst.k());
-        Self::new(inst, beta, seed)
-    }
-
-    #[inline]
-    fn y(&self, x: f64) -> f64 {
-        (self.beta * x).min(1.0)
-    }
-
-    /// Serve one step: the request, the fractional deltas for this step,
-    /// and the cache transaction to mutate.
-    pub fn on_step(&mut self, req: Request, deltas: &[FracDelta], txn: &mut CacheTxn<'_>) {
-        let p_t = req.page;
-        // Line 1-3: ensure p_t is cached.
-        if !txn.cache().contains_page(p_t) {
-            txn.fetch_if_absent(CopyRef::new(p_t, 1));
-            self.book
-                .insert(p_t, weight_class(self.inst.weight(p_t, 1)));
-        }
-        // Lines 4-8: random evictions by the local rule.
-        for d in deltas {
-            debug_assert_eq!(d.level, 1);
-            let p = d.page;
-            if p == p_t || !txn.cache().contains_page(p) {
-                continue;
-            }
-            let y_old = self.y(self.x[p as usize]);
-            let y_new = self.y(d.new_u);
-            let dy = y_new - y_old;
-            if dy <= 0.0 {
-                continue;
-            }
-            let denom = 1.0 - y_old;
-            let prob = if denom <= 0.0 {
-                1.0
-            } else {
-                (dy / denom).min(1.0)
-            };
-            if self.rng.gen::<f64>() < prob {
-                txn.evict_if_present(CopyRef::new(p, 1));
-                self.book.remove(p, weight_class(self.inst.weight(p, 1)));
-            }
-        }
-        // Commit the fractional movement into x and the class sums.
-        for d in deltas {
-            let p = d.page as usize;
-            let delta_in_cache = self.x[p] - d.new_u; // change of (1 - x)
-            self.book
-                .bump_range(0, weight_class(self.inst.weight(d.page, 1)), delta_in_cache);
-            self.x[p] = d.new_u;
-        }
-        // Lines 9-13: per-class resets, heaviest class first.
-        let inst = &self.inst;
-        self.book.reset_scan(p_t, |victim| {
-            txn.evict_if_present(CopyRef::new(victim, 1)).then(|| {
-                let w = inst.weight(victim, 1);
-                (weight_class(w), w)
-            })
-        });
-    }
-
-    /// Number of reset evictions so far (instrumentation).
-    pub fn reset_evictions(&self) -> u64 {
-        self.book.resets
-    }
-
-    /// Total weight of reset evictions so far (instrumentation).
-    pub fn reset_cost(&self) -> u64 {
-        self.book.reset_cost
-    }
-}
-
-/// Algorithm 2: online rounding for multi-level paging.
+/// Algorithm 2: online rounding for multi-level paging; on a one-level
+/// instance, Algorithm 1 for weighted paging.
 #[derive(Debug, Clone)]
 pub struct RoundingML {
     inst: MlInstance,
@@ -409,7 +305,7 @@ mod tests {
     use wmlp_workloads::{zipf_trace, LevelDist};
 
     use crate::fractional::FracMultiplicative;
-    use crate::randomized::{RandomizedMlPaging, RandomizedWeightedPaging};
+    use crate::randomized::RandomizedMlPaging;
 
     #[test]
     fn beta_defaults() {
@@ -423,38 +319,6 @@ mod tests {
         assert_eq!(noisy_ceil(3.1), 4);
         assert_eq!(noisy_ceil(0.0), 0);
         assert_eq!(noisy_ceil(-0.0000001), 0);
-    }
-
-    /// Drive a fractional policy and rounding together over a trace,
-    /// validating the integral run through the standard engine machinery;
-    /// returns the run's eviction cost.
-    fn run_rounded_wp(inst: &MlInstance, trace: &[Request], beta: f64, seed: u64) -> u64 {
-        let mut frac = FracMultiplicative::new(inst);
-        let mut rounding = RoundingWP::new(inst, beta, seed);
-        let mut cache = wmlp_core::cache::CacheState::empty(inst.n());
-        let mut ledger = wmlp_core::cost::CostLedger::default();
-        let mut deltas = Vec::new();
-        let mut log = wmlp_core::action::StepLog::default();
-        for (t, &req) in trace.iter().enumerate() {
-            deltas.clear();
-            frac.on_request(t, req, &mut deltas);
-            let mut txn = CacheTxn::new(&mut cache, &mut log);
-            rounding.on_step(req, &deltas, &mut txn);
-            txn.finish();
-            assert!(cache.occupancy() <= inst.k(), "over capacity at t={t}");
-            assert!(cache.serves(req), "unserved at t={t}");
-            ledger.record_step(inst, &log);
-        }
-        ledger.eviction_cost
-    }
-
-    #[test]
-    fn wp_rounding_feasible_on_zipf() {
-        let inst = MlInstance::weighted_paging(4, vec![1, 2, 4, 8, 16, 32, 3, 5, 9, 17]).unwrap();
-        let trace = zipf_trace(&inst, 1.0, 1000, LevelDist::Top, 11);
-        for seed in 0..5 {
-            assert!(run_rounded_wp(&inst, &trace, default_beta(inst.k()), seed) > 0);
-        }
     }
 
     #[test]
@@ -489,47 +353,6 @@ mod tests {
         );
     }
 
-    /// For ℓ = 1 instances, Algorithm 2 must degenerate exactly to
-    /// Algorithm 1: same seed, same fractional stream, same cache states.
-    #[test]
-    fn ml_rounding_degenerates_to_wp_on_one_level() {
-        let inst = MlInstance::weighted_paging(3, vec![4, 2, 8, 16, 1, 32]).unwrap();
-        let trace = zipf_trace(&inst, 1.1, 400, LevelDist::Top, 3);
-        for seed in [5u64, 6, 7] {
-            let mut frac_a = FracMultiplicative::new(&inst);
-            let mut frac_b = FracMultiplicative::new(&inst);
-            let mut wp = RoundingWP::new(&inst, 6.0, seed);
-            let mut ml = RoundingML::new(&inst, 6.0, seed);
-            let mut cache_a = wmlp_core::cache::CacheState::empty(inst.n());
-            let mut cache_b = wmlp_core::cache::CacheState::empty(inst.n());
-            let mut da = Vec::new();
-            let mut db = Vec::new();
-            let mut log_a = wmlp_core::action::StepLog::default();
-            let mut log_b = wmlp_core::action::StepLog::default();
-            for (t, &req) in trace.iter().enumerate() {
-                da.clear();
-                db.clear();
-                frac_a.on_request(t, req, &mut da);
-                frac_b.on_request(t, req, &mut db);
-                assert_eq!(da.len(), db.len());
-                let mut txn_a = CacheTxn::new(&mut cache_a, &mut log_a);
-                wp.on_step(req, &da, &mut txn_a);
-                txn_a.finish();
-                let mut txn_b = CacheTxn::new(&mut cache_b, &mut log_b);
-                ml.on_step(req, &db, &mut txn_b);
-                txn_b.finish();
-                assert_eq!(cache_a, cache_b, "diverged at t={t} seed={seed}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "1-level instance")]
-    fn wp_rounding_rejects_multilevel() {
-        let inst = MlInstance::rw_paging(1, vec![(4, 1), (4, 1)]).unwrap();
-        RoundingWP::with_default_beta(&inst, 0);
-    }
-
     /// A single weight class (all weights equal): the reset scan reduces
     /// to the plain capacity check and must keep |C| <= k.
     #[test]
@@ -550,7 +373,7 @@ mod tests {
         let inst = MlInstance::weighted_paging(3, vec![1, 2, 4, 8, 16, 32, 64, 128]).unwrap();
         let trace = zipf_trace(&inst, 1.0, 800, LevelDist::Top, 6);
         for seed in 0..4 {
-            let mut alg = RandomizedWeightedPaging::new(&inst, 1.0 / 3.0, 1.01, seed);
+            let mut alg = RandomizedMlPaging::new(&inst, 1.0 / 3.0, 1.01, seed);
             run_policy(&inst, &trace, &mut alg, false).unwrap();
             let (resets, reset_cost) = alg.reset_stats();
             // With beta ~ 1 the amplified solution barely evicts, so the
@@ -566,7 +389,7 @@ mod tests {
     fn huge_beta_is_still_feasible() {
         let inst = MlInstance::weighted_paging(2, vec![4, 4, 4, 4, 4]).unwrap();
         let trace = zipf_trace(&inst, 1.0, 300, LevelDist::Top, 8);
-        let mut alg = RandomizedWeightedPaging::new(&inst, 0.5, 1e6, 3);
+        let mut alg = RandomizedMlPaging::new(&inst, 0.5, 1e6, 3);
         run_policy(&inst, &trace, &mut alg, false).unwrap();
     }
 

@@ -10,9 +10,11 @@
 //! ```
 //!
 //! These tests estimate the left side over many independent seeds and
-//! check the inequality up to binomial sampling error.
+//! check the inequality up to binomial sampling error. The Algorithm 1
+//! checks run `RoundingML` on one-level instances, where it is
+//! Algorithm 1.
 
-use wmlp_algos::rounding::{default_beta, RoundingML, RoundingWP};
+use wmlp_algos::rounding::{default_beta, RoundingML};
 use wmlp_algos::FracMultiplicative;
 use wmlp_core::action::StepLog;
 use wmlp_core::cache::CacheState;
@@ -46,7 +48,7 @@ fn wp_cache_marginals_dominated_by_amplified_fractional() {
 
     let mut present = vec![0u64; inst.n()];
     for seed in 0..SEEDS {
-        let mut rounding = RoundingWP::new(&inst, beta, seed);
+        let mut rounding = RoundingML::new(&inst, beta, seed);
         let mut cache = CacheState::empty(inst.n());
         let mut log = StepLog::default();
         for (t, &req) in trace.iter().enumerate() {
@@ -136,15 +138,16 @@ fn ml_prefix_marginals_dominated_by_amplified_fractional() {
 
 #[test]
 fn local_rule_eviction_probability_matches_formula() {
-    // Micro-check of the Algorithm 1 local rule in isolation: one page,
-    // one fractional jump from x=0.1 to x=0.2 with beta=2 must evict a
-    // cached page with probability (0.4-0.2)/(1-0.2) = 0.25.
+    // Micro-check of the Algorithm 1 local rule (the ℓ = 1 demotion rule,
+    // with v(p,0) = 1) in isolation: one page, one fractional jump from
+    // x=0.1 to x=0.2 with beta=2 must evict a cached page with
+    // probability (0.4-0.2)/(1-0.2) = 0.25.
     let inst = MlInstance::weighted_paging(1, vec![4, 4, 4]).unwrap();
     let beta = 2.0;
     let mut evicted = 0u64;
     let trials = 4000u64;
     for seed in 0..trials {
-        let mut rounding = RoundingWP::new(&inst, beta, seed);
+        let mut rounding = RoundingML::new(&inst, beta, seed);
         let mut cache = CacheState::empty(inst.n());
         // Step 1: fetch page 0 (x_0: 1 -> 0.1? — x is set by deltas).
         let d0 = vec![FracDelta {

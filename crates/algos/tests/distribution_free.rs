@@ -2,14 +2,14 @@
 //! it works with any fractional solution stream, independent of how it
 //! was generated (Section 4.3: "the rounding is independent of the way
 //! the fractional solution is generated"). These tests drive
-//! `RoundingML`/`RoundingWP` with a *randomized* fractional policy that
-//! shares nothing with the multiplicative-update algorithm — it makes
-//! arbitrary (but feasible) eviction choices — and assert the rounded
-//! cache stays feasible and serves every request.
+//! `RoundingML` (at `ℓ = 3` and at `ℓ = 1`) with a *randomized* fractional
+//! policy that shares nothing with the multiplicative-update algorithm —
+//! it makes arbitrary (but feasible) eviction choices — and assert the
+//! rounded cache stays feasible and serves every request.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wmlp_algos::rounding::{RoundingML, RoundingWP};
+use wmlp_algos::rounding::RoundingML;
 use wmlp_core::action::StepLog;
 use wmlp_core::cache::CacheState;
 use wmlp_core::fractional::EPS;
@@ -121,50 +121,37 @@ fn chaotic_fractional_stream_is_itself_feasible() {
 
 #[test]
 fn ml_rounding_is_distribution_free() {
-    let inst = MlInstance::from_rows(3, (0..10).map(|_| vec![16, 4, 1]).collect()).unwrap();
-    let trace = zipf_trace(&inst, 1.0, 600, LevelDist::Uniform, 17);
-    for seed in 0..6 {
-        let mut frac = ChaoticFrac::new(&inst, seed);
-        let mut rounding = RoundingML::with_default_beta(&inst, seed * 31 + 1);
-        let mut cache = CacheState::empty(inst.n());
-        let mut deltas = Vec::new();
-        let mut log = StepLog::default();
-        for (t, &req) in trace.iter().enumerate() {
-            deltas.clear();
-            frac.on_request(t, req, &mut deltas);
-            let mut txn = CacheTxn::new(&mut cache, &mut log);
-            rounding.on_step(req, &deltas, &mut txn);
-            txn.finish();
-            assert!(
-                cache.occupancy() <= inst.k(),
-                "seed {seed} t={t}: over capacity"
-            );
-            assert!(cache.serves(req), "seed {seed} t={t}: unserved");
-        }
-    }
-}
-
-#[test]
-fn wp_rounding_is_distribution_free() {
-    let inst = MlInstance::weighted_paging(4, vec![1, 2, 4, 8, 16, 32, 64, 3, 5, 9]).unwrap();
-    let trace = zipf_trace(&inst, 1.0, 800, LevelDist::Top, 23);
-    for seed in 0..6 {
-        let mut frac = ChaoticFrac::new(&inst, seed);
-        let mut rounding = RoundingWP::with_default_beta(&inst, seed * 17 + 5);
-        let mut cache = CacheState::empty(inst.n());
-        let mut deltas = Vec::new();
-        let mut log = StepLog::default();
-        for (t, &req) in trace.iter().enumerate() {
-            deltas.clear();
-            frac.on_request(t, req, &mut deltas);
-            let mut txn = CacheTxn::new(&mut cache, &mut log);
-            rounding.on_step(req, &deltas, &mut txn);
-            txn.finish();
-            assert!(
-                cache.occupancy() <= inst.k(),
-                "seed {seed} t={t}: over capacity"
-            );
-            assert!(cache.serves(req), "seed {seed} t={t}: unserved");
+    // Three levels, and one level, where the rounding is Algorithm 1.
+    let ml = MlInstance::from_rows(3, (0..10).map(|_| vec![16, 4, 1]).collect()).unwrap();
+    let wp = MlInstance::weighted_paging(4, vec![1, 2, 4, 8, 16, 32, 64, 3, 5, 9]).unwrap();
+    let inputs = [
+        (zipf_trace(&ml, 1.0, 600, LevelDist::Uniform, 17), ml),
+        (zipf_trace(&wp, 1.0, 800, LevelDist::Top, 23), wp),
+    ];
+    for (trace, inst) in &inputs {
+        for seed in 0..6 {
+            let mut frac = ChaoticFrac::new(inst, seed);
+            let mut rounding = RoundingML::with_default_beta(inst, seed * 31 + 1);
+            let mut cache = CacheState::empty(inst.n());
+            let mut deltas = Vec::new();
+            let mut log = StepLog::default();
+            for (t, &req) in trace.iter().enumerate() {
+                deltas.clear();
+                frac.on_request(t, req, &mut deltas);
+                let mut txn = CacheTxn::new(&mut cache, &mut log);
+                rounding.on_step(req, &deltas, &mut txn);
+                txn.finish();
+                assert!(
+                    cache.occupancy() <= inst.k(),
+                    "ℓ={} seed {seed} t={t}: over capacity",
+                    inst.max_levels()
+                );
+                assert!(
+                    cache.serves(req),
+                    "ℓ={} seed {seed} t={t}: unserved",
+                    inst.max_levels()
+                );
+            }
         }
     }
 }

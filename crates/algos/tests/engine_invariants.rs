@@ -31,10 +31,6 @@ fn record_steps_flag_is_observational_for_every_policy() {
     for inst in &instances {
         let trace = zipf_trace(inst, 0.9, 400, LevelDist::Uniform, 11);
         for name in registry.names() {
-            // randomized-wp is defined only for 1-level instances.
-            if name == "randomized-wp" && inst.max_levels() > 1 {
-                continue;
-            }
             let mut with = registry.build(name, inst, 42).expect("registry policy");
             let mut without = registry.build(name, inst, 42).expect("registry policy");
             let recorded = run_policy(inst, &trace, &mut *with, true).expect("run with steps");
@@ -84,16 +80,13 @@ fn reruns_are_deterministic_for_every_policy() {
     // randomized policies. Guards the scratch-buffer reuse against any
     // accidental state bleed between runs.
     let registry = PolicyRegistry::standard();
-    let ml = ml_instance(6, 20, 3);
-    let wp = MlInstance::weighted_paging(6, vec![3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8]).unwrap();
+    let inst = ml_instance(6, 20, 3);
+    let trace = zipf_trace(&inst, 1.1, 300, LevelDist::GeometricUp(0.5), 5);
     for name in registry.names() {
-        // randomized-wp is defined only for 1-level instances.
-        let inst = if name == "randomized-wp" { &wp } else { &ml };
-        let trace = zipf_trace(inst, 1.1, 300, LevelDist::GeometricUp(0.5), 5);
-        let mut a = registry.build(name, inst, 9).expect("registry policy");
-        let mut b = registry.build(name, inst, 9).expect("registry policy");
-        let ra = run_policy(inst, &trace, &mut *a, false).expect("first run");
-        let rb = run_policy(inst, &trace, &mut *b, false).expect("second run");
+        let mut a = registry.build(name, &inst, 9).expect("registry policy");
+        let mut b = registry.build(name, &inst, 9).expect("registry policy");
+        let ra = run_policy(&inst, &trace, &mut *a, false).expect("first run");
+        let rb = run_policy(&inst, &trace, &mut *b, false).expect("second run");
         assert_eq!(ra.ledger, rb.ledger, "policy `{name}` not deterministic");
     }
 }

@@ -7,19 +7,19 @@
 //! total cost has a shallow optimum around the paper's choice.
 //!
 //! (b) The fractional update's additive term `η` (paper: `1/k`). Small
-//! `η` freezes fully-evicted... i.e. barely-present pages (slow to evict
-//! cold pages), large `η` evicts aggressively regardless of presence,
-//! hurting heavy pages. Expected shape: cost is minimized near `η = 1/k`
+//! `η` freezes fully-present pages (`x ≈ 0` grows at rate `η/w`, so cold
+//! pages are slow to leave), large `η` evicts aggressively regardless of
+//! presence, hurting heavy pages. Expected shape: cost is minimized near `η = 1/k`
 //! within a modest factor.
 //!
 //! The β sweep exercises the registry's parameterized specs
-//! (`randomized-wp(eta=…,beta=…)`) through the shared runner; reset
+//! (`randomized(eta=…,beta=…)`) through the shared runner; reset
 //! telemetry comes from a directly-constructed pass over the same seeds.
 
 use std::sync::Arc;
 
 use wmlp_algos::rounding::default_beta;
-use wmlp_algos::{FracMultiplicative, RandomizedWeightedPaging};
+use wmlp_algos::{FracMultiplicative, RandomizedMlPaging};
 use wmlp_core::instance::MlInstance;
 use wmlp_sim::frac_engine::run_fractional;
 use wmlp_sim::runner::{RunRecord, Scenario};
@@ -91,7 +91,7 @@ fn beta_ablation() -> (Table, Vec<RunRecord>) {
         let beta = (beta0 * mult).max(1.01);
         // `{}` on f64 prints the shortest round-trip representation, so
         // the spec re-parses to exactly this beta.
-        let spec = format!("randomized-wp(eta={eta},beta={beta})");
+        let spec = format!("randomized(eta={eta},beta={beta})");
         meta.push((mult, beta, spec.clone()));
         scenarios.push(
             Scenario::new(format!("beta-x{mult}"), inst.clone(), trace.clone())
@@ -104,7 +104,7 @@ fn beta_ablation() -> (Table, Vec<RunRecord>) {
         let label = format!("beta-x{mult}");
         let (mean, sd) = seed_mean_stdev(&m, &label, &spec);
         let reset_runs: Vec<(f64, f64)> = wmlp_sim::sweep::par_seeds(&seeds, |s| {
-            let mut alg = RandomizedWeightedPaging::new(&inst, eta, beta, s);
+            let mut alg = RandomizedMlPaging::new(&inst, eta, beta, s);
             wmlp_sim::engine::run_policy(&inst, &trace, &mut alg, false).expect("feasible");
             let (resets, reset_cost) = alg.reset_stats();
             (resets as f64, reset_cost as f64)

@@ -56,7 +56,7 @@ fn breakdown_table() -> (Table, Vec<RunRecord>) {
     let runner = standard_runner();
     let scenario = Scenario::new("scan-breakdown", inst.clone(), trace);
     let mut records = Vec::new();
-    for (name, seed) in [("lru", 0), ("landlord", 0), ("randomized-wp", 5)] {
+    for (name, seed) in [("lru", 0), ("landlord", 0), ("randomized", 5)] {
         let (record, res) = runner
             .run_cell(&scenario, name, seed, true)
             .unwrap_or_else(|e| panic!("{e}"));
@@ -131,14 +131,14 @@ fn ratios_table() -> (Table, Vec<RunRecord>) {
         );
         scenarios.push(
             Scenario::new(name, inst.clone(), trace)
-                .policies(["randomized-wp"])
+                .policies(["randomized"])
                 .seeds(1..=5),
         );
     }
     let m = run_grid("e9", &scenarios);
     for (name, opt) in meta {
         let ratio = |p: &str| fr(cell_cost(&m, name, p, 3) as f64 / opt);
-        let (rnd, _) = seed_mean_stdev(&m, name, "randomized-wp");
+        let (rnd, _) = seed_mean_stdev(&m, name, "randomized");
         t.row(vec![
             name.to_string(),
             fr(opt),

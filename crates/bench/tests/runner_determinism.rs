@@ -20,7 +20,7 @@ fn grid() -> Vec<Scenario> {
             "waterfill",
         ]),
         Scenario::new("grid", inst, trace)
-            .policies(["marking", "randomized", "randomized-wp(beta=2.5)"])
+            .policies(["marking", "randomized", "randomized(beta=2.5)"])
             .seeds(0..4),
     ]
 }

@@ -1,13 +1,12 @@
-//! The legacy dense two-phase tableau simplex, kept as a
-//! differential-testing oracle for the sparse solver and as the fallback
-//! on numerical breakdown.
+//! The legacy dense two-phase tableau simplex: the differential-testing
+//! oracle for the sparse solver, compiled into test builds only.
 //!
 //! Solves the same problems as [`crate::sparse`] with Bland's
 //! anti-cycling rule throughout; finite upper bounds are materialized as
 //! explicit `x ≤ u` rows, so both solvers answer the identical
 //! mathematical program. No sparsity, no revised factorizations —
 //! `O(m·(n+m))` per pivot — which is exactly why [`LpProblem::solve`]
-//! routes to the sparse path.
+//! is the sparse path.
 
 use crate::simplex::{Cmp, LpOutcome, LpProblem};
 
@@ -257,5 +256,92 @@ fn simplex_iterate_limited(
             return false; // unbounded
         };
         pivot(tab, basis, row, col, total, Some(obj));
+    }
+}
+
+/// Differential test: the sparse bounded-variable simplex and this dense
+/// oracle must agree on randomly generated LPs.
+///
+/// The generator emits small covering-style programs — nonnegative
+/// variables, a mix of `≥`/`≤`/`=` rows, and random finite upper bounds —
+/// the shape every LP in this workspace takes. For each instance the two
+/// solvers must agree on feasibility, and on feasible instances the
+/// objective values must match to `1e-6` with both solutions verifying
+/// against the constraint system independently.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sparse::solve_sparse;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn random_lp(rng: &mut StdRng) -> LpProblem {
+        let n = rng.gen_range(2..=6);
+        let m = rng.gen_range(1..=6);
+        let obj: Vec<f64> = (0..n).map(|_| rng.gen_range(0..=8) as f64).collect();
+        let mut lp = LpProblem::minimize(obj);
+        for _ in 0..m {
+            let mut terms: Vec<(usize, f64)> = Vec::new();
+            for j in 0..n {
+                if rng.gen_range(0..3) > 0 {
+                    terms.push((j, rng.gen_range(1..=4) as f64));
+                }
+            }
+            if terms.is_empty() {
+                continue;
+            }
+            // Bias toward covering rows (always feasible upward) with an
+            // occasional ≤ or = row to exercise slack/artificial handling.
+            let cmp = match rng.gen_range(0..6) {
+                0 => Cmp::Le,
+                1 => Cmp::Eq,
+                _ => Cmp::Ge,
+            };
+            let b = rng.gen_range(1..=6) as f64;
+            lp.add_row(terms, cmp, b);
+        }
+        for j in 0..n {
+            if rng.gen_range(0..3) == 0 {
+                lp.set_upper(j, rng.gen_range(1..=5) as f64);
+            }
+        }
+        lp
+    }
+
+    #[test]
+    fn sparse_and_dense_agree_on_random_programs() {
+        let mut rng = StdRng::seed_from_u64(0x5eeded);
+        let mut feasible = 0usize;
+        let mut infeasible = 0usize;
+        for trial in 0..200 {
+            let lp = random_lp(&mut rng);
+            let dense = solve_dense(&lp);
+            let sparse = solve_sparse(&lp);
+            match (&dense, &sparse) {
+                (
+                    LpOutcome::Optimal { value: vd, x: xd },
+                    LpOutcome::Optimal { value: vs, x: xs },
+                ) => {
+                    feasible += 1;
+                    assert!(
+                        (vd - vs).abs() <= 1e-6 * (1.0 + vd.abs()),
+                        "trial {trial}: dense {vd} vs sparse {vs}"
+                    );
+                    assert!(
+                        lp.check_feasible(xd, 1e-6),
+                        "trial {trial}: dense x infeasible"
+                    );
+                    assert!(
+                        lp.check_feasible(xs, 1e-6),
+                        "trial {trial}: sparse x infeasible"
+                    );
+                }
+                (LpOutcome::Infeasible, LpOutcome::Infeasible) => infeasible += 1,
+                other => panic!("trial {trial}: solvers disagree: {other:?}"),
+            }
+        }
+        // The generator must actually exercise both paths.
+        assert!(feasible >= 50, "only {feasible} feasible instances");
+        assert!(infeasible >= 5, "only {infeasible} infeasible instances");
     }
 }

@@ -5,10 +5,12 @@
 //! cover for Section 3's reduction and the Theorem 1.4 integrality gap)
 //! only need small-to-medium sparse instances — so this crate implements
 //! simplex from scratch: a **sparse bounded-variable revised simplex**
-//! ([`sparse`], the default behind [`LpProblem::solve`]) with the legacy
-//! **two-phase dense tableau** ([`dense`]) kept as differential-testing
-//! oracle and numerical-breakdown fallback, plus builders for the two LP
-//! families used by the evaluation suite ([`paging_lp`], [`setcover_lp`]).
+//! ([`sparse`], behind [`LpProblem::solve`]; a numerical breakdown is
+//! [`LpOutcome::Breakdown`]), plus builders for the two LP families used
+//! by the evaluation suite ([`paging_lp`], [`setcover_lp`]). The legacy
+//! **two-phase dense tableau** is compiled into test builds only, as the
+//! differential-testing oracle every unit fixture and a seeded
+//! random-program test check the sparse solver against.
 //!
 //! The paging LP replaces the paper's exponential constraint family
 //! `Σ_{p∈S} u(p,ℓ,t) ≥ |S| − k` (for all `S ⊆ [n]`) by the single `S = [n]`
@@ -17,7 +19,8 @@
 
 #![warn(missing_docs)]
 
-pub mod dense;
+#[cfg(test)]
+mod dense;
 pub mod paging_lp;
 pub mod setcover_lp;
 pub mod simplex;

@@ -49,8 +49,9 @@ pub enum PagingLpError {
         /// The cap.
         limit: usize,
     },
-    /// The simplex reported infeasible/unbounded — impossible for valid
-    /// inputs, so this indicates a solver or builder bug.
+    /// The simplex reported infeasible, unbounded or a numerical
+    /// breakdown — impossible for valid inputs, so this indicates a solver
+    /// or builder bug.
     NotSolvable(String),
 }
 
@@ -78,7 +79,8 @@ impl std::error::Error for PagingLpError {}
 /// # Errors
 /// [`PagingLpError::TooLarge`] when `T·n·ℓ` exceeds the 10 000-variable
 /// safety rail; [`PagingLpError::NotSolvable`] if the simplex reports the
-/// LP infeasible or unbounded (cannot happen for valid inputs).
+/// LP infeasible, unbounded or a breakdown (cannot happen for valid
+/// inputs).
 pub fn multilevel_paging_lp_opt(
     inst: &MlInstance,
     trace: &[Request],

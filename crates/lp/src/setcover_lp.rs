@@ -7,8 +7,9 @@ use crate::simplex::{Cmp, LpOutcome, LpProblem};
 pub enum SetCoverLpError {
     /// A requested element appears in no set: the cover is infeasible.
     Uncovered(usize),
-    /// The simplex reported infeasible/unbounded — impossible once every
-    /// requested element is covered, so this indicates a solver bug.
+    /// The simplex reported infeasible, unbounded or a numerical
+    /// breakdown — impossible once every requested element is covered, so
+    /// this indicates a solver bug.
     NotSolvable(String),
 }
 

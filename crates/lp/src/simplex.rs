@@ -2,10 +2,10 @@
 //!
 //! Solves `min cᵀx` subject to `aᵢ·x {≤,=,≥} bᵢ` and `0 ≤ x ≤ u` (upper
 //! bounds optional, default `+∞`). [`LpProblem::solve`] runs the sparse
-//! bounded-variable revised simplex of [`crate::sparse`]; the legacy dense
-//! two-phase tableau survives as [`LpProblem::solve_dense`]
-//! ([`crate::dense`]) and is kept as a differential-testing oracle — the
-//! two must agree on every solvable instance.
+//! bounded-variable revised simplex of [`crate::sparse`], the only solver
+//! in the library. The legacy dense two-phase tableau is compiled into
+//! test builds only, as a differential-testing oracle — the two must agree
+//! on every solvable instance.
 //!
 //! Upper bounds are handled *implicitly* by the sparse solver (a nonbasic
 //! variable may sit at either bound), so callers like the paging LP no
@@ -38,6 +38,10 @@ pub enum LpOutcome {
     Infeasible,
     /// The objective is unbounded below.
     Unbounded,
+    /// The solver broke down numerically (tiny pivot, iteration cap, or a
+    /// final point that fails the independent feasibility check), so no
+    /// answer is claimed. Never yet observed on this workspace's LPs.
+    Breakdown,
 }
 
 /// A constraint row: sparse `(variable, coefficient)` terms, comparison,
@@ -170,21 +174,10 @@ impl LpProblem {
     /// Solve with the sparse bounded-variable revised simplex
     /// ([`crate::sparse`]): CSR column storage, implicit `0 ≤ x ≤ u`
     /// bounds, Dantzig pricing over a candidate list, Bland fallback for
-    /// anti-cycling. Falls back to the dense tableau on (never yet
-    /// observed) numerical breakdown, so the outcome is always defined.
+    /// anti-cycling. Numerical breakdown is reported as
+    /// [`LpOutcome::Breakdown`], not retried with another solver.
     pub fn solve(&self) -> LpOutcome {
-        match crate::sparse::solve_sparse(self) {
-            Some(outcome) => outcome,
-            None => crate::dense::solve_dense(self),
-        }
-    }
-
-    /// Solve with the legacy dense two-phase tableau simplex
-    /// ([`crate::dense`]). Finite upper bounds are materialized as
-    /// explicit `≤` rows first, so dense and sparse answer the same
-    /// mathematical problem — kept as the differential-testing oracle.
-    pub fn solve_dense(&self) -> LpOutcome {
-        crate::dense::solve_dense(self)
+        crate::sparse::solve_sparse(self)
     }
 }
 
@@ -203,7 +196,7 @@ mod tests {
     /// outcome — every unit fixture doubles as a differential test.
     fn solve_both(lp: &LpProblem) -> LpOutcome {
         let sparse = lp.solve();
-        let dense = lp.solve_dense();
+        let dense = crate::dense::solve_dense(lp);
         match (&sparse, &dense) {
             (LpOutcome::Optimal { value: vs, x: xs }, LpOutcome::Optimal { value: vd, .. }) => {
                 assert!((vs - vd).abs() < 1e-6, "sparse {vs} != dense {vd}");

@@ -1,7 +1,7 @@
-//! Sparse bounded-variable revised simplex — the primary LP solver.
+//! Sparse bounded-variable revised simplex — the LP solver.
 //!
-//! Differences from the dense tableau ([`crate::dense`]) that make it fast
-//! on the paging/set-cover LPs:
+//! Differences from a dense tableau (the test-only oracle it is checked
+//! against) that make it fast on the paging/set-cover LPs:
 //!
 //! - **CSR column storage.** The constraint matrix is held column-wise
 //!   (`col_ptr`/`rix`/`vals`), so pricing a column costs its nonzero count,
@@ -16,10 +16,9 @@
 //!   it runs dry. A stall of degenerate pivots switches to Bland's rule
 //!   (lowest index) until progress resumes, preventing cycling.
 //!
-//! [`solve_sparse`] returns `None` on numerical breakdown (tiny pivot,
-//! iteration cap, or a final solution that fails the independent
-//! feasibility check); [`LpProblem::solve`] then falls back to the dense
-//! oracle, so callers always get a definite [`LpOutcome`].
+//! [`solve_sparse`] returns [`LpOutcome::Breakdown`] on numerical
+//! breakdown (tiny pivot, iteration cap, or a final solution that fails
+//! the independent feasibility check); there is no fallback solver.
 
 use crate::simplex::{Cmp, LpOutcome, LpProblem};
 
@@ -47,7 +46,7 @@ enum State {
 enum Stop {
     Optimal,
     Unbounded,
-    /// Numerical trouble or iteration cap: caller falls back to dense.
+    /// Numerical trouble or iteration cap.
     Breakdown,
 }
 
@@ -80,19 +79,18 @@ struct Solver {
     stall: usize,
 }
 
-/// Solve with the sparse bounded-variable revised simplex. `None` means
-/// numerical breakdown — the caller should fall back to the dense oracle.
-pub fn solve_sparse(lp: &LpProblem) -> Option<LpOutcome> {
+/// Solve with the sparse bounded-variable revised simplex.
+pub fn solve_sparse(lp: &LpProblem) -> LpOutcome {
     let mut s = Solver::build(lp);
     if s.art_start < s.ncols {
         s.set_phase1_costs();
         match s.optimize() {
             Stop::Optimal => {}
             // Phase 1 is bounded below by 0; "unbounded" is numerical.
-            Stop::Unbounded | Stop::Breakdown => return None,
+            Stop::Unbounded | Stop::Breakdown => return LpOutcome::Breakdown,
         }
         if s.basis_objective() > 1e-6 {
-            return Some(LpOutcome::Infeasible);
+            return LpOutcome::Infeasible;
         }
     }
     s.set_phase2_costs(lp);
@@ -100,13 +98,13 @@ pub fn solve_sparse(lp: &LpProblem) -> Option<LpOutcome> {
         Stop::Optimal => {
             let x = s.extract(lp);
             if !lp.check_feasible(&x, 1e-6) {
-                return None;
+                return LpOutcome::Breakdown;
             }
             let value = lp.objective_value(&x);
-            Some(LpOutcome::Optimal { value, x })
+            LpOutcome::Optimal { value, x }
         }
-        Stop::Unbounded => Some(LpOutcome::Unbounded),
-        Stop::Breakdown => None,
+        Stop::Unbounded => LpOutcome::Unbounded,
+        Stop::Breakdown => LpOutcome::Breakdown,
     }
 }
 

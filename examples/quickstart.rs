@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use wmlp::algos::{Landlord, Lru, RandomizedWeightedPaging, WaterFill};
+use wmlp::algos::{Landlord, Lru, RandomizedMlPaging, WaterFill};
 use wmlp::core::cost::CostModel;
 use wmlp::core::instance::MlInstance;
 use wmlp::core::policy::OnlinePolicy;
@@ -31,7 +31,7 @@ fn main() {
         Box::new(Lru::new(&inst)),
         Box::new(Landlord::new(&inst)),
         Box::new(WaterFill::new(&inst)),
-        Box::new(RandomizedWeightedPaging::with_default_beta(&inst, 1)),
+        Box::new(RandomizedMlPaging::with_default_beta(&inst, 1)),
     ];
     for alg in algorithms.iter_mut() {
         let res = run_policy(&inst, &trace, alg.as_mut(), false).expect("feasible run");

@@ -12,8 +12,8 @@
 //! ```
 
 pub use wmlp_algos::{
-    Fifo, FracMultiplicative, Landlord, Lru, Marking, Quantized, RandomizedMlPaging,
-    RandomizedWeightedPaging, RoundingML, RoundingWP, WaterFill, WbFifo, WbGreedyDual, WbLru,
+    Fifo, FracMultiplicative, Landlord, Lru, Marking, Quantized, RandomizedMlPaging, RoundingML,
+    WaterFill, WbFifo, WbGreedyDual, WbLru,
 };
 pub use wmlp_core::cost::{CostLedger, CostModel};
 pub use wmlp_core::instance::{MlInstance, Request, Trace};
