@@ -27,24 +27,39 @@
 //! increasing, so a Newton iteration reaches the stop in a handful of
 //! evaluations and leaves a bracket `below < above` with `P(below)` false
 //! and `P(above)` true, as narrow as the rounding noise of the sum allows
-//! (a few ulps for a deficit of a sizeable fraction of a page). The
-//! floating-point `gain` is monotone in `τ` (division, `exp`, multiply,
-//! subtract, `min` and a fixed-order sum each are), so `P(mid)` of every
-//! bisection midpoint at or outside the bracket is known without
-//! evaluating it, and `stop_time` replays the 70 midpoint decisions
-//! evaluating only those that fall strictly inside: the same float from
-//! about 12 evaluations instead of 71. Debug builds check every inferred
-//! decision against a real evaluation.
+//! (a few ulps for a deficit of a sizeable fraction of a page).
+//!
+//! **Monotonicity, assumed once.** Both shortcuts below rest on one
+//! property of the floating-point evaluation: IEEE division by a positive
+//! `w`, the multiply by `a + η > 0`, the subtractions of constants, `min`
+//! and a sum taken in a fixed order are each monotone, rounding included,
+//! and the platform's `exp` is *assumed* monotone too. Then `τ ↦ exp(τ/w)`
+//! and the evaluated `gain` are monotone in `τ`, so
+//!
+//! * `P(mid)` of every bisection midpoint at or outside the bracket is
+//!   known without evaluating it, and `stop_time` replays the 70 midpoint
+//!   decisions evaluating only those that fall strictly inside: the same
+//!   float from about 12 evaluations instead of 71; and
+//! * a weight whose `exp(τ/w)` came out as the same float at both bracket
+//!   ends has that value at every `τ` strictly between them, so a probe
+//!   inside the bracket reuses it instead of calling `exp`.
+//!
+//! Debug builds check both against real evaluations: every inferred
+//! decision, and every reused `exp`.
 //!
 //! **Per-request cost.** The pages holding any cache mass are kept as a
 //! sorted index maintained by `set_y`, and the eviction phase reuses its
-//! buffers, so a request costs `O(|support| · evaluations)` and no
-//! allocation, independent of `n`.
+//! buffers, so a request costs `O(|support| · evaluations)` page terms and
+//! no allocation, independent of `n`. `exp(τ/w)` depends on `τ` and `w`
+//! only, so an evaluation calls it once per *distinct weight* of the
+//! segment, `O(distinct weights · evaluations)` in all, and fewer once the
+//! bracket has settled some weights; advancing the segment reuses the
+//! evaluation at the chosen `τ`.
 
 use wmlp_core::fractional::EPS;
 use wmlp_core::instance::{MlInstance, Request};
 use wmlp_core::policy::{FracDelta, FractionalPolicy};
-use wmlp_core::types::{Level, PageId};
+use wmlp_core::types::{Level, PageId, Weight};
 
 /// The fractional multiplicative-update algorithm.
 #[derive(Debug, Clone)]
@@ -65,9 +80,14 @@ pub struct FracMultiplicative {
     /// `total_mass_drift_stays_below_1e_9_over_200k_requests` — against
     /// the `EPS = 1e-7` the deficit is compared with.
     total_mass: f64,
+    /// Dense id of `w(q, j)` among the instance's distinct weights, at
+    /// `weight_id[q · stride + j − 1]` (one slab, `stride` slots per page).
+    weight_id: Vec<u32>,
+    stride: usize,
     /// Eviction-phase buffers, kept across segments and requests.
     active: Vec<ActivePage>,
     next_active: Vec<ActivePage>,
+    exps: ExpMemo,
 }
 
 /// Integration state for one page during the eviction phase.
@@ -81,8 +101,9 @@ struct ActivePage {
     /// Segment ceiling `b = u(q, i_q − 1)`; the event `y(q,i_q) = 0` fires
     /// when `a` reaches `b`.
     b: f64,
-    /// `w(q, i_q)`.
+    /// `w(q, i_q)`, and its id in the instance's distinct weights.
     w: f64,
+    wid: u32,
     /// `a` at the start of this request's eviction phase, for delta output.
     a_start: f64,
     /// Deepest level index that was active at the start, for delta output.
@@ -98,11 +119,6 @@ impl ActivePage {
             self.w * (((self.b + eta) / (self.a + eta)).ln())
         }
     }
-
-    /// Value of `a` after integrating for time `tau` within the segment.
-    fn a_at(&self, tau: f64, eta: f64) -> f64 {
-        ((self.a + eta) * (tau / self.w).exp() - eta).min(self.b)
-    }
 }
 
 impl FracMultiplicative {
@@ -114,6 +130,17 @@ impl FracMultiplicative {
     /// New fractional algorithm with an explicit `η` (ablation E10).
     pub fn with_eta(inst: &MlInstance, eta: f64) -> Self {
         assert!(eta > 0.0, "eta must be positive");
+        let rows = || (0..inst.n() as PageId).map(|p| inst.weights().row(p));
+        let mut distinct: Vec<Weight> = rows().flatten().copied().collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let stride = inst.max_levels() as usize;
+        let mut weight_id = vec![0; inst.n() * stride];
+        for (p, row) in rows().enumerate() {
+            for (slot, w) in weight_id[p * stride..].iter_mut().zip(row) {
+                *slot = distinct.partition_point(|d| d < w) as u32;
+            }
+        }
         FracMultiplicative {
             eta,
             y: (0..inst.n())
@@ -121,10 +148,21 @@ impl FracMultiplicative {
                 .collect(),
             support: Vec::new(),
             total_mass: 0.0,
+            weight_id,
+            stride,
             active: Vec::new(),
             next_active: Vec::new(),
+            exps: ExpMemo::new(distinct.into_iter().map(|w| w as f64).collect()),
             inst: inst.clone(),
         }
+    }
+
+    /// `w(q, i)` and its weight id.
+    fn weight_of(&self, q: PageId, i: Level) -> (f64, u32) {
+        (
+            self.inst.weight(q, i) as f64,
+            self.weight_id[q as usize * self.stride + i as usize - 1],
+        )
     }
 
     /// `u(q, j) = 1 − Σ_{h ≤ j} y(q, h)`.
@@ -168,12 +206,14 @@ impl FracMultiplicative {
         let i = self.active_level(q)?;
         let a = self.compute_u(q, i);
         let b = self.compute_u(q, i - 1);
+        let (w, wid) = self.weight_of(q, i);
         Some(ActivePage {
             q,
             i,
             a,
             b,
-            w: self.inst.weight(q, i) as f64,
+            w,
+            wid,
             a_start: a,
             i_start: i,
         })
@@ -198,13 +238,15 @@ impl FracMultiplicative {
 
             // Either the capacity constraint is met inside this segment,
             // at the stopping time, or the segment runs to its event.
-            let tau = stop_time(&active, needed, tau_event, self.eta)
+            let tau = stop_time(&active, &mut self.exps, needed, tau_event, self.eta)
                 .0
                 .unwrap_or(tau_event);
 
             // Advance every active page by tau and materialize into y.
+            let eta = self.eta;
+            let e = self.exps.at(tau);
             for ap in &mut active {
-                let new_a = ap.a_at(tau, self.eta);
+                let new_a = ((ap.a + eta) * e[ap.wid as usize] - eta).min(ap.b);
                 needed -= new_a - ap.a;
                 ap.a = new_a;
             }
@@ -227,7 +269,7 @@ impl FracMultiplicative {
                         ap.i = i_new;
                         ap.a = self.compute_u(ap.q, i_new);
                         ap.b = self.compute_u(ap.q, i_new - 1);
-                        ap.w = self.inst.weight(ap.q, i_new) as f64;
+                        (ap.w, ap.wid) = self.weight_of(ap.q, i_new);
                         next_active.push(ap);
                     }
                     None => {
@@ -260,64 +302,181 @@ fn time_to_first_event(pages: &[ActivePage], eta: f64) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// `gain(τ) = Σ_q a_q(τ) − a_q(0)` over `pages` (page order), and the
-/// derivative `Σ_q (a_q + η)·e^{τ/w_q}/w_q` of its unclipped form, from one
-/// `exp` per page. For `τ` up to the segment's event time no page has
-/// reached its ceiling, so the clip in [`ActivePage::a_at`] is rounding
-/// only and the derivative is the gain's own.
-fn gain_and_slope(pages: &[ActivePage], tau: f64, eta: f64) -> (f64, f64) {
+/// `gain(τ) = Σ_q a_q(τ) − a_q(0)` over `pages` (page order), given
+/// `e[id] = exp(τ/w)` by weight id, and with `SLOPE` the derivative
+/// `Σ_q (a_q + η)·e^{τ/w_q}/w_q` of its unclipped form (`0` without). For
+/// `τ` up to the segment's event time no page has reached its ceiling, so
+/// the clip at `b` is rounding only and the derivative is the gain's own.
+fn gain_and_slope<const SLOPE: bool>(pages: &[ActivePage], e: &[f64], eta: f64) -> (f64, f64) {
     let (mut gain, mut slope) = (0.0, 0.0);
     for ap in pages {
-        let grown = (ap.a + eta) * (tau / ap.w).exp();
+        let grown = (ap.a + eta) * e[ap.wid as usize];
         gain += (grown - eta).min(ap.b) - ap.a;
-        slope += grown / ap.w;
+        if SLOPE {
+            slope += grown / ap.w;
+        }
     }
     (gain, slope)
 }
 
-/// What is known about the stopping predicate `P(τ) := gain(τ) ≥ needed`
-/// of one segment. `P` is monotone in `τ`, so two evaluated points decide
-/// it everywhere except strictly between them.
-struct StopSearch<'a> {
-    pages: &'a [ActivePage],
-    needed: f64,
-    eta: f64,
+/// `exp(τ/w)` by weight id for one segment's evaluations: at the latest
+/// evaluated `τ` and at the two ends of the segment's stop bracket, each
+/// filled for the segment's weights only.
+#[derive(Debug, Clone)]
+struct ExpMemo {
+    /// The instance's distinct weights, ascending; a weight id indexes them.
+    weights: Vec<f64>,
+    /// The segment's weight ids, each once.
+    ids: Vec<u32>,
+    /// Marks for building `ids`; all false between segments.
+    listed: Vec<bool>,
     /// Largest evaluated `τ` with `P(τ)` false (`−∞` before the first).
     below: f64,
     /// Smallest evaluated `τ` with `P(τ)` true (`+∞` before the first).
     above: f64,
-    /// Evaluations of `gain` so far.
+    at_below: Vec<f64>,
+    at_above: Vec<f64>,
+    /// At the latest [`ExpMemo::fill`].
+    at_tau: Vec<f64>,
+}
+
+impl ExpMemo {
+    fn new(weights: Vec<f64>) -> Self {
+        let len = weights.len();
+        ExpMemo {
+            weights,
+            ids: Vec::new(),
+            listed: vec![false; len],
+            below: f64::NEG_INFINITY,
+            above: f64::INFINITY,
+            at_below: vec![0.0; len],
+            at_above: vec![0.0; len],
+            at_tau: vec![0.0; len],
+        }
+    }
+
+    /// Start a segment over `pages`: list its distinct weights and forget
+    /// the previous segment's bracket.
+    fn begin_segment(&mut self, pages: &[ActivePage]) {
+        self.ids.clear();
+        for ap in pages {
+            if !std::mem::replace(&mut self.listed[ap.wid as usize], true) {
+                self.ids.push(ap.wid);
+            }
+        }
+        for &id in &self.ids {
+            self.listed[id as usize] = false;
+        }
+        self.below = f64::NEG_INFINITY;
+        self.above = f64::INFINITY;
+    }
+
+    /// Set `at_tau` to `exp(tau/w)` for the segment's weights, and return
+    /// how many `exp` calls that took. Strictly inside an evaluated
+    /// bracket, a weight whose two ends gave the same float takes that
+    /// float (the module doc's monotonicity); anywhere else every weight
+    /// is evaluated.
+    fn fill(&mut self, tau: f64) -> u32 {
+        let squeeze = self.below.is_finite()
+            && self.above.is_finite()
+            && self.below < tau
+            && tau < self.above;
+        let mut calls = 0;
+        for &id in &self.ids {
+            let id = id as usize;
+            self.at_tau[id] = if squeeze && self.at_below[id] == self.at_above[id] {
+                debug_assert_eq!(
+                    self.at_below[id].to_bits(),
+                    (tau / self.weights[id]).exp().to_bits(),
+                    "exp is not monotone around {:e}",
+                    tau / self.weights[id]
+                );
+                self.at_below[id]
+            } else {
+                calls += 1;
+                (tau / self.weights[id]).exp()
+            };
+        }
+        calls
+    }
+
+    /// Make the latest fill, at `tau`, the bracket end on its side.
+    fn settle(&mut self, tau: f64, reached: bool) {
+        if reached {
+            self.above = tau;
+            std::mem::swap(&mut self.at_above, &mut self.at_tau);
+        } else {
+            self.below = tau;
+            std::mem::swap(&mut self.at_below, &mut self.at_tau);
+        }
+    }
+
+    /// `exp(tau/w)` by weight id for the segment's weights: a bracket
+    /// end's values when `tau` is that end, else a fresh fill.
+    fn at(&mut self, tau: f64) -> &[f64] {
+        if tau == self.above {
+            &self.at_above
+        } else if tau == self.below {
+            &self.at_below
+        } else {
+            self.fill(tau);
+            &self.at_tau
+        }
+    }
+}
+
+/// What one stop cost: gain evaluations, and the `exp` calls they made.
+#[derive(Debug, Clone, Copy, Default)]
+struct StopCost {
     evals: u32,
+    exps: u32,
+}
+
+/// What is known about the stopping predicate `P(τ) := gain(τ) ≥ needed`
+/// of one segment. `P` is monotone in `τ`, so two evaluated points — the
+/// bracket `memo.below < memo.above` — decide it everywhere except
+/// strictly between them.
+struct StopSearch<'a> {
+    pages: &'a [ActivePage],
+    memo: &'a mut ExpMemo,
+    needed: f64,
+    eta: f64,
+    cost: StopCost,
 }
 
 impl StopSearch<'_> {
-    /// Evaluate at `tau` and move the bracket end on its side of the stop.
-    fn probe(&mut self, tau: f64) -> (f64, f64) {
-        self.evals += 1;
-        let (gain, slope) = gain_and_slope(self.pages, tau, self.eta);
-        if gain >= self.needed {
-            self.above = self.above.min(tau);
-        } else {
-            self.below = self.below.max(tau);
-        }
+    /// Evaluate strictly inside the bracket at `tau` (`gain`, and with
+    /// `SLOPE` its derivative) and move the bracket end on its side of the
+    /// stop there.
+    fn probe<const SLOPE: bool>(&mut self, tau: f64) -> (f64, f64) {
+        debug_assert!(self.memo.below < tau && tau < self.memo.above);
+        self.cost.evals += 1;
+        self.cost.exps += self.memo.fill(tau);
+        let (gain, slope) = gain_and_slope::<SLOPE>(self.pages, &self.memo.at_tau, self.eta);
+        self.memo.settle(tau, gain >= self.needed);
         (gain, slope)
     }
 
     /// `P(tau)`: read off the bracket where monotonicity decides it,
     /// evaluated (tightening the bracket) only strictly inside.
     fn reached(&mut self, tau: f64) -> bool {
-        let inferred = if tau <= self.below {
+        let inferred = if tau <= self.memo.below {
             false
-        } else if tau >= self.above {
+        } else if tau >= self.memo.above {
             true
         } else {
-            return self.probe(tau).0 >= self.needed;
+            return self.probe::<false>(tau).0 >= self.needed;
         };
-        debug_assert_eq!(
-            inferred,
-            gain_and_slope(self.pages, tau, self.eta).0 >= self.needed,
-            "gain is not monotone around tau = {tau:e}"
-        );
+        if cfg!(debug_assertions) {
+            // `tau` is outside the bracket, so this fill reuses nothing.
+            self.memo.fill(tau);
+            let gain = gain_and_slope::<false>(self.pages, &self.memo.at_tau, self.eta).0;
+            debug_assert_eq!(
+                inferred,
+                gain >= self.needed,
+                "gain is not monotone around tau = {tau:e}"
+            );
+        }
         inferred
     }
 
@@ -349,10 +508,10 @@ impl StopSearch<'_> {
         let mut reach = f64::EPSILON;
         for _ in 0..MAX_NARROWING_PROBES {
             x = x.max(0.0);
-            if !(self.below < x && x < self.above) {
+            if !(self.memo.below < x && x < self.memo.above) {
                 break;
             }
-            let (gain, slope) = self.probe(x);
+            let (gain, slope) = self.probe::<true>(x);
             let next = newton(x, gain, slope);
             // The stretch of `τ` the evaluated gain cannot resolve: a few
             // ulps of `τ`, or the sum's rounding noise over its slope.
@@ -390,18 +549,24 @@ const BISECTION_STEPS: u32 = 70;
 /// (the segment runs to its event), otherwise the upper end of
 /// [`BISECTION_STEPS`] bisection steps of `[0, tau_event]` on
 /// `gain(τ) ≥ needed` — bit for bit the float that loop returns, from the
-/// handful of evaluations (the second component counts them) that a
-/// narrow bracket leaves undecided.
-fn stop_time(pages: &[ActivePage], needed: f64, tau_event: f64, eta: f64) -> (Option<f64>, u32) {
+/// handful of evaluations that a narrow bracket leaves undecided. Starts a
+/// segment in `memo`, whose [`ExpMemo::at`] then serves the advance.
+fn stop_time(
+    pages: &[ActivePage],
+    memo: &mut ExpMemo,
+    needed: f64,
+    tau_event: f64,
+    eta: f64,
+) -> (Option<f64>, StopCost) {
+    memo.begin_segment(pages);
     let mut search = StopSearch {
         pages,
+        memo,
         needed,
         eta,
-        below: f64::NEG_INFINITY,
-        above: f64::INFINITY,
-        evals: 0,
+        cost: StopCost::default(),
     };
-    let (gain, slope) = search.probe(tau_event);
+    let (gain, slope) = search.probe::<true>(tau_event);
     if gain >= needed {
         search.narrow(tau_event, gain, slope);
         let (mut lo, mut hi) = (0.0f64, tau_event);
@@ -413,9 +578,9 @@ fn stop_time(pages: &[ActivePage], needed: f64, tau_event: f64, eta: f64) -> (Op
                 lo = mid;
             }
         }
-        (Some(hi), search.evals)
+        (Some(hi), search.cost)
     } else {
-        (None, search.evals)
+        (None, search.cost)
     }
 }
 
@@ -475,7 +640,25 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use wmlp_core::fractional::FracState;
     use wmlp_sim::frac_engine::run_fractional;
-    use wmlp_workloads::{ml_rows_geometric, zipf_trace, LevelDist};
+    use wmlp_workloads::{ml_rows_geometric, weights_pow2_classes, zipf_trace, LevelDist};
+
+    /// Bound on the mean `exp` calls per stop of the differential test.
+    const MEAN_EXPS_BOUND: f64 = 60.0;
+
+    /// Value of `a` after integrating for time `tau` within the segment,
+    /// from its own `exp`.
+    fn a_at(ap: &ActivePage, tau: f64, eta: f64) -> f64 {
+        ((ap.a + eta) * (tau / ap.w).exp() - eta).min(ap.b)
+    }
+
+    /// `gain(τ)` from one `exp` per page, summed in page order.
+    fn gain_at(pages: &[ActivePage], tau: f64, eta: f64) -> f64 {
+        let mut gain = 0.0;
+        for ap in pages {
+            gain += a_at(ap, tau, eta) - ap.a;
+        }
+        gain
+    }
 
     /// The stopping time as every release before PR 15 computed it: one
     /// evaluation at `tau_event`, then 70 evaluated bisection steps. The
@@ -486,12 +669,11 @@ mod tests {
         tau_event: f64,
         eta: f64,
     ) -> Option<f64> {
-        let gain_at = |tau: f64| -> f64 { pages.iter().map(|ap| ap.a_at(tau, eta) - ap.a).sum() };
-        (gain_at(tau_event) >= needed).then(|| {
+        (gain_at(pages, tau_event, eta) >= needed).then(|| {
             let (mut lo, mut hi) = (0.0f64, tau_event);
             for _ in 0..70 {
                 let mid = 0.5 * (lo + hi);
-                if gain_at(mid) >= needed {
+                if gain_at(pages, mid, eta) >= needed {
                     hi = mid;
                 } else {
                     lo = mid;
@@ -508,23 +690,48 @@ mod tests {
             a,
             b,
             w,
+            wid: 0,
             a_start: a,
             i_start: 1,
         }
     }
 
-    /// `stop_time` against the reference, bit for bit; returns the
-    /// evaluation count when the segment contains a stop.
-    fn check_stop(pages: &[ActivePage], needed: f64, tau_event: f64, eta: f64) -> Option<u32> {
+    /// Give `pages` dense weight ids, and the memo they index.
+    fn with_ids(pages: &mut [ActivePage]) -> ExpMemo {
+        let mut weights: Vec<f64> = pages.iter().map(|ap| ap.w).collect();
+        weights.sort_by(f64::total_cmp);
+        weights.dedup();
+        for ap in pages.iter_mut() {
+            ap.wid = weights.partition_point(|&w| w < ap.w) as u32;
+        }
+        ExpMemo::new(weights)
+    }
+
+    /// `stop_time` against the reference, bit for bit, and the `exp` the
+    /// advance then reads against a real one; returns the stop's cost when
+    /// the segment contains a stop.
+    fn check_stop(pages: &[ActivePage], needed: f64, tau_event: f64, eta: f64) -> Option<StopCost> {
         let want = stop_time_reference(pages, needed, tau_event, eta);
-        let (got, evals) = stop_time(pages, needed, tau_event, eta);
+        let mut pages = pages.to_vec();
+        let mut memo = with_ids(&mut pages);
+        let (got, cost) = stop_time(&pages, &mut memo, needed, tau_event, eta);
         assert_eq!(
             got.map(f64::to_bits),
             want.map(f64::to_bits),
             "stop_time {got:?} != reference {want:?}: needed={needed:e} \
              tau_event={tau_event:e} eta={eta:e} pages={pages:?}"
         );
-        got.map(|_| evals)
+        let tau = got.unwrap_or(tau_event);
+        let e = memo.at(tau);
+        for ap in &pages {
+            assert_eq!(
+                e[ap.wid as usize].to_bits(),
+                (tau / ap.w).exp().to_bits(),
+                "advance at tau = {tau:e}, w = {}",
+                ap.w
+            );
+        }
+        got.map(|_| cost)
     }
 
     /// A random segment: `a` uniform (a fifth exactly 0), `b − a` a uniform
@@ -553,16 +760,30 @@ mod tests {
             .collect()
     }
 
+    /// A deficit for a random segment: mostly a stop somewhere inside it;
+    /// sometimes far down near the origin, sometimes past the event (no
+    /// stop); never below what the eviction phase acts on.
+    fn random_needed(rng: &mut StdRng, case: u32, full: f64) -> f64 {
+        match case % 7 {
+            0 => full * 10f64.powf(-5.0 * rng.gen::<f64>()),
+            1 => full * (1.0 + rng.gen::<f64>()),
+            _ => full * rng.gen::<f64>(),
+        }
+        .max(EPS * (1.0 + 1e-9))
+    }
+
     /// ≥ 10⁵ seeded stops, bit for bit, and what they cost. Locating the
     /// float the bisection returns takes at least `log₂` of the stretch of
     /// `τ` (in ulps) over which the rounding noise of the summed gain hides
     /// the stop — a few ulps when the deficit is a sizeable fraction of a
     /// page, ~2²⁷ when it sits at `EPS` under `η = 10` — so the evaluation
     /// bound is stated separately for deficits of at least 1 % of a page.
+    /// The `exp` calls per stop are reported beside the evaluations.
     #[test]
     fn stop_time_matches_the_70_step_bisection_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(0x57_0915);
-        let (mut stops, mut total, mut max, mut max_resolved) = (0u64, 0u64, 0u32, 0u32);
+        let (mut stops, mut total, mut exps, mut max, mut max_resolved) =
+            (0u64, 0u64, 0u64, 0u32, 0u32);
         for case in 0..120_000u32 {
             let eta = [1e-3, 1.0 / 128.0, 1.0 / 16.0, 0.5, 10.0][case as usize % 5];
             let n = if case % 100 == 0 {
@@ -576,32 +797,96 @@ mod tests {
                 _ => random_pages(&mut rng, n, |_| 16.0),
             };
             let tau_event = time_to_first_event(&pages, eta);
-            let full = gain_and_slope(&pages, tau_event, eta).0;
-            // Mostly a stop somewhere inside the segment; sometimes far
-            // down near the origin, sometimes past the event (no stop);
-            // never below what the eviction phase acts on.
-            let needed = match case % 7 {
-                0 => full * 10f64.powf(-5.0 * rng.gen::<f64>()),
-                1 => full * (1.0 + rng.gen::<f64>()),
-                _ => full * rng.gen::<f64>(),
-            }
-            .max(EPS * (1.0 + 1e-9));
-            if let Some(evals) = check_stop(&pages, needed, tau_event, eta) {
+            let needed = random_needed(&mut rng, case, gain_at(&pages, tau_event, eta));
+            if let Some(cost) = check_stop(&pages, needed, tau_event, eta) {
                 stops += 1;
-                total += u64::from(evals);
-                max = max.max(evals);
+                total += u64::from(cost.evals);
+                exps += u64::from(cost.exps);
+                max = max.max(cost.evals);
                 if needed >= 0.01 {
-                    max_resolved = max_resolved.max(evals);
+                    max_resolved = max_resolved.max(cost.evals);
                 }
             }
         }
         assert!(stops >= 100_000, "only {stops} of the cases had a stop");
         let mean = total as f64 / stops as f64;
+        let mean_exps = exps as f64 / stops as f64;
         assert!(
-            mean <= 16.0 && max_resolved <= 24 && max <= 40,
+            mean <= 16.0 && max_resolved <= 24 && max <= 40 && mean_exps <= MEAN_EXPS_BOUND,
             "evaluations per stop: mean {mean:.2}, max {max_resolved} at needed >= 0.01, \
-             max {max} overall (the reference takes 71)"
+             max {max} overall (the reference takes 71); exp calls per stop: mean \
+             {mean_exps:.2}"
         );
+    }
+
+    /// An evaluation calls `exp` at most once per distinct weight of the
+    /// segment: once on a segment of equal weights, at most 9 times on the
+    /// nine power-of-two classes of `weights_pow2_classes(_, 8, _)`.
+    #[test]
+    fn exp_calls_per_evaluation_are_bounded_by_distinct_weights() {
+        let mut rng = StdRng::seed_from_u64(0xe_0928);
+        let pow2 = weights_pow2_classes(256, 8, 3);
+        for case in 0..2_000u32 {
+            let eta = [1e-3, 1.0 / 32.0, 10.0][case as usize % 3];
+            let (distinct, mut pages) = if case % 2 == 0 {
+                (1, random_pages(&mut rng, 256, |_| 16.0))
+            } else {
+                let mut w = pow2.iter();
+                let pages = random_pages(&mut rng, 256, |_| *w.next().unwrap_or(&1) as f64);
+                (9, pages)
+            };
+            let mut memo = with_ids(&mut pages);
+            let tau_event = time_to_first_event(&pages, eta);
+            let needed = random_needed(&mut rng, case, gain_at(&pages, tau_event, eta));
+            let (_, cost) = stop_time(&pages, &mut memo, needed, tau_event, eta);
+            assert!(memo.ids.len() <= distinct, "{} weight ids", memo.ids.len());
+            // Every fill calls `exp` at most once per listed id.
+            if distinct == 1 {
+                assert_eq!(cost.exps, cost.evals, "case {case}");
+            } else {
+                assert!(cost.exps <= 9 * cost.evals, "case {case}: {cost:?}");
+            }
+        }
+    }
+
+    /// Inside an evaluated bracket, a weight whose two ends agree takes
+    /// their value; at a bracket end or outside it, and in the debug
+    /// re-evaluation of an inferred decision, every weight is evaluated.
+    #[test]
+    fn a_probe_outside_the_bracket_takes_no_squeezed_value() {
+        let eta = 1.0 / 128.0;
+        let heavy = (1u64 << 40) as f64;
+        let mut pages = vec![page(0.0, 1.0, 1.0), page(0.0, 1.0, heavy)];
+        let mut memo = with_ids(&mut pages);
+        memo.begin_segment(&pages);
+        let (below, above) = (1.0, 1.0 + 1e-6);
+        let mut search = StopSearch {
+            pages: &pages,
+            memo: &mut memo,
+            needed: gain_at(&pages, above, eta),
+            eta,
+            cost: StopCost::default(),
+        };
+        search.probe::<false>(above);
+        search.probe::<false>(below);
+        assert_eq!((search.memo.below, search.memo.above), (below, above));
+        let settled = |tau: f64| (tau / heavy).exp();
+        assert_eq!(settled(below), settled(above), "the heavy weight settles");
+        assert_ne!(settled(below), settled(2.0));
+
+        assert_eq!(search.memo.fill(0.5 * (below + above)), 1);
+        for tau in [0.0, 0.5, below, above, 2.0, 1e3] {
+            assert_eq!(search.memo.fill(tau), 2, "tau = {tau}");
+            assert_eq!(search.memo.at_tau[1], settled(tau));
+        }
+        // Past the bracket `P` is inferred; a debug build re-evaluates it
+        // there, from real `exp` calls.
+        search.memo.at_tau.fill(0.0);
+        assert!(search.reached(2.0));
+        if cfg!(debug_assertions) {
+            assert_eq!(search.memo.at_tau[1], settled(2.0));
+        }
+        assert_eq!(search.cost.evals, 2);
     }
 
     #[test]
@@ -619,9 +904,9 @@ mod tests {
         let single = vec![page(0.3, 1.0, 32.0)];
         for pages in [&mixed, &equal, &single] {
             let tau_event = time_to_first_event(pages, eta);
-            let full = gain_and_slope(pages, tau_event, eta).0;
-            let almost = gain_and_slope(pages, tau_event * (1.0 - f64::EPSILON), eta).0;
-            let first = gain_and_slope(pages, tau_event * f64::EPSILON, eta).0;
+            let full = gain_at(pages, tau_event, eta);
+            let almost = gain_at(pages, tau_event * (1.0 - f64::EPSILON), eta);
+            let first = gain_at(pages, tau_event * f64::EPSILON, eta);
             for needed in [
                 // Root at, and within an ulp of, tau_event.
                 full,
