@@ -47,31 +47,6 @@ where
     })
 }
 
-/// Serve a writeback trace with a [`crate::PolicyRegistry`] spec through
-/// the same reduction: the spec is instantiated on the *reduced* RW
-/// instance, so `"randomized"` here is exactly the paper's writeback
-/// algorithm (Theorem 1.3 route).
-pub fn run_spec_on_writeback(
-    registry: &crate::PolicyRegistry,
-    spec: &str,
-    wb: &WbInstance,
-    wb_trace: &[WbRequest],
-    seed: u64,
-) -> Result<WbViaRwResult, String> {
-    let rw_inst = wb_to_rw_instance(wb);
-    let rw_trace = wb_to_rw_trace(wb_trace);
-    let mut policy = registry.build(spec, &rw_inst, seed)?;
-    let res = run_policy(&rw_inst, &rw_trace, policy.as_mut(), true)
-        .map_err(|e| format!("`{spec}` failed on the reduced instance: {e}"))?;
-    // `run_policy(.., true)` always records steps; default to empty if not.
-    let steps = res.steps.unwrap_or_default();
-    let induced = rw_run_wb_cost(wb, wb_trace, &steps);
-    Ok(WbViaRwResult {
-        rw_cost: res.ledger.eviction_cost,
-        induced,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,17 +75,5 @@ mod tests {
         let trace = wb_zipf_trace(&wb, 1.0, 800, 0.0, 0.0, 0.0, 8);
         let res = run_ml_policy_on_writeback(&wb, &trace, WaterFill::new).unwrap();
         assert_eq!(res.induced.dirty_evictions, 0);
-    }
-
-    #[test]
-    fn registry_spec_matches_direct_construction() {
-        let wb = WbInstance::uniform(4, 16, 64, 1).unwrap();
-        let trace = wb_zipf_trace(&wb, 1.0, 1000, 0.4, 0.8, 0.1, 5);
-        let reg = crate::PolicyRegistry::standard();
-        let via_spec = run_spec_on_writeback(&reg, "waterfill", &wb, &trace, 0).unwrap();
-        let direct = run_ml_policy_on_writeback(&wb, &trace, WaterFill::new).unwrap();
-        assert_eq!(via_spec.rw_cost, direct.rw_cost);
-        assert_eq!(via_spec.induced.cost, direct.induced.cost);
-        assert!(run_spec_on_writeback(&reg, "nope", &wb, &trace, 0).is_err());
     }
 }

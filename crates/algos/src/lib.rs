@@ -48,7 +48,7 @@ pub mod rounding;
 pub mod waterfill;
 pub mod wb_baselines;
 
-pub use adapters::{run_ml_policy_on_writeback, run_spec_on_writeback, WbViaRwResult};
+pub use adapters::{run_ml_policy_on_writeback, WbViaRwResult};
 pub use baselines::{Fifo, Landlord, Lru, Marking};
 pub use fractional::FracMultiplicative;
 pub use quantize::Quantized;

@@ -14,9 +14,8 @@
 use std::sync::Arc;
 
 use wmlp_core::instance::MlInstance;
-use wmlp_offline::DpLimits;
-
-use crate::opt::shared_opt;
+use wmlp_flow::weighted_paging_opt;
+use wmlp_offline::{opt_multilevel, DpLimits};
 use wmlp_sim::runner::{Manifest, Scenario};
 use wmlp_workloads::{cyclic_trace, zipf_trace, LevelDist};
 
@@ -54,7 +53,7 @@ fn part_a() -> (Table, Manifest) {
         let n = k + 1;
         let inst = MlInstance::unweighted_paging(k, n).unwrap();
         let trace = cyclic_trace(&inst, 60 * n);
-        let opt = shared_opt().flow_opt(&inst, &trace);
+        let opt = weighted_paging_opt(&inst, &trace);
         let label = format!("cyclic-k{k}");
         meta.push((k, label.clone(), opt, trace.len()));
         scenarios.push(Scenario::new(label, inst, trace).policies(["waterfill", "lru"]));
@@ -104,9 +103,7 @@ fn part_b() -> (Table, Manifest) {
             LevelDist::TopProb(0.3),
             41 + k as u64,
         ));
-        let opt = shared_opt()
-            .dp_opt(&inst, &trace, DpLimits::default())
-            .fetch_cost;
+        let opt = opt_multilevel(&inst, &trace, DpLimits::default()).fetch_cost;
         let label = format!("zipf-k{k}");
         meta.push((k, label.clone(), opt));
         scenarios.push(
@@ -168,7 +165,7 @@ fn part_c() -> (Table, Manifest) {
                 .expect("registry policy");
             let trace = wmlp_sim::adversary::adaptive_trace(&inst, policy.as_mut(), len)
                 .expect("policy feasible under the adversary");
-            let opt = shared_opt().flow_opt(&inst, &trace);
+            let opt = weighted_paging_opt(&inst, &trace);
             let scenario = Scenario::new(format!("adaptive-k{k}"), inst.clone(), trace);
             let (record, _) = runner
                 .run_cell(&scenario, name, 0, false)

@@ -13,9 +13,9 @@
 
 use wmlp_algos::FracMultiplicative;
 use wmlp_core::instance::MlInstance;
-use wmlp_offline::DpLimits;
-
-use crate::opt::shared_opt;
+use wmlp_flow::weighted_paging_opt;
+use wmlp_lp::multilevel_paging_lp_opt;
+use wmlp_offline::{opt_multilevel, DpLimits};
 use wmlp_sim::frac_engine::run_fractional;
 use wmlp_workloads::{cyclic_trace, zipf_trace, LevelDist};
 
@@ -44,7 +44,7 @@ fn part_a() -> Table {
         let n = k + 1;
         let inst = MlInstance::unweighted_paging(k, n).unwrap();
         let trace = cyclic_trace(&inst, 60 * n);
-        let opt = shared_opt().flow_opt(&inst, &trace) as f64;
+        let opt = weighted_paging_opt(&inst, &trace) as f64;
         let fc = frac_cost(&inst, &trace);
         let ratio = fc / opt;
         t.row(vec![
@@ -67,13 +67,11 @@ fn part_b() -> Table {
         let rows: Vec<Vec<u64>> = (0..5).map(|_| vec![8, 2]).collect();
         let inst = MlInstance::from_rows(k, rows).unwrap();
         let trace = zipf_trace(&inst, 0.8, 28, LevelDist::TopProb(0.4), 7 + k as u64);
-        let lp = shared_opt()
-            .lp_opt_value(&inst, &trace)
+        let lp = multilevel_paging_lp_opt(&inst, &trace)
             .expect("tiny LP instance is solvable")
+            .value
             / 2.0;
-        let dp = shared_opt()
-            .dp_opt(&inst, &trace, DpLimits::default())
-            .eviction_cost;
+        let dp = opt_multilevel(&inst, &trace, DpLimits::default()).eviction_cost;
         let fc = frac_cost(&inst, &trace);
         t.row(vec![
             k.to_string(),
@@ -109,7 +107,7 @@ mod tests {
             let frac: f64 = t.cell(r, 4).parse().unwrap();
             // Online fractional cost can never beat the offline fractional
             // optimum (after the factor-2 prefix-objective correction).
-            assert!(frac >= lp2 / 2.0 - 1e-6, "frac {frac} < lp/4 {lp2}");
+            assert!(frac >= lp2 - 1e-6, "frac {frac} < lp/2 {lp2}");
         }
     }
 }

@@ -21,9 +21,9 @@
 
 use std::sync::Arc;
 
-use crate::opt::shared_opt;
 use wmlp_algos::{FracMultiplicative, RandomizedMlPaging};
 use wmlp_core::instance::MlInstance;
+use wmlp_flow::weighted_paging_opt;
 use wmlp_sim::frac_engine::run_fractional;
 use wmlp_sim::runner::Scenario;
 use wmlp_workloads::{weights_pow2_classes, zipf_trace, LevelDist};
@@ -57,7 +57,7 @@ pub fn run() -> ExperimentOutput {
         let weights = weights_pow2_classes(n, 5, 100 + k as u64);
         let inst = Arc::new(MlInstance::weighted_paging(k, weights).unwrap());
         let trace = Arc::new(zipf_trace(&inst, 1.0, 2500, LevelDist::Top, 500 + k as u64));
-        let opt = shared_opt().flow_opt(&inst, &trace) as f64;
+        let opt = weighted_paging_opt(&inst, &trace) as f64;
 
         let mut frac = FracMultiplicative::new(&inst);
         let fc = run_fractional(&inst, &trace, &mut frac, 128, None)

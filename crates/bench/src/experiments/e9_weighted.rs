@@ -12,8 +12,8 @@
 
 use std::sync::Arc;
 
-use crate::opt::shared_opt;
 use wmlp_core::instance::{MlInstance, Request};
+use wmlp_flow::weighted_paging_opt;
 use wmlp_sim::runner::{RunRecord, Scenario};
 use wmlp_workloads::{scan_trace, weights_pow2_classes, zipf_trace, LevelDist};
 
@@ -119,7 +119,7 @@ fn ratios_table() -> (Table, Vec<RunRecord>) {
     let mut scenarios = Vec::new();
     let mut meta = Vec::new();
     for (name, trace) in traces {
-        let opt = shared_opt().flow_opt(&inst, &trace) as f64;
+        let opt = weighted_paging_opt(&inst, &trace) as f64;
         let trace = Arc::new(trace);
         meta.push((name, opt));
         // Seed 3 matches the historical marking run; the deterministic

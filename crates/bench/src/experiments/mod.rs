@@ -182,6 +182,20 @@ mod tests {
     }
 
     #[test]
+    fn wb_reduction_cell_matches_direct_construction() {
+        use wmlp_algos::{run_ml_policy_on_writeback, WaterFill};
+        use wmlp_workloads::wb::wb_zipf_trace;
+
+        let wb = WbInstance::uniform(4, 16, 64, 1).unwrap();
+        let trace = wb_zipf_trace(&wb, 1.0, 1000, 0.4, 0.8, 0.1, 5);
+        let (record, induced) =
+            wb_reduction_cell(&standard_runner(), "wb", &wb, &trace, "waterfill", 0);
+        let direct = run_ml_policy_on_writeback(&wb, &trace, WaterFill::new).unwrap();
+        assert_eq!(record.cost, direct.rw_cost);
+        assert_eq!(induced.cost, direct.induced.cost);
+    }
+
+    #[test]
     #[should_panic(expected = "unknown policy")]
     fn unknown_spec_in_grid_panics() {
         let inst = Arc::new(MlInstance::unweighted_paging(1, 3).unwrap());

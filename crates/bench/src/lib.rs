@@ -16,15 +16,20 @@
 //! | E8 | writeback-awareness beats oblivious caching as `w1/w2` grows |
 //! | E9 | the simple `ℓ=1` rounding vs classical weighted paging (§1.2) |
 //! | E10 | ablations of `β` (rounding) and `η` (fractional update) |
+//! | E11 | multi-phase lower-bound construction: online pays a per-phase set-cover blowup (Thm 3.6) |
 //!
 //! Run them with `cargo run -p wmlp-bench --release --bin experiments --
 //! all` (or a list of ids). The in-process timing grid is [`perf`] (the
 //! `perf` binary); the serving stack is timed by `benchmark/run.sh`.
+//!
+//! Each experiment calls the offline solver it divides by
+//! (`wmlp_flow::weighted_paging_opt`, `wmlp_offline::opt_multilevel` or
+//! `wmlp_lp::multilevel_paging_lp_opt`) once per trace, outside the policy
+//! grid.
 
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod opt;
 pub mod perf;
 pub mod table;
 

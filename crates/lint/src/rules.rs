@@ -3,7 +3,7 @@
 //!
 //! | id | finding | scope |
 //! |----|---------|-------|
-//! | D1 | `HashMap`/`HashSet` (iteration-order nondeterminism) | non-test code of manifest-feeding crates (`core`, `sim`, `algos`, `offline`) plus path-scoped modules that feed them (the bench OPT cache) |
+//! | D1 | `HashMap`/`HashSet` (iteration-order nondeterminism) | non-test code of manifest-feeding crates (`core`, `sim`, `algos`, `offline`, `router`) |
 //! | D2 | `Instant::now`/`SystemTime` (wall time in serialized paths) | non-test code outside the allowlisted benchmark timing paths |
 //! | D3 | `thread_rng`/`from_entropy` (unseeded randomness) | all non-vendor code, tests included |
 //! | P1 | `.unwrap()`/`.expect(`/`panic!`/`todo!`/`unimplemented!` | library code of `core`, `sim`, `algos`, `flow`, `lp` |
@@ -155,10 +155,6 @@ impl FileScope {
 /// replay manifests — iteration order over its override maps is
 /// byte-visible output.
 const D1_CRATES: &[&str] = &["core", "sim", "algos", "offline", "router"];
-/// Path-scoped D1 extensions outside those crates: the bench-side OPT
-/// memo cache hands values straight to manifest-producing experiments, so
-/// it must stay `BTreeMap`-only even though the rest of `bench` is exempt.
-const D1_EXTRA_PATHS: &[&str] = &["crates/bench/src/opt.rs"];
 /// Crates whose library code must be panic-free: P1 applies. The router
 /// sits on the per-request serving path, so a panic there takes the
 /// whole server's routing thread down.
@@ -196,10 +192,7 @@ fn rule_applies(rule: &str, scope: &FileScope, in_test_region: bool) -> bool {
     let krate = scope.krate.as_str();
     let is_test = scope.kind == FileKind::Test || in_test_region;
     match rule {
-        "D1" => {
-            (D1_CRATES.contains(&krate) || D1_EXTRA_PATHS.iter().any(|p| scope.rel.starts_with(p)))
-                && !is_test
-        }
+        "D1" => D1_CRATES.contains(&krate) && !is_test,
         "D2" => !D2_ALLOWED_PATHS.iter().any(|p| scope.rel.starts_with(p)) && !is_test,
         // Seeded randomness is load-bearing even in tests: an unseeded
         // test is a flaky test.
@@ -680,20 +673,6 @@ mod tests {
         let src = "use std::collections::HashMap;\n";
         assert_eq!(scan("sim", src).len(), 1);
         assert_eq!(scan("lp", src).len(), 0);
-    }
-
-    #[test]
-    fn d1_extra_paths_cover_the_bench_opt_cache() {
-        let src = "use std::collections::HashMap;\n";
-        let rel = "crates/bench/src/opt.rs";
-        let scope = FileScope::from_rel_path(rel).unwrap();
-        let d = scan_source(rel, src, &scope);
-        assert_eq!(d.len(), 1, "opt cache module is D1-scoped");
-        assert_eq!(d[0].rule, "D1");
-        // The rest of the bench crate stays exempt.
-        let rel = "crates/bench/src/table.rs";
-        let scope = FileScope::from_rel_path(rel).unwrap();
-        assert!(scan_source(rel, src, &scope).is_empty());
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! * [`runner`] — the scenario runner: declarative [`runner::Scenario`]
 //!   grids (policy × workload × k × seed) executed in parallel with
 //!   deterministic, thread-count-independent output and JSON manifests.
-//! * [`opt_cache`] — a content-hash-keyed memo cache so a grid solves each
-//!   distinct offline OPT exactly once, shared across policy rows and
-//!   parallel workers.
+//! * [`stats`] — per-run counters, per-weight-class cost breakdowns and a
+//!   log-bucketed latency histogram.
+//! * [`adversary`] — the adaptive Sleator–Tarjan adversary that requests
+//!   whatever a deterministic policy does not have cached.
 //! * [`sweep`] — rayon-powered helpers for running experiment grids in
 //!   parallel.
 
@@ -23,18 +24,16 @@
 pub mod adversary;
 pub mod engine;
 pub mod frac_engine;
-pub mod opt_cache;
 pub mod runner;
 pub mod stats;
 pub mod sweep;
 
 pub use adversary::adaptive_trace;
-pub use opt_cache::{opt_key, OptCache};
 
 pub use engine::{
     run_policy, BatchLog, RunResult, SimError, SimSession, StepOutcome, StoreRequest,
 };
 pub use frac_engine::{run_fractional, FracRunResult};
 pub use runner::{Manifest, RunRecord, Runner, Scenario};
-pub use stats::{miss_timeline, ClassBreakdown, Histogram, RunCounters};
-pub use sweep::{geo_mean, mean_and_stdev, par_grid, par_seeds};
+pub use stats::{ClassBreakdown, Histogram, RunCounters};
+pub use sweep::{mean_and_stdev, par_grid, par_seeds};

@@ -339,11 +339,6 @@ impl Manifest {
         std::fs::write(&path, self.to_json())?;
         Ok(path)
     }
-
-    /// Records of one scenario, in grid order.
-    pub fn scenario_runs<'a>(&'a self, label: &'a str) -> impl Iterator<Item = &'a RunRecord> {
-        self.runs.iter().filter(move |r| r.scenario == label)
-    }
 }
 
 #[cfg(test)]
@@ -410,7 +405,6 @@ mod tests {
         assert_eq!(m.runs[0].cost, 4 + 2 + 1 + 4);
         assert_eq!(m.runs[0].counters.requests, 4);
         assert_eq!(m.runs[0].counters.hits, 0);
-        assert_eq!(m.scenario_runs("demo").count(), 2);
     }
 
     #[test]

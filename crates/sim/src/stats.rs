@@ -1,4 +1,5 @@
-//! Run statistics: per-weight-class cost breakdowns and miss timelines.
+//! Run statistics: per-run counters, per-weight-class cost breakdowns and
+//! a log-bucketed histogram.
 //!
 //! The rounding algorithm's reset logic and the competitive analysis both
 //! argue per weight class (`P_i = {w ∈ (2^{i-1}, 2^i]}`), so experiment
@@ -6,7 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 use wmlp_core::action::{Action, StepLog};
-use wmlp_core::instance::{MlInstance, Request};
+use wmlp_core::instance::MlInstance;
 use wmlp_core::types::{num_weight_classes, weight_class, Level, Weight};
 
 /// Allocation-free per-run counters collected by the engine as it drives
@@ -274,23 +275,6 @@ impl Histogram {
     }
 }
 
-/// Fraction of requests missed (i.e. triggering at least one fetch) per
-/// time bin of width `bin`; useful for plotting warmup and phase shifts.
-pub fn miss_timeline(trace: &[Request], steps: &[StepLog], bin: usize) -> Vec<f64> {
-    assert!(bin >= 1);
-    assert_eq!(trace.len(), steps.len());
-    steps
-        .chunks(bin)
-        .map(|chunk| {
-            let misses = chunk
-                .iter()
-                .filter(|s| s.actions.iter().any(|a| a.is_fetch()))
-                .count();
-            misses as f64 / chunk.len() as f64
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,25 +389,5 @@ mod tests {
         assert_eq!(h.quantile(1.0), u64::MAX);
         // The p50 lower bound cannot exceed the true maximum.
         assert!(h.quantile(0.5) <= h.max());
-    }
-
-    #[test]
-    fn miss_timeline_bins() {
-        let trace = vec![Request::top(0); 6];
-        let steps = vec![
-            step(vec![Action::Fetch(CopyRef::new(0, 1))]),
-            step(vec![]),
-            step(vec![]),
-            step(vec![
-                Action::Evict(CopyRef::new(0, 1)),
-                Action::Fetch(CopyRef::new(0, 2)),
-            ]),
-            step(vec![]),
-            step(vec![]),
-        ];
-        let tl = miss_timeline(&trace, &steps, 3);
-        assert_eq!(tl.len(), 2);
-        assert!((tl[0] - 1.0 / 3.0).abs() < 1e-12);
-        assert!((tl[1] - 1.0 / 3.0).abs() < 1e-12);
     }
 }

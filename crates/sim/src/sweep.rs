@@ -36,15 +36,6 @@ pub fn mean_and_stdev(xs: &[f64]) -> Option<(f64, f64)> {
     Some((mean, var.sqrt()))
 }
 
-/// Geometric mean, for aggregating ratios across heterogeneous workloads;
-/// `None` on empty or non-positive input.
-pub fn geo_mean(xs: &[f64]) -> Option<f64> {
-    if xs.is_empty() || xs.iter().any(|&x| x <= 0.0) {
-        return None;
-    }
-    Some((xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,14 +60,10 @@ mod tests {
         let (m, s) = mean_and_stdev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]).unwrap();
         assert!((m - 5.0).abs() < 1e-12);
         assert!((s - 2.0).abs() < 1e-12);
-        assert!((geo_mean(&[1.0, 4.0]).unwrap() - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn stats_reject_degenerate_input() {
         assert_eq!(mean_and_stdev(&[]), None);
-        assert_eq!(geo_mean(&[]), None);
-        assert_eq!(geo_mean(&[1.0, 0.0]), None);
-        assert_eq!(geo_mean(&[2.0, -1.0]), None);
     }
 }
