@@ -12,21 +12,26 @@
 //! presence, hurting heavy pages. Expected shape: cost is minimized near `η = 1/k`
 //! within a modest factor.
 //!
-//! The β sweep exercises the registry's parameterized specs
-//! (`randomized(eta=…,beta=…)`) through the shared runner; reset
-//! telemetry comes from a directly-constructed pass over the same seeds.
+//! Each `(β, seed)` cell of the β sweep builds `RandomizedMlPaging`
+//! itself and is recorded under the registry spec that builds the same
+//! policy (`randomized(eta=…,beta=…)`), so one run yields both the
+//! manifest record and the policy-internal reset telemetry.
 
 use std::sync::Arc;
 
 use wmlp_algos::rounding::default_beta;
 use wmlp_algos::{FracMultiplicative, RandomizedMlPaging};
 use wmlp_core::instance::MlInstance;
+use wmlp_core::policy::FractionalPolicy;
 use wmlp_sim::frac_engine::run_fractional;
-use wmlp_sim::runner::{RunRecord, Scenario};
+use wmlp_sim::runner::{Manifest, RunRecord, Scenario};
+use wmlp_sim::sweep::par_grid;
 use wmlp_workloads::{weights_pow2_classes, zipf_trace, LevelDist};
 
-use super::{run_grid, seed_mean_stdev, ExperimentOutput};
+use super::{randomized_cell, seed_mean_stdev, ExperimentOutput};
 use crate::table::{fr, Table};
+
+const SEEDS: usize = 6;
 
 /// Run E10.
 pub fn run() -> ExperimentOutput {
@@ -45,25 +50,43 @@ fn quantization_ablation() -> Table {
     let k = 16;
     let inst = MlInstance::weighted_paging(k, weights_pow2_classes(64, 5, 13)).unwrap();
     let trace = zipf_trace(&inst, 1.0, 4000, LevelDist::Top, 31);
-    let raw = {
-        let mut alg = FracMultiplicative::new(&inst);
-        run_fractional(&inst, &trace, &mut alg, 256, None)
+    // `None` is the unquantized stream every ratio is taken against.
+    let deltas = [
+        None,
+        Some(1.0 / (64.0 * k as f64)),
+        Some(1.0 / (4.0 * k as f64)),
+        Some(1.0 / k as f64),
+        Some(0.25),
+    ];
+    let costs = par_grid(&deltas, |&delta| {
+        let frac = FracMultiplicative::new(&inst);
+        let mut alg: Box<dyn FractionalPolicy> = match delta {
+            None => Box::new(frac),
+            Some(delta) => Box::new(Quantized::with_delta(&inst, frac, delta)),
+        };
+        run_fractional(&inst, &trace, alg.as_mut(), 256, None)
             .expect("feasible")
             .cost
-    };
-    for delta in [
-        1.0 / (64.0 * k as f64),
-        1.0 / (4.0 * k as f64),
-        1.0 / k as f64,
-        0.25,
-    ] {
-        let mut alg = Quantized::with_delta(&inst, FracMultiplicative::new(&inst), delta);
-        let cost = run_fractional(&inst, &trace, &mut alg, 256, None)
-            .expect("feasible")
-            .cost;
-        t.row(vec![fr(delta), fr(raw), fr(cost), fr(cost / raw)]);
+    });
+    let raw = costs[0];
+    for (delta, &cost) in deltas[1..].iter().flatten().zip(&costs[1..]) {
+        t.row(vec![fr(*delta), fr(raw), fr(cost), fr(cost / raw)]);
     }
     t
+}
+
+/// The β sweep's cells, `(β/β0, β, spec)`, for the paper's `η = 1/k`.
+/// `{}` on f64 prints the shortest round-trip representation, so each
+/// spec re-parses to exactly its β.
+pub(crate) fn beta_specs(k: usize) -> Vec<(f64, f64, String)> {
+    let eta = 1.0 / k as f64;
+    [0.25f64, 0.5, 1.0, 2.0, 4.0]
+        .into_iter()
+        .map(|mult| {
+            let beta = (default_beta(k) * mult).max(1.01);
+            (mult, beta, format!("randomized(eta={eta},beta={beta})"))
+        })
+        .collect()
 }
 
 fn beta_ablation() -> (Table, Vec<RunRecord>) {
@@ -81,42 +104,45 @@ fn beta_ablation() -> (Table, Vec<RunRecord>) {
     let k = 16;
     let inst = Arc::new(MlInstance::weighted_paging(k, weights_pow2_classes(64, 5, 13)).unwrap());
     let trace = Arc::new(zipf_trace(&inst, 1.0, 4000, LevelDist::Top, 31));
-    let beta0 = default_beta(k);
     let eta = 1.0 / k as f64;
-    let seeds: Vec<u64> = (0..6).collect();
-
-    let mut scenarios = Vec::new();
-    let mut meta = Vec::new();
-    for mult in [0.25f64, 0.5, 1.0, 2.0, 4.0] {
-        let beta = (beta0 * mult).max(1.01);
-        // `{}` on f64 prints the shortest round-trip representation, so
-        // the spec re-parses to exactly this beta.
-        let spec = format!("randomized(eta={eta},beta={beta})");
-        meta.push((mult, beta, spec.clone()));
-        scenarios.push(
-            Scenario::new(format!("beta-x{mult}"), inst.clone(), trace.clone())
-                .policies([spec])
-                .seeds(seeds.iter().copied()),
-        );
-    }
-    let m = run_grid("e10a", &scenarios);
-    for (mult, beta, spec) in meta {
-        let label = format!("beta-x{mult}");
-        let (mean, sd) = seed_mean_stdev(&m, &label, &spec);
-        let reset_runs: Vec<(f64, f64)> = wmlp_sim::sweep::par_seeds(&seeds, |s| {
-            let mut alg = RandomizedMlPaging::new(&inst, eta, beta, s);
-            wmlp_sim::engine::run_policy(&inst, &trace, &mut alg, false).expect("feasible");
-            let (resets, reset_cost) = alg.reset_stats();
-            (resets as f64, reset_cost as f64)
-        });
-        let resets = reset_runs.iter().map(|r| r.0).sum::<f64>() / reset_runs.len() as f64;
-        let reset_cost = reset_runs.iter().map(|r| r.1).sum::<f64>() / reset_runs.len() as f64;
+    let rows: Vec<(f64, f64, String, Scenario)> = beta_specs(k)
+        .into_iter()
+        .map(|(mult, beta, spec)| {
+            let sc = Scenario::new(format!("beta-x{mult}"), inst.clone(), trace.clone());
+            (mult, beta, spec, sc)
+        })
+        .collect();
+    let cells: Vec<(f64, &str, &Scenario, u64)> = rows
+        .iter()
+        .flat_map(|(_, beta, spec, sc)| {
+            (0..SEEDS as u64).map(move |seed| (*beta, spec.as_str(), sc, seed))
+        })
+        .collect();
+    let (runs, resets): (Vec<_>, Vec<_>) = par_grid(&cells, |&(beta, spec, sc, seed)| {
+        randomized_cell(
+            sc,
+            spec,
+            seed,
+            RandomizedMlPaging::new(&inst, eta, beta, seed),
+        )
+    })
+    .into_iter()
+    .unzip();
+    let m = Manifest {
+        name: "e10a".into(),
+        runs,
+    };
+    for ((mult, beta, spec, sc), resets) in rows.iter().zip(resets.chunks(SEEDS)) {
+        let (mean, sd) = seed_mean_stdev(&m, &sc.label, spec);
+        let n = resets.len() as f64;
+        let reset_count = resets.iter().map(|&(count, _)| count as f64).sum::<f64>() / n;
+        let reset_cost = resets.iter().map(|&(_, cost)| cost as f64).sum::<f64>() / n;
         t.row(vec![
-            fr(mult),
-            fr(beta),
+            fr(*mult),
+            fr(*beta),
             fr(mean),
             fr(sd),
-            fr(resets),
+            fr(reset_count),
             fr(reset_cost / mean),
         ]);
     }
@@ -131,12 +157,14 @@ fn eta_ablation() -> Table {
     let k = 16;
     let inst = MlInstance::weighted_paging(k, weights_pow2_classes(64, 5, 13)).unwrap();
     let trace = zipf_trace(&inst, 1.0, 4000, LevelDist::Top, 31);
-    for mult in [0.1f64, 0.5, 1.0, 2.0, 10.0, 16.0] {
-        let eta = mult / k as f64;
+    let etas = [0.1f64, 0.5, 1.0, 2.0, 10.0, 16.0].map(|mult| (mult, mult / k as f64));
+    let costs = par_grid(&etas, |&(_, eta)| {
         let mut alg = FracMultiplicative::with_eta(&inst, eta);
-        let cost = run_fractional(&inst, &trace, &mut alg, 256, None)
+        run_fractional(&inst, &trace, &mut alg, 256, None)
             .expect("feasible")
-            .cost;
+            .cost
+    });
+    for (&(mult, eta), cost) in etas.iter().zip(costs) {
         t.row(vec![fr(mult), fr(eta), fr(cost)]);
     }
     t

@@ -12,12 +12,10 @@
 //! Expected shape: `loss/β` bounded by a small constant across `k`;
 //! reset share ≪ 1.
 //!
-//! The randomized costs come from the shared runner grid; the reset-
-//! eviction telemetry is policy-internal (`reset_stats`), so a second
-//! directly-constructed pass over the same seeds collects it — the
-//! registry's `randomized` spec builds exactly
-//! `RandomizedMlPaging::with_default_beta`, so both passes see identical
-//! runs.
+//! The reset-eviction telemetry is policy-internal (`reset_stats`), so
+//! each `(k, seed)` cell builds `RandomizedMlPaging::with_default_beta`
+//! itself — exactly what the registry's `randomized` spec builds — and
+//! one run yields both the manifest record and the reset cost.
 
 use std::sync::Arc;
 
@@ -25,13 +23,14 @@ use wmlp_algos::{FracMultiplicative, RandomizedMlPaging};
 use wmlp_core::instance::MlInstance;
 use wmlp_flow::weighted_paging_opt;
 use wmlp_sim::frac_engine::run_fractional;
-use wmlp_sim::runner::Scenario;
+use wmlp_sim::runner::{Manifest, Scenario};
+use wmlp_sim::sweep::par_grid;
 use wmlp_workloads::{weights_pow2_classes, zipf_trace, LevelDist};
 
-use super::{run_grid, seed_mean_stdev, ExperimentOutput};
+use super::{randomized_cell, seed_mean_stdev, ExperimentOutput};
 use crate::table::{fr, Table};
 
-const SEEDS: u64 = 8;
+const SEEDS: usize = 8;
 
 /// Run E3.
 pub fn run() -> ExperimentOutput {
@@ -50,9 +49,8 @@ pub fn run() -> ExperimentOutput {
             "reset share",
         ],
     );
-    let mut scenarios = Vec::new();
-    let mut meta = Vec::new();
-    for k in [2usize, 4, 8, 16, 32] {
+    // Per k: the workload, its flow optimum and the fractional cost.
+    let rows = par_grid(&[2usize, 4, 8, 16, 32], |&k| {
         let n = 4 * k;
         let weights = weights_pow2_classes(n, 5, 100 + k as u64);
         let inst = Arc::new(MlInstance::weighted_paging(k, weights).unwrap());
@@ -63,26 +61,26 @@ pub fn run() -> ExperimentOutput {
         let fc = run_fractional(&inst, &trace, &mut frac, 128, None)
             .expect("feasible")
             .cost;
-
-        let label = format!("zipf-k{k}");
-        meta.push((k, label.clone(), opt, fc, inst.clone(), trace.clone()));
-        scenarios.push(
-            Scenario::new(label, inst, trace)
-                .policies(["randomized"])
-                .seeds(0..SEEDS),
-        );
-    }
-    let m = run_grid("e3", &scenarios);
-    for (k, label, opt, fc, inst, trace) in meta {
-        let (mean, sd) = seed_mean_stdev(&m, &label, "randomized");
-        let seeds: Vec<u64> = (0..SEEDS).collect();
-        let resets: Vec<f64> = wmlp_sim::sweep::par_seeds(&seeds, |s| {
-            let mut alg = RandomizedMlPaging::with_default_beta(&inst, s);
-            wmlp_sim::engine::run_policy(&inst, &trace, &mut alg, false).expect("feasible");
-            let (_, reset_cost) = alg.reset_stats();
-            reset_cost as f64
-        });
-        let reset_mean = resets.iter().sum::<f64>() / resets.len() as f64;
+        (k, Scenario::new(format!("zipf-k{k}"), inst, trace), opt, fc)
+    });
+    let cells: Vec<(&Scenario, u64)> = rows
+        .iter()
+        .flat_map(|(_, sc, _, _)| (0..SEEDS as u64).map(move |seed| (sc, seed)))
+        .collect();
+    let (runs, resets): (Vec<_>, Vec<_>) = par_grid(&cells, |&(sc, seed)| {
+        let alg = RandomizedMlPaging::with_default_beta(&sc.instance, seed);
+        randomized_cell(sc, "randomized", seed, alg)
+    })
+    .into_iter()
+    .unzip();
+    let m = Manifest {
+        name: "e3".into(),
+        runs,
+    };
+    for ((k, sc, opt, fc), resets) in rows.into_iter().zip(resets.chunks(SEEDS)) {
+        let (mean, sd) = seed_mean_stdev(&m, &sc.label, "randomized");
+        let reset_mean =
+            resets.iter().map(|&(_, cost)| cost as f64).sum::<f64>() / resets.len() as f64;
         let beta = wmlp_algos::rounding::default_beta(k);
         let loss = mean / fc;
         t.row(vec![

@@ -14,6 +14,7 @@ use wmlp_core::instance::MlInstance;
 use wmlp_offline::{opt_multilevel, DpLimits};
 use wmlp_sim::frac_engine::run_fractional;
 use wmlp_sim::runner::Scenario;
+use wmlp_sim::sweep::par_grid;
 use wmlp_workloads::{zipf_trace, LevelDist};
 
 use super::{cell_cost, run_grid, seed_mean_stdev, ExperimentOutput};
@@ -34,9 +35,8 @@ pub fn run() -> ExperimentOutput {
             "rnd/opt",
         ],
     );
-    let mut scenarios = Vec::new();
-    let mut meta = Vec::new();
-    for levels in [1u8, 2, 3, 4, 6, 8] {
+    // Per ℓ: the workload, its fractional cost and (ℓ ≤ 7) the DP optimum.
+    let solved = par_grid(&[1u8, 2, 3, 4, 6, 8], |&levels| {
         let rows: Vec<Vec<u64>> = (0..8)
             .map(|_| {
                 (0..levels)
@@ -59,7 +59,11 @@ pub fn run() -> ExperimentOutput {
             .cost;
         let opt = (levels <= 7)
             .then(|| opt_multilevel(&inst, &trace, DpLimits::default()).fetch_cost as f64);
-
+        (levels, inst, trace, fc, opt)
+    });
+    let mut scenarios = Vec::new();
+    let mut meta = Vec::new();
+    for (levels, inst, trace, fc, opt) in solved {
         let label = format!("levels-{levels}");
         meta.push((levels, label.clone(), fc, opt));
         scenarios.push(

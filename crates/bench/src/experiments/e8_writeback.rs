@@ -13,12 +13,15 @@
 //!
 //! Native writeback baselines come from [`WbPolicyRegistry`]; the paper's
 //! algorithms run through the shared runner on the reduced RW instance
-//! (their records land in the manifest).
+//! (their records land in the manifest). Both run on the rayon pool, one
+//! job per `w1/w2` row and one per reduction cell.
 
 use wmlp_algos::WbPolicyRegistry;
+use wmlp_core::reduction::InducedWbCost;
 use wmlp_core::writeback::{run_wb_policy, WbInstance, WbRequest};
 use wmlp_sim::runner::RunRecord;
-use wmlp_workloads::wb::wb_zipf_trace;
+use wmlp_sim::sweep::par_grid;
+use wmlp_workloads::wb::{wb_shifting_trace, wb_zipf_trace};
 
 use super::{standard_runner, wb_reduction_cell, ExperimentOutput};
 use crate::table::{fr, Table};
@@ -32,10 +35,58 @@ pub fn run() -> ExperimentOutput {
     ExperimentOutput::new("e8", vec![ta, tb], records)
 }
 
-/// Cost of one native writeback baseline, built by name.
-fn wb_cost(reg: &WbPolicyRegistry, name: &str, inst: &WbInstance, trace: &[WbRequest]) -> u64 {
-    let mut p = reg.build(name, inst, 0).expect("registry wb policy");
-    run_wb_policy(inst, trace, p.as_mut()).cost
+/// One `w1/w2` point of a sweep: `k = 16, n = 64, w2 = 1` and its trace.
+struct WbRow {
+    w1: u64,
+    label: String,
+    inst: WbInstance,
+    trace: Vec<WbRequest>,
+}
+
+fn wb_rows(prefix: &str, w1s: &[u64], trace: impl Fn(&WbInstance) -> Vec<WbRequest>) -> Vec<WbRow> {
+    w1s.iter()
+        .map(|&w1| {
+            let inst = WbInstance::uniform(16, 64, w1, 1).unwrap();
+            let trace = trace(&inst);
+            WbRow {
+                w1,
+                label: format!("{prefix}-w{w1}"),
+                inst,
+                trace,
+            }
+        })
+        .collect()
+}
+
+/// Per row: the clairvoyant greedy upper bound on OPT (exact OPT is
+/// NP-hard) and the cost of each named native writeback baseline.
+fn baselines(rows: &[WbRow], names: &[&str]) -> Vec<(u64, Vec<u64>)> {
+    let reg = WbPolicyRegistry::standard();
+    par_grid(rows, |row| {
+        let opt_est = wmlp_offline::wb_offline_heuristic(&row.inst, &row.trace);
+        let costs = names
+            .iter()
+            .map(|name| {
+                let mut p = reg.build(name, &row.inst, 0).expect("registry wb policy");
+                run_wb_policy(&row.inst, &row.trace, p.as_mut()).cost
+            })
+            .collect();
+        (opt_est, costs)
+    })
+}
+
+/// Every `(spec, seed)` of `cells` on every row through the reduction,
+/// row-major. Each job reduces its step log to the induced cost before
+/// returning, so at most one log per worker is alive at a time.
+fn reduction_cells(rows: &[WbRow], cells: &[(&str, u64)]) -> Vec<(RunRecord, InducedWbCost)> {
+    let runner = standard_runner();
+    let grid: Vec<(&WbRow, &str, u64)> = rows
+        .iter()
+        .flat_map(|row| cells.iter().map(move |&(spec, seed)| (row, spec, seed)))
+        .collect();
+    par_grid(&grid, |&(row, spec, seed)| {
+        wb_reduction_cell(&runner, &row.label, &row.inst, &row.trace, spec, seed)
+    })
 }
 
 /// Part B: the same comparison on a temporal-shift workload where both
@@ -43,7 +94,6 @@ fn wb_cost(reg: &WbPolicyRegistry, name: &str, inst: &WbInstance, trace: &[WbReq
 /// information matters more here, so the gap between aware and oblivious
 /// narrows but does not close.
 fn shifting_table() -> (Table, Vec<RunRecord>) {
-    use wmlp_workloads::wb::wb_shifting_trace;
     let mut t = Table::new(
         "E8b: shifting working set (k=16, n=64, 8 phases, w2=1)",
         &[
@@ -56,21 +106,15 @@ fn shifting_table() -> (Table, Vec<RunRecord>) {
             "winner",
         ],
     );
-    let runner = standard_runner();
-    let wb_reg = WbPolicyRegistry::standard();
-    let mut records = Vec::new();
-    for w1 in [1u64, 16, 256] {
-        let inst = WbInstance::uniform(16, 64, w1, 1).unwrap();
-        let trace = wb_shifting_trace(&inst, 12000, 8, 24, 0.8, 55);
-        let opt_est = wmlp_offline::wb_offline_heuristic(&inst, &trace);
-        let lru = wb_cost(&wb_reg, "wb-lru", &inst, &trace);
-        let gd = wb_cost(&wb_reg, "wb-greedydual", &inst, &trace);
-        let label = format!("shift-w{w1}");
-        let (wf_rec, wf_ind) = wb_reduction_cell(&runner, &label, &inst, &trace, "waterfill", 0);
-        let (rnd_rec, rnd_ind) = wb_reduction_cell(&runner, &label, &inst, &trace, "randomized", 1);
-        let (wf, rnd) = (wf_ind.cost, rnd_ind.cost);
-        records.push(wf_rec);
-        records.push(rnd_rec);
+    let rows = wb_rows("shift", &[1, 16, 256], |inst| {
+        wb_shifting_trace(inst, 12000, 8, 24, 0.8, 55)
+    });
+    let cells = [("waterfill", 0), ("randomized", 1)];
+    let natives = baselines(&rows, &["wb-lru", "wb-greedydual"]);
+    let runs = reduction_cells(&rows, &cells);
+    for ((row, (opt_est, native)), run) in rows.iter().zip(natives).zip(runs.chunks(cells.len())) {
+        let (lru, gd) = (native[0], native[1]);
+        let (wf, rnd) = (run[0].1.cost, run[1].1.cost);
         let entries = [
             ("wb-lru", lru),
             ("wb-greedydual", gd),
@@ -79,7 +123,7 @@ fn shifting_table() -> (Table, Vec<RunRecord>) {
         ];
         let winner = entries.iter().min_by_key(|e| e.1).unwrap().0;
         t.row(vec![
-            w1.to_string(),
+            row.w1.to_string(),
             opt_est.to_string(),
             lru.to_string(),
             gd.to_string(),
@@ -88,7 +132,7 @@ fn shifting_table() -> (Table, Vec<RunRecord>) {
             winner.to_string(),
         ]);
     }
-    (t, records)
+    (t, runs.into_iter().map(|(record, _)| record).collect())
 }
 
 fn sweep_table() -> (Table, Vec<RunRecord>) {
@@ -106,30 +150,23 @@ fn sweep_table() -> (Table, Vec<RunRecord>) {
             "winner/opt-est",
         ],
     );
-    let runner = standard_runner();
-    let wb_reg = WbPolicyRegistry::standard();
-    let mut records = Vec::new();
-    for w1 in [1u64, 4, 16, 64, 256] {
-        let inst = WbInstance::uniform(16, 64, w1, 1).unwrap();
-        let trace = wb_zipf_trace(&inst, 1.0, 12000, 0.3, 0.9, 0.05, 77);
-
-        // Clairvoyant greedy upper bound on OPT (exact OPT is NP-hard).
-        let opt_est = wmlp_offline::wb_offline_heuristic(&inst, &trace);
-        let lru = wb_cost(&wb_reg, "wb-lru", &inst, &trace);
-        let fifo = wb_cost(&wb_reg, "wb-fifo", &inst, &trace);
-        let gd = wb_cost(&wb_reg, "wb-greedydual", &inst, &trace);
-        let label = format!("zipf-w{w1}");
-        let (wf_rec, wf_ind) = wb_reduction_cell(&runner, &label, &inst, &trace, "waterfill", 0);
-        let wf = wf_ind.cost;
-        records.push(wf_rec);
-        // Randomized: mean over 4 seeds.
-        let mut rnd_sum = 0.0;
-        for s in 0..4 {
-            let (rec, ind) = wb_reduction_cell(&runner, &label, &inst, &trace, "randomized", s);
-            rnd_sum += ind.cost as f64;
-            records.push(rec);
-        }
-        let rnd = rnd_sum / 4.0;
+    let rows = wb_rows("zipf", &[1, 4, 16, 64, 256], |inst| {
+        wb_zipf_trace(inst, 1.0, 12000, 0.3, 0.9, 0.05, 77)
+    });
+    // Waterfill, then the randomized algorithm over 4 seeds (its mean).
+    let cells = [
+        ("waterfill", 0),
+        ("randomized", 0),
+        ("randomized", 1),
+        ("randomized", 2),
+        ("randomized", 3),
+    ];
+    let natives = baselines(&rows, &["wb-lru", "wb-fifo", "wb-greedydual"]);
+    let runs = reduction_cells(&rows, &cells);
+    for ((row, (opt_est, native)), run) in rows.iter().zip(natives).zip(runs.chunks(cells.len())) {
+        let (lru, fifo, gd) = (native[0], native[1], native[2]);
+        let wf = run[0].1.cost;
+        let rnd = run[1..].iter().map(|(_, ind)| ind.cost as f64).sum::<f64>() / 4.0;
 
         let entries = [
             ("wb-lru", lru as f64),
@@ -144,7 +181,7 @@ fn sweep_table() -> (Table, Vec<RunRecord>) {
             .copied()
             .unwrap();
         t.row(vec![
-            w1.to_string(),
+            row.w1.to_string(),
             opt_est.to_string(),
             lru.to_string(),
             fifo.to_string(),
@@ -155,7 +192,7 @@ fn sweep_table() -> (Table, Vec<RunRecord>) {
             fr(best / opt_est as f64),
         ]);
     }
-    (t, records)
+    (t, runs.into_iter().map(|(record, _)| record).collect())
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@ use std::sync::Arc;
 use wmlp_core::instance::{MlInstance, Request};
 use wmlp_flow::weighted_paging_opt;
 use wmlp_sim::runner::{RunRecord, Scenario};
+use wmlp_sim::sweep::par_grid;
 use wmlp_workloads::{scan_trace, weights_pow2_classes, zipf_trace, LevelDist};
 
 use super::{cell_cost, run_grid, seed_mean_stdev, standard_runner, ExperimentOutput};
@@ -55,12 +56,19 @@ fn breakdown_table() -> (Table, Vec<RunRecord>) {
     );
     let runner = standard_runner();
     let scenario = Scenario::new("scan-breakdown", inst.clone(), trace);
-    let mut records = Vec::new();
-    for (name, seed) in [("lru", 0), ("landlord", 0), ("randomized", 5)] {
+    let algs = [("lru", 0), ("landlord", 0), ("randomized", 5)];
+    // Each job reduces its step log to the class breakdown before returning.
+    let runs = par_grid(&algs, |&(name, seed)| {
         let (record, res) = runner
             .run_cell(&scenario, name, seed, true)
             .unwrap_or_else(|e| panic!("{e}"));
-        let b = ClassBreakdown::from_steps(&inst, res.steps.as_ref().unwrap());
+        (
+            record,
+            ClassBreakdown::from_steps(&inst, res.steps.as_ref().unwrap()),
+        )
+    });
+    let mut records = Vec::new();
+    for ((name, _), (record, b)) in algs.into_iter().zip(runs) {
         let total = b.total_eviction_cost() as f64;
         let share = |lo: usize, hi: usize| -> f64 {
             b.eviction_cost[lo..=hi.min(b.eviction_cost.len() - 1)]
@@ -119,6 +127,10 @@ fn ratios_table() -> (Table, Vec<RunRecord>) {
     let mut scenarios = Vec::new();
     let mut meta = Vec::new();
     for (name, trace) in traces {
+        // The flow OPTs stay on this thread, one after another. Each peaks
+        // at ~2 MiB of heap; one on a pool thread would stay resident in
+        // that thread's malloc arena and raise the peak RSS of
+        // `experiments all` by ~16 %.
         let opt = weighted_paging_opt(&inst, &trace) as f64;
         let trace = Arc::new(trace);
         meta.push((name, opt));

@@ -7,10 +7,16 @@
 //! module's docs state the claim under test and the expected shape of the
 //! result (the pass criteria recorded in EXPERIMENTS.md).
 //!
-//! All integral policy runs go through one shared [`Runner`] built over
+//! Integral policy runs go through one shared [`Runner`] built over
 //! [`PolicyRegistry::standard`]; experiments declare [`Scenario`] grids
 //! and read costs back out of the manifest instead of hand-rolling
-//! per-module simulation loops.
+//! per-module simulation loops. The one exception is a cell that also
+//! needs policy-internal telemetry (`randomized_cell`, E3 and E10a): it
+//! builds the policy itself and runs it through [`run_built_cell`], so the
+//! record is the registry's and the simulation still runs once. Grids and
+//! independent per-workload solves run on the rayon pool
+//! ([`par_grid`](wmlp_sim::sweep::par_grid)) and are collected in input
+//! order, so output does not depend on the thread count.
 
 pub mod e10_ablations;
 pub mod e11_phases;
@@ -24,11 +30,11 @@ pub mod e7_levels;
 pub mod e8_writeback;
 pub mod e9_weighted;
 
-use wmlp_algos::PolicyRegistry;
+use wmlp_algos::{PolicyRegistry, RandomizedMlPaging};
 use wmlp_core::reduction::{rw_run_wb_cost, wb_to_rw_instance, wb_to_rw_trace, InducedWbCost};
 use wmlp_core::types::Weight;
 use wmlp_core::writeback::{WbInstance, WbRequest};
-use wmlp_sim::runner::{Manifest, RunRecord, Runner, Scenario};
+use wmlp_sim::runner::{run_built_cell, Manifest, RunRecord, Runner, Scenario};
 use wmlp_sim::sweep::mean_and_stdev;
 
 use crate::table::Table;
@@ -92,6 +98,22 @@ pub fn seed_mean_stdev(m: &Manifest, scenario: &str, policy: &str) -> (f64, f64)
         .unwrap_or_else(|| panic!("no runs for {scenario}/{policy} in `{}`", m.name))
 }
 
+/// Run `policy`, built directly for `scenario` with `seed`, as the
+/// `(scenario, spec, seed)` cell and return its record together with the
+/// policy's `(count, cost)` of reset evictions — one run yields both.
+/// `spec` must be the registry spec that builds the same policy; the
+/// record then equals the registry run's (pinned by this module's tests).
+pub(crate) fn randomized_cell(
+    scenario: &Scenario,
+    spec: &str,
+    seed: u64,
+    mut policy: RandomizedMlPaging,
+) -> (RunRecord, (u64, u64)) {
+    let (record, _) = run_built_cell(scenario, spec, seed, &mut policy, false)
+        .unwrap_or_else(|e| panic!("randomized cell: {e}"));
+    (record, policy.reset_stats())
+}
+
 /// Run one registry spec on a writeback problem through the Lemma 2.1
 /// reduction: the spec is instantiated on the reduced RW instance, the
 /// run is recorded with per-step logs, and the steps are mapped back to
@@ -114,9 +136,23 @@ pub fn wb_reduction_cell(
     (record, induced)
 }
 
+/// The canonical experiment id for `id`, or a one-line error naming the
+/// valid ids.
+pub fn experiment_id(id: &str) -> Result<&'static str, String> {
+    ALL_IDS
+        .into_iter()
+        .find(|&known| known == id)
+        .ok_or_else(|| {
+            format!(
+                "unknown experiment id `{id}`; valid ids: {}",
+                ALL_IDS.join(", ")
+            )
+        })
+}
+
 /// Run an experiment by id, or explain which ids are valid.
 pub fn run_experiment(id: &str) -> Result<ExperimentOutput, String> {
-    match id {
+    match experiment_id(id)? {
         "e1" => Ok(e1_deterministic::run()),
         "e2" => Ok(e2_fractional::run()),
         "e3" => Ok(e3_rounding::run()),
@@ -128,10 +164,7 @@ pub fn run_experiment(id: &str) -> Result<ExperimentOutput, String> {
         "e9" => Ok(e9_weighted::run()),
         "e10" => Ok(e10_ablations::run()),
         "e11" => Ok(e11_phases::run()),
-        other => Err(format!(
-            "unknown experiment id `{other}`; valid ids: {}",
-            ALL_IDS.join(", ")
-        )),
+        _ => unreachable!("every id in ALL_IDS has an arm"),
     }
 }
 
@@ -193,6 +226,41 @@ mod tests {
         let direct = run_ml_policy_on_writeback(&wb, &trace, WaterFill::new).unwrap();
         assert_eq!(record.cost, direct.rw_cost);
         assert_eq!(induced.cost, direct.induced.cost);
+    }
+
+    /// E3 and E10a record a directly built `RandomizedMlPaging` under a
+    /// registry spec; that record must be the one the registry's own run of
+    /// the spec produces, for the default spec and every E10a β spec.
+    #[test]
+    fn directly_built_randomized_cells_record_like_the_registry() {
+        use wmlp_workloads::weights_pow2_classes;
+
+        let k = 16;
+        let inst =
+            Arc::new(MlInstance::weighted_paging(k, weights_pow2_classes(64, 5, 13)).unwrap());
+        let trace = Arc::new(zipf_trace(&inst, 1.0, 1000, LevelDist::Top, 31));
+        let sc = Scenario::new("w", inst.clone(), trace);
+        let seed = 3;
+        let eta = 1.0 / k as f64;
+        let mut cells = vec![(
+            "randomized".to_string(),
+            RandomizedMlPaging::with_default_beta(&inst, seed),
+        )];
+        for (_, beta, spec) in e10_ablations::beta_specs(k) {
+            let parsed = wmlp_algos::PolicySpec::parse(&spec).unwrap();
+            assert_eq!(parsed.param("beta"), Some(beta), "{spec}");
+            assert_eq!(parsed.param("eta"), Some(eta), "{spec}");
+            cells.push((spec, RandomizedMlPaging::new(&inst, eta, beta, seed)));
+        }
+        let canonical = |mut r: RunRecord| {
+            r.counters.wall_nanos = 0;
+            r
+        };
+        for (spec, policy) in cells {
+            let (built, _) = randomized_cell(&sc, &spec, seed, policy);
+            let (via_registry, _) = standard_runner().run_cell(&sc, &spec, seed, false).unwrap();
+            assert_eq!(canonical(built), canonical(via_registry), "{spec}");
+        }
     }
 
     #[test]

@@ -100,6 +100,14 @@ impl MinCostFlow {
         self.has_negative = false;
     }
 
+    /// Make room for `additional` more edges (two arcs each) without the
+    /// slack of doubling growth.
+    pub(crate) fn reserve_edges(&mut self, additional: usize) {
+        self.to.reserve_exact(2 * additional);
+        self.cap.reserve_exact(2 * additional);
+        self.cost.reserve_exact(2 * additional);
+    }
+
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.n

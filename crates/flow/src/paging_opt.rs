@@ -84,6 +84,8 @@ pub fn weighted_paging_opt_with(
     last.resize(inst.n(), None);
     let intervals = &mut scratch.intervals;
     intervals.clear();
+    // At most one interval per request: sized once, not grown by doubling.
+    intervals.reserve_exact(t_len);
     for (t, r) in trace.iter().enumerate() {
         let p = r.page as usize;
         if let Some(a) = last[p] {
@@ -109,6 +111,7 @@ pub fn weighted_paging_opt_with(
     let g = &mut scratch.flow;
     g.reset(n_nodes);
     let cap = (inst.k() - 1) as i64;
+    g.reserve_edges(n_nodes - 1 + intervals.len());
     for t in 0..n_nodes - 1 {
         g.add_edge(t, t + 1, cap, 0);
     }

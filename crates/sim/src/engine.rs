@@ -502,16 +502,15 @@ pub fn run_policy(
     };
     // Drive the trace through the batch API in fixed-size chunks — the
     // same code path the serving shards use — failing fast on the first
-    // errored step, like the historical per-request loop.
+    // errored step, like the historical per-request loop. Recorded logs
+    // move out of the batch rather than being cloned a second time.
     for chunk in trace.chunks(RUN_POLICY_BATCH.max(1)) {
         session.step_batch(inst, policy, chunk, &mut batch);
-        for (i, outcome) in batch.outcomes().iter().enumerate() {
-            if let Err(e) = outcome {
-                return Err(e.clone());
-            }
-            if let (Some(all), Some(recorded)) = (steps.as_mut(), batch.steps()) {
-                all.push(recorded[i].clone());
-            }
+        if let Some(e) = batch.outcomes().iter().find_map(|o| o.as_ref().err()) {
+            return Err(e.clone());
+        }
+        if let (Some(all), Some(recorded)) = (steps.as_mut(), batch.steps.as_mut()) {
+            all.append(recorded);
         }
     }
     let (ledger, mut counters, final_cache) = session.finish();

@@ -34,6 +34,6 @@ pub use engine::{
     run_policy, BatchLog, RunResult, SimError, SimSession, StepOutcome, StoreRequest,
 };
 pub use frac_engine::{run_fractional, FracRunResult};
-pub use runner::{Manifest, RunRecord, Runner, Scenario};
+pub use runner::{run_built_cell, Manifest, RunRecord, Runner, Scenario};
 pub use stats::{ClassBreakdown, Histogram, RunCounters};
-pub use sweep::{mean_and_stdev, par_grid, par_seeds};
+pub use sweep::{mean_and_stdev, par_grid};

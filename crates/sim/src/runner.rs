@@ -252,38 +252,52 @@ impl<F: PolicyFactory> Runner<F> {
         seed: u64,
         record_steps: bool,
     ) -> Result<(RunRecord, RunResult), RunnerError> {
-        let inst = scenario.instance.as_ref();
-        let mut policy =
-            self.factory
-                .build(spec, inst, seed)
-                .map_err(|detail| RunnerError::UnknownPolicy {
-                    scenario: scenario.label.clone(),
-                    spec: spec.to_string(),
-                    detail,
-                })?;
-        let result =
-            run_policy(inst, &scenario.trace, policy.as_mut(), record_steps).map_err(|error| {
-                RunnerError::Sim {
-                    scenario: scenario.label.clone(),
-                    spec: spec.to_string(),
-                    seed,
-                    error,
-                }
+        let mut policy = self
+            .factory
+            .build(spec, scenario.instance.as_ref(), seed)
+            .map_err(|detail| RunnerError::UnknownPolicy {
+                scenario: scenario.label.clone(),
+                spec: spec.to_string(),
+                detail,
             })?;
-        let record = RunRecord {
-            scenario: scenario.label.clone(),
-            policy: spec.to_string(),
-            seed,
-            k: inst.k(),
-            n: inst.n(),
-            trace_len: scenario.trace.len(),
-            cost_model: scenario.cost_model,
-            cost: result.ledger.total(scenario.cost_model),
-            ledger: result.ledger.clone(),
-            counters: result.counters.clone(),
-        };
-        Ok((record, result))
+        run_built_cell(scenario, spec, seed, policy.as_mut(), record_steps)
     }
+}
+
+/// Run an already-constructed `policy` as the `(scenario, spec, seed)`
+/// cell: the record is exactly what [`Runner::run_cell`] returns when its
+/// factory builds the same policy from `spec` and `seed`. Callers that need
+/// policy-internal telemetry after the run (e.g. reset statistics) build
+/// the policy themselves and read it back from `policy` afterwards.
+pub fn run_built_cell(
+    scenario: &Scenario,
+    spec: &str,
+    seed: u64,
+    policy: &mut dyn OnlinePolicy,
+    record_steps: bool,
+) -> Result<(RunRecord, RunResult), RunnerError> {
+    let inst = scenario.instance.as_ref();
+    let result = run_policy(inst, &scenario.trace, policy, record_steps).map_err(|error| {
+        RunnerError::Sim {
+            scenario: scenario.label.clone(),
+            spec: spec.to_string(),
+            seed,
+            error,
+        }
+    })?;
+    let record = RunRecord {
+        scenario: scenario.label.clone(),
+        policy: spec.to_string(),
+        seed,
+        k: inst.k(),
+        n: inst.n(),
+        trace_len: scenario.trace.len(),
+        cost_model: scenario.cost_model,
+        cost: result.ledger.total(scenario.cost_model),
+        ledger: result.ledger.clone(),
+        counters: result.counters.clone(),
+    };
+    Ok((record, result))
 }
 
 /// A serialized record of a full grid run: every cell's config, costs and

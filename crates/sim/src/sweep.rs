@@ -6,15 +6,6 @@
 
 use rayon::prelude::*;
 
-/// Run `f` for every seed in `seeds` in parallel, preserving order.
-pub fn par_seeds<T, F>(seeds: &[u64], f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u64) -> T + Sync,
-{
-    seeds.par_iter().map(|&s| f(s)).collect()
-}
-
 /// Run `f` over an arbitrary parameter grid in parallel, preserving order.
 pub fn par_grid<P, T, F>(params: &[P], f: F) -> Vec<T>
 where
@@ -39,13 +30,6 @@ pub fn mean_and_stdev(xs: &[f64]) -> Option<(f64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn par_seeds_preserves_order() {
-        let seeds: Vec<u64> = (0..64).collect();
-        let out = par_seeds(&seeds, |s| s * 2);
-        assert_eq!(out, seeds.iter().map(|s| s * 2).collect::<Vec<_>>());
-    }
 
     #[test]
     fn par_grid_preserves_order() {
