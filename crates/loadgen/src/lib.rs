@@ -340,8 +340,8 @@ pub fn run(cfg: &LoadgenConfig) -> Result<ServeReport, String> {
 
     // Nothing between here and the spawned server's join below may return
     // early: a `ServerHandle` has no `Drop`, so an early `?` would leave
-    // its listener, event loops, router and shards running for the life
-    // of the calling process.
+    // its listener and event loops, shards included, running for the
+    // life of the calling process.
     let (addr, spawned) = match cfg.addr {
         Some(addr) => (addr, None),
         None => {
@@ -350,7 +350,6 @@ pub fn run(cfg: &LoadgenConfig) -> Result<ServeReport, String> {
                 &ServeConfig {
                     addr: "127.0.0.1:0".into(),
                     shards: cfg.shards,
-                    queue_depth: 64,
                     policy: cfg.policy.clone(),
                     seed: cfg.seed,
                     partition: cfg.partition.clone(),

@@ -13,9 +13,10 @@
 //! * [`plan`] — versioned [`PartitionPlan`]s (hash baseline + sparse
 //!   per-key [`Override`]s) and the [`Partitioner`] that advances them
 //!   at request-count epochs under `--partition hash|replicate|migrate`;
-//! * [`drain`] — the [`DrainGate`] barrier that quiesces shard rings
-//!   before a plan with different overrides is installed, preserving
-//!   per-key request ordering across re-homing.
+//! * [`drain`] — the [`DrainGate`] barrier that holds every shard's
+//!   later jobs until all have served their earlier ones, when a plan
+//!   with different overrides is installed, preserving per-key request
+//!   ordering across re-homing.
 //!
 //! Everything here is a pure function of the request sequence, which is
 //! what keeps `--replay` byte-identical: a replay re-derives the same

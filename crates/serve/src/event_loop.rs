@@ -1,9 +1,11 @@
-//! The connection plane: N reactor loops own every client socket.
+//! The event loops: N reactor loops own every client socket and every
+//! shard.
 //!
 //! `io_threads` event loops (named `io-{i}`) multiplex all connections
 //! over [`wmlp_core::net::Reactor`]s. Loop 0 owns the (non-blocking)
 //! listener and assigns each accepted connection to loop `id % N` via a
-//! handoff queue plus an `eventfd` doorbell ring. Each loop drives its
+//! hand-off queue plus an `eventfd` doorbell ring. Loop `i` also owns
+//! the shards `s ≡ i (mod N)` ([`LocalShards`]). Each loop drives its
 //! connections through the resumable [`Conn`] state machine:
 //!
 //! * **Reads** are incremental: on readiness the loop reads into
@@ -11,34 +13,45 @@
 //!   Each decoded request takes the connection's next sequence number;
 //!   STATS, SHUTDOWN and error replies are produced inline (still
 //!   sequenced), and valid GET/PUTs are routed right here, through
-//!   [`Router::dispatch`], with replies pointed back at this loop.
+//!   [`Router::dispatch`], which appends them to their shard's queue and
+//!   never blocks. A loop whose job landed on another loop's shard rings
+//!   that loop's doorbell once per iteration, however many jobs it
+//!   queued there.
+//! * **Serving** follows the reads: the loop takes each of its shards'
+//!   queues and steps them through the engine. A reply for one of its
+//!   own connections goes straight into that connection's [`Reorder`]
+//!   buffer; replies for another loop's connections go to that loop's
+//!   [`CompletionQueue`] as one batch with one ring per pass. A request
+//!   for a shard this loop owns is answered in the iteration that read
+//!   it. The loop serves again whenever writing replies reopened a
+//!   window whose frames routed more work to its own shards.
 //! * **Backpressure** is readiness-driven: a connection at
 //!   `max_inflight` outstanding requests (or with ≥ 1 MiB of unflushed
 //!   output) simply drops read interest; replies draining re-arm it. A
-//!   loop blocks in exactly two places, both inside `dispatch`: on a
-//!   full shard ring, and through an epoch drain. Neither waits on a
-//!   loop — shards answer through the non-blocking completion queue —
-//!   so a full ring stalls the reading loop instead of growing a queue.
+//!   loop blocks only in `epoll_wait`.
 //! * **Writes** go through the per-connection [`Reorder`] buffer into
 //!   [`Conn`]'s outbound buffer, flushed with `EAGAIN`-aware partial
 //!   writes; write interest is registered only while bytes are pending
 //!   (the classic level-triggered pattern).
-//! * **Completions** from shard workers arrive over the loop's
+//! * **Completions** from other loops arrive over the loop's
 //!   [`CompletionQueue`] + `eventfd` doorbell (the model-checked
-//!   publish-then-ring handshake in [`crate::notify`]), so a shard hands
-//!   a finished batch back without blocking.
+//!   publish-then-ring handshake in [`crate::notify`]).
 //!
 //! Shutdown: the flag flips and every doorbell rings; each loop, on
 //! observing the flag, closes the listener (loop 0) and half-closes the
 //! sockets it owns (reads drain to EOF, in-flight work completes and is
-//! written back), then exits once its last connection drains. The last
-//! loop out drops the [`Router`], which closes the shard rings; the
-//! shards drain and exit.
+//! written back). Once its last connection drains it counts itself out
+//! of `Inner::serving_loops` and rings every loop. It keeps serving
+//! its shards — another loop may still be routing into them — and exits
+//! when every loop has counted itself out and its shards have nothing
+//! queued, flushing their stores on the way out.
 
-// lint:orderings(SeqCst): the only atomic touched here is the server's
-// one-shot shutdown latch, shared with `server.rs`, which declares the
-// same palette for the same reason: a set-once flag far from any fast
-// path, where the strongest ordering is the cheapest to reason about.
+// lint:orderings(SeqCst): the atomics touched here are the server's
+// one-shot shutdown latch and its count of loops still serving
+// connections, shared with `server.rs`, which declares the same palette
+// for the same reason: state that changes once per loop, far from any
+// fast path, where the strongest ordering is the cheapest to reason
+// about.
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -47,7 +60,6 @@ use std::os::unix::io::AsRawFd;
 use std::sync::Arc;
 
 use wmlp_check::sync::atomic::Ordering;
-use wmlp_check::sync::{Mutex, MutexGuard};
 use wmlp_core::conn::Conn;
 use wmlp_core::instance::Request;
 use wmlp_core::net::{Event, EventFd, Interest, Reactor, Token};
@@ -56,7 +68,7 @@ use wmlp_core::wire::{ErrorCode, Frame};
 use crate::notify::{CompletionQueue, Doorbell};
 use crate::reorder::Reorder;
 use crate::server::{Inner, Router};
-use crate::shard::{CompletionSink, ShardStats};
+use crate::shard::{ConnAddr, LocalShards, ShardStats};
 
 /// Reactor token of the listener (loop 0 only).
 const TOK_LISTENER: u64 = 0;
@@ -80,17 +92,17 @@ impl Doorbell for EventFd {
     }
 }
 
-/// State one event loop shares with producers on other threads: shard
-/// workers push completions, the accepting loop hands off fresh
+/// State one event loop shares with other threads: other loops push
+/// replies for its connections, the accepting loop hands off fresh
 /// connections, and anyone may ring the bell.
 pub(crate) struct LoopShared {
     /// The loop's doorbell, registered with its reactor.
     pub(crate) bell: Arc<EventFd>,
-    /// Completed `(conn, seq, frame)` triples from shard workers (and
-    /// fan-out countdowns), published before the bell rings.
+    /// `(conn, seq, frame)` replies for this loop's connections, served
+    /// by other loops' shards.
     completions: CompletionQueue<(u64, u64, Frame)>,
     /// Accepted connections waiting for this loop to adopt them.
-    incoming: Mutex<Vec<(u64, TcpStream)>>,
+    incoming: CompletionQueue<(u64, TcpStream)>,
 }
 
 impl LoopShared {
@@ -100,23 +112,24 @@ impl LoopShared {
         let bell = Arc::new(EventFd::new()?);
         Ok(Arc::new(LoopShared {
             completions: CompletionQueue::new(bell.clone()),
+            incoming: CompletionQueue::new(bell.clone()),
             bell,
-            incoming: Mutex::new(Vec::new()),
         }))
     }
 }
 
-impl CompletionSink for LoopShared {
-    fn complete(&self, conn: u64, seq: u64, frame: Frame) {
-        self.completions.push((conn, seq, frame));
+/// Register a loop's doorbell (and, for loop 0, the listener) with its
+/// reactor, before the loop's thread exists.
+pub(crate) fn register_loop(
+    reactor: &Reactor,
+    shared: &LoopShared,
+    listener: Option<&TcpListener>,
+) -> io::Result<()> {
+    reactor.register(shared.bell.fd(), Token(TOK_BELL), Interest::READABLE)?;
+    if let Some(l) = listener {
+        reactor.register(l.as_raw_fd(), Token(TOK_LISTENER), Interest::READABLE)?;
     }
-}
-
-fn lock_incoming(shared: &LoopShared) -> MutexGuard<'_, Vec<(u64, TcpStream)>> {
-    match shared.incoming.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+    Ok(())
 }
 
 /// Everything the loop tracks per connection. The protocol state machine
@@ -141,9 +154,29 @@ struct ConnState {
     dead: bool,
 }
 
-/// One event loop: owns a reactor and every connection assigned to it.
-/// Runs until shutdown has been observed and the last connection drains
-/// (or the reactor itself fails, which closes everything non-gracefully).
+/// Ring, once each, every loop marked in `wake` other than `me`, and
+/// clear every mark.
+fn ring_marked(peers: &[Arc<LoopShared>], me: usize, wake: &mut [bool]) {
+    for (i, marked) in wake.iter_mut().enumerate() {
+        if std::mem::take(marked) && i != me {
+            let _ = peers[i].bell.ring();
+        }
+    }
+}
+
+/// Ring every loop but `me`.
+fn ring_others(peers: &[Arc<LoopShared>], me: usize) {
+    for (i, peer) in peers.iter().enumerate() {
+        if i != me {
+            let _ = peer.bell.ring();
+        }
+    }
+}
+
+/// One event loop: owns a reactor, every connection assigned to it and
+/// the shards it serves. Runs until every loop has seen shutdown and
+/// drained its connections and its own shards have nothing queued (or
+/// the reactor itself fails, which closes everything non-gracefully).
 pub(crate) fn run_io_loop(
     inner: Arc<Inner>,
     me: usize,
@@ -151,38 +184,28 @@ pub(crate) fn run_io_loop(
     peers: Arc<Vec<Arc<LoopShared>>>,
     mut listener: Option<TcpListener>,
     router: Arc<Router>,
+    mut shards: LocalShards,
 ) {
     let shared = Arc::clone(&peers[me]);
-    let sink: Arc<dyn CompletionSink> = shared.clone();
-    if reactor
-        .register(shared.bell.fd(), Token(TOK_BELL), Interest::READABLE)
-        .is_err()
-    {
-        return;
-    }
-    if let Some(l) = &listener {
-        if reactor
-            .register(l.as_raw_fd(), Token(TOK_LISTENER), Interest::READABLE)
-            .is_err()
-        {
-            return;
-        }
-    }
     let mut conns: BTreeMap<u64, ConnState> = BTreeMap::new();
     let mut next_id: u64 = FIRST_CONN_ID - 1;
     let mut events: Vec<Event> = Vec::new();
     let mut ready: Vec<(u64, bool, bool)> = Vec::new();
-    let mut completions: Vec<(u64, u64, Frame)> = Vec::new();
+    let mut inbox: Vec<(u64, u64, Frame)> = Vec::new();
     let mut adopted: Vec<(u64, TcpStream)> = Vec::new();
     let mut touched: Vec<u64> = Vec::new();
+    let mut served = Vec::new();
+    let mut outbox: Vec<Vec<(u64, u64, Frame)>> = peers.iter().map(|_| Vec::new()).collect();
+    // Loops with jobs newly queued on one of their shards.
+    let mut wake = vec![false; peers.len()];
     let mut shutdown_seen = false;
+    let mut counted_out = false;
 
     loop {
         if reactor.wait(&mut events, -1).is_err() {
             break;
         }
         ready.clear();
-        touched.clear();
         let mut accept_ready = false;
         let mut bell_ready = false;
         for ev in &events {
@@ -208,17 +231,12 @@ pub(crate) fn run_io_loop(
 
         if bell_ready {
             let _ = shared.bell.drain();
-            adopted.clear();
-            {
-                let mut inc = lock_incoming(&shared);
-                std::mem::swap(&mut *inc, &mut adopted);
-            }
+            shared.incoming.drain_into(&mut adopted);
             for (id, stream) in adopted.drain(..) {
                 adopt_conn(&inner, &reactor, &mut conns, shutdown_seen, id, stream);
             }
-            completions.clear();
-            shared.completions.drain_into(&mut completions);
-            for (id, seq, frame) in completions.drain(..) {
+            shared.completions.drain_into(&mut inbox);
+            for (id, seq, frame) in inbox.drain(..) {
                 if let Some(cs) = conns.get_mut(&id) {
                     deliver_reply(cs, seq, frame);
                     touched.push(id);
@@ -244,63 +262,111 @@ pub(crate) fn run_io_loop(
                 flush_conn(cs);
             }
             if readable {
-                service_read(&inner, &router, &sink, id, cs);
+                let at = ConnAddr { lp: me, conn: id };
+                service_read(&inner, &router, &mut wake, at, cs);
             }
             touched.push(id);
         }
 
-        // Sweep every connection this iteration touched: flush output,
-        // resume decoding if backpressure lifted, then close or re-arm.
-        touched.sort_unstable();
-        touched.dedup();
-        for &id in &touched {
-            let Some(cs) = conns.get_mut(&id) else {
-                continue;
-            };
-            flush_conn(cs);
-            if !cs.dead && !cs.read_closed && cs.inflight < inner.max_inflight {
-                // Replies draining may have unblocked frames already
-                // buffered inbound; the socket read below is non-blocking
-                // and harmless when there is nothing new.
-                service_read(&inner, &router, &sink, id, cs);
-                flush_conn(cs);
+        // Serve this loop's shards until nothing it routed to them is
+        // left: writing replies can reopen a connection's window, and
+        // the frames decoded then may route here again.
+        loop {
+            ring_marked(&peers, me, &mut wake);
+            if shards.serve_pending(router.queues(), &mut served) {
+                // A drain gate opened here; any loop may hold a shard at it.
+                ring_others(&peers, me);
             }
-            let gone = cs.dead || (cs.read_closed && cs.inflight == 0 && !cs.conn.wants_write());
-            if gone || !rearm(&reactor, inner.max_inflight, id, cs) {
-                close_conn(&reactor, &mut conns, id);
+            for c in served.drain(..) {
+                if c.to.lp == me {
+                    if let Some(cs) = conns.get_mut(&c.to.conn) {
+                        deliver_reply(cs, c.seq, c.frame);
+                        touched.push(c.to.conn);
+                    }
+                } else {
+                    outbox[c.to.lp].push((c.to.conn, c.seq, c.frame));
+                }
+            }
+            for (peer, batch) in peers.iter().zip(&mut outbox) {
+                peer.completions.push_batch(batch);
+            }
+
+            // Sweep every connection touched since the last sweep: flush
+            // output, resume decoding if backpressure lifted, then close
+            // or re-arm.
+            touched.sort_unstable();
+            touched.dedup();
+            for id in touched.drain(..) {
+                let Some(cs) = conns.get_mut(&id) else {
+                    continue;
+                };
+                flush_conn(cs);
+                if !cs.dead && !cs.read_closed && cs.inflight < inner.max_inflight {
+                    // Replies draining may have unblocked frames already
+                    // buffered inbound; the socket read below is
+                    // non-blocking and harmless when there is nothing new.
+                    let at = ConnAddr { lp: me, conn: id };
+                    service_read(&inner, &router, &mut wake, at, cs);
+                    flush_conn(cs);
+                }
+                let gone =
+                    cs.dead || (cs.read_closed && cs.inflight == 0 && !cs.conn.wants_write());
+                if gone || !rearm(&reactor, inner.max_inflight, id, cs) {
+                    close_conn(&reactor, &mut conns, id);
+                }
+            }
+            if !wake[me] {
+                break;
             }
         }
+        ring_marked(&peers, me, &mut wake);
 
         if shutdown_seen && conns.is_empty() && listener.is_none() {
-            break;
+            if !counted_out {
+                counted_out = true;
+                inner.serving_loops.fetch_sub(1, Ordering::SeqCst);
+                ring_others(&peers, me);
+            }
+            // Every loop has drained its connections, so nothing will be
+            // routed any more; stop once this loop's shards are done too.
+            if inner.serving_loops.load(Ordering::SeqCst) == 0 && shards.is_idle(router.queues()) {
+                break;
+            }
         }
     }
 
-    // Non-graceful exits (reactor failure) still tear connections down.
+    // Non-graceful exits (reactor failure) still release the other loops
+    // and tear connections down.
+    if !counted_out {
+        inner.serving_loops.fetch_sub(1, Ordering::SeqCst);
+        ring_others(&peers, me);
+    }
+    shards.flush_all();
     let leftover: Vec<u64> = conns.keys().copied().collect();
     for id in leftover {
         close_conn(&reactor, &mut conns, id);
     }
-    for (_, stream) in lock_incoming(&shared).drain(..) {
+    shared.incoming.drain_into(&mut adopted);
+    for (_, stream) in adopted {
         let _ = stream.shutdown(Shutdown::Both);
     }
 }
 
 /// Accept until `EAGAIN`, assigning each connection to loop `id % N`:
-/// locally adopted, or pushed to the target loop's handoff queue with a
-/// doorbell ring. Connections arriving after the shutdown flag are
-/// dropped.
-#[allow(clippy::too_many_arguments)]
+/// locally adopted, or handed to the target loop's queue, one batch and
+/// one doorbell ring per target. Connections arriving after the shutdown
+/// flag are dropped.
 fn accept_new(
     inner: &Arc<Inner>,
     reactor: &Reactor,
-    peers: &Arc<Vec<Arc<LoopShared>>>,
+    peers: &[Arc<LoopShared>],
     me: usize,
     listener: Option<&TcpListener>,
     next_id: &mut u64,
     conns: &mut BTreeMap<u64, ConnState>,
 ) {
     let Some(listener) = listener else { return };
+    let mut handoff: Vec<Vec<(u64, TcpStream)>> = peers.iter().map(|_| Vec::new()).collect();
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -313,17 +379,16 @@ fn accept_new(
                 if target == me {
                     adopt_conn(inner, reactor, conns, false, id, stream);
                 } else {
-                    {
-                        let mut inc = lock_incoming(&peers[target]);
-                        inc.push((id, stream));
-                    }
-                    let _ = peers[target].bell.ring();
+                    handoff[target].push((id, stream));
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => break,
         }
+    }
+    for (peer, batch) in peers.iter().zip(&mut handoff) {
+        peer.incoming.push_batch(batch);
     }
 }
 
@@ -364,20 +429,20 @@ fn adopt_conn(
 }
 
 /// Read until `EAGAIN`/EOF/backpressure, decoding and dispatching every
-/// complete frame. Decoding always runs ahead of the next socket read,
-/// so frames buffered before an EOF are still served (the `FrameReader`
-/// contract, readiness-style).
+/// complete frame of connection `at`. Decoding always runs ahead of the
+/// next socket read, so frames buffered before an EOF are still served
+/// (the `FrameReader` contract, readiness-style).
 fn service_read(
     inner: &Arc<Inner>,
     router: &Router,
-    sink: &Arc<dyn CompletionSink>,
-    id: u64,
+    wake: &mut [bool],
+    at: ConnAddr,
     cs: &mut ConnState,
 ) {
     loop {
         while !cs.read_closed && cs.inflight < inner.max_inflight {
             match cs.conn.next_frame() {
-                Ok(Some(frame)) => process_frame(inner, router, sink, id, cs, frame),
+                Ok(Some(frame)) => process_frame(inner, router, wake, at, cs, frame),
                 Ok(None) => break,
                 Err(e) => {
                     // Protocol violation (corrupt framing or version
@@ -425,14 +490,14 @@ fn service_read(
     }
 }
 
-/// Dispatch one decoded frame. Control frames (STATS, SHUTDOWN,
-/// protocol errors) are answered inline but still sequenced, so every
-/// response leaves in the order its request arrived.
+/// Dispatch one decoded frame of connection `at`. Control frames
+/// (STATS, SHUTDOWN, protocol errors) are answered inline but still
+/// sequenced, so every response leaves in the order its request arrived.
 fn process_frame(
     inner: &Arc<Inner>,
     router: &Router,
-    sink: &Arc<dyn CompletionSink>,
-    id: u64,
+    wake: &mut [bool],
+    at: ConnAddr,
     cs: &mut ConnState,
     frame: Frame,
 ) {
@@ -493,11 +558,8 @@ fn process_frame(
                 ),
             },
         );
-    } else if router.dispatch(req, put, seq, sink, id).is_err() {
-        // A shard is gone: the server is tearing down abnormally and the
-        // reply for this slot can never arrive; drop the connection
-        // rather than strand its reorder buffer.
-        cs.dead = true;
+    } else {
+        router.dispatch(req, put, seq, at, wake);
     }
 }
 

@@ -7,22 +7,28 @@
 //! running an online policy built from a [`wmlp_algos::PolicyRegistry`]
 //! spec string such as `"landlord(eta=0.5)"`.
 //!
-//! * [`spsc`] — the bounded single-producer/single-consumer rings feeding
-//!   each shard worker.
-//! * [`shard`] — full-universe per-shard instances, the worker loop
-//!   (with epoch drain markers and replicated-PUT fan-out acks), and
-//!   lock-free stat counters.
+//! * [`shard`] — full-universe per-shard instances, the per-shard FIFO
+//!   job queues ([`shard::ShardQueues`], with epoch drain markers and
+//!   replicated-PUT fan-out acks), the shards each event loop owns and
+//!   serves on its own thread ([`shard::LocalShards`]), and lock-free
+//!   stat counters.
 //! * [`reorder`] — the sequence-order reorder buffer each connection's
 //!   shard replies drain through.
 //! * [`server`] — startup, the [`server::Router`] the event loops share
 //!   under one lock (a `wmlp-router` [`wmlp_router::Partitioner`] placing
-//!   each request, and the epoch drain handshake), graceful shutdown with
-//!   in-flight draining, and the [`server::ServerHandle`] lifecycle.
-//! * [`notify`] — the publish-then-ring completion handshake between
-//!   shard workers and event loops.
-//! * `event_loop` (crate-private) — the connection plane: epoll reactor
-//!   loops owning all client sockets, routing each decoded request
-//!   themselves, pipelined in-order replies, readiness-driven backpressure.
+//!   each request, and the non-blocking epoch drain), graceful shutdown
+//!   with in-flight draining, and the [`server::ServerHandle`] lifecycle.
+//! * [`notify`] — the publish-then-ring handshake into an event loop:
+//!   replies from another loop's shards and connection hand-offs, one
+//!   doorbell ring per batch.
+//! * `event_loop` (crate-private) — the event loops: epoll reactor loops
+//!   owning all client sockets and every shard, routing each decoded
+//!   request themselves and serving their own shards in the same
+//!   iteration, pipelined in-order replies, readiness-driven
+//!   backpressure.
+//! * [`spsc`] — a bounded single-producer/single-consumer ring. It is no
+//!   longer on the serving path; the benchmark's layer probes still time
+//!   it.
 //! * [`replay`] — `--replay` mode: a single-engine canonical reference
 //!   run whose JSON manifest is byte-identical across repeats, machines,
 //!   and shard counts.

@@ -19,7 +19,7 @@
 //! wmlp-serve --partition replicate --hot-k 64 --epoch-len 4096 ...
 //! wmlp-serve --replay trace.txt --partition migrate --plan-shards 8 ...
 //!
-//! # connection plane: N epoll loops own all client sockets
+//! # N epoll loops own all client sockets; loop i serves shards s ≡ i (mod N)
 //! wmlp-serve --io-threads 2 ...
 //! ```
 //!
@@ -137,7 +137,6 @@ fn main() {
     let cfg = ServeConfig {
         addr: flag(&args, "--addr").unwrap_or("127.0.0.1:0").to_string(),
         shards: parsed(&args, "--shards", 1usize),
-        queue_depth: parsed(&args, "--queue-depth", 64usize),
         policy,
         seed,
         batch: parsed(&args, "--batch", 64usize),

@@ -1,13 +1,14 @@
-//! The wakeup handshake between shard workers and event loops: a
-//! completion queue paired with a doorbell.
+//! The wakeup handshake into an event loop: a completion queue paired
+//! with a doorbell.
 //!
-//! A connection's owner is an event loop blocked in `epoll_wait`, so
-//! shard workers [`push`](CompletionQueue::push) completed frames onto
-//! the loop's [`CompletionQueue`] and ring its [`Doorbell`] (an
-//! `eventfd` in production). The protocol is strictly
-//! **publish-then-ring**: the item is visible in the queue *before* the
-//! doorbell fires, so a consumer woken by ring `i` that drains the queue
-//! observes at least everything pushed before ring `i`.
+//! An event loop sleeps in `epoll_wait`, so other threads hand it work —
+//! replies served by another loop's shards, accepted connections — by
+//! [`push_batch`](CompletionQueue::push_batch)ing onto the loop's
+//! [`CompletionQueue`] and ringing its [`Doorbell`] (an `eventfd` in
+//! production) once per batch, not once per item. The protocol is
+//! strictly **publish-then-ring**: the items are visible in the queue
+//! *before* the doorbell fires, so a consumer woken by ring `i` that
+//! drains the queue observes at least everything pushed before ring `i`.
 //!
 //! Why there is no lost-wakeup window: the doorbell is *counting*, not a
 //! flag. A ring that lands while the consumer is between "drain queue"
@@ -45,15 +46,15 @@ pub trait Doorbell: Send + Sync {
     fn ring(&self);
 }
 
-/// An unbounded multi-producer queue of completions owned by one event
-/// loop, with publish-then-ring wakeups.
+/// An unbounded multi-producer queue owned by one event loop, with
+/// publish-then-ring wakeups.
 pub struct CompletionQueue<T> {
     entries: Mutex<Vec<T>>,
     bell: std::sync::Arc<dyn Doorbell>,
 }
 
 impl<T> CompletionQueue<T> {
-    /// A queue ringing `bell` after every push.
+    /// A queue ringing `bell` after every batch.
     pub fn new(bell: std::sync::Arc<dyn Doorbell>) -> Self {
         CompletionQueue {
             entries: Mutex::new(Vec::new()),
@@ -61,15 +62,20 @@ impl<T> CompletionQueue<T> {
         }
     }
 
-    /// Publish `item`, then ring the doorbell. The item is in the queue
-    /// before the ring fires, so the woken consumer's drain sees it.
-    pub fn push(&self, item: T) {
+    /// Publish every item of `items`, leaving it empty, then ring the
+    /// doorbell once. The items are in the queue before the ring fires,
+    /// so the woken consumer's drain sees them. An empty batch rings
+    /// nothing.
+    pub fn push_batch(&self, items: &mut Vec<T>) {
+        if items.is_empty() {
+            return;
+        }
         {
             let mut q = match self.entries.lock() {
                 Ok(g) => g,
                 Err(poisoned) => poisoned.into_inner(),
             };
-            q.push(item);
+            q.append(items);
         }
         // Outside the lock: the consumer woken by this ring may contend
         // for the queue immediately.
@@ -102,16 +108,24 @@ mod tests {
     }
 
     #[test]
-    fn push_publishes_before_ring_and_drain_empties() {
+    fn one_ring_per_batch_and_drain_empties() {
         let bell = Arc::new(CountBell(AtomicU64::new(0)));
         let q: CompletionQueue<u32> = CompletionQueue::new(bell.clone());
-        q.push(1);
-        q.push(2);
-        assert_eq!(bell.0.load(Ordering::SeqCst), 2, "one ring per push");
+        let mut batch: Vec<u32> = (1..=64).collect();
+        q.push_batch(&mut batch);
+        assert!(batch.is_empty(), "the batch moves into the queue");
+        assert_eq!(bell.0.load(Ordering::SeqCst), 1, "64 items, one ring");
+        q.push_batch(&mut vec![65]);
+        q.push_batch(&mut Vec::new());
+        assert_eq!(
+            bell.0.load(Ordering::SeqCst),
+            2,
+            "an empty batch rings nothing"
+        );
         let mut out = Vec::new();
         q.drain_into(&mut out);
-        assert_eq!(out, vec![1, 2]);
+        assert!(out.iter().copied().eq(1..=65), "push order kept");
         q.drain_into(&mut out);
-        assert_eq!(out, vec![1, 2], "spurious drain is a no-op");
+        assert_eq!(out.len(), 65, "spurious drain is a no-op");
     }
 }

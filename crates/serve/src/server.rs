@@ -1,17 +1,19 @@
-//! The TCP server: event loops, their shared router, shards, lifecycle.
+//! The TCP server: event loops, the router they share, lifecycle.
 //!
-//! Thread topology (plain threads, no async runtime; every thread is
-//! named via `wmlp_check::thread::spawn_named` — `io-{i}`, `shard-{i}` —
-//! so panics and `/proc` identify the actor, and all synchronisation
-//! goes through the `wmlp_check` shim so the same code runs under the
-//! model checker):
+//! Thread topology (plain threads, no async runtime): `io_threads` event
+//! loops, each named via `wmlp_check::thread::spawn_named` (`io-{i}`) so
+//! panics and `/proc` identify it, and all synchronisation goes through
+//! the `wmlp_check` shim so the same code runs under the model checker.
+//! There are no other threads: loop `i` owns the shards `s ≡ i (mod
+//! io_threads)` and serves them itself.
 //!
 //! ```text
-//! io-{i} event loops (own every client socket; see crate::event_loop)
+//! io-{i} event loop: reads, decodes, routes, serves its own shards
 //!    │  Router::dispatch under one shared lock (owns the Partitioner)
-//!    ├──SPSC ring per shard──▶ shard workers
-//!    ▲                                │
-//!    └── per-loop completion queue ◀──┘
+//!    ├──▶ per-shard FIFO queue ──▶ owning loop's serve pass
+//!    ▲                                    │ reply for a connection of
+//!    │                                    │ another loop: one batch,
+//!    └──── that loop's completion queue ◀─┘ one ring per pass
 //! ```
 //!
 //! Connections are *pipelined*: the owning loop decodes and routes
@@ -21,41 +23,45 @@
 //! and the socket round-trip is amortized away. A bounded in-flight
 //! window ([`ServeConfig::max_inflight`]) pauses a connection's reads so
 //! a client that never drains responses cannot pin unbounded server
-//! memory. Whichever loop holds the [`Router`] lock is the *single*
-//! producer into every shard ring, which is what lets the rings be true
-//! SPSC with blocking backpressure, and shards drain a batch of jobs per
-//! ring wakeup into [`wmlp_sim::engine::SimSession::step_batch_store`].
+//! memory; the same windows bound every shard queue, so no queue can
+//! fill and routing never blocks. Once per iteration a loop takes each
+//! of its shards' queues whole and serves them in chunks of
+//! [`ServeConfig::batch`] jobs through
+//! [`wmlp_sim::engine::SimSession::step_batch_store`]; a request routed
+//! to one of the loop's own shards is answered in the iteration that
+//! read it, with no thread hand-off at all.
 //!
 //! The router owns the skew-aware [`Partitioner`] (`wmlp-router`): under
 //! `--partition replicate|migrate` it feeds every routed page to the
 //! hot-key detector, and at epoch boundaries (counted in routed
 //! requests, never wall time) recomputes per-key overrides. When the
-//! override set changes, the dispatching loop pushes a
-//! [`ShardMsg::Drain`] marker down every ring and blocks on a
-//! [`DrainGate`] until all shards have served everything routed under
-//! the old plan — so a key's requests are never reordered by a
-//! re-homing. Replicated PUTs fan out to every shard through a
-//! [`FanoutAck`] that forwards the home shard's reply only after the
-//! last replica has written.
+//! override set changes, the dispatching loop appends a
+//! [`ShardMsg::Drain`] marker to every shard queue and moves on; each
+//! owner serves its shard up to the marker and holds the shard's later
+//! jobs until every shard has arrived at the marker's [`DrainGate`] — so
+//! a key's requests are never reordered by a re-homing. Replicated PUTs
+//! fan out to every shard through a [`FanoutAck`] that answers with the
+//! home shard's reply only after the last replica has written.
 //!
 //! Graceful shutdown (a SHUTDOWN frame or [`ServerHandle::shutdown`])
 //! sets a flag and rings every loop's doorbell; each loop, on observing
 //! the flag, closes the listener (loop 0) and half-closes its own client
-//! sockets so their reads drain to EOF. Requests already queued in shard
-//! rings are still served and answered — the rings drain before the
-//! workers exit — while requests arriving after the flag are refused
-//! with [`wmlp_core::wire::ErrorCode::ShuttingDown`].
+//! sockets so their reads drain to EOF. Requests already routed are
+//! still served and answered — a loop keeps serving its shards until
+//! every loop's connections have drained — while requests arriving after
+//! the flag are refused with [`wmlp_core::wire::ErrorCode::ShuttingDown`].
 
 // lint:orderings(SeqCst): the shutdown latch is a one-shot flag read by
-// every event loop and set by the SHUTDOWN handler or the handle; it is
-// set at most once per process and sits nowhere near a fast path, so the
-// strongest ordering is the cheapest correct choice to reason about.
+// every event loop and set by the SHUTDOWN handler or the handle, and the
+// count of loops still serving connections drops once per loop; both sit
+// nowhere near a fast path, so the strongest ordering is the cheapest
+// correct choice to reason about.
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 
 use wmlp_algos::PolicyRegistry;
-use wmlp_check::sync::atomic::{AtomicBool, Ordering};
+use wmlp_check::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use wmlp_check::sync::Mutex;
 use wmlp_check::thread::{spawn_named, JoinHandle};
 use wmlp_core::instance::{MlInstance, Request};
@@ -65,11 +71,11 @@ use wmlp_core::wire::WireStats;
 use wmlp_router::{DrainGate, PartitionMode, PartitionSpec, Partitioner, Route};
 use wmlp_store::{RecoverMode, SegmentStore, StoreOptions};
 
-use crate::event_loop::{run_io_loop, LoopShared};
+use crate::event_loop::{register_loop, run_io_loop, LoopShared};
 use crate::shard::{
-    run_shard, shard_instances, CompletionSink, FanoutAck, ReplyTo, ShardJob, ShardMsg, ShardStats,
+    shard_instances, ConnAddr, FanoutAck, LocalShards, ReplyTo, ShardJob, ShardMsg, ShardQueues,
+    ShardStats,
 };
-use crate::spsc;
 
 /// Everything the server needs besides the instance itself.
 #[derive(Debug, Clone)]
@@ -77,18 +83,15 @@ pub struct ServeConfig {
     /// Bind address; use port 0 to let the OS pick (see
     /// [`ServerHandle::addr`]).
     pub addr: String,
-    /// Number of shard workers (≥ 1).
+    /// Number of shards (≥ 1).
     pub shards: usize,
-    /// Per-shard ring capacity; a full ring back-pressures the event
-    /// loop routing into it.
-    pub queue_depth: usize,
     /// Policy spec, in [`PolicyRegistry`] syntax (e.g.
     /// `"landlord(eta=0.5)"`).
     pub policy: String,
     /// Policy seed; shard `s` gets `seed + s` so randomized policies
     /// don't move in lock-step.
     pub seed: u64,
-    /// Max requests a shard drains per ring wakeup into one
+    /// Max jobs of one shard stepped per
     /// [`wmlp_sim::engine::SimSession::step_batch_store`] call (≥ 1).
     pub batch: usize,
     /// Per-connection cap on pipelined requests awaiting responses
@@ -116,8 +119,9 @@ pub struct ServeConfig {
     /// Routed requests per plan epoch; 0 freezes the plan at the hash
     /// baseline even in non-hash modes.
     pub epoch_len: u64,
-    /// Number of event-loop threads (≥ 1). Two loops saturate most
-    /// NICs; the loops only shuffle bytes, the shards do the work.
+    /// Number of event-loop threads (≥ 1). Loop `i` owns shards
+    /// `s ≡ i (mod io_threads)`; a loop numbered at or above the shard
+    /// count owns none and only shuffles bytes.
     pub io_threads: usize,
 }
 
@@ -126,7 +130,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             shards: 1,
-            queue_depth: 64,
             policy: "lru".into(),
             seed: 0,
             batch: 64,
@@ -197,6 +200,10 @@ pub(crate) struct Inner {
     pub(crate) inst: Arc<MlInstance>,
     pub(crate) max_inflight: usize,
     pub(crate) shutdown: AtomicBool,
+    /// Loops that have not yet both seen shutdown and drained their own
+    /// connections. A loop may still be routing into another's shards
+    /// until it has, so no loop stops serving before this reaches 0.
+    pub(crate) serving_loops: AtomicUsize,
     pub(crate) stats: Vec<Arc<ShardStats>>,
     /// Warm pages rebuilt from segment logs at startup, summed over
     /// shards; always 0 for in-memory storage and cold recovery.
@@ -224,10 +231,10 @@ impl Inner {
 /// and then [`ServerHandle::join`]).
 pub struct ServerHandle {
     inner: Arc<Inner>,
-    /// The event loops: they own every client socket, and their exit
-    /// means all connections have drained.
+    /// The event loops: they own every client socket and every shard,
+    /// and their exit means all connections have drained and every
+    /// store has been flushed.
     io: Vec<JoinHandle<()>>,
-    shards: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -263,14 +270,7 @@ impl ServerHandle {
     /// drained and [`ServerHandle::stats`] / [`ServerHandle::errors`]
     /// are final.
     pub fn wait_stopped(&mut self) {
-        // An event loop exits only once its last connection closes; the
-        // last loop to exit drops the `Router`, closing the shard rings;
-        // the shards drain and exit. This ordering is what guarantees
-        // in-flight requests are served.
         for h in self.io.drain(..) {
-            let _ = h.join();
-        }
-        for h in self.shards.drain(..) {
             let _ = h.join();
         }
     }
@@ -288,17 +288,26 @@ impl ServerHandle {
     }
 }
 
-/// Bind, spawn the worker topology, and return a handle.
+/// What a loop needs to serve one of its shards, minus the policy, which
+/// is not `Send` and is built on the loop's own thread.
+struct ShardParts {
+    id: usize,
+    inst: MlInstance,
+    store: Box<dyn Storage + Send>,
+    stats: Arc<ShardStats>,
+}
+
+/// Bind, spawn the event loops, and return a handle.
 ///
-/// Fails fast — before binding — if the instance cannot be sharded or the
-/// policy spec is invalid.
+/// Fails fast — before binding — if the instance cannot be sharded, the
+/// policy spec is invalid or a store does not open.
 pub fn start(inst: Arc<MlInstance>, cfg: &ServeConfig) -> Result<ServerHandle, ServeError> {
     let shard_insts = shard_instances(&inst, cfg.shards).map_err(ServeError::BadConfig)?;
     let partition_spec = cfg
         .partition_spec(shard_insts.len())
         .map_err(ServeError::BadConfig)?;
     // Validate the spec against every shard instance up front (policies
-    // are not Send, so the real builds happen inside the shard threads).
+    // are not Send, so the real builds happen on the owning loops).
     let registry = PolicyRegistry::standard();
     for (s, si) in shard_insts.iter().enumerate() {
         registry
@@ -306,8 +315,8 @@ pub fn start(inst: Arc<MlInstance>, cfg: &ServeConfig) -> Result<ServerHandle, S
             .map_err(ServeError::Policy)?;
     }
 
-    // Storage backends, one per shard, built before binding so a corrupt
-    // or unopenable store fails fast instead of inside a worker thread.
+    // Storage backends, one per shard, opened before binding so a corrupt
+    // or unopenable store fails fast instead of inside an event loop.
     // Opening an on-disk store replays its segment logs here, so the warm
     // count is known before the first request arrives.
     let mut stores: Vec<Box<dyn Storage + Send>> = Vec::with_capacity(shard_insts.len());
@@ -340,13 +349,17 @@ pub fn start(inst: Arc<MlInstance>, cfg: &ServeConfig) -> Result<ServerHandle, S
     listener.set_nonblocking(true)?;
 
     // The event loops' kernel resources (epoll instances and doorbell
-    // eventfds) are created before any thread spawns, so an fd-limit
-    // failure surfaces here instead of inside a worker.
+    // eventfds) are created and registered before any thread spawns, so
+    // an fd-limit failure surfaces here instead of inside a loop.
+    let loops = cfg.io_threads.max(1);
     let mut io_shareds: Vec<Arc<LoopShared>> = Vec::new();
     let mut reactors: Vec<Reactor> = Vec::new();
-    for _ in 0..cfg.io_threads.max(1) {
-        io_shareds.push(LoopShared::new()?);
-        reactors.push(Reactor::new()?);
+    for i in 0..loops {
+        let shared = LoopShared::new()?;
+        let reactor = Reactor::new()?;
+        register_loop(&reactor, &shared, (i == 0).then_some(&listener))?;
+        io_shareds.push(shared);
+        reactors.push(reactor);
     }
 
     let stats: Vec<Arc<ShardStats>> = shard_insts
@@ -358,122 +371,114 @@ pub fn start(inst: Arc<MlInstance>, cfg: &ServeConfig) -> Result<ServerHandle, S
         inst,
         max_inflight: cfg.max_inflight.max(1),
         shutdown: AtomicBool::new(false),
+        serving_loops: AtomicUsize::new(loops),
         stats: stats.clone(),
         warm_recovered,
         bells: io_shareds.iter().map(|s| Arc::clone(&s.bell)).collect(),
     });
 
-    // Shard workers, each on its own ring, each owning its storage.
-    let mut rings = Vec::with_capacity(shard_insts.len());
-    let mut shard_handles = Vec::with_capacity(shard_insts.len());
-    for (s, ((si, st), mut store)) in shard_insts.into_iter().zip(stats).zip(stores).enumerate() {
-        let (tx, rx) = spsc::channel(cfg.queue_depth.max(1));
-        rings.push(tx);
-        let spec = cfg.policy.clone();
-        let seed = cfg.seed.wrapping_add(s as u64);
-        let batch = cfg.batch.max(1);
-        shard_handles.push(spawn_named(format!("shard-{s}"), move || {
-            // Already validated above; a failure here would be a
-            // non-deterministic registry, which none of the policies are.
-            if let Ok(mut policy) = PolicyRegistry::standard().build(&spec, &si, seed) {
-                run_shard(&si, policy.as_mut(), rx, &st, batch, store.as_mut());
-            }
-        }));
+    let router = Arc::new(Router::new(partition_spec, loops, stats.clone()));
+    let mut parts: Vec<Vec<ShardParts>> = (0..loops).map(|_| Vec::new()).collect();
+    for (id, ((inst, store), stats)) in shard_insts.into_iter().zip(stores).zip(stats).enumerate() {
+        parts[router.queues().owner(id)].push(ShardParts {
+            id,
+            inst,
+            store,
+            stats,
+        });
     }
 
-    // The event loops hold every reference to the router, so the last
-    // loop to exit drops it — closing the shard rings only once all
-    // in-flight requests are routed.
-    let router = Arc::new(Router::new(partition_spec, rings, inner.stats.clone()));
     let peers = Arc::new(io_shareds);
     let mut listener = Some(listener); // loop 0 owns it
     let io_handles: Vec<JoinHandle<()>> = reactors
         .into_iter()
+        .zip(parts)
         .enumerate()
-        .map(|(i, reactor)| {
+        .map(|(i, (reactor, parts))| {
             let inner = Arc::clone(&inner);
             let peers = Arc::clone(&peers);
             let router = Arc::clone(&router);
             let listener = listener.take();
+            let (policy, seed, batch) = (cfg.policy.clone(), cfg.seed, cfg.batch);
             spawn_named(format!("io-{i}"), move || {
-                run_io_loop(inner, i, reactor, peers, listener, router);
+                let mut shards = LocalShards::new(batch);
+                for p in parts {
+                    // `start` built this very policy above, and registry
+                    // builds are deterministic.
+                    let policy = PolicyRegistry::standard()
+                        .build(&policy, &p.inst, seed.wrapping_add(p.id as u64))
+                        .expect("policy spec validated in start");
+                    shards.add(p.id, p.inst, policy, p.store, p.stats);
+                }
+                run_io_loop(inner, i, reactor, peers, listener, router, shards);
             })
         })
         .collect();
-    drop(router);
 
     Ok(ServerHandle {
         inner,
         io: io_handles,
-        shards: shard_handles,
     })
 }
 
-/// A request no ring would take: a shard worker is gone, so its reply can
-/// never arrive.
-#[derive(Debug, PartialEq, Eq)]
-pub struct ShardGone;
-
 /// The router every event loop shares: it consults the partition plan per
-/// request, enqueues on the chosen ring(s), and runs the epoch drain
-/// handshake whenever the plan's override set changes. One lock
+/// request, appends the job to the chosen shard queue(s), and starts the
+/// epoch drain whenever the plan's override set changes. One lock
 /// serialises every [`Router::dispatch`]: there is a single global
-/// routing order (the drain handshake and the replay-pinned plan rely on
-/// it), and the holder is the one producer of every ring. Dropping the
-/// router closes the rings.
+/// routing order, which the drain and the replay-pinned plan rely on.
+/// Nothing under the lock blocks.
 pub struct Router {
-    /// The partitioner and every ring's producer end.
-    state: Mutex<(Partitioner, Vec<spsc::Sender<ShardMsg>>)>,
-    /// `stats[s]` carries ring `s`'s queue gauge.
+    partitioner: Mutex<Partitioner>,
+    queues: ShardQueues,
+    /// `stats[s]` carries shard `s`'s queue gauge.
     stats: Vec<Arc<ShardStats>>,
 }
 
 impl Router {
-    /// A router placing by `spec` over one ring per shard.
-    pub fn new(
-        spec: PartitionSpec,
-        rings: Vec<spsc::Sender<ShardMsg>>,
-        stats: Vec<Arc<ShardStats>>,
-    ) -> Router {
-        let state = Mutex::new((Partitioner::new(spec), rings));
-        Router { state, stats }
+    /// A router placing by `spec` over one queue per entry of `stats`,
+    /// the shards dealt over `loops` event loops.
+    pub fn new(spec: PartitionSpec, loops: usize, stats: Vec<Arc<ShardStats>>) -> Router {
+        Router {
+            partitioner: Mutex::new(Partitioner::new(spec)),
+            queues: ShardQueues::new(stats.len(), loops),
+            stats,
+        }
     }
 
-    /// Route one request whose reply goes to connection `conn` of `sink`
-    /// under sequence slot `seq`. Blocks while a chosen ring is full, and
-    /// through an epoch drain; neither waits on an event loop, since
-    /// shards answer through the non-blocking [`CompletionSink`].
+    /// The shard queues the owning loops serve from.
+    pub fn queues(&self) -> &ShardQueues {
+        &self.queues
+    }
+
+    /// Route one request whose reply goes to slot `seq` of connection
+    /// `to`, marking in `wake` (indexed by loop) every loop that now has
+    /// work queued. Never blocks: a plan change only queues drain
+    /// markers, which the owning loops serve.
     pub fn dispatch(
         &self,
         req: Request,
         put: Option<Vec<u8>>,
         seq: u64,
-        sink: &Arc<dyn CompletionSink>,
-        conn: u64,
-    ) -> Result<(), ShardGone> {
-        let mut guard = match self.state.lock() {
+        to: ConnAddr,
+        wake: &mut [bool],
+    ) {
+        let mut partitioner = match self.partitioner.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
-        let (partitioner, rings) = &mut *guard;
+        let shards = self.queues.shards();
         if partitioner.epoch_due() && partitioner.advance_epoch().changed {
-            // The new plan may re-home keys. Quiesce every ring before
-            // routing anything under it: the drain markers sit behind
-            // all old-plan jobs (rings are FIFO), so the gate opening
-            // means no shard still holds old-plan work.
-            let gate = DrainGate::new(rings.len());
-            let marked = rings
-                .iter()
-                .filter(|ring| ring.send(ShardMsg::Drain(gate.clone())).is_ok());
-            if marked.count() < rings.len() {
-                // A shard died mid-teardown; its marker will never ack,
-                // so waiting would deadlock the drain.
-                return Err(ShardGone);
+            // The new plan may re-home keys. The markers sit behind every
+            // old-plan job (queues are FIFO and filled only under this
+            // lock), and no owner serves past its marker until the gate
+            // opens, so nothing routed under the new plan can pass
+            // anything routed under the old one.
+            let gate = DrainGate::new(shards);
+            for shard in 0..shards {
+                self.queues.push(shard, ShardMsg::Drain(gate.clone()), wake);
             }
-            gate.wait_zero();
         }
-        let enqueue = |shard: usize, put, reply| {
-            // A job the ring refuses is un-counted again.
+        let mut enqueue = |shard: usize, put, reply| {
             self.stats[shard].note_enqueued();
             let job = ShardJob {
                 req,
@@ -481,25 +486,18 @@ impl Router {
                 seq,
                 reply,
             };
-            rings[shard].send(ShardMsg::Job(job)).map_err(|_| {
-                self.stats[shard].note_done();
-                ShardGone
-            })
+            self.queues.push(shard, ShardMsg::Job(job), wake);
         };
         match partitioner.route(req.page, put.is_some()) {
-            Route::One(shard) => {
-                let sink = Arc::clone(sink);
-                enqueue(shard, put, ReplyTo::Sink { sink, conn })
-            }
+            Route::One(shard) => enqueue(shard, put, ReplyTo::Conn(to)),
             Route::Fanout { home } => {
                 // Replicated PUT: one copy per shard; the last completion
-                // forwards the home shard's reply to `sink`.
-                let ack = FanoutAck::new(rings.len(), seq, Arc::clone(sink), conn);
-                for shard in 0..rings.len() {
+                // answers with the home shard's reply.
+                let ack = FanoutAck::new(shards, seq, to);
+                for shard in 0..shards {
                     let (ack, home) = (Arc::clone(&ack), shard == home);
-                    enqueue(shard, put.clone(), ReplyTo::Fanout { ack, home })?;
+                    enqueue(shard, put.clone(), ReplyTo::Fanout { ack, home });
                 }
-                Ok(())
             }
         }
     }
@@ -508,24 +506,43 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wmlp_core::wire::Frame;
-
-    struct NullSink;
-
-    impl CompletionSink for NullSink {
-        fn complete(&self, _conn: u64, _seq: u64, _frame: Frame) {}
-    }
 
     #[test]
-    fn a_refused_dispatch_leaves_the_queue_gauge_at_zero() {
-        let stats = Arc::new(ShardStats::default());
-        let (tx, rx) = spsc::channel(4);
-        drop(rx);
-        let router = Router::new(PartitionSpec::hash(1), vec![tx], vec![Arc::clone(&stats)]);
-        let sink: Arc<dyn CompletionSink> = Arc::new(NullSink);
-        let got = router.dispatch(Request::top(3), None, 0, &sink, 0);
-        assert_eq!(got, Err(ShardGone));
-        assert_eq!(stats.load().queue_depth, 0);
-        assert_eq!(stats.load().queue_hwm, 1, "the attempt was still seen");
+    fn dispatch_queues_by_plan_and_marks_each_owner() {
+        let stats: Vec<Arc<ShardStats>> = (0..3).map(|_| Arc::default()).collect();
+        // Three shards over two loops: loop 0 owns shards 0 and 2.
+        let router = Router::new(PartitionSpec::hash(3), 2, stats.clone());
+        let to = ConnAddr { lp: 1, conn: 4 };
+        let mut wake = [false; 2];
+        for (seq, page) in [0u32, 3, 2].into_iter().enumerate() {
+            router.dispatch(Request::top(page), None, seq as u64, to, &mut wake);
+        }
+        assert_eq!(wake, [true, false], "pages 0, 3 and 2 all live on loop 0");
+        router.dispatch(Request::top(1), None, 3, to, &mut wake);
+        assert_eq!(wake, [true, true]);
+        let depths: Vec<u64> = stats.iter().map(|s| s.load().queue_depth).collect();
+        assert_eq!(depths, vec![2, 1, 1]);
+
+        // Loop 0 serves shards 0 and 2; the replies are addressed to the
+        // connection on loop 1, in route order per shard.
+        let inst = MlInstance::from_rows(3, (0..8).map(|p| vec![1 + p as u64]).collect()).unwrap();
+        let mut own = LocalShards::new(64);
+        for s in [0, 2] {
+            let si = shard_instances(&inst, 3).unwrap().remove(s);
+            let policy = PolicyRegistry::standard().build("lru", &si, 0).unwrap();
+            let store = Box::new(SimStorage::new(si.n(), si.max_levels(), 8));
+            own.add(s, si, policy, store, Arc::clone(&stats[s]));
+        }
+        let mut out = Vec::new();
+        assert!(!own.serve_pending(router.queues(), &mut out));
+        let seqs: Vec<u64> = out.iter().map(|c| c.seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2]);
+        assert!(out.iter().all(|c| c.to == to));
+        assert_eq!(stats[0].load().queue_depth, 0);
+        assert_eq!(
+            stats[1].load().queue_depth,
+            1,
+            "loop 1's shard is untouched"
+        );
     }
 }

@@ -1,15 +1,14 @@
 //! A bounded single-producer single-consumer channel.
 //!
-//! Each shard worker consumes from exactly one of these rings, fed by
-//! the event loop holding the router lock — so the hot path between loop
-//! and shard is a true SPSC handoff with backpressure: [`Sender::send`]
-//! blocks while the ring is full, bounding the memory a client can pin.
+//! No longer on the serving path: shards run on the event loops and are
+//! fed through [`crate::shard::ShardQueues`]. Kept, source-compatible,
+//! because the benchmark's layer probes time it (`spsc.handoff_ns`).
+//! [`Sender::send`] blocks while the ring is full.
 //!
 //! Neither endpoint is `Clone`, so single-producer/single-consumer is
 //! enforced by the type system rather than by convention. Dropping either
 //! endpoint closes the ring: a closed ring rejects sends and drains
-//! remaining items before `recv` reports disconnection (so graceful
-//! shutdown never loses an in-flight request).
+//! remaining items before `recv` reports disconnection.
 
 use std::collections::VecDeque;
 use std::sync::Arc;

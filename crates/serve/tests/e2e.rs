@@ -50,7 +50,6 @@ fn serve_cfg(shards: usize) -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".into(),
         shards,
-        queue_depth: 8,
         policy: "landlord".into(),
         seed: 5,
         batch: 4,
@@ -169,6 +168,40 @@ fn sharded_server_serves_gets_puts_stats_and_shuts_down() {
     assert_eq!(final_stats.cost, cost_sum);
 }
 
+/// 200 requests over the whole page range at mixed levels (level 1 is a
+/// PUT on the wire).
+fn mixed_requests(inst: &MlInstance) -> Vec<Request> {
+    (0..200u32)
+        .map(|i| {
+            let page = (i * 13) % 256;
+            Request::new(page, 1 + (i % u32::from(inst.levels(page))) as u8)
+        })
+        .collect()
+}
+
+/// Write every request down `stream` without reading a reply, while a
+/// reader thread collects one reply per request (the bounded in-flight
+/// window would otherwise deadlock a writer that never drains
+/// responses).
+fn pipelined_replies(stream: &TcpStream, reqs: &[Request]) -> Vec<Frame> {
+    let read_half = stream.try_clone().unwrap();
+    let n = reqs.len();
+    let reader = std::thread::spawn(move || {
+        let mut reader = FrameReader::new(read_half);
+        let mut got = Vec::with_capacity(n);
+        for _ in 0..n {
+            got.push(reader.next_frame().expect("read").expect("reply"));
+        }
+        got
+    });
+    let mut writer = BufWriter::new(stream.try_clone().unwrap());
+    for &r in reqs {
+        write_frame(&mut writer, &request_frame(r, b"")).unwrap();
+    }
+    writer.flush().unwrap();
+    reader.join().unwrap()
+}
+
 /// Pipelining: blast every request down the socket without reading a
 /// single reply, then read all replies — they must come back exactly in
 /// request order. Both that run and a closed-loop run of the same
@@ -176,12 +209,7 @@ fn sharded_server_serves_gets_puts_stats_and_shuts_down() {
 #[test]
 fn closed_loop_and_pipelined_replies_match_the_sequential_model() {
     let inst = Arc::new(default_instance(256, 3, 32, 7).unwrap());
-    let reqs: Vec<Request> = (0..200u32)
-        .map(|i| {
-            let page = (i * 13) % 256;
-            Request::new(page, 1 + (i % u32::from(inst.levels(page))) as u8)
-        })
-        .collect();
+    let reqs = mixed_requests(&inst);
     let model = sequential_model(&inst, &serve_cfg(4), &reqs);
 
     // Closed-loop run on a fresh server.
@@ -195,34 +223,17 @@ fn closed_loop_and_pipelined_replies_match_the_sequential_model() {
     assert!(matches!(closed.roundtrip(&Frame::Shutdown), Frame::Bye));
     handle.join();
 
-    // Pipelined run: write everything, reader thread collects replies
-    // concurrently (the bounded in-flight window would otherwise
-    // deadlock a writer that never drains responses).
     let handle = start(Arc::clone(&inst), &serve_cfg(4)).unwrap();
     let stream = TcpStream::connect(handle.addr()).unwrap();
-    let read_half = stream.try_clone().unwrap();
-    let n = reqs.len();
-    let reader = std::thread::spawn(move || {
-        let mut reader = FrameReader::new(read_half);
-        let mut got = Vec::with_capacity(n);
-        for _ in 0..n {
-            got.push(reader.next_frame().expect("read").expect("reply"));
-        }
-        got
-    });
-    let mut writer = BufWriter::new(stream);
-    for &r in &reqs {
-        write_frame(&mut writer, &request_frame(r, b"")).unwrap();
-    }
-    writer.flush().unwrap();
-    let got = reader.join().unwrap();
+    let got = pipelined_replies(&stream, &reqs);
     assert_eq!(got, model, "pipelined replies diverge from the model");
 
     // Control frames are sequenced with the stream: STATS pipelined
     // behind requests answers after them, in order.
+    let mut writer = BufWriter::new(stream.try_clone().unwrap());
     write_frame(&mut writer, &request_frame(reqs[0], b"")).unwrap();
     write_frame(&mut writer, &Frame::Stats).unwrap();
-    let mut reader = FrameReader::new(writer.get_ref().try_clone().unwrap());
+    let mut reader = FrameReader::new(stream);
     assert!(matches!(
         reader.next_frame().unwrap().unwrap(),
         Frame::Served { .. }
@@ -231,7 +242,7 @@ fn closed_loop_and_pipelined_replies_match_the_sequential_model() {
         Frame::StatsReply(stats) => {
             // Reply *order* is guaranteed; the snapshot *content* may or
             // may not include the request still in flight ahead of it.
-            assert!(stats.total.requests >= n as u64);
+            assert!(stats.total.requests >= reqs.len() as u64);
             assert_eq!(stats.shards.len(), 4);
         }
         other => panic!("unexpected reply {other:?}"),
@@ -239,6 +250,46 @@ fn closed_loop_and_pipelined_replies_match_the_sequential_model() {
     write_frame(&mut writer, &Frame::Shutdown).unwrap();
     assert!(matches!(reader.next_frame().unwrap().unwrap(), Frame::Bye));
     handle.join();
+}
+
+/// The cross-loop path. Under two event loops the second connection
+/// belongs to loop 1. With one shard loop 1 owns nothing, so every
+/// request on that connection is served by loop 0 and its reply crosses
+/// back; with three shards loop 1 owns shard 1 and the rest cross. The
+/// first connection stays idle on loop 0. Closed-loop and pipelined, the
+/// crossing connection's replies must equal the sequential model frame
+/// for frame.
+#[test]
+fn requests_crossing_loops_match_the_sequential_model() {
+    let inst = Arc::new(default_instance(256, 3, 32, 7).unwrap());
+    let reqs = mixed_requests(&inst);
+    for shards in [1, 3] {
+        let cfg = ServeConfig {
+            io_threads: 2,
+            ..serve_cfg(shards)
+        };
+        let model = sequential_model(&inst, &cfg, &reqs);
+
+        let handle = start(Arc::clone(&inst), &cfg).unwrap();
+        let idle = TcpStream::connect(handle.addr()).unwrap(); // loop 0
+        let mut crossing = Client::connect(handle.addr()); // loop 1
+        let got: Vec<Frame> = reqs
+            .iter()
+            .map(|&r| crossing.roundtrip(&request_frame(r, b"")))
+            .collect();
+        assert_eq!(got, model, "{shards} shard(s): closed-loop replies diverge");
+        assert!(matches!(crossing.roundtrip(&Frame::Shutdown), Frame::Bye));
+        handle.join();
+        drop(idle);
+
+        let handle = start(Arc::clone(&inst), &cfg).unwrap();
+        let idle = TcpStream::connect(handle.addr()).unwrap();
+        let crossing = TcpStream::connect(handle.addr()).unwrap();
+        let got = pipelined_replies(&crossing, &reqs);
+        assert_eq!(got, model, "{shards} shard(s): pipelined replies diverge");
+        assert_eq!(handle.shutdown_and_join().requests, reqs.len() as u64);
+        drop((idle, crossing));
+    }
 }
 
 /// Backpressure (PROTOCOL.md: "a client that never reads replies will
@@ -657,12 +708,14 @@ fn thread_names() -> Vec<String> {
 /// disjoint keys each repeat the round GET hot, GET hot, PUT cold, GET
 /// cold against `--partition migrate` with a short epoch. The four hot
 /// keys all hash-home on shard 0, so the planner re-homes them — live
-/// drains, run by whichever loop routes across an epoch boundary — while
+/// drains, started by whichever loop routes across an epoch boundary and
+/// completed by the loops owning the shards — while
 /// no cold key (1/512 of the traffic) ever ranks in the top `hot_k`, so
 /// every GET of a cold key must return its connection's last PUT. The
 /// replay of the same stream shows the adopted plan change, the live
 /// STATS show shard 0 relieved of traffic hash placement would give it,
-/// and no thread is named `router`.
+/// and no thread is named `router` or `shard-*`: the loops route and
+/// serve.
 #[test]
 fn plan_changes_under_two_loops_keep_every_connections_writes() {
     const CONNS: u32 = 4;
@@ -726,6 +779,7 @@ fn plan_changes_under_two_loops_keep_every_connections_writes() {
     let names = thread_names();
     assert!(names.iter().any(|n| n == "io-1"), "{names:?}");
     assert!(!names.iter().any(|n| n == "router"), "{names:?}");
+    assert!(!names.iter().any(|n| n.starts_with("shard-")), "{names:?}");
 
     // Hash placement would send every request for a page ≡ 0 (mod 4) to
     // shard 0; the adopted plan moved most of that traffic elsewhere.

@@ -1,70 +1,58 @@
 //! Model-checked properties of the serving stack's concurrency primitives.
 //!
-//! Every test runs the *real* production code (`spsc`, `run_shard`,
-//! `Router`, `CompletionQueue`) under the `wmlp-check` exhaustive
-//! interleaving explorer. The checked properties:
+//! Every test runs the *real* production code (`spsc`, `Router`,
+//! `ShardQueues`, `LocalShards`, `DrainGate`, `CompletionQueue`) under
+//! the `wmlp-check` exhaustive interleaving explorer. Model event loops
+//! stand in for `run_io_loop`: each serves its own shards through the
+//! real `LocalShards`, hands replies for another loop's connections over
+//! that loop's real `CompletionQueue` (one batch, one ring per pass),
+//! and sleeps on a model doorbell with eventfd counting semantics. The
+//! checked properties:
 //!
-//! 1. no lost wakeups   — every blocking handoff completes in every schedule
+//! 1. no lost wakeups   — every blocking `spsc` handoff completes in every
+//!    schedule
 //! 2. no deadlock       — detected automatically by the explorer
-//! 3. close drains all items
+//! 3. `spsc` close drains all items
 //! 4. `recv_batch` ≡ sequential `recv` × n
-//! 5. shutdown never drops an accepted request (ring drain through the
-//!    real `run_shard` worker)
-//! 6. the migration drain handshake (the real `Router::dispatch` with a
-//!    real `Partitioner` re-homing a key, + two shard workers through
-//!    `DrainGate` markers) preserves per-key ordering in every schedule
-//!    and never deadlocks — and the seeded mutant that bumps the epoch
-//!    *without* draining is caught by the checker
-//! 7. the event loops' eventfd wakeup handshake: the real
-//!    `CompletionQueue` over a model doorbell with eventfd *counting*
-//!    semantics loses no wakeup in any schedule, a completion racing a
-//!    shutdown ring is never stranded, and the seeded dropped-notify
-//!    mutant (a bell that publishes its count but never notifies) is
-//!    caught as a deadlock
-//! 8. two event loops sharing the router lock, dispatching into
-//!    capacity-1 rings through a plan change, never deadlock and keep
-//!    each connection's order
+//! 5. a loop whose own connections have drained still serves a peer
+//!    loop's queued job before it exits — and the seeded mutant that
+//!    stops serving once its own connections drain is caught
+//! 6. the non-blocking migration drain (the real `Router::dispatch` with
+//!    a real `Partitioner` re-homing a key onto another loop's shard)
+//!    keeps that key's requests in route order in every schedule — and
+//!    the seeded mutant that bumps the epoch *without* draining is caught
+//! 7. the eventfd wakeup handshake: the real `CompletionQueue` over a
+//!    model doorbell with eventfd *counting* semantics loses no wakeup in
+//!    any schedule, a completion racing a shutdown ring is never
+//!    stranded, and the seeded dropped-notify mutant (a bell that
+//!    publishes its count but never notifies) is caught as a deadlock
+//! 8. two loops, each owning one shard, route into each other's shards
+//!    through a plan change with no deadlock, every request answered
+//!    once, and no per-connection reordering
 //!
-//! Fixtures are deliberately tiny (ring capacities 1–2, ≤ 4 threads,
-//! 2–4 items) — exhaustive exploration is exponential in yield points —
-//! and each test also asserts determinism where the schedule count is part
-//! of the contract.
+//! Fixtures are deliberately tiny (ring capacities 1–2, ≤ 2 loops, 1–3
+//! requests) — exhaustive exploration is exponential in yield points —
+//! and each test also asserts determinism where the schedule count is
+//! part of the contract.
 
-// lint:orderings(SeqCst): the shutdown-race fixture publishes a flag
-// before ringing its bell; the strongest ordering keeps the model's
+// lint:orderings(SeqCst): the fixtures publish a flag or a count before
+// ringing a bell; the strongest ordering keeps the model's
 // publish-then-ring story identical to production's.
 
 use std::sync::{mpsc, Arc};
 
-use wmlp_check::sync::atomic::AtomicBool;
+use wmlp_check::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use wmlp_check::sync::{Condvar, Mutex};
 use wmlp_check::{explore, Config};
 use wmlp_router::{PartitionMode, PartitionSpec};
 use wmlp_serve::notify::{CompletionQueue, Doorbell};
 use wmlp_serve::server::Router;
-use wmlp_serve::shard::{run_shard, CompletionSink, ReplyTo, ShardJob, ShardMsg, ShardStats};
+use wmlp_serve::shard::{ConnAddr, LocalShards, ReplyTo, ShardJob, ShardMsg, ShardStats};
 use wmlp_serve::spsc;
 
-use wmlp_check::thread::{spawn_named, JoinHandle};
+use wmlp_check::thread::spawn_named;
 use wmlp_core::instance::{MlInstance, Request};
-use wmlp_core::storage::SimStorage;
-use wmlp_core::wire::Frame;
-
-/// Channel-backed sink standing in for an event loop: `(conn, seq)` of
-/// every reply lands on an mpsc (which never blocks, so it adds no yield
-/// points) the test drains.
-struct ChanSink(mpsc::Sender<(u64, u64)>);
-
-impl CompletionSink for ChanSink {
-    fn complete(&self, conn: u64, seq: u64, _frame: Frame) {
-        let _ = self.0.send((conn, seq));
-    }
-}
-
-fn chan_sink() -> (Arc<dyn CompletionSink>, mpsc::Receiver<(u64, u64)>) {
-    let (tx, rx) = mpsc::channel();
-    (Arc::new(ChanSink(tx)), rx)
-}
+use wmlp_core::storage::{SimStorage, Storage, StorageError, StorageSnapshot};
 
 fn cfg() -> Config {
     Config::default()
@@ -161,92 +149,84 @@ fn spsc_recv_batch_equals_sequential_recv() {
     assert!(!batched.truncated && !sequential.truncated);
 }
 
-/// Property 5: graceful shutdown through the *real* shard worker — every
-/// job accepted into the ring before close is answered exactly once, and
-/// the queue gauge returns to zero. `run_shard` runs as a checked virtual
-/// thread (its engine work is pure compute; the reply mpsc never blocks).
-#[test]
-fn shutdown_never_drops_an_accepted_request() {
-    let report = explore(cfg(), || {
-        let inst =
-            MlInstance::from_rows(2, (0..3).map(|p| vec![10 + p as u64]).collect()).expect("inst");
-        let stats = Arc::new(ShardStats::default());
-        let (tx, rx) = spsc::channel::<ShardMsg>(2);
-        let (sink, reply_rx) = chan_sink();
-        let st2 = Arc::clone(&stats);
-        let inst2 = inst.clone();
-        let worker = spawn_named("shard-0", move || {
-            let mut policy = wmlp_algos::PolicyRegistry::standard()
-                .build("lru", &inst2, 0)
-                .expect("build lru");
-            let mut store = SimStorage::new(inst2.n(), inst2.max_levels(), 8);
-            run_shard(&inst2, policy.as_mut(), rx, &st2, 2, &mut store);
-        });
-        for (seq, page) in [0u32, 1, 0].into_iter().enumerate() {
-            stats.note_enqueued();
-            assert!(
-                tx.send(ShardMsg::Job(ShardJob {
-                    req: Request::top(page),
-                    put: None,
-                    seq: seq as u64,
-                    reply: ReplyTo::Sink {
-                        sink: Arc::clone(&sink),
-                        conn: 0,
-                    },
-                }))
-                .is_ok(),
-                "worker alive during send"
-            );
-        }
-        drop(tx); // close: the worker must drain, then exit
-        worker.join().expect("join shard worker");
-        let replies: Vec<u64> = reply_rx.try_iter().map(|(_, seq)| seq).collect();
-        assert_eq!(
-            replies,
-            vec![0, 1, 2],
-            "every accepted request answered once, in order"
-        );
-        assert_eq!(stats.load().queue_depth, 0, "queue gauge back to zero");
-        assert_eq!(stats.snapshot().requests, 3);
-    });
-    assert!(report.failure.is_none(), "{}", report.failure.unwrap());
-    assert!(!report.truncated);
+/// A shard's in-memory store that logs every value access as
+/// `(shard, page)`. The engine touches each request's value as it serves
+/// it, and the log is one mpsc across all stores (which never blocks, so
+/// it adds no yield points), so the log's order is the global serve
+/// order.
+struct Recording {
+    shard: usize,
+    inner: SimStorage,
+    log: mpsc::Sender<(usize, u32)>,
 }
 
-/// Two real `run_shard` workers: the rings' producer ends, the shards'
-/// stats and the worker handles.
-struct Shards {
-    rings: Vec<spsc::Sender<ShardMsg>>,
+impl Storage for Recording {
+    fn get(&mut self, page: u32, out: &mut Vec<u8>) -> Result<u8, StorageError> {
+        let _ = self.log.send((self.shard, page));
+        self.inner.get(page, out)
+    }
+    fn put(&mut self, page: u32, value: &[u8]) -> Result<(), StorageError> {
+        let _ = self.log.send((self.shard, page));
+        self.inner.put(page, value)
+    }
+    fn promote(&mut self, page: u32, level: u8) -> Result<(), StorageError> {
+        self.inner.promote(page, level)
+    }
+    fn flush(&mut self, page: u32) -> Result<bool, StorageError> {
+        self.inner.flush(page)
+    }
+    fn flush_all(&mut self) -> Result<u64, StorageError> {
+        self.inner.flush_all()
+    }
+    fn snapshot(&self) -> StorageSnapshot {
+        self.inner.snapshot()
+    }
+}
+
+/// The shared side of one model event loop: its doorbell, and the queue
+/// other loops push its connections' `(conn, seq)` replies onto.
+struct ModelLoop {
+    bell: Arc<ModelBell>,
+    inbox: CompletionQueue<(u64, u64)>,
+}
+
+/// What the model loops share: the real router (and through it the
+/// shard queues), every loop's doorbell and inbox, the count of loops
+/// still serving connections (`Inner::serving_loops`), the shards'
+/// stats, and the serve-order log.
+struct World {
+    router: Router,
+    loops: Vec<ModelLoop>,
+    serving: AtomicUsize,
     stats: Vec<Arc<ShardStats>>,
-    workers: Vec<JoinHandle<()>>,
+    log: mpsc::Sender<(usize, u32)>,
 }
 
-/// [`Shards`] over a 3-page instance, one ring of capacity `cap` each.
-fn spawn_shards(cap: usize) -> Shards {
-    let inst =
-        MlInstance::from_rows(2, (0..3).map(|p| vec![10 + p as u64]).collect()).expect("inst");
-    let mut rings = Vec::new();
-    let mut stats = Vec::new();
-    let mut workers = Vec::new();
-    for s in 0..2 {
-        let (tx, rx) = spsc::channel::<ShardMsg>(cap);
-        rings.push(tx);
-        let st = Arc::new(ShardStats::default());
-        stats.push(Arc::clone(&st));
-        let inst2 = inst.clone();
-        workers.push(spawn_named(format!("shard-{s}"), move || {
-            let mut policy = wmlp_algos::PolicyRegistry::standard()
-                .build("lru", &inst2, 0)
-                .expect("build lru");
-            let mut store = SimStorage::new(inst2.n(), inst2.max_levels(), 8);
-            run_shard(&inst2, policy.as_mut(), rx, &st, 2, &mut store);
-        }));
-    }
-    Shards {
-        rings,
+/// A 3-page instance every shard runs on.
+fn tiny_instance() -> MlInstance {
+    MlInstance::from_rows(2, (0..3).map(|p| vec![10 + p as u64]).collect()).expect("inst")
+}
+
+/// A [`World`] of `loops` model loops over `spec.shards` shards, and the
+/// receiving end of its serve-order log.
+fn world(spec: PartitionSpec, loops: usize) -> (Arc<World>, mpsc::Receiver<(usize, u32)>) {
+    let stats: Vec<Arc<ShardStats>> = (0..spec.shards).map(|_| Arc::default()).collect();
+    let (tx, rx) = mpsc::channel();
+    let loops = (0..loops)
+        .map(|_| {
+            let bell = Arc::new(ModelBell::new(false));
+            let inbox = CompletionQueue::new(Arc::clone(&bell) as Arc<dyn Doorbell>);
+            ModelLoop { bell, inbox }
+        })
+        .collect::<Vec<_>>();
+    let world = World {
+        router: Router::new(spec, loops.len(), stats.clone()),
+        serving: AtomicUsize::new(loops.len()),
+        loops,
         stats,
-        workers,
-    }
+        log: tx,
+    };
+    (Arc::new(world), rx)
 }
 
 /// A migrate plan over 2 shards that re-homes page 0 at its first epoch
@@ -255,56 +235,203 @@ fn spawn_shards(cap: usize) -> Shards {
 /// smaller id) and page 2 stays background load on shard 0, so LPT moves
 /// page 0 to shard 1 — halving the estimated max load, which the
 /// adoption hysteresis accepts.
-fn rehoming_router(rings: Vec<spsc::Sender<ShardMsg>>, stats: Vec<Arc<ShardStats>>) -> Router {
-    let spec = PartitionSpec {
+fn rehoming_spec() -> PartitionSpec {
+    PartitionSpec {
         mode: PartitionMode::Migrate,
         shards: 2,
         detector_capacity: 4,
         hot_k: 1,
         epoch_len: 2,
         sample_every: 1,
-    };
-    Router::new(spec, rings, stats)
+    }
 }
 
-/// Property 6 (correct protocol): the real [`Router::dispatch`] routes
-/// pages 2, 0, 0 into two real `run_shard` workers; the epoch boundary
-/// before the third request re-homes page 0 from shard 0 to shard 1,
-/// through the production drain handshake. Page 0's completions match
-/// its route order in *every* schedule, and the handshake itself never
-/// loses a wakeup or deadlocks.
+impl World {
+    /// The shards loop `me` owns, each an lru policy on a [`Recording`]
+    /// store, built on the calling (loop) thread.
+    fn own_shards(&self, me: usize) -> LocalShards {
+        let inst = tiny_instance();
+        let mut shards = LocalShards::new(2);
+        let queues = self.router.queues();
+        for id in (0..queues.shards()).filter(|&s| queues.owner(s) == me) {
+            let policy = wmlp_algos::PolicyRegistry::standard()
+                .build("lru", &inst, 0)
+                .expect("build lru");
+            let store = Recording {
+                shard: id,
+                inner: SimStorage::new(inst.n(), inst.max_levels(), 8),
+                log: self.log.clone(),
+            };
+            let stats = Arc::clone(&self.stats[id]);
+            shards.add(id, inst.clone(), policy, Box::new(store), stats);
+        }
+        shards
+    }
+
+    /// Ring every loop but `me`.
+    fn ring_others(&self, me: usize) {
+        for (i, l) in self.loops.iter().enumerate() {
+            if i != me {
+                l.bell.ring();
+            }
+        }
+    }
+
+    /// Route `pages` from connection `conn` of loop `me`, as slots 0, 1,
+    /// …, then ring each other loop that got work, once.
+    fn route(&self, me: usize, conn: u64, pages: &[u32]) {
+        let mut wake = vec![false; self.loops.len()];
+        for (seq, &page) in pages.iter().enumerate() {
+            let to = ConnAddr { lp: me, conn };
+            self.router
+                .dispatch(Request::top(page), None, seq as u64, to, &mut wake);
+        }
+        for (i, marked) in wake.into_iter().enumerate() {
+            if marked && i != me {
+                self.loops[i].bell.ring();
+            }
+        }
+    }
+
+    /// Drive loop `me` the way `run_io_loop` does, minus sockets: serve
+    /// its shards, keep replies for its own connections, push the rest to
+    /// their loops as one batch each, and count itself out once its
+    /// connections have their `expected` replies. It exits once every
+    /// loop has counted out and its shards are idle — or, with
+    /// `wait_for_peers` off (the seeded mutant), as soon as its own
+    /// connections are done. Returns its connections' `(conn, seq)`
+    /// replies in arrival order.
+    fn run_loop(
+        &self,
+        me: usize,
+        mut shards: LocalShards,
+        expected: usize,
+        wait_for_peers: bool,
+    ) -> Vec<(u64, u64)> {
+        let queues = self.router.queues();
+        let mut got = Vec::new();
+        let mut served = Vec::new();
+        let mut outbox: Vec<Vec<(u64, u64)>> = self.loops.iter().map(|_| Vec::new()).collect();
+        let mut counted_out = false;
+        loop {
+            if shards.serve_pending(queues, &mut served) {
+                self.ring_others(me);
+            }
+            for c in served.drain(..) {
+                let reply = (c.to.conn, c.seq);
+                if c.to.lp == me {
+                    got.push(reply);
+                } else {
+                    outbox[c.to.lp].push(reply);
+                }
+            }
+            for (l, batch) in self.loops.iter().zip(&mut outbox) {
+                l.inbox.push_batch(batch);
+            }
+            self.loops[me].inbox.drain_into(&mut got);
+            if !counted_out && got.len() == expected {
+                counted_out = true;
+                self.serving.fetch_sub(1, Ordering::SeqCst);
+                self.ring_others(me);
+            }
+            let peers_done = !wait_for_peers || self.serving.load(Ordering::SeqCst) == 0;
+            if counted_out && peers_done && shards.is_idle(queues) {
+                break;
+            }
+            self.loops[me].bell.wait();
+        }
+        shards.flush_all();
+        got
+    }
+}
+
+/// Property 5 fixture: one shard, two loops. Loop 0 owns the shard and
+/// has no connections left (it counts itself out at once); loop 1 owns
+/// no shard, so its one request crosses to loop 0, and its reply comes
+/// back over loop 1's completion queue. Returns loop 1's replies.
+fn drained_owner_serves_a_peer(wait_for_peers: bool) -> Vec<(u64, u64)> {
+    let (world, _log) = world(PartitionSpec::hash(1), 2);
+    let w0 = Arc::clone(&world);
+    let owner = spawn_named("io-0", move || {
+        let shards = w0.own_shards(0);
+        w0.run_loop(0, shards, 0, wait_for_peers)
+    });
+    world.route(1, 5, &[0]);
+    let got = world.run_loop(1, world.own_shards(1), 1, wait_for_peers);
+    assert!(owner.join().expect("join io-0").is_empty());
+    got
+}
+
+/// Property 5: a loop whose own connections have drained keeps serving
+/// until every loop has, so a peer's job queued on its shard is answered
+/// in every schedule, and both loops exit.
+#[test]
+fn a_drained_loop_serves_a_peers_job_before_it_exits() {
+    let report = explore(cfg(), || {
+        let got = drained_owner_serves_a_peer(true);
+        assert_eq!(got, vec![(5, 0)], "the crossing request answered once");
+    });
+    assert!(report.failure.is_none(), "{}", report.failure.unwrap());
+    assert!(!report.truncated, "fixture must be exhaustively explored");
+}
+
+/// Property 5 (seeded mutant): a loop that stops serving as soon as its
+/// own connections have drained. The checker must find the schedule
+/// where it exits before the peer's job arrives, leaving the peer asleep
+/// with nobody to serve it — reported as a deadlock.
+#[test]
+fn a_loop_that_exits_with_its_own_connections_is_caught() {
+    let report = explore(cfg(), || {
+        drained_owner_serves_a_peer(false);
+    });
+    assert!(
+        report.failure.is_some(),
+        "the early-exit mutant must strand the peer in some schedule"
+    );
+}
+
+/// The shards page 0 was served on, in serve order.
+fn page0_shards(log: mpsc::Receiver<(usize, u32)>) -> Vec<usize> {
+    log.try_iter()
+        .filter(|&(_, page)| page == 0)
+        .map(|(shard, _)| shard)
+        .collect()
+}
+
+/// Property 6 (correct protocol): loop 0 routes pages 2, 0, 0 from one
+/// connection through the real [`Router::dispatch`]; the epoch boundary
+/// before the third request re-homes page 0 from shard 0 (loop 0's) to
+/// shard 1 (loop 1's). Dispatch only queues drain markers and returns;
+/// loop 1 holds the re-homed request at the gate until loop 0 has served
+/// shard 0 up to its marker. Page 0 is served in route order in *every*
+/// schedule, and no schedule deadlocks.
 #[test]
 fn migration_drain_preserves_per_key_ordering() {
     let report = explore(cfg(), || {
-        let Shards {
-            rings,
-            stats,
-            workers,
-        } = spawn_shards(2);
-        let router = rehoming_router(rings, stats.clone());
-        let (sink, reply_rx) = chan_sink();
-        for (seq, page) in [2u32, 0, 0].into_iter().enumerate() {
-            let routed = router.dispatch(Request::top(page), None, seq as u64, &sink, 0);
-            assert!(routed.is_ok(), "workers alive during dispatch");
-        }
-        drop(router); // closes the rings: the workers drain, then exit
-        for w in workers {
-            w.join().expect("join shard worker");
-        }
-        let page0: Vec<u64> = reply_rx
-            .try_iter()
-            .map(|(_, seq)| seq)
-            .filter(|&seq| seq != 0)
-            .collect();
+        let (world, log) = world(rehoming_spec(), 2);
+        let w1 = Arc::clone(&world);
+        let peer = spawn_named("io-1", move || {
+            let shards = w1.own_shards(1);
+            w1.run_loop(1, shards, 0, true)
+        });
+        world.route(0, 0, &[2, 0, 0]);
+        let mut got = world.run_loop(0, world.own_shards(0), 3, true);
+        assert!(peer.join().expect("join io-1").is_empty());
+        got.sort_unstable();
         assert_eq!(
-            page0,
-            vec![1, 2],
-            "page 0's requests must complete in route order across the re-homing"
+            got,
+            vec![(0, 0), (0, 1), (0, 2)],
+            "each request answered once"
         );
         assert_eq!(
-            stats[1].snapshot().requests,
+            world.stats[1].snapshot().requests,
             1,
             "the plan change re-homed page 0 onto shard 1"
+        );
+        assert_eq!(
+            page0_shards(log),
+            vec![0, 1],
+            "page 0 must be served in route order across the re-homing"
         );
     });
     assert!(report.failure.is_none(), "{}", report.failure.unwrap());
@@ -313,37 +440,37 @@ fn migration_drain_preserves_per_key_ordering() {
 
 /// Property 6 (seeded mutant): a hand-rolled router that bumps the epoch
 /// *without* draining — page 0 goes to shard 0 under the old plan, then
-/// straight to shard 1 under the new one. Shard 1 can answer the
-/// re-homed request before shard 0 answers the old-plan one; the checker
-/// must find that schedule.
+/// straight onto shard 1's queue under the new one, with no marker
+/// between. Loop 1 can serve the re-homed request before loop 0 serves
+/// the old-plan one; the checker must find that schedule.
 #[test]
 fn epoch_bump_without_drain_is_caught() {
     let report = explore(cfg(), || {
-        let Shards {
-            rings,
-            stats,
-            workers,
-        } = spawn_shards(2);
-        let (sink, reply_rx) = chan_sink();
+        let (world, log) = world(PartitionSpec::hash(2), 2);
+        let w1 = Arc::clone(&world);
+        let peer = spawn_named("io-1", move || {
+            let shards = w1.own_shards(1);
+            w1.run_loop(1, shards, 0, true)
+        });
+        let mut wake = [false; 2];
         for (seq, shard) in [0usize, 1].into_iter().enumerate() {
-            stats[shard].note_enqueued();
+            world.stats[shard].note_enqueued();
             let job = ShardMsg::Job(ShardJob {
                 req: Request::top(0),
                 put: None,
                 seq: seq as u64,
-                reply: ReplyTo::Sink {
-                    sink: Arc::clone(&sink),
-                    conn: 0,
-                },
+                reply: ReplyTo::Conn(ConnAddr { lp: 0, conn: 0 }),
             });
-            assert!(rings[shard].send(job).is_ok());
+            world.router.queues().push(shard, job, &mut wake);
         }
-        drop(rings);
-        for w in workers {
-            w.join().expect("join shard worker");
-        }
-        let order: Vec<u64> = reply_rx.try_iter().map(|(_, seq)| seq).collect();
-        assert_eq!(order, vec![0, 1], "page 0 reordered across the re-homing");
+        world.loops[1].bell.ring();
+        world.run_loop(0, world.own_shards(0), 2, true);
+        peer.join().expect("join io-1");
+        assert_eq!(
+            page0_shards(log),
+            vec![0, 1],
+            "page 0 reordered across the re-homing"
+        );
     });
     assert!(
         report.failure.is_some(),
@@ -351,54 +478,40 @@ fn epoch_bump_without_drain_is_caught() {
     );
 }
 
-/// Property 8: two event loops dispatch through the one shared router
-/// lock into capacity-1 rings drained by real `run_shard` workers. Loop
-/// 0 routes page 0 twice on connection 0, loop 1 page 2 once on
-/// connection 1; whenever page 2 is routed before page 0's second
-/// request, the epoch boundary re-homes page 0 — a drain run by one loop
-/// while the other may be contending for the lock. No schedule
-/// deadlocks (a loop blocked on a full ring or in a drain never waits on
-/// a loop), and every connection's replies arrive in dispatch order.
+/// Property 8: two loops, each owning one shard, route into each other's
+/// shards. Loop 0 routes page 0 twice on connection 0, loop 1 page 2
+/// (hash-homed on loop 0's shard) once on connection 1; whenever page 2
+/// is routed before page 0's second request, the epoch boundary re-homes
+/// page 0 onto loop 1's shard — a drain started by whichever loop routes
+/// across the boundary, while the other may be contending for the router
+/// lock or serving. No schedule deadlocks, every request is answered
+/// exactly once to its own connection, and page 0's requests are served
+/// in route order.
 #[test]
-fn two_loops_share_the_router_without_deadlock_or_reordering() {
-    // Four virtual threads: one preemption keeps the search exhaustive
-    // (~19 K schedules). Switching away from a thread blocked on the
-    // router lock, a full ring or the drain gate is not a preemption, so
-    // every contention shape is still explored.
-    let bounds = Config {
-        preemption_bound: 1,
-        ..cfg()
-    };
-    let report = explore(bounds, || {
-        let Shards {
-            rings,
-            stats,
-            workers,
-        } = spawn_shards(1);
-        let router = Arc::new(rehoming_router(rings, stats));
-        let (sink, reply_rx) = chan_sink();
-        let (r1, s1) = (Arc::clone(&router), Arc::clone(&sink));
+fn two_loops_route_into_each_others_shards_without_deadlock_or_reordering() {
+    // ~460 schedules at the default two preemptions; in ~70 of them the
+    // plan change re-homes page 0 onto loop 1's shard.
+    let report = explore(cfg(), || {
+        let (world, log) = world(rehoming_spec(), 2);
+        let w1 = Arc::clone(&world);
         let loop1 = spawn_named("io-1", move || {
-            assert!(r1.dispatch(Request::top(2), None, 0, &s1, 1).is_ok());
+            let shards = w1.own_shards(1);
+            w1.route(1, 1, &[2]);
+            w1.run_loop(1, shards, 1, true)
         });
-        for seq in 0..2 {
-            assert!(router
-                .dispatch(Request::top(0), None, seq, &sink, 0)
-                .is_ok());
-        }
-        loop1.join().expect("join io-1");
-        drop(router); // the last reference: closes the rings
-        for w in workers {
-            w.join().expect("join shard worker");
-        }
-        let replies: Vec<(u64, u64)> = reply_rx.try_iter().collect();
-        let conn0: Vec<u64> = replies
-            .iter()
-            .filter(|(conn, _)| *conn == 0)
-            .map(|(_, seq)| *seq)
-            .collect();
-        assert_eq!(conn0, vec![0, 1], "connection 0 reordered");
-        assert_eq!(replies.len(), 3, "every dispatched request answered once");
+        let shards = world.own_shards(0);
+        world.route(0, 0, &[0, 0]);
+        let mut conn0 = world.run_loop(0, shards, 2, true);
+        let conn1 = loop1.join().expect("join io-1");
+        conn0.sort_unstable();
+        assert_eq!(conn0, vec![(0, 0), (0, 1)], "connection 0's replies");
+        assert_eq!(conn1, vec![(1, 0)], "connection 1's reply");
+        let page0 = page0_shards(log);
+        assert_eq!(page0.len(), 2);
+        assert_eq!(
+            page0[0], 0,
+            "page 0's second request served before its first"
+        );
     });
     assert!(report.failure.is_none(), "{}", report.failure.unwrap());
     assert!(!report.truncated, "fixture must be exhaustively explored");
@@ -457,8 +570,8 @@ impl Doorbell for ModelBell {
     }
 }
 
-/// Property 7 (no lost wakeup): two shard workers push completions onto
-/// the real [`CompletionQueue`] while the event loop waits on the model
+/// Property 7 (no lost wakeup): two peer loops push replies onto the
+/// real [`CompletionQueue`] while the event loop waits on the model
 /// bell. In every schedule the loop collects both completions — a ring
 /// landing between the loop's drain and its next wait is accumulated by
 /// the counter, never lost.
@@ -473,7 +586,7 @@ fn eventfd_handshake_never_loses_a_wakeup() {
             .into_iter()
             .map(|seq| {
                 let q2 = Arc::clone(&q);
-                spawn_named(format!("shard-{seq}"), move || q2.push(seq))
+                spawn_named(format!("peer-{seq}"), move || q2.push_batch(&mut vec![seq]))
             })
             .collect();
         let mut got = Vec::new();
@@ -484,14 +597,14 @@ fn eventfd_handshake_never_loses_a_wakeup() {
         got.sort_unstable();
         assert_eq!(got, vec![0, 1], "every published completion surfaces");
         for w in workers {
-            w.join().expect("join shard worker");
+            w.join().expect("join peer");
         }
     });
     assert!(report.failure.is_none(), "{}", report.failure.unwrap());
     assert!(!report.truncated, "fixture must be exhaustively explored");
 }
 
-/// Property 7 (concurrent close): a shard completion races
+/// Property 7 (concurrent close): a peer loop's reply races
 /// `trigger_shutdown`'s ring. The loop keeps waiting until it has seen
 /// *both* the shutdown flag and the in-flight completion — mirroring the
 /// production loop, which only exits once its connections have drained.
@@ -505,7 +618,7 @@ fn completion_racing_a_shutdown_ring_is_never_stranded() {
         ));
         let shutdown = Arc::new(AtomicBool::new(false));
         let q2 = Arc::clone(&q);
-        let worker = spawn_named("shard-0", move || q2.push(7));
+        let worker = spawn_named("peer-0", move || q2.push_batch(&mut vec![7]));
         let (b2, s2) = (Arc::clone(&bell), Arc::clone(&shutdown));
         let closer = spawn_named("closer", move || {
             // trigger_shutdown's discipline: publish the flag, then ring.
@@ -518,7 +631,7 @@ fn completion_racing_a_shutdown_ring_is_never_stranded() {
             q.drain_into(&mut got);
         }
         assert_eq!(got, vec![7], "the in-flight completion survives the race");
-        worker.join().expect("join shard worker");
+        worker.join().expect("join peer");
         closer.join().expect("join closer");
     });
     assert!(report.failure.is_none(), "{}", report.failure.unwrap());
@@ -527,7 +640,7 @@ fn completion_racing_a_shutdown_ring_is_never_stranded() {
 
 /// Property 7 (seeded mutant): a bell that publishes its count but never
 /// notifies. The checker must find the schedule where the loop parks on
-/// the condvar *before* the worker rings — a consumer asleep with work
+/// the condvar *before* the peer rings — a consumer asleep with work
 /// published and nobody left to wake it, reported as a deadlock.
 #[test]
 fn dropped_notify_mutant_is_caught() {
@@ -537,13 +650,13 @@ fn dropped_notify_mutant_is_caught() {
             Arc::clone(&bell) as Arc<dyn Doorbell>
         ));
         let q2 = Arc::clone(&q);
-        let worker = spawn_named("shard-0", move || q2.push(0));
+        let worker = spawn_named("peer-0", move || q2.push_batch(&mut vec![0]));
         let mut got = Vec::new();
         while got.is_empty() {
             bell.wait();
             q.drain_into(&mut got);
         }
-        worker.join().expect("join shard worker");
+        worker.join().expect("join peer");
     });
     assert!(
         report.failure.is_some(),

@@ -8,8 +8,9 @@
 # the shutdown handshake lands cleanly (the loadgen's own smoke contract),
 # and the server process exits 0 after the drain with `0 errors` in its
 # exit banner (the shards' own count: policy rejections, storage failures).
-# Before the load, the server must run exactly `io-0`, `io-1` and its
-# `shard-*` threads besides main (the loops route; no `router` thread).
+# Before the load, the server must run exactly `io-0` and `io-1` besides
+# main: the loops route and serve their own shards, so there is no
+# `router` thread and no `shard-*` thread.
 #
 # Usage: CONNS=1024 scripts/serve_epoll_smoke.sh [wmlp-serve-bin [wmlp-loadgen-bin]]
 # (defaults assume `cargo build --release` has run from the repo root)
@@ -31,12 +32,13 @@ SERVER_PID=$!
 wait_for_banner "$LOG" "epoll"
 ADDR=$(server_addr "$LOG")
 
-# The plane's threads, besides main: exactly the two event loops and the
-# four shards. The loops route requests themselves — no `router` thread.
+# The server's threads, besides main: exactly the two event loops. Each
+# routes its own requests and serves two of the four shards — no `router`
+# thread, no `shard-*` threads.
 THREADS=$(for t in /proc/"$SERVER_PID"/task/*; do
     [ "${t##*/}" = "$SERVER_PID" ] || cat "$t/comm"
 done | sort | tr '\n' ' ')
-[ "$THREADS" = "io-0 io-1 shard-0 shard-1 shard-2 shard-3 " ] ||
+[ "$THREADS" = "io-0 io-1 " ] ||
     die "$LOG" "unexpected server threads besides main: $THREADS"
 
 # 16 requests per connection: enough that every connection pipelines past
