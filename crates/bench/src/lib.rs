@@ -19,8 +19,9 @@
 //! | E11 | multi-phase lower-bound construction: online pays a per-phase set-cover blowup (Thm 3.6) |
 //!
 //! Run them with `cargo run -p wmlp-bench --release --bin experiments --
-//! all` (or a list of ids). The in-process timing grid is [`perf`] (the
-//! `perf` binary); the serving stack is timed by `benchmark/run.sh`.
+//! all` (or a list of ids). Timing lives in one place, `benchmark/run.sh`:
+//! its `theorem-suite` workload runs this suite, and its traced replay
+//! times the solver, policy, storage and router kernels as layer metrics.
 //!
 //! Each experiment calls the offline solver it divides by
 //! (`wmlp_flow::weighted_paging_opt`, `wmlp_offline::opt_multilevel` or
@@ -30,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod perf;
 pub mod table;
 
 pub use table::Table;

@@ -1,23 +1,18 @@
 //! A flag value that does not parse must not silently run a different
-//! experiment (`perf --iters abc` used to time the default grid,
-//! `simulate gen --k sixteen` to generate for `k = 16`): both binaries
-//! refuse it with exit 2 and one line naming the flag, before timing,
+//! experiment (`simulate gen --k sixteen` used to generate for `k = 16`):
+//! the binary refuses it with exit 2 and one line naming the flag, before
 //! generating or writing anything. `experiments` refuses an unknown id the
 //! same way, and its exit status reports results it could not write.
 
 #[test]
 fn unparsable_flag_values_exit_2_before_any_work() {
-    let perf = env!("CARGO_BIN_EXE_perf");
-    let simulate = env!("CARGO_BIN_EXE_simulate");
-    let cases: [(&str, &[&str], &str); 5] = [
-        (perf, &["--smoke", "--iters", "abc"], "--iters abc"),
-        (perf, &["--smoke", "--trace-len", "1e3"], "--trace-len 1e3"),
-        (perf, &["--smoke", "--iters"], "--iters: missing value"),
-        (simulate, &["gen", "--k", "sixteen"], "--k sixteen"),
-        (simulate, &["gen", "--len", "10k"], "--len 10k"),
+    let cases: [(&[&str], &str); 3] = [
+        (&["gen", "--k", "sixteen"], "--k sixteen"),
+        (&["gen", "--len", "10k"], "--len 10k"),
+        (&["gen", "--len"], "--len: missing value"),
     ];
-    for (bin, args, expect) in cases {
-        let out = std::process::Command::new(bin)
+    for (args, expect) in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_simulate"))
             .args(args)
             .output()
             .expect("run binary");

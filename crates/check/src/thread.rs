@@ -48,16 +48,6 @@ impl<T: 'static> JoinHandle<T> {
             }
         }
     }
-
-    /// Name of the underlying thread, when it has one.
-    pub fn thread_name(&self) -> Option<String> {
-        match &self.inner {
-            JoinImpl::Std(h) => h.thread().name().map(str::to_string),
-            JoinImpl::Model { exec, id, .. } => {
-                Some(runtime::lock_inner(exec).threads[*id].name.clone())
-            }
-        }
-    }
 }
 
 /// Spawn a thread with an explicit name (visible in panics and `/proc`).

@@ -1,5 +1,5 @@
-//! Minimal flag parsing shared by the `wmlp-serve`, `wmlp-loadgen`,
-//! `perf` and `simulate` binaries (kept dependency-free on purpose).
+//! Minimal flag parsing shared by the `wmlp-serve`, `wmlp-loadgen` and
+//! `simulate` binaries (kept dependency-free on purpose).
 
 /// The value following `name` in `args`, if present.
 pub fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {

@@ -13,17 +13,12 @@
 //! wmlp-trace v1
 //! 0 1                # page, level
 //! 1 3
-//!
-//! wmlp-wbtrace v1
-//! w 0                # write to page 0
-//! r 1                # read of page 1
 //! ```
 //!
 //! Blank lines and `#`-to-end-of-line comments are ignored.
 
 use crate::instance::{InstanceError, MlInstance, Request, Trace};
 use crate::types::{Level, PageId, Weight};
-use crate::writeback::{WbRequest, WbTrace};
 
 /// Parse/serialize errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,47 +137,6 @@ pub fn parse_trace(text: &str) -> Result<Trace, CodecError> {
     .collect()
 }
 
-/// Serialize a writeback trace.
-pub fn write_wb_trace(trace: &[WbRequest]) -> String {
-    let mut out = String::from("wmlp-wbtrace v1\n");
-    for r in trace {
-        let tag = match r.op {
-            crate::writeback::RwOp::Write => 'w',
-            crate::writeback::RwOp::Read => 'r',
-        };
-        out.push_str(&format!("{tag} {}\n", r.page));
-    }
-    out
-}
-
-/// Parse a writeback trace.
-pub fn parse_wb_trace(text: &str) -> Result<WbTrace, CodecError> {
-    let mut it = lines(text);
-    match it.next() {
-        Some((_, "wmlp-wbtrace v1")) => {}
-        other => return Err(CodecError::BadHeader(format!("{other:?}"))),
-    }
-    it.map(|(n, l)| {
-        let mut parts = l.split_whitespace();
-        let tag = parts
-            .next()
-            .ok_or_else(|| CodecError::BadLine(n, l.into()))?;
-        let page: PageId = parts
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| CodecError::BadLine(n, l.into()))?;
-        if parts.next().is_some() {
-            return Err(CodecError::BadLine(n, l.into()));
-        }
-        match tag {
-            "w" => Ok(WbRequest::write(page)),
-            "r" => Ok(WbRequest::read(page)),
-            _ => Err(CodecError::BadLine(n, l.into())),
-        }
-    })
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,12 +155,6 @@ mod tests {
         let mut text = write_trace(&trace);
         text.push_str("# trailing comment\n\n");
         assert_eq!(parse_trace(&text).unwrap(), trace);
-    }
-
-    #[test]
-    fn wb_trace_roundtrip() {
-        let trace = vec![WbRequest::write(3), WbRequest::read(0), WbRequest::write(1)];
-        assert_eq!(parse_wb_trace(&write_wb_trace(&trace)).unwrap(), trace);
     }
 
     #[test]
@@ -230,10 +178,6 @@ mod tests {
         ));
         assert!(matches!(
             parse_trace("wmlp-trace v1\n0 1 9\n"),
-            Err(CodecError::BadLine(2, _))
-        ));
-        assert!(matches!(
-            parse_wb_trace("wmlp-wbtrace v1\nx 0\n"),
             Err(CodecError::BadLine(2, _))
         ));
     }

@@ -96,11 +96,8 @@ impl std::error::Error for StorageError {
 }
 
 /// Point-in-time residency and operation counters of a [`Storage`].
-///
-/// The `*_nanos` fields are *measured* wall time spent inside promotions
-/// and flushes — real I/O latency for the on-disk store, always zero for
-/// the clock-free [`SimStorage`]. They are observability output only and
-/// must never feed a canonical manifest.
+/// Every field is a count, so a fixed operation sequence yields the same
+/// snapshot on every run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StorageSnapshot {
     /// Pages resident per level: `resident[l-1]` counts pages whose copy
@@ -113,12 +110,6 @@ pub struct StorageSnapshot {
     /// Dirty writebacks performed by [`Storage::flush`] /
     /// [`Storage::flush_all`] so far.
     pub flushes: u64,
-    /// Measured wall time inside promotions, nanoseconds (0 when the
-    /// backend is clock-free).
-    pub promote_nanos: u64,
-    /// Measured wall time making dirty writebacks durable (the `fsync`s),
-    /// nanoseconds (0 when the backend is clock-free).
-    pub flush_nanos: u64,
     /// [`Storage::commit`] calls that handed buffered records to the
     /// kernel (0 for a backend with nothing to commit).
     pub commits: u64,
@@ -134,8 +125,7 @@ pub struct StorageSnapshot {
 /// `get` (read request) for the serve itself, and `commit` once after
 /// the last request of a batch. Implementations must be
 /// deterministic in their visible state (values, residency, dirty set)
-/// for a fixed operation sequence; only the `*_nanos` counters may vary
-/// run to run.
+/// and in their [`StorageSnapshot`] for a fixed operation sequence.
 pub trait Storage {
     /// Append the current value of `page` to `out` and return the level
     /// it was served from (1 = warm tier).
@@ -152,8 +142,8 @@ pub trait Storage {
     fn promote(&mut self, page: PageId, level: Level) -> Result<(), StorageError>;
 
     /// Drop `page` from the warm tier — the storage side of a policy
-    /// `Evict`. A dirty page is written back to the backing tier first
-    /// (the measured flush). Returns whether a writeback happened.
+    /// `Evict`. A dirty page is written back to the backing tier first.
+    /// Returns whether a writeback happened.
     fn flush(&mut self, page: PageId) -> Result<bool, StorageError>;
 
     /// Write back every dirty page without evicting anything (graceful
@@ -197,13 +187,11 @@ pub fn default_value(page: PageId, size: usize, out: &mut Vec<u8>) {
     }
 }
 
-/// Operation counters shared by storage backends.
+/// Operation counters of a [`SimStorage`].
 #[derive(Debug, Clone, Copy, Default)]
 struct OpCounters {
     promotions: u64,
     flushes: u64,
-    promote_nanos: u64,
-    flush_nanos: u64,
 }
 
 /// The deterministic in-memory storage model — the simulation's levels,
@@ -358,8 +346,6 @@ impl Storage for SimStorage {
             dirty: self.dirty.len() as u64,
             promotions: self.counters.promotions,
             flushes: self.counters.flushes,
-            promote_nanos: self.counters.promote_nanos,
-            flush_nanos: self.counters.flush_nanos,
             commits: 0,
             syncs: 0,
         }
@@ -460,15 +446,13 @@ mod tests {
     }
 
     #[test]
-    fn sim_storage_is_clock_free() {
+    fn sim_storage_counts_operations_and_has_nothing_to_commit() {
         let mut s = SimStorage::new(8, 2, 8);
         s.put(0, b"x").unwrap();
         s.promote(1, 1).unwrap();
         s.flush(0).unwrap();
         s.commit().unwrap();
         let snap = s.snapshot();
-        assert_eq!(snap.promote_nanos, 0);
-        assert_eq!(snap.flush_nanos, 0);
         assert_eq!((snap.commits, snap.syncs), (0, 0), "nothing to commit");
         assert_eq!(snap.promotions, 1);
         assert_eq!(snap.flushes, 1);

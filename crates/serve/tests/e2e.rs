@@ -823,3 +823,77 @@ fn plan_changes_under_two_loops_keep_every_connections_writes() {
     });
     assert!(adopted, "no plan change adopted in the replay:\n{manifest}");
 }
+
+/// Every GET of a key returns its last acknowledged PUT, also after the
+/// router re-homes the key. One closed-loop connection PUTs page 0 once,
+/// then alternates GETs of page 0 with GETs of 200 background pages, so
+/// page 0 is the detector's hottest key from the first epoch on.
+///
+/// Each shard owns its own store and no value moves with a re-homed key,
+/// so under `replicate` (GETs round-robin over every shard) and `migrate`
+/// (the key's new shard) some GETs return the page's default value
+/// instead (DESIGN.md §8 "The drain"). Those two cases are ignored until
+/// the drain hands values across; run them with `--ignored` to see the
+/// stale reads.
+mod a_rehomed_key_serves_its_last_acked_put {
+    use super::*;
+
+    fn stale_reads(partition: &str) {
+        const GETS: usize = 1000;
+        const BACKGROUND: u32 = 200;
+        let inst = Arc::new(default_instance(256, 3, 32, 7).unwrap());
+        let cfg = ServeConfig {
+            io_threads: 1,
+            partition: partition.into(),
+            epoch_len: 64,
+            hot_k: 4,
+            detector_capacity: 16,
+            ..serve_cfg(4)
+        };
+        let acked = b"the last acked PUT".to_vec();
+        let handle = start(Arc::clone(&inst), &cfg).unwrap();
+        let mut client = Client::connect(handle.addr());
+        let put = client.roundtrip(&request_frame(Request::new(0, 1), &acked));
+        assert!(matches!(put, Frame::Served { .. }), "PUT: {put:?}");
+        let mut stale = Vec::new();
+        for i in 0..GETS {
+            match client.roundtrip(&request_frame(Request::new(0, 2), b"")) {
+                Frame::Served { value, .. } if value == acked => {}
+                Frame::Served { value, .. } => stale.push((i, value)),
+                other => panic!("GET {i} of page 0: unexpected reply {other:?}"),
+            }
+            let background = Request::new(1 + i as u32 % BACKGROUND, 2);
+            let reply = client.roundtrip(&request_frame(background, b""));
+            assert!(matches!(reply, Frame::Served { .. }), "{reply:?}");
+        }
+        assert!(matches!(client.roundtrip(&Frame::Shutdown), Frame::Bye));
+        handle.join();
+        if let Some((first, value)) = stale.first() {
+            panic!(
+                "--partition {partition}: {} of {GETS} GETs of page 0 missed its last acked \
+                 PUT {:?}; the first, GET {first}, returned {} bytes starting {:02x?}",
+                stale.len(),
+                String::from_utf8_lossy(&acked),
+                value.len(),
+                &value[..value.len().min(8)]
+            );
+        }
+    }
+
+    #[test]
+    fn hash() {
+        stale_reads("hash");
+    }
+
+    #[test]
+    #[ignore = "ROADMAP item 17"]
+    fn replicate() {
+        stale_reads("replicate");
+    }
+
+    #[test]
+    #[ignore = "ROADMAP item 17"]
+    fn migrate() {
+        stale_reads("migrate");
+    }
+}

@@ -283,9 +283,9 @@ impl SimSession {
         let t = self.t;
         self.t += 1;
         if !inst.request_valid(req) {
-            // Clear the scratch log so `last_step` (and the batch slot a
-            // `step_batch` caller records) reflects this no-op step, not
-            // the previous request's actions.
+            // Clear the scratch log so the batch slot a `step_batch`
+            // caller records reflects this no-op step, not the previous
+            // request's actions.
             self.log.clear();
             return Err(SimError::BadRequest { t, req });
         }
@@ -420,12 +420,6 @@ impl SimSession {
     #[inline]
     pub fn time(&self) -> usize {
         self.t
-    }
-
-    /// The action log of the most recent step.
-    #[inline]
-    pub fn last_step(&self) -> &StepLog {
-        &self.log
     }
 
     /// Accumulated costs.

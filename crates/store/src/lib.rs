@@ -7,15 +7,14 @@
 //! recovery of the level-1 (RAM) tier.
 //!
 //! In the serving stack each shard owns one [`SegmentStore`], so the
-//! paging policy's fetches and evictions become *measured* disk
-//! promotions and dirty writebacks. See [`store`] for the recovery
-//! contract and [`segment`] for the record format.
+//! paging policy's fetches and evictions become real disk promotions
+//! and dirty writebacks. See [`store`] for the recovery contract and
+//! [`segment`] for the record format.
 
 #![warn(missing_docs)]
 
 pub mod segment;
 pub mod store;
-mod timed;
 
 pub use segment::{crc32, decode_record, encode_put, encode_record, Decoded, Record};
 pub use store::{RecoverMode, SegmentStore, StoreOptions};

@@ -52,7 +52,6 @@ use wmlp_core::storage::{default_value, Storage, StorageError, StorageSnapshot, 
 use wmlp_core::types::{Level, PageId};
 
 use crate::segment::{decode_record, encode_put, encode_record, Decoded, Record, VALUE_OFFSET};
-use crate::timed::OpTimer;
 
 /// What to rebuild from the segment log when opening a store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,8 +125,6 @@ const READ_HANDLES: usize = 32;
 struct Counters {
     promotions: u64,
     flushes: u64,
-    promote_nanos: u64,
-    flush_nanos: u64,
     commits: u64,
     syncs: u64,
 }
@@ -483,10 +480,8 @@ impl Storage for SegmentStore {
         self.counters.promotions += 1;
         if level == 1 {
             if !self.warm.contains_key(&page) {
-                let timer = OpTimer::start();
                 let mut value = Vec::new();
                 self.read_durable(page, &mut value)?;
-                self.counters.promote_nanos += timer.elapsed_nanos();
                 self.warm.insert(page, value);
             }
         } else {
@@ -533,11 +528,9 @@ impl Storage for SegmentStore {
             self.counters.commits += 1;
         }
         if self.needs_sync {
-            let timer = OpTimer::start();
             self.seg_file.sync_data().map_err(|e| io_err("fsync", e))?;
             self.needs_sync = false;
             self.counters.syncs += 1;
-            self.counters.flush_nanos += timer.elapsed_nanos();
         }
         Ok(())
     }
@@ -556,8 +549,6 @@ impl Storage for SegmentStore {
             dirty: self.dirty.len() as u64,
             promotions: self.counters.promotions,
             flushes: self.counters.flushes,
-            promote_nanos: self.counters.promote_nanos,
-            flush_nanos: self.counters.flush_nanos,
             commits: self.counters.commits,
             syncs: self.counters.syncs,
         }

@@ -9,16 +9,13 @@
 //!   adversarial request sequences for multi-level instances.
 //! * [`wb`] — writeback-aware (read/write) trace generators with tunable
 //!   write ratios.
-//! * [`export`] — traces as `wmlp-serve` wire-format frame streams.
 
 #![warn(missing_docs)]
 
-pub mod export;
 pub mod traces;
 pub mod wb;
 pub mod weights;
 
-pub use export::{trace_from_wire, trace_wire_bytes};
 pub use traces::{cyclic_trace, phased_trace, scan_trace, zipf_trace, LevelDist};
 pub use wb::{wb_shifting_trace, wb_uniform_trace, wb_zipf_trace};
 pub use weights::{ml_rows_geometric, weights_pow2_classes, weights_two_point, weights_uniform};

@@ -145,8 +145,8 @@ fn citation_shapes() {
         "README.md",
         "lp::simplex::{dual, check_feasible}",
         "target/experiments/BENCH.json",
-        "cargo run -p wmlp-bench --release --bin perf",
-        "wmlp_bench::perf",
+        "cargo run -p wmlp-bench --release --bin experiments",
+        "wmlp_bench::experiments",
     ] {
         assert_eq!(citation(not_a_citation), None, "{not_a_citation}");
     }
