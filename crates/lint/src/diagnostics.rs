@@ -8,7 +8,7 @@ use std::fmt;
 pub enum Severity {
     /// Advisory; does not fail `--check`.
     Warning,
-    /// Fails `--check` unless baselined or suppressed.
+    /// Fails `--check` unless suppressed.
     Error,
 }
 

@@ -25,21 +25,17 @@
 //!   `lint:orderings` header with a reason.
 //! * **C4** — serve/loadgen threads go through `spawn_named`.
 //!
-//! Pre-existing violations live in `lint-baseline.toml` and are ratcheted
-//! down (see [`baseline`]); new code must be clean or carry an inline
-//! `// lint:allow(RULE): reason` suppression.
+//! `--check` fails on any violation: code must be clean or carry an
+//! inline `// lint:allow(RULE): reason` suppression.
 
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod diagnostics;
 pub mod lexer;
 pub mod rules;
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use baseline::Baseline;
 use diagnostics::Diagnostic;
 use rules::FileScope;
 
@@ -79,118 +75,37 @@ pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<String>> {
     Ok(files)
 }
 
-/// Lint every in-scope file under `root` and return all unsuppressed
-/// diagnostics, ordered by `(file, line, col)`.
-pub fn lint_repo(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
-    let mut diags = Vec::new();
-    for rel in collect_rs_files(root)? {
-        let scope = FileScope::from_rel_path(&rel)
-            .unwrap_or_else(|| unreachable!("collect_rs_files only yields in-scope files"));
-        let src = std::fs::read_to_string(root.join(&rel))?;
-        diags.extend(rules::scan_source(&rel, &src, &scope));
-    }
-    Ok(diags)
-}
-
-/// Per-`(file, rule)` counts of a diagnostic list.
-pub fn count_by_file_rule(diags: &[Diagnostic]) -> BTreeMap<(String, String), usize> {
-    let mut counts: BTreeMap<(String, String), usize> = BTreeMap::new();
-    for d in diags {
-        *counts
-            .entry((d.file.clone(), d.rule.to_string()))
-            .or_insert(0) += 1;
-    }
-    counts
-}
-
-/// A baseline entry that no longer matches reality.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StaleEntry {
-    /// Repo-relative file.
-    pub file: String,
-    /// Rule id.
-    pub rule: String,
-    /// Count recorded in the baseline.
-    pub baselined: usize,
-    /// Count actually found.
-    pub actual: usize,
-}
-
 /// Outcome of a `--check` run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CheckReport {
-    /// Violations beyond the baseline (per overflowing `(file, rule)`
-    /// group, every diagnostic of the group is listed for context).
-    pub new: Vec<Diagnostic>,
-    /// Baseline entries exceeding reality; the ratchet must be tightened.
-    pub stale: Vec<StaleEntry>,
-    /// Total violations found (baselined ones included).
-    pub total: usize,
-    /// Violations absorbed by the baseline.
-    pub baselined: usize,
+    /// Every unsuppressed violation, ordered by `(file, line, col)`.
+    pub violations: Vec<Diagnostic>,
     /// Files scanned.
     pub files_scanned: usize,
 }
 
 impl CheckReport {
-    /// True when the check should exit 0.
+    /// True when the check should exit 0: no violation at all.
     pub fn passed(&self) -> bool {
-        self.new.is_empty() && self.stale.is_empty()
+        self.violations.is_empty()
     }
 }
 
-/// Run the full check under `root`: lint, then compare against the
-/// baseline. I/O and baseline-parse failures are returned as strings.
+/// Lint every in-scope file under `root`. I/O failures are returned as
+/// strings.
 pub fn check(root: &Path) -> Result<CheckReport, String> {
     let files = collect_rs_files(root).map_err(|e| e.to_string())?;
-    let diags = lint_repo(root).map_err(|e| e.to_string())?;
-    let baseline = Baseline::load(root)?;
-    let counts = count_by_file_rule(&diags);
-
-    let mut report = CheckReport {
-        total: diags.len(),
+    let mut violations = Vec::new();
+    for rel in &files {
+        let scope = FileScope::from_rel_path(rel)
+            .unwrap_or_else(|| unreachable!("collect_rs_files only yields in-scope files"));
+        let src = std::fs::read_to_string(root.join(rel)).map_err(|e| e.to_string())?;
+        violations.extend(rules::scan_source(rel, &src, &scope));
+    }
+    Ok(CheckReport {
+        violations,
         files_scanned: files.len(),
-        ..CheckReport::default()
-    };
-    for (key @ (file, rule), &actual) in &counts {
-        let allowed = baseline.entries.get(key).copied().unwrap_or(0);
-        if actual > allowed {
-            report.new.extend(
-                diags
-                    .iter()
-                    .filter(|d| &d.file == file && d.rule == rule)
-                    .cloned(),
-            );
-        } else {
-            report.baselined += actual;
-        }
-    }
-    for ((file, rule), &baselined) in &baseline.entries {
-        let actual = counts
-            .get(&(file.clone(), rule.clone()))
-            .copied()
-            .unwrap_or(0);
-        if baselined > actual {
-            report.stale.push(StaleEntry {
-                file: file.clone(),
-                rule: rule.clone(),
-                baselined,
-                actual,
-            });
-        }
-    }
-    Ok(report)
-}
-
-/// Regenerate `lint-baseline.toml` under `root` to match the current
-/// violation set exactly. Returns the number of baselined violations.
-pub fn fix_baseline(root: &Path) -> Result<usize, String> {
-    let diags = lint_repo(root).map_err(|e| e.to_string())?;
-    let counts = count_by_file_rule(&diags);
-    let baseline = Baseline::from_counts(&counts);
-    let path = root.join("lint-baseline.toml");
-    std::fs::write(&path, baseline.render()).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(diags.len())
+    })
 }
 
 /// The workspace root, as seen from the compiled lint crate. Used by the

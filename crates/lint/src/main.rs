@@ -3,7 +3,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use wmlp_lint::{check, fix_baseline, lint_repo, rules, workspace_root};
+use wmlp_lint::{check, rules, workspace_root};
 
 /// `println!` that ignores write errors, so piping into `head` (which
 /// closes stdout early) terminates the process cleanly instead of
@@ -22,10 +22,8 @@ USAGE:
     cargo run -p wmlp-lint -- [OPTIONS]
 
 OPTIONS:
-    --check           Lint and compare against lint-baseline.toml (default).
-                      Exits 1 on new violations or stale baseline entries.
-    --fix-baseline    Regenerate lint-baseline.toml from the current state.
-    --list            Print every violation, baselined ones included.
+    --check           Lint and print every violation (default).
+                      Exits 1 if there is any.
     --rules           Describe the rules and the suppression syntax.
     --root <path>     Repo root to lint (default: this workspace).
     --help            This message.
@@ -33,8 +31,6 @@ OPTIONS:
 
 enum Mode {
     Check,
-    FixBaseline,
-    List,
     Rules,
 }
 
@@ -45,8 +41,6 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--check" => mode = Mode::Check,
-            "--fix-baseline" => mode = Mode::FixBaseline,
-            "--list" => mode = Mode::List,
             "--rules" => mode = Mode::Rules,
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
@@ -80,52 +74,18 @@ fn main() -> ExitCode {
             out!("    // lint:allow(D2): wall time is display-only, zeroed in manifests");
             out!("\ndeclare a file's memory-ordering palette for C3 (reason is mandatory):");
             out!("    // lint:orderings(Relaxed, SeqCst): counters are advisory; the latch is one-shot");
-            out!("\nbaseline ratchet: pre-existing counts live in lint-baseline.toml;");
-            out!("fix violations, then shrink it with --fix-baseline.");
+            out!("\n--check exits 1 on any finding not suppressed or declared this way.");
             ExitCode::SUCCESS
         }
-        Mode::List => match lint_repo(&root) {
-            Ok(diags) => {
-                for d in &diags {
-                    out!("{d}");
-                }
-                out!("{} violation(s)", diags.len());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::from(2)
-            }
-        },
-        Mode::FixBaseline => match fix_baseline(&root) {
-            Ok(n) => {
-                out!("lint-baseline.toml rewritten: {n} baselined violation(s)");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::from(2)
-            }
-        },
         Mode::Check => match check(&root) {
             Ok(report) => {
-                for d in &report.new {
+                for d in &report.violations {
                     out!("{d}");
                 }
-                for s in &report.stale {
-                    out!(
-                        "{}: stale baseline: lint-baseline.toml lists {} {} violation(s), found {} — run `cargo run -p wmlp-lint -- --fix-baseline`",
-                        s.file, s.baselined, s.rule, s.actual
-                    );
-                }
                 out!(
-                    "checked {} files: {} violation(s), {} baselined, {} new, {} stale baseline entr{}",
+                    "checked {} files: {} violation(s)",
                     report.files_scanned,
-                    report.total,
-                    report.baselined,
-                    report.new.len(),
-                    report.stale.len(),
-                    if report.stale.len() == 1 { "y" } else { "ies" },
+                    report.violations.len()
                 );
                 if report.passed() {
                     ExitCode::SUCCESS

@@ -34,7 +34,7 @@ use crate::lexer::{lex, Token, TokenKind};
 /// Static description of one rule, for `--rules` output and docs.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// Rule id as written in suppressions and the baseline.
+    /// Rule id as written in suppressions.
     pub id: &'static str,
     /// One-line summary.
     pub summary: &'static str,

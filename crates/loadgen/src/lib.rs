@@ -174,7 +174,8 @@ impl Default for LoadgenConfig {
 }
 
 impl LoadgenConfig {
-    /// The small, fast configuration used by CI's serve-smoke job.
+    /// The small, fast configuration of `wmlp-loadgen --smoke` and of
+    /// this crate's end-to-end tests.
     pub fn smoke() -> Self {
         LoadgenConfig {
             conns: 2,

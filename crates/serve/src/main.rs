@@ -155,16 +155,16 @@ fn main() {
         Err(e) => fail(&e.to_string()),
     };
     if cfg.store_dir.is_some() {
-        // The restart smoke test greps this line to check cold vs warm
-        // recovery, so keep its shape stable too.
+        // benchmark/src/child.rs and the e2e tests' ServeProcess parse
+        // this line for the warm page count, so keep its shape stable.
         println!(
             "store: {} warm pages recovered ({})",
             handle.warm_recovered(),
             recover.label()
         );
     }
-    // Scripts (and the loadgen --wait-banner mode) parse this line for
-    // the resolved port, so keep its shape stable.
+    // benchmark/src/child.rs and the e2e tests' ServeProcess parse this
+    // line for the resolved port, so keep its shape stable.
     println!("listening on {}", handle.addr());
     handle.wait_stopped();
     let stats = handle.stats();

@@ -1,26 +1,31 @@
 //! End-to-end tests: a real server on a loopback socket driven by a
-//! hand-rolled protocol client, plus replay-mode determinism through the
-//! actual `wmlp-serve` binary.
+//! hand-rolled protocol client, in this process or as the actual
+//! `wmlp-serve` binary ([`ServeProcess`]: fan-in, skew, `kill -9`
+//! recovery, replay determinism, flag refusals).
 //!
 //! The reply oracle is [`sequential_model`]: a single-threaded replay of
 //! the same request stream through one `SimSession` per shard, built only
 //! from public items, so it depends on nothing in the connection plane.
 
-use std::io::{BufWriter, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::sync::Arc;
+use std::time::Duration;
 
 use wmlp_algos::PolicyRegistry;
 use wmlp_core::codec;
 use wmlp_core::conn::{write_frame, FrameReader};
 use wmlp_core::instance::{MlInstance, Request};
-use wmlp_core::storage::SimStorage;
+use wmlp_core::storage::{default_value, SimStorage};
 use wmlp_core::wire::{request_frame, ErrorCode, Frame};
 use wmlp_serve::server::{start, ServeConfig};
 use wmlp_serve::{
     default_instance, replay_manifest, replay_manifest_with_plan, shard_instances, ShardMap,
 };
 use wmlp_sim::engine::{BatchLog, SimSession, StoreRequest};
+use wmlp_workloads::{zipf_trace, LevelDist};
 
 struct Client {
     writer: BufWriter<TcpStream>,
@@ -28,7 +33,7 @@ struct Client {
 }
 
 impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
+    fn connect(addr: SocketAddr) -> Client {
         let stream = TcpStream::connect(addr).expect("connect");
         let writer = BufWriter::new(stream.try_clone().expect("clone"));
         Client {
@@ -43,6 +48,121 @@ impl Client {
             .next_frame()
             .expect("read")
             .expect("reply before EOF")
+    }
+}
+
+/// How long a [`ServeProcess`] may take to print a line or to exit.
+const WAIT: Duration = Duration::from_secs(20);
+
+/// A `wmlp-serve` process listening on a loopback port. A thread forwards
+/// its stdout line by line, so every wait on it is bounded by [`WAIT`].
+/// Dropping it kills the process with SIGKILL (`kill -9`).
+struct ServeProcess {
+    child: Child,
+    addr: SocketAddr,
+    /// Stdout before the `listening on` line (the `store:` banner).
+    banner: Vec<String>,
+    stdout: Receiver<String>,
+}
+
+impl ServeProcess {
+    /// Start `wmlp-serve --addr 127.0.0.1:0 <flags> <paths>`, `flags`
+    /// split on whitespace, and wait for its `listening on` banner.
+    fn spawn(flags: &str, paths: &[&str]) -> ServeProcess {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_wmlp-serve"))
+            .args(["--addr", "127.0.0.1:0"])
+            .args(flags.split_whitespace())
+            .args(paths)
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn wmlp-serve");
+        let lines = BufReader::new(child.stdout.take().expect("piped stdout")).lines();
+        let (tx, stdout) = channel();
+        std::thread::spawn(move || {
+            for line in lines.map_while(Result::ok) {
+                if tx.send(line).is_err() {
+                    break;
+                }
+            }
+        });
+        let mut banner = Vec::new();
+        loop {
+            match stdout.recv_timeout(WAIT) {
+                Ok(line) => match line.strip_prefix("listening on ") {
+                    Some(addr) => {
+                        let addr = addr.parse().expect("listen address");
+                        return ServeProcess {
+                            child,
+                            addr,
+                            banner,
+                            stdout,
+                        };
+                    }
+                    None => banner.push(line),
+                },
+                Err(e) => {
+                    child.kill().ok();
+                    panic!("wmlp-serve {flags}: no listen banner ({e}) after {banner:?}");
+                }
+            }
+        }
+    }
+
+    /// `N` of the `store: N warm pages recovered (<mode>)` banner.
+    fn warm_recovered(&self, mode: &str) -> u64 {
+        let suffix = format!(" warm pages recovered ({mode})");
+        self.banner
+            .iter()
+            .find_map(|line| line.strip_prefix("store: ")?.strip_suffix(&suffix))
+            .unwrap_or_else(|| panic!("no ({mode}) store banner in {:?}", self.banner))
+            .parse()
+            .expect("warm page count")
+    }
+
+    /// Names of the process's threads besides main, sorted.
+    fn threads(&self) -> Vec<String> {
+        let pid = self.child.id().to_string();
+        let mut names: Vec<String> = std::fs::read_dir(format!("/proc/{pid}/task"))
+            .expect("procfs")
+            .map(|task| task.expect("task entry").path())
+            .filter(|task| !task.ends_with(&pid))
+            .map(|task| {
+                let comm = std::fs::read_to_string(task.join("comm")).unwrap_or_default();
+                comm.trim().to_string()
+            })
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// Open file descriptors of the process.
+    fn fds(&self) -> usize {
+        std::fs::read_dir(format!("/proc/{}/fd", self.child.id()))
+            .expect("procfs")
+            .count()
+    }
+
+    /// Wait for the process to exit on its own, require status 0, and
+    /// return its last stdout line (the `served …` exit banner).
+    fn exit(mut self) -> String {
+        let mut last = None;
+        loop {
+            match self.stdout.recv_timeout(WAIT) {
+                Ok(line) => last = Some(line),
+                Err(RecvTimeoutError::Disconnected) => break,
+                Err(RecvTimeoutError::Timeout) => panic!("wmlp-serve did not exit"),
+            }
+        }
+        let status = self.child.wait().expect("reap wmlp-serve");
+        assert!(status.success(), "wmlp-serve exited with {status}");
+        last.expect("exit banner")
+    }
+}
+
+impl Drop for ServeProcess {
+    fn drop(&mut self) {
+        self.child.kill().ok();
+        self.child.wait().ok();
     }
 }
 
@@ -97,12 +217,6 @@ fn sequential_model(inst: &MlInstance, cfg: &ServeConfig, reqs: &[Request]) -> V
             }
         })
         .collect()
-}
-
-/// Open file descriptors of this process (server and client ends alike:
-/// the server under test runs in-process).
-fn open_fds() -> usize {
-    std::fs::read_dir("/proc/self/fd").expect("procfs").count()
 }
 
 #[test]
@@ -179,13 +293,18 @@ fn mixed_requests(inst: &MlInstance) -> Vec<Request> {
         .collect()
 }
 
-/// Write every request down `stream` without reading a reply, while a
-/// reader thread collects one reply per request (the bounded in-flight
+/// `reqs` as [`sequential_model`] assumes they are sent.
+fn frames(reqs: &[Request]) -> Vec<Frame> {
+    reqs.iter().map(|&r| request_frame(r, b"")).collect()
+}
+
+/// Write every frame down `stream` without reading a reply, while a
+/// reader thread collects one reply per frame (the bounded in-flight
 /// window would otherwise deadlock a writer that never drains
 /// responses).
-fn pipelined_replies(stream: &TcpStream, reqs: &[Request]) -> Vec<Frame> {
+fn pipelined_replies(stream: &TcpStream, frames: &[Frame]) -> Vec<Frame> {
     let read_half = stream.try_clone().unwrap();
-    let n = reqs.len();
+    let n = frames.len();
     let reader = std::thread::spawn(move || {
         let mut reader = FrameReader::new(read_half);
         let mut got = Vec::with_capacity(n);
@@ -195,8 +314,8 @@ fn pipelined_replies(stream: &TcpStream, reqs: &[Request]) -> Vec<Frame> {
         got
     });
     let mut writer = BufWriter::new(stream.try_clone().unwrap());
-    for &r in reqs {
-        write_frame(&mut writer, &request_frame(r, b"")).unwrap();
+    for frame in frames {
+        write_frame(&mut writer, frame).unwrap();
     }
     writer.flush().unwrap();
     reader.join().unwrap()
@@ -225,7 +344,7 @@ fn closed_loop_and_pipelined_replies_match_the_sequential_model() {
 
     let handle = start(Arc::clone(&inst), &serve_cfg(4)).unwrap();
     let stream = TcpStream::connect(handle.addr()).unwrap();
-    let got = pipelined_replies(&stream, &reqs);
+    let got = pipelined_replies(&stream, &frames(&reqs));
     assert_eq!(got, model, "pipelined replies diverge from the model");
 
     // Control frames are sequenced with the stream: STATS pipelined
@@ -285,7 +404,7 @@ fn requests_crossing_loops_match_the_sequential_model() {
         let handle = start(Arc::clone(&inst), &cfg).unwrap();
         let idle = TcpStream::connect(handle.addr()).unwrap();
         let crossing = TcpStream::connect(handle.addr()).unwrap();
-        let got = pipelined_replies(&crossing, &reqs);
+        let got = pipelined_replies(&crossing, &frames(&reqs));
         assert_eq!(got, model, "{shards} shard(s): pipelined replies diverge");
         assert_eq!(handle.shutdown_and_join().requests, reqs.len() as u64);
         drop((idle, crossing));
@@ -555,6 +674,14 @@ fn unparsable_flag_values_exit_2_before_binding() {
 /// a graceful shutdown reads back byte-identical after a warm restart
 /// (warm tier rebuilt from the segment logs) and after a cold restart
 /// (warm tier dropped, durable tier intact).
+///
+/// Then the binary on a fresh store, never shut down gracefully: each
+/// life ends in `kill -9`, so what the next one recovers came from the
+/// per-batch commits alone. After a write-heavy load, a cold restart
+/// recovers no warm page and a warm restart rebuilds some. After a kill
+/// in the middle of a load, which may tear the log's last batch, both
+/// modes open the store and serve with zero errors. Every GET of every
+/// load returns the page's default or a value the run PUT for that page.
 #[test]
 fn on_disk_store_survives_restart_warm_and_cold() {
     use wmlp_store::RecoverMode;
@@ -616,30 +743,128 @@ fn on_disk_store_survives_restart_warm_and_cold() {
     }
     assert!(matches!(client.roundtrip(&Frame::Shutdown), Frame::Bye));
     handle.join();
+
+    std::fs::remove_dir_all(&dir).ok();
+    let serve = |mode: &str| {
+        ServeProcess::spawn(
+            &format!("--pages 256 --levels 3 --k 32 --shards 2 --value-size 32 --recover {mode}"),
+            &["--store", dir.to_str().unwrap()],
+        )
+    };
+    let put = |i: usize, req: Request| match req.level {
+        1 => request_frame(req, format!("page {} put {i}", req.page).as_bytes()),
+        _ => request_frame(req, b""),
+    };
+    let load = |server: &ServeProcess, reqs: &[Request]| {
+        let frames: Vec<Frame> = reqs.iter().enumerate().map(|(i, &r)| put(i, r)).collect();
+        let stream = TcpStream::connect(server.addr).unwrap();
+        for (req, reply) in reqs.iter().zip(pipelined_replies(&stream, &frames)) {
+            let Frame::Served { value, .. } = reply else {
+                panic!("{req:?}: unexpected reply {reply:?}");
+            };
+            if req.level > 1 {
+                let mut default = Vec::new();
+                default_value(req.page, 32, &mut default);
+                let ours = value.starts_with(format!("page {} put ", req.page).as_bytes());
+                assert!(value == default || ours, "{req:?} read {value:02x?}");
+            }
+        }
+    };
+    let writes = zipf_trace(&inst, 0.9, 2_000, LevelDist::Uniform, 11);
+
+    // A fresh store takes a write-heavy load, then `kill -9`.
+    let server = serve("warm");
+    assert_eq!(
+        server.warm_recovered("warm"),
+        0,
+        "fresh store recovers nothing"
+    );
+    load(&server, &writes);
+    drop(server); // kill -9
+    assert_eq!(
+        serve("cold").warm_recovered("cold"),
+        0,
+        "cold recovery after kill -9"
+    );
+    assert!(
+        serve("warm").warm_recovered("warm") > 0,
+        "warm recovery after kill -9"
+    );
+
+    // Kill while the load is still writing: once the store has acked
+    // ACKED requests, with MID_LOAD far beyond what the run can send.
+    const ACKED: u64 = 10_000;
+    const MID_LOAD: usize = 4_000_000;
+    std::thread::scope(|scope| {
+        let server = serve("warm");
+        let stream = TcpStream::connect(server.addr).unwrap();
+        let mut reader = FrameReader::new(stream.try_clone().unwrap());
+        let (acked_tx, acked) = channel();
+        scope.spawn(move || {
+            for n in 1u64.. {
+                match reader.next_frame() {
+                    Ok(Some(_)) if n == ACKED => acked_tx.send(()).unwrap(),
+                    Ok(Some(_)) => {}
+                    _ => break,
+                }
+            }
+        });
+        let writer = scope.spawn(|| {
+            let mut writer = BufWriter::new(stream);
+            (0..MID_LOAD)
+                .take_while(|&i| {
+                    write_frame(&mut writer, &put(i, writes[i % writes.len()])).is_ok()
+                })
+                .count()
+        });
+        acked
+            .recv_timeout(WAIT)
+            .expect("the load never reached the store");
+        drop(server); // kill -9
+        assert!(
+            writer.join().unwrap() < MID_LOAD,
+            "the load ended before the kill"
+        );
+    });
+    // The log may now end in a torn batch; both modes must open it.
+    let reads = zipf_trace(&inst, 0.9, 500, LevelDist::Uniform, 13);
+    for mode in ["warm", "cold"] {
+        let server = serve(mode);
+        let warm = server.warm_recovered(mode);
+        assert!(
+            mode == "warm" || warm == 0,
+            "cold recovery kept {warm} warm pages"
+        );
+        load(&server, &reads);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Fan-in: far more connections than event loops, all pipelining
-/// concurrently from a single client thread. Every connection must get
-/// its own replies, in its own request order, and must cost the server
-/// exactly one file descriptor.
+/// Fan-in, through the binary: 256 connections over two event loops,
+/// all pipelining concurrently from a single client thread. Every
+/// connection must get its own replies, in its own request order, and
+/// must cost the server exactly one file descriptor. Besides main, the
+/// server runs exactly the loops `io-0` and `io-1`: they route and serve
+/// their own shards, so there is no `router` and no `shard-*` thread.
+/// After SHUTDOWN it drains and exits 0 with `0 errors` (the shards' own
+/// count: policy rejections, storage failures) in its exit banner.
 #[test]
 fn epoll_plane_serves_many_concurrent_pipelined_connections() {
-    const CONNS: usize = 192;
-    const PER_CONN: usize = 8; // stays under max_inflight = 16
-    let inst = Arc::new(default_instance(256, 3, 32, 7).unwrap());
-    let cfg = ServeConfig {
-        io_threads: 2,
-        ..serve_cfg(4)
-    };
-    let handle = start(Arc::clone(&inst), &cfg).unwrap();
-    let fds_before = open_fds();
+    const CONNS: usize = 256;
+    const PER_CONN: usize = 8; // stays under --max-inflight 16
+    let inst = default_instance(256, 3, 32, 7).unwrap();
+    let server = ServeProcess::spawn(
+        "--pages 256 --levels 3 --k 32 --policy landlord --seed 5 --batch 4 \
+         --max-inflight 16 --shards 4 --io-threads 2",
+        &[],
+    );
+    let fds_before = server.fds();
 
     // Open every connection first, then write every request, then read
     // every reply — maximal concurrency without a client thread per
     // connection.
     let mut streams: Vec<TcpStream> = (0..CONNS)
-        .map(|_| TcpStream::connect(handle.addr()).expect("connect"))
+        .map(|_| TcpStream::connect(server.addr).expect("connect"))
         .collect();
     for (c, stream) in streams.iter_mut().enumerate() {
         let mut w = BufWriter::new(stream.try_clone().unwrap());
@@ -659,17 +884,16 @@ fn epoll_plane_serves_many_concurrent_pipelined_connections() {
             }
         }
     }
-    // Every connection is accepted, adopted and answered: each holds one
-    // client-end and one server-end descriptor, nothing more. The slack
-    // covers sibling tests opening sockets in this process meanwhile.
-    let grown = open_fds().saturating_sub(fds_before);
-    assert!(
-        grown <= 2 * CONNS + 32,
-        "{grown} fds for {CONNS} connections: more than one per side"
+    assert_eq!(
+        server.fds() - fds_before,
+        CONNS,
+        "server descriptors for {CONNS} connections"
     );
+    assert_eq!(server.threads(), ["io-0", "io-1"]);
+
     // Replies must be per-connection in order; spot-check with a marker
     // PUT/GET pair on one connection while the rest stay open.
-    let mut client = Client::connect(handle.addr());
+    let mut client = Client::connect(server.addr);
     assert!(matches!(
         client.roundtrip(&request_frame(Request::new(7, 1), b"fan-in marker")),
         Frame::Served { .. }
@@ -680,28 +904,56 @@ fn epoll_plane_serves_many_concurrent_pipelined_connections() {
     }
     match client.roundtrip(&Frame::Stats) {
         Frame::StatsReply(stats) => {
-            assert!(stats.total.requests >= (CONNS * PER_CONN) as u64);
+            assert_eq!(stats.total.requests, (CONNS * PER_CONN + 2) as u64);
         }
         other => panic!("unexpected reply {other:?}"),
     }
     assert!(matches!(client.roundtrip(&Frame::Shutdown), Frame::Bye));
     drop(streams);
-    let stats = handle.join();
-    assert!(stats.requests >= (CONNS * PER_CONN) as u64);
+    let banner = server.exit();
+    assert!(
+        banner.starts_with("served ") && banner.ends_with(", 0 errors"),
+        "{banner}"
+    );
 }
 
-/// Names of this process's threads, from `/proc/self/task/*/comm`.
-fn thread_names() -> Vec<String> {
-    std::fs::read_dir("/proc/self/task")
-        .expect("procfs")
-        .map(|task| {
-            let comm = task.expect("task entry").path().join("comm");
-            std::fs::read_to_string(comm)
-                .unwrap_or_default()
-                .trim()
-                .to_string()
-        })
-        .collect()
+/// Skew mitigation, through the binary: the same Zipf(1.2) stream under
+/// `--partition hash` and `--partition replicate`, with an epoch well
+/// under the request count so the plan adapts within the run. Hash
+/// placement lands the hot head of the distribution on one shard;
+/// replicating hot keys must strictly lower the max/mean of STATS'
+/// per-shard `requests`.
+#[test]
+fn replicate_partition_lowers_shard_imbalance_under_zipf() {
+    let inst = default_instance(2048, 3, 256, 7).unwrap();
+    let trace = frames(&zipf_trace(&inst, 1.2, 4_000, LevelDist::Uniform, 11));
+    let imbalance = |partition: &str| {
+        let server = ServeProcess::spawn(
+            &format!(
+                "--pages 2048 --levels 3 --k 256 --shards 4 --epoch-len 500 \
+                 --hot-k 32 --detector 128 --partition {partition}"
+            ),
+            &[],
+        );
+        let stream = TcpStream::connect(server.addr).unwrap();
+        for reply in pipelined_replies(&stream, &trace) {
+            assert!(matches!(reply, Frame::Served { .. }), "{reply:?}");
+        }
+        let mut client = Client::connect(server.addr);
+        let Frame::StatsReply(stats) = client.roundtrip(&Frame::Stats) else {
+            panic!("no STATS reply");
+        };
+        assert!(matches!(client.roundtrip(&Frame::Shutdown), Frame::Bye));
+        server.exit();
+        let max = stats.shards.iter().map(|s| s.requests).max().unwrap();
+        let sum: u64 = stats.shards.iter().map(|s| s.requests).sum();
+        max as f64 * stats.shards.len() as f64 / sum as f64
+    };
+    let (hash, replicate) = (imbalance("hash"), imbalance("replicate"));
+    assert!(
+        replicate < hash,
+        "replicate imbalance {replicate} !< hash {hash}"
+    );
 }
 
 /// Plan changes under two event loops. Four pipelined connections with
@@ -713,9 +965,7 @@ fn thread_names() -> Vec<String> {
 /// no cold key (1/512 of the traffic) ever ranks in the top `hot_k`, so
 /// every GET of a cold key must return its connection's last PUT. The
 /// replay of the same stream shows the adopted plan change, the live
-/// STATS show shard 0 relieved of traffic hash placement would give it,
-/// and no thread is named `router` or `shard-*`: the loops route and
-/// serve.
+/// STATS show shard 0 relieved of traffic hash placement would give it.
 #[test]
 fn plan_changes_under_two_loops_keep_every_connections_writes() {
     const CONNS: u32 = 4;
@@ -775,11 +1025,6 @@ fn plan_changes_under_two_loops_keep_every_connections_writes() {
             });
         }
     });
-
-    let names = thread_names();
-    assert!(names.iter().any(|n| n == "io-1"), "{names:?}");
-    assert!(!names.iter().any(|n| n == "router"), "{names:?}");
-    assert!(!names.iter().any(|n| n.starts_with("shard-")), "{names:?}");
 
     // Hash placement would send every request for a page ≡ 0 (mod 4) to
     // shard 0; the adopted plan moved most of that traffic elsewhere.
