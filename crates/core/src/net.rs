@@ -1,5 +1,5 @@
 //! Dependency-free readiness I/O: a thin, audited wrapper over Linux
-//! `epoll(7)`, `eventfd(2)`, `timerfd_create(2)`, and `fcntl(2)`.
+//! `epoll(7)`, `eventfd(2)`, `timerfd_create(2)`, and `getrlimit(2)`.
 //!
 //! The serving stack's connection plane (`wmlp-serve`'s event loops)
 //! and the load generator's client both need readiness notification,
@@ -20,9 +20,10 @@
 //!   registrable fd, so a loop that must also wake at a deadline (the
 //!   load generator's open-loop pacing) waits for time and sockets in the
 //!   same [`Reactor::wait`].
-//! * [`set_nonblocking`] / [`rlimit_nofile`] — `O_NONBLOCK` via `fcntl`
-//!   and the soft open-file limit via `getrlimit`, so callers can fail
-//!   fast before a high-fan-in run hits `EMFILE` mid-flight.
+//! * [`rlimit_nofile`] — the soft open-file limit via `getrlimit`, so
+//!   callers can fail fast before a high-fan-in run hits `EMFILE`
+//!   mid-flight. Sockets are made non-blocking with std's own
+//!   `set_nonblocking`.
 //!
 //! **Unsafe audit surface.** Every `unsafe` block in the workspace lives
 //! in this module (enforced by the `wmlp-lint` U1 rule) and carries a
@@ -90,10 +91,6 @@ mod sys {
     pub const TFD_CLOEXEC: c_int = 0o2000000;
     pub const TFD_NONBLOCK: c_int = 0o4000;
 
-    pub const F_GETFL: c_int = 3;
-    pub const F_SETFL: c_int = 4;
-    pub const O_NONBLOCK: c_int = 0o4000;
-
     pub const RLIMIT_NOFILE: c_int = 7;
 
     extern "C" {
@@ -113,7 +110,6 @@ mod sys {
             new_value: *const Itimerspec,
             old_value: *mut Itimerspec,
         ) -> c_int;
-        pub fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
         pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
         pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
         pub fn close(fd: c_int) -> c_int;
@@ -428,20 +424,6 @@ impl Drop for TimerFd {
     }
 }
 
-/// Put `fd` into non-blocking mode (`O_NONBLOCK` via `fcntl`).
-pub fn set_nonblocking(fd: RawFd) -> io::Result<()> {
-    // lint:allow(U1): F_GETFL takes no third argument and returns the
-    // flag word or -1; errno-checked by cvt.
-    let flags = cvt(unsafe { sys::fcntl(fd, sys::F_GETFL) })?;
-    if flags & sys::O_NONBLOCK != 0 {
-        return Ok(());
-    }
-    // lint:allow(U1): F_SETFL takes an int flag word by value (no
-    // pointers); errno-checked by cvt.
-    cvt(unsafe { sys::fcntl(fd, sys::F_SETFL, flags | sys::O_NONBLOCK) })?;
-    Ok(())
-}
-
 /// The soft `RLIMIT_NOFILE` limit: how many fds this process may have
 /// open. High-fan-in callers check this up front and fail with a clear
 /// message instead of collapsing mid-run on `EMFILE`.
@@ -497,7 +479,7 @@ mod tests {
     fn reactor_drives_a_loopback_socket_through_accept_read_write() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        set_nonblocking(listener.as_raw_fd()).unwrap();
+        listener.set_nonblocking(true).unwrap();
         let r = Reactor::new().unwrap();
         r.register(listener.as_raw_fd(), Token(0), Interest::READABLE)
             .unwrap();
@@ -509,7 +491,7 @@ mod tests {
         assert!(r.wait(&mut events, 2000).unwrap() >= 1);
         assert_eq!(events[0].token, Token(0));
         let (mut server_side, _) = listener.accept().unwrap();
-        set_nonblocking(server_side.as_raw_fd()).unwrap();
+        server_side.set_nonblocking(true).unwrap();
         r.register(server_side.as_raw_fd(), Token(1), Interest::BOTH)
             .unwrap();
 
@@ -582,20 +564,6 @@ mod tests {
         r.reregister(efd.fd(), Token(3), Interest::READABLE)
             .unwrap();
         assert_eq!(r.wait(&mut events, 1000).unwrap(), 1, "unparked: delivered");
-    }
-
-    #[test]
-    fn set_nonblocking_makes_reads_return_wouldblock() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let _client = TcpStream::connect(addr).unwrap();
-        let (mut server_side, _) = listener.accept().unwrap();
-        set_nonblocking(server_side.as_raw_fd()).unwrap();
-        // Idempotent.
-        set_nonblocking(server_side.as_raw_fd()).unwrap();
-        let mut buf = [0u8; 4];
-        let err = server_side.read(&mut buf).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
     }
 
     #[test]

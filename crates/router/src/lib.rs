@@ -32,6 +32,5 @@ pub mod plan;
 pub use detector::{Counter, SpaceSaving};
 pub use drain::DrainGate;
 pub use plan::{
-    EpochChange, Override, PartitionMode, PartitionPlan, PartitionSpec, Partitioner,
-    PlanTraceEntry, Route,
+    EpochChange, Override, PartitionMode, PartitionPlan, PartitionSpec, Partitioner, Route,
 };

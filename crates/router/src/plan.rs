@@ -161,17 +161,6 @@ pub enum Route {
     },
 }
 
-/// One recorded plan change, for manifest pinning.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanTraceEntry {
-    /// Epoch installed by this change.
-    pub epoch: u64,
-    /// Routed-request count at which the change took effect.
-    pub at_request: u64,
-    /// Full override set of the new plan.
-    pub overrides: Vec<(PageId, Override)>,
-}
-
 /// Result of an epoch advance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochChange {
@@ -193,8 +182,6 @@ pub struct Partitioner {
     plan: PartitionPlan,
     routed: u64,
     rr: u64,
-    record_trace: bool,
-    trace: Vec<PlanTraceEntry>,
 }
 
 impl Partitioner {
@@ -208,18 +195,7 @@ impl Partitioner {
             plan,
             routed: 0,
             rr: 0,
-            record_trace: false,
-            trace: Vec::new(),
         }
-    }
-
-    /// Like [`new`](Self::new) but records every plan change in a
-    /// trace (used by `--replay` to pin the plan in the manifest).
-    /// Live servers leave tracing off so memory stays bounded.
-    pub fn with_trace(spec: PartitionSpec) -> Self {
-        let mut p = Partitioner::new(spec);
-        p.record_trace = true;
-        p
     }
 
     /// The spec this partitioner was built from.
@@ -235,12 +211,6 @@ impl Partitioner {
     /// Requests routed so far.
     pub fn routed(&self) -> u64 {
         self.routed
-    }
-
-    /// Recorded plan changes (empty unless built with
-    /// [`with_trace`](Self::with_trace)).
-    pub fn trace(&self) -> &[PlanTraceEntry] {
-        &self.trace
     }
 
     /// Route one request and feed the detector.
@@ -312,18 +282,6 @@ impl Partitioner {
             shards: self.plan.shards,
             overrides,
         };
-        if self.record_trace {
-            self.trace.push(PlanTraceEntry {
-                epoch: self.plan.epoch,
-                at_request: self.routed,
-                overrides: self
-                    .plan
-                    .overrides
-                    .iter()
-                    .map(|(page, ov)| (*page, *ov))
-                    .collect(),
-            });
-        }
         EpochChange {
             epoch: self.plan.epoch,
             changed,
@@ -554,15 +512,17 @@ mod tests {
     #[test]
     fn identical_streams_produce_identical_plans_and_routes() {
         let run = || {
-            let mut p = Partitioner::with_trace(spec(PartitionMode::Migrate));
+            let mut p = Partitioner::new(spec(PartitionMode::Migrate));
             let mut routes = Vec::new();
+            let mut plans = Vec::new();
             for i in 0..64u32 {
                 if p.epoch_due() {
                     p.advance_epoch();
+                    plans.push((p.routed(), p.plan().clone()));
                 }
                 routes.push(p.route(i * i % 7, i % 3 == 0));
             }
-            (routes, p.trace().to_vec(), p.plan().clone())
+            (routes, plans)
         };
         assert_eq!(run(), run());
     }

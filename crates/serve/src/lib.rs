@@ -52,7 +52,7 @@ pub mod server;
 pub mod shard;
 pub mod spsc;
 
-pub use replay::{replay_manifest, replay_manifest_with_plan};
+pub use replay::replay_manifest;
 pub use server::{start, ServeConfig, ServeError, ServerHandle};
 pub use shard::{shard_instances, FanoutAck, ReplyTo, ShardJob, ShardMap, ShardMsg, ShardStats};
 

@@ -34,7 +34,7 @@ use wmlp_core::cli::{flag, flag_parse};
 use wmlp_core::codec;
 use wmlp_core::instance::MlInstance;
 use wmlp_router::{PartitionMode, PartitionSpec};
-use wmlp_serve::{default_instance, replay_manifest_with_plan, server, ServeConfig};
+use wmlp_serve::{default_instance, replay_manifest, server, ServeConfig};
 use wmlp_store::RecoverMode;
 
 fn fail(msg: &str) -> ! {
@@ -113,7 +113,7 @@ fn main() {
                 Err(e) => fail(&e),
             },
         };
-        let json = match replay_manifest_with_plan(inst, trace, &policy, seed, plan) {
+        let json = match replay_manifest(inst, trace, &policy, seed, plan) {
             Ok(j) => j,
             Err(e) => fail(&e),
         };

@@ -1,4 +1,4 @@
-//! Deterministic replay mode: a canonical, single-threaded reference run.
+//! Deterministic replay mode: one engine at full `k`, single-threaded.
 //!
 //! `wmlp-serve --replay <trace>` does not open a socket at all — it feeds
 //! the whole trace through one engine (the semantics of shard count 1)
@@ -6,8 +6,8 @@
 //! manifest. "Canonical" zeroes wall-clock fields, so the output is a
 //! pure function of (instance, trace, policy spec, seed): repeated runs,
 //! different machines, and different `--shards` values all produce
-//! byte-identical bytes. This is the ground truth a sharded deployment
-//! can be audited against.
+//! byte-identical bytes. It is not a model of a sharded server: one of
+//! those splits `k` across its shards and decides differently.
 //!
 //! With a pinned [`PartitionSpec`] (`--partition replicate|migrate` plus
 //! `--plan-shards`), the replay additionally re-derives the partition
@@ -23,53 +23,41 @@ use std::sync::Arc;
 
 use wmlp_algos::PolicyRegistry;
 use wmlp_core::instance::{MlInstance, Request};
-use wmlp_router::{Override, PartitionSpec, Partitioner};
+use wmlp_router::{Override, PartitionPlan, PartitionSpec, Partitioner};
 use wmlp_sim::runner::{Runner, Scenario};
 
 /// Run `trace` through `policy` on one engine and return the canonical
 /// manifest JSON (byte-stable across repeats, machines, and shard
-/// counts).
+/// counts). With `plan`, the manifest also pins the partition plan a
+/// skew-aware router would derive from this trace under that spec; with
+/// `None` it has no `"partition"` section.
 pub fn replay_manifest(
-    inst: Arc<MlInstance>,
-    trace: Vec<Request>,
-    policy: &str,
-    seed: u64,
-) -> Result<String, String> {
-    replay_manifest_with_plan(inst, trace, policy, seed, None)
-}
-
-/// [`replay_manifest`], optionally pinning the partition plan a
-/// skew-aware router would derive from this trace under `plan`. With
-/// `None` the output is byte-identical to [`replay_manifest`].
-pub fn replay_manifest_with_plan(
     inst: Arc<MlInstance>,
     trace: Vec<Request>,
     policy: &str,
     seed: u64,
     plan: Option<PartitionSpec>,
 ) -> Result<String, String> {
-    // Pin the plan first: feed the whole trace through a trace-recording
-    // partitioner exactly as the serve router would (epoch check before
-    // each route), before the trace moves into the scenario.
+    // Pin the plan first: feed the whole trace through a partitioner
+    // exactly as the serve router would (epoch check before each route),
+    // recording every epoch's plan, before the trace moves into the
+    // scenario.
     let partition = plan.map(|spec| {
-        let mut partitioner = Partitioner::with_trace(spec);
+        let mut partitioner = Partitioner::new(spec);
+        let mut epochs = Vec::new();
         for req in &trace {
             if partitioner.epoch_due() {
                 partitioner.advance_epoch();
+                epochs.push((partitioner.routed(), partitioner.plan().clone()));
             }
             // Level-1 requests are PUTs on the wire; the plan's
             // read/write split must see the same ops the live router
             // would.
             partitioner.route(req.page, req.level == 1);
         }
-        partition_section(&partitioner)
+        partition_section(partitioner.spec(), &epochs)
     });
-    let registry = PolicyRegistry::standard();
-    let runner = Runner::new(
-        |spec: &str, inst: &MlInstance, seed: u64| -> Result<_, String> {
-            registry.build(spec, inst, seed)
-        },
-    );
+    let runner = Runner::new(PolicyRegistry::standard());
     let scenario = Scenario::new("replay", inst, trace)
         .policies([policy])
         .seeds([seed]);
@@ -84,15 +72,14 @@ pub fn replay_manifest_with_plan(
 }
 
 /// The manifest's `"partition"` section: the pinned spec plus every
-/// epoch's full override set, all derived from request counts.
-fn partition_section(partitioner: &Partitioner) -> serde::Value {
+/// epoch's full override set, each with the routed-request count at
+/// which it took effect.
+fn partition_section(spec: &PartitionSpec, epochs: &[(u64, PartitionPlan)]) -> serde::Value {
     use serde::{Serialize, Value};
-    let spec = partitioner.spec();
-    let epochs: Vec<Value> = partitioner
-        .trace()
+    let epochs: Vec<Value> = epochs
         .iter()
-        .map(|entry| {
-            let overrides: Vec<Value> = entry
+        .map(|(at_request, plan)| {
+            let overrides: Vec<Value> = plan
                 .overrides
                 .iter()
                 .map(|(page, ov)| {
@@ -110,8 +97,8 @@ fn partition_section(partitioner: &Partitioner) -> serde::Value {
                 })
                 .collect();
             Value::Object(vec![
-                ("epoch".to_string(), entry.epoch.to_value()),
-                ("at_request".to_string(), entry.at_request.to_value()),
+                ("epoch".to_string(), plan.epoch.to_value()),
+                ("at_request".to_string(), at_request.to_value()),
                 ("overrides".to_string(), Value::Array(overrides)),
             ])
         })
@@ -149,8 +136,8 @@ mod tests {
     #[test]
     fn replay_is_byte_identical_across_runs() {
         let (inst, trace) = setup();
-        let a = replay_manifest(Arc::clone(&inst), trace.clone(), "landlord", 3).unwrap();
-        let b = replay_manifest(inst, trace, "landlord", 3).unwrap();
+        let a = replay_manifest(Arc::clone(&inst), trace.clone(), "landlord", 3, None).unwrap();
+        let b = replay_manifest(inst, trace, "landlord", 3, None).unwrap();
         assert_eq!(a, b);
         assert!(a.contains("\"policy\": \"landlord\""));
     }
@@ -158,7 +145,7 @@ mod tests {
     #[test]
     fn replay_reports_unknown_policies() {
         let (inst, trace) = setup();
-        let err = replay_manifest(inst, trace, "definitely-not-a-policy", 0).unwrap_err();
+        let err = replay_manifest(inst, trace, "definitely-not-a-policy", 0, None).unwrap_err();
         assert!(err.contains("definitely-not-a-policy"), "{err}");
     }
 
@@ -166,12 +153,12 @@ mod tests {
     fn pinned_plan_extends_the_manifest_without_perturbing_it() {
         use wmlp_router::{PartitionMode, PartitionSpec};
         let (inst, trace) = setup();
-        let plain = replay_manifest(Arc::clone(&inst), trace.clone(), "lru", 0).unwrap();
+        let plain = replay_manifest(Arc::clone(&inst), trace.clone(), "lru", 0, None).unwrap();
         let spec = PartitionSpec {
             epoch_len: 100,
             ..PartitionSpec::new(PartitionMode::Migrate, 8)
         };
-        let pinned = replay_manifest_with_plan(
+        let pinned = replay_manifest(
             Arc::clone(&inst),
             trace.clone(),
             "lru",
@@ -180,7 +167,7 @@ mod tests {
         )
         .unwrap();
         // The pinned run is itself deterministic and strictly additive.
-        let again = replay_manifest_with_plan(inst, trace, "lru", 0, Some(spec)).unwrap();
+        let again = replay_manifest(inst, trace, "lru", 0, Some(spec)).unwrap();
         assert_eq!(pinned, again);
         assert_ne!(pinned, plain);
         assert!(pinned.contains("\"partition\""));

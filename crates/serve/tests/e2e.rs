@@ -21,9 +21,7 @@ use wmlp_core::instance::{MlInstance, Request};
 use wmlp_core::storage::{default_value, SimStorage};
 use wmlp_core::wire::{request_frame, ErrorCode, Frame};
 use wmlp_serve::server::{start, ServeConfig};
-use wmlp_serve::{
-    default_instance, replay_manifest, replay_manifest_with_plan, shard_instances, ShardMap,
-};
+use wmlp_serve::{default_instance, replay_manifest, shard_instances, ShardMap};
 use wmlp_sim::engine::{BatchLog, SimSession, StoreRequest};
 use wmlp_workloads::{zipf_trace, LevelDist};
 
@@ -611,7 +609,7 @@ fn replay_binary_is_byte_identical_across_runs_and_shard_counts() {
     assert!(pinned_text.contains("\"plan_shards\": 8"));
 
     // And the library path agrees with the binary's payload.
-    let json = replay_manifest(Arc::new(inst), trace, "landlord", 3).unwrap();
+    let json = replay_manifest(Arc::new(inst), trace, "landlord", 3, None).unwrap();
     assert_eq!(
         String::from_utf8(first).unwrap().trim_end(),
         json.trim_end()
@@ -1054,8 +1052,7 @@ fn plan_changes_under_two_loops_keep_every_connections_writes() {
         .flat_map(|r| (0..CONNS).flat_map(move |c| round(c, r)))
         .collect();
     let spec = cfg.partition_spec(cfg.shards).unwrap();
-    let manifest =
-        replay_manifest_with_plan(inst, trace, &cfg.policy, cfg.seed, Some(spec)).unwrap();
+    let manifest = replay_manifest(inst, trace, &cfg.policy, cfg.seed, Some(spec)).unwrap();
     let doc = serde::json::parse(&manifest).unwrap();
     let epochs = doc.field("partition").unwrap().field("epochs").unwrap();
     let adopted = epochs.as_array().unwrap().iter().any(|epoch| {

@@ -9,6 +9,11 @@
 //! relative to the repo root or when some file in the checkout ends with
 //! it on a component boundary (`potential_audit.rs`, `tests/model.rs`).
 //! Paths under `target/` name build outputs and are not checked.
+//!
+//! Section citations cannot dangle either: every `EXPERIMENTS.md "…"`,
+//! `EXPERIMENTS "…"` or `EXPERIMENTS.md ("…"` in the docs that cite
+//! EXPERIMENTS.md by section, and every `"…" above` / `"…" below` inside
+//! it, names the start of one of its `#` headings or `**…**` labels.
 
 use std::path::{Path, PathBuf};
 
@@ -18,6 +23,15 @@ const DOCS: [&str; 5] = [
     "README.md",
     "EXPERIMENTS.md",
     "PROTOCOL.md",
+];
+/// Docs that cite EXPERIMENTS.md sections by name.
+const CITING_DOCS: [&str; 6] = [
+    "ROADMAP.md",
+    "CHANGES.md",
+    "DESIGN.md",
+    "README.md",
+    "PROTOCOL.md",
+    ".claude/skills/verify/SKILL.md",
 ];
 const SOURCE_EXTENSIONS: [&str; 6] = [".rs", ".sh", ".md", ".toml", ".json", ".yml"];
 
@@ -64,6 +78,65 @@ fn citation(code: &str) -> Option<(&str, Option<&str>)> {
         && (path.contains('/') || test.is_some())
         && !path.starts_with("target/");
     shaped.then_some((path, test))
+}
+
+/// `text` with every run of whitespace collapsed to one space (a cited
+/// name may wrap across lines), plus `(offset, line number)` for the
+/// start of each line, to report where a citation sits.
+fn squash(text: &str) -> (String, Vec<(usize, usize)>) {
+    let mut out = String::new();
+    let mut starts = Vec::new();
+    for (n, line) in text.lines().enumerate() {
+        starts.push((out.len(), n + 1));
+        for word in line.split_whitespace() {
+            if !out.is_empty() {
+                out.push(' ');
+            }
+            out.push_str(word);
+        }
+    }
+    (out, starts)
+}
+
+/// `(offset, name)` of every EXPERIMENTS.md section cited in `text`
+/// (already squashed).
+fn section_citations(text: &str) -> Vec<(usize, &str)> {
+    let mut found = Vec::new();
+    for prefix in ["EXPERIMENTS.md \"", "EXPERIMENTS \"", "EXPERIMENTS.md (\""] {
+        for (at, _) in text.match_indices(prefix) {
+            let rest = &text[at + prefix.len()..];
+            if let Some(end) = rest.find('"') {
+                found.push((at, &rest[..end]));
+            }
+        }
+    }
+    found
+}
+
+/// `(offset, name)` of every `"name" above` / `"name" below` in `text`
+/// (already squashed).
+fn self_references(text: &str) -> Vec<(usize, &str)> {
+    let mut found = Vec::new();
+    for suffix in ["\" above", "\" below"] {
+        for (at, _) in text.match_indices(suffix) {
+            if let Some(open) = text[..at].rfind('"') {
+                found.push((open, &text[open + 1..at]));
+            }
+        }
+    }
+    found
+}
+
+/// Every `#` heading's title and every `**…**` label in `text`: the
+/// names a section citation may start.
+fn anchors(text: &str) -> Vec<&str> {
+    let mut names: Vec<&str> = text
+        .lines()
+        .filter(|line| line.starts_with('#'))
+        .map(|line| line.trim_start_matches('#').trim())
+        .collect();
+    names.extend(text.split("**").skip(1).step_by(2));
+    names
 }
 
 #[test]
@@ -117,6 +190,73 @@ fn cited_paths_and_tests_resolve() {
         broken.is_empty(),
         "citations that resolve to no file / fn:\n{}",
         broken.join("\n")
+    );
+}
+
+#[test]
+fn cited_experiment_sections_resolve() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let experiments = std::fs::read_to_string(root.join("EXPERIMENTS.md")).unwrap();
+    let anchors = anchors(&experiments);
+    let resolves = |name: &str| anchors.iter().any(|anchor| anchor.starts_with(name));
+
+    let mut checked = 0;
+    let mut broken = Vec::new();
+    let mut check = |doc: &str, text: &str, refs: fn(&str) -> Vec<(usize, &str)>| {
+        let (text, starts) = squash(text);
+        for (at, name) in refs(&text) {
+            checked += 1;
+            if !resolves(name) {
+                let line = starts[starts.partition_point(|&(offset, _)| offset <= at) - 1].1;
+                broken.push(format!("{doc}:{line}: \"{name}\""));
+            }
+        }
+    };
+    for doc in CITING_DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap();
+        check(doc, &text, section_citations);
+    }
+    check("EXPERIMENTS.md", &experiments, self_references);
+    assert!(
+        checked >= 10,
+        "only {checked} section citations found: parser broke"
+    );
+    assert!(
+        broken.is_empty(),
+        "EXPERIMENTS.md has no heading or bold label starting with:\n{}",
+        broken.join("\n")
+    );
+}
+
+#[test]
+fn section_citation_shapes() {
+    let (text, starts) = squash(
+        "see EXPERIMENTS.md \"The B8\n   connection-scaling table\", EXPERIMENTS \"OPT per call\"\n\
+         and EXPERIMENTS.md (\"Client change at PR 13\"; not EXPERIMENTS.md alone",
+    );
+    let cited: Vec<&str> = section_citations(&text)
+        .into_iter()
+        .map(|(_, n)| n)
+        .collect();
+    assert_eq!(
+        cited,
+        [
+            "The B8 connection-scaling table",
+            "OPT per call",
+            "Client change at PR 13"
+        ]
+    );
+    assert_eq!(
+        starts.iter().map(|&(_, n)| n).collect::<Vec<_>>(),
+        [1, 2, 3]
+    );
+    let (text, _) = squash("as \"Store commit at PR 16\" above and \"Perf\nbaselines\" below");
+    let named: Vec<&str> = self_references(&text).into_iter().map(|(_, n)| n).collect();
+    assert_eq!(named, ["Store commit at PR 16", "Perf baselines"]);
+    let doc = "# Title\n### OPT per call (PR 30)\n**Client change at PR 13.** Until\n";
+    assert_eq!(
+        anchors(doc),
+        ["Title", "OPT per call (PR 30)", "Client change at PR 13."]
     );
 }
 
