@@ -65,6 +65,10 @@ fn gen(args: &[String]) -> ExitCode {
     let k = parsed(args, "--k", 16usize);
     let pages = parsed(args, "--pages", 128usize);
     let levels = parsed(args, "--levels", 1u8);
+    if levels == 0 {
+        eprintln!("simulate: --levels 0: an instance needs at least one level");
+        return ExitCode::from(2);
+    }
     let len = parsed(args, "--len", 10_000usize);
     let seed = parsed(args, "--seed", 0u64);
     let alpha = parsed(args, "--alpha", 1.0f64);

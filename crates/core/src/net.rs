@@ -1,5 +1,5 @@
 //! Dependency-free readiness I/O: a thin, audited wrapper over Linux
-//! `epoll(7)`, `eventfd(2)`, `timerfd_create(2)`, and `getrlimit(2)`.
+//! `epoll(7)`, `eventfd(2)`, and `getrlimit(2)`.
 //!
 //! The serving stack's connection plane (`wmlp-serve`'s event loops)
 //! and the load generator's client both need readiness notification,
@@ -16,10 +16,6 @@
 //!   any thread may [`EventFd::ring`]; the owning reactor sees the fd
 //!   readable and [`EventFd::drain`]s it. Because the kernel counts
 //!   rings, a ring between two waits is never lost.
-//! * [`TimerFd`] — a one-shot monotonic timer that is itself a
-//!   registrable fd, so a loop that must also wake at a deadline (the
-//!   load generator's open-loop pacing) waits for time and sockets in the
-//!   same [`Reactor::wait`].
 //! * [`rlimit_nofile`] — the soft open-file limit via `getrlimit`, so
 //!   callers can fail fast before a high-fan-in run hits `EMFILE`
 //!   mid-flight. Sockets are made non-blocking with std's own
@@ -76,21 +72,6 @@ mod sys {
     pub const EFD_CLOEXEC: c_int = 0o2000000;
     pub const EFD_NONBLOCK: c_int = 0o4000;
 
-    /// `struct itimerspec` on Linux LP64 targets: two `struct timespec`s
-    /// (`it_interval`, `it_value`), each an `i64` seconds + `i64`
-    /// nanoseconds pair.
-    #[repr(C)]
-    pub struct Itimerspec {
-        pub interval_sec: i64,
-        pub interval_nsec: i64,
-        pub value_sec: i64,
-        pub value_nsec: i64,
-    }
-
-    pub const CLOCK_MONOTONIC: c_int = 1;
-    pub const TFD_CLOEXEC: c_int = 0o2000000;
-    pub const TFD_NONBLOCK: c_int = 0o4000;
-
     pub const RLIMIT_NOFILE: c_int = 7;
 
     extern "C" {
@@ -103,13 +84,6 @@ mod sys {
             timeout: c_int,
         ) -> c_int;
         pub fn eventfd(initval: c_uint, flags: c_int) -> c_int;
-        pub fn timerfd_create(clockid: c_int, flags: c_int) -> c_int;
-        pub fn timerfd_settime(
-            fd: c_int,
-            flags: c_int,
-            new_value: *const Itimerspec,
-            old_value: *mut Itimerspec,
-        ) -> c_int;
         pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
         pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
         pub fn close(fd: c_int) -> c_int;
@@ -366,64 +340,6 @@ impl Drop for EventFd {
     }
 }
 
-/// A one-shot `CLOCK_MONOTONIC` timer delivered as fd readiness.
-///
-/// Register [`fd`](TimerFd::fd) for readability and [`set`](TimerFd::set)
-/// a delay: the fd turns readable when it elapses and (the reactor being
-/// level-triggered) stays readable until the timer is set again —
-/// changing the setting resets the kernel's expiration count, so no
-/// `read` is needed to quiet it.
-#[derive(Debug)]
-pub struct TimerFd {
-    fd: RawFd,
-}
-
-impl TimerFd {
-    /// Create a disarmed, non-blocking, close-on-exec timer.
-    pub fn new() -> io::Result<TimerFd> {
-        // lint:allow(U1): timerfd_create takes no pointers; the returned
-        // fd is errno-checked by cvt and owned (closed once) by the
-        // TimerFd.
-        let fd = cvt(unsafe {
-            sys::timerfd_create(sys::CLOCK_MONOTONIC, sys::TFD_CLOEXEC | sys::TFD_NONBLOCK)
-        })?;
-        Ok(TimerFd { fd })
-    }
-
-    /// The raw fd, for registration with a [`Reactor`].
-    pub fn fd(&self) -> RawFd {
-        self.fd
-    }
-
-    /// Fire once, `after_nanos` from now, replacing any earlier setting;
-    /// `None` cancels a pending expiration. Either way readiness is
-    /// cleared until the (new) deadline.
-    pub fn set(&self, after_nanos: Option<u64>) -> io::Result<()> {
-        // An all-zero it_value means "disarm", so a due-now timer asks
-        // for 1 ns instead.
-        let nanos = after_nanos.map_or(0, |n| n.max(1));
-        let spec = sys::Itimerspec {
-            interval_sec: 0,
-            interval_nsec: 0,
-            value_sec: (nanos / 1_000_000_000) as i64,
-            value_nsec: (nanos % 1_000_000_000) as i64,
-        };
-        // lint:allow(U1): &spec points at a live stack struct of the exact
-        // ABI layout, read by the kernel before returning; old_value may
-        // be null per timerfd_settime(2); errno-checked by cvt.
-        cvt(unsafe { sys::timerfd_settime(self.fd, 0, &spec, std::ptr::null_mut()) })?;
-        Ok(())
-    }
-}
-
-impl Drop for TimerFd {
-    fn drop(&mut self) {
-        // lint:allow(U1): the fd is owned by this struct and closed
-        // exactly once; close cannot touch memory.
-        unsafe { sys::close(self.fd) };
-    }
-}
-
 /// The soft `RLIMIT_NOFILE` limit: how many fds this process may have
 /// open. High-fan-in callers check this up front and fail with a clear
 /// message instead of collapsing mid-run on `EMFILE`.
@@ -527,30 +443,6 @@ mod tests {
 
         r.deregister(server_side.as_raw_fd()).unwrap();
         r.deregister(listener.as_raw_fd()).unwrap();
-    }
-
-    #[test]
-    fn timerfd_fires_once_and_a_new_setting_clears_readiness() {
-        let r = Reactor::new().unwrap();
-        let timer = TimerFd::new().unwrap();
-        r.register(timer.fd(), Token(9), Interest::READABLE)
-            .unwrap();
-        let mut events = Vec::new();
-        assert_eq!(r.wait(&mut events, 0).unwrap(), 0, "disarmed: quiet");
-        timer.set(Some(2_000_000)).unwrap(); // 2 ms
-        assert_eq!(r.wait(&mut events, 0).unwrap(), 0, "not due yet");
-        assert_eq!(r.wait(&mut events, 2000).unwrap(), 1, "woken by the timer");
-        assert_eq!(events[0].token, Token(9));
-        // Level-triggered: an expired timer stays readable ...
-        assert_eq!(r.wait(&mut events, 0).unwrap(), 1);
-        // ... until it is set again: a far deadline and a disarm both
-        // reset the expiration count without a read.
-        timer.set(Some(3_600_000_000_000)).unwrap();
-        assert_eq!(r.wait(&mut events, 0).unwrap(), 0, "re-armed: quiet");
-        timer.set(Some(0)).unwrap(); // due now, not a disarm
-        assert_eq!(r.wait(&mut events, 2000).unwrap(), 1);
-        timer.set(None).unwrap();
-        assert_eq!(r.wait(&mut events, 0).unwrap(), 0, "disarmed: quiet");
     }
 
     #[test]

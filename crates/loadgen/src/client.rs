@@ -112,12 +112,8 @@ impl PutValues {
 /// What one connection measured.
 #[derive(Debug, Default)]
 pub struct ConnOutcome {
-    /// Per-request latencies, nanoseconds, intended start → reply (the
-    /// intended start is the send itself on an unpaced connection).
+    /// Per-request latencies, nanoseconds, send → reply.
     pub hist: Histogram,
-    /// Actual-send minus intended-send per request, nanoseconds (empty
-    /// for an unpaced connection, which has no schedule to lag).
-    pub send_lag: Histogram,
     /// Reply counts.
     pub totals: Totals,
 }

@@ -4,19 +4,8 @@
 //! Each client thread owns its share of the wave's sockets on one
 //! [`Reactor`], drives them non-blocking through the same [`Conn`] state
 //! machine the server's event loops use, and keeps up to `window`
-//! requests in flight per connection. Closed-loop is window 1, pipelined
-//! is window N, and open-loop pacing is a [`Pace`]: request *i* of a
-//! paced connection goes out only once its intended start has passed
-//! *and* the window has room.
-//!
-//! Latency is measured from the intended start — the send itself when
-//! unpaced, the schedule's due time when paced (the coordinated-omission
-//! correction: a client that falls behind charges the queueing it caused
-//! to the requests that suffered it). The gap between actual and intended
-//! send is recorded as *send lag*, for paced connections only. The pacing
-//! wait is a [`TimerFd`] on the same reactor as the sockets, so a reply
-//! that lands while the thread waits for the next due time is stamped
-//! when it arrives, not after a sleep.
+//! requests in flight per connection: closed-loop is window 1, pipelined
+//! is window N. Latency runs from a request's send to its reply.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -25,42 +14,22 @@ use std::os::unix::io::AsRawFd;
 
 use wmlp_core::conn::{Conn, ConnError};
 use wmlp_core::instance::Request;
-use wmlp_core::net::{Event, Interest, Reactor, TimerFd, Token};
+use wmlp_core::net::{Event, Interest, Reactor, Token};
 use wmlp_core::wire::request_frame;
 
 use crate::client::{io_err, ClientError, ConnOutcome, PutValues};
 use crate::timing::Clock;
 
-/// The open-loop arrival schedule of one connection: the wave's requests
-/// are intended to leave `interval_ns` apart in trace order, whichever
-/// connection owns them, and this connection owns every `stride`-th one
-/// starting at `first` — one global arrival process split across sockets.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Pace {
-    pub first: usize,
-    pub stride: usize,
-    pub interval_ns: f64,
-}
-
-impl Pace {
-    /// Intended start of this connection's `j`-th request, nanoseconds on
-    /// the wave's clock.
-    fn due(&self, j: usize) -> u64 {
-        ((self.first + j * self.stride) as f64 * self.interval_ns) as u64
-    }
-}
-
 /// One multiplexed connection: its socket, protocol state, progress
-/// through its request slice, and the intended starts of in-flight
-/// requests (replies arrive in request order, so a FIFO pairs them).
+/// through its request slice, and the send times of in-flight requests
+/// (replies arrive in request order, so a FIFO pairs them).
 pub(crate) struct FaninConn<'a> {
     stream: TcpStream,
     conn: Conn,
     reqs: &'a [Request],
-    pace: Option<Pace>,
     sent: usize,
     received: usize,
-    intended: VecDeque<u64>,
+    sent_at: VecDeque<u64>,
     /// What the reactor watches this socket for; `Interest::NONE` once
     /// the connection is retired (deregistered).
     interest: Interest,
@@ -72,11 +41,7 @@ impl<'a> FaninConn<'a> {
     /// Connect to `addr` (blocking: loopback/LAN handshakes are fast and
     /// this happens once per connection, before the wave's clock starts),
     /// then switch the socket to non-blocking for the reactor.
-    pub(crate) fn connect(
-        addr: SocketAddr,
-        reqs: &'a [Request],
-        pace: Option<Pace>,
-    ) -> Result<Self, ClientError> {
+    pub(crate) fn connect(addr: SocketAddr, reqs: &'a [Request]) -> Result<Self, ClientError> {
         let stream = TcpStream::connect(addr)
             .and_then(|s| s.set_nonblocking(true).map(|_| s))
             .map_err(io_err(format!("connect {addr}")))?;
@@ -84,10 +49,9 @@ impl<'a> FaninConn<'a> {
             stream,
             conn: Conn::new(),
             reqs,
-            pace,
             sent: 0,
             received: 0,
-            intended: VecDeque::new(),
+            sent_at: VecDeque::new(),
             interest: Interest::READABLE,
             outcome: ConnOutcome::default(),
             failed: None,
@@ -98,35 +62,17 @@ impl<'a> FaninConn<'a> {
         self.failed.is_some() || self.received >= self.reqs.len()
     }
 
-    /// When the next request becomes sendable by time alone: its due time
-    /// if this connection is paced, has requests left and window room.
-    fn next_due(&self, window: usize) -> Option<u64> {
-        let room = self.sent < self.reqs.len() && self.sent - self.received < window;
-        self.pace.filter(|_| room).map(|p| p.due(self.sent))
-    }
-
-    /// Enqueue requests until the window fills, the slice ends, or (paced)
-    /// the next request is not due yet at `now`.
+    /// Enqueue requests, stamped `now`, until the window fills or the
+    /// slice ends.
     fn top_up(&mut self, now: u64, window: usize, puts: PutValues, value: &mut Vec<u8>) {
         while self.sent < self.reqs.len() && self.sent - self.received < window {
-            let intended = match self.pace {
-                Some(pace) => {
-                    let due = pace.due(self.sent);
-                    if due > now {
-                        break;
-                    }
-                    self.outcome.send_lag.record(now - due);
-                    due
-                }
-                None => now,
-            };
             let req = self.reqs[self.sent];
             if req.level == 1 {
                 puts.fill(req.page, value);
             } else {
                 value.clear();
             }
-            self.intended.push_back(intended);
+            self.sent_at.push_back(now);
             self.conn.enqueue(&request_frame(req, value));
             self.sent += 1;
         }
@@ -137,10 +83,10 @@ impl<'a> FaninConn<'a> {
         while self.received < self.sent {
             match self.conn.next_frame() {
                 Ok(Some(frame)) => {
-                    let intended = self.intended.pop_front().unwrap_or_default();
+                    let sent_at = self.sent_at.pop_front().unwrap_or_default();
                     self.outcome
                         .hist
-                        .record(clock.now_nanos().saturating_sub(intended));
+                        .record(clock.now_nanos().saturating_sub(sent_at));
                     self.received += 1;
                     if let Err(e) = self.outcome.record_reply(frame) {
                         self.failed = Some(e);
@@ -200,16 +146,10 @@ impl<'a> FaninConn<'a> {
     }
 }
 
-/// The reactor token of the pacing timer (connection tokens are indices).
-const TIMER: Token = Token(u64::MAX);
-
-/// One client thread's state: its reactor, its pacing timer, and its
-/// share of the wave's connections.
+/// One client thread's state: its reactor and its share of the wave's
+/// connections.
 struct Driver<'a, 'r> {
     reactor: Reactor,
-    timer: TimerFd,
-    /// The due time the timer is armed for (`u64::MAX` = disarmed).
-    armed: u64,
     conns: &'a mut [FaninConn<'r>],
     /// Connections not yet retired.
     open: usize,
@@ -221,12 +161,11 @@ struct Driver<'a, 'r> {
 
 impl Driver<'_, '_> {
     /// Keep connection `i`'s pipeline full, then retire it if it is done
-    /// or re-subscribe it to what it now waits for. Returns when its next
-    /// request comes due, if time is what it waits for.
-    fn pump(&mut self, i: usize) -> Option<u64> {
+    /// or re-subscribe it to what it now waits for.
+    fn pump(&mut self, i: usize) {
         let fc = &mut self.conns[i];
         if fc.interest == Interest::NONE {
-            return None;
+            return;
         }
         if !fc.done() {
             let now = self.clock.now_nanos();
@@ -249,34 +188,16 @@ impl Driver<'_, '_> {
             self.open -= 1;
         }
         fc.interest = desired;
-        fc.next_due(self.window)
-    }
-
-    /// Point the timer at `due` (`None` = nothing waits for time).
-    fn arm(&mut self, due: Option<u64>) -> io::Result<()> {
-        self.armed = due.unwrap_or(u64::MAX);
-        let now = self.clock.now_nanos();
-        self.timer.set(due.map(|due| due.saturating_sub(now)))
-    }
-
-    /// Pump every connection and re-aim the timer at the earliest due
-    /// time any of them waits for: the start of the run, and every timer
-    /// expiry.
-    fn pump_all(&mut self) -> io::Result<()> {
-        let due = (0..self.conns.len()).filter_map(|i| self.pump(i)).min();
-        self.arm(due)
     }
 
     fn run(&mut self) -> io::Result<()> {
-        self.pump_all()?;
+        for i in 0..self.conns.len() {
+            self.pump(i);
+        }
         let mut events: Vec<Event> = Vec::new();
         while self.open > 0 {
             self.reactor.wait(&mut events, -1)?;
             for ev in &events {
-                if ev.token == TIMER {
-                    self.pump_all()?;
-                    continue;
-                }
                 let i = ev.token.0 as usize;
                 let fc = &mut self.conns[i];
                 if ev.writable {
@@ -285,11 +206,7 @@ impl Driver<'_, '_> {
                 if ev.readable {
                     fc.service_read(self.clock);
                 }
-                // Replies freed window slots; a slot whose request is not
-                // due yet may now be the earliest thing the timer owes.
-                if let Some(due) = self.pump(i).filter(|&due| due < self.armed) {
-                    self.arm(Some(due))?;
-                }
+                self.pump(i);
             }
         }
         Ok(())
@@ -297,7 +214,7 @@ impl Driver<'_, '_> {
 }
 
 /// Drive `conns` (already connected) from a single thread: register every
-/// socket, then multiplex sends, pacing and reads over one reactor until
+/// socket, then multiplex sends and reads over one reactor until
 /// every connection has all its replies (or failed). Returns one outcome
 /// per connection, in order.
 ///
@@ -311,8 +228,6 @@ pub(crate) fn run_thread(
 ) -> Vec<Result<ConnOutcome, ClientError>> {
     let drive = |conns: &mut [FaninConn<'_>]| -> io::Result<()> {
         let reactor = Reactor::new()?;
-        let timer = TimerFd::new()?;
-        reactor.register(timer.fd(), TIMER, Interest::READABLE)?;
         let mut open = 0;
         for (i, fc) in conns.iter_mut().enumerate() {
             match reactor.register(fc.stream.as_raw_fd(), Token(i as u64), fc.interest) {
@@ -325,8 +240,6 @@ pub(crate) fn run_thread(
         }
         let mut driver = Driver {
             reactor,
-            timer,
-            armed: u64::MAX,
             conns,
             open,
             window: window.max(1),
@@ -337,7 +250,7 @@ pub(crate) fn run_thread(
         driver.run()
     };
     if let Err(e) = drive(&mut conns) {
-        // The reactor or timer failed under us: whatever is still
+        // The reactor failed under us: whatever is still
         // unfinished cannot finish.
         for fc in conns.iter_mut().filter(|fc| !fc.done()) {
             fc.failed = Some(io_err("client reactor")(io::Error::new(
@@ -379,64 +292,28 @@ mod tests {
         fc.drain_replies(clock);
     }
 
-    /// A paced connection sends a request only once it is due *and* the
-    /// window has room: a due request behind a full window waits (and its
-    /// wait is charged as send lag when it finally goes), a request that
-    /// is not due yet is never sent early — and an unpaced connection
-    /// records no send lag at all.
+    /// The window alone gates sends: a connection fills it, sends
+    /// nothing more until replies free slots, and times every request
+    /// from its send to its reply.
     #[test]
-    fn paced_connection_accrues_send_lag_behind_a_full_window_and_never_sends_early() {
+    fn a_connection_sends_only_as_far_as_its_window_allows() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let reqs = vec![Request::new(1, 2); 4];
         let clock = Clock::start();
         let mut value = Vec::new();
 
-        // Due times 0, 10, 20, 30 ns; window 2.
-        let pace = Pace {
-            first: 0,
-            stride: 1,
-            interval_ns: 10.0,
-        };
-        let mut fc = FaninConn::connect(addr, &reqs, Some(pace)).unwrap();
-        assert_eq!(fc.next_due(2), Some(0));
+        let mut fc = FaninConn::connect(addr, &reqs).unwrap();
         fc.top_up(25, 2, PUTS, &mut value);
-        // Requests 0 and 1 went (25 and 15 ns late); request 2 has been
-        // due since t=20 but the window is full, so time is not what the
-        // connection waits for.
         assert_eq!(fc.sent, 2);
-        assert_eq!(fc.outcome.send_lag.count(), 2);
-        assert_eq!(fc.outcome.send_lag.max(), 25);
-        assert_eq!(fc.next_due(2), None);
+        fc.top_up(26, 2, PUTS, &mut value);
+        assert_eq!(fc.sent, 2, "sent past a full window");
         answer(&mut fc, 2, clock);
         assert_eq!(fc.received, 2);
-        // Window free at t=28: request 2 goes, 8 ns behind its due time;
-        // request 3 (due at 30) must wait for the clock.
-        fc.top_up(28, 2, PUTS, &mut value);
-        assert_eq!(fc.sent, 3);
-        assert_eq!(fc.outcome.send_lag.count(), 3);
-        assert_eq!(fc.next_due(2), Some(30));
-        fc.top_up(29, 2, PUTS, &mut value);
-        assert_eq!(fc.sent, 3, "sent early");
-        fc.top_up(30, 2, PUTS, &mut value);
+        fc.top_up(27, 2, PUTS, &mut value);
         assert_eq!(fc.sent, 4);
-        assert_eq!(fc.outcome.send_lag.count(), 4);
-        assert_eq!(fc.outcome.send_lag.max(), 25, "lag shrank once paced");
-        // Latency runs from the intended start, so it includes the lag.
         answer(&mut fc, 2, clock);
         assert!(fc.done());
         assert_eq!(fc.outcome.hist.count(), 4);
-
-        // Unpaced: the window alone gates sends, and there is no
-        // schedule to lag.
-        let mut fc = FaninConn::connect(addr, &reqs, None).unwrap();
-        fc.top_up(25, 2, PUTS, &mut value);
-        assert_eq!((fc.sent, fc.next_due(2)), (2, None));
-        answer(&mut fc, 2, clock);
-        fc.top_up(26, 2, PUTS, &mut value);
-        answer(&mut fc, 2, clock);
-        assert!(fc.done());
-        assert_eq!(fc.outcome.hist.count(), 4);
-        assert_eq!(fc.outcome.send_lag.count(), 0);
     }
 }

@@ -1,14 +1,13 @@
 //! # wmlp-loadgen — load generator for `wmlp-serve`
 //!
 //! Replays seeded `wmlp-workloads` traces against a server over real
-//! sockets — closed-loop (window 1), pipelined (a bounded window of
-//! requests in flight per connection), or open-loop against an arrival
-//! schedule with coordinated-omission-corrected latency, at any
-//! connection count: one engine multiplexes every connection over at
-//! most [`CLIENT_THREADS`] event-driven threads — measures per-request
-//! latency into the log-bucketed [`wmlp_sim::Histogram`], and emits a
-//! schema-documented SERVE.json report ([`report`]), optionally with a
-//! throughput-vs-p99 sweep across offered rates.
+//! sockets — closed-loop (window 1) or pipelined (a bounded window of
+//! requests in flight per connection), at any connection count: one
+//! engine multiplexes every connection over at most [`CLIENT_THREADS`]
+//! event-driven threads — measures per-request latency into the
+//! log-bucketed [`wmlp_sim::Histogram`], and emits a schema-documented
+//! SERVE.json report ([`report`]). Open-loop load is the `open-mem`
+//! workload of `benchmark/run.sh`, not a mode of this crate.
 //!
 //! The request stream is fully deterministic (instance tuple, workload,
 //! seed); only the measured latencies and throughput are
@@ -31,10 +30,8 @@ use wmlp_sim::Histogram;
 use wmlp_workloads::{cyclic_trace, zipf_trace, LevelDist};
 
 use client::{ConnOutcome, PutValues};
-use fanin::{FaninConn, Pace};
-use report::{
-    ClientErrorEntry, LatencySummary, ReportConfig, ServeReport, SweepPoint, Totals, SCHEMA_VERSION,
-};
+use fanin::FaninConn;
+use report::{ClientErrorEntry, LatencySummary, ReportConfig, ServeReport, Totals, SCHEMA_VERSION};
 use timing::Clock;
 
 /// The request mixes the generator can offer.
@@ -132,13 +129,6 @@ pub struct LoadgenConfig {
     /// Per-connection in-flight window; 1 = classic closed-loop, > 1 =
     /// pipelined.
     pub pipeline: usize,
-    /// Open-loop target arrival rate across all connections, requests
-    /// per second; 0 = unpaced (the window alone sets the load).
-    pub rate: f64,
-    /// Offered rates for a throughput-vs-p99 sweep after the main run
-    /// (each point replays the trace open-loop at that rate); empty =
-    /// no sweep.
-    pub sweep: Vec<f64>,
     /// Bytes per PUT payload (level-1 requests carry deterministic
     /// values this big; ≥ 1).
     pub value_size: usize,
@@ -165,8 +155,6 @@ impl Default for LoadgenConfig {
             hot_k: 64,
             epoch_len: 4096,
             pipeline: 1,
-            rate: 0.0,
-            sweep: Vec::new(),
             value_size: 64,
             shutdown: true,
         }
@@ -215,14 +203,13 @@ pub fn zipf_head_mass(n: usize, theta: f64, m: usize) -> f64 {
 /// count every recorded B8 cell and smoke used while it was a flag.
 pub const CLIENT_THREADS: usize = 2;
 
-/// What one wave of connections (the main run, or one sweep point)
-/// measured, merged across connections. Connections that died are
-/// classified into `client_errors` rather than aborting the wave — the
-/// survivors' measurements still stand, and the report says what broke.
+/// What one wave of connections measured, merged across connections.
+/// Connections that died are classified into `client_errors` rather
+/// than aborting the wave — the survivors' measurements still stand,
+/// and the report says what broke.
 #[derive(Default)]
 struct WaveOutcome {
     hist: Histogram,
-    send_lag: Histogram,
     totals: Totals,
     client_errors: Vec<ClientErrorEntry>,
     wall_nanos: u64,
@@ -241,29 +228,20 @@ impl WaveOutcome {
 /// Replay `slices` (one per connection) against `addr` concurrently and
 /// merge the outcomes: every connection keeps up to `window` requests in
 /// flight, dealt round-robin across the client threads (see [`fanin`]).
-/// With `rate > 0` the wave is paced by one open-loop schedule: request
-/// `g` of the round-robin-interleaved trace is *intended* to leave at
-/// `g / rate` seconds, whichever connection owns it.
 fn drive_wave(
     addr: SocketAddr,
     slices: &[Vec<Request>],
     window: usize,
-    rate: f64,
     puts: PutValues,
 ) -> WaveOutcome {
     let mut out = WaveOutcome::default();
     let wall = Clock::start();
-    // Connect everything before the clock starts, so neither a request's
-    // latency nor the pacing schedule includes a socket's handshake.
+    // Connect everything before the clock starts, so no request's
+    // latency includes a socket's handshake.
     let nthreads = CLIENT_THREADS.min(slices.len()).max(1);
     let mut shares: Vec<Vec<FaninConn<'_>>> = (0..nthreads).map(|_| Vec::new()).collect();
     for (c, slice) in slices.iter().enumerate().filter(|(_, s)| !s.is_empty()) {
-        let pace = (rate > 0.0).then(|| Pace {
-            first: c,
-            stride: slices.len(),
-            interval_ns: 1e9 / rate,
-        });
-        match FaninConn::connect(addr, slice, pace) {
+        match FaninConn::connect(addr, slice) {
             Ok(conn) => shares[c % nthreads].push(conn),
             Err(e) => out.client_errors.push(e.into()),
         }
@@ -295,7 +273,6 @@ fn drive_wave(
         match outcome {
             Ok(o) => {
                 out.hist.merge(&o.hist);
-                out.send_lag.merge(&o.send_lag);
                 out.totals.merge(&o.totals);
             }
             Err(entry) => out.client_errors.push(entry),
@@ -365,28 +342,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<ServeReport, String> {
         }
     };
 
-    let mut main = drive_wave(addr, &slices, cfg.pipeline, cfg.rate, puts);
-    let mut client_errors = std::mem::take(&mut main.client_errors);
-
-    // The sweep replays the same trace open-loop at each offered rate,
-    // against the same (now warm) server; each point is a fresh set of
-    // connections so points don't share sockets or windows.
-    let mut sweep = Vec::with_capacity(cfg.sweep.len());
-    for &target in &cfg.sweep {
-        if target <= 0.0 {
-            continue;
-        }
-        let mut w = drive_wave(addr, &slices, cfg.pipeline.max(2), target, puts);
-        client_errors.append(&mut w.client_errors);
-        sweep.push(SweepPoint {
-            target_rps: target,
-            achieved_rps: w.throughput_rps(),
-            p50: w.hist.quantile(0.50),
-            p99: w.hist.quantile(0.99),
-            sent: w.totals.sent,
-            errors: w.totals.errors,
-        });
-    }
+    let mut main = drive_wave(addr, &slices, cfg.pipeline, puts);
 
     let stats = client::stats_and_shutdown(&addr, cfg.shutdown);
     if let Some(handle) = spawned {
@@ -418,7 +374,6 @@ pub fn run(cfg: &LoadgenConfig) -> Result<ServeReport, String> {
             partition: cfg.partition.clone(),
             conns: conns as u64,
             pipeline: cfg.pipeline.max(1) as u64,
-            rate_rps: cfg.rate.max(0.0),
             requests: cfg.requests as u64,
             value_size: cfg.value_size.max(1) as u64,
             pages: cfg.pages as u64,
@@ -428,13 +383,11 @@ pub fn run(cfg: &LoadgenConfig) -> Result<ServeReport, String> {
             weight_seed: cfg.weight_seed,
         },
         latency: LatencySummary::from_histogram(&main.hist),
-        send_lag: LatencySummary::from_histogram(&main.send_lag),
         wall_nanos: main.wall_nanos,
         throughput_rps,
         totals: main.totals,
-        sweep,
         server: server_stats.into(),
-        client_errors,
+        client_errors: main.client_errors,
         shutdown_clean,
     })
 }
@@ -504,10 +457,7 @@ mod tests {
         assert!(report.totals.value_bytes > 0);
         assert!(report.client_errors.is_empty());
         assert_eq!(report.protocol_version, wmlp_core::wire::VERSION as u32);
-        // Closed-loop runs have no schedule, hence no send lag samples.
         assert_eq!(report.config.pipeline, 1);
-        assert_eq!(report.send_lag.count, 0);
-        assert!(report.sweep.is_empty());
         // Per-shard load entries cover the spawned server's shards.
         assert_eq!(report.server.per_shard.len(), 2);
         let per_shard_reqs: u64 = report.server.per_shard.iter().map(|s| s.requests).sum();
@@ -576,8 +526,7 @@ mod tests {
 
     /// One engine, two windows: a window-1 (closed-loop) and a window-32
     /// (pipelined) run over a single connection replay the identical
-    /// request sequence, so *all* deterministic outcomes agree — and
-    /// neither, being unpaced, has a schedule to lag.
+    /// request sequence, so *all* deterministic outcomes agree.
     #[test]
     fn pipelined_run_matches_closed_loop_accounting() {
         let base = LoadgenConfig {
@@ -599,31 +548,6 @@ mod tests {
         assert_eq!(piped.server.requests, closed.server.requests);
         assert_eq!(piped.server.cost, closed.server.cost);
         assert_eq!(piped.latency.count, 600);
-        assert_eq!((closed.send_lag.count, piped.send_lag.count), (0, 0));
-    }
-
-    /// High fan-in end-to-end: 64 pipelined connections against a spawned
-    /// server, every request answered, accounting exact.
-    #[test]
-    fn fanin_mode_serves_many_connections_over_few_threads() {
-        let report = run(&LoadgenConfig {
-            requests: 2_000,
-            conns: 64,
-            pipeline: 8,
-            ..LoadgenConfig::smoke()
-        })
-        .unwrap();
-        assert_eq!(report.totals.sent, 2_000);
-        assert_eq!(report.totals.errors, 0);
-        assert!(report.client_errors.is_empty());
-        assert_eq!(report.server.requests, 2_000);
-        assert_eq!(report.totals.cost, report.server.cost);
-        assert_eq!(report.totals.hits, report.server.hits);
-        assert_eq!(report.config.conns, 64);
-        assert!(report.shutdown_clean);
-        assert!(report.latency.count == 2_000);
-        // Unpaced: no arrival schedule, hence no send-lag samples.
-        assert_eq!(report.send_lag.count, 0);
     }
 
     /// The RLIMIT_NOFILE gate: a connection count no fd table holds is

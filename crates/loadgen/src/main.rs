@@ -20,20 +20,16 @@
 //! # (C10K smoke); any --conns runs on at most 2 client threads
 //! wmlp-loadgen --spawn --conns 1024 --pipeline 8
 //!
-//! # open-loop at 200K req/s with coordinated-omission-corrected
-//! # latency, then sweep offered rates for the throughput-vs-p99 curve
-//! # (pacing combines with any --conns / --pipeline)
-//! wmlp-loadgen --spawn --pipeline 64 --rate 200000 \
-//!              --sweep 50000,100000,200000,400000 --out SERVE.json
-//!
 //! # CI smoke: small run, exits nonzero unless throughput > 0 and the
 //! # shutdown handshake completed
 //! wmlp-loadgen --smoke --pipeline 16 --out SERVE.json
 //! ```
 //!
-//! A flag value that does not parse, or a flag removed with the old
-//! thread-per-connection client (`--connections`, `--client-threads`),
-//! exits 2 with a one-line message before anything connects or spawns.
+//! A flag value that does not parse, `--levels 0`, or a flag removed
+//! with the old thread-per-connection client (`--connections`,
+//! `--client-threads`) or with the open-loop mode (open-loop load is the
+//! `open-mem` workload of `benchmark/run.sh`) exits 2 with a one-line
+//! message before anything connects or spawns.
 
 use wmlp_core::cli::{flag, flag_parse, switch};
 use wmlp_loadgen::{run, zipf_head_mass, LoadgenConfig, Workload};
@@ -55,6 +51,14 @@ fn main() {
             fail(&format!(
                 "{removed}: removed in PR 13; use --conns (any connection \
                  count runs on at most 2 client threads)"
+            ));
+        }
+    }
+    for removed in ["--rate", "--sweep"] {
+        if switch(&args, removed) {
+            fail(&format!(
+                "{removed}: the open-loop mode was removed; open-loop load \
+                 is the `open-mem` workload of benchmark/run.sh"
             ));
         }
     }
@@ -98,21 +102,12 @@ fn main() {
         hot_k: parsed(&args, "--hot-k", base.hot_k),
         epoch_len: parsed(&args, "--epoch-len", base.epoch_len),
         pipeline: parsed(&args, "--pipeline", base.pipeline),
-        rate: parsed(&args, "--rate", base.rate),
-        sweep: match flag(&args, "--sweep") {
-            None => base.sweep.clone(),
-            Some(spec) => match spec
-                .split(',')
-                .map(|r| r.trim().parse::<f64>())
-                .collect::<Result<Vec<f64>, _>>()
-            {
-                Ok(rates) => rates,
-                Err(e) => fail(&format!("--sweep {spec}: {e}")),
-            },
-        },
         value_size: parsed(&args, "--value-size", base.value_size),
         shutdown: !switch(&args, "--no-shutdown"),
     };
+    if cfg.levels == 0 {
+        fail("--levels 0: an instance needs at least one level");
+    }
 
     // For Zipf-family workloads, say up front how concentrated the
     // offered stream is in theory — the yardstick the measured per-shard

@@ -1,11 +1,11 @@
 //! The SERVE.json report schema.
 //!
 //! A load run emits exactly one [`ServeReport`], serialized with the
-//! workspace serde shim. Schema (`schema_version` 4):
+//! workspace serde shim. Schema (`schema_version` 5):
 //!
 //! ```text
 //! {
-//!   "schema_version": 4,
+//!   "schema_version": 5,
 //!   "protocol_version": u64, // wire protocol the client spoke
 //!   "config": {             // what was run (replayable part)
 //!     "addr": str,          // server address ("in-process" when spawned)
@@ -16,7 +16,6 @@
 //!     "conns": u64,         // client connections (--conns; any count
 //!                           // runs on at most 2 client threads)
 //!     "pipeline": u64,      // per-connection in-flight window (1 = closed-loop)
-//!     "rate_rps": f64,      // open-loop target arrival rate (0 = unpaced)
 //!     "requests": u64,      // total requests attempted
 //!     "value_size": u64,    // bytes per PUT payload
 //!     "pages": u64, "levels": u64, "k": u64,
@@ -32,21 +31,14 @@
 //!     "shard_share": [f64], // per-shard fraction of all served requests
 //!     "imbalance": f64      // max shard share / mean shard share (1.0 = even)
 //!   },
-//!   "latency": {            // per-request, nanoseconds, intended start →
-//!     "count": u64,         // reply: the send itself when unpaced, the
-//!     "p50": u64, "p90": u64, "p95": u64, "p99": u64,   // due time when
-//!     "max": u64, "mean": u64   // paced (coordinated-omission-corrected);
-//!   },                      // never includes a connection handshake
-//!   "send_lag": {           // actual-send minus intended-send, ns; how
-//!     ... same shape ...    // far the client fell behind its schedule
-//!   },                      // (count 0 for every unpaced run)
-//!   "wall_nanos": u64,      // main run's wall time, connection setup
+//!   "latency": {            // per-request, nanoseconds, send → reply;
+//!     "count": u64,         // never includes a connection handshake
+//!     "p50": u64, "p90": u64, "p95": u64, "p99": u64,
+//!     "max": u64, "mean": u64
+//!   },
+//!   "wall_nanos": u64,      // the run's wall time, connection setup
 //!                           // included (machine-dependent)
 //!   "throughput_rps": f64,  // sent / wall seconds (machine-dependent)
-//!   "sweep": [              // optional throughput-vs-latency sweep
-//!     { "target_rps": f64, "achieved_rps": f64,
-//!       "p50": u64, "p99": u64, "sent": u64, "errors": u64 }, ...
-//!   ],
 //!   "server": {             // final STATS reply from the server
 //!     "requests": u64, "hits": u64, "hits_l1": u64, "fetches": u64,
 //!     "evictions": u64, "cost": u64,
@@ -63,12 +55,12 @@
 //! }
 //! ```
 //!
-//! **v1 → v2**: added `config.pipeline`, `config.rate_rps`, `send_lag`,
-//! `sweep`, and `server.per_shard` (the loadgen grew pipelined
-//! connections, open-loop schedules with coordinated-omission-corrected
-//! latency, and a throughput-vs-p99 sweep; the server's STATS reply grew
+//! **v1 → v2**: added `config.pipeline`, `server.per_shard`, and three
+//! open-loop fields — the config's target arrival rate, a send-lag
+//! summary and a throughput-vs-p99 sweep (the loadgen grew pipelined
+//! connections and open-loop schedules; the server's STATS reply grew
 //! per-shard load counters). All v1 fields are unchanged in meaning,
-//! except that `latency` in a paced run now measures from the intended
+//! except that `latency` in a paced run measured from the intended
 //! start rather than the actual send.
 //!
 //! **v2 → v3**: the protocol grew value payloads (wire v3) and the
@@ -83,12 +75,17 @@
 //! Added `config.partition`, `totals.shard_share`, `totals.imbalance`,
 //! and `queue_hwm` in each `server.per_shard` entry. Shard shares and
 //! imbalance are computed from the server's per-shard STATS counters at
-//! the end of the run, so they cover everything the server served
-//! (including sweep replays).
+//! the end of the run, so they cover everything the server served.
 //!
-//! Everything under `latency`, `send_lag`, `wall_nanos`,
-//! `throughput_rps` and `sweep` is machine-dependent; everything else is
-//! deterministic for a fixed config.
+//! **v4 → v5**: the loadgen lost its open-loop mode (open-loop load is
+//! the `open-mem` workload of `benchmark/run.sh`), and with it the three
+//! open-loop fields v2 added: the config's target arrival rate, the
+//! send-lag summary and the sweep points. `latency` always measures from
+//! the actual send. Every other field is unchanged in meaning.
+//!
+//! Everything under `latency`, `wall_nanos` and `throughput_rps` is
+//! machine-dependent; everything else is deterministic for a fixed
+//! config.
 
 use serde::{Deserialize, Serialize};
 use wmlp_core::wire::StatsPayload;
@@ -113,9 +110,6 @@ pub struct ReportConfig {
     pub conns: u64,
     /// Per-connection in-flight window (1 = closed-loop).
     pub pipeline: u64,
-    /// Open-loop target arrival rate across all connections, requests
-    /// per second (0 = unpaced).
-    pub rate_rps: f64,
     /// Total requests attempted.
     pub requests: u64,
     /// Bytes per PUT payload (level-1 requests carry values this big).
@@ -249,24 +243,6 @@ pub struct ShardLoadStats {
     pub queue_hwm: u64,
 }
 
-/// One point of the throughput-vs-latency sweep: an open-loop run at
-/// `target_rps` and what it actually achieved.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct SweepPoint {
-    /// Offered arrival rate, requests/second.
-    pub target_rps: f64,
-    /// Served requests per wall second at that offered rate.
-    pub achieved_rps: f64,
-    /// Median coordinated-omission-corrected latency, nanoseconds.
-    pub p50: u64,
-    /// 99th-percentile corrected latency, nanoseconds.
-    pub p99: u64,
-    /// Requests answered with a `Served` frame.
-    pub sent: u64,
-    /// Requests answered with an `Error` frame.
-    pub errors: u64,
-}
-
 /// Mirror of the server's STATS reply (the wire struct is not a serde
 /// type; this one is).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -323,23 +299,15 @@ pub struct ServeReport {
     pub config: ReportConfig,
     /// Client-side outcome counts.
     pub totals: Totals,
-    /// Latency summary, nanoseconds, intended start → reply: the send
-    /// itself when unpaced, the schedule's due time when paced
-    /// (coordinated-omission-corrected). Every connection is set up
-    /// before the first request is stamped, so no sample includes a
-    /// handshake. Machine-dependent.
+    /// Latency summary, nanoseconds, send → reply. Every connection is
+    /// set up before the first request is stamped, so no sample includes
+    /// a handshake. Machine-dependent.
     pub latency: LatencySummary,
-    /// Actual-send minus intended-send summary, nanoseconds: one sample
-    /// per request of a paced (`rate_rps > 0`) run, count 0 for every
-    /// unpaced run whatever its window (machine-dependent).
-    pub send_lag: LatencySummary,
-    /// The main run's wall time in nanoseconds, connection setup
-    /// included (machine-dependent).
+    /// The run's wall time in nanoseconds, connection setup included
+    /// (machine-dependent).
     pub wall_nanos: u64,
     /// Served requests per wall-clock second (machine-dependent).
     pub throughput_rps: f64,
-    /// Throughput-vs-latency sweep points (empty unless requested).
-    pub sweep: Vec<SweepPoint>,
     /// The server's final STATS counters.
     pub server: ServerStats,
     /// Classified per-connection transport failures (empty on a healthy
@@ -352,9 +320,9 @@ pub struct ServeReport {
 /// Current `schema_version` written by this crate. Bumped 1 → 2 when the
 /// pipelined/open-loop loadgen landed, 2 → 3 when the wire protocol grew
 /// value payloads and per-level hit accounting, 3 → 4 when skew-aware
-/// partitioning and queue high-water marks landed; see the module docs
-/// for the field diffs.
-pub const SCHEMA_VERSION: u32 = 4;
+/// partitioning and queue high-water marks landed, 4 → 5 when the
+/// open-loop mode went; see the module docs for the field diffs.
+pub const SCHEMA_VERSION: u32 = 5;
 
 impl ServeReport {
     /// Pretty-printed JSON (the SERVE.json bytes).
@@ -388,7 +356,6 @@ mod tests {
                 partition: "replicate".into(),
                 conns: 4,
                 pipeline: 32,
-                rate_rps: 50_000.0,
                 requests: 5,
                 value_size: 64,
                 pages: 1024,
@@ -408,17 +375,8 @@ mod tests {
                 imbalance: 1.2,
             },
             latency: LatencySummary::from_histogram(&h),
-            send_lag: LatencySummary::default(),
             wall_nanos: 123,
             throughput_rps: 40.6,
-            sweep: vec![SweepPoint {
-                target_rps: 50_000.0,
-                achieved_rps: 48_211.5,
-                p50: 900,
-                p99: 41_000,
-                sent: 5,
-                errors: 0,
-            }],
             server: ServerStats {
                 requests: 5,
                 hits: 2,

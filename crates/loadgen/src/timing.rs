@@ -12,12 +12,9 @@
 use std::time::Instant;
 
 /// A started wall-clock epoch: every timestamp is "nanoseconds since
-/// this clock started". One times a wave's wall; another is the wave's
-/// shared epoch for open-loop schedules, so intended-start times computed
-/// from the rate and actual send/completion times observed later are
-/// directly comparable — the basis of coordinated-omission-corrected
-/// latency (service time measured from when the request *should* have
-/// been sent, not from when a backed-up client finally sent it).
+/// this clock started". One times a wave's wall; another, started once
+/// every socket is connected, is the epoch all of the wave's client
+/// threads stamp sends and replies against.
 #[derive(Debug, Clone, Copy)]
 pub struct Clock {
     epoch: Instant,

@@ -40,7 +40,7 @@
 //! the "Concurrency model" section of DESIGN.md.
 //!
 //! The companion `wmlp-loadgen` crate is the matching client: closed
-//! loop, pipelined, or paced by an open-loop arrival schedule.
+//! loop or pipelined.
 
 #![warn(missing_docs)]
 
@@ -63,13 +63,16 @@ use wmlp_workloads::ml_rows_geometric;
 /// `--instance` file is given: geometric per-level weights, identical to
 /// the `simulate gen` defaults, so the same `(pages, levels, k,
 /// weight_seed)` tuple always names the same instance on both sides of
-/// the socket.
+/// the socket. `levels` 0 is an `Err` naming `--levels`.
 pub fn default_instance(
     pages: usize,
     levels: u8,
     k: usize,
     weight_seed: u64,
 ) -> Result<MlInstance, String> {
+    if levels == 0 {
+        return Err("--levels 0: an instance needs at least one level".into());
+    }
     let rows = ml_rows_geometric(pages, levels, 16, 256, 4, weight_seed);
     MlInstance::from_rows(k, rows).map_err(|e| format!("bad instance shape: {e}"))
 }
@@ -87,5 +90,6 @@ mod tests {
         assert_eq!(a.k(), 8);
         assert_eq!(a.max_levels(), 3);
         assert!(default_instance(8, 3, 8, 7).is_err());
+        assert!(default_instance(64, 0, 8, 7).is_err());
     }
 }

@@ -645,18 +645,20 @@ fn removed_plane_flag_values_exit_2_before_binding() {
 
 /// A flag value that does not parse must not silently fall back to the
 /// default (`--shards 8x` used to serve with 1 shard): it is refused
-/// before the server binds, naming the flag.
+/// before the server binds, naming the flag. So is `--levels 0`, which
+/// used to panic building the instance.
 #[test]
 fn unparsable_flag_values_exit_2_before_binding() {
-    let cases: [(&[&str], &str); 4] = [
+    let cases: [(&[&str], &str); 5] = [
         (&["--k", "8", "--shards", "8x"], "--shards 8x"),
         (&["--k", "sixteen"], "--k sixteen"),
         (&["--k", "8", "--batch", "-1"], "--batch -1"),
         (&["--k", "8", "--io-threads"], "--io-threads: missing value"),
+        (&["--k", "8", "--levels", "0"], "--levels 0"),
     ];
     for (flags, expect) in cases {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_wmlp-serve"))
-            .args(["--pages", "64", "--levels", "2"])
+            .args(["--pages", "64"])
             .args(flags)
             .output()
             .expect("run wmlp-serve");
