@@ -11,6 +11,9 @@ use std::path::{Path, PathBuf};
 use wmlp_core::storage::{SimStorage, Storage, StorageError};
 use wmlp_store::{decode_record, Decoded, Record, RecoverMode, SegmentStore, StoreOptions};
 
+#[path = "../../../tests/support/storage_ops.rs"]
+mod storage_ops;
+
 /// Fresh (empty) per-test scratch directory.
 fn test_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("wmlp-store-{}-{}", std::process::id(), name));
@@ -327,6 +330,56 @@ fn segment_store_matches_sim_storage_step_for_step() {
             assert_eq!(ds.flushes, ss.flushes);
         }
     }
+}
+
+/// One digest per entry of `storage_ops::CASES`.
+const PINNED: [u64; 3] = [
+    8331777619210858966,
+    3110532215927488802,
+    18245302814430580108,
+];
+
+/// Pin of the on-disk store's visible behaviour: the op sequence the
+/// root `tests/storage_fingerprint.rs` pins on `SimStorage`, plus the
+/// bytes of every segment file it leaves and the warm set (with values
+/// and snapshot) a warm reopen rebuilds. Recorded before the storage
+/// tiers moved onto the page-indexed table; must hold unmodified across
+/// any change that claims "same behaviour".
+#[test]
+fn segment_store_op_sequence_fingerprint_is_pinned() {
+    let got: Vec<u64> = storage_ops::CASES
+        .iter()
+        .map(|&case| {
+            let (seed, n, levels, value_size, _) = case;
+            let dir = test_dir(&format!("fingerprint-{seed}"));
+            let mut o = StoreOptions::new(n as usize, levels);
+            o.value_size = value_size;
+            o.segment_bytes = 16 << 10;
+            let mut h = storage_ops::Fnv::new();
+            {
+                let mut s = SegmentStore::open(&dir, o.clone()).unwrap();
+                storage_ops::run_ops(&mut s, case, &mut h);
+                for p in s.warm_pages() {
+                    h.u64(u64::from(p));
+                }
+            }
+            for path in segment_paths(&dir) {
+                h.bytes(path.file_name().unwrap().as_encoded_bytes());
+                h.bytes(&std::fs::read(&path).unwrap());
+            }
+            let mut s = SegmentStore::open(&dir, o).unwrap();
+            h.u64(s.warm_len() as u64);
+            for p in s.warm_pages() {
+                let mut v = Vec::new();
+                let level = s.get(p, &mut v).unwrap();
+                h.u64(u64::from(p) << 8 | u64::from(level));
+                h.bytes(&v);
+            }
+            h.snapshot(&s.snapshot());
+            h.0
+        })
+        .collect();
+    assert_eq!(got, PINNED);
 }
 
 /// The store's segment files, in replay order.
