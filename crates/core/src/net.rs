@@ -21,9 +21,11 @@
 //!   mid-flight. Sockets are made non-blocking with std's own
 //!   `set_nonblocking`.
 //!
-//! **Unsafe audit surface.** Every `unsafe` block in the workspace lives
-//! in this module (enforced by the `wmlp-lint` U1 rule) and carries a
-//! reasoned U1 allow comment stating why the call is sound.
+//! **Unsafe audit surface.** Every `unsafe` block in the shipped code
+//! lives in this module (enforced by the `wmlp-lint` U1 rule, whose only
+//! other audited file is the test-only counting allocator in
+//! `tests/alloc_counts.rs`) and carries a reasoned U1 allow comment
+//! stating why the call is sound.
 //! The invariants are uniform: all pointers passed to the kernel are
 //! derived from live Rust references with the correct length, every
 //! return value is errno-checked, and file descriptors are closed exactly

@@ -19,8 +19,15 @@
 //!   `SimStorage` rides along with the engine.
 //! * `wmlp_store::SegmentStore` (crate `crates/store`) — an append-only
 //!   on-disk segment store with CRC-checked records, segment rotation,
-//!   and crash recovery; promotions and flushes there have *measured*
-//!   latency, accounted in [`StorageSnapshot`].
+//!   and crash recovery; a promotion there is a real read and a dirty
+//!   flush a real write.
+//!
+//! Both keep their per-page state — residency, the dirty set and the
+//! warm tier's values — in one [`PageTable`]: page ids are dense
+//! (`0..n`), so it is a few page-indexed vectors and a slab of value
+//! buffers, and it computes the residency half of both backends'
+//! [`StorageSnapshot`]s. Only what lies beyond the warm tier differs: a
+//! page-indexed slab of written-back values here, the segment log there.
 //!
 //! # Level convention
 //!
@@ -29,8 +36,6 @@
 //! tiers**. A page with no tracked residency is cold — resident at the
 //! deepest level, where the backing store (or the default-value
 //! synthesizer) can always produce it.
-
-use std::collections::{BTreeMap, BTreeSet};
 
 use crate::types::{Level, PageId};
 
@@ -187,6 +192,289 @@ pub fn default_value(page: PageId, size: usize, out: &mut Vec<u8>) {
     }
 }
 
+/// Slot value meaning "no value": the page has no buffer in the slab.
+const NO_SLOT: u32 = u32::MAX;
+
+/// One page's entry in a [`PageTable`].
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    /// The page's warm value in [`PageTable::values`], or [`NO_SLOT`].
+    slot: u32,
+    /// Level of the page's copy; 0 = untracked (cold at the deepest
+    /// level). Kept as given, so a store reopened with fewer tiers still
+    /// serves the level its log recorded.
+    level: Level,
+    /// Written since its last writeback.
+    dirty: bool,
+}
+
+/// The per-page state both [`Storage`] backends keep, indexed by page id:
+/// residency, the dirty set and the warm tier's values.
+///
+/// Page ids are dense (`0..n`), so every lookup is one index into a
+/// `Vec`. Warm values live in a slab of buffers addressed by a per-page
+/// `u32` slot; evicting a page frees its slot but keeps the buffer's
+/// capacity for the next page to warm, so once the slab has grown a
+/// put, promotion or flush allocates nothing. Per-level residency counts
+/// are kept as pages move, so [`PageTable::snapshot`] costs `O(levels)`.
+///
+/// Invariants (checked by `debug_assert!`s): a page is warm iff it is
+/// tracked at level 1, a dirty page is warm, the live dirty count equals
+/// the set flags, and a freed slot is never live.
+#[derive(Debug, Clone)]
+pub struct PageTable {
+    levels: Level,
+    pages: Vec<Entry>,
+    /// `counts[0]` counts untracked pages, `counts[l]` pages tracked at
+    /// level `l` (deeper-than-`levels` copies count at `levels`).
+    counts: Vec<u64>,
+    dirty: u64,
+    values: Vec<Vec<u8>>,
+    free: Vec<u32>,
+}
+
+impl PageTable {
+    /// A table over pages `0..n` with `levels` tiers, every page cold.
+    pub fn new(n: usize, levels: Level) -> PageTable {
+        let mut counts = vec![0u64; usize::from(levels) + 1];
+        counts[0] = n as u64;
+        PageTable {
+            levels,
+            pages: vec![
+                Entry {
+                    slot: NO_SLOT,
+                    level: 0,
+                    dirty: false,
+                };
+                n
+            ],
+            counts,
+            dirty: 0,
+            values: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// `Err(UnknownPage)` unless `page` is in `0..n`.
+    pub fn check_page(&self, page: PageId) -> Result<(), StorageError> {
+        if (page as usize) < self.pages.len() {
+            Ok(())
+        } else {
+            Err(StorageError::UnknownPage(page))
+        }
+    }
+
+    /// `Err(BadLevel)` unless `level` is in `1..=levels`.
+    pub fn check_level(&self, level: Level) -> Result<(), StorageError> {
+        if level == 0 || level > self.levels {
+            Err(StorageError::BadLevel(level))
+        } else {
+            Ok(())
+        }
+    }
+
+    /// The level serving `page`: the tracked one, else the deepest.
+    pub fn level(&self, page: PageId) -> Level {
+        match self.pages[page as usize].level {
+            0 => self.levels,
+            l => l,
+        }
+    }
+
+    /// The page's warm value, if it is warm.
+    pub fn warm(&self, page: PageId) -> Option<&[u8]> {
+        match self.pages[page as usize].slot {
+            NO_SLOT => None,
+            slot => Some(&self.values[slot as usize]),
+        }
+    }
+
+    /// Number of warm pages.
+    pub fn warm_len(&self) -> usize {
+        self.values.len() - self.free.len()
+    }
+
+    /// The warm page ids, ascending.
+    pub fn warm_pages(&self) -> impl Iterator<Item = PageId> + '_ {
+        (0..)
+            .zip(&self.pages)
+            .filter(|(_, e)| e.slot != NO_SLOT)
+            .map(|(p, _)| p)
+    }
+
+    /// Write `value` into `page`'s warm value, making it warm, dirty and
+    /// resident at level 1.
+    pub fn put(&mut self, page: PageId, value: &[u8]) {
+        let slot = self.warm_slot(page);
+        let buf = &mut self.values[slot];
+        buf.clear();
+        buf.extend_from_slice(value);
+        let e = &mut self.pages[page as usize];
+        if !e.dirty {
+            e.dirty = true;
+            self.dirty += 1;
+        }
+        self.set_level(page, 1);
+    }
+
+    /// Track `page` at `level`. At level 1 a page that was not warm gets
+    /// an empty warm value, whose buffer is returned for the caller to
+    /// fill; any other level drops the warm value, so the caller writes a
+    /// dirty page back first.
+    pub fn promote(&mut self, page: PageId, level: Level) -> Option<&mut Vec<u8>> {
+        if level == 1 {
+            let fresh = self.pages[page as usize].slot == NO_SLOT;
+            let slot = self.warm_slot(page);
+            self.set_level(page, 1);
+            return fresh.then(|| &mut self.values[slot]);
+        }
+        self.drop_warm(page);
+        self.set_level(page, level);
+        None
+    }
+
+    /// Make `page` untracked (cold) and drop its warm value; the caller
+    /// writes a dirty page back first. Returns whether the page was warm
+    /// or tracked.
+    pub fn evict(&mut self, page: PageId) -> bool {
+        let was_warm = self.drop_warm(page);
+        let was_tracked = self.pages[page as usize].level != 0;
+        self.set_level(page, 0);
+        was_warm || was_tracked
+    }
+
+    /// Clear `page`'s dirty flag; returns whether it was set (whether the
+    /// caller owes the page a writeback).
+    pub fn take_dirty(&mut self, page: PageId) -> bool {
+        let e = &mut self.pages[page as usize];
+        let was = std::mem::replace(&mut e.dirty, false);
+        self.dirty -= u64::from(was);
+        was
+    }
+
+    /// The first dirty page at or after `from`, in ascending page order.
+    pub fn next_dirty(&self, from: PageId) -> Option<PageId> {
+        if self.dirty == 0 {
+            return None;
+        }
+        let rest = self.pages.get(from as usize..)?;
+        let at = rest.iter().position(|e| e.dirty)?;
+        Some(from + at as PageId)
+    }
+
+    /// Residency per level and the dirty count; the operation counters
+    /// are the backend's to fill in.
+    pub fn snapshot(&self) -> StorageSnapshot {
+        debug_assert!(self.consistent(), "page table invariants broken");
+        let mut resident = self.counts[1..].to_vec();
+        // Untracked pages are cold: resident at the deepest level.
+        resident[usize::from(self.levels) - 1] += self.counts[0];
+        StorageSnapshot {
+            resident,
+            dirty: self.dirty,
+            ..StorageSnapshot::default()
+        }
+    }
+
+    /// The page's warm slot, taking one (and its buffer, emptied) from
+    /// the free list, or growing the slab, if it has none.
+    fn warm_slot(&mut self, page: PageId) -> usize {
+        let e = &mut self.pages[page as usize];
+        if e.slot == NO_SLOT {
+            e.slot = match self.free.pop() {
+                Some(slot) => {
+                    self.values[slot as usize].clear();
+                    slot
+                }
+                None => {
+                    self.values.push(Vec::new());
+                    // A freed slot is pushed here: room for all of them.
+                    self.free.reserve(self.values.len() - self.free.len());
+                    (self.values.len() - 1) as u32
+                }
+            };
+        }
+        e.slot as usize
+    }
+
+    /// Free `page`'s warm slot, keeping its buffer; returns whether the
+    /// page was warm.
+    fn drop_warm(&mut self, page: PageId) -> bool {
+        let e = &mut self.pages[page as usize];
+        debug_assert!(!e.dirty, "page {page} dropped from the warm tier unwritten");
+        if e.slot == NO_SLOT {
+            return false;
+        }
+        self.free.push(std::mem::replace(&mut e.slot, NO_SLOT));
+        true
+    }
+
+    fn set_level(&mut self, page: PageId, level: Level) {
+        let e = &mut self.pages[page as usize];
+        let bucket = |l: Level| usize::from(l.min(self.levels));
+        self.counts[bucket(e.level)] -= 1;
+        self.counts[bucket(level)] += 1;
+        e.level = level;
+        debug_assert_eq!(
+            e.slot != NO_SLOT,
+            level == 1,
+            "page {page}: warm iff at level 1"
+        );
+    }
+
+    /// Whether the level counts and the dirty count match the entries,
+    /// and every slot is held exactly once — by one page or by the free
+    /// list, never both.
+    fn consistent(&self) -> bool {
+        let mut counts = vec![0u64; self.counts.len()];
+        let mut holders = vec![0u32; self.values.len()];
+        for e in &self.pages {
+            counts[usize::from(e.level.min(self.levels))] += 1;
+            if e.slot != NO_SLOT {
+                holders[e.slot as usize] += 1;
+            }
+        }
+        for &slot in &self.free {
+            holders[slot as usize] += 1;
+        }
+        counts == self.counts
+            && self.pages.iter().filter(|e| e.dirty).count() as u64 == self.dirty
+            && holders.iter().all(|&h| h == 1)
+    }
+}
+
+/// `SimStorage`'s backing tier: the last written-back value per page, in
+/// a page-indexed slab whose entries are never freed (a page written
+/// back once always has a backing value).
+#[derive(Debug, Clone)]
+struct Backing {
+    value_size: usize,
+    slot: Vec<u32>,
+    values: Vec<Vec<u8>>,
+}
+
+impl Backing {
+    /// Append the page's backing value — the last writeback, or the
+    /// default — to `out`.
+    fn read(&self, page: PageId, out: &mut Vec<u8>) {
+        match self.slot[page as usize] {
+            NO_SLOT => default_value(page, self.value_size, out),
+            slot => out.extend_from_slice(&self.values[slot as usize]),
+        }
+    }
+
+    fn write(&mut self, page: PageId, value: &[u8]) {
+        let slot = &mut self.slot[page as usize];
+        if *slot == NO_SLOT {
+            *slot = self.values.len() as u32;
+            self.values.push(Vec::new());
+        }
+        let buf = &mut self.values[*slot as usize];
+        buf.clear();
+        buf.extend_from_slice(value);
+    }
+}
+
 /// Operation counters of a [`SimStorage`].
 #[derive(Debug, Clone, Copy, Default)]
 struct OpCounters {
@@ -195,22 +483,17 @@ struct OpCounters {
 }
 
 /// The deterministic in-memory storage model — the simulation's levels,
-/// made addressable. Values live in `BTreeMap`s, never-written pages
-/// synthesize their [`default_value`] on first read, and no operation
-/// touches a clock or the filesystem, so a run with a `SimStorage`
-/// behind the engine produces byte-identical manifests to one without.
+/// made addressable. Residency, the dirty set and warm values live in a
+/// [`PageTable`], written-back values in a page-indexed backing slab;
+/// never-written pages synthesize their [`default_value`] on read, and
+/// no operation touches a clock or the filesystem, so a run with a
+/// `SimStorage` behind the engine produces byte-identical manifests to
+/// one without. Once its slabs have grown, `get`, `put`, `promote` and
+/// `flush` allocate nothing.
 #[derive(Debug, Clone)]
 pub struct SimStorage {
-    n: u32,
-    levels: Level,
-    value_size: usize,
-    /// Residency of promoted pages; absent = cold (deepest level).
-    resident: BTreeMap<PageId, Level>,
-    /// Warm-tier values (level 1).
-    warm: BTreeMap<PageId, Vec<u8>>,
-    /// Values written back to the backing tier.
-    backing: BTreeMap<PageId, Vec<u8>>,
-    dirty: BTreeSet<PageId>,
+    table: PageTable,
+    backing: Backing,
     counters: OpCounters,
 }
 
@@ -220,44 +503,23 @@ impl SimStorage {
     /// [`default_value`].
     pub fn new(n: usize, levels: Level, value_size: usize) -> Self {
         SimStorage {
-            n: n as u32,
-            levels: levels.max(1),
-            value_size,
-            resident: BTreeMap::new(),
-            warm: BTreeMap::new(),
-            backing: BTreeMap::new(),
-            dirty: BTreeSet::new(),
+            table: PageTable::new(n, levels.max(1)),
+            backing: Backing {
+                value_size,
+                slot: vec![NO_SLOT; n],
+                values: Vec::new(),
+            },
             counters: OpCounters::default(),
-        }
-    }
-
-    fn check_page(&self, page: PageId) -> Result<(), StorageError> {
-        if page < self.n {
-            Ok(())
-        } else {
-            Err(StorageError::UnknownPage(page))
-        }
-    }
-
-    /// The page's backing-tier value: the last writeback, or the default.
-    fn cold_value(&self, page: PageId) -> Vec<u8> {
-        match self.backing.get(&page) {
-            Some(v) => v.clone(),
-            None => {
-                let mut v = Vec::new();
-                default_value(page, self.value_size, &mut v);
-                v
-            }
         }
     }
 
     /// Write back `page` if dirty; returns whether a writeback happened.
     fn writeback(&mut self, page: PageId) -> bool {
-        if !self.dirty.remove(&page) {
+        if !self.table.take_dirty(page) {
             return false;
         }
-        if let Some(v) = self.warm.get(&page) {
-            self.backing.insert(page, v.clone());
+        if let Some(v) = self.table.warm(page) {
+            self.backing.write(page, v);
         }
         self.counters.flushes += 1;
         true
@@ -265,89 +527,67 @@ impl SimStorage {
 
     /// Number of warm (level-1 resident) pages.
     pub fn warm_len(&self) -> usize {
-        self.warm.len()
+        self.table.warm_len()
     }
 }
 
 impl Storage for SimStorage {
     fn get(&mut self, page: PageId, out: &mut Vec<u8>) -> Result<Level, StorageError> {
-        self.check_page(page)?;
-        if let Some(v) = self.warm.get(&page) {
+        self.table.check_page(page)?;
+        if let Some(v) = self.table.warm(page) {
             out.extend_from_slice(v);
             return Ok(1);
         }
-        let v = self.cold_value(page);
-        out.extend_from_slice(&v);
-        Ok(self.resident.get(&page).copied().unwrap_or(self.levels))
+        self.backing.read(page, out);
+        Ok(self.table.level(page))
     }
 
     fn put(&mut self, page: PageId, value: &[u8]) -> Result<(), StorageError> {
-        self.check_page(page)?;
+        self.table.check_page(page)?;
         if value.len() > MAX_VALUE {
             return Err(StorageError::ValueTooLarge(value.len()));
         }
-        self.warm.insert(page, value.to_vec());
-        self.dirty.insert(page);
-        self.resident.insert(page, 1);
+        self.table.put(page, value);
         Ok(())
     }
 
     fn promote(&mut self, page: PageId, level: Level) -> Result<(), StorageError> {
-        self.check_page(page)?;
-        if level == 0 || level > self.levels {
-            return Err(StorageError::BadLevel(level));
-        }
+        self.table.check_page(page)?;
+        self.table.check_level(level)?;
         self.counters.promotions += 1;
-        if level == 1 {
-            if !self.warm.contains_key(&page) {
-                let v = self.cold_value(page);
-                self.warm.insert(page, v);
-            }
-        } else {
+        if level != 1 {
             // Demotion out of the warm tier: write back first so the
             // dirty bytes are never silently dropped.
             self.writeback(page);
-            self.warm.remove(&page);
         }
-        self.resident.insert(page, level);
+        if let Some(buf) = self.table.promote(page, level) {
+            self.backing.read(page, buf);
+        }
         Ok(())
     }
 
     fn flush(&mut self, page: PageId) -> Result<bool, StorageError> {
-        self.check_page(page)?;
+        self.table.check_page(page)?;
         let wrote = self.writeback(page);
-        self.warm.remove(&page);
-        self.resident.remove(&page);
+        self.table.evict(page);
         Ok(wrote)
     }
 
     fn flush_all(&mut self) -> Result<u64, StorageError> {
-        let dirty: Vec<PageId> = self.dirty.iter().copied().collect();
         let mut wrote = 0u64;
-        for page in dirty {
+        let mut from = 0;
+        while let Some(page) = self.table.next_dirty(from) {
             wrote += u64::from(self.writeback(page));
+            from = page + 1;
         }
         Ok(wrote)
     }
 
     fn snapshot(&self) -> StorageSnapshot {
-        let mut resident = vec![0u64; usize::from(self.levels)];
-        let mut tracked = 0u64;
-        for &level in self.resident.values() {
-            let slot = usize::from(level.clamp(1, self.levels)) - 1;
-            resident[slot] += 1;
-            tracked += 1;
-        }
-        // Cold pages (no tracked residency) sit at the deepest level.
-        let deepest = usize::from(self.levels) - 1;
-        resident[deepest] += u64::from(self.n) - tracked;
         StorageSnapshot {
-            resident,
-            dirty: self.dirty.len() as u64,
             promotions: self.counters.promotions,
             flushes: self.counters.flushes,
-            commits: 0,
-            syncs: 0,
+            ..self.table.snapshot()
         }
     }
 }

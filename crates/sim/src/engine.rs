@@ -126,11 +126,17 @@ pub struct StoreRequest<'a> {
 ///
 /// A batch log is a reusable scratch buffer, like the engine's internal
 /// [`StepLog`]: [`SimSession::step_batch`] clears it and fills one entry
-/// per request, so a caller that drains requests in batches (the
-/// `wmlp-serve` shard workers) performs no per-request allocation in
-/// steady state. Every request gets an entry — a failed step records its
-/// [`SimError`] and the batch continues, mirroring how a server answers
-/// each pipelined request individually.
+/// per request, so once the log has grown `step_batch` allocates nothing
+/// per request beyond what the policy does. [`SimSession::step_batch_store`]
+/// — what the `wmlp-serve` event loops call for their shards — allocates
+/// exactly one `Vec` per read, the value that becomes the read's reply
+/// frame, and nothing else per request over a grown
+/// [`wmlp_core::storage::SimStorage`]. `tests/alloc_counts.rs` pins both
+/// counts under landlord; a caller that moves the values out with
+/// [`BatchLog::take_values`] also regrows the slot vector each batch.
+/// Every request gets an entry — a failed step records its [`SimError`]
+/// and the batch continues, mirroring how a server answers each pipelined
+/// request individually.
 #[derive(Debug, Clone, Default)]
 pub struct BatchLog {
     outcomes: Vec<Result<StepOutcome, SimError>>,
@@ -202,8 +208,8 @@ impl BatchLog {
 
 /// An incremental simulation engine: the per-request half of
 /// [`run_policy`], exposed so callers that receive requests one at a time
-/// — the `wmlp-serve` shard workers — can drive a policy without owning a
-/// whole trace up front.
+/// — the `wmlp-serve` event loops, for the shards they serve — can drive
+/// a policy without owning a whole trace up front.
 ///
 /// A session owns the cache, the cost ledger, the run counters and the
 /// scratch [`StepLog`]; each request of a [`SimSession::step_batch`] is

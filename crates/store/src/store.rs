@@ -48,7 +48,9 @@ use std::fs::{self, File, OpenOptions};
 use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 
-use wmlp_core::storage::{default_value, Storage, StorageError, StorageSnapshot, MAX_VALUE};
+use wmlp_core::storage::{
+    default_value, PageTable, Storage, StorageError, StorageSnapshot, MAX_VALUE,
+};
 use wmlp_core::types::{Level, PageId};
 
 use crate::segment::{decode_record, encode_put, encode_record, Decoded, Record, VALUE_OFFSET};
@@ -184,10 +186,14 @@ pub struct SegmentStore {
     needs_sync: bool,
     /// Read handles by segment id, at most [`READ_HANDLES`].
     readers: BTreeMap<u64, File>,
+    /// Latest durable value per written-back page. Sparse on purpose:
+    /// most pages of a universe are never written back, and a dense
+    /// index would cost `n` × 24 bytes per store.
     index: BTreeMap<PageId, ValueLoc>,
-    warm: BTreeMap<PageId, Vec<u8>>,
-    dirty: BTreeSet<PageId>,
-    resident: BTreeMap<PageId, Level>,
+    /// Residency, the dirty set and the warm tier's values.
+    table: PageTable,
+    /// A durable value read on its way into the warm tier.
+    scratch: Vec<u8>,
     counters: Counters,
 }
 
@@ -244,7 +250,7 @@ impl SegmentStore {
         let mut last_len = 0u64;
         for (i, &id) in seg_ids.iter().enumerate() {
             let last = i + 1 == seg_ids.len();
-            last_len = Self::replay_segment(dir, id, last, &mut replay)?;
+            last_len = Self::replay_segment(dir, id, last, opts.n, &mut replay)?;
         }
 
         let seg_id = seg_ids.last().copied().unwrap_or(0);
@@ -253,7 +259,6 @@ impl SegmentStore {
 
         let mut store = SegmentStore {
             dir: dir.to_path_buf(),
-            opts,
             seg_id,
             seg_file,
             seg_len,
@@ -261,37 +266,36 @@ impl SegmentStore {
             needs_sync: false,
             readers: BTreeMap::new(),
             index: replay.index,
-            warm: BTreeMap::new(),
-            dirty: BTreeSet::new(),
-            resident: replay.resident,
+            table: PageTable::new(opts.n, opts.levels),
+            scratch: Vec::new(),
             counters: Counters::default(),
+            opts,
         };
-        match store.opts.recover {
-            RecoverMode::Warm => {
-                for page in replay.warm_ids {
-                    let mut value = Vec::new();
-                    store.read_durable(page, &mut value)?;
-                    store.warm.insert(page, value);
-                    store.resident.insert(page, 1);
-                }
+        // Deeper (on-disk) tiers survive as-is. Level 1 is exactly the
+        // warm markers, which only a warm recovery honours — a cold one
+        // had nothing in RAM.
+        for (&page, &level) in &replay.resident {
+            if level != 1 {
+                store.table.promote(page, level);
             }
-            RecoverMode::Cold => {
-                // Nothing was in RAM: drop the warm markers' residency
-                // claims; deeper (on-disk) tiers survive as-is.
-                for page in replay.warm_ids {
-                    store.resident.remove(&page);
-                }
+        }
+        if store.opts.recover == RecoverMode::Warm {
+            for page in replay.warm_ids {
+                store.warm(page)?;
             }
         }
         Ok(store)
     }
 
     /// Replay one segment into `replay`; truncates a torn/corrupt tail
-    /// when `last`, errors otherwise. Returns the valid length.
+    /// when `last`, errors otherwise, and fails on a record naming a page
+    /// outside `0..n` (a log written over a larger universe: no request
+    /// could reach that page). Returns the valid length.
     fn replay_segment(
         dir: &Path,
         id: u64,
         last: bool,
+        n: usize,
         replay: &mut Replay,
     ) -> Result<u64, StorageError> {
         let path = dir.join(segment_name(id));
@@ -300,6 +304,12 @@ impl SegmentStore {
         while off < data.len() {
             match decode_record(&data[off..]) {
                 Decoded::Complete(rec, used) => {
+                    let (Record::Put { page, .. }
+                    | Record::Promote { page, .. }
+                    | Record::Evict { page }) = rec;
+                    if page as usize >= n {
+                        return Err(StorageError::UnknownPage(page));
+                    }
                     replay.apply(&rec, id, off as u64);
                     off += used;
                 }
@@ -327,14 +337,6 @@ impl SegmentStore {
             }
         }
         Ok(data.len() as u64)
-    }
-
-    fn check_page(&self, page: PageId) -> Result<(), StorageError> {
-        if (page as usize) < self.opts.n {
-            Ok(())
-        } else {
-            Err(StorageError::UnknownPage(page))
-        }
     }
 
     /// Bytes of the current segment already handed to the kernel: where
@@ -408,10 +410,10 @@ impl SegmentStore {
     /// buffer as owing an `fsync` at the next commit. Returns whether a
     /// writeback happened. Leaves warm membership untouched.
     fn writeback(&mut self, page: PageId) -> Result<bool, StorageError> {
-        if !self.dirty.remove(&page) {
+        if !self.table.take_dirty(page) {
             return Ok(false);
         }
-        let value = self.warm.get(&page).map_or(&[][..], Vec::as_slice);
+        let value = self.table.warm(page).unwrap_or_default();
         let loc = ValueLoc {
             seg: self.seg_id,
             offset: self.seg_len + VALUE_OFFSET as u64,
@@ -427,14 +429,28 @@ impl SegmentStore {
         Ok(true)
     }
 
+    /// Make `page` warm with its durable value, unless it already is.
+    fn warm(&mut self, page: PageId) -> Result<(), StorageError> {
+        if self.table.warm(page).is_none() {
+            let mut value = std::mem::take(&mut self.scratch);
+            value.clear();
+            self.read_durable(page, &mut value)?;
+            self.scratch = value;
+        }
+        if let Some(buf) = self.table.promote(page, 1) {
+            buf.extend_from_slice(&self.scratch);
+        }
+        Ok(())
+    }
+
     /// Number of warm (level-1 resident) pages.
     pub fn warm_len(&self) -> usize {
-        self.warm.len()
+        self.table.warm_len()
     }
 
     /// The warm page ids, ascending.
     pub fn warm_pages(&self) -> Vec<PageId> {
-        self.warm.keys().copied().collect()
+        self.table.warm_pages().collect()
     }
 
     /// Number of segment files written so far (current one included).
@@ -445,71 +461,57 @@ impl SegmentStore {
 
 impl Storage for SegmentStore {
     fn get(&mut self, page: PageId, out: &mut Vec<u8>) -> Result<Level, StorageError> {
-        self.check_page(page)?;
-        if let Some(v) = self.warm.get(&page) {
+        self.table.check_page(page)?;
+        if let Some(v) = self.table.warm(page) {
             out.extend_from_slice(v);
             return Ok(1);
         }
         self.read_durable(page, out)?;
-        Ok(self
-            .resident
-            .get(&page)
-            .copied()
-            .unwrap_or(self.opts.levels))
+        Ok(self.table.level(page))
     }
 
     fn put(&mut self, page: PageId, value: &[u8]) -> Result<(), StorageError> {
-        self.check_page(page)?;
+        self.table.check_page(page)?;
         if value.len() > MAX_VALUE {
             return Err(StorageError::ValueTooLarge(value.len()));
         }
         // The write lands in RAM only; it becomes durable at flush time.
         // (The PROMOTE marker the engine logged just before this is what
         // puts the page in a rebuilt warm set.)
-        self.warm.insert(page, value.to_vec());
-        self.dirty.insert(page);
-        self.resident.insert(page, 1);
+        self.table.put(page, value);
         Ok(())
     }
 
     fn promote(&mut self, page: PageId, level: Level) -> Result<(), StorageError> {
-        self.check_page(page)?;
-        if level == 0 || level > self.opts.levels {
-            return Err(StorageError::BadLevel(level));
-        }
+        self.table.check_page(page)?;
+        self.table.check_level(level)?;
         self.counters.promotions += 1;
         if level == 1 {
-            if !self.warm.contains_key(&page) {
-                let mut value = Vec::new();
-                self.read_durable(page, &mut value)?;
-                self.warm.insert(page, value);
-            }
+            self.warm(page)?;
         } else {
             // Demotion out of the warm tier: the dirty bytes must reach
             // the log before the RAM copy goes away.
             self.writeback(page)?;
-            self.warm.remove(&page);
+            self.table.promote(page, level);
         }
-        self.append_marker(&Record::Promote { page, level })?;
-        self.resident.insert(page, level);
-        Ok(())
+        self.append_marker(&Record::Promote { page, level })
     }
 
     fn flush(&mut self, page: PageId) -> Result<bool, StorageError> {
-        self.check_page(page)?;
+        self.table.check_page(page)?;
         let wrote = self.writeback(page)?;
-        if self.warm.remove(&page).is_some() || self.resident.contains_key(&page) {
+        if self.table.evict(page) {
             self.append_marker(&Record::Evict { page })?;
         }
-        self.resident.remove(&page);
         Ok(wrote)
     }
 
     fn flush_all(&mut self) -> Result<u64, StorageError> {
-        let dirty: Vec<PageId> = self.dirty.iter().copied().collect();
         let mut wrote = 0u64;
-        for page in dirty {
+        let mut from = 0;
+        while let Some(page) = self.table.next_dirty(from) {
             wrote += u64::from(self.writeback(page)?);
+            from = page + 1;
         }
         // One commit (one fsync) covers them all.
         self.commit()?;
@@ -536,21 +538,12 @@ impl Storage for SegmentStore {
     }
 
     fn snapshot(&self) -> StorageSnapshot {
-        let mut resident = vec![0u64; usize::from(self.opts.levels)];
-        let mut tracked = 0u64;
-        for &level in self.resident.values() {
-            resident[usize::from(level.clamp(1, self.opts.levels)) - 1] += 1;
-            tracked += 1;
-        }
-        let deepest = usize::from(self.opts.levels) - 1;
-        resident[deepest] += (self.opts.n as u64).saturating_sub(tracked);
         StorageSnapshot {
-            resident,
-            dirty: self.dirty.len() as u64,
             promotions: self.counters.promotions,
             flushes: self.counters.flushes,
             commits: self.counters.commits,
             syncs: self.counters.syncs,
+            ..self.table.snapshot()
         }
     }
 }

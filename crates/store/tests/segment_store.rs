@@ -132,6 +132,31 @@ fn cold_recovery_starts_with_an_empty_warm_tier() {
     assert_eq!(v, b"x");
 }
 
+/// A log written over a larger universe names pages no request can
+/// reach; opening it over the smaller one must fail at the first such
+/// record rather than recover phantom warm pages.
+#[test]
+fn reopening_over_a_smaller_universe_fails_at_the_first_page_outside_it() {
+    let dir = test_dir("smaller-universe");
+    {
+        let mut s = SegmentStore::open(&dir, opts(64, 3)).unwrap();
+        s.promote(60, 1).unwrap();
+        s.put(60, b"sixty").unwrap();
+        s.flush_all().unwrap();
+    }
+    for recover in [RecoverMode::Warm, RecoverMode::Cold] {
+        let mut o = opts(32, 3);
+        o.recover = recover;
+        match SegmentStore::open(&dir, o) {
+            Err(StorageError::UnknownPage(60)) => {}
+            other => panic!("{recover:?}: expected UnknownPage(60), got {other:?}"),
+        }
+    }
+    // The universe it was written over still opens it.
+    let s = SegmentStore::open(&dir, opts(64, 3)).unwrap();
+    assert_eq!(s.warm_pages(), vec![60]);
+}
+
 #[test]
 fn unflushed_dirty_bytes_are_honestly_lost_on_crash() {
     let dir = test_dir("crash-dirty");
