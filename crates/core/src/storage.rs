@@ -208,6 +208,14 @@ struct Entry {
     dirty: bool,
 }
 
+impl Entry {
+    const COLD: Entry = Entry {
+        slot: NO_SLOT,
+        level: 0,
+        dirty: false,
+    };
+}
+
 /// The per-page state both [`Storage`] backends keep, indexed by page id:
 /// residency, the dirty set and the warm tier's values.
 ///
@@ -240,14 +248,7 @@ impl PageTable {
         counts[0] = n as u64;
         PageTable {
             levels,
-            pages: vec![
-                Entry {
-                    slot: NO_SLOT,
-                    level: 0,
-                    dirty: false,
-                };
-                n
-            ],
+            pages: vec![Entry::COLD; n],
             counts,
             dirty: 0,
             values: Vec::new(),
@@ -302,9 +303,13 @@ impl PageTable {
             .map(|(p, _)| p)
     }
 
-    /// Write `value` into `page`'s warm value, making it warm, dirty and
-    /// resident at level 1.
-    pub fn put(&mut self, page: PageId, value: &[u8]) {
+    /// [`Storage::put`] for both backends: write `value` into `page`'s
+    /// warm value, making it warm, dirty and resident at level 1.
+    pub fn put(&mut self, page: PageId, value: &[u8]) -> Result<(), StorageError> {
+        self.check_page(page)?;
+        if value.len() > MAX_VALUE {
+            return Err(StorageError::ValueTooLarge(value.len()));
+        }
         let slot = self.warm_slot(page);
         let buf = &mut self.values[slot];
         buf.clear();
@@ -315,6 +320,7 @@ impl PageTable {
             self.dirty += 1;
         }
         self.set_level(page, 1);
+        Ok(())
     }
 
     /// Track `page` at `level`. At level 1 a page that was not warm gets
@@ -334,13 +340,13 @@ impl PageTable {
     }
 
     /// Make `page` untracked (cold) and drop its warm value; the caller
-    /// writes a dirty page back first. Returns whether the page was warm
-    /// or tracked.
+    /// writes a dirty page back first. Returns whether the page was
+    /// tracked (a warm page is, at level 1).
     pub fn evict(&mut self, page: PageId) -> bool {
-        let was_warm = self.drop_warm(page);
+        self.drop_warm(page);
         let was_tracked = self.pages[page as usize].level != 0;
         self.set_level(page, 0);
-        was_warm || was_tracked
+        was_tracked
     }
 
     /// Clear `page`'s dirty flag; returns whether it was set (whether the
@@ -397,16 +403,13 @@ impl PageTable {
         e.slot as usize
     }
 
-    /// Free `page`'s warm slot, keeping its buffer; returns whether the
-    /// page was warm.
-    fn drop_warm(&mut self, page: PageId) -> bool {
+    /// Free `page`'s warm slot, if any, keeping its buffer.
+    fn drop_warm(&mut self, page: PageId) {
         let e = &mut self.pages[page as usize];
         debug_assert!(!e.dirty, "page {page} dropped from the warm tier unwritten");
-        if e.slot == NO_SLOT {
-            return false;
+        if e.slot != NO_SLOT {
+            self.free.push(std::mem::replace(&mut e.slot, NO_SLOT));
         }
-        self.free.push(std::mem::replace(&mut e.slot, NO_SLOT));
-        true
     }
 
     fn set_level(&mut self, page: PageId, level: Level) {
@@ -543,12 +546,7 @@ impl Storage for SimStorage {
     }
 
     fn put(&mut self, page: PageId, value: &[u8]) -> Result<(), StorageError> {
-        self.table.check_page(page)?;
-        if value.len() > MAX_VALUE {
-            return Err(StorageError::ValueTooLarge(value.len()));
-        }
-        self.table.put(page, value);
-        Ok(())
+        self.table.put(page, value)
     }
 
     fn promote(&mut self, page: PageId, level: Level) -> Result<(), StorageError> {

@@ -48,9 +48,7 @@ use std::fs::{self, File, OpenOptions};
 use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 
-use wmlp_core::storage::{
-    default_value, PageTable, Storage, StorageError, StorageSnapshot, MAX_VALUE,
-};
+use wmlp_core::storage::{default_value, PageTable, Storage, StorageError, StorageSnapshot};
 use wmlp_core::types::{Level, PageId};
 
 use crate::segment::{decode_record, encode_put, encode_record, Decoded, Record, VALUE_OFFSET};
@@ -471,15 +469,10 @@ impl Storage for SegmentStore {
     }
 
     fn put(&mut self, page: PageId, value: &[u8]) -> Result<(), StorageError> {
-        self.table.check_page(page)?;
-        if value.len() > MAX_VALUE {
-            return Err(StorageError::ValueTooLarge(value.len()));
-        }
         // The write lands in RAM only; it becomes durable at flush time.
         // (The PROMOTE marker the engine logged just before this is what
         // puts the page in a rebuilt warm set.)
-        self.table.put(page, value);
-        Ok(())
+        self.table.put(page, value)
     }
 
     fn promote(&mut self, page: PageId, level: Level) -> Result<(), StorageError> {
