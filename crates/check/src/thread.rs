@@ -1,4 +1,4 @@
-//! Shim thread spawning.
+//! Shim thread spawning; every thread it creates is named.
 //!
 //! [`spawn_named`] is the repo-wide entry point for creating threads (lint
 //! rule C4 enforces it in the serving crates): on a plain thread it is
@@ -83,15 +83,6 @@ where
             }
         }
     }
-}
-
-/// [`spawn_named`] with a placeholder name; prefer naming every thread.
-pub fn spawn<F, T>(f: F) -> JoinHandle<T>
-where
-    F: FnOnce() -> T + Send + 'static,
-    T: Send + 'static,
-{
-    spawn_named("wmlp-unnamed", f)
 }
 
 /// Named scoped spawn (std passthrough only; panics under the model).

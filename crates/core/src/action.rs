@@ -1,10 +1,10 @@
 //! Actions taken by an online algorithm and per-step logs.
 
 use crate::types::CopyRef;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A single cache mutation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Action {
     /// Bring a copy into the cache.
     Fetch(CopyRef),
@@ -30,7 +30,7 @@ impl Action {
 
 /// The ordered list of actions an algorithm performed while serving one
 /// request. A full run of an algorithm is a `Vec<StepLog>`, one per request.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct StepLog {
     /// Actions in the order they were applied.
     pub actions: Vec<Action>,

@@ -6,7 +6,7 @@
 
 use crate::instance::Request;
 use crate::types::{CopyRef, Level, PageId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Sentinel level used internally for "page not cached".
 const ABSENT: Level = 0;
@@ -27,7 +27,7 @@ const ABSENT: Level = 0;
 /// // At most one copy of a page may be cached.
 /// assert!(cache.fetch(CopyRef::new(0, 1)).is_err());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CacheState {
     /// `levels[p] == 0` means page `p` is absent; otherwise the cached copy
     /// of `p` is `(p, levels[p])`.

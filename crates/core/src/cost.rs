@@ -12,10 +12,10 @@
 use crate::action::{Action, StepLog};
 use crate::instance::MlInstance;
 use crate::types::Weight;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which endpoint of a copy's cache residency is charged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum CostModel {
     /// Charge `w(p,i)` when `(p,i)` is evicted; end-of-trace residents free.
     Eviction,
@@ -24,7 +24,7 @@ pub enum CostModel {
 }
 
 /// Accumulated cost statistics for a run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct CostLedger {
     /// Total cost under [`CostModel::Eviction`].
     pub eviction_cost: Weight,
@@ -67,23 +67,6 @@ impl CostLedger {
             CostModel::Fetch => self.fetch_cost,
         }
     }
-
-    /// Merge another ledger into this one.
-    pub fn merge(&mut self, other: &CostLedger) {
-        self.eviction_cost += other.eviction_cost;
-        self.fetch_cost += other.fetch_cost;
-        self.evictions += other.evictions;
-        self.fetches += other.fetches;
-    }
-}
-
-/// Compute the total cost of a run (a slice of step logs) under `model`.
-pub fn run_cost(inst: &MlInstance, steps: &[StepLog], model: CostModel) -> Weight {
-    let mut ledger = CostLedger::default();
-    for s in steps {
-        ledger.record_step(inst, s);
-    }
-    ledger.total(model)
 }
 
 #[cfg(test)]
@@ -124,24 +107,14 @@ mod tests {
                 ],
             },
         ];
-        let f = run_cost(&inst, &steps, CostModel::Fetch);
-        let e = run_cost(&inst, &steps, CostModel::Eviction);
+        let mut ledger = CostLedger::default();
+        for s in &steps {
+            ledger.record_step(&inst, s);
+        }
+        let f = ledger.total(CostModel::Fetch);
+        let e = ledger.total(CostModel::Eviction);
         assert_eq!(f, 15);
         assert_eq!(e, 10);
         assert_eq!(f - e, inst.weight(1, 1));
-    }
-
-    #[test]
-    fn merge_adds_componentwise() {
-        let inst = inst();
-        let mut a = CostLedger::default();
-        a.record(&inst, Action::Fetch(CopyRef::new(1, 1)));
-        let mut b = CostLedger::default();
-        b.record(&inst, Action::Evict(CopyRef::new(1, 1)));
-        a.merge(&b);
-        assert_eq!(a.fetches, 1);
-        assert_eq!(a.evictions, 1);
-        assert_eq!(a.fetch_cost, 5);
-        assert_eq!(a.eviction_cost, 5);
     }
 }

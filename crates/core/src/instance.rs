@@ -2,12 +2,12 @@
 
 use crate::types::{Level, PageId, Weight};
 use crate::weights::{WeightError, WeightMatrix};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A request `(p, i)`: page `p` at level `i`, served by any cached copy
 /// `(p, j)` with `j ≤ i`. For weighted paging every request has `level = 1`;
 /// for RW-paging, level 1 is a write request and level 2 a read request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Request {
     /// Requested page.
     pub page: PageId,
@@ -51,7 +51,7 @@ pub type Trace = Vec<Request>;
 /// // A read request for page 3 is level 2; a write is level 1.
 /// assert!(inst.request_valid(Request::new(3, 2)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct MlInstance {
     k: usize,
     weights: WeightMatrix,

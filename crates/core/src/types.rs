@@ -1,6 +1,6 @@
 //! Elementary identifiers and weight arithmetic shared by every crate.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Index of a page, `0..n`.
 pub type PageId = u32;
@@ -16,7 +16,7 @@ pub type Level = u8;
 pub type Weight = u64;
 
 /// A concrete copy `(p, i)` of a page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct CopyRef {
     /// The page.
     pub page: PageId,

@@ -8,12 +8,12 @@
 //! implements that preprocessing.
 
 use crate::types::{Level, PageId, Weight};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Eviction weights for all copies of all pages. Pages may have different
 /// numbers of levels (the paper's uniform `ℓ` is the special case where all
 /// rows have equal length).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct WeightMatrix {
     rows: Vec<Vec<Weight>>,
 }

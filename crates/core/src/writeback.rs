@@ -12,10 +12,10 @@
 //! [`crate::reduction`].
 
 use crate::types::{PageId, Weight};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Read or write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum RwOp {
     /// A request that leaves the data intact.
     Read,
@@ -24,7 +24,7 @@ pub enum RwOp {
 }
 
 /// A writeback-aware request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct WbRequest {
     /// Requested page.
     pub page: PageId,
@@ -55,7 +55,7 @@ pub type WbTrace = Vec<WbRequest>;
 
 /// A writeback-aware caching instance: cache size `k` and per-page cost
 /// pairs `(w1, w2)` with `w1 ≥ w2 ≥ 1` (dirty and clean eviction costs).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct WbInstance {
     k: usize,
     costs: Vec<(Weight, Weight)>,

@@ -2,32 +2,12 @@
 
 use std::fmt;
 
-/// How bad a finding is. Every rule currently reports [`Severity::Error`];
-/// the distinction exists so future rules can warn without failing CI.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Advisory; does not fail `--check`.
-    Warning,
-    /// Fails `--check` unless suppressed.
-    Error,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Severity::Warning => write!(f, "warning"),
-            Severity::Error => write!(f, "error"),
-        }
-    }
-}
-
-/// One finding: rule, location, snippet, message.
+/// One finding: rule, location, snippet, message. Every finding is an
+/// error: it fails `--check` unless suppressed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule id (`D1`, `D2`, `D3`, `P1`, `F1`, `S1`).
+    /// Rule id (`D1` … `U1`; `wmlp-lint --rules` lists them).
     pub rule: &'static str,
-    /// Severity of this finding.
-    pub severity: Severity,
     /// Repo-relative path with `/` separators.
     pub file: String,
     /// 1-based line.
@@ -44,8 +24,8 @@ impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}:{}:{}: {} [{}] {}\n    {}",
-            self.file, self.line, self.col, self.severity, self.rule, self.message, self.snippet
+            "{}:{}:{}: error [{}] {}\n    {}",
+            self.file, self.line, self.col, self.rule, self.message, self.snippet
         )
     }
 }

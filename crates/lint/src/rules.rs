@@ -6,7 +6,7 @@
 //! | D1 | `HashMap`/`HashSet` (iteration-order nondeterminism) | non-test code of manifest-feeding crates (`core`, `sim`, `algos`, `offline`, `router`) |
 //! | D2 | `Instant::now`/`SystemTime` (wall time in serialized paths) | non-test code outside the two allowlisted timing files (`experiments`, the load generator's `timing.rs`) |
 //! | D3 | `thread_rng`/`from_entropy` (unseeded randomness) | all non-vendor code, tests included |
-//! | P1 | `.unwrap()`/`.expect(`/`panic!`/`todo!`/`unimplemented!` | library code of `core`, `sim`, `algos`, `flow`, `lp` |
+//! | P1 | `.unwrap()`/`.expect(`/`panic!`/`todo!`/`unimplemented!` | library code of `core`, `sim`, `algos`, `flow`, `lp`, `store`, `router` |
 //! | F1 | `==`/`!=` with a float-literal operand | all non-test code |
 //! | S1 | malformed suppression comment (missing reason) | everywhere |
 //! | C1 | `.wait(…)` on a condvar outside a `while`/`loop` recheck | all non-test code |
@@ -28,7 +28,7 @@
 //! declaration) is a violation. The declaration is a review artefact: it
 //! forces each file to state its memory-model story in one place.
 
-use crate::diagnostics::{line_snippet, Diagnostic, Severity};
+use crate::diagnostics::{line_snippet, Diagnostic};
 use crate::lexer::{lex, Token, TokenKind};
 
 /// Static description of one rule, for `--rules` output and docs.
@@ -248,7 +248,6 @@ fn collect_suppressions(
         else {
             diags.push(Diagnostic {
                 rule: "S1",
-                severity: Severity::Error,
                 file: file.to_string(),
                 line: tok.line,
                 col: tok.col,
@@ -261,7 +260,6 @@ fn collect_suppressions(
         if !has_reason {
             diags.push(Diagnostic {
                 rule: "S1",
-                severity: Severity::Error,
                 file: file.to_string(),
                 line: tok.line,
                 col: tok.col,
@@ -297,7 +295,6 @@ fn collect_ordering_decls(
     let mut c3 = |tok: &Token, message: String| {
         diags.push(Diagnostic {
             rule: "C3",
-            severity: Severity::Error,
             file: file.to_string(),
             line: tok.line,
             col: tok.col,
@@ -463,7 +460,6 @@ pub fn scan_source(rel_path: &str, src: &str, scope: &FileScope) -> Vec<Diagnost
         }
         diags.push(Diagnostic {
             rule,
-            severity: Severity::Error,
             file: rel_path.to_string(),
             line: tok.line,
             col: tok.col,

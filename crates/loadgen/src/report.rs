@@ -87,12 +87,12 @@
 //! machine-dependent; everything else is deterministic for a fixed
 //! config.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wmlp_core::wire::StatsPayload;
 use wmlp_sim::Histogram;
 
 /// Replayable run parameters, echoed into the report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ReportConfig {
     /// Server address, or `"in-process"` for a spawned server.
     pub addr: String,
@@ -127,7 +127,7 @@ pub struct ReportConfig {
 }
 
 /// Client-side outcome counts, plus the run-level skew summary.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Totals {
     /// Requests answered with a `Served` frame.
     pub sent: u64,
@@ -184,7 +184,7 @@ impl Totals {
 
 /// One classified client-side transport failure (a connection that died
 /// mid-run); the run continues and reports what it lost.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ClientErrorEntry {
     /// Stable failure class: `"io"`, `"codec"`, `"protocol-version"`,
     /// `"truncated-eof"`, `"closed"`, `"protocol"`, or `"panic"`.
@@ -194,7 +194,7 @@ pub struct ClientErrorEntry {
 }
 
 /// Latency quantiles in nanoseconds, extracted from a [`Histogram`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct LatencySummary {
     /// Number of recorded samples.
     pub count: u64,
@@ -228,7 +228,7 @@ impl LatencySummary {
 }
 
 /// One shard's load entry, mirrored from the protocol-v4 STATS reply.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ShardLoadStats {
     /// Requests this shard served.
     pub requests: u64,
@@ -245,7 +245,7 @@ pub struct ShardLoadStats {
 
 /// Mirror of the server's STATS reply (the wire struct is not a serde
 /// type; this one is).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct ServerStats {
     /// Requests the server processed.
     pub requests: u64,
@@ -288,7 +288,7 @@ impl From<StatsPayload> for ServerStats {
 }
 
 /// The complete SERVE.json document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServeReport {
     /// Schema version of this document (see [`SCHEMA_VERSION`]).
     pub schema_version: u32,
@@ -328,11 +328,6 @@ impl ServeReport {
     /// Pretty-printed JSON (the SERVE.json bytes).
     pub fn to_json(&self) -> String {
         serde::json::to_string_pretty(self)
-    }
-
-    /// Parse a report back from [`ServeReport::to_json`] output.
-    pub fn from_json(text: &str) -> Result<Self, serde::Error> {
-        serde::json::from_str(text)
     }
 }
 
@@ -407,13 +402,6 @@ mod tests {
             }],
             shutdown_clean: true,
         }
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let r = sample();
-        let back = ServeReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back, r);
     }
 
     #[test]

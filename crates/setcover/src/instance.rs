@@ -87,32 +87,6 @@ impl SetSystem {
         requested.iter().all(|&e| covered[e])
     }
 
-    /// The greedy `H_n`-approximate cover of `requested`.
-    pub fn greedy_cover(&self, requested: &[usize]) -> Vec<usize> {
-        let mut need = vec![false; self.num_elements];
-        let mut remaining = 0usize;
-        for &e in requested {
-            if !std::mem::replace(&mut need[e], true) {
-                remaining += 1;
-            }
-        }
-        let mut chosen = Vec::new();
-        while remaining > 0 {
-            let (best, gain) = (0..self.num_sets())
-                .map(|s| (s, self.sets[s].iter().filter(|&&e| need[e]).count()))
-                .max_by_key(|&(s, g)| (g, usize::MAX - s))
-                .expect("nonempty family");
-            assert!(gain > 0, "requested elements not coverable");
-            chosen.push(best);
-            for &e in &self.sets[best] {
-                if std::mem::replace(&mut need[e], false) {
-                    remaining -= 1;
-                }
-            }
-        }
-        chosen
-    }
-
     /// Exact minimum cover of `requested` by exhaustive search over subset
     /// sizes (only for small families, `m ≤ 20`).
     pub fn min_cover(&self, requested: &[usize]) -> Vec<usize> {
@@ -186,14 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn greedy_finds_valid_cover() {
-        let s = sys();
-        let c = s.greedy_cover(&[0, 1, 2, 3]);
-        assert!(s.is_cover(&c, &[0, 1, 2, 3]));
-        assert!(c.len() <= 3);
-    }
-
-    #[test]
     fn min_cover_is_exact() {
         let s = sys();
         let c = s.min_cover(&[0, 1, 2, 3]);
@@ -202,26 +168,10 @@ mod tests {
     }
 
     #[test]
-    fn greedy_can_be_suboptimal_but_valid() {
-        // Classic greedy-trap: one big set vs the optimal pair.
-        let s = SetSystem::new(
-            6,
-            vec![vec![0, 1, 2, 3], vec![0, 1, 4], vec![2, 3, 5], vec![4, 5]],
-        );
-        let req: Vec<usize> = (0..6).collect();
-        let g = s.greedy_cover(&req);
-        let m = s.min_cover(&req);
-        assert!(s.is_cover(&g, &req));
-        assert!(g.len() >= m.len());
-    }
-
-    #[test]
     fn random_systems_cover_everything() {
         let s = SetSystem::random(12, 8, 0.3, 5);
         for e in 0..12 {
             assert!(!s.containing(e).is_empty());
         }
-        let req: Vec<usize> = (0..12).collect();
-        assert!(s.is_cover(&s.greedy_cover(&req), &req));
     }
 }

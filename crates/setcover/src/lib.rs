@@ -3,15 +3,14 @@
 //! Everything needed to reproduce the constructive content of the paper's
 //! lower bounds (Theorems 1.3 and 1.4):
 //!
-//! * [`instance`] — set systems, cover validation, the greedy `H_n`
-//!   approximation, and exhaustive minimum covers for small systems.
-//! * [`online`] — online set cover in the style of Alon–Awerbuch–Azar–
-//!   Buchbinder–Naor: a multiplicative-update fractional algorithm with
-//!   threshold rounding, `O(log m log n)`-competitive.
+//! * [`instance`] — set systems, cover validation, and exhaustive minimum
+//!   covers for small systems.
 //! * [`reduction`] — the paper's reduction from online set cover to
 //!   RW-paging (Section 3): the request-sequence generator, the explicit
 //!   Lemma 3.2 solution builder (completeness), and the eviction-set
 //!   extractor used to check Lemma 3.3 (soundness) empirically.
+//! * [`phases`] — the multi-phase lower-bound construction of Theorem 3.6,
+//!   which concatenates reduction images of set cover request sequences.
 //! * [`gap`] — the GF(2)-hyperplane family with fractional cover `< 2` and
 //!   integral cover `d = Ω(log n)`, powering the Theorem 1.4 integrality-
 //!   gap demonstration.
@@ -20,12 +19,10 @@
 
 pub mod gap;
 pub mod instance;
-pub mod online;
 pub mod phases;
 pub mod reduction;
 
 pub use gap::hyperplane_gap_instance;
 pub use instance::SetSystem;
-pub use online::OnlineSetCover;
 pub use phases::PhasedLowerBound;
 pub use reduction::RwReduction;

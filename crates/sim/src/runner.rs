@@ -22,7 +22,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wmlp_core::cost::{CostLedger, CostModel};
 use wmlp_core::instance::{MlInstance, Request};
 use wmlp_core::policy::OnlinePolicy;
@@ -118,7 +118,7 @@ impl Scenario {
 
 /// The outcome of one (scenario, policy, seed) cell, as serialized into
 /// the JSON manifest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunRecord {
     /// Scenario label.
     pub scenario: String,
@@ -302,7 +302,7 @@ pub fn run_built_cell(
 
 /// A serialized record of a full grid run: every cell's config, costs and
 /// counters, written as JSON under `target/experiments/`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Manifest {
     /// Manifest (experiment) name; also the output file stem.
     pub name: String,
@@ -338,11 +338,6 @@ impl Manifest {
         };
         fields.extend(extra);
         serde::json::to_string_pretty(&serde::Value::Object(fields))
-    }
-
-    /// Parse a manifest back from [`Manifest::to_json`] output.
-    pub fn from_json(text: &str) -> Result<Manifest, serde::Error> {
-        serde::json::from_str(text)
     }
 
     /// Write `<dir>/<name>.json` (creating `dir` if needed) and return
@@ -427,15 +422,6 @@ mod tests {
         let sc = scenario().policies(["nope"]);
         let err = runner.run("t", &[sc]).unwrap_err();
         assert!(matches!(err, RunnerError::UnknownPolicy { ref spec, .. } if spec == "nope"));
-    }
-
-    #[test]
-    fn manifest_json_round_trips() {
-        let runner = Runner::new(factory);
-        let m = runner.run("t", &[scenario()]).unwrap().canonical();
-        let text = m.to_json();
-        let back = Manifest::from_json(&text).unwrap();
-        assert_eq!(back, m);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! argue per weight class (`P_i = {w ∈ (2^{i-1}, 2^i]}`), so experiment
 //! tables often need to know *where* the cost went, not just its total.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wmlp_core::action::{Action, StepLog};
 use wmlp_core::instance::MlInstance;
 use wmlp_core::types::{num_weight_classes, weight_class, Level, Weight};
@@ -13,7 +13,7 @@ use wmlp_core::types::{num_weight_classes, weight_class, Level, Weight};
 /// Allocation-free per-run counters collected by the engine as it drives
 /// a policy. Everything is updated in place per step; the only allocation
 /// is the serve-level histogram, sized once up front from the instance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct RunCounters {
     /// Requests served.
     pub requests: u64,
