@@ -28,17 +28,11 @@
 //!     let m = std::sync::Arc::new(Mutex::new(0u32));
 //!     let m2 = std::sync::Arc::clone(&m);
 //!     let h = spawn_named("adder", move || {
-//!         let mut g = match m2.lock() {
-//!             Ok(g) => g,
-//!             Err(p) => p.into_inner(),
-//!         };
+//!         let mut g = m2.lock();
 //!         *g += 1;
 //!     });
 //!     h.join().expect("join adder");
-//!     let g = match m.lock() {
-//!         Ok(g) => g,
-//!         Err(p) => p.into_inner(),
-//!     };
+//!     let g = m.lock();
 //!     assert_eq!(*g, 1);
 //!     let _ = Condvar::new();
 //! });

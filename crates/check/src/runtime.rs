@@ -25,7 +25,9 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
+use std::sync::{
+    Arc, Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as StdMutexGuard, PoisonError,
+};
 
 /// Index of a virtual thread within an execution.
 pub type TaskId = usize;
@@ -215,19 +217,13 @@ fn set_ctx(v: Option<(Arc<Exec>, TaskId)>) {
 }
 
 pub(crate) fn lock_inner(exec: &Exec) -> StdMutexGuard<'_, ExecInner> {
-    match exec.inner.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+    exec.inner.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn cv_wait<'a>(exec: &'a Exec, g: StdMutexGuard<'a, ExecInner>) -> StdMutexGuard<'a, ExecInner> {
     // lint:allow(C1): poison-recovery helper; every caller loops on its
     // own predicate (`active == Some(tid)` / `complete || abort`).
-    match exec.cv.wait(g) {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+    exec.cv.wait(g).unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Exec {

@@ -1,26 +1,29 @@
 //! Shim synchronisation primitives.
 //!
-//! Drop-in stand-ins for `std::sync::{Mutex, Condvar}` and
-//! `std::sync::atomic::*` that dispatch at construction time: created on a
-//! plain thread they wrap the std primitive (a passthrough — one enum
-//! discriminant per call), created inside a model-checked body (under
-//! [`crate::explore`]) they become virtual objects whose every operation is
-//! a scheduling decision of the virtual scheduler.
+//! Stand-ins for `std::sync::{Mutex, Condvar}` and `std::sync::atomic::*`
+//! that dispatch at construction time: created on a plain thread they wrap
+//! the std primitive (a passthrough — one enum discriminant per call),
+//! created inside a model-checked body (under [`crate::explore`]) they
+//! become virtual objects whose every operation is a scheduling decision of
+//! the virtual scheduler.
+//!
+//! Unlike std, [`Mutex::lock`] and [`Condvar::wait`] return the guard, not a
+//! `LockResult`: the shim owns the poison policy. On the std path a lock
+//! poisoned by a thread that panicked while holding it is recovered with
+//! `unwrap_or_else(PoisonError::into_inner)`, so the guard sees whatever
+//! that thread left behind. Model mutexes never poison — a panicking
+//! virtual thread fails the whole execution instead.
 //!
 //! Rules for checked bodies:
 //! - construct every primitive *inside* the body closure (a std-backed
 //!   primitive used under the model would block the real OS thread and hang
 //!   the scheduler; debug builds assert against it);
-//! - model mutexes never poison — a panicking virtual thread fails the whole
-//!   execution instead — so `lock()` always returns `Ok` under the model,
-//!   while call sites keep the poison-recovering `match`/`into_inner`
-//!   pattern for the std path;
 //! - model atomics are sequentially consistent regardless of the `Ordering`
 //!   argument (the scheduler serialises every access), so the checker can
 //!   miss relaxed-memory bugs; orderings are still type-checked and linted.
 
 use std::ops::{Deref, DerefMut};
-use std::sync::{Arc, LockResult, PoisonError};
+use std::sync::{Arc, PoisonError};
 
 use crate::runtime::{self, Exec, ObjId, ObjState, Op};
 
@@ -60,20 +63,17 @@ impl<T> Mutex<T> {
         Mutex { inner }
     }
 
-    pub fn lock(&self) -> LockResult<MutexGuard<'_, T>> {
+    /// Acquire the mutex, recovering a poisoned lock (see the module docs).
+    pub fn lock(&self) -> MutexGuard<'_, T> {
         match &self.inner {
             MutexImpl::Std(m) => {
                 debug_assert!(
                     runtime::current().is_none(),
                     "std-backed Mutex used under the model checker; construct it inside the checked body"
                 );
-                match m.lock() {
-                    Ok(g) => Ok(MutexGuard {
-                        inner: Some(GuardImpl::Std(g)),
-                    }),
-                    Err(p) => Err(PoisonError::new(MutexGuard {
-                        inner: Some(GuardImpl::Std(p.into_inner())),
-                    })),
+                let g = m.lock().unwrap_or_else(PoisonError::into_inner);
+                MutexGuard {
+                    inner: Some(GuardImpl::Std(g)),
                 }
             }
             MutexImpl::Model { exec, id, data } => {
@@ -83,13 +83,10 @@ impl<T> Mutex<T> {
                 // Uncontended while the scheduler runs; a panicking virtual
                 // thread may have poisoned it, which the model ignores (the
                 // execution as a whole already failed or is being torn down).
-                let g = match data.lock() {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                };
-                Ok(MutexGuard {
+                let g = data.lock().unwrap_or_else(PoisonError::into_inner);
+                MutexGuard {
                     inner: Some(GuardImpl::Model { m: self, g }),
-                })
+                }
             }
         }
     }
@@ -186,19 +183,19 @@ impl Condvar {
         Condvar { inner }
     }
 
-    pub fn wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>> {
+    /// Release `guard`'s mutex, park until notified, then re-acquire it,
+    /// recovering a poisoned lock as [`Mutex::lock`] does.
+    pub fn wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         match (&self.inner, guard.inner.take()) {
-            // lint:allow(C1): the shim forwards exactly one wait; the
-            // predicate recheck loop belongs to (and is linted at) the
-            // call site, same as with a bare std Condvar.
-            (CondvarImpl::Std(cv), Some(GuardImpl::Std(g))) => match cv.wait(g) {
-                Ok(g) => Ok(MutexGuard {
+            (CondvarImpl::Std(cv), Some(GuardImpl::Std(g))) => {
+                // lint:allow(C1): the shim forwards exactly one wait; the
+                // predicate recheck loop belongs to (and is linted at) the
+                // call site, same as with a bare std Condvar.
+                let g = cv.wait(g).unwrap_or_else(PoisonError::into_inner);
+                MutexGuard {
                     inner: Some(GuardImpl::Std(g)),
-                }),
-                Err(p) => Err(PoisonError::new(MutexGuard {
-                    inner: Some(GuardImpl::Std(p.into_inner())),
-                })),
-            },
+                }
+            }
             (CondvarImpl::Model { exec, id }, Some(GuardImpl::Model { m, g })) => {
                 let (mid, data) = match &m.inner {
                     MutexImpl::Model { id, data, .. } => (*id, data),
@@ -225,13 +222,10 @@ impl Condvar {
                         mutex: mid,
                     },
                 );
-                let g = match data.lock() {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                };
-                Ok(MutexGuard {
+                let g = data.lock().unwrap_or_else(PoisonError::into_inner);
+                MutexGuard {
                     inner: Some(GuardImpl::Model { m, g }),
-                })
+                }
             }
             _ => panic!(
                 "Condvar::wait: condvar and mutex guard from different worlds (std vs model)"

@@ -10,13 +10,6 @@ use wmlp_check::sync::{Condvar, Mutex};
 use wmlp_check::thread::spawn_named;
 use wmlp_check::{explore, Config};
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> wmlp_check::sync::MutexGuard<'a, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    }
-}
-
 #[test]
 fn racy_read_modify_write_is_found() {
     let report = explore(Config::default(), || {
@@ -49,7 +42,7 @@ fn mutex_protected_increment_is_clean_and_deterministic() {
         for i in 0..2 {
             let m2 = Arc::clone(&m);
             handles.push(spawn_named(format!("inc-{i}"), move || {
-                let mut g = lock(&m2);
+                let mut g = m2.lock();
                 let v = *g;
                 *g = v + 1;
             }));
@@ -57,7 +50,7 @@ fn mutex_protected_increment_is_clean_and_deterministic() {
         for h in handles {
             h.join().expect("join incrementer");
         }
-        assert_eq!(*lock(&m), 2);
+        assert_eq!(*m.lock(), 2);
     };
     let r1 = explore(Config::default(), body);
     let r2 = explore(Config::default(), body);
@@ -82,16 +75,13 @@ fn condvar_handoff_is_clean() {
         let p2 = Arc::clone(&pair);
         let producer = spawn_named("producer", move || {
             let (flag, cv) = &*p2;
-            *lock(flag) = true;
+            *flag.lock() = true;
             cv.notify_one();
         });
         let (flag, cv) = &*pair;
-        let mut g = lock(flag);
+        let mut g = flag.lock();
         while !*g {
-            g = match cv.wait(g) {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
+            g = cv.wait(g);
         }
         assert!(*g);
         drop(g);
@@ -111,16 +101,13 @@ fn dropped_notify_is_detected_as_lost_wakeup() {
         let p2 = Arc::clone(&pair);
         let producer = spawn_named("producer", move || {
             let (flag, _cv) = &*p2;
-            *lock(flag) = true;
+            *flag.lock() = true;
             // Mutant: the notify_one is gone.
         });
         let (flag, cv) = &*pair;
-        let mut g = lock(flag);
+        let mut g = flag.lock();
         while !*g {
-            g = match cv.wait(g) {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
+            g = cv.wait(g);
         }
         drop(g);
         producer.join().expect("join producer");
@@ -139,18 +126,15 @@ fn if_instead_of_while_wait_is_caught_by_spurious_wakeup() {
         let p2 = Arc::clone(&pair);
         let producer = spawn_named("producer", move || {
             let (flag, cv) = &*p2;
-            *lock(flag) = true;
+            *flag.lock() = true;
             cv.notify_one();
         });
         let (flag, cv) = &*pair;
-        let mut g = lock(flag);
+        let mut g = flag.lock();
         // Mutant: `if` recheck instead of `while` — a spurious wakeup slips
         // through with the flag still false.
         if !*g {
-            g = match cv.wait(g) {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
+            g = cv.wait(g);
         }
         assert!(*g, "woke with predicate false");
         drop(g);
@@ -174,12 +158,12 @@ fn lock_order_inversion_deadlocks() {
         let b = Arc::new(Mutex::new(()));
         let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
         let t = spawn_named("inverted", move || {
-            let gb = lock(&b2);
-            let ga = lock(&a2);
+            let gb = b2.lock();
+            let ga = a2.lock();
             drop((ga, gb));
         });
-        let ga = lock(&a);
-        let gb = lock(&b);
+        let ga = a.lock();
+        let gb = b.lock();
         drop((gb, ga));
         t.join().expect("join inverted");
     });
@@ -208,7 +192,7 @@ fn disjoint_mutexes_are_reduced_by_sleep_sets() {
         for i in 0..2 {
             handles.push(spawn_named(format!("own-{i}"), move || {
                 let m = Mutex::new(0u64);
-                *lock(&m) += 1;
+                *m.lock() += 1;
             }));
         }
         for h in handles {
@@ -255,17 +239,14 @@ fn passthrough_outside_the_model_behaves_like_std() {
     let a = Arc::new(AtomicU64::new(0));
     let (m2, cv2, a2) = (Arc::clone(&m), Arc::clone(&cv), Arc::clone(&a));
     let h = spawn_named("std-side", move || {
-        *lock(&m2) = 7;
+        *m2.lock() = 7;
         a2.fetch_add(5, Ordering::SeqCst);
         cv2.notify_all();
     });
     h.join().expect("join std-side");
-    let mut g = lock(&m);
+    let mut g = m.lock();
     while *g != 7 {
-        g = match cv.wait(g) {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
+        g = cv.wait(g);
     }
     assert_eq!(*g, 7);
     assert_eq!(a.load(Ordering::SeqCst), 5);

@@ -49,15 +49,9 @@ impl MiniRing {
     }
 
     fn push(&self, v: u32) {
-        let mut g = match self.state.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
+        let mut g = self.state.lock();
         while g.0.len() >= self.cap {
-            g = match self.ready.wait(g) {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
+            g = self.ready.wait(g);
         }
         g.0.push_back(v);
         drop(g);
@@ -67,20 +61,14 @@ impl MiniRing {
     }
 
     fn close(&self) {
-        let mut g = match self.state.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
+        let mut g = self.state.lock();
         g.1 = true;
         drop(g);
         self.ready.notify_all();
     }
 
     fn pop(&self) -> Option<u32> {
-        let mut g = match self.state.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
+        let mut g = self.state.lock();
         if self.mu.skip_drain_close {
             // MUTANT: closed wins over queued items — drops the tail.
             if g.1 {
@@ -90,17 +78,11 @@ impl MiniRing {
         if self.mu.if_wait {
             // MUTANT: single recheck; a spurious wakeup falls through.
             if g.0.is_empty() && !g.1 {
-                g = match self.ready.wait(g) {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                };
+                g = self.ready.wait(g);
             }
         } else {
             while g.0.is_empty() && !g.1 {
-                g = match self.ready.wait(g) {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                };
+                g = self.ready.wait(g);
             }
         }
         match g.0.pop_front() {

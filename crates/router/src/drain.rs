@@ -48,10 +48,7 @@ impl DrainGate {
     /// Extra arrivals beyond `parties` are ignored (saturating), so a
     /// shard that double-acks cannot underflow the gate.
     pub fn arrive(&self) -> bool {
-        let mut remaining = match self.remaining.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut remaining = self.remaining.lock();
         let opened = *remaining == 1;
         *remaining = remaining.saturating_sub(1);
         opened
@@ -64,10 +61,7 @@ impl DrainGate {
 
     /// Arrivals still outstanding (for tests and stats).
     pub fn remaining(&self) -> usize {
-        match self.remaining.lock() {
-            Ok(g) => *g,
-            Err(poisoned) => *poisoned.into_inner(),
-        }
+        *self.remaining.lock()
     }
 }
 

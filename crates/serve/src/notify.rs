@@ -71,10 +71,7 @@ impl<T> CompletionQueue<T> {
             return;
         }
         {
-            let mut q = match self.entries.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let mut q = self.entries.lock();
             q.append(items);
         }
         // Outside the lock: the consumer woken by this ring may contend
@@ -86,10 +83,7 @@ impl<T> CompletionQueue<T> {
     /// producer. Called by the owning loop after its doorbell fires (and
     /// harmlessly on spurious wakeups — an empty drain is a no-op).
     pub fn drain_into(&self, out: &mut Vec<T>) {
-        let mut q = match self.entries.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut q = self.entries.lock();
         out.append(&mut q);
     }
 }

@@ -462,10 +462,7 @@ impl Router {
         to: ConnAddr,
         wake: &mut [bool],
     ) {
-        let mut partitioner = match self.partitioner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut partitioner = self.partitioner.lock();
         let shards = self.queues.shards();
         if partitioner.epoch_due() && partitioner.advance_epoch().changed {
             // The new plan may re-home keys. The markers sit behind every

@@ -38,7 +38,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use wmlp_check::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use wmlp_check::sync::{Mutex, MutexGuard};
+use wmlp_check::sync::Mutex;
 
 use wmlp_core::instance::{MlInstance, Request};
 use wmlp_core::policy::OnlinePolicy;
@@ -279,20 +279,12 @@ impl FanoutAck {
     /// frame answers the client. The final completion returns the reply.
     pub fn complete(&self, frame: Frame, home: bool) -> Option<Completion> {
         if home {
-            let mut slot = match self.home_frame.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            *slot = Some(frame);
+            *self.home_frame.lock() = Some(frame);
         }
         if self.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
             return None;
         }
-        let frame = match self.home_frame.lock() {
-            Ok(mut g) => g.take(),
-            Err(poisoned) => poisoned.into_inner().take(),
-        }
-        .unwrap_or(Frame::Error {
+        let frame = self.home_frame.lock().take().unwrap_or(Frame::Error {
             code: ErrorCode::Internal,
             detail: "replicated PUT completed without a home reply".to_string(),
         });
@@ -391,14 +383,14 @@ impl ShardQueues {
     /// `wake` (indexed by loop), so the caller can ring each marked loop
     /// once for everything it queued.
     pub fn push(&self, shard: usize, msg: ShardMsg, wake: &mut [bool]) {
-        self.lock(shard).push_back(msg);
+        self.queues[shard].lock().push_back(msg);
         wake[self.owner(shard)] = true;
     }
 
     /// Move everything queued for `shard` onto the end of `into`; a swap
     /// when `into` is empty.
     fn take(&self, shard: usize, into: &mut VecDeque<ShardMsg>) {
-        let mut q = self.lock(shard);
+        let mut q = self.queues[shard].lock();
         if into.is_empty() {
             std::mem::swap(&mut *q, into);
         } else {
@@ -407,14 +399,7 @@ impl ShardQueues {
     }
 
     fn is_empty(&self, shard: usize) -> bool {
-        self.lock(shard).is_empty()
-    }
-
-    fn lock(&self, shard: usize) -> MutexGuard<'_, VecDeque<ShardMsg>> {
-        match self.queues[shard].lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.queues[shard].lock().is_empty()
     }
 }
 

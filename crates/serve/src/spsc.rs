@@ -63,10 +63,7 @@ impl<T> Sender<T> {
     /// Enqueue `item`, blocking while the ring is full. Returns the item
     /// back if the receiver is gone.
     pub fn send(&self, item: T) -> Result<(), T> {
-        let mut state = match self.shared.state.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
+        let mut state = self.shared.state.lock();
         loop {
             if state.closed {
                 return Err(item);
@@ -76,10 +73,7 @@ impl<T> Sender<T> {
                 self.shared.not_empty.notify_one();
                 return Ok(());
             }
-            state = match self.shared.not_full.wait(state) {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
+            state = self.shared.not_full.wait(state);
         }
     }
 }
@@ -88,10 +82,7 @@ impl<T> Receiver<T> {
     /// Dequeue the next item, blocking while the ring is empty. Returns
     /// `None` once the sender is gone *and* the ring has drained.
     pub fn recv(&self) -> Option<T> {
-        let mut state = match self.shared.state.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
+        let mut state = self.shared.state.lock();
         loop {
             if let Some(item) = state.queue.pop_front() {
                 self.shared.not_full.notify_one();
@@ -100,10 +91,7 @@ impl<T> Receiver<T> {
             if state.closed {
                 return None;
             }
-            state = match self.shared.not_empty.wait(state) {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
+            state = self.shared.not_empty.wait(state);
         }
     }
 
@@ -116,10 +104,7 @@ impl<T> Receiver<T> {
         if max == 0 {
             return 0;
         }
-        let mut state = match self.shared.state.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
+        let mut state = self.shared.state.lock();
         loop {
             if !state.queue.is_empty() {
                 let take = state.queue.len().min(max);
@@ -132,19 +117,13 @@ impl<T> Receiver<T> {
             if state.closed {
                 return 0;
             }
-            state = match self.shared.not_empty.wait(state) {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
+            state = self.shared.not_empty.wait(state);
         }
     }
 }
 
 fn close<T>(shared: &Shared<T>) {
-    let mut state = match shared.state.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    };
+    let mut state = shared.state.lock();
     state.closed = true;
     shared.not_empty.notify_all();
     shared.not_full.notify_all();

@@ -543,15 +543,9 @@ impl ModelBell {
     /// them — the model analogue of one `epoll_wait` wakeup followed by
     /// `EventFd::drain`.
     fn wait(&self) {
-        let mut g = match self.count.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
+        let mut g = self.count.lock();
         while *g == 0 {
-            g = match self.ready.wait(g) {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
+            g = self.ready.wait(g);
         }
         *g = 0;
     }
@@ -559,10 +553,7 @@ impl ModelBell {
 
 impl Doorbell for ModelBell {
     fn ring(&self) {
-        let mut g = match self.count.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
+        let mut g = self.count.lock();
         *g += 1;
         if !self.drop_notify {
             self.ready.notify_one();
