@@ -326,7 +326,8 @@ fn gain_and_slope<const SLOPE: bool>(pages: &[ActivePage], e: &[f64], eta: f64) 
 struct ExpMemo {
     /// The instance's distinct weights, ascending; a weight id indexes them.
     weights: Vec<f64>,
-    /// The segment's weight ids, each once.
+    /// The segment's weight ids, each once (sized for every weight, so
+    /// it never grows).
     ids: Vec<u32>,
     /// Marks for building `ids`; all false between segments.
     listed: Vec<bool>,
@@ -345,7 +346,7 @@ impl ExpMemo {
         let len = weights.len();
         ExpMemo {
             weights,
-            ids: Vec::new(),
+            ids: Vec::with_capacity(len),
             listed: vec![false; len],
             below: f64::NEG_INFINITY,
             above: f64::INFINITY,

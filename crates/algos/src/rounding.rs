@@ -54,10 +54,14 @@ struct ClassBook {
 }
 
 impl ClassBook {
-    fn new(num_classes: usize) -> Self {
+    /// Empty book. Each class list is sized for a full cache plus the
+    /// requested page, so it never grows while the policy runs.
+    fn new(num_classes: usize, k: usize) -> Self {
         ClassBook {
             k_geq: vec![0.0; num_classes],
-            cached: vec![Vec::new(); num_classes],
+            cached: (0..num_classes)
+                .map(|_| Vec::with_capacity(k + 1))
+                .collect(),
             resets: 0,
             reset_cost: 0,
         }
@@ -154,7 +158,7 @@ impl RoundingML {
             u: (0..inst.n())
                 .map(|p| vec![1.0; inst.levels(p as PageId) as usize])
                 .collect(),
-            book: ClassBook::new(classes),
+            book: ClassBook::new(classes, inst.k()),
             old_u: vec![0.0; inst.n() * stride],
             stride,
             touched: vec![false; inst.n()],

@@ -487,3 +487,42 @@ pub mod atomic {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::thread::spawn_named;
+
+    #[test]
+    fn poisoned_lock_and_wait_return_the_guard() {
+        let pair = Arc::new((Mutex::new(0u32), Condvar::new()));
+        let p = Arc::clone(&pair);
+        let writer = spawn_named("poisoner", move || {
+            let mut g = p.0.lock();
+            *g = 7;
+            panic!("panic while holding the lock, poisoning it");
+        });
+        assert!(writer.join().is_err(), "the writer panicked");
+        let (m, cv) = &*pair;
+        match &m.inner {
+            MutexImpl::Std(std_m) => assert!(std_m.is_poisoned()),
+            MutexImpl::Model { .. } => unreachable!("built on a plain thread"),
+        }
+
+        let mut g = m.lock();
+        assert_eq!(*g, 7, "the guard sees the write made before the panic");
+
+        // The notifier cannot lock until `wait` releases `g`, so at least
+        // one wait re-acquires the (still) poisoned mutex.
+        let p = Arc::clone(&pair);
+        let notifier = spawn_named("notifier", move || {
+            *p.0.lock() = 8;
+            p.1.notify_one();
+        });
+        while *g != 8 {
+            g = cv.wait(g);
+        }
+        drop(g);
+        assert!(notifier.join().is_ok());
+    }
+}

@@ -160,12 +160,16 @@ impl MinCostFlow {
         }
         self.adj.clear();
         self.adj.resize(self.to.len(), 0);
-        let mut cursor = self.start.clone();
+        // Place arcs using `start[u]` itself as u's cursor, which leaves it
+        // at u's end (= the next node's start); shifting back one slot
+        // restores the index without a second buffer.
         for a in 0..self.to.len() {
             let u = self.src(a);
-            self.adj[cursor[u]] = a as u32;
-            cursor[u] += 1;
+            self.adj[self.start[u]] = a as u32;
+            self.start[u] += 1;
         }
+        self.start.copy_within(0..n, 1);
+        self.start[0] = 0;
         self.csr_valid = true;
     }
 

@@ -23,7 +23,7 @@
 //! * **C2** — no `.lock().unwrap()`; poison is recovered, not cascaded.
 //! * **C3** — every `Ordering::X` use is declared in a per-file
 //!   `lint:orderings` header with a reason.
-//! * **C4** — serve/loadgen threads go through `spawn_named`.
+//! * **C4** — serve/loadgen/router threads go through `spawn_named`.
 //!
 //! `--check` fails on any violation: code must be clean or carry an
 //! inline `// lint:allow(RULE): reason` suppression.

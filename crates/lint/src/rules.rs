@@ -12,7 +12,7 @@
 //! | C1 | `.wait(…)` on a condvar outside a `while`/`loop` recheck | all non-test code |
 //! | C2 | `.lock().unwrap()`/`.expect(` (poison cascades) | all non-test code |
 //! | C3 | `Ordering::X` not declared in a `lint:orderings` header | everywhere, tests included |
-//! | C4 | bare `spawn(` instead of the named-thread helper | non-test code of `serve`/`loadgen` |
+//! | C4 | bare `spawn(` instead of the named-thread helper | non-test code of `serve`/`loadgen`/`router` |
 //! | U1 | `unsafe` outside the audited modules (the reactor, the counting allocator), or inside them without a reasoned allow | everywhere, tests included |
 //!
 //! A violation is suppressed by a comment on the same line, or by a
@@ -56,7 +56,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "P1",
-        summary: "no unwrap()/expect()/panic!/todo!/unimplemented! in library code of core/sim/algos/flow/lp; propagate Results",
+        summary: "no unwrap()/expect()/panic!/todo!/unimplemented! in library code of core/sim/algos/flow/lp/store/router; propagate Results",
     },
     RuleInfo {
         id: "F1",
@@ -72,7 +72,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "C2",
-        summary: "no `.lock().unwrap()`/`.expect()`: recover poisoned mutexes with `match`/`into_inner` so one panicked thread doesn't cascade",
+        summary: "no `.lock().unwrap()`/`.expect()`: lock through the `wmlp_check::sync` shim, whose `lock()` recovers a poisoned mutex, or recover a bare std mutex with `unwrap_or_else(PoisonError::into_inner)`, so one panicked thread doesn't cascade",
     },
     RuleInfo {
         id: "C3",
@@ -80,7 +80,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "C4",
-        summary: "threads in serve/loadgen must be spawned via `wmlp_check::thread::spawn_named` (named + model-checkable), not bare `spawn(`",
+        summary: "threads in serve/loadgen/router must be spawned via `wmlp_check::thread::spawn_named` (named + model-checkable), not bare `spawn(`",
     },
     RuleInfo {
         id: "U1",
@@ -535,7 +535,7 @@ pub fn scan_source(rel_path: &str, src: &str, scope: &FileScope) -> Vec<Diagnost
                             push(
                                 "C2",
                                 tok,
-                                format!("`.lock().{text}(…)` turns one panicked thread into a poison cascade; recover with `match … Err(p) => p.into_inner()`"),
+                                format!("`.lock().{text}(…)` turns one panicked thread into a poison cascade; lock through the `wmlp_check::sync` shim, or recover with `.unwrap_or_else(PoisonError::into_inner)`"),
                             );
                         }
                         push(
@@ -752,6 +752,8 @@ mod tests {
         assert_eq!(scan("serve", src)[0].rule, "C2");
         // The recovery idiom is clean; unrelated unwraps are not C2.
         let src = "fn f() { let g = match m.lock() { Ok(g) => g, Err(p) => p.into_inner() }; }\n";
+        assert!(scan("serve", src).is_empty());
+        let src = "fn f() { let g = m.lock().unwrap_or_else(PoisonError::into_inner); }\n";
         assert!(scan("serve", src).is_empty());
         let src = "fn f(x: Option<u32>) { x.unwrap(); }\n";
         assert!(scan("serve", src).is_empty(), "serve is not a P1 crate");

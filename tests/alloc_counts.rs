@@ -10,9 +10,13 @@
 //! * `SimStorage`'s `get`/`put`/`promote`/`flush` allocate nothing once
 //!   its slabs have grown;
 //! * `SimSession::step_batch` allocates nothing per request once its
-//!   batch log has grown;
+//!   batch log has grown, under every policy in the standard registry —
+//!   which also covers the dense policy structures and `RunCounters`;
 //! * `SimSession::step_batch_store` allocates exactly one `Vec` per read
-//!   (the value that becomes the read's reply) and nothing else.
+//!   (the value that becomes the read's reply) and nothing else;
+//! * `Histogram::record` allocates nothing;
+//! * `weighted_paging_opt_with` allocates nothing on a scratch that has
+//!   already solved a trace at least as long.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -21,7 +25,9 @@ use wmlp::algos::PolicyRegistry;
 use wmlp::core::instance::{MlInstance, Request};
 use wmlp::core::policy::OnlinePolicy;
 use wmlp::core::storage::{SimStorage, Storage};
+use wmlp::flow::{weighted_paging_opt_with, PagingOptScratch};
 use wmlp::sim::engine::{BatchLog, SimSession, StoreRequest};
+use wmlp::sim::stats::Histogram;
 use wmlp::workloads::{ml_rows_geometric, zipf_trace, LevelDist};
 
 thread_local! {
@@ -147,21 +153,27 @@ const BATCH: usize = 64;
 #[test]
 fn step_batch_allocates_nothing_per_request_once_grown() {
     let inst = instance();
-    let trace = zipf_trace(&inst, 0.9, 40_000, LevelDist::Uniform, 3);
-    let (warm, measured) = trace.split_at(20_000);
-    let mut policy = landlord(&inst);
-    let mut session = SimSession::new(&inst);
-    let mut log = BatchLog::new();
-    for chunk in warm.chunks(BATCH) {
-        session.step_batch(&inst, policy.as_mut(), chunk, &mut log);
-    }
-    let n = allocations(|| {
-        for chunk in measured.chunks(BATCH) {
+    // The engine's step log grows to the largest step seen so far, and
+    // `randomized`'s steps vary in size (cascading demotions), so on this
+    // stream its log last grows between 20 000 and 40 000 requests.
+    let trace = zipf_trace(&inst, 0.9, 60_000, LevelDist::Uniform, 3);
+    let (warm, measured) = trace.split_at(40_000);
+    let registry = PolicyRegistry::standard();
+    for name in registry.names() {
+        let mut policy = registry.build(name, &inst, 1).unwrap();
+        let mut session = SimSession::new(&inst);
+        let mut log = BatchLog::new();
+        for chunk in warm.chunks(BATCH) {
             session.step_batch(&inst, policy.as_mut(), chunk, &mut log);
-            assert!(log.outcomes().iter().all(Result::is_ok));
         }
-    });
-    assert_eq!(n, 0, "{} requests allocated", measured.len());
+        let n = allocations(|| {
+            for chunk in measured.chunks(BATCH) {
+                session.step_batch(&inst, policy.as_mut(), chunk, &mut log);
+                assert!(log.outcomes().iter().all(Result::is_ok));
+            }
+        });
+        assert_eq!(n, 0, "{name}: {} requests allocated", measured.len());
+    }
 }
 
 #[test]
@@ -195,4 +207,40 @@ fn step_batch_store_allocates_one_vec_per_read() {
     });
     assert!(reads > 9_000, "{reads} reads");
     assert_eq!(n, reads, "allocations for {reads} reads");
+}
+
+#[test]
+fn histogram_record_allocates_nothing() {
+    let mut h = Histogram::new();
+    let mut rng = Rng(17);
+    let n = allocations(|| {
+        for i in 0..100_000u32 {
+            // Spread the samples over every bucket range.
+            h.record(rng.below(u64::MAX) >> (i % 64));
+        }
+    });
+    assert_eq!(h.count(), 100_000);
+    assert_eq!(n, 0, "recording allocated");
+}
+
+#[test]
+fn warm_flow_opt_solves_allocate_nothing() {
+    const N: u32 = 64;
+    let mut rng = Rng(23);
+    let weights = (0..N).map(|_| 1 + rng.below(64)).collect();
+    let inst = MlInstance::weighted_paging(8, weights).unwrap();
+    let trace: Vec<Request> = (0..2_000)
+        .map(|_| Request::top(rng.below(u64::from(N)) as u32))
+        .collect();
+    let mut scratch = PagingOptScratch::new();
+    let cold = weighted_paging_opt_with(&inst, &trace, &mut scratch);
+    let mut warm = 0;
+    let mut shorter = 0;
+    let n = allocations(|| {
+        warm = weighted_paging_opt_with(&inst, &trace, &mut scratch);
+        shorter = weighted_paging_opt_with(&inst, &trace[..1_000], &mut scratch);
+    });
+    assert_eq!(warm, cold);
+    assert!(0 < shorter && shorter < cold);
+    assert_eq!(n, 0, "two warm solves allocated");
 }
