@@ -7,12 +7,12 @@
 //! become virtual objects whose every operation is a scheduling decision of
 //! the virtual scheduler.
 //!
-//! Unlike std, [`Mutex::lock`] and [`Condvar::wait`] return the guard, not a
-//! `LockResult`: the shim owns the poison policy. On the std path a lock
-//! poisoned by a thread that panicked while holding it is recovered with
-//! `unwrap_or_else(PoisonError::into_inner)`, so the guard sees whatever
-//! that thread left behind. Model mutexes never poison — a panicking
-//! virtual thread fails the whole execution instead.
+//! Unlike std, [`Mutex::lock`] and [`Condvar::wait`] return the guard
+//! itself, never a poison error: the shim owns the poison policy. On the
+//! std path a lock poisoned by a thread that panicked while holding it is
+//! recovered with `unwrap_or_else(PoisonError::into_inner)`, so the guard
+//! sees whatever that thread left behind. Model mutexes never poison — a
+//! panicking virtual thread fails the whole execution instead.
 //!
 //! Rules for checked bodies:
 //! - construct every primitive *inside* the body closure (a std-backed
