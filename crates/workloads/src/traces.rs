@@ -55,10 +55,12 @@ pub fn zipf_trace(
 ) -> Trace {
     let mut rng = StdRng::seed_from_u64(seed);
     let zipf = Zipf::new(inst.n() as u64, alpha).expect("valid Zipf parameters");
+    // Each page's level count, flat: one byte per page, not a row header.
+    let levels: Vec<Level> = (0..inst.n() as PageId).map(|p| inst.levels(p)).collect();
     (0..len)
         .map(|_| {
             let page = (zipf.sample(&mut rng) as PageId) - 1;
-            let level = level_dist.sample(&mut rng, inst.levels(page));
+            let level = level_dist.sample(&mut rng, levels[page as usize]);
             Request::new(page, level)
         })
         .collect()
