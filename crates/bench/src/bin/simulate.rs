@@ -25,7 +25,7 @@ use wmlp_core::cli::{flag, flag_parse, switch};
 use wmlp_core::codec;
 use wmlp_core::instance::MlInstance;
 use wmlp_sim::runner::{Runner, RunnerError, Scenario};
-use wmlp_workloads::{ml_rows_geometric, zipf_trace, LevelDist};
+use wmlp_workloads::{ml_rows_geometric, valid_zipf_alpha, zipf_trace, LevelDist};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -72,6 +72,10 @@ fn gen(args: &[String]) -> ExitCode {
     let len = parsed(args, "--len", 10_000usize);
     let seed = parsed(args, "--seed", 0u64);
     let alpha = parsed(args, "--alpha", 1.0f64);
+    if !valid_zipf_alpha(alpha) {
+        eprintln!("simulate: --alpha {alpha}: a Zipf exponent must be finite and >= 0");
+        return ExitCode::from(2);
+    }
 
     let rows = ml_rows_geometric(pages, levels, 16, 256, 4, seed);
     let inst = match MlInstance::from_rows(k, rows) {

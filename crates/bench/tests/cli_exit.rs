@@ -1,17 +1,21 @@
 //! A flag value that does not parse must not silently run a different
 //! experiment (`simulate gen --k sixteen` used to generate for `k = 16`):
 //! the binary refuses it with exit 2 and one line naming the flag, before
-//! generating or writing anything (as it does `--levels 0`, which used to
-//! panic). `experiments` refuses an unknown id the
-//! same way, and its exit status reports results it could not write.
+//! generating or writing anything (as it does `--levels 0` and an
+//! `--alpha` that is negative or not finite, which used to panic).
+//! `experiments` refuses an unknown id the same way, and its exit status
+//! reports results it could not write.
 
 #[test]
 fn unparsable_flag_values_exit_2_before_any_work() {
-    let cases: [(&[&str], &str); 4] = [
+    let cases: [(&[&str], &str); 7] = [
         (&["gen", "--k", "sixteen"], "--k sixteen"),
         (&["gen", "--len", "10k"], "--len 10k"),
         (&["gen", "--len"], "--len: missing value"),
         (&["gen", "--levels", "0"], "--levels 0"),
+        (&["gen", "--alpha", "-1"], "--alpha -1"),
+        (&["gen", "--alpha", "nan"], "--alpha NaN"),
+        (&["gen", "--alpha", "inf"], "--alpha inf"),
     ];
     for (args, expect) in cases {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_simulate"))

@@ -25,14 +25,16 @@
 //! wmlp-loadgen --smoke --pipeline 16 --out SERVE.json
 //! ```
 //!
-//! A flag value that does not parse, `--levels 0`, or a flag removed
-//! with the old thread-per-connection client (`--connections`,
-//! `--client-threads`) or with the open-loop mode (open-loop load is the
-//! `open-mem` workload of `benchmark/run.sh`) exits 2 with a one-line
-//! message before anything connects or spawns.
+//! A flag value that does not parse, `--levels 0`, an `--alpha` that is
+//! negative or not finite, or a flag removed with the old
+//! thread-per-connection client (`--connections`, `--client-threads`) or
+//! with the open-loop mode (open-loop load is the `open-mem` workload of
+//! `benchmark/run.sh`) exits 2 with a one-line message before anything
+//! connects or spawns.
 
 use wmlp_core::cli::{flag, flag_parse, switch};
 use wmlp_loadgen::{run, zipf_head_mass, LoadgenConfig, Workload};
+use wmlp_workloads::valid_zipf_alpha;
 
 fn fail(msg: &str) -> ! {
     eprintln!("wmlp-loadgen: {msg}");
@@ -75,9 +77,15 @@ fn main() {
         },
         _ => None, // --spawn (or no --addr): in-process server
     };
+    let alpha = parsed(&args, "--alpha", 0.9f64);
+    if !valid_zipf_alpha(alpha) {
+        fail(&format!(
+            "--alpha {alpha}: a Zipf exponent must be finite and >= 0"
+        ));
+    }
     let workload = match Workload::parse(
         flag(&args, "--workload").unwrap_or("zipf"),
-        parsed(&args, "--alpha", 0.9f64),
+        alpha,
         parsed(&args, "--write-ratio", 0.3f64),
     ) {
         Ok(w) => w,

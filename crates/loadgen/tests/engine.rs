@@ -68,16 +68,19 @@ fn many_connections_run_on_few_client_threads() {
 }
 
 /// A flag value that does not parse used to fall back to the default
-/// (`--requests 10k` ran 20 000), `--levels 0` panicked, and flags of the
-/// removed thread-per-connection client and open-loop mode would vanish
-/// without a word (a stale `--rate` would run closed-loop). All are
+/// (`--requests 10k` ran 20 000), `--levels 0` and `--alpha -1` panicked,
+/// and flags of the removed thread-per-connection client and open-loop
+/// mode would vanish without a word (a stale `--rate` would run closed-loop). All are
 /// refused before anything connects or spawns.
 #[test]
 fn unparsable_and_removed_flags_exit_2_before_connecting() {
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 10] = [
         (&["--requests", "10k"], "--requests 10k"),
         (&["--conns", "x"], "--conns x"),
         (&["--levels", "0"], "--levels 0"),
+        (&["--alpha", "-1"], "--alpha -1"),
+        (&["--alpha", "nan"], "--alpha NaN"),
+        (&["--alpha", "inf"], "--alpha inf"),
         (
             &["--rate", "50000"],
             "`open-mem` workload of benchmark/run.sh",

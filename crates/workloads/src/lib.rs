@@ -16,6 +16,6 @@ pub mod traces;
 pub mod wb;
 pub mod weights;
 
-pub use traces::{cyclic_trace, phased_trace, scan_trace, zipf_trace, LevelDist};
+pub use traces::{cyclic_trace, phased_trace, scan_trace, valid_zipf_alpha, zipf_trace, LevelDist};
 pub use wb::{wb_shifting_trace, wb_uniform_trace, wb_zipf_trace};
 pub use weights::{ml_rows_geometric, weights_pow2_classes, weights_two_point, weights_uniform};

@@ -44,6 +44,13 @@ impl LevelDist {
     }
 }
 
+/// Whether [`zipf_trace`] accepts `alpha` as its exponent: finite and
+/// `>= 0`, the sampler's own rule. The binaries refuse any other
+/// `--alpha` when they read the flag.
+pub fn valid_zipf_alpha(alpha: f64) -> bool {
+    Zipf::new(1, alpha).is_ok()
+}
+
 /// Zipf-popularity trace: page `p` is requested with probability
 /// proportional to `1/(p+1)^alpha`; levels from `level_dist`.
 pub fn zipf_trace(
