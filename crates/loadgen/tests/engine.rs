@@ -70,8 +70,8 @@ fn many_connections_run_on_few_client_threads() {
 /// A flag value that does not parse used to fall back to the default
 /// (`--requests 10k` ran 20 000), `--levels 0` and `--alpha -1` panicked,
 /// and flags of the removed thread-per-connection client and open-loop
-/// mode would vanish without a word (a stale `--rate` would run closed-loop). All are
-/// refused before anything connects or spawns.
+/// mode would vanish without a word (a stale `--rate` would run
+/// closed-loop). All are refused before anything connects or spawns.
 #[test]
 fn unparsable_and_removed_flags_exit_2_before_connecting() {
     let cases: [(&[&str], &str); 10] = [
