@@ -9,9 +9,15 @@
 //! The digests were recorded before the Zipf sampler moved from a binary
 //! search over its CDF to a guide table, and must hold, unmodified,
 //! across any change that claims "same traces".
+//!
+//! The adaptive adversary's traces are pinned too: they depend on the
+//! policy's decisions and on how the adversary steps it, so a change to
+//! either that claims "same behaviour" must leave them green.
 
+use wmlp::algos::PolicyRegistry;
 use wmlp::core::instance::{MlInstance, Request};
 use wmlp::core::writeback::{RwOp, WbInstance, WbRequest};
+use wmlp::sim::adversary::adaptive_trace;
 use wmlp::workloads::wb::wb_zipf_trace;
 use wmlp::workloads::{
     ml_rows_geometric, phased_trace, weights_pow2_classes, zipf_trace, LevelDist,
@@ -112,6 +118,38 @@ fn writeback_and_phased_traces_are_pinned() {
             12493141228719032544,
             12826088270041728827,
             6628183581248623025,
+        ]
+    );
+}
+
+/// E1c's adaptive adversary: waterfill, lru and landlord at `k` ∈ {4, 8,
+/// 16} on `k + 1` unweighted pages, `80·k` requests each.
+#[test]
+fn adaptive_adversary_traces_are_pinned() {
+    let registry = PolicyRegistry::standard();
+    let got: Vec<u64> = [4usize, 8, 16]
+        .into_iter()
+        .flat_map(|k| {
+            let inst = MlInstance::unweighted_paging(k, k + 1).unwrap();
+            let registry = &registry;
+            ["waterfill", "lru", "landlord"].map(move |name| {
+                let mut policy = registry.build(name, &inst, 0).unwrap();
+                ml(&adaptive_trace(&inst, policy.as_mut(), 80 * k).unwrap())
+            })
+        })
+        .collect();
+    assert_eq!(
+        got,
+        [
+            6625348092896946565,
+            10310754284041568549,
+            10310754284041568549,
+            13313462351957132645,
+            17362948143521065005,
+            17362948143521065005,
+            16359424957199733701,
+            4493906858936863065,
+            4493906858936863065,
         ]
     );
 }
