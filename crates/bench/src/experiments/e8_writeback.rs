@@ -13,7 +13,7 @@
 //!
 //! Native writeback baselines come from [`WbPolicyRegistry`]; the paper's
 //! algorithms run through the shared runner on the reduced RW instance
-//! (their records land in the manifest). Both run on the rayon pool, one
+//! (their records land in the manifest). Both run on [`par_grid`], one
 //! job per `w1/w2` row and one per reduction cell.
 
 use wmlp_algos::WbPolicyRegistry;

@@ -14,9 +14,10 @@
 //! needs policy-internal telemetry (`randomized_cell`, E3 and E10a): it
 //! builds the policy itself and runs it through [`run_built_cell`], so the
 //! record is the registry's and the simulation still runs once. Grids and
-//! independent per-workload solves run on the rayon pool
-//! ([`par_grid`](wmlp_sim::sweep::par_grid)) and are collected in input
-//! order, so output does not depend on the thread count.
+//! independent per-workload solves run on
+//! [`par_grid`](wmlp_sim::sweep::par_grid)'s scoped threads and are
+//! collected in input order, so output does not depend on the thread
+//! count.
 
 pub mod e10_ablations;
 pub mod e11_phases;

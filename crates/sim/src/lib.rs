@@ -16,8 +16,8 @@
 //!   log-bucketed latency histogram.
 //! * [`adversary`] — the adaptive Sleator–Tarjan adversary that requests
 //!   whatever a deterministic policy does not have cached.
-//! * [`sweep`] — rayon-powered helpers for running experiment grids in
-//!   parallel.
+//! * [`sweep`] — an order-preserving parallel map on scoped std threads
+//!   for experiment grids, and per-seed summary statistics.
 
 #![warn(missing_docs)]
 
