@@ -7,8 +7,8 @@ use wmlp_core::cache::CacheState;
 use wmlp_core::cost::CostLedger;
 use wmlp_core::instance::{MlInstance, Request};
 use wmlp_core::policy::{CacheTxn, OnlinePolicy, PolicyCtx};
-use wmlp_core::storage::{Storage, StorageError};
-use wmlp_core::types::{Level, Weight};
+use wmlp_core::storage::{Storage, StorageError, StorageSnapshot};
+use wmlp_core::types::{Level, PageId, Weight};
 
 use crate::stats::RunCounters;
 
@@ -261,9 +261,60 @@ impl SimSession {
         reqs: &[Request],
         out: &mut BatchLog,
     ) {
+        let reqs = reqs.iter().map(|&req| StoreRequest { req, put: None });
+        self.batch(inst, policy, reqs, &mut NoStorage, false, out);
+    }
+
+    /// The storage-backed batch path: [`SimSession::step_batch`] with a
+    /// [`Storage`] mirrored behind each step. Each request is stepped
+    /// exactly as the storage-less path steps it (identical ledger,
+    /// counters, and cache — a storage-backed run stays byte-identical in
+    /// its manifest), and every logged action is applied to `store` in
+    /// order — a `Fetch` becomes a [`Storage::promote`], an `Evict` a
+    /// [`Storage::flush`] (a dirty writeback, counted in
+    /// [`StepOutcome::flushes`]) — and finally the request touches its
+    /// value: a write lands in the warm tier dirty, a read is recorded
+    /// into `out`'s value slots, index-aligned with its outcomes. A
+    /// storage failure surfaces as [`SimError::Storage`]; the engine has
+    /// already stepped by then, so treat the session as poisoned for
+    /// determinism purposes.
+    ///
+    /// After the last request the batch is committed — exactly one
+    /// [`Storage::commit`] per call — and only then does the call return,
+    /// so a caller that releases replies after it never acknowledges
+    /// work the store has not made durable. A failed commit acknowledges
+    /// nothing: every `Ok` outcome of the batch becomes
+    /// [`SimError::Storage`] and its value slot is cleared.
+    pub fn step_batch_store(
+        &mut self,
+        inst: &MlInstance,
+        policy: &mut dyn OnlinePolicy,
+        reqs: &[StoreRequest<'_>],
+        store: &mut dyn Storage,
+        out: &mut BatchLog,
+    ) {
+        self.batch(inst, policy, reqs.iter().copied(), store, true, out);
+    }
+
+    /// The one batch loop behind [`SimSession::step_batch`] and
+    /// [`SimSession::step_batch_store`]: step each request onto `store`,
+    /// record its outcome (and, with `values`, its read value), then
+    /// commit the batch. Generic over the backend, so the storage-less
+    /// path steps over [`NoStorage`] without a dynamic call.
+    fn batch<'a, S: Storage + ?Sized>(
+        &mut self,
+        inst: &MlInstance,
+        policy: &mut dyn OnlinePolicy,
+        reqs: impl Iterator<Item = StoreRequest<'a>>,
+        store: &mut S,
+        values: bool,
+        out: &mut BatchLog,
+    ) {
         out.clear();
-        for &req in reqs {
-            let outcome = self.step(inst, policy, req);
+        let first_t = self.t;
+        for sr in reqs {
+            let mut value = Vec::new();
+            let outcome = self.step(inst, policy, sr, store, &mut value);
             if let Some(steps) = out.steps.as_mut() {
                 // A failed step keeps its slot (empty for BadRequest, the
                 // policy's partial actions otherwise) so steps stay
@@ -271,20 +322,39 @@ impl SimSession {
                 steps.push(self.log.clone());
             }
             out.outcomes.push(outcome);
+            if values {
+                out.values.push(value);
+            }
+        }
+        if let Err(e) = store.commit() {
+            let detail = format!("batch commit failed: {e}");
+            for (i, outcome) in out.outcomes.iter_mut().enumerate() {
+                if outcome.is_ok() {
+                    *outcome = Err(SimError::Storage {
+                        t: first_t + i,
+                        detail: detail.clone(),
+                    });
+                    if let Some(value) = out.values.get_mut(i) {
+                        value.clear();
+                    }
+                }
+            }
         }
     }
 
-    /// Serve one request — the batch-of-one case of
-    /// [`SimSession::step_batch`], which is the public way in: validate the request, let `policy` act,
-    /// enforce feasibility, and record costs and counters. Time advances
-    /// by one per call (also past a [`SimError::BadRequest`], which
-    /// faithfully consumes a trace slot; the cache is untouched in that
-    /// case).
-    fn step(
+    /// Serve one request: validate it, let `policy` act, enforce
+    /// feasibility, charge each logged action and mirror it onto `store`,
+    /// then write the request's value or append it to `value_out`. Time
+    /// advances by one per call (also past a [`SimError::BadRequest`],
+    /// which faithfully consumes a trace slot; the cache is untouched in
+    /// that case).
+    fn step<S: Storage + ?Sized>(
         &mut self,
         inst: &MlInstance,
         policy: &mut dyn OnlinePolicy,
-        req: Request,
+        StoreRequest { req, put }: StoreRequest<'_>,
+        store: &mut S,
+        value_out: &mut Vec<u8>,
     ) -> Result<StepOutcome, SimError> {
         let t = self.t;
         self.t += 1;
@@ -313,47 +383,28 @@ impl SimSession {
             // rather than panic if the cache ever contradicts itself.
             return Err(SimError::NotServed { t, req });
         };
-        let mut fetch_cost: Weight = 0;
-        let mut evictions: u32 = 0;
-        for a in &self.log.actions {
-            match a {
-                Action::Fetch(c) => fetch_cost += inst.weight(c.page, c.level),
-                Action::Evict(_) => evictions += 1,
-            }
-        }
         self.counters
             .record_step(hit, &self.log, serve_level, self.cache.occupancy());
         self.ledger.record_step(inst, &self.log);
-        Ok(StepOutcome {
-            hit,
-            serve_level,
-            fetch_cost,
-            evictions,
-            flushes: 0,
-        })
-    }
-
-    /// One request of [`SimSession::step_batch_store`] (which documents
-    /// the contract); a read appends the page's value to `value_out`.
-    fn step_store(
-        &mut self,
-        inst: &MlInstance,
-        policy: &mut dyn OnlinePolicy,
-        req: Request,
-        put: Option<&[u8]>,
-        store: &mut dyn Storage,
-        value_out: &mut Vec<u8>,
-    ) -> Result<StepOutcome, SimError> {
-        let mut out = self.step(inst, policy, req)?;
-        let t = self.t - 1;
         let storage_err = |e: StorageError| SimError::Storage {
             t,
             detail: e.to_string(),
         };
+        let mut out = StepOutcome {
+            hit,
+            serve_level,
+            fetch_cost: 0,
+            evictions: 0,
+            flushes: 0,
+        };
         for a in &self.log.actions {
             match a {
-                Action::Fetch(c) => store.promote(c.page, c.level).map_err(storage_err)?,
+                Action::Fetch(c) => {
+                    out.fetch_cost += inst.weight(c.page, c.level);
+                    store.promote(c.page, c.level).map_err(storage_err)?;
+                }
                 Action::Evict(c) => {
+                    out.evictions += 1;
                     if store.flush(c.page).map_err(storage_err)? {
                         out.flushes += 1;
                     }
@@ -367,59 +418,6 @@ impl SimSession {
             }
         }
         Ok(out)
-    }
-
-    /// The storage-backed batch path: [`SimSession::step_batch`] with a
-    /// [`Storage`] mirrored behind each step. Each request is first
-    /// stepped exactly as the storage-less path steps it (identical
-    /// ledger, counters, and cache — a storage-backed run stays
-    /// byte-identical in its manifest), then every logged action is
-    /// applied to `store` in order — a `Fetch` becomes a
-    /// [`Storage::promote`], an `Evict` a [`Storage::flush`] (a dirty
-    /// writeback, counted in [`StepOutcome::flushes`]) — and finally the
-    /// request touches its value: a write lands in the warm tier dirty, a
-    /// read is recorded into `out`'s value slots, index-aligned with its
-    /// outcomes. A storage failure surfaces as [`SimError::Storage`]; the
-    /// engine has already stepped by then, so treat the session as
-    /// poisoned for determinism purposes.
-    ///
-    /// After the last request the batch is committed — exactly one
-    /// [`Storage::commit`] per call — and only then does the call return,
-    /// so a caller that releases replies after it never acknowledges
-    /// work the store has not made durable. A failed commit acknowledges
-    /// nothing: every `Ok` outcome of the batch becomes
-    /// [`SimError::Storage`] and its value slot is cleared.
-    pub fn step_batch_store(
-        &mut self,
-        inst: &MlInstance,
-        policy: &mut dyn OnlinePolicy,
-        reqs: &[StoreRequest<'_>],
-        store: &mut dyn Storage,
-        out: &mut BatchLog,
-    ) {
-        out.clear();
-        for sr in reqs {
-            let mut value = Vec::new();
-            let outcome = self.step_store(inst, policy, sr.req, sr.put, store, &mut value);
-            if let Some(steps) = out.steps.as_mut() {
-                steps.push(self.log.clone());
-            }
-            out.outcomes.push(outcome);
-            out.values.push(value);
-        }
-        if let Err(e) = store.commit() {
-            let first_t = self.t - reqs.len();
-            let detail = format!("batch commit failed: {e}");
-            for (i, (outcome, value)) in out.outcomes.iter_mut().zip(&mut out.values).enumerate() {
-                if outcome.is_ok() {
-                    *outcome = Err(SimError::Storage {
-                        t: first_t + i,
-                        detail: detail.clone(),
-                    });
-                    value.clear();
-                }
-            }
-        }
     }
 
     /// Requests stepped so far (including failed ones).
@@ -449,6 +447,31 @@ impl SimSession {
     /// Consume the session into `(ledger, counters, final_cache)`.
     pub fn finish(self) -> (CostLedger, RunCounters, CacheState) {
         (self.ledger, self.counters, self.cache)
+    }
+}
+
+/// The backend [`SimSession::step_batch`] steps over: it stores nothing,
+/// never writes back and returns no values.
+struct NoStorage;
+
+impl Storage for NoStorage {
+    fn get(&mut self, _: PageId, _: &mut Vec<u8>) -> Result<Level, StorageError> {
+        Ok(1)
+    }
+    fn put(&mut self, _: PageId, _: &[u8]) -> Result<(), StorageError> {
+        Ok(())
+    }
+    fn promote(&mut self, _: PageId, _: Level) -> Result<(), StorageError> {
+        Ok(())
+    }
+    fn flush(&mut self, _: PageId) -> Result<bool, StorageError> {
+        Ok(false)
+    }
+    fn flush_all(&mut self) -> Result<u64, StorageError> {
+        Ok(0)
+    }
+    fn snapshot(&self) -> StorageSnapshot {
+        StorageSnapshot::default()
     }
 }
 
@@ -573,6 +596,27 @@ mod tests {
         MlInstance::from_rows(2, vec![vec![8, 2], vec![4, 1], vec![6, 3]]).unwrap()
     }
 
+    /// Serve `req` under [`Demand`] as a batch of one: through
+    /// `step_batch_store` when given a store (writing `put`, if any),
+    /// else through `step_batch`. Returns the outcome and the read value.
+    fn step_one(
+        session: &mut SimSession,
+        req: Request,
+        store: Option<(&mut dyn Storage, Option<&[u8]>)>,
+    ) -> Result<(StepOutcome, Vec<u8>), SimError> {
+        let inst = inst();
+        let mut log = BatchLog::new();
+        match store {
+            Some((store, put)) => {
+                let reqs = [StoreRequest { req, put }];
+                session.step_batch_store(&inst, &mut Demand, &reqs, store, &mut log);
+            }
+            None => session.step_batch(&inst, &mut Demand, &[req], &mut log),
+        }
+        let value = log.take_values().pop().unwrap_or_default();
+        log.outcomes()[0].clone().map(|o| (o, value))
+    }
+
     #[test]
     fn demand_run_is_feasible_and_replayable() {
         let inst = inst();
@@ -647,7 +691,7 @@ mod tests {
         let mut session = SimSession::new(&inst);
         let mut outcomes = Vec::new();
         for &req in &trace {
-            outcomes.push(session.step(&inst, &mut Demand, req).unwrap());
+            outcomes.push(step_one(&mut session, req, None).unwrap().0);
         }
         assert_eq!(session.time(), trace.len());
         // First request misses and fetches (0,2) at weight 2; the second
@@ -679,10 +723,9 @@ mod tests {
             Request::new(2, 1),
         ];
         let mut reference = SimSession::new(&inst);
-        let mut ref_policy = Demand;
         let ref_outcomes: Vec<_> = trace
             .iter()
-            .map(|&r| reference.step(&inst, &mut ref_policy, r).unwrap())
+            .map(|&r| step_one(&mut reference, r, None).unwrap().0)
             .collect();
         // Every way of cutting the trace into two batches (including the
         // empty prefix/suffix) gives identical outcomes and final state.
@@ -753,19 +796,14 @@ mod tests {
         let inst = inst(); // n = 3, k = 2, levels = 2
         let mut session = SimSession::new(&inst);
         let mut store = SimStorage::new(inst.n(), inst.max_levels(), 8);
-        let mut val = Vec::new();
 
         // Write to page 0: fetch (0,1) promotes, put lands dirty.
-        let out = session
-            .step_store(
-                &inst,
-                &mut Demand,
-                Request::new(0, 1),
-                Some(b"zero"),
-                &mut store,
-                &mut val,
-            )
-            .unwrap();
+        let (out, _) = step_one(
+            &mut session,
+            Request::new(0, 1),
+            Some((&mut store, Some(b"zero"))),
+        )
+        .unwrap();
         assert!(!out.hit);
         assert_eq!(out.flushes, 0);
         let snap = store.snapshot();
@@ -773,48 +811,30 @@ mod tests {
         assert_eq!(snap.promotions, 1);
 
         // Read it back: level-1 hit, value served from the warm tier.
-        val.clear();
-        let out = session
-            .step_store(
-                &inst,
-                &mut Demand,
-                Request::new(0, 2),
-                None,
-                &mut store,
-                &mut val,
-            )
-            .unwrap();
+        let (out, val) =
+            step_one(&mut session, Request::new(0, 2), Some((&mut store, None))).unwrap();
         assert!(out.hit);
         assert_eq!(out.serve_level, 1);
         assert_eq!(val, b"zero");
 
         // Fill the cache past k: the forced eviction of dirty page 0
         // must count as a real writeback.
-        session
-            .step_store(
-                &inst,
-                &mut Demand,
-                Request::new(1, 1),
-                Some(b"one"),
-                &mut store,
-                &mut val,
-            )
-            .unwrap();
-        val.clear();
-        let out = session
-            .step_store(
-                &inst,
-                &mut Demand,
-                Request::new(2, 1),
-                Some(b"two"),
-                &mut store,
-                &mut val,
-            )
-            .unwrap();
+        step_one(
+            &mut session,
+            Request::new(1, 1),
+            Some((&mut store, Some(b"one"))),
+        )
+        .unwrap();
+        let (out, _) = step_one(
+            &mut session,
+            Request::new(2, 1),
+            Some((&mut store, Some(b"two"))),
+        )
+        .unwrap();
         assert_eq!(out.evictions, 1);
         assert_eq!(out.flushes, 1, "evicting a dirty page writes it back");
         // The written-back value survives at the backing tier.
-        val.clear();
+        let mut val = Vec::new();
         let mut probe = store.clone();
         let level = probe.get(0, &mut val).unwrap();
         assert_eq!(level, inst.max_levels());
@@ -836,19 +856,15 @@ mod tests {
         let mut plain = SimSession::new(&inst);
         let plain_outcomes: Vec<_> = trace
             .iter()
-            .map(|&r| plain.step(&inst, &mut Demand, r).unwrap())
+            .map(|&r| step_one(&mut plain, r, None).unwrap().0)
             .collect();
         let mut stored = SimSession::new(&inst);
         let mut store = SimStorage::new(inst.n(), inst.max_levels(), 8);
-        let mut val = Vec::new();
         let stored_outcomes: Vec<_> = trace
             .iter()
             .map(|&r| {
-                val.clear();
                 let put = (r.level == 1).then_some(b"w".as_slice());
-                stored
-                    .step_store(&inst, &mut Demand, r, put, &mut store, &mut val)
-                    .unwrap()
+                step_one(&mut stored, r, Some((&mut store, put))).unwrap().0
             })
             .collect();
         // Identical except for the flush counts the plain path cannot see.
@@ -1000,14 +1016,12 @@ mod tests {
         let inst = inst();
         let mut session = SimSession::new(&inst);
         assert!(matches!(
-            session.step(&inst, &mut Demand, Request::new(9, 1)),
+            step_one(&mut session, Request::new(9, 1), None),
             Err(SimError::BadRequest { t: 0, .. })
         ));
         assert_eq!(session.time(), 1);
         assert_eq!(session.cache().occupancy(), 0);
-        let out = session
-            .step(&inst, &mut Demand, Request::new(0, 1))
-            .unwrap();
+        let (out, _) = step_one(&mut session, Request::new(0, 1), None).unwrap();
         assert!(!out.hit);
         assert_eq!(session.counters().requests, 1);
     }
