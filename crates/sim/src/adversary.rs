@@ -8,30 +8,30 @@
 //! plays this adversary against a policy and returns the generated trace
 //! (which can then be re-run or handed to an offline oracle).
 
-use wmlp_core::action::StepLog;
-use wmlp_core::cache::CacheState;
 use wmlp_core::instance::{MlInstance, Request, Trace};
-use wmlp_core::policy::{CacheTxn, OnlinePolicy, PolicyCtx};
+use wmlp_core::policy::OnlinePolicy;
 use wmlp_core::types::PageId;
 
-use crate::engine::SimError;
+use crate::engine::{BatchLog, SimError, SimSession};
 
 /// Play the adaptive "always miss" adversary for `len` requests against
 /// `policy`, restricted to the first `k + 1` pages (at level 1). Returns
-/// the generated trace; the policy faults on every single request.
+/// the generated trace; the policy faults on every single request. Each
+/// request is stepped by a [`SimSession`], so the policy is checked as
+/// in any run and its first infeasible step is the error.
 pub fn adaptive_trace(
     inst: &MlInstance,
     policy: &mut dyn OnlinePolicy,
     len: usize,
 ) -> Result<Trace, SimError> {
     let universe = (inst.k() + 1).min(inst.n()) as PageId;
-    let mut cache = CacheState::empty(inst.n());
+    let mut session = SimSession::new(inst);
+    let mut log = BatchLog::new();
     let mut trace = Vec::with_capacity(len);
-    let mut log = StepLog::default();
-    let ctx = PolicyCtx::new(inst);
     for t in 0..len {
         // Pick the smallest page in the sub-universe not serving level 1.
-        let Some(victim_page) = (0..universe).find(|&p| !cache.serves(Request::top(p))) else {
+        let cache = session.cache();
+        let Some(page) = (0..universe).find(|&p| !cache.serves(Request::top(p))) else {
             // k+1 pages cannot all be cached at level 1 in k slots: if the
             // cache claims they are, it is over capacity.
             return Err(SimError::OverCapacity {
@@ -39,20 +39,12 @@ pub fn adaptive_trace(
                 occupancy: cache.occupancy(),
             });
         };
-        let req = Request::top(victim_page);
+        let req = Request::top(page);
+        session.step_batch(inst, policy, &[req], &mut log);
+        if let Some(Err(e)) = log.outcomes().first() {
+            return Err(e.clone());
+        }
         trace.push(req);
-        let mut txn = CacheTxn::new(&mut cache, &mut log);
-        policy.on_request(ctx, t, req, &mut txn);
-        txn.finish();
-        if cache.occupancy() > inst.k() {
-            return Err(SimError::OverCapacity {
-                t,
-                occupancy: cache.occupancy(),
-            });
-        }
-        if !cache.serves(req) {
-            return Err(SimError::NotServed { t, req });
-        }
     }
     Ok(trace)
 }
@@ -61,6 +53,7 @@ pub fn adaptive_trace(
 mod tests {
     use super::*;
     use wmlp_core::cost::CostModel;
+    use wmlp_core::policy::{CacheTxn, PolicyCtx};
     use wmlp_core::types::CopyRef;
 
     /// A trivial deterministic policy: fetch on miss, evict smallest page.
