@@ -1,5 +1,5 @@
 //! Dependency-free readiness I/O: a thin, audited wrapper over Linux
-//! `epoll(7)`, `eventfd(2)`, and `getrlimit(2)`.
+//! `epoll(7)`, `eventfd(2)`, `listen(2)` and `getrlimit(2)`.
 //!
 //! The serving stack's connection plane (`wmlp-serve`'s event loops)
 //! and the load generator's client both need readiness notification,
@@ -16,6 +16,8 @@
 //!   any thread may [`EventFd::ring`]; the owning reactor sees the fd
 //!   readable and [`EventFd::drain`]s it. Because the kernel counts
 //!   rings, a ring between two waits is never lost.
+//! * [`listen`] — a TCP listener whose accept queue is as deep as the
+//!   kernel allows, instead of std's 128.
 //! * [`rlimit_nofile`] — the soft open-file limit via `getrlimit`, so
 //!   callers can fail fast before a high-fan-in run hits `EMFILE`
 //!   mid-flight. Sockets are made non-blocking with std's own
@@ -32,8 +34,9 @@
 //! once (in `Drop`).
 
 use std::io;
+use std::net::{TcpListener, ToSocketAddrs};
 use std::os::raw::{c_int, c_uint, c_void};
-use std::os::unix::io::RawFd;
+use std::os::unix::io::{AsRawFd, RawFd};
 
 /// Raw glibc declarations and the constants this module needs. Values
 /// are the Linux generic ABI ones (x86_64/aarch64); they are asserted
@@ -90,6 +93,7 @@ mod sys {
         pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
         pub fn close(fd: c_int) -> c_int;
         pub fn getrlimit(resource: c_int, rlim: *mut Rlimit) -> c_int;
+        pub fn listen(fd: c_int, backlog: c_int) -> c_int;
     }
 }
 
@@ -342,6 +346,19 @@ impl Drop for EventFd {
     }
 }
 
+/// Bind a TCP listener on `addr` with the deepest accept queue the kernel
+/// allows. std's `TcpListener::bind` listens with a backlog of 128, so a
+/// burst of more connections than that waits out a SYN retransmit (about
+/// a second). Listening again on the bound socket raises the backlog;
+/// the kernel clamps it to `net.core.somaxconn`.
+pub fn listen(addr: impl ToSocketAddrs) -> io::Result<TcpListener> {
+    let listener = TcpListener::bind(addr)?;
+    // lint:allow(U1): listen takes the fd of the live listener bound above
+    // and an integer; it touches no memory, errno-checked by cvt.
+    cvt(unsafe { sys::listen(listener.as_raw_fd(), c_int::MAX) })?;
+    Ok(listener)
+}
+
 /// The soft `RLIMIT_NOFILE` limit: how many fds this process may have
 /// open. High-fan-in callers check this up front and fail with a clear
 /// message instead of collapsing mid-run on `EMFILE`.
@@ -361,8 +378,8 @@ pub fn rlimit_nofile() -> io::Result<u64> {
 mod tests {
     use super::*;
     use std::io::{Read, Write};
-    use std::net::{TcpListener, TcpStream};
-    use std::os::unix::io::AsRawFd;
+    use std::net::TcpStream;
+    use std::time::Duration;
 
     #[test]
     fn eventfd_rings_accumulate_and_drain_resets() {
@@ -467,5 +484,27 @@ mod tests {
         // is far above that. This mostly checks the struct layout: a
         // garbage read would be absurdly small or huge.
         assert!(lim >= 20, "soft NOFILE limit {lim} is implausible");
+    }
+
+    #[test]
+    fn listen_queues_a_thousand_connections_it_never_accepts() {
+        // Every queued connection holds one client fd here, and the queue
+        // can hold at most `somaxconn + 1`, so size the burst by both.
+        let somaxconn: usize = std::fs::read_to_string("/proc/sys/net/core/somaxconn")
+            .ok()
+            .and_then(|s| s.trim().parse().ok())
+            .unwrap_or(128);
+        let fds = usize::try_from(rlimit_nofile().unwrap()).unwrap_or(usize::MAX);
+        let n = 1024.min(somaxconn).min(fds.saturating_sub(64));
+        let listener = listen("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut clients = Vec::with_capacity(n);
+        for i in 0..n {
+            match TcpStream::connect_timeout(&addr, Duration::from_millis(300)) {
+                Ok(s) => clients.push(s),
+                Err(e) => panic!("connection {i} of {n} did not complete: {e}"),
+            }
+        }
+        assert_eq!(clients.len(), n);
     }
 }

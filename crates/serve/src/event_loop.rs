@@ -392,9 +392,17 @@ fn accept_new(
     }
 }
 
-/// Take ownership of an accepted connection: non-blocking, registered
-/// read-only, fresh protocol state. Refused (closed) when the server is
-/// shutting down or registration fails.
+/// Ready an accepted socket for its event loop: non-blocking, with
+/// Nagle's algorithm off, so a reply leaves when it is written instead of
+/// waiting for the peer to acknowledge the previous one.
+fn prepare_socket(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nonblocking(true)?;
+    stream.set_nodelay(true)
+}
+
+/// Take ownership of an accepted connection: [`prepare_socket`]ed,
+/// registered read-only, fresh protocol state. Refused (closed) when the
+/// server is shutting down or the setup fails.
 fn adopt_conn(
     inner: &Arc<Inner>,
     reactor: &Reactor,
@@ -405,7 +413,7 @@ fn adopt_conn(
 ) {
     let reject = refuse
         || inner.shutdown.load(Ordering::SeqCst)
-        || stream.set_nonblocking(true).is_err()
+        || prepare_socket(&stream).is_err()
         || reactor
             .register(stream.as_raw_fd(), Token(id), Interest::READABLE)
             .is_err();
@@ -615,5 +623,20 @@ fn close_conn(reactor: &Reactor, conns: &mut BTreeMap<u64, ConnState>, id: u64) 
     if let Some(cs) = conns.remove(&id) {
         let _ = reactor.deregister(cs.stream.as_raw_fd());
         let _ = cs.stream.shutdown(Shutdown::Both);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_sockets_have_nodelay_set() {
+        let listener = wmlp_core::net::listen("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        assert!(!stream.nodelay().unwrap(), "a fresh socket has Nagle on");
+        prepare_socket(&stream).unwrap();
+        assert!(stream.nodelay().unwrap());
     }
 }

@@ -57,7 +57,7 @@
 // nowhere near a fast path, so the strongest ordering is the cheapest
 // correct choice to reason about.
 
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::sync::Arc;
 
 use wmlp_algos::PolicyRegistry;
@@ -65,7 +65,7 @@ use wmlp_check::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use wmlp_check::sync::Mutex;
 use wmlp_check::thread::{spawn_named, JoinHandle};
 use wmlp_core::instance::{MlInstance, Request};
-use wmlp_core::net::{EventFd, Reactor};
+use wmlp_core::net::{self, EventFd, Reactor};
 use wmlp_core::storage::{SimStorage, Storage};
 use wmlp_core::wire::WireStats;
 use wmlp_router::{DrainGate, PartitionMode, PartitionSpec, Partitioner, Route};
@@ -343,7 +343,7 @@ pub fn start(inst: Arc<MlInstance>, cfg: &ServeConfig) -> Result<ServerHandle, S
         }
     }
 
-    let listener = TcpListener::bind(&cfg.addr)?;
+    let listener = net::listen(&cfg.addr)?;
     let addr = listener.local_addr()?;
 
     listener.set_nonblocking(true)?;
