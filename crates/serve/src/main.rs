@@ -33,7 +33,7 @@ use std::sync::Arc;
 use wmlp_core::cli::{flag, flag_parse};
 use wmlp_core::codec;
 use wmlp_core::instance::MlInstance;
-use wmlp_router::{PartitionMode, PartitionSpec};
+use wmlp_router::PartitionMode;
 use wmlp_serve::{default_instance, replay_manifest, server, ServeConfig};
 use wmlp_store::RecoverMode;
 
@@ -70,6 +70,35 @@ fn load_instance(args: &[String]) -> Arc<MlInstance> {
     Arc::new(inst)
 }
 
+/// The flags over [`ServeConfig::default`]: each flag that is absent keeps
+/// the default, so every default is stated once, in the library.
+fn parse_config(args: &[String]) -> ServeConfig {
+    let d = ServeConfig::default();
+    let recover = match flag(args, "--recover") {
+        None => d.recover,
+        Some("warm") => RecoverMode::Warm,
+        Some("cold") => RecoverMode::Cold,
+        Some(other) => fail(&format!("--recover {other}: expected warm or cold")),
+    };
+    let text = |name: &str, default: String| flag(args, name).map_or(default, str::to_string);
+    ServeConfig {
+        addr: text("--addr", d.addr),
+        shards: parsed(args, "--shards", d.shards),
+        policy: text("--policy", d.policy),
+        seed: parsed(args, "--seed", d.seed),
+        batch: parsed(args, "--batch", d.batch),
+        max_inflight: parsed(args, "--max-inflight", d.max_inflight),
+        store_dir: flag(args, "--store").map(str::to_string),
+        recover,
+        value_size: parsed(args, "--value-size", d.value_size),
+        partition: text("--partition", d.partition),
+        detector_capacity: parsed(args, "--detector", d.detector_capacity),
+        hot_k: parsed(args, "--hot-k", d.hot_k),
+        epoch_len: parsed(args, "--epoch-len", d.epoch_len),
+        io_threads: parsed(args, "--io-threads", d.io_threads),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // `--io-mode epoll` is still accepted (existing command lines pass
@@ -80,8 +109,7 @@ fn main() {
              event loops (`epoll`) are the only connection plane"
         ));
     }
-    let policy = flag(&args, "--policy").unwrap_or("lru").to_string();
-    let seed = parsed(&args, "--seed", 0u64);
+    let cfg = parse_config(&args);
     let inst = load_instance(&args);
 
     if let Some(trace_path) = flag(&args, "--replay") {
@@ -100,20 +128,12 @@ fn main() {
         // The plan's shard count comes from --plan-shards (default 8),
         // NOT --shards, so pinned manifests stay byte-identical no
         // matter how many shards the live server would run.
-        let plan = match flag(&args, "--partition").unwrap_or("hash") {
-            "hash" => None,
-            other => match PartitionMode::parse(other) {
-                Ok(mode) => Some(PartitionSpec {
-                    shards: parsed(&args, "--plan-shards", 8usize).max(1),
-                    detector_capacity: parsed(&args, "--detector", 256usize).max(1),
-                    hot_k: parsed(&args, "--hot-k", 64usize),
-                    epoch_len: parsed(&args, "--epoch-len", 4096u64),
-                    ..PartitionSpec::new(mode, 8)
-                }),
-                Err(e) => fail(&e),
-            },
+        let plan = match cfg.partition_spec(parsed(&args, "--plan-shards", 8usize)) {
+            Ok(spec) if spec.mode == PartitionMode::Hash => None,
+            Ok(spec) => Some(spec),
+            Err(e) => fail(&e),
         };
-        let json = match replay_manifest(inst, trace, &policy, seed, plan) {
+        let json = match replay_manifest(inst, trace, &cfg.policy, cfg.seed, plan) {
             Ok(j) => j,
             Err(e) => fail(&e),
         };
@@ -129,27 +149,6 @@ fn main() {
         return;
     }
 
-    let recover = match flag(&args, "--recover").unwrap_or("warm") {
-        "warm" => RecoverMode::Warm,
-        "cold" => RecoverMode::Cold,
-        other => fail(&format!("--recover {other}: expected warm or cold")),
-    };
-    let cfg = ServeConfig {
-        addr: flag(&args, "--addr").unwrap_or("127.0.0.1:0").to_string(),
-        shards: parsed(&args, "--shards", 1usize),
-        policy,
-        seed,
-        batch: parsed(&args, "--batch", 64usize),
-        max_inflight: parsed(&args, "--max-inflight", 256usize),
-        store_dir: flag(&args, "--store").map(str::to_string),
-        recover,
-        value_size: parsed(&args, "--value-size", 64usize),
-        partition: flag(&args, "--partition").unwrap_or("hash").to_string(),
-        detector_capacity: parsed(&args, "--detector", 256usize),
-        hot_k: parsed(&args, "--hot-k", 64usize),
-        epoch_len: parsed(&args, "--epoch-len", 4096u64),
-        io_threads: parsed(&args, "--io-threads", 2usize),
-    };
     let mut handle = match server::start(inst, &cfg) {
         Ok(h) => h,
         Err(e) => fail(&e.to_string()),
@@ -160,7 +159,7 @@ fn main() {
         println!(
             "store: {} warm pages recovered ({})",
             handle.warm_recovered(),
-            recover.label()
+            cfg.recover.label()
         );
     }
     // benchmark/src/child.rs and the e2e tests' ServeProcess parse this
