@@ -26,7 +26,12 @@ where
     T: Send,
     F: Fn(&P) -> T + Sync,
 {
-    let workers = num_threads().min(params.len());
+    let workers = std::env::var("RAYON_NUM_THREADS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        .min(params.len());
     if workers <= 1 {
         return params.iter().map(f).collect();
     }
@@ -56,16 +61,6 @@ where
     done.into_iter().map(|(_, v)| v).collect()
 }
 
-/// The worker count: `RAYON_NUM_THREADS` if set and positive, else the
-/// machine's available parallelism.
-fn num_threads() -> usize {
-    std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
 /// Sample mean and (population) standard deviation; `None` on empty input.
 pub fn mean_and_stdev(xs: &[f64]) -> Option<(f64, f64)> {
     if xs.is_empty() {
@@ -91,6 +86,13 @@ mod tests {
             grid.iter().map(|&(a, b)| a * 10 + b).collect::<Vec<_>>()
         );
         assert!(par_grid(&[] as &[u32], |&x| x).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "cell 5")]
+    fn a_panicking_cell_panics_the_caller() {
+        let cells: Vec<u32> = (0..64).collect();
+        par_grid(&cells, |&i| if i == 5 { panic!("cell 5") } else { i });
     }
 
     #[test]
