@@ -142,8 +142,9 @@ impl<'a> CacheTxn<'a> {
 ///
 /// The simulator calls [`OnlinePolicy::on_request`] once per request, in
 /// order; after the call the cache must serve the request and hold at most
-/// `k` copies (the simulator enforces both).
-pub trait OnlinePolicy {
+/// `k` copies (the simulator enforces both). A policy is `Send`, so a
+/// server can build it before it spawns the thread that drives it.
+pub trait OnlinePolicy: Send {
     /// Human-readable algorithm name for reports. Borrowed rather than
     /// allocated: implementations return a `'static` literal or a field.
     fn name(&self) -> &str;

@@ -131,7 +131,9 @@ pub struct StorageSnapshot {
 /// the last request of a batch. Implementations must be
 /// deterministic in their visible state (values, residency, dirty set)
 /// and in their [`StorageSnapshot`] for a fixed operation sequence.
-pub trait Storage {
+/// A backend is `Send`, so a server can open it before it spawns the
+/// thread that drives it.
+pub trait Storage: Send {
     /// Append the current value of `page` to `out` and return the level
     /// it was served from (1 = warm tier).
     fn get(&mut self, page: PageId, out: &mut Vec<u8>) -> Result<Level, StorageError>;

@@ -32,6 +32,11 @@
 //! * [`replay`] — `--replay` mode: a single-engine canonical reference
 //!   run whose JSON manifest is byte-identical across repeats, machines,
 //!   and shard counts.
+//! * [`reference`](mod@reference) — the sequential reference: the
+//!   replies and per-shard counters a server owes one connection's
+//!   stream, computed from the real partitioner and one engine per shard
+//!   without the connection plane, the queues or any store. The e2e
+//!   tests judge the live server against it.
 //!
 //! All synchronisation (and thread spawning) goes through the
 //! `wmlp_check` shim layer — a passthrough to `std` in normal builds —
@@ -46,12 +51,14 @@
 
 mod event_loop;
 pub mod notify;
+pub mod reference;
 pub mod reorder;
 pub mod replay;
 pub mod server;
 pub mod shard;
 pub mod spsc;
 
+pub use reference::{reference, Reference};
 pub use replay::replay_manifest;
 pub use server::{start, ServeConfig, ServeError, ServerHandle};
 pub use shard::{shard_instances, FanoutAck, ReplyTo, ShardJob, ShardMap, ShardMsg, ShardStats};

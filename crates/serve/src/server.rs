@@ -66,7 +66,7 @@ use wmlp_check::sync::Mutex;
 use wmlp_check::thread::{spawn_named, JoinHandle};
 use wmlp_core::instance::{MlInstance, Request};
 use wmlp_core::net::{self, EventFd, Reactor};
-use wmlp_core::storage::{SimStorage, Storage};
+use wmlp_core::storage::{SimStorage, Storage, MAX_VALUE};
 use wmlp_core::wire::WireStats;
 use wmlp_router::{DrainGate, PartitionMode, PartitionSpec, Partitioner, Route};
 use wmlp_store::{RecoverMode, SegmentStore, StoreOptions};
@@ -107,7 +107,7 @@ pub struct ServeConfig {
     /// logs at startup (ignored without [`ServeConfig::store_dir`]).
     pub recover: RecoverMode,
     /// Byte size of the default value synthesized for pages never
-    /// written (≥ 1).
+    /// written (≥ 1, ≤ [`MAX_VALUE`]).
     pub value_size: usize,
     /// Partitioning strategy: `hash`, `replicate`, or `migrate` (the
     /// `--partition` flag; parsed by [`PartitionMode::parse`]).
@@ -158,6 +158,20 @@ impl ServeConfig {
             // router implementation detail, not a deployment knob.
             ..PartitionSpec::new(mode, shards)
         })
+    }
+
+    /// The byte size of a never-written page's value: `value_size`, at
+    /// least 1. A size above the wire's value cap ([`MAX_VALUE`]) is an
+    /// `Err` naming `--value-size`: no reply could carry such a value
+    /// whole.
+    pub fn default_value_size(&self) -> Result<usize, String> {
+        if self.value_size > MAX_VALUE {
+            return Err(format!(
+                "--value-size {}: above the {MAX_VALUE}-byte value cap",
+                self.value_size
+            ));
+        }
+        Ok(self.value_size.max(1))
     }
 }
 
@@ -288,59 +302,49 @@ impl ServerHandle {
     }
 }
 
-/// What a loop needs to serve one of its shards, minus the policy, which
-/// is not `Send` and is built on the loop's own thread.
-struct ShardParts {
-    id: usize,
-    inst: MlInstance,
-    store: Box<dyn Storage + Send>,
-    stats: Arc<ShardStats>,
-}
-
 /// Bind, spawn the event loops, and return a handle.
 ///
-/// Fails fast — before binding — if the instance cannot be sharded, the
-/// policy spec is invalid or a store does not open.
+/// Fails fast — before binding — if the value size is over the wire's
+/// cap, the instance cannot be sharded, the policy spec is invalid or a
+/// store does not open. Each shard's policy, engine session and store
+/// are built here, once, and move into the loop that owns the shard.
 pub fn start(inst: Arc<MlInstance>, cfg: &ServeConfig) -> Result<ServerHandle, ServeError> {
+    let value_size = cfg.default_value_size().map_err(ServeError::BadConfig)?;
     let shard_insts = shard_instances(&inst, cfg.shards).map_err(ServeError::BadConfig)?;
     let partition_spec = cfg
         .partition_spec(shard_insts.len())
         .map_err(ServeError::BadConfig)?;
-    // Validate the spec against every shard instance up front (policies
-    // are not Send, so the real builds happen on the owning loops).
-    let registry = PolicyRegistry::standard();
-    for (s, si) in shard_insts.iter().enumerate() {
-        registry
-            .build(&cfg.policy, si, cfg.seed.wrapping_add(s as u64))
-            .map_err(ServeError::Policy)?;
-    }
+    let loops = cfg.io_threads.max(1);
+    let stats: Vec<Arc<ShardStats>> = shard_insts
+        .iter()
+        .map(|_| Arc::new(ShardStats::default()))
+        .collect();
+    let router = Arc::new(Router::new(partition_spec, loops, stats.clone()));
 
-    // Storage backends, one per shard, opened before binding so a corrupt
-    // or unopenable store fails fast instead of inside an event loop.
-    // Opening an on-disk store replays its segment logs here, so the warm
-    // count is known before the first request arrives.
-    let mut stores: Vec<Box<dyn Storage + Send>> = Vec::with_capacity(shard_insts.len());
+    // Opening an on-disk store replays its segment logs here, so a
+    // corrupt store fails before binding and the warm count is known
+    // before the first request arrives.
+    let registry = PolicyRegistry::standard();
+    let mut own: Vec<LocalShards> = (0..loops).map(|_| LocalShards::new(cfg.batch)).collect();
     let mut warm_recovered = 0u64;
-    for (s, si) in shard_insts.iter().enumerate() {
-        match &cfg.store_dir {
-            None => {
-                stores.push(Box::new(SimStorage::new(
-                    si.n(),
-                    si.max_levels(),
-                    cfg.value_size.max(1),
-                )));
-            }
+    for (s, (si, stats)) in shard_insts.into_iter().zip(&stats).enumerate() {
+        let policy = registry
+            .build(&cfg.policy, &si, cfg.seed.wrapping_add(s as u64))
+            .map_err(ServeError::Policy)?;
+        let store: Box<dyn Storage> = match &cfg.store_dir {
+            None => Box::new(SimStorage::new(si.n(), si.max_levels(), value_size)),
             Some(dir) => {
                 let path = std::path::Path::new(dir).join(format!("shard-{s}"));
                 let mut opts = StoreOptions::new(si.n(), si.max_levels());
-                opts.value_size = cfg.value_size.max(1);
+                opts.value_size = value_size;
                 opts.recover = cfg.recover;
                 let store = SegmentStore::open(&path, opts)
                     .map_err(|e| ServeError::Store(format!("{}: {e}", path.display())))?;
                 warm_recovered += store.warm_len() as u64;
-                stores.push(Box::new(store));
+                Box::new(store)
             }
-        }
+        };
+        own[router.queues().owner(s)].add(s, si, policy, store, Arc::clone(stats));
     }
 
     let listener = net::listen(&cfg.addr)?;
@@ -351,7 +355,6 @@ pub fn start(inst: Arc<MlInstance>, cfg: &ServeConfig) -> Result<ServerHandle, S
     // The event loops' kernel resources (epoll instances and doorbell
     // eventfds) are created and registered before any thread spawns, so
     // an fd-limit failure surfaces here instead of inside a loop.
-    let loops = cfg.io_threads.max(1);
     let mut io_shareds: Vec<Arc<LoopShared>> = Vec::new();
     let mut reactors: Vec<Reactor> = Vec::new();
     for i in 0..loops {
@@ -362,54 +365,29 @@ pub fn start(inst: Arc<MlInstance>, cfg: &ServeConfig) -> Result<ServerHandle, S
         reactors.push(reactor);
     }
 
-    let stats: Vec<Arc<ShardStats>> = shard_insts
-        .iter()
-        .map(|_| Arc::new(ShardStats::default()))
-        .collect();
     let inner = Arc::new(Inner {
         addr,
         inst,
         max_inflight: cfg.max_inflight.max(1),
         shutdown: AtomicBool::new(false),
         serving_loops: AtomicUsize::new(loops),
-        stats: stats.clone(),
+        stats,
         warm_recovered,
         bells: io_shareds.iter().map(|s| Arc::clone(&s.bell)).collect(),
     });
-
-    let router = Arc::new(Router::new(partition_spec, loops, stats.clone()));
-    let mut parts: Vec<Vec<ShardParts>> = (0..loops).map(|_| Vec::new()).collect();
-    for (id, ((inst, store), stats)) in shard_insts.into_iter().zip(stores).zip(stats).enumerate() {
-        parts[router.queues().owner(id)].push(ShardParts {
-            id,
-            inst,
-            store,
-            stats,
-        });
-    }
 
     let peers = Arc::new(io_shareds);
     let mut listener = Some(listener); // loop 0 owns it
     let io_handles: Vec<JoinHandle<()>> = reactors
         .into_iter()
-        .zip(parts)
+        .zip(own)
         .enumerate()
-        .map(|(i, (reactor, parts))| {
+        .map(|(i, (reactor, shards))| {
             let inner = Arc::clone(&inner);
             let peers = Arc::clone(&peers);
             let router = Arc::clone(&router);
             let listener = listener.take();
-            let (policy, seed, batch) = (cfg.policy.clone(), cfg.seed, cfg.batch);
             spawn_named(format!("io-{i}"), move || {
-                let mut shards = LocalShards::new(batch);
-                for p in parts {
-                    // `start` built this very policy above, and registry
-                    // builds are deterministic.
-                    let policy = PolicyRegistry::standard()
-                        .build(&policy, &p.inst, seed.wrapping_add(p.id as u64))
-                        .expect("policy spec validated in start");
-                    shards.add(p.id, p.inst, policy, p.store, p.stats);
-                }
                 run_io_loop(inner, i, reactor, peers, listener, router, shards);
             })
         })
@@ -503,6 +481,29 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A never-written page reads back its default value, which the wire
+    /// would clip at `MAX_VALUE` bytes: a larger `--value-size` is
+    /// refused before binding.
+    #[test]
+    fn a_value_size_above_the_wire_cap_is_refused() {
+        let inst =
+            Arc::new(MlInstance::from_rows(2, (0..8).map(|p| vec![1 + p]).collect()).unwrap());
+        let cfg = |value_size| ServeConfig {
+            value_size,
+            ..ServeConfig::default()
+        };
+        match start(Arc::clone(&inst), &cfg(MAX_VALUE + 1)) {
+            Err(ServeError::BadConfig(m)) => assert!(m.contains("--value-size 32769"), "{m}"),
+            Err(e) => panic!("refused for the wrong reason: {e}"),
+            Ok(handle) => {
+                handle.shutdown_and_join();
+                panic!("served values of {} bytes", MAX_VALUE + 1);
+            }
+        }
+        assert_eq!(cfg(MAX_VALUE).default_value_size(), Ok(MAX_VALUE));
+        assert_eq!(cfg(0).default_value_size(), Ok(1));
+    }
 
     #[test]
     fn dispatch_queues_by_plan_and_marks_each_owner() {

@@ -535,8 +535,8 @@ impl OwnedShard {
 }
 
 /// The shards one event loop owns, each with its policy, engine session
-/// and storage, all built and used on that loop's thread (policies are
-/// not `Send`).
+/// and storage. [`crate::start`] builds them before it binds and moves
+/// them into the loop's thread, the only one that uses them.
 pub struct LocalShards {
     shards: Vec<OwnedShard>,
     /// Most jobs stepped per [`SimSession::step_batch_store`] call.

@@ -3,9 +3,9 @@
 //! `wmlp-serve` binary ([`ServeProcess`]: fan-in, skew, `kill -9`
 //! recovery, replay determinism, flag refusals).
 //!
-//! The reply oracle is [`sequential_model`]: a single-threaded replay of
-//! the same request stream through one `SimSession` per shard, built only
-//! from public items, so it depends on nothing in the connection plane.
+//! The reply oracle is [`wmlp_serve::reference`]: the same stream placed
+//! by the real partitioner and stepped through one engine per shard, with
+//! nothing of the connection plane, the shard queues or the stores.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -14,15 +14,13 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
-use wmlp_algos::PolicyRegistry;
 use wmlp_core::codec;
 use wmlp_core::conn::{write_frame, FrameReader};
 use wmlp_core::instance::{MlInstance, Request};
-use wmlp_core::storage::{default_value, SimStorage};
-use wmlp_core::wire::{request_frame, ErrorCode, Frame};
+use wmlp_core::storage::default_value;
+use wmlp_core::wire::{request_frame, ErrorCode, Frame, StatsPayload, WireStats};
 use wmlp_serve::server::{start, ServeConfig};
-use wmlp_serve::{default_instance, replay_manifest, shard_instances, ShardMap};
-use wmlp_sim::engine::{BatchLog, SimSession, StoreRequest};
+use wmlp_serve::{default_instance, reference, replay_manifest, Reference};
 use wmlp_workloads::{zipf_trace, LevelDist};
 
 struct Client {
@@ -176,47 +174,6 @@ fn serve_cfg(shards: usize) -> ServeConfig {
     }
 }
 
-/// What a strictly sequential server answers to `reqs` sent from one
-/// connection as `request_frame(req, b"")` (so level-1 requests are PUTs
-/// of an empty value) under hash partitioning: per shard one
-/// `SimSession`, the registry policy seeded `seed + s`, and an in-memory
-/// store, stepped one request at a time in arrival order.
-fn sequential_model(inst: &MlInstance, cfg: &ServeConfig, reqs: &[Request]) -> Vec<Frame> {
-    let insts = shard_instances(inst, cfg.shards).unwrap();
-    let map = ShardMap::new(cfg.shards);
-    let registry = PolicyRegistry::standard();
-    let mut shards: Vec<_> = insts
-        .iter()
-        .enumerate()
-        .map(|(s, si)| {
-            (
-                SimSession::new(si),
-                registry
-                    .build(&cfg.policy, si, cfg.seed + s as u64)
-                    .unwrap(),
-                SimStorage::new(si.n(), si.max_levels(), cfg.value_size),
-            )
-        })
-        .collect();
-    let mut log = BatchLog::new();
-    reqs.iter()
-        .map(|&req| {
-            let s = map.shard_of(req.page);
-            let (session, policy, store) = &mut shards[s];
-            let put = (req.level == 1).then_some(&b""[..]);
-            let batch = [StoreRequest { req, put }];
-            session.step_batch_store(&insts[s], policy.as_mut(), &batch, store, &mut log);
-            let out = log.outcomes()[0].as_ref().expect("model step");
-            Frame::Served {
-                hit: out.hit,
-                level: out.serve_level,
-                cost: out.fetch_cost,
-                value: log.take_values().remove(0),
-            }
-        })
-        .collect()
-}
-
 #[test]
 fn sharded_server_serves_gets_puts_stats_and_shuts_down() {
     let inst = Arc::new(default_instance(256, 3, 32, 7).unwrap());
@@ -291,7 +248,7 @@ fn mixed_requests(inst: &MlInstance) -> Vec<Request> {
         .collect()
 }
 
-/// `reqs` as [`sequential_model`] assumes they are sent.
+/// `reqs` as sent: level-1 requests are PUTs of an empty value.
 fn frames(reqs: &[Request]) -> Vec<Frame> {
     reqs.iter().map(|&r| request_frame(r, b"")).collect()
 }
@@ -322,12 +279,14 @@ fn pipelined_replies(stream: &TcpStream, frames: &[Frame]) -> Vec<Frame> {
 /// Pipelining: blast every request down the socket without reading a
 /// single reply, then read all replies — they must come back exactly in
 /// request order. Both that run and a closed-loop run of the same
-/// requests must equal the sequential model frame for frame.
+/// requests must equal the sequential reference frame for frame.
 #[test]
 fn closed_loop_and_pipelined_replies_match_the_sequential_model() {
     let inst = Arc::new(default_instance(256, 3, 32, 7).unwrap());
     let reqs = mixed_requests(&inst);
-    let model = sequential_model(&inst, &serve_cfg(4), &reqs);
+    let model = reference(&inst, &serve_cfg(4), &frames(&reqs))
+        .unwrap()
+        .replies;
 
     // Closed-loop run on a fresh server.
     let handle = start(Arc::clone(&inst), &serve_cfg(4)).unwrap();
@@ -374,8 +333,8 @@ fn closed_loop_and_pipelined_replies_match_the_sequential_model() {
 /// request on that connection is served by loop 0 and its reply crosses
 /// back; with three shards loop 1 owns shard 1 and the rest cross. The
 /// first connection stays idle on loop 0. Closed-loop and pipelined, the
-/// crossing connection's replies must equal the sequential model frame
-/// for frame.
+/// crossing connection's replies must equal the sequential reference
+/// frame for frame.
 #[test]
 fn requests_crossing_loops_match_the_sequential_model() {
     let inst = Arc::new(default_instance(256, 3, 32, 7).unwrap());
@@ -385,7 +344,7 @@ fn requests_crossing_loops_match_the_sequential_model() {
             io_threads: 2,
             ..serve_cfg(shards)
         };
-        let model = sequential_model(&inst, &cfg, &reqs);
+        let model = reference(&inst, &cfg, &frames(&reqs)).unwrap().replies;
 
         let handle = start(Arc::clone(&inst), &cfg).unwrap();
         let idle = TcpStream::connect(handle.addr()).unwrap(); // loop 0
@@ -428,7 +387,7 @@ fn a_client_that_never_reads_stalls_then_drains_in_order() {
     let reqs: Vec<Request> = (0..OFFERED as u32)
         .map(|i| Request::new((i * 7) % 256, 2))
         .collect();
-    let model = sequential_model(&inst, &cfg, &reqs);
+    let model = reference(&inst, &cfg, &frames(&reqs)).unwrap().replies;
     let handle = start(Arc::clone(&inst), &cfg).unwrap();
     let stream = TcpStream::connect(handle.addr()).unwrap();
     let mut observer = Client::connect(handle.addr());
@@ -646,15 +605,17 @@ fn removed_plane_flag_values_exit_2_before_binding() {
 /// A flag value that does not parse must not silently fall back to the
 /// default (`--shards 8x` used to serve with 1 shard): it is refused
 /// before the server binds, naming the flag. So is `--levels 0`, which
-/// used to panic building the instance.
+/// used to panic building the instance, and a `--value-size` above the
+/// wire's value cap, which used to clip every default value.
 #[test]
 fn unparsable_flag_values_exit_2_before_binding() {
-    let cases: [(&[&str], &str); 5] = [
+    let cases: [(&[&str], &str); 6] = [
         (&["--k", "8", "--shards", "8x"], "--shards 8x"),
         (&["--k", "sixteen"], "--k sixteen"),
         (&["--k", "8", "--batch", "-1"], "--batch -1"),
         (&["--k", "8", "--io-threads"], "--io-threads: missing value"),
         (&["--k", "8", "--levels", "0"], "--levels 0"),
+        (&["--k", "8", "--value-size", "40000"], "--value-size 40000"),
     ];
     for (flags, expect) in cases {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_wmlp-serve"))
@@ -1068,76 +1029,140 @@ fn plan_changes_under_two_loops_keep_every_connections_writes() {
     assert!(adopted, "no plan change adopted in the replay:\n{manifest}");
 }
 
-/// Every GET of a key returns its last acknowledged PUT, also after the
-/// router re-homes the key. One closed-loop connection PUTs page 0 once,
-/// then alternates GETs of page 0 with GETs of 200 background pages, so
-/// page 0 is the detector's hottest key from the first epoch on.
-///
-/// Each shard owns its own store and no value moves with a re-homed key,
-/// so under `replicate` (GETs round-robin over every shard) and `migrate`
-/// (the key's new shard) some GETs return the page's default value
-/// instead (DESIGN.md §8 "The drain"). Those two cases are ignored until
-/// the drain hands values across; run them with `--ignored` to see the
-/// stale reads.
-mod a_rehomed_key_serves_its_last_acked_put {
-    use super::*;
+/// The plan matrix's streams. `item17`: one PUT of page 0, then 1 000
+/// GETs of it interleaved with GETs of 200 background pages, so page 0 is
+/// the detector's hottest key from the first epoch on. `zipf`: 3 000
+/// Zipf(1.2) requests whose level-1 requests are PUTs of distinct values.
+fn plan_matrix_streams(inst: &MlInstance) -> [(&'static str, Vec<Frame>); 2] {
+    let get = |page: u32| request_frame(Request::new(page, 2), b"");
+    let mut item17 = vec![request_frame(Request::new(0, 1), b"the last acked PUT")];
+    for i in 0..1000 {
+        item17.extend([get(0), get(1 + i % 200)]);
+    }
+    let zipf = zipf_trace(inst, 1.2, 3_000, LevelDist::Uniform, 11)
+        .into_iter()
+        .enumerate()
+        .map(|(i, req)| request_frame(req, format!("put {i}").as_bytes()))
+        .collect();
+    [("item17", item17), ("zipf", zipf)]
+}
 
-    fn stale_reads(partition: &str) {
-        const GETS: usize = 1000;
-        const BACKGROUND: u32 = 200;
-        let inst = Arc::new(default_instance(256, 3, 32, 7).unwrap());
-        let cfg = ServeConfig {
-            io_threads: 1,
-            partition: partition.into(),
-            epoch_len: 64,
-            hot_k: 4,
-            detector_capacity: 16,
-            ..serve_cfg(4)
-        };
-        let acked = b"the last acked PUT".to_vec();
-        let handle = start(Arc::clone(&inst), &cfg).unwrap();
-        let mut client = Client::connect(handle.addr());
-        let put = client.roundtrip(&request_frame(Request::new(0, 1), &acked));
-        assert!(matches!(put, Frame::Served { .. }), "PUT: {put:?}");
-        let mut stale = Vec::new();
-        for i in 0..GETS {
-            match client.roundtrip(&request_frame(Request::new(0, 2), b"")) {
-                Frame::Served { value, .. } if value == acked => {}
-                Frame::Served { value, .. } => stale.push((i, value)),
-                other => panic!("GET {i} of page 0: unexpected reply {other:?}"),
+/// Run every stream of [`plan_matrix_streams`] under each of
+/// `partitions` with one and two event loops, sent closed-loop and
+/// pipelined, each on a fresh 4-shard server with epochs of 64 requests,
+/// `hot_k` 4 and a 16-entry detector. `check` gets each run's label, its
+/// replies, the STATS read after them and the sequential reference.
+fn plan_matrix(
+    partitions: &[&str],
+    mut check: impl FnMut(&str, &[Frame], &StatsPayload, &Reference),
+) {
+    let inst = Arc::new(default_instance(256, 3, 32, 7).unwrap());
+    for (stream, frames) in plan_matrix_streams(&inst) {
+        for &partition in partitions {
+            for io_threads in [1, 2] {
+                let cfg = ServeConfig {
+                    io_threads,
+                    partition: partition.into(),
+                    epoch_len: 64,
+                    hot_k: 4,
+                    detector_capacity: 16,
+                    ..serve_cfg(4)
+                };
+                let want = reference(&inst, &cfg, &frames).unwrap();
+                for mode in ["closed-loop", "pipelined"] {
+                    let handle = start(Arc::clone(&inst), &cfg).unwrap();
+                    let mut client = Client::connect(handle.addr());
+                    let replies = match mode {
+                        "pipelined" => pipelined_replies(client.writer.get_ref(), &frames),
+                        _ => frames.iter().map(|f| client.roundtrip(f)).collect(),
+                    };
+                    let Frame::StatsReply(stats) = client.roundtrip(&Frame::Stats) else {
+                        panic!("no STATS reply");
+                    };
+                    assert!(matches!(client.roundtrip(&Frame::Shutdown), Frame::Bye));
+                    handle.join();
+                    let label =
+                        format!("{stream}, --partition {partition}, {io_threads} loop(s), {mode}");
+                    check(&label, &replies, &stats, &want);
+                }
             }
-            let background = Request::new(1 + i as u32 % BACKGROUND, 2);
-            let reply = client.roundtrip(&request_frame(background, b""));
-            assert!(matches!(reply, Frame::Served { .. }), "{reply:?}");
         }
-        assert!(matches!(client.roundtrip(&Frame::Shutdown), Frame::Bye));
-        handle.join();
-        if let Some((first, value)) = stale.first() {
-            panic!(
-                "--partition {partition}: {} of {GETS} GETs of page 0 missed its last acked \
-                 PUT {:?}; the first, GET {first}, returned {} bytes starting {:02x?}",
-                stale.len(),
-                String::from_utf8_lossy(&acked),
-                value.len(),
-                &value[..value.len().min(8)]
+    }
+}
+
+/// Under every partition plan, one connection's replies carry the hit,
+/// level and cost the sequential reference gives, and the shards count
+/// what it counts: replicated PUTs on every shard, round-robin GETs and
+/// re-homed keys where the plan sends them. Under `hash` the values match
+/// too, so whole frames do.
+#[test]
+fn every_partition_plan_matches_the_reference_in_hit_level_and_cost() {
+    let hit_level_cost = |frame: &Frame| match frame {
+        Frame::Served {
+            hit, level, cost, ..
+        } => (*hit, *level, *cost),
+        other => panic!("unexpected reply {other:?}"),
+    };
+    let mut runs = 0;
+    plan_matrix(
+        &["hash", "replicate", "migrate"],
+        |label, replies, stats, want| {
+            runs += 1;
+            assert_eq!(replies.len(), want.replies.len(), "{label}");
+            for (i, (got, want)) in replies.iter().zip(&want.replies).enumerate() {
+                assert_eq!(
+                    hit_level_cost(got),
+                    hit_level_cost(want),
+                    "{label}: reply {i}"
+                );
+            }
+            let got: Vec<_> = stats
+                .shards
+                .iter()
+                .map(|s| (s.requests, s.hits, s.hits_l1))
+                .collect();
+            let expected: Vec<_> = want
+                .shards
+                .iter()
+                .map(|s| (s.requests, s.hits, s.hits_l1))
+                .collect();
+            assert_eq!(
+                got, expected,
+                "{label}: each shard's requests, hits and level-1 hits"
             );
+            let sum = |f: fn(&WireStats) -> u64| want.shards.iter().map(f).sum::<u64>();
+            assert_eq!(
+                (stats.total.fetches, stats.total.evictions, stats.total.cost),
+                (sum(|s| s.fetches), sum(|s| s.evictions), sum(|s| s.cost)),
+                "{label}: fetches, evictions and cost"
+            );
+            if label.contains("--partition hash") {
+                assert!(replies == want.replies, "{label}: values differ");
+            }
+        },
+    );
+    assert_eq!(runs, 24);
+}
+
+/// Every GET returns its page's last acked PUT under `replicate` and
+/// `migrate` too, also after the router re-homes the key. Each shard owns
+/// its own store and no value moves with a re-homed key, so today some
+/// GETs return an older value or the page's default instead (DESIGN.md
+/// §8 "The drain"); run with `--include-ignored` to count them per run.
+#[test]
+#[ignore = "ROADMAP item 17"]
+fn every_partition_plan_serves_the_last_acked_put() {
+    let mut stale = Vec::new();
+    plan_matrix(&["replicate", "migrate"], |label, replies, _, want| {
+        let differ = replies.iter().zip(&want.replies);
+        let n = differ.filter(|(got, want)| got != want).count();
+        if n > 0 {
+            stale.push(format!("{label}: {n} of {} values", replies.len()));
         }
-    }
-
-    #[test]
-    fn hash() {
-        stale_reads("hash");
-    }
-
-    #[test]
-    #[ignore = "ROADMAP item 17"]
-    fn replicate() {
-        stale_reads("replicate");
-    }
-
-    #[test]
-    #[ignore = "ROADMAP item 17"]
-    fn migrate() {
-        stale_reads("migrate");
-    }
+    });
+    assert!(
+        stale.is_empty(),
+        "GETs missed the last acked PUT:\n{}",
+        stale.join("\n")
+    );
 }

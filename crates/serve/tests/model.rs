@@ -248,7 +248,7 @@ fn rehoming_spec() -> PartitionSpec {
 
 impl World {
     /// The shards loop `me` owns, each an lru policy on a [`Recording`]
-    /// store, built on the calling (loop) thread.
+    /// store, as `start` builds them before it spawns the loop.
     fn own_shards(&self, me: usize) -> LocalShards {
         let inst = tiny_instance();
         let mut shards = LocalShards::new(2);
