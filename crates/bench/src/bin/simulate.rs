@@ -17,11 +17,13 @@
 //! computes the exact offline optimum (flow for 1-level instances, DP for
 //! small multi-level ones) and prints competitive ratios. `--json <path>`
 //! writes the run manifest (costs, ledgers, engine counters) as JSON.
+//! A flag the subcommand does not read, or a flag value that does not
+//! parse, exits 2 before anything is generated, read or run.
 
 use std::process::ExitCode;
 
 use wmlp_algos::PolicyRegistry;
-use wmlp_core::cli::{flag, flag_parse, switch};
+use wmlp_core::cli::{check_flags, flag, flag_parse, switch};
 use wmlp_core::codec;
 use wmlp_core::instance::MlInstance;
 use wmlp_sim::runner::{Runner, RunnerError, Scenario};
@@ -52,16 +54,23 @@ fn list_policies() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+fn fail(msg: &str) -> ! {
+    eprintln!("simulate: {msg}");
+    std::process::exit(2)
+}
+
 /// [`flag_parse`], with a missing or unparsable value exiting 2 before
 /// anything is generated, read or run.
 fn parsed<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    flag_parse(args, name, default).unwrap_or_else(|e| {
-        eprintln!("simulate: {e}");
-        std::process::exit(2)
-    })
+    flag_parse(args, name, default).unwrap_or_else(|e| fail(&e))
 }
 
 fn gen(args: &[String]) -> ExitCode {
+    check_flags(
+        args,
+        "--alpha --k --len --levels --out-instance --out-trace --pages --seed",
+    )
+    .unwrap_or_else(|e| fail(&e));
     let k = parsed(args, "--k", 16usize);
     let pages = parsed(args, "--pages", 128usize);
     let levels = parsed(args, "--levels", 1u8);
@@ -121,6 +130,7 @@ fn gen(args: &[String]) -> ExitCode {
 }
 
 fn run(args: &[String]) -> ExitCode {
+    check_flags(args, "--alg --instance --json --opt --seed --trace").unwrap_or_else(|e| fail(&e));
     let (Some(inst_path), Some(trace_path)) = (flag(args, "--instance"), flag(args, "--trace"))
     else {
         eprintln!("run requires --instance and --trace");

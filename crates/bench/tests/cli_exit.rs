@@ -1,14 +1,21 @@
-//! A flag value that does not parse must not silently run a different
-//! experiment (`simulate gen --k sixteen` used to generate for `k = 16`):
-//! the binary refuses it with exit 2 and one line naming the flag, before
-//! generating or writing anything (as it does `--levels 0` and an
-//! `--alpha` that is negative or not finite, which used to panic).
+//! A flag value that does not parse, or a flag the subcommand does not
+//! read, must not silently run a different experiment (`simulate gen --k
+//! sixteen` used to generate for `k = 16`, and `--lenght 50` 10 000
+//! requests): the binary refuses it with exit 2 and one line naming the
+//! flag, before reading, generating or writing anything (as it does
+//! `--levels 0` and an `--alpha` that is negative or not finite, which
+//! used to panic).
 //! `experiments` refuses an unknown id the same way, and its exit status
 //! reports results it could not write.
 
 #[test]
 fn unparsable_flag_values_exit_2_before_any_work() {
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 9] = [
+        (&["gen", "--lenght", "50"], "--lenght: unknown flag"),
+        (
+            &["run", "--instance", "i.wmlp", "--optt"],
+            "--optt: unknown flag",
+        ),
         (&["gen", "--k", "sixteen"], "--k sixteen"),
         (&["gen", "--len", "10k"], "--len 10k"),
         (&["gen", "--len"], "--len: missing value"),

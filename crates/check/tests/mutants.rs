@@ -1,9 +1,10 @@
 //! Seeded-mutant corpus: known concurrency bugs the checker must catch.
 //!
-//! `MiniRing` is a miniature bounded SPSC ring mirroring the notify
-//! protocol of `wmlp-serve::spsc`, parameterised by three seeded
-//! mutations — each a real bug class the serving stack's reviews have
-//! flagged before:
+//! `MiniRing` is a miniature bounded SPSC ring built on a mutex and a
+//! condvar — the notify protocol `wmlp-serve::spsc` used before it
+//! became a wrapper over std's bounded channel — parameterised by three
+//! seeded mutations, each a real bug class the serving stack's reviews
+//! have flagged before:
 //!
 //! - `drop_notify`: `push` forgets `notify_one` after enqueueing (lost
 //!   wakeup — a parked consumer never wakes);

@@ -20,12 +20,6 @@ impl Action {
             Action::Fetch(c) | Action::Evict(c) => c,
         }
     }
-
-    /// Is this a fetch?
-    #[inline]
-    pub fn is_fetch(&self) -> bool {
-        matches!(self, Action::Fetch(_))
-    }
 }
 
 /// The ordered list of actions an algorithm performed while serving one
@@ -79,7 +73,7 @@ mod tests {
             vec![CopyRef::new(1, 1), CopyRef::new(3, 1)]
         );
         assert_eq!(log.fetches().collect::<Vec<_>>(), vec![CopyRef::new(2, 2)]);
-        assert!(log.actions[1].is_fetch());
+        assert!(matches!(log.actions[1], Action::Fetch(_)));
         assert_eq!(log.actions[0].copy(), CopyRef::new(1, 1));
     }
 }

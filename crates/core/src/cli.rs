@@ -27,6 +27,19 @@ pub fn flag_parse<T: std::str::FromStr>(
     }
 }
 
+/// Every `--name` token in `args` is one of the whitespace-separated
+/// names in `known`; otherwise an `Err` naming the first that is not. A
+/// misspelled flag would otherwise be skipped and its default used, so
+/// each binary checks this before it reads, binds or writes anything
+/// and maps the `Err` to its exit 2.
+pub fn check_flags(args: &[String], known: &str) -> Result<(), String> {
+    let is_known = |a: &str| known.split_whitespace().any(|k| k == a);
+    match args.iter().find(|a| a.starts_with("--") && !is_known(a)) {
+        Some(unknown) => Err(format!("{unknown}: unknown flag")),
+        None => Ok(()),
+    }
+}
+
 /// Is the bare switch `name` present?
 pub fn switch(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
@@ -63,6 +76,17 @@ mod tests {
         assert!(garbage.contains("--k sixteen"), "{garbage}");
         let missing = flag_parse(&a, "--seed", 0u64).unwrap_err();
         assert!(missing.contains("--seed"), "{missing}");
+    }
+
+    #[test]
+    fn check_flags_names_the_first_unknown_flag() {
+        let known = "--seed --opt";
+        assert_eq!(
+            check_flags(&args(&["run", "--seed", "-1", "--opt"]), known),
+            Ok(())
+        );
+        let err = check_flags(&args(&["--seed", "9", "--sead", "3", "--polcy"]), known);
+        assert_eq!(err, Err("--sead: unknown flag".to_string()));
     }
 
     #[test]

@@ -248,11 +248,6 @@ impl Conn {
         self.inbound.pop()
     }
 
-    /// Bytes buffered inbound but not yet decodable as a whole frame.
-    pub fn inbound_buffered(&self) -> usize {
-        self.inbound.buffered()
-    }
-
     /// Queue `frame` for transmission.
     pub fn enqueue(&mut self, frame: &Frame) {
         // Reclaim fully flushed output before appending more.
@@ -504,7 +499,7 @@ mod tests {
             got.push(f);
         }
         assert_eq!(got, sample_frames());
-        assert_eq!(server.inbound_buffered(), 0);
+        assert_eq!(server.inbound.buffered(), 0);
         assert!(!client.wants_write());
         // Flushed output is reclaimed: a fresh enqueue starts at zero.
         client.enqueue(&Frame::Stats);

@@ -288,9 +288,9 @@ pub fn encode(frame: &Frame, out: &mut Vec<u8>) {
             out.push(*level);
         }
         Frame::Put { page, value } => {
-            // Values beyond MAX_VALUE are clipped rather than emitting an
-            // undecodable frame; storage backends reject them upstream.
-            let value = &value[..value.len().min(MAX_VALUE)];
+            // A value beyond MAX_VALUE is sent whole, never clipped:
+            // `decode` refuses it, so the server answers BadRequest
+            // instead of acknowledging a write it did not store.
             push_header(out, opcode::PUT, 8 + value.len());
             out.extend_from_slice(&page.to_le_bytes());
             out.extend_from_slice(&(value.len() as u32).to_le_bytes());
@@ -734,20 +734,6 @@ mod tests {
         });
         bad[HEADER_LEN + 10..HEADER_LEN + 14].copy_from_slice(&1u32.to_le_bytes());
         assert!(matches!(decode(&bad), Err(WireError::BadPayload(_))));
-    }
-
-    #[test]
-    fn oversized_values_are_clipped_at_encode_time() {
-        let frame = Frame::Put {
-            page: 3,
-            value: vec![7u8; MAX_VALUE + 100],
-        };
-        let bytes = encode_to_vec(&frame);
-        let (back, _) = decode(&bytes).unwrap().expect("complete");
-        match back {
-            Frame::Put { value, .. } => assert_eq!(value.len(), MAX_VALUE),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

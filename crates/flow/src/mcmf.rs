@@ -108,11 +108,6 @@ impl MinCostFlow {
         self.cost.reserve_exact(2 * additional);
     }
 
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.n
-    }
-
     /// Source node of arc `a` (= head of its paired reverse arc).
     #[inline]
     fn src(&self, a: usize) -> usize {
@@ -453,7 +448,6 @@ mod tests {
         g.add_edge(0, 1, 3, -7);
         g.min_cost_flow(0, 1, 3);
         g.reset(2);
-        assert_eq!(g.num_nodes(), 2);
         let e = g.add_edge(0, 1, 4, 2);
         let (f, c) = g.min_cost_flow(0, 1, 10);
         assert_eq!((f, c), (4, 8));

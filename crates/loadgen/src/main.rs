@@ -25,16 +25,25 @@
 //! wmlp-loadgen --smoke --pipeline 16 --out SERVE.json
 //! ```
 //!
-//! A flag value that does not parse, `--levels 0`, an `--alpha` that is
+//! A flag it does not read, a flag value that does not parse, `--levels
+//! 0`, a `--value-size` above the wire's value cap, an `--alpha` that is
 //! negative or not finite, or a flag removed with the old
 //! thread-per-connection client (`--connections`, `--client-threads`) or
 //! with the open-loop mode (open-loop load is the `open-mem` workload of
 //! `benchmark/run.sh`) exits 2 with a one-line message before anything
 //! connects or spawns.
 
-use wmlp_core::cli::{flag, flag_parse, switch};
+use wmlp_core::cli::{check_flags, flag, flag_parse, switch};
+use wmlp_core::storage::MAX_VALUE;
 use wmlp_loadgen::{run, zipf_head_mass, LoadgenConfig, Workload};
 use wmlp_workloads::valid_zipf_alpha;
+
+/// Every flag `wmlp-loadgen` reads, the removed ones included (they are
+/// read to be refused); any other `--name` exits 2.
+const FLAGS: &str = "--addr --alpha --client-threads --conns --connections --detector \
+    --epoch-len --hot-k --k --levels --no-shutdown --out --pages --partition --pipeline --policy \
+    --rate --requests --seed --shards --smoke --spawn --sweep --value-size --weight-seed \
+    --workload --write-ratio";
 
 fn fail(msg: &str) -> ! {
     eprintln!("wmlp-loadgen: {msg}");
@@ -48,6 +57,7 @@ fn parsed<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    check_flags(&args, FLAGS).unwrap_or_else(|e| fail(&e));
     for removed in ["--connections", "--client-threads"] {
         if switch(&args, removed) {
             fail(&format!(
@@ -115,6 +125,12 @@ fn main() {
     };
     if cfg.levels == 0 {
         fail("--levels 0: an instance needs at least one level");
+    }
+    if cfg.value_size > MAX_VALUE {
+        fail(&format!(
+            "--value-size {}: above the {MAX_VALUE}-byte value cap",
+            cfg.value_size
+        ));
     }
 
     // For Zipf-family workloads, say up front how concentrated the

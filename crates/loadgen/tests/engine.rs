@@ -68,13 +68,17 @@ fn many_connections_run_on_few_client_threads() {
 }
 
 /// A flag value that does not parse used to fall back to the default
-/// (`--requests 10k` ran 20 000), `--levels 0` and `--alpha -1` panicked,
-/// and flags of the removed thread-per-connection client and open-loop
-/// mode would vanish without a word (a stale `--rate` would run
-/// closed-loop). All are refused before anything connects or spawns.
+/// (`--requests 10k` ran 20 000), and so did a misspelled flag
+/// (`--requets 100`); `--levels 0` and `--alpha -1` panicked; a
+/// `--value-size` above the wire's value cap sent PUTs the server must
+/// refuse; and flags of the removed thread-per-connection client and
+/// open-loop mode would vanish without a word (a stale `--rate` would
+/// run closed-loop). All are refused before anything connects or spawns.
 #[test]
 fn unparsable_and_removed_flags_exit_2_before_connecting() {
-    let cases: [(&[&str], &str); 10] = [
+    let cases: [(&[&str], &str); 12] = [
+        (&["--requets", "100"], "--requets: unknown flag"),
+        (&["--value-size", "40000"], "--value-size 40000"),
         (&["--requests", "10k"], "--requests 10k"),
         (&["--conns", "x"], "--conns x"),
         (&["--levels", "0"], "--levels 0"),

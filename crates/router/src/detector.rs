@@ -110,19 +110,6 @@ impl SpaceSaving {
         self.counters.get(&page).copied()
     }
 
-    /// The `k` heaviest tracked pages as `(page, estimated count)`,
-    /// ordered by count descending then page id ascending.
-    pub fn top_k(&self, k: usize) -> Vec<(PageId, u64)> {
-        let mut all: Vec<(PageId, u64)> = self
-            .counters
-            .iter()
-            .map(|(page, c)| (*page, c.count))
-            .collect();
-        all.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        all.truncate(k);
-        all
-    }
-
     /// All tracked counters, keyed by page id (ascending).
     pub fn iter(&self) -> impl Iterator<Item = (&PageId, &Counter)> {
         self.counters.iter()
@@ -182,7 +169,8 @@ mod tests {
                 puts: 0
             })
         );
-        assert_eq!(d.top_k(2), vec![(3, 5), (7, 2)]);
+        let tracked: Vec<(PageId, u64)> = d.iter().map(|(p, c)| (*p, c.count)).collect();
+        assert_eq!(tracked, vec![(3, 5), (7, 2)]);
         assert_eq!(d.total(), 7);
     }
 
@@ -216,19 +204,6 @@ mod tests {
         assert_eq!(d.estimate(5), None);
         assert!(d.estimate(9).is_some());
         assert!(d.estimate(7).is_some());
-    }
-
-    #[test]
-    fn top_k_orders_by_count_then_page() {
-        let mut d = SpaceSaving::new(8);
-        for page in [4, 2, 4, 9, 2, 4] {
-            get(&mut d, page);
-        }
-        assert_eq!(d.top_k(10), vec![(4, 3), (2, 2), (9, 1)]);
-        let mut tied = SpaceSaving::new(8);
-        get(&mut tied, 6);
-        get(&mut tied, 1);
-        assert_eq!(tied.top_k(10), vec![(1, 1), (6, 1)]);
     }
 
     #[test]

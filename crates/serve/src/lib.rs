@@ -26,9 +26,9 @@
 //!   request themselves and serving their own shards in the same
 //!   iteration, pipelined in-order replies, readiness-driven
 //!   backpressure.
-//! * [`spsc`] — a bounded single-producer/single-consumer ring. It is no
-//!   longer on the serving path; the benchmark's layer probes still time
-//!   it.
+//! * [`spsc`] — a bounded single-producer/single-consumer channel over
+//!   std's `sync_channel`. It is no longer on the serving path; the
+//!   benchmark's layer probes still time it.
 //! * [`replay`] — `--replay` mode: a single-engine canonical reference
 //!   run whose JSON manifest is byte-identical across repeats, machines,
 //!   and shard counts.

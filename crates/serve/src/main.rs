@@ -27,15 +27,23 @@
 //! format) or generated from `--pages/--levels/--k/--weight-seed` exactly
 //! like `simulate gen`, so a loadgen configured with the same tuple
 //! targets the same instance.
+//!
+//! A flag it does not read, or a flag value that does not parse, exits 2
+//! with a one-line message before anything is read, bound or written.
 
 use std::sync::Arc;
 
-use wmlp_core::cli::{flag, flag_parse};
+use wmlp_core::cli::{check_flags, flag, flag_parse};
 use wmlp_core::codec;
 use wmlp_core::instance::MlInstance;
 use wmlp_router::PartitionMode;
 use wmlp_serve::{default_instance, replay_manifest, server, ServeConfig};
 use wmlp_store::RecoverMode;
+
+/// Every flag `wmlp-serve` reads; any other `--name` exits 2.
+const FLAGS: &str = "--addr --batch --detector --epoch-len --hot-k --instance --io-mode \
+    --io-threads --k --levels --max-inflight --out --pages --partition --plan-shards --policy \
+    --recover --replay --seed --shards --store --value-size --weight-seed";
 
 fn fail(msg: &str) -> ! {
     eprintln!("wmlp-serve: {msg}");
@@ -101,6 +109,7 @@ fn parse_config(args: &[String]) -> ServeConfig {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    check_flags(&args, FLAGS).unwrap_or_else(|e| fail(&e));
     // `--io-mode epoll` is still accepted (existing command lines pass
     // it); it names the only plane there is.
     if let Some(mode) = flag(&args, "--io-mode").filter(|&m| m != "epoll") {

@@ -17,7 +17,7 @@ use std::time::Duration;
 use wmlp_core::codec;
 use wmlp_core::conn::{write_frame, FrameReader};
 use wmlp_core::instance::{MlInstance, Request};
-use wmlp_core::storage::default_value;
+use wmlp_core::storage::{default_value, MAX_VALUE};
 use wmlp_core::wire::{request_frame, ErrorCode, Frame, StatsPayload, WireStats};
 use wmlp_serve::server::{start, ServeConfig};
 use wmlp_serve::{default_instance, reference, replay_manifest, Reference};
@@ -458,6 +458,31 @@ fn corrupt_bytes_get_an_error_then_disconnect() {
     handle.shutdown_and_join();
 }
 
+/// A PUT whose value exceeds the wire's value cap is refused, not stored
+/// clipped: the server answers BadRequest and hangs up, and a GET on a
+/// fresh connection still reads the page's default value.
+#[test]
+fn an_oversized_put_is_refused_and_stores_nothing() {
+    let inst = Arc::new(default_instance(64, 2, 8, 7).unwrap());
+    let cfg = serve_cfg(1);
+    let handle = start(inst, &cfg).unwrap();
+    let mut put = Client::connect(handle.addr());
+    let value = vec![7u8; MAX_VALUE + 100];
+    match put.roundtrip(&Frame::Put { page: 3, value }) {
+        Frame::Error { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
+        other => panic!("an oversized PUT was answered with {other:?}"),
+    }
+    assert!(matches!(put.reader.next_frame(), Ok(None) | Err(_)));
+    let mut get = Client::connect(handle.addr());
+    let mut default = Vec::new();
+    default_value(3, cfg.default_value_size().unwrap(), &mut default);
+    match get.roundtrip(&Frame::Get { page: 3, level: 2 }) {
+        Frame::Served { value, .. } => assert_eq!(value, default, "page 3 kept its default"),
+        other => panic!("unexpected reply {other:?}"),
+    }
+    handle.shutdown_and_join();
+}
+
 #[test]
 fn requests_after_shutdown_are_refused_but_drained_work_completes() {
     let inst = Arc::new(default_instance(64, 2, 8, 7).unwrap());
@@ -605,11 +630,17 @@ fn removed_plane_flag_values_exit_2_before_binding() {
 /// A flag value that does not parse must not silently fall back to the
 /// default (`--shards 8x` used to serve with 1 shard): it is refused
 /// before the server binds, naming the flag. So is `--levels 0`, which
-/// used to panic building the instance, and a `--value-size` above the
-/// wire's value cap, which used to clip every default value.
+/// used to panic building the instance, a `--value-size` above the
+/// wire's value cap, which used to clip every default value, and a flag
+/// the server does not read (`--polcy x` used to replay with `lru`),
+/// refused before the instance or trace is read.
 #[test]
 fn unparsable_flag_values_exit_2_before_binding() {
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 7] = [
+        (
+            &["--replay", "t.wmlp", "--instance", "i.wmlp", "--polcy", "x"],
+            "--polcy: unknown flag",
+        ),
         (&["--k", "8", "--shards", "8x"], "--shards 8x"),
         (&["--k", "sixteen"], "--k sixteen"),
         (&["--k", "8", "--batch", "-1"], "--batch -1"),

@@ -1,39 +1,33 @@
 //! Model-checked properties of the serving stack's concurrency primitives.
 //!
-//! Every test runs the *real* production code (`spsc`, `Router`,
-//! `ShardQueues`, `LocalShards`, `DrainGate`, `CompletionQueue`) under
-//! the `wmlp-check` exhaustive interleaving explorer. Model event loops
-//! stand in for `run_io_loop`: each serves its own shards through the
-//! real `LocalShards`, hands replies for another loop's connections over
-//! that loop's real `CompletionQueue` (one batch, one ring per pass),
-//! and sleeps on a model doorbell with eventfd counting semantics. The
-//! checked properties:
+//! Every test runs the *real* production code (`Router`, `ShardQueues`,
+//! `LocalShards`, `DrainGate`, `CompletionQueue`) under the `wmlp-check`
+//! exhaustive interleaving explorer, which reports any deadlock on its
+//! own. Model event loops stand in for `run_io_loop`: each serves its
+//! own shards through the real `LocalShards`, hands replies for another
+//! loop's connections over that loop's real `CompletionQueue` (one batch,
+//! one ring per pass), and sleeps on a model doorbell with eventfd
+//! counting semantics. The checked properties:
 //!
-//! 1. no lost wakeups   — every blocking `spsc` handoff completes in every
-//!    schedule
-//! 2. no deadlock       — detected automatically by the explorer
-//! 3. `spsc` close drains all items
-//! 4. `recv_batch` ≡ sequential `recv` × n
-//! 5. a loop whose own connections have drained still serves a peer
+//! 1. a loop whose own connections have drained still serves a peer
 //!    loop's queued job before it exits — and the seeded mutant that
 //!    stops serving once its own connections drain is caught
-//! 6. the non-blocking migration drain (the real `Router::dispatch` with
+//! 2. the non-blocking migration drain (the real `Router::dispatch` with
 //!    a real `Partitioner` re-homing a key onto another loop's shard)
 //!    keeps that key's requests in route order in every schedule — and
 //!    the seeded mutant that bumps the epoch *without* draining is caught
-//! 7. the eventfd wakeup handshake: the real `CompletionQueue` over a
+//! 3. the eventfd wakeup handshake: the real `CompletionQueue` over a
 //!    model doorbell with eventfd *counting* semantics loses no wakeup in
 //!    any schedule, a completion racing a shutdown ring is never
 //!    stranded, and the seeded dropped-notify mutant (a bell that
 //!    publishes its count but never notifies) is caught as a deadlock
-//! 8. two loops, each owning one shard, route into each other's shards
+//! 4. two loops, each owning one shard, route into each other's shards
 //!    through a plan change with no deadlock, every request answered
 //!    once, and no per-connection reordering
 //!
-//! Fixtures are deliberately tiny (ring capacities 1–2, ≤ 2 loops, 1–3
-//! requests) — exhaustive exploration is exponential in yield points —
-//! and each test also asserts determinism where the schedule count is
-//! part of the contract.
+//! Fixtures are deliberately tiny (≤ 2 loops, 1–3 requests) — exhaustive
+//! exploration is exponential in yield points — and the explorer's own
+//! determinism is checked on the property 1 fixture.
 
 // lint:orderings(SeqCst): the fixtures publish a flag or a count before
 // ringing a bell; the strongest ordering keeps the model's
@@ -48,7 +42,6 @@ use wmlp_router::{PartitionMode, PartitionSpec};
 use wmlp_serve::notify::{CompletionQueue, Doorbell};
 use wmlp_serve::server::Router;
 use wmlp_serve::shard::{ConnAddr, LocalShards, ReplyTo, ShardJob, ShardMsg, ShardStats};
-use wmlp_serve::spsc;
 
 use wmlp_check::thread::spawn_named;
 use wmlp_core::instance::{MlInstance, Request};
@@ -56,97 +49,6 @@ use wmlp_core::storage::{SimStorage, Storage, StorageError, StorageSnapshot};
 
 fn cfg() -> Config {
     Config::default()
-}
-
-/// Properties 1 + 2: a capacity-1 ring forces strict producer/consumer
-/// alternation through both condvars; any lost wakeup or deadlock in the
-/// notify protocol fails some schedule.
-#[test]
-fn spsc_capacity_one_handoff_never_loses_a_wakeup() {
-    let report = explore(cfg(), || {
-        let (tx, rx) = spsc::channel::<u32>(1);
-        let producer = spawn_named("producer", move || {
-            for i in 0..3u32 {
-                assert!(tx.send(i).is_ok(), "receiver alive during send");
-            }
-        });
-        let mut got = Vec::new();
-        while let Some(v) = rx.recv() {
-            got.push(v);
-        }
-        assert_eq!(got, vec![0, 1, 2], "items in order, none lost");
-        producer.join().expect("join producer");
-    });
-    assert!(report.failure.is_none(), "{}", report.failure.unwrap());
-    assert!(!report.truncated, "fixture must be exhaustively explored");
-}
-
-/// Property 3: dropping the sender closes the ring, and the receiver still
-/// sees every item that was accepted before the close.
-#[test]
-fn spsc_close_drains_all_accepted_items() {
-    let report = explore(cfg(), || {
-        let (tx, rx) = spsc::channel::<u32>(4);
-        let producer = spawn_named("producer", move || {
-            for i in 0..3u32 {
-                assert!(tx.send(i).is_ok());
-            }
-            // tx drops here: the ring closes with items possibly queued.
-        });
-        let mut got = Vec::new();
-        while let Some(v) = rx.recv() {
-            got.push(v);
-        }
-        assert_eq!(got, vec![0, 1, 2], "close must drain, not drop");
-        producer.join().expect("join producer");
-    });
-    assert!(report.failure.is_none(), "{}", report.failure.unwrap());
-    assert!(!report.truncated);
-}
-
-/// Property 4: under every interleaving, draining via `recv_batch` yields
-/// exactly the sequence sequential `recv` calls would — the batch API is
-/// an amortization, not a semantic change.
-#[test]
-fn spsc_recv_batch_equals_sequential_recv() {
-    let run = |batched: bool| {
-        explore(cfg(), move || {
-            let (tx, rx) = spsc::channel::<u32>(2);
-            let producer = spawn_named("producer", move || {
-                for i in 0..3u32 {
-                    assert!(tx.send(i).is_ok());
-                }
-            });
-            let mut got = Vec::new();
-            if batched {
-                let mut batch = Vec::new();
-                loop {
-                    batch.clear();
-                    let n = rx.recv_batch(&mut batch, 2);
-                    if n == 0 {
-                        break;
-                    }
-                    assert!(n <= 2, "batch respects max");
-                    got.extend_from_slice(&batch);
-                }
-            } else {
-                while let Some(v) = rx.recv() {
-                    got.push(v);
-                }
-            }
-            assert_eq!(got, vec![0, 1, 2], "same drain order either way");
-            producer.join().expect("join producer");
-        })
-    };
-    let batched = run(true);
-    let sequential = run(false);
-    assert!(batched.failure.is_none(), "{}", batched.failure.unwrap());
-    assert!(
-        sequential.failure.is_none(),
-        "{}",
-        sequential.failure.unwrap()
-    );
-    assert!(!batched.truncated && !sequential.truncated);
 }
 
 /// A shard's in-memory store that logs every value access as
@@ -345,7 +247,7 @@ impl World {
     }
 }
 
-/// Property 5 fixture: one shard, two loops. Loop 0 owns the shard and
+/// Property 1 fixture: one shard, two loops. Loop 0 owns the shard and
 /// has no connections left (it counts itself out at once); loop 1 owns
 /// no shard, so its one request crosses to loop 0, and its reply comes
 /// back over loop 1's completion queue. Returns loop 1's replies.
@@ -362,7 +264,7 @@ fn drained_owner_serves_a_peer(wait_for_peers: bool) -> Vec<(u64, u64)> {
     got
 }
 
-/// Property 5: a loop whose own connections have drained keeps serving
+/// Property 1: a loop whose own connections have drained keeps serving
 /// until every loop has, so a peer's job queued on its shard is answered
 /// in every schedule, and both loops exit.
 #[test]
@@ -375,7 +277,7 @@ fn a_drained_loop_serves_a_peers_job_before_it_exits() {
     assert!(!report.truncated, "fixture must be exhaustively explored");
 }
 
-/// Property 5 (seeded mutant): a loop that stops serving as soon as its
+/// Property 1 (seeded mutant): a loop that stops serving as soon as its
 /// own connections have drained. The checker must find the schedule
 /// where it exits before the peer's job arrives, leaving the peer asleep
 /// with nobody to serve it — reported as a deadlock.
@@ -398,7 +300,7 @@ fn page0_shards(log: mpsc::Receiver<(usize, u32)>) -> Vec<usize> {
         .collect()
 }
 
-/// Property 6 (correct protocol): loop 0 routes pages 2, 0, 0 from one
+/// Property 2 (correct protocol): loop 0 routes pages 2, 0, 0 from one
 /// connection through the real [`Router::dispatch`]; the epoch boundary
 /// before the third request re-homes page 0 from shard 0 (loop 0's) to
 /// shard 1 (loop 1's). Dispatch only queues drain markers and returns;
@@ -438,7 +340,7 @@ fn migration_drain_preserves_per_key_ordering() {
     assert!(!report.truncated, "fixture must be exhaustively explored");
 }
 
-/// Property 6 (seeded mutant): a hand-rolled router that bumps the epoch
+/// Property 2 (seeded mutant): a hand-rolled router that bumps the epoch
 /// *without* draining — page 0 goes to shard 0 under the old plan, then
 /// straight onto shard 1's queue under the new one, with no marker
 /// between. Loop 1 can serve the re-homed request before loop 0 serves
@@ -478,7 +380,7 @@ fn epoch_bump_without_drain_is_caught() {
     );
 }
 
-/// Property 8: two loops, each owning one shard, route into each other's
+/// Property 4: two loops, each owning one shard, route into each other's
 /// shards. Loop 0 routes page 0 twice on connection 0, loop 1 page 2
 /// (hash-homed on loop 0's shard) once on connection 1; whenever page 2
 /// is routed before page 0's second request, the epoch boundary re-homes
@@ -561,7 +463,7 @@ impl Doorbell for ModelBell {
     }
 }
 
-/// Property 7 (no lost wakeup): two peer loops push replies onto the
+/// Property 3 (no lost wakeup): two peer loops push replies onto the
 /// real [`CompletionQueue`] while the event loop waits on the model
 /// bell. In every schedule the loop collects both completions — a ring
 /// landing between the loop's drain and its next wait is accumulated by
@@ -595,7 +497,7 @@ fn eventfd_handshake_never_loses_a_wakeup() {
     assert!(!report.truncated, "fixture must be exhaustively explored");
 }
 
-/// Property 7 (concurrent close): a peer loop's reply races
+/// Property 3 (concurrent close): a peer loop's reply races
 /// `trigger_shutdown`'s ring. The loop keeps waiting until it has seen
 /// *both* the shutdown flag and the in-flight completion — mirroring the
 /// production loop, which only exits once its connections have drained.
@@ -629,7 +531,7 @@ fn completion_racing_a_shutdown_ring_is_never_stranded() {
     assert!(!report.truncated);
 }
 
-/// Property 7 (seeded mutant): a bell that publishes its count but never
+/// Property 3 (seeded mutant): a bell that publishes its count but never
 /// notifies. The checker must find the schedule where the loop parks on
 /// the condvar *before* the peer rings — a consumer asleep with work
 /// published and nobody left to wake it, reported as a deadlock.
@@ -656,22 +558,12 @@ fn dropped_notify_mutant_is_caught() {
 }
 
 /// The explorer itself is deterministic on production code: the same
-/// fixture and bounds give the same schedule and prune counts.
+/// serving-path fixture and bounds give the same schedule and prune
+/// counts.
 #[test]
 fn exploration_of_production_code_is_deterministic() {
     let body = || {
-        let (tx, rx) = spsc::channel::<u32>(1);
-        let producer = spawn_named("producer", move || {
-            for i in 0..2u32 {
-                assert!(tx.send(i).is_ok());
-            }
-        });
-        let mut got = Vec::new();
-        while let Some(v) = rx.recv() {
-            got.push(v);
-        }
-        assert_eq!(got, vec![0, 1]);
-        producer.join().expect("join producer");
+        assert_eq!(drained_owner_serves_a_peer(true), vec![(5, 0)]);
     };
     let r1 = explore(cfg(), body);
     let r2 = explore(cfg(), body);

@@ -60,11 +60,6 @@ impl PhasedLowerBound {
         &self.red
     }
 
-    /// Number of phases `h`.
-    pub fn num_phases(&self) -> usize {
-        self.phases.len()
-    }
-
     /// The elements requested in phase `i`.
     pub fn phase_elements(&self, i: usize) -> &[usize] {
         &self.phases[i]
@@ -134,7 +129,7 @@ mod tests {
         let plb = PhasedLowerBound::random(&sys, 6, 2, 4, 3, 1);
         let (_, cost) = plb.offline_schedule(&sys);
         // Per-phase cost = c(w+1) + 2t; sum over phases.
-        let expected: u64 = (0..plb.num_phases())
+        let expected: u64 = (0..plb.phases.len())
             .map(|i| {
                 let els = plb.phase_elements(i);
                 let c = sys.min_cover(els).len() as u64;
