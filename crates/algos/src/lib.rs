@@ -11,7 +11,8 @@
 //!   `O(log k)` against the fractional cost.
 //! * [`randomized::RandomizedMlPaging`] — fractional + rounding composed
 //!   into the `O(log² k)`-competitive randomized algorithm (Theorems 1.2
-//!   and 1.5).
+//!   and 1.5); [`randomized::run_seed_group`] runs many seeds and `β`s of
+//!   it over one fractional pass.
 //!
 //! Classical baselines for the evaluation suite:
 //!
@@ -52,7 +53,7 @@ pub use adapters::{run_ml_policy_on_writeback, WbViaRwResult};
 pub use baselines::{Fifo, Landlord, Lru, Marking};
 pub use fractional::FracMultiplicative;
 pub use quantize::Quantized;
-pub use randomized::RandomizedMlPaging;
+pub use randomized::{run_seed_group, GroupRun, OnSteps, RandomizedMlPaging, SeedCell};
 pub use registry::{PolicyRegistry, PolicySpec, WbPolicyRegistry};
 pub use rounding::RoundingML;
 pub use waterfill::WaterFill;

@@ -8,9 +8,18 @@
 //! On a one-level instance the same policy is the paper's "extremely
 //! simple" randomized weighted-paging algorithm (§1.2): its rounding is
 //! then Algorithm 1, the `ℓ = 1` case of Algorithm 2.
+//!
+//! Only the rounding draws random bits, so every seed and every `β` of one
+//! `(instance, trace, η)` sees the same fractional delta stream.
+//! [`run_seed_group`] computes that stream once and feeds it to each
+//! cell's rounding in lockstep, with results equal to separate runs.
 
+use std::time::Instant;
+
+use wmlp_core::action::StepLog;
 use wmlp_core::instance::{MlInstance, Request};
 use wmlp_core::policy::{CacheTxn, FracDelta, FractionalPolicy, OnlinePolicy, PolicyCtx};
+use wmlp_sim::engine::{BatchLog, RunResult, SimError, SimSession, RUN_POLICY_BATCH};
 
 use crate::fractional::FracMultiplicative;
 use crate::rounding::{default_beta, RoundingML};
@@ -75,6 +84,135 @@ impl OnlinePolicy for RandomizedMlPaging {
     }
 }
 
+/// One cell of a [`run_seed_group`]: the rounding's amplification `β` and
+/// its RNG seed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SeedCell {
+    /// Amplification factor `β` of the rounding.
+    pub beta: f64,
+    /// RNG seed of the rounding.
+    pub seed: u64,
+}
+
+/// One cell's outcome of a [`run_seed_group`].
+#[derive(Debug, Clone)]
+pub struct GroupRun {
+    /// What [`wmlp_sim::engine::run_policy`] returns for the cell's
+    /// [`RandomizedMlPaging`] (without step logs). `counters.wall_nanos`
+    /// is the group's wall time split evenly over its cells.
+    pub result: RunResult,
+    /// [`RandomizedMlPaging::reset_stats`] after the run.
+    pub reset_stats: (u64, u64),
+}
+
+/// Receives a seed group's step logs: `(cell index, index of the chunk's
+/// first request, the chunk's logs)`.
+pub type OnSteps<'a> = &'a mut dyn FnMut(usize, usize, &[StepLog]);
+
+/// Run one [`RandomizedMlPaging::new`]`(inst, eta, cell.beta, cell.seed)`
+/// per cell over `trace`, computing the shared fractional stream once.
+///
+/// One [`FracMultiplicative`] serves the trace in the
+/// [`RUN_POLICY_BATCH`]-request chunks that `run_policy` uses. Each
+/// chunk's deltas are then replayed through every cell's own
+/// [`RoundingML`] and [`SimSession`], so at most one chunk of deltas is
+/// held at a time. Every cell's result and reset statistics equal those
+/// of its own `run_policy` run.
+///
+/// With `on_steps`, each cell's step logs are recorded and handed over
+/// one chunk at a time, then dropped. A failed step ends the group with
+/// the index of the first cell that failed and its error.
+pub fn run_seed_group(
+    inst: &MlInstance,
+    trace: &[Request],
+    eta: f64,
+    cells: &[SeedCell],
+    mut on_steps: Option<OnSteps<'_>>,
+) -> Result<Vec<GroupRun>, (usize, SimError)> {
+    // lint:allow(D2): feeds `counters.wall_nanos` only, like `run_policy`'s
+    // capture; `Manifest::canonical` zeroes it.
+    let start = Instant::now();
+    let mut frac = FracMultiplicative::with_eta(inst, eta);
+    let mut runs: Vec<(RoundingML, SimSession)> = cells
+        .iter()
+        .map(|c| (RoundingML::new(inst, c.beta, c.seed), SimSession::new(inst)))
+        .collect();
+    let mut batch = if on_steps.is_some() {
+        BatchLog::recording()
+    } else {
+        BatchLog::new()
+    };
+    let mut deltas = Vec::new();
+    let mut ends = Vec::with_capacity(RUN_POLICY_BATCH);
+    for (c, chunk) in trace.chunks(RUN_POLICY_BATCH).enumerate() {
+        let first_t = c * RUN_POLICY_BATCH;
+        deltas.clear();
+        ends.clear();
+        for (t, &req) in (first_t..).zip(chunk) {
+            // The engine never hands an invalid request to a policy.
+            if inst.request_valid(req) {
+                frac.on_request(t, req, &mut deltas);
+            }
+            ends.push(deltas.len());
+        }
+        for (idx, (rounding, session)) in runs.iter_mut().enumerate() {
+            let mut replay = Replay {
+                rounding,
+                deltas: &deltas,
+                ends: &ends,
+                first_t,
+            };
+            session.step_batch(inst, &mut replay, chunk, &mut batch);
+            if let Some(e) = batch.outcomes().iter().find_map(|o| o.as_ref().err()) {
+                return Err((idx, e.clone()));
+            }
+            if let (Some(f), Some(steps)) = (on_steps.as_mut(), batch.steps()) {
+                f(idx, first_t, steps);
+            }
+        }
+    }
+    let wall = start.elapsed().as_nanos() as u64 / cells.len().max(1) as u64;
+    Ok(runs
+        .into_iter()
+        .map(|(rounding, session)| {
+            let (ledger, mut counters, final_cache) = session.finish();
+            counters.wall_nanos = wall;
+            GroupRun {
+                result: RunResult {
+                    ledger,
+                    steps: None,
+                    final_cache,
+                    counters,
+                },
+                reset_stats: (rounding.reset_evictions(), rounding.reset_cost()),
+            }
+        })
+        .collect())
+}
+
+/// One cell's rounding as an [`OnlinePolicy`] over a chunk's precomputed
+/// deltas: request `t` of the chunk reads `deltas[ends[i − 1]..ends[i]]`
+/// with `i = t − first_t`.
+struct Replay<'a> {
+    rounding: &'a mut RoundingML,
+    deltas: &'a [FracDelta],
+    ends: &'a [usize],
+    first_t: usize,
+}
+
+impl OnlinePolicy for Replay<'_> {
+    fn name(&self) -> &str {
+        "randomized-ml"
+    }
+
+    fn on_request(&mut self, _ctx: PolicyCtx<'_>, t: usize, req: Request, txn: &mut CacheTxn<'_>) {
+        let i = t - self.first_t;
+        let from = if i == 0 { 0 } else { self.ends[i - 1] };
+        self.rounding
+            .on_step(req, &self.deltas[from..self.ends[i]], txn);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,5 +235,80 @@ mod tests {
             let res = run_policy(&inst, &trace, &mut alg, false).unwrap();
             assert!(res.final_cache.occupancy() <= inst.k());
         }
+    }
+
+    /// Every cell of a seed group against its own `run_policy` run: the
+    /// ledger, the counters without wall time, the final cache, the reset
+    /// statistics and the step logs handed over chunk by chunk. The trace
+    /// ends in a partial chunk, and one group mixes three `β`s.
+    #[test]
+    fn seed_group_cells_equal_separate_runs() {
+        let k = 5;
+        for levels in [1u8, 3] {
+            let rows: Vec<Vec<u64>> = (0..24u64)
+                .map(|p| {
+                    (0..levels)
+                        .map(|i| (1 + p % 7) << (3 * (levels - 1 - i)))
+                        .collect()
+                })
+                .collect();
+            let inst = MlInstance::from_rows(k, rows).unwrap();
+            let trace = zipf_trace(
+                &inst,
+                0.9,
+                2 * RUN_POLICY_BATCH + 276,
+                LevelDist::Uniform,
+                17,
+            );
+            let eta = 1.0 / k as f64;
+            let betas = [1.01, default_beta(k), 8.0];
+            let one = vec![SeedCell {
+                beta: default_beta(k),
+                seed: 4,
+            }];
+            let six: Vec<SeedCell> = (0..6)
+                .map(|i| SeedCell {
+                    beta: betas[i % 3],
+                    seed: i as u64,
+                })
+                .collect();
+            for cells in [one, six] {
+                let mut logs = vec![Vec::new(); cells.len()];
+                let mut keep = |cell: usize, first_t: usize, steps: &[StepLog]| {
+                    assert_eq!(logs[cell].len(), first_t);
+                    logs[cell].extend_from_slice(steps);
+                };
+                let group = run_seed_group(&inst, &trace, eta, &cells, Some(&mut keep)).unwrap();
+                let unrecorded = run_seed_group(&inst, &trace, eta, &cells, None).unwrap();
+                for (i, cell) in cells.iter().enumerate() {
+                    let mut alg = RandomizedMlPaging::new(&inst, eta, cell.beta, cell.seed);
+                    let want = run_policy(&inst, &trace, &mut alg, true).unwrap();
+                    for run in [&group[i], &unrecorded[i]] {
+                        let at = format!("levels {levels}, cell {cell:?}");
+                        assert_eq!(run.result.ledger, want.ledger, "{at}");
+                        let mut counters = run.result.counters.clone();
+                        counters.wall_nanos = want.counters.wall_nanos;
+                        assert_eq!(counters, want.counters, "{at}");
+                        assert_eq!(run.result.final_cache, want.final_cache, "{at}");
+                        assert_eq!(run.reset_stats, alg.reset_stats(), "{at}");
+                    }
+                    assert_eq!(Some(&logs[i]), want.steps.as_ref());
+                }
+            }
+        }
+    }
+
+    /// An invalid request fails the group with the first cell's error, as
+    /// `run_policy` fails, instead of reaching the fractional algorithm.
+    #[test]
+    fn seed_group_reports_a_bad_request() {
+        let inst = MlInstance::weighted_paging(2, vec![1, 2, 4]).unwrap();
+        let mut trace: Vec<Request> = (0..700).map(|t| Request::top(t % 3)).collect();
+        trace[600] = Request::top(9);
+        let cells = [SeedCell { beta: 2.0, seed: 1 }; 2];
+        let err = run_seed_group(&inst, &trace, 0.5, &cells, None).unwrap_err();
+        let mut alg = RandomizedMlPaging::new(&inst, 0.5, 2.0, 1);
+        let want = run_policy(&inst, &trace, &mut alg, false).unwrap_err();
+        assert_eq!(err, (0, want));
     }
 }

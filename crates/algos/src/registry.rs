@@ -144,10 +144,9 @@ impl PolicyRegistry {
             MlEntry {
                 name: "randomized",
                 summary: "fractional + rounding, O(log²k) multi-level (paper Thm 1.2)",
-                params: &["eta", "beta"],
+                params: RANDOMIZED_PARAMS,
                 ctor: |spec, inst, seed| {
-                    let eta = spec.param("eta").unwrap_or(1.0 / inst.k() as f64);
-                    let beta = spec.param("beta").unwrap_or_else(|| default_beta(inst.k()));
+                    let (eta, beta) = eta_beta(spec, inst);
                     Ok(Box::new(RandomizedMlPaging::new(inst, eta, beta, seed)))
                 },
             },
@@ -220,6 +219,27 @@ impl PolicyRegistry {
         parsed.check_params(entry.params)?;
         (entry.ctor)(&parsed, inst, seed)
     }
+}
+
+/// The parameters a `randomized` spec takes.
+const RANDOMIZED_PARAMS: &[&str] = &["eta", "beta"];
+
+/// `(η, β)` of a `randomized` spec for `inst`: the given values, else the
+/// paper's `η = 1/k` and `β = 4 log k`.
+fn eta_beta(spec: &PolicySpec, inst: &MlInstance) -> (f64, f64) {
+    let eta = spec.param("eta").unwrap_or(1.0 / inst.k() as f64);
+    let beta = spec.param("beta").unwrap_or_else(|| default_beta(inst.k()));
+    (eta, beta)
+}
+
+/// `(η, β)` of the [`RandomizedMlPaging`] that [`PolicyRegistry::build`]
+/// builds from `spec` for `inst`, or `None` when `spec` is not a valid
+/// `randomized` spec. Drivers that run the policy's seeds as one group
+/// ([`crate::randomized::run_seed_group`]) read its parameters here.
+pub fn randomized_params(spec: &str, inst: &MlInstance) -> Option<(f64, f64)> {
+    let parsed = PolicySpec::parse(spec).ok()?;
+    (parsed.name == "randomized" && parsed.check_params(RANDOMIZED_PARAMS).is_ok())
+        .then(|| eta_beta(&parsed, inst))
 }
 
 /// The registry *is* a [`wmlp_sim::runner::PolicyFactory`], so it plugs
@@ -355,6 +375,24 @@ mod tests {
                 res.ledger.total(CostModel::Fetch) > 0,
                 "{name} paid nothing"
             );
+        }
+    }
+
+    #[test]
+    fn randomized_params_fill_the_paper_defaults() {
+        let inst = inst();
+        let defaults = (0.5, default_beta(2));
+        assert_eq!(randomized_params("randomized", &inst), Some(defaults));
+        assert_eq!(
+            randomized_params("randomized(beta=3)", &inst),
+            Some((0.5, 3.0))
+        );
+        assert_eq!(
+            randomized_params("randomized(eta=0.25,beta=3)", &inst),
+            Some((0.25, 3.0))
+        );
+        for other in ["lru", "randomized(gamma=1)", "randomized(beta=x)"] {
+            assert_eq!(randomized_params(other, &inst), None, "{other}");
         }
     }
 

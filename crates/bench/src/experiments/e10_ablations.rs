@@ -12,15 +12,16 @@
 //! presence, hurting heavy pages. Expected shape: cost is minimized near `η = 1/k`
 //! within a modest factor.
 //!
-//! Each `(β, seed)` cell of the β sweep builds `RandomizedMlPaging`
-//! itself and is recorded under the registry spec that builds the same
-//! policy (`randomized(eta=…,beta=…)`), so one run yields both the
-//! manifest record and the policy-internal reset telemetry.
+//! The β sweep's `(β, seed)` cells share one trace and one `η`, so all 30
+//! run as one seed group (`randomized_group`): one fractional pass feeds
+//! every cell's rounding. Each cell is recorded under the registry spec
+//! that builds the same policy (`randomized(eta=…,beta=…)`) and also
+//! yields the policy-internal reset telemetry.
 
 use std::sync::Arc;
 
 use wmlp_algos::rounding::default_beta;
-use wmlp_algos::{FracMultiplicative, RandomizedMlPaging};
+use wmlp_algos::FracMultiplicative;
 use wmlp_core::instance::MlInstance;
 use wmlp_core::policy::FractionalPolicy;
 use wmlp_sim::frac_engine::run_fractional;
@@ -28,7 +29,7 @@ use wmlp_sim::runner::{Manifest, RunRecord, Scenario};
 use wmlp_sim::sweep::par_grid;
 use wmlp_workloads::{weights_pow2_classes, zipf_trace, LevelDist};
 
-use super::{randomized_cell, seed_mean_stdev, ExperimentOutput};
+use super::{randomized_group, seed_mean_stdev, ExperimentOutput};
 use crate::table::{fr, Table};
 
 const SEEDS: usize = 6;
@@ -104,7 +105,6 @@ fn beta_ablation() -> (Table, Vec<RunRecord>) {
     let k = 16;
     let inst = Arc::new(MlInstance::weighted_paging(k, weights_pow2_classes(64, 5, 13)).unwrap());
     let trace = Arc::new(zipf_trace(&inst, 1.0, 4000, LevelDist::Top, 31));
-    let eta = 1.0 / k as f64;
     let rows: Vec<(f64, f64, String, Scenario)> = beta_specs(k)
         .into_iter()
         .map(|(mult, beta, spec)| {
@@ -112,22 +112,11 @@ fn beta_ablation() -> (Table, Vec<RunRecord>) {
             (mult, beta, spec, sc)
         })
         .collect();
-    let cells: Vec<(f64, &str, &Scenario, u64)> = rows
+    let cells: Vec<(&Scenario, &str, u64)> = rows
         .iter()
-        .flat_map(|(_, beta, spec, sc)| {
-            (0..SEEDS as u64).map(move |seed| (*beta, spec.as_str(), sc, seed))
-        })
+        .flat_map(|(_, _, spec, sc)| (0..SEEDS as u64).map(move |seed| (sc, spec.as_str(), seed)))
         .collect();
-    let (runs, resets): (Vec<_>, Vec<_>) = par_grid(&cells, |&(beta, spec, sc, seed)| {
-        randomized_cell(
-            sc,
-            spec,
-            seed,
-            RandomizedMlPaging::new(&inst, eta, beta, seed),
-        )
-    })
-    .into_iter()
-    .unzip();
+    let (runs, resets): (Vec<_>, Vec<_>) = randomized_group(&cells, None).into_iter().unzip();
     let m = Manifest {
         name: "e10a".into(),
         runs,

@@ -12,14 +12,15 @@
 //! Expected shape: `loss/β` bounded by a small constant across `k`;
 //! reset share ≪ 1.
 //!
-//! The reset-eviction telemetry is policy-internal (`reset_stats`), so
-//! each `(k, seed)` cell builds `RandomizedMlPaging::with_default_beta`
-//! itself — exactly what the registry's `randomized` spec builds — and
-//! one run yields both the manifest record and the reset cost.
+//! The reset-eviction telemetry is policy-internal (`reset_stats`). Each
+//! `k`'s eight seeds run as one seed group (`randomized_group`): one
+//! fractional pass feeds all eight roundings, and each cell yields both
+//! the record the registry's `randomized` spec produces and its reset
+//! cost.
 
 use std::sync::Arc;
 
-use wmlp_algos::{FracMultiplicative, RandomizedMlPaging};
+use wmlp_algos::FracMultiplicative;
 use wmlp_core::instance::MlInstance;
 use wmlp_flow::weighted_paging_opt;
 use wmlp_sim::frac_engine::run_fractional;
@@ -27,7 +28,7 @@ use wmlp_sim::runner::{Manifest, Scenario};
 use wmlp_sim::sweep::par_grid;
 use wmlp_workloads::{weights_pow2_classes, zipf_trace, LevelDist};
 
-use super::{randomized_cell, seed_mean_stdev, ExperimentOutput};
+use super::{randomized_group, seed_mean_stdev, ExperimentOutput};
 use crate::table::{fr, Table};
 
 const SEEDS: usize = 8;
@@ -63,15 +64,14 @@ pub fn run() -> ExperimentOutput {
             .cost;
         (k, Scenario::new(format!("zipf-k{k}"), inst, trace), opt, fc)
     });
-    let cells: Vec<(&Scenario, u64)> = rows
-        .iter()
-        .flat_map(|(_, sc, _, _)| (0..SEEDS as u64).map(move |seed| (sc, seed)))
-        .collect();
-    let (runs, resets): (Vec<_>, Vec<_>) = par_grid(&cells, |&(sc, seed)| {
-        let alg = RandomizedMlPaging::with_default_beta(&sc.instance, seed);
-        randomized_cell(sc, "randomized", seed, alg)
+    let (runs, resets): (Vec<_>, Vec<_>) = par_grid(&rows, |(_, sc, _, _)| {
+        let cells: Vec<_> = (0..SEEDS as u64)
+            .map(|seed| (sc, "randomized", seed))
+            .collect();
+        randomized_group(&cells, None)
     })
     .into_iter()
+    .flatten()
     .unzip();
     let m = Manifest {
         name: "e3".into(),

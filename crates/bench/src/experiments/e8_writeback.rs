@@ -14,7 +14,8 @@
 //! Native writeback baselines come from [`WbPolicyRegistry`]; the paper's
 //! algorithms run through the shared runner on the reduced RW instance
 //! (their records land in the manifest). Both run on [`par_grid`], one
-//! job per `w1/w2` row and one per reduction cell.
+//! job per `w1/w2` row, one per water-filling cell and one per row's
+//! randomized seeds, which run as one seed group (`wb_reduction_cells`).
 
 use wmlp_algos::WbPolicyRegistry;
 use wmlp_core::reduction::InducedWbCost;
@@ -23,7 +24,7 @@ use wmlp_sim::runner::RunRecord;
 use wmlp_sim::sweep::par_grid;
 use wmlp_workloads::wb::{wb_shifting_trace, wb_zipf_trace};
 
-use super::{standard_runner, wb_reduction_cell, ExperimentOutput};
+use super::{standard_runner, wb_reduction_cells, ExperimentOutput};
 use crate::table::{fr, Table};
 
 /// Run E8.
@@ -75,18 +76,27 @@ fn baselines(rows: &[WbRow], names: &[&str]) -> Vec<(u64, Vec<u64>)> {
     })
 }
 
-/// Every `(spec, seed)` of `cells` on every row through the reduction,
-/// row-major. Each job reduces its step log to the induced cost before
-/// returning, so at most one log per worker is alive at a time.
-fn reduction_cells(rows: &[WbRow], cells: &[(&str, u64)]) -> Vec<(RunRecord, InducedWbCost)> {
+/// Every seed of every spec of `cells` on every row through the
+/// reduction, row-major, one job per (row, spec). Each job reduces its
+/// step logs to induced costs as they arrive (a seed group a chunk at a
+/// time), so at most one log per worker is alive at a time.
+fn reduction_cells(rows: &[WbRow], cells: &[(&str, &[u64])]) -> Vec<(RunRecord, InducedWbCost)> {
     let runner = standard_runner();
-    let grid: Vec<(&WbRow, &str, u64)> = rows
+    let grid: Vec<(&WbRow, &str, &[u64])> = rows
         .iter()
-        .flat_map(|row| cells.iter().map(move |&(spec, seed)| (row, spec, seed)))
+        .flat_map(|row| cells.iter().map(move |&(spec, seeds)| (row, spec, seeds)))
         .collect();
-    par_grid(&grid, |&(row, spec, seed)| {
-        wb_reduction_cell(&runner, &row.label, &row.inst, &row.trace, spec, seed)
+    par_grid(&grid, |&(row, spec, seeds)| {
+        wb_reduction_cells(&runner, &row.label, &row.inst, &row.trace, spec, seeds)
     })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
+/// Reduction cells per row: one per seed of each spec.
+fn per_row(cells: &[(&str, &[u64])]) -> usize {
+    cells.iter().map(|(_, seeds)| seeds.len()).sum()
 }
 
 /// Part B: the same comparison on a temporal-shift workload where both
@@ -109,10 +119,12 @@ fn shifting_table() -> (Table, Vec<RunRecord>) {
     let rows = wb_rows("shift", &[1, 16, 256], |inst| {
         wb_shifting_trace(inst, 12000, 8, 24, 0.8, 55)
     });
-    let cells = [("waterfill", 0), ("randomized", 1)];
+    let cells: [(&str, &[u64]); 2] = [("waterfill", &[0]), ("randomized", &[1])];
     let natives = baselines(&rows, &["wb-lru", "wb-greedydual"]);
     let runs = reduction_cells(&rows, &cells);
-    for ((row, (opt_est, native)), run) in rows.iter().zip(natives).zip(runs.chunks(cells.len())) {
+    for ((row, (opt_est, native)), run) in
+        rows.iter().zip(natives).zip(runs.chunks(per_row(&cells)))
+    {
         let (lru, gd) = (native[0], native[1]);
         let (wf, rnd) = (run[0].1.cost, run[1].1.cost);
         let entries = [
@@ -154,16 +166,12 @@ fn sweep_table() -> (Table, Vec<RunRecord>) {
         wb_zipf_trace(inst, 1.0, 12000, 0.3, 0.9, 0.05, 77)
     });
     // Waterfill, then the randomized algorithm over 4 seeds (its mean).
-    let cells = [
-        ("waterfill", 0),
-        ("randomized", 0),
-        ("randomized", 1),
-        ("randomized", 2),
-        ("randomized", 3),
-    ];
+    let cells: [(&str, &[u64]); 2] = [("waterfill", &[0]), ("randomized", &[0, 1, 2, 3])];
     let natives = baselines(&rows, &["wb-lru", "wb-fifo", "wb-greedydual"]);
     let runs = reduction_cells(&rows, &cells);
-    for ((row, (opt_est, native)), run) in rows.iter().zip(natives).zip(runs.chunks(cells.len())) {
+    for ((row, (opt_est, native)), run) in
+        rows.iter().zip(natives).zip(runs.chunks(per_row(&cells)))
+    {
         let (lru, fifo, gd) = (native[0], native[1], native[2]);
         let wf = run[0].1.cost;
         let rnd = run[1..].iter().map(|(_, ind)| ind.cost as f64).sum::<f64>() / 4.0;

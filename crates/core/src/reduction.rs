@@ -8,7 +8,8 @@
 //! a writeback solution of *no larger* cost (the only discrepancy is a
 //! replacement of `(p,2)` by `(p,1)`, which in the writeback world is the
 //! page silently becoming dirty, at no cost). [`rw_run_wb_cost`] computes
-//! the exact cost of the induced writeback solution.
+//! the exact cost of the induced writeback solution, and
+//! [`InducedWbTally`] computes it one step at a time.
 //!
 //! **Weighted paging = 1-level multi-level paging** and **RW-paging =
 //! 2-level multi-level paging** are definitional and handled by the
@@ -56,7 +57,23 @@ pub struct InducedWbCost {
 }
 
 /// Compute the cost of the writeback solution induced by an RW-paging run
-/// (Lemma 2.1 direction "RW solution → writeback solution").
+/// (Lemma 2.1 direction "RW solution → writeback solution"): the
+/// [`InducedWbTally`] fold over the whole run.
+///
+/// `wb_trace` must be the original writeback trace whose image (via
+/// [`wb_to_rw_trace`]) the run served.
+pub fn rw_run_wb_cost(wb: &WbInstance, wb_trace: &[WbRequest], steps: &[StepLog]) -> InducedWbCost {
+    assert_eq!(wb_trace.len(), steps.len(), "trace/steps length mismatch");
+    let mut tally = InducedWbTally::new(wb);
+    for (&req, step) in wb_trace.iter().zip(steps) {
+        tally.step(req, step);
+    }
+    tally.finish()
+}
+
+/// The cost of the writeback solution induced by an RW-paging run, fed
+/// one step at a time, so a caller that receives a run's step logs in
+/// chunks can fold each chunk and drop it.
 ///
 /// The induced solution keeps page `p` resident exactly when the RW run
 /// keeps some copy of `p` resident. Dirtiness follows writeback semantics:
@@ -65,48 +82,61 @@ pub struct InducedWbCost {
 /// evicts one copy of `p` and fetches another in the same step is a
 /// residency-preserving replacement: free in the writeback world. The
 /// induced cost is therefore at most the RW eviction cost.
-///
-/// `wb_trace` must be the original writeback trace whose image (via
-/// [`wb_to_rw_trace`]) the run served.
-pub fn rw_run_wb_cost(wb: &WbInstance, wb_trace: &[WbRequest], steps: &[StepLog]) -> InducedWbCost {
-    assert_eq!(wb_trace.len(), steps.len(), "trace/steps length mismatch");
-    let n = wb.n();
-    let mut resident = vec![false; n];
-    let mut dirty = vec![false; n];
-    let mut out = InducedWbCost::default();
+#[derive(Debug, Clone)]
+pub struct InducedWbTally<'a> {
+    wb: &'a WbInstance,
+    resident: Vec<bool>,
+    dirty: Vec<bool>,
+    /// Per-step scratch for pairing a step's evictions with its fetches.
+    evicted: Vec<PageId>,
+    fetched: Vec<PageId>,
+    out: InducedWbCost,
+}
 
-    // Scratch marks for per-step fetch/evict pairing.
-    let mut evicted: Vec<PageId> = Vec::new();
-    let mut fetched: Vec<PageId> = Vec::new();
+impl<'a> InducedWbTally<'a> {
+    /// An empty tally: nothing resident, nothing paid.
+    pub fn new(wb: &'a WbInstance) -> Self {
+        InducedWbTally {
+            wb,
+            resident: vec![false; wb.n()],
+            dirty: vec![false; wb.n()],
+            evicted: Vec::new(),
+            fetched: Vec::new(),
+            out: InducedWbCost::default(),
+        }
+    }
 
-    for (&req, step) in wb_trace.iter().zip(steps) {
-        evicted.clear();
-        fetched.clear();
+    /// Fold in the RW step that served `req`, the next request of the
+    /// original writeback trace.
+    pub fn step(&mut self, req: WbRequest, step: &StepLog) {
+        let (resident, dirty, out) = (&mut self.resident, &mut self.dirty, &mut self.out);
+        self.evicted.clear();
+        self.fetched.clear();
         for &a in &step.actions {
             match a {
-                Action::Evict(c) => evicted.push(c.page),
-                Action::Fetch(c) => fetched.push(c.page),
+                Action::Evict(c) => self.evicted.push(c.page),
+                Action::Fetch(c) => self.fetched.push(c.page),
             }
         }
         // Pages evicted without a same-step refetch leave the writeback
         // cache; pages with both are free replacements.
-        for &p in &evicted {
-            if fetched.contains(&p) {
+        for &p in &self.evicted {
+            if self.fetched.contains(&p) {
                 out.free_replacements += 1;
                 continue;
             }
             debug_assert!(resident[p as usize], "RW run evicted a non-resident page");
             resident[p as usize] = false;
             if std::mem::replace(&mut dirty[p as usize], false) {
-                out.cost += wb.w_dirty(p);
+                out.cost += self.wb.w_dirty(p);
                 out.dirty_evictions += 1;
             } else {
-                out.cost += wb.w_clean(p);
+                out.cost += self.wb.w_clean(p);
                 out.clean_evictions += 1;
             }
         }
         // Fresh loads (fetch without same-step eviction of the page).
-        for &p in &fetched {
+        for &p in &self.fetched {
             if !resident[p as usize] {
                 resident[p as usize] = true;
                 dirty[p as usize] = false;
@@ -118,7 +148,11 @@ pub fn rw_run_wb_cost(wb: &WbInstance, wb_trace: &[WbRequest], steps: &[StepLog]
             dirty[req.page as usize] = true;
         }
     }
-    out
+
+    /// The induced cost of the steps folded so far.
+    pub fn finish(self) -> InducedWbCost {
+        self.out
+    }
 }
 
 #[cfg(test)]
@@ -132,6 +166,23 @@ mod tests {
     }
     fn evict(p: u32, l: u8) -> Action {
         Action::Evict(CopyRef::new(p, l))
+    }
+
+    /// [`rw_run_wb_cost`] of the run, after checking that a tally fed the
+    /// steps in chunks of every size, one chunk at a time, agrees.
+    fn induced(wb: &WbInstance, wb_trace: &[WbRequest], steps: &[StepLog]) -> InducedWbCost {
+        let whole = rw_run_wb_cost(wb, wb_trace, steps);
+        for size in 1..=steps.len() {
+            let mut tally = InducedWbTally::new(wb);
+            for (reqs, chunk) in wb_trace.chunks(size).zip(steps.chunks(size)) {
+                let chunk = chunk.to_vec();
+                for (&req, step) in reqs.iter().zip(&chunk) {
+                    tally.step(req, step);
+                }
+            }
+            assert_eq!(tally.finish(), whole, "chunks of {size}");
+        }
+        whole
     }
 
     #[test]
@@ -169,7 +220,7 @@ mod tests {
         ];
         let ledger = validate_run(&rw, &rw_trace, &steps).unwrap();
         assert_eq!(ledger.eviction_cost, 2 + 10);
-        let induced = rw_run_wb_cost(&wb, &wb_trace, &steps);
+        let induced = induced(&wb, &wb_trace, &steps);
         // The promotion was free; only the dirty eviction of page 0 paid.
         assert_eq!(induced.cost, 10);
         assert_eq!(induced.free_replacements, 1);
@@ -192,7 +243,7 @@ mod tests {
             },
         ];
         validate_run(&rw, &rw_trace, &steps).unwrap();
-        let induced = rw_run_wb_cost(&wb, &wb_trace, &steps);
+        let induced = induced(&wb, &wb_trace, &steps);
         assert_eq!(induced.cost, 2);
         assert_eq!(induced.clean_evictions, 1);
     }
@@ -216,7 +267,7 @@ mod tests {
         ];
         let ledger = validate_run(&rw, &rw_trace, &steps).unwrap();
         assert_eq!(ledger.eviction_cost, 10);
-        let induced = rw_run_wb_cost(&wb, &wb_trace, &steps);
+        let induced = induced(&wb, &wb_trace, &steps);
         assert_eq!(induced.cost, 2);
         assert!(induced.cost <= ledger.eviction_cost);
     }

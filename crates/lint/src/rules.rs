@@ -162,7 +162,8 @@ const P1_CRATES: &[&str] = &["core", "sim", "algos", "flow", "lp", "store", "rou
 /// Files allowed to read wall clocks, each of which exists to measure
 /// elapsed time. Everything else — including the rest of the `bench`
 /// crate — needs a reasoned inline D2 suppression (the simulation
-/// engine's single capture site carries one).
+/// engine's capture site and the randomized policy's seed-group driver
+/// each carry one).
 const D2_ALLOWED_PATHS: &[&str] = &[
     // The per-experiment "completed in" line of `experiments`.
     "crates/bench/src/bin/experiments.rs",

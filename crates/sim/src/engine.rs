@@ -14,8 +14,10 @@ use crate::stats::RunCounters;
 
 /// Chunk size [`run_policy`] feeds to [`SimSession::step_batch`]. Large
 /// enough that per-chunk bookkeeping vanishes, small enough that the
-/// fail-fast check after each chunk stays prompt.
-const RUN_POLICY_BATCH: usize = 512;
+/// fail-fast check after each chunk stays prompt. Drivers that step a
+/// trace chunk by chunk for other reasons (the randomized policy's seed
+/// groups) use the same size.
+pub const RUN_POLICY_BATCH: usize = 512;
 
 /// A policy misbehaved at time `t`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -513,8 +515,8 @@ pub fn run_policy(
     policy: &mut dyn OnlinePolicy,
     record_steps: bool,
 ) -> Result<RunResult, SimError> {
-    // lint:allow(D2): the runner's sole wall-time capture site; the value
-    // only feeds `counters.wall_nanos`, which `Manifest::canonical` zeroes.
+    // lint:allow(D2): the engine's wall-time capture site; the value only
+    // feeds `counters.wall_nanos`, which `Manifest::canonical` zeroes.
     let start = Instant::now();
     let mut session = SimSession::new(inst);
     let mut steps = record_steps.then(|| Vec::with_capacity(trace.len()));
@@ -527,7 +529,7 @@ pub fn run_policy(
     // same code path the serving shards use — failing fast on the first
     // errored step, like the historical per-request loop. Recorded logs
     // move out of the batch rather than being cloned a second time.
-    for chunk in trace.chunks(RUN_POLICY_BATCH.max(1)) {
+    for chunk in trace.chunks(RUN_POLICY_BATCH) {
         session.step_batch(inst, policy, chunk, &mut batch);
         if let Some(e) = batch.outcomes().iter().find_map(|o| o.as_ref().err()) {
             return Err(e.clone());

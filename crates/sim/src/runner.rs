@@ -260,44 +260,42 @@ impl<F: PolicyFactory> Runner<F> {
                 spec: spec.to_string(),
                 detail,
             })?;
-        run_built_cell(scenario, spec, seed, policy.as_mut(), record_steps)
-    }
-}
-
-/// Run an already-constructed `policy` as the `(scenario, spec, seed)`
-/// cell: the record is exactly what [`Runner::run_cell`] returns when its
-/// factory builds the same policy from `spec` and `seed`. Callers that need
-/// policy-internal telemetry after the run (e.g. reset statistics) build
-/// the policy themselves and read it back from `policy` afterwards.
-pub fn run_built_cell(
-    scenario: &Scenario,
-    spec: &str,
-    seed: u64,
-    policy: &mut dyn OnlinePolicy,
-    record_steps: bool,
-) -> Result<(RunRecord, RunResult), RunnerError> {
-    let inst = scenario.instance.as_ref();
-    let result = run_policy(inst, &scenario.trace, policy, record_steps).map_err(|error| {
-        RunnerError::Sim {
+        let result = run_policy(
+            scenario.instance.as_ref(),
+            &scenario.trace,
+            policy.as_mut(),
+            record_steps,
+        )
+        .map_err(|error| RunnerError::Sim {
             scenario: scenario.label.clone(),
             spec: spec.to_string(),
             seed,
             error,
+        })?;
+        Ok((RunRecord::new(scenario, spec, seed, &result), result))
+    }
+}
+
+impl RunRecord {
+    /// The record of `result`, a run of the policy `spec` builds with
+    /// `seed`, as the `(scenario, spec, seed)` cell. [`Runner::run_cell`]
+    /// and every driver that runs cells another way (the randomized
+    /// policy's seed groups) record through this one constructor.
+    pub fn new(scenario: &Scenario, spec: &str, seed: u64, result: &RunResult) -> Self {
+        let inst = scenario.instance.as_ref();
+        RunRecord {
+            scenario: scenario.label.clone(),
+            policy: spec.to_string(),
+            seed,
+            k: inst.k(),
+            n: inst.n(),
+            trace_len: scenario.trace.len(),
+            cost_model: scenario.cost_model,
+            cost: result.ledger.total(scenario.cost_model),
+            ledger: result.ledger.clone(),
+            counters: result.counters.clone(),
         }
-    })?;
-    let record = RunRecord {
-        scenario: scenario.label.clone(),
-        policy: spec.to_string(),
-        seed,
-        k: inst.k(),
-        n: inst.n(),
-        trace_len: scenario.trace.len(),
-        cost_model: scenario.cost_model,
-        cost: result.ledger.total(scenario.cost_model),
-        ledger: result.ledger.clone(),
-        counters: result.counters.clone(),
-    };
-    Ok((record, result))
+    }
 }
 
 /// A serialized record of a full grid run: every cell's config, costs and
