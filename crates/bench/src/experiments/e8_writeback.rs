@@ -94,11 +94,6 @@ fn reduction_cells(rows: &[WbRow], cells: &[(&str, &[u64])]) -> Vec<(RunRecord, 
     .collect()
 }
 
-/// Reduction cells per row: one per seed of each spec.
-fn per_row(cells: &[(&str, &[u64])]) -> usize {
-    cells.iter().map(|(_, seeds)| seeds.len()).sum()
-}
-
 /// Part B: the same comparison on a temporal-shift workload where both
 /// the hot set and the write-heavy subset rotate over time — recency
 /// information matters more here, so the gap between aware and oblivious
@@ -122,8 +117,10 @@ fn shifting_table() -> (Table, Vec<RunRecord>) {
     let cells: [(&str, &[u64]); 2] = [("waterfill", &[0]), ("randomized", &[1])];
     let natives = baselines(&rows, &["wb-lru", "wb-greedydual"]);
     let runs = reduction_cells(&rows, &cells);
-    for ((row, (opt_est, native)), run) in
-        rows.iter().zip(natives).zip(runs.chunks(per_row(&cells)))
+    for ((row, (opt_est, native)), run) in rows
+        .iter()
+        .zip(natives)
+        .zip(runs.chunks(runs.len() / rows.len()))
     {
         let (lru, gd) = (native[0], native[1]);
         let (wf, rnd) = (run[0].1.cost, run[1].1.cost);
@@ -169,8 +166,10 @@ fn sweep_table() -> (Table, Vec<RunRecord>) {
     let cells: [(&str, &[u64]); 2] = [("waterfill", &[0]), ("randomized", &[0, 1, 2, 3])];
     let natives = baselines(&rows, &["wb-lru", "wb-fifo", "wb-greedydual"]);
     let runs = reduction_cells(&rows, &cells);
-    for ((row, (opt_est, native)), run) in
-        rows.iter().zip(natives).zip(runs.chunks(per_row(&cells)))
+    for ((row, (opt_est, native)), run) in rows
+        .iter()
+        .zip(natives)
+        .zip(runs.chunks(runs.len() / rows.len()))
     {
         let (lru, fifo, gd) = (native[0], native[1], native[2]);
         let wf = run[0].1.cost;
