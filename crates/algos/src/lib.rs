@@ -36,6 +36,11 @@
 //! [`registry`] names every integral and writeback baseline so experiments
 //! and CLIs construct policies from spec strings (`"randomized(beta=0.5)"`)
 //! instead of hand-wired `match` blocks.
+//!
+//! [`runner`] runs declarative scenario grids (workload × policy spec ×
+//! seed) over that registry in parallel, with thread-count-independent
+//! output and JSON manifests; each randomized spec's seeds share one
+//! fractional pass.
 
 #![warn(missing_docs)]
 
@@ -46,6 +51,7 @@ pub mod quantize;
 pub mod randomized;
 pub mod registry;
 pub mod rounding;
+pub mod runner;
 pub mod waterfill;
 pub mod wb_baselines;
 

@@ -234,25 +234,12 @@ fn eta_beta(spec: &PolicySpec, inst: &MlInstance) -> (f64, f64) {
 
 /// `(η, β)` of the [`RandomizedMlPaging`] that [`PolicyRegistry::build`]
 /// builds from `spec` for `inst`, or `None` when `spec` is not a valid
-/// `randomized` spec. Drivers that run the policy's seeds as one group
-/// ([`crate::randomized::run_seed_group`]) read its parameters here.
+/// `randomized` spec. The scenario runner ([`crate::runner`]) reads a
+/// spec's parameters here to run its seeds as one seed group.
 pub fn randomized_params(spec: &str, inst: &MlInstance) -> Option<(f64, f64)> {
     let parsed = PolicySpec::parse(spec).ok()?;
     (parsed.name == "randomized" && parsed.check_params(RANDOMIZED_PARAMS).is_ok())
         .then(|| eta_beta(&parsed, inst))
-}
-
-/// The registry *is* a [`wmlp_sim::runner::PolicyFactory`], so it plugs
-/// straight into a [`wmlp_sim::runner::Runner`] grid.
-impl wmlp_sim::runner::PolicyFactory for PolicyRegistry {
-    fn build(
-        &self,
-        spec: &str,
-        inst: &MlInstance,
-        seed: u64,
-    ) -> Result<Box<dyn OnlinePolicy>, String> {
-        PolicyRegistry::build(self, spec, inst, seed)
-    }
 }
 
 type WbCtor = fn(&PolicySpec, &WbInstance, u64) -> Result<Box<dyn WbPolicy>, String>;

@@ -22,11 +22,11 @@
 
 use std::process::ExitCode;
 
+use wmlp_algos::runner::{self, RunnerError, Scenario};
 use wmlp_algos::PolicyRegistry;
 use wmlp_core::cli::{check_flags, flag, flag_parse, switch};
 use wmlp_core::codec;
 use wmlp_core::instance::MlInstance;
-use wmlp_sim::runner::{Runner, RunnerError, Scenario};
 use wmlp_workloads::{ml_rows_geometric, valid_zipf_alpha, zipf_trace, LevelDist};
 
 fn main() -> ExitCode {
@@ -182,11 +182,10 @@ fn run(args: &[String]) -> ExitCode {
         println!("{:>14}: {o}", "OPT(fetch)");
     }
 
-    let runner = Runner::new(PolicyRegistry::standard());
     let scenario = Scenario::new("cli", inst, trace)
         .policies(names.split(',').map(str::trim))
         .seeds([seed]);
-    let manifest = match runner.run("simulate", &[scenario]) {
+    let manifest = match runner::run("simulate", &[scenario]) {
         Ok(m) => m,
         Err(RunnerError::UnknownPolicy { detail, .. }) => {
             eprintln!("{detail}");

@@ -13,7 +13,7 @@
 //! within a modest factor.
 //!
 //! The β sweep's `(β, seed)` cells share one trace and one `η`, so all 30
-//! run as one seed group (`randomized_group`): one fractional pass feeds
+//! run as one seed group (`run_group`): one fractional pass feeds
 //! every cell's rounding. Each cell is recorded under the registry spec
 //! that builds the same policy (`randomized(eta=…,beta=…)`) and also
 //! yields the policy-internal reset telemetry.
@@ -21,23 +21,29 @@
 use std::sync::Arc;
 
 use wmlp_algos::rounding::default_beta;
+use wmlp_algos::runner::{run_group, Manifest, RunRecord, Scenario};
 use wmlp_algos::FracMultiplicative;
 use wmlp_core::instance::MlInstance;
 use wmlp_core::policy::FractionalPolicy;
 use wmlp_sim::frac_engine::run_fractional;
-use wmlp_sim::runner::{Manifest, RunRecord, Scenario};
 use wmlp_sim::sweep::par_grid;
 use wmlp_workloads::{weights_pow2_classes, zipf_trace, LevelDist};
 
-use super::{randomized_group, seed_mean_stdev, ExperimentOutput};
+use super::{seed_mean_stdev, ExperimentOutput};
 use crate::table::{fr, Table};
 
 const SEEDS: usize = 6;
 
-/// Run E10.
+/// Run E10. E10a is a single job, one seed group; the three parts run as
+/// one grid so that E10b's and E10c's jobs run beside it, not after it.
 pub fn run() -> ExperimentOutput {
-    let (ta, ra) = beta_ablation();
-    ExperimentOutput::new("e10", vec![ta, eta_ablation(), quantization_ablation()], ra)
+    let parts = par_grid(&["a", "b", "c"], |&part| match part {
+        "a" => beta_ablation(),
+        "b" => (eta_ablation(), Vec::new()),
+        _ => (quantization_ablation(), Vec::new()),
+    });
+    let (tables, records): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+    ExperimentOutput::new("e10", tables, records.concat())
 }
 
 /// Lemma 4.5: quantizing the fractional stream to multiples of `δ` should
@@ -116,7 +122,10 @@ fn beta_ablation() -> (Table, Vec<RunRecord>) {
         .iter()
         .flat_map(|(_, _, spec, sc)| (0..SEEDS as u64).map(move |seed| (sc, spec.as_str(), seed)))
         .collect();
-    let (runs, resets): (Vec<_>, Vec<_>) = randomized_group(&cells, None).into_iter().unzip();
+    let (runs, resets): (Vec<_>, Vec<_>) = run_group(&cells, None)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .into_iter()
+        .unzip();
     let m = Manifest {
         name: "e10a".into(),
         runs,
@@ -162,6 +171,18 @@ fn eta_ablation() -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Each β spec builds exactly its `(η, β)`: E10a's records name the
+    /// policy that ran.
+    #[test]
+    fn beta_specs_build_their_beta() {
+        let k = 16;
+        let inst = MlInstance::unweighted_paging(k, k + 1).unwrap();
+        for (_, beta, spec) in beta_specs(k) {
+            let params = wmlp_algos::registry::randomized_params(&spec, &inst);
+            assert_eq!(params, Some((1.0 / k as f64, beta)), "{spec}");
+        }
+    }
 
     #[test]
     fn e10a_reset_share_decreases_in_beta() {

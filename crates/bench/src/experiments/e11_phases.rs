@@ -14,11 +14,11 @@
 
 use std::sync::Arc;
 
+use wmlp_algos::runner::{run_cell, Scenario};
 use wmlp_core::cost::CostModel;
 use wmlp_setcover::{hyperplane_gap_instance, PhasedLowerBound};
-use wmlp_sim::runner::Scenario;
 
-use super::{standard_runner, ExperimentOutput};
+use super::ExperimentOutput;
 use crate::table::{fr, Table};
 
 /// Run E11.
@@ -38,7 +38,6 @@ pub fn run() -> ExperimentOutput {
             "cover blowup",
         ],
     );
-    let runner = standard_runner();
     let mut records = Vec::new();
     for d in [2u32, 3, 4] {
         let sys = hyperplane_gap_instance(d);
@@ -53,9 +52,8 @@ pub fn run() -> ExperimentOutput {
         let scenario =
             Scenario::new(format!("phased-d{d}"), inst, trace).cost_model(CostModel::Eviction);
         for (name, seed) in [("lru", 0), ("waterfill", 0), ("randomized", 9)] {
-            let (record, res) = runner
-                .run_cell(&scenario, name, seed, true)
-                .unwrap_or_else(|e| panic!("{e}"));
+            let (record, res) =
+                run_cell(&scenario, name, seed, true).unwrap_or_else(|e| panic!("{e}"));
             let online = record.cost;
             let per_phase = plb.per_phase_evicted_sets(res.steps.as_ref().unwrap());
             let avg_d: f64 = per_phase.iter().map(|v| v.len() as f64).sum::<f64>() / h as f64;

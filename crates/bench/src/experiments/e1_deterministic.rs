@@ -13,13 +13,14 @@
 
 use std::sync::Arc;
 
+use wmlp_algos::runner::{self, run_cell, Manifest, Scenario};
+use wmlp_algos::PolicyRegistry;
 use wmlp_core::instance::MlInstance;
 use wmlp_flow::weighted_paging_opt;
 use wmlp_offline::{opt_multilevel, DpLimits};
-use wmlp_sim::runner::{Manifest, Scenario};
 use wmlp_workloads::{cyclic_trace, zipf_trace, LevelDist};
 
-use super::{cell_cost, run_grid, seed_mean_stdev, standard_runner, ExperimentOutput};
+use super::{cell_cost, seed_mean_stdev, ExperimentOutput};
 use crate::table::{fr, Table};
 
 /// Run E1; returns the three part tables plus their run manifest.
@@ -58,7 +59,7 @@ fn part_a() -> (Table, Manifest) {
         meta.push((k, label.clone(), opt, trace.len()));
         scenarios.push(Scenario::new(label, inst, trace).policies(["waterfill", "lru"]));
     }
-    let m = run_grid("e1a", &scenarios);
+    let m = runner::run("e1a", &scenarios).unwrap_or_else(|e| panic!("{e}"));
     for (k, label, opt, len) in meta {
         let wf = cell_cost(&m, &label, "waterfill", 0);
         let lru = cell_cost(&m, &label, "lru", 0);
@@ -119,7 +120,7 @@ fn part_b() -> (Table, Manifest) {
                 .seeds(1..=5),
         );
     }
-    let m = run_grid("e1b", &scenarios);
+    let m = runner::run("e1b", &scenarios).unwrap_or_else(|e| panic!("{e}"));
     for (k, label, opt) in meta {
         let wf = cell_cost(&m, &label, "waterfill", 0);
         let lru = cell_cost(&m, &label, "lru", 0);
@@ -153,23 +154,18 @@ fn part_c() -> (Table, Manifest) {
         "E1c: adaptive adversary forces ~k ratio for any deterministic policy",
         &["k", "alg", "alg cost", "opt", "ratio", "k"],
     );
-    let runner = standard_runner();
+    let registry = PolicyRegistry::standard();
     let mut records = Vec::new();
     for k in [4usize, 8, 16] {
         let inst = Arc::new(MlInstance::unweighted_paging(k, k + 1).unwrap());
         let len = 80 * k;
         for name in ["waterfill", "lru", "landlord"] {
-            let mut policy = runner
-                .factory()
-                .build(name, &inst, 0)
-                .expect("registry policy");
+            let mut policy = registry.build(name, &inst, 0).expect("registry policy");
             let trace = wmlp_sim::adversary::adaptive_trace(&inst, policy.as_mut(), len)
                 .expect("policy feasible under the adversary");
             let opt = weighted_paging_opt(&inst, &trace);
             let scenario = Scenario::new(format!("adaptive-k{k}"), inst.clone(), trace);
-            let (record, _) = runner
-                .run_cell(&scenario, name, 0, false)
-                .unwrap_or_else(|e| panic!("{e}"));
+            let (record, _) = run_cell(&scenario, name, 0, false).unwrap_or_else(|e| panic!("{e}"));
             t.row(vec![
                 k.to_string(),
                 name.to_string(),

@@ -13,22 +13,22 @@
 //! reset share ≪ 1.
 //!
 //! The reset-eviction telemetry is policy-internal (`reset_stats`). Each
-//! `k`'s eight seeds run as one seed group (`randomized_group`): one
+//! `k`'s eight seeds run as one seed group (`run_group`): one
 //! fractional pass feeds all eight roundings, and each cell yields both
 //! the record the registry's `randomized` spec produces and its reset
 //! cost.
 
 use std::sync::Arc;
 
+use wmlp_algos::runner::{run_group, Manifest, Scenario};
 use wmlp_algos::FracMultiplicative;
 use wmlp_core::instance::MlInstance;
 use wmlp_flow::weighted_paging_opt;
 use wmlp_sim::frac_engine::run_fractional;
-use wmlp_sim::runner::{Manifest, Scenario};
 use wmlp_sim::sweep::par_grid;
 use wmlp_workloads::{weights_pow2_classes, zipf_trace, LevelDist};
 
-use super::{randomized_group, seed_mean_stdev, ExperimentOutput};
+use super::{seed_mean_stdev, ExperimentOutput};
 use crate::table::{fr, Table};
 
 const SEEDS: usize = 8;
@@ -68,7 +68,7 @@ pub fn run() -> ExperimentOutput {
         let cells: Vec<_> = (0..SEEDS as u64)
             .map(|seed| (sc, "randomized", seed))
             .collect();
-        randomized_group(&cells, None)
+        run_group(&cells, None).unwrap_or_else(|e| panic!("{e}"))
     })
     .into_iter()
     .flatten()

@@ -14,7 +14,7 @@ use wmlp_core::writeback::WbInstance;
 use wmlp_offline::{opt_multilevel, opt_writeback, DpLimits};
 use wmlp_workloads::wb::wb_zipf_trace;
 
-use super::{standard_runner, wb_reduction_cell, ExperimentOutput};
+use super::{wb_reduction_cells, ExperimentOutput};
 use crate::table::{fr, Table};
 
 /// Run E4.
@@ -34,7 +34,6 @@ pub fn run() -> ExperimentOutput {
             "rnd_induced",
         ],
     );
-    let runner = standard_runner();
     let mut records = Vec::new();
     let mut rng = StdRng::seed_from_u64(2021);
     for trial in 0u64..8 {
@@ -55,9 +54,12 @@ pub fn run() -> ExperimentOutput {
         let opt_rw = opt_multilevel(&rw, &rw_trace, DpLimits::default()).eviction_cost;
 
         let label = format!("wb-trial{trial}");
-        let (wf_rec, wf_ind) = wb_reduction_cell(&runner, &label, &wb, &trace, "waterfill", 0);
-        let (rnd_rec, rnd_ind) =
-            wb_reduction_cell(&runner, &label, &wb, &trace, "randomized", trial);
+        let [(wf_rec, wf_ind)] = wb_reduction_cells(&label, &wb, &trace, "waterfill", &[0])
+            .try_into()
+            .expect("one seed, one cell");
+        let [(rnd_rec, rnd_ind)] = wb_reduction_cells(&label, &wb, &trace, "randomized", &[trial])
+            .try_into()
+            .expect("one seed, one cell");
 
         t.row(vec![
             trial.to_string(),

@@ -13,12 +13,12 @@
 
 use std::sync::Arc;
 
+use wmlp_algos::runner::{run_cell, Scenario};
 use wmlp_core::cost::CostModel;
 use wmlp_core::validate::validate_run;
 use wmlp_setcover::{RwReduction, SetSystem};
-use wmlp_sim::runner::Scenario;
 
-use super::{standard_runner, ExperimentOutput};
+use super::ExperimentOutput;
 use crate::table::Table;
 
 /// Run E5.
@@ -39,7 +39,6 @@ pub fn run() -> ExperimentOutput {
             "dichotomy",
         ],
     );
-    let runner = standard_runner();
     let mut records = Vec::new();
     for (si, (n, m, p, seed)) in [(6usize, 5usize, 0.4f64, 11u64), (8, 6, 0.35, 12)]
         .into_iter()
@@ -65,9 +64,8 @@ pub fn run() -> ExperimentOutput {
                 Scenario::new(format!("sys{si}-reps{reps}"), inst.clone(), trace.clone())
                     .cost_model(CostModel::Eviction);
             for (name, alg_seed) in [("lru", 0), ("waterfill", 0), ("randomized", 5)] {
-                let (record, res) = runner
-                    .run_cell(&scenario, name, alg_seed, true)
-                    .unwrap_or_else(|e| panic!("{e}"));
+                let (record, res) =
+                    run_cell(&scenario, name, alg_seed, true).unwrap_or_else(|e| panic!("{e}"));
                 let d = red.evicted_write_sets(res.steps.as_ref().unwrap());
                 let covers = sys.is_cover(&d, &elements);
                 let cost = record.cost;

@@ -9,15 +9,15 @@
 
 use std::sync::Arc;
 
+use wmlp_algos::runner::{self, Scenario};
 use wmlp_algos::FracMultiplicative;
 use wmlp_core::instance::MlInstance;
 use wmlp_offline::{opt_multilevel, DpLimits};
 use wmlp_sim::frac_engine::run_fractional;
-use wmlp_sim::runner::Scenario;
 use wmlp_sim::sweep::par_grid;
 use wmlp_workloads::{zipf_trace, LevelDist};
 
-use super::{cell_cost, run_grid, seed_mean_stdev, ExperimentOutput};
+use super::{cell_cost, seed_mean_stdev, ExperimentOutput};
 use crate::table::{fr, Table};
 
 /// Run E7.
@@ -75,7 +75,7 @@ pub fn run() -> ExperimentOutput {
                 .seeds(1..=5),
         );
     }
-    let m = run_grid("e7", &scenarios);
+    let m = runner::run("e7", &scenarios).unwrap_or_else(|e| panic!("{e}"));
     for (levels, label, fc, opt) in meta {
         let wf = cell_cost(&m, &label, "waterfill", 0);
         let (rnd, _) = seed_mean_stdev(&m, &label, "randomized");

@@ -17,14 +17,14 @@
 //! job per `w1/w2` row, one per water-filling cell and one per row's
 //! randomized seeds, which run as one seed group (`wb_reduction_cells`).
 
+use wmlp_algos::runner::RunRecord;
 use wmlp_algos::WbPolicyRegistry;
 use wmlp_core::reduction::InducedWbCost;
 use wmlp_core::writeback::{run_wb_policy, WbInstance, WbRequest};
-use wmlp_sim::runner::RunRecord;
 use wmlp_sim::sweep::par_grid;
 use wmlp_workloads::wb::{wb_shifting_trace, wb_zipf_trace};
 
-use super::{standard_runner, wb_reduction_cells, ExperimentOutput};
+use super::{wb_reduction_cells, ExperimentOutput};
 use crate::table::{fr, Table};
 
 /// Run E8.
@@ -81,13 +81,12 @@ fn baselines(rows: &[WbRow], names: &[&str]) -> Vec<(u64, Vec<u64>)> {
 /// step logs to induced costs as they arrive (a seed group a chunk at a
 /// time), so at most one log per worker is alive at a time.
 fn reduction_cells(rows: &[WbRow], cells: &[(&str, &[u64])]) -> Vec<(RunRecord, InducedWbCost)> {
-    let runner = standard_runner();
     let grid: Vec<(&WbRow, &str, &[u64])> = rows
         .iter()
         .flat_map(|row| cells.iter().map(move |&(spec, seeds)| (row, spec, seeds)))
         .collect();
     par_grid(&grid, |&(row, spec, seeds)| {
-        wb_reduction_cells(&runner, &row.label, &row.inst, &row.trace, spec, seeds)
+        wb_reduction_cells(&row.label, &row.inst, &row.trace, spec, seeds)
     })
     .into_iter()
     .flatten()

@@ -12,13 +12,13 @@
 
 use std::sync::Arc;
 
+use wmlp_algos::runner::{self, run_cell, RunRecord, Scenario};
 use wmlp_core::instance::{MlInstance, Request};
 use wmlp_flow::weighted_paging_opt;
-use wmlp_sim::runner::{RunRecord, Scenario};
 use wmlp_sim::sweep::par_grid;
 use wmlp_workloads::{scan_trace, weights_pow2_classes, zipf_trace, LevelDist};
 
-use super::{cell_cost, run_grid, seed_mean_stdev, standard_runner, ExperimentOutput};
+use super::{cell_cost, seed_mean_stdev, ExperimentOutput};
 use crate::table::{fr, Table};
 
 /// Run E9.
@@ -54,14 +54,11 @@ fn breakdown_table() -> (Table, Vec<RunRecord>) {
             "dominant",
         ],
     );
-    let runner = standard_runner();
     let scenario = Scenario::new("scan-breakdown", inst.clone(), trace);
     let algs = [("lru", 0), ("landlord", 0), ("randomized", 5)];
     // Each job reduces its step log to the class breakdown before returning.
     let runs = par_grid(&algs, |&(name, seed)| {
-        let (record, res) = runner
-            .run_cell(&scenario, name, seed, true)
-            .unwrap_or_else(|e| panic!("{e}"));
+        let (record, res) = run_cell(&scenario, name, seed, true).unwrap_or_else(|e| panic!("{e}"));
         (
             record,
             ClassBreakdown::from_steps(&inst, res.steps.as_ref().unwrap()),
@@ -147,7 +144,7 @@ fn ratios_table() -> (Table, Vec<RunRecord>) {
                 .seeds(1..=5),
         );
     }
-    let m = run_grid("e9", &scenarios);
+    let m = runner::run("e9", &scenarios).unwrap_or_else(|e| panic!("{e}"));
     for (name, opt) in meta {
         let ratio = |p: &str| fr(cell_cost(&m, name, p, 3) as f64 / opt);
         let (rnd, _) = seed_mean_stdev(&m, name, "randomized");

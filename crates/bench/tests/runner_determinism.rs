@@ -4,9 +4,8 @@
 
 use std::sync::Arc;
 
-use wmlp_algos::PolicyRegistry;
+use wmlp_algos::runner::{run, Manifest, Scenario};
 use wmlp_core::instance::MlInstance;
-use wmlp_sim::runner::{Manifest, Runner, Scenario};
 use wmlp_workloads::{zipf_trace, LevelDist};
 
 fn grid() -> Vec<Scenario> {
@@ -26,9 +25,7 @@ fn grid() -> Vec<Scenario> {
 }
 
 fn run_grid() -> Manifest {
-    Runner::new(PolicyRegistry::standard())
-        .run("determinism", &grid())
-        .expect("grid must run")
+    run("determinism", &grid()).expect("grid must run")
 }
 
 /// `RAYON_NUM_THREADS=1` and the default worker count must produce

@@ -2,7 +2,7 @@
 //!
 //! `wmlp-serve --replay <trace>` does not open a socket at all — it feeds
 //! the whole trace through one engine (the semantics of shard count 1)
-//! via the scenario [`Runner`] and emits the run's canonical JSON
+//! via the scenario [`runner::run`] and emits the run's canonical JSON
 //! manifest. "Canonical" zeroes wall-clock fields, so the output is a
 //! pure function of (instance, trace, policy spec, seed): repeated runs,
 //! different machines, and different `--shards` values all produce
@@ -21,10 +21,9 @@
 
 use std::sync::Arc;
 
-use wmlp_algos::PolicyRegistry;
+use wmlp_algos::runner::{self, Scenario};
 use wmlp_core::instance::{MlInstance, Request};
 use wmlp_router::{Override, PartitionPlan, PartitionSpec, Partitioner};
-use wmlp_sim::runner::{Runner, Scenario};
 
 /// Run `trace` through `policy` on one engine and return the canonical
 /// manifest JSON (byte-stable across repeats, machines, and shard
@@ -57,13 +56,10 @@ pub fn replay_manifest(
         }
         partition_section(partitioner.spec(), &epochs)
     });
-    let runner = Runner::new(PolicyRegistry::standard());
     let scenario = Scenario::new("replay", inst, trace)
         .policies([policy])
         .seeds([seed]);
-    let manifest = runner
-        .run("replay", &[scenario])
-        .map_err(|e| e.to_string())?;
+    let manifest = runner::run("replay", &[scenario]).map_err(|e| e.to_string())?;
     let canonical = manifest.canonical();
     Ok(match partition {
         None => canonical.to_json(),
