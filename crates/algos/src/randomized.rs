@@ -11,8 +11,9 @@
 //!
 //! Only the rounding draws random bits, so every seed and every `β` of one
 //! `(instance, trace, η)` sees the same fractional delta stream.
-//! [`run_seed_group`] computes that stream once and feeds it to each
-//! cell's rounding in lockstep, with results equal to separate runs.
+//! [`run_seed_group`] computes that stream once, applies it once to one
+//! [`RoundingMirror`], and steps each cell's [`RoundingCell`] against it in
+//! lockstep, with results equal to separate runs.
 
 use std::time::Instant;
 
@@ -22,7 +23,7 @@ use wmlp_core::policy::{CacheTxn, FracDelta, FractionalPolicy, OnlinePolicy, Pol
 use wmlp_sim::engine::{BatchLog, RunResult, SimError, SimSession, RUN_POLICY_BATCH};
 
 use crate::fractional::FracMultiplicative;
-use crate::rounding::{default_beta, RoundingML};
+use crate::rounding::{default_beta, RoundingCell, RoundingML, RoundingMirror};
 
 /// The `O(log² k)`-competitive randomized algorithm for weighted
 /// multi-level paging (works for any `ℓ`, including `ℓ = 1`).
@@ -105,23 +106,25 @@ pub struct GroupRun {
     pub reset_stats: (u64, u64),
 }
 
-/// Receives a seed group's step logs: `(cell index, index of the chunk's
-/// first request, the chunk's logs)`.
+/// Receives a seed group's step logs: `(cell index, index of the first
+/// request logged, the logs of that request and the ones after it)`.
 pub type OnSteps<'a> = &'a mut dyn FnMut(usize, usize, &[StepLog]);
 
 /// Run one [`RandomizedMlPaging::new`]`(inst, eta, cell.beta, cell.seed)`
 /// per cell over `trace`, computing the shared fractional stream once.
 ///
 /// One [`FracMultiplicative`] serves the trace in the
-/// [`RUN_POLICY_BATCH`]-request chunks that `run_policy` uses. Each
-/// chunk's deltas are then replayed through every cell's own
-/// [`RoundingML`] and [`SimSession`], so at most one chunk of deltas is
-/// held at a time. Every cell's result and reset statistics equal those
-/// of its own `run_policy` run.
+/// [`RUN_POLICY_BATCH`]-request chunks that `run_policy` uses, so at most
+/// one chunk of deltas is held at a time. Within a chunk the group goes
+/// step by step: request `t`'s deltas are applied once to the group's one
+/// [`RoundingMirror`], then every cell's [`RoundingCell`] and
+/// [`SimSession`] serve request `t` against it. Every cell's result and
+/// reset statistics equal those of its own `run_policy` run.
 ///
-/// With `on_steps`, each cell's step logs are recorded and handed over
-/// one chunk at a time, then dropped. A failed step ends the group with
-/// the index of the first cell that failed and its error.
+/// With `on_steps`, each cell's step log is recorded and handed over as
+/// soon as the cell has served the request, then dropped. A failed step
+/// ends the group with the index of the cell that failed (the first,
+/// among cells failing at the same request) and its error.
 pub fn run_seed_group(
     inst: &MlInstance,
     trace: &[Request],
@@ -133,10 +136,17 @@ pub fn run_seed_group(
     // capture; `Manifest::canonical` zeroes it.
     let start = Instant::now();
     let mut frac = FracMultiplicative::with_eta(inst, eta);
-    let mut runs: Vec<(RoundingML, SimSession)> = cells
+    let mut mirror = RoundingMirror::new(inst);
+    let mut runs: Vec<(RoundingCell, SimSession)> = cells
         .iter()
-        .map(|c| (RoundingML::new(inst, c.beta, c.seed), SimSession::new(inst)))
+        .map(|c| {
+            (
+                RoundingCell::new(inst, c.beta, c.seed),
+                SimSession::new(inst),
+            )
+        })
         .collect();
+    // One step's batch, shared by the cells.
     let mut batch = if on_steps.is_some() {
         BatchLog::recording()
     } else {
@@ -155,26 +165,29 @@ pub fn run_seed_group(
             }
             ends.push(deltas.len());
         }
-        for (idx, (rounding, session)) in runs.iter_mut().enumerate() {
-            let mut replay = Replay {
-                rounding,
-                deltas: &deltas,
-                ends: &ends,
-                first_t,
-            };
-            session.step_batch(inst, &mut replay, chunk, &mut batch);
-            if let Some(e) = batch.outcomes().iter().find_map(|o| o.as_ref().err()) {
-                return Err((idx, e.clone()));
-            }
-            if let (Some(f), Some(steps)) = (on_steps.as_mut(), batch.steps()) {
-                f(idx, first_t, steps);
+        let mut from = 0;
+        for (t, (req, &end)) in (first_t..).zip(chunk.iter().zip(&ends)) {
+            mirror.apply(&deltas[from..end]);
+            from = end;
+            for (idx, (cell, session)) in runs.iter_mut().enumerate() {
+                let mut step = CellStep {
+                    cell,
+                    mirror: &mirror,
+                };
+                session.step_batch(inst, &mut step, std::slice::from_ref(req), &mut batch);
+                if let Some(Err(e)) = batch.outcomes().first() {
+                    return Err((idx, e.clone()));
+                }
+                if let (Some(f), Some(steps)) = (on_steps.as_mut(), batch.steps()) {
+                    f(idx, t, steps);
+                }
             }
         }
     }
     let wall = start.elapsed().as_nanos() as u64 / cells.len().max(1) as u64;
     Ok(runs
         .into_iter()
-        .map(|(rounding, session)| {
+        .map(|(cell, session)| {
             let (ledger, mut counters, final_cache) = session.finish();
             counters.wall_nanos = wall;
             GroupRun {
@@ -184,32 +197,26 @@ pub fn run_seed_group(
                     final_cache,
                     counters,
                 },
-                reset_stats: (rounding.reset_evictions(), rounding.reset_cost()),
+                reset_stats: (cell.reset_evictions(), cell.reset_cost()),
             }
         })
         .collect())
 }
 
-/// One cell's rounding as an [`OnlinePolicy`] over a chunk's precomputed
-/// deltas: request `t` of the chunk reads `deltas[ends[i − 1]..ends[i]]`
-/// with `i = t − first_t`.
-struct Replay<'a> {
-    rounding: &'a mut RoundingML,
-    deltas: &'a [FracDelta],
-    ends: &'a [usize],
-    first_t: usize,
+/// One cell's rounding as an [`OnlinePolicy`] for one request, against
+/// the mirror that has applied that request's deltas.
+struct CellStep<'a> {
+    cell: &'a mut RoundingCell,
+    mirror: &'a RoundingMirror,
 }
 
-impl OnlinePolicy for Replay<'_> {
+impl OnlinePolicy for CellStep<'_> {
     fn name(&self) -> &str {
         "randomized-ml"
     }
 
-    fn on_request(&mut self, _ctx: PolicyCtx<'_>, t: usize, req: Request, txn: &mut CacheTxn<'_>) {
-        let i = t - self.first_t;
-        let from = if i == 0 { 0 } else { self.ends[i - 1] };
-        self.rounding
-            .on_step(req, &self.deltas[from..self.ends[i]], txn);
+    fn on_request(&mut self, _ctx: PolicyCtx<'_>, _t: usize, req: Request, txn: &mut CacheTxn<'_>) {
+        self.cell.step(self.mirror, req, txn);
     }
 }
 
@@ -239,20 +246,15 @@ mod tests {
 
     /// Every cell of a seed group against its own `run_policy` run: the
     /// ledger, the counters without wall time, the final cache, the reset
-    /// statistics and the step logs handed over chunk by chunk. The trace
-    /// ends in a partial chunk, and one group mixes three `β`s.
+    /// statistics and the step logs handed over step by step. The trace
+    /// ends in a partial chunk. Per `ℓ ∈ {1, 2, 3}` three groups run: one
+    /// cell, six cells over three `β`s, and E10a's shape, five `β`s × six
+    /// seeds.
     #[test]
     fn seed_group_cells_equal_separate_runs() {
         let k = 5;
-        for levels in [1u8, 3] {
-            let rows: Vec<Vec<u64>> = (0..24u64)
-                .map(|p| {
-                    (0..levels)
-                        .map(|i| (1 + p % 7) << (3 * (levels - 1 - i)))
-                        .collect()
-                })
-                .collect();
-            let inst = MlInstance::from_rows(k, rows).unwrap();
+        for levels in [1u8, 2, 3] {
+            let inst = group_instance(k, levels);
             let trace = zipf_trace(
                 &inst,
                 0.9,
@@ -272,7 +274,14 @@ mod tests {
                     seed: i as u64,
                 })
                 .collect();
-            for cells in [one, six] {
+            let thirty: Vec<SeedCell> = [0.25, 0.5, 1.0, 2.0, 4.0]
+                .into_iter()
+                .flat_map(|mult| {
+                    let beta = (default_beta(k) * mult).max(1.01);
+                    (0..6).map(move |seed| SeedCell { beta, seed })
+                })
+                .collect();
+            for cells in [one, six, thirty] {
                 let mut logs = vec![Vec::new(); cells.len()];
                 let mut keep = |cell: usize, first_t: usize, steps: &[StepLog]| {
                     assert_eq!(logs[cell].len(), first_t);
@@ -295,6 +304,57 @@ mod tests {
                     assert_eq!(Some(&logs[i]), want.steps.as_ref());
                 }
             }
+        }
+    }
+
+    /// `n = 24` pages with `levels` levels and geometric weights.
+    fn group_instance(k: usize, levels: u8) -> MlInstance {
+        let rows: Vec<Vec<u64>> = (0..24u64)
+            .map(|p| {
+                (0..levels)
+                    .map(|i| (1 + p % 7) << (3 * (levels - 1 - i)))
+                    .collect()
+            })
+            .collect();
+        MlInstance::from_rows(k, rows).unwrap()
+    }
+
+    /// An invalid request in the middle of the second chunk: the group
+    /// fails with its first cell's error, which is every cell's own
+    /// `run_policy` error, and each cell's logs up to it are those of a
+    /// run over the trace before it.
+    #[test]
+    fn seed_group_fails_mid_chunk_like_each_cell() {
+        let (k, eta) = (4, 0.25);
+        let inst = group_instance(k, 2);
+        let mut trace = zipf_trace(&inst, 0.9, 2 * RUN_POLICY_BATCH, LevelDist::Uniform, 3);
+        let bad = RUN_POLICY_BATCH + 100;
+        trace[bad] = Request::new(2, 3);
+        let cells: Vec<SeedCell> = (0..3)
+            .map(|seed| SeedCell {
+                beta: default_beta(k),
+                seed,
+            })
+            .collect();
+        let mut logs = vec![Vec::new(); cells.len()];
+        let mut keep = |cell: usize, _: usize, steps: &[StepLog]| {
+            logs[cell].extend_from_slice(steps);
+        };
+        let err = run_seed_group(&inst, &trace, eta, &cells, Some(&mut keep)).unwrap_err();
+        for (i, cell) in cells.iter().enumerate() {
+            let mut alg = RandomizedMlPaging::new(&inst, eta, cell.beta, cell.seed);
+            let want = run_policy(&inst, &trace, &mut alg, false).unwrap_err();
+            assert_eq!(
+                want,
+                SimError::BadRequest {
+                    t: bad,
+                    req: trace[bad]
+                }
+            );
+            assert_eq!(err, (0, want), "cell {i}");
+            let mut alg = RandomizedMlPaging::new(&inst, eta, cell.beta, cell.seed);
+            let before = run_policy(&inst, &trace[..bad], &mut alg, true).unwrap();
+            assert_eq!(Some(&logs[i]), before.steps.as_ref(), "cell {i}");
         }
     }
 

@@ -19,6 +19,14 @@
 //! an arbitrary class-`i` copy other than the requested page is evicted.
 //! The class-0 reset enforces `|C| ≤ k` outright, so feasibility never
 //! depends on the random choices (Lemma 4.6).
+//!
+//! Random bits enter only through the demotions. The rounding is
+//! therefore split in two: a [`RoundingMirror`] holds what the fractional
+//! stream alone determines (`u`, the step's old rows and touched pages,
+//! `k_{≥i}`, the copies' weight classes), and a [`RoundingCell`] holds a
+//! seed's `β`, RNG, per-class cached pages and reset counters. One mirror
+//! can serve many cells ([`crate::randomized::run_seed_group`]);
+//! [`RoundingML`] is one mirror composed with one cell.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -37,15 +45,128 @@ fn noisy_ceil(x: f64) -> usize {
     (x - 1e-6).ceil().max(0.0) as usize
 }
 
-/// Class bookkeeping of the rounding: per weight class `c`, the set of
-/// pages whose cached copy has class exactly `c`, plus the fractional mass
-/// sums `k_{≥ i}`.
+/// The seed-independent half of the rounding: the mirror of the prefix
+/// variables `u(p, i)`, each step's saved old rows and touched pages, the
+/// fractional class masses `k_{≥ i}`, and the weight class of every copy.
+///
+/// All of it is a function of the fractional delta stream alone, so every
+/// [`RoundingCell`] fed by one stream (the seeds and `β`s of one seed
+/// group) reads the same mirror: apply a step's deltas once with
+/// [`RoundingMirror::apply`], then step each cell against it.
 #[derive(Debug, Clone)]
-struct ClassBook {
+pub struct RoundingMirror {
+    inst: MlInstance,
+    /// Slots per page in the `u`, `old_u` and `class` slabs.
+    stride: usize,
+    /// `u(p, i)` at slot `p·stride + i − 1`.
+    u: Vec<f64>,
+    /// The `u` row of every page the last step's deltas touched, as it
+    /// was before the step.
+    old_u: Vec<f64>,
+    /// Whether a page's row has been saved during the current step.
+    touched: Vec<bool>,
+    /// The last step's touched pages in first-appearance order.
+    order: Vec<PageId>,
     /// `k_geq[i] = Σ` fractional in-cache mass of copies with class `≥ i`.
     k_geq: Vec<f64>,
-    /// Pages whose cached copy has class exactly `c` (sorted for
-    /// deterministic "arbitrary" choices).
+    /// Weight class of copy `(p, i)` at slot `p·stride + i − 1`.
+    class: Vec<u8>,
+}
+
+impl RoundingMirror {
+    /// The mirror of an empty fractional cache (`u ≡ 1`).
+    pub fn new(inst: &MlInstance) -> Self {
+        let stride = inst.max_levels() as usize;
+        let mut class = vec![0; inst.n() * stride];
+        for p in 0..inst.n() as PageId {
+            for i in 1..=inst.levels(p) {
+                // At most 64 classes for 64-bit weights.
+                class[p as usize * stride + i as usize - 1] = weight_class(inst.weight(p, i)) as u8;
+            }
+        }
+        RoundingMirror {
+            stride,
+            u: vec![1.0; inst.n() * stride],
+            old_u: vec![0.0; inst.n() * stride],
+            touched: vec![false; inst.n()],
+            order: Vec::new(),
+            k_geq: vec![0.0; num_weight_classes(inst.weights().max_weight())],
+            class,
+            inst: inst.clone(),
+        }
+    }
+
+    /// Commit one step's deltas: save the old `u` row of every page with
+    /// deltas, in first-appearance order (it fixes the order of the cells'
+    /// RNG draws), then write the new values and move `k_{≥ i}`.
+    pub fn apply(&mut self, deltas: &[FracDelta]) {
+        self.order.clear();
+        for d in deltas {
+            let p = d.page as usize;
+            if !std::mem::replace(&mut self.touched[p], true) {
+                self.order.push(d.page);
+                let slots = p * self.stride..(p + 1) * self.stride;
+                self.old_u[slots.clone()].copy_from_slice(&self.u[slots]);
+            }
+        }
+        for &p in &self.order {
+            self.touched[p as usize] = false;
+        }
+        for d in deltas {
+            let slot = self.slot(d.page, d.level);
+            let old = std::mem::replace(&mut self.u[slot], d.new_u);
+            // k_{≥i} accounting: u(p,j) enters k_{≥i} for the class range
+            // (class(p, j+1), class(p, j)].
+            let hi = self.class[slot] as usize;
+            let lo = if d.level < self.inst.levels(d.page) {
+                self.class[slot + 1] as usize + 1
+            } else {
+                0
+            };
+            if lo <= hi {
+                let delta = old - d.new_u;
+                for k in &mut self.k_geq[lo..=hi] {
+                    *k += delta;
+                }
+            }
+        }
+    }
+
+    /// The mirrored prefix variable `u(p, i)`.
+    pub fn u(&self, p: PageId, i: Level) -> f64 {
+        self.u[self.slot(p, i)]
+    }
+
+    #[inline]
+    fn slot(&self, p: PageId, i: Level) -> usize {
+        p as usize * self.stride + i as usize - 1
+    }
+
+    #[inline]
+    fn class_of(&self, p: PageId, i: Level) -> u32 {
+        self.class[self.slot(p, i)] as u32
+    }
+
+    /// Page `p`'s `u` row after and before the last step.
+    fn rows(&self, p: PageId) -> (&[f64], &[f64]) {
+        let from = p as usize * self.stride;
+        let slots = from..from + self.inst.levels(p) as usize;
+        (&self.u[slots.clone()], &self.old_u[slots])
+    }
+}
+
+/// The per-seed half of the rounding: the amplification `β`, the RNG, the
+/// integral cache's pages per weight class, and the reset counters. It
+/// steps against a [`RoundingMirror`] that has already applied the step's
+/// deltas.
+#[derive(Debug, Clone)]
+pub struct RoundingCell {
+    beta: f64,
+    rng: StdRng,
+    /// Pages whose cached copy has class exactly `c` (the order fixes the
+    /// reset scan's "arbitrary" choices). Each list is sized for a full
+    /// cache plus the requested page, so it never grows while the policy
+    /// runs.
     cached: Vec<Vec<PageId>>,
     /// Number of reset evictions performed (instrumentation for E3/E10).
     resets: u64,
@@ -53,17 +174,28 @@ struct ClassBook {
     reset_cost: u64,
 }
 
-impl ClassBook {
-    /// Empty book. Each class list is sized for a full cache plus the
-    /// requested page, so it never grows while the policy runs.
-    fn new(num_classes: usize, k: usize) -> Self {
-        ClassBook {
-            k_geq: vec![0.0; num_classes],
-            cached: (0..num_classes)
-                .map(|_| Vec::with_capacity(k + 1))
+impl RoundingCell {
+    /// A cell over an empty cache with amplification `β` and RNG seed.
+    pub fn new(inst: &MlInstance, beta: f64, seed: u64) -> Self {
+        let classes = num_weight_classes(inst.weights().max_weight());
+        RoundingCell {
+            beta,
+            rng: StdRng::seed_from_u64(seed),
+            cached: (0..classes)
+                .map(|_| Vec::with_capacity(inst.k() + 1))
                 .collect(),
             resets: 0,
             reset_cost: 0,
+        }
+    }
+
+    /// `v(p, i) = min(β·u(p,i), 1)` with `v(p, 0) = 1`, over a `u` row.
+    #[inline]
+    fn v_of(&self, row: &[f64], i: Level) -> f64 {
+        if i == 0 {
+            1.0
+        } else {
+            (self.beta * row[i as usize - 1]).min(1.0)
         }
     }
 
@@ -82,174 +214,38 @@ impl ClassBook {
         v.swap_remove(pos);
     }
 
-    /// Add `delta` to `k_{≥ i}` for every class `i` in `lo..=hi`.
-    fn bump_range(&mut self, lo: u32, hi: u32, delta: f64) {
-        for i in lo as usize..=hi as usize {
-            self.k_geq[i] += delta;
-        }
-    }
-
-    /// Run the reset scan: for classes in decreasing order, while the
-    /// cached count of classes `≥ i` exceeds `⌈k_{≥i}⌉`, evict a victim of
-    /// class `≥ i` (preferring exactly `i`, per the paper) other than
-    /// `protect`. `evict(page)` performs the eviction and returns the
-    /// evicted copy's `(class, weight)`, or `None` if the cache and the
-    /// book disagree about the victim (a bookkeeping bug; the scan stops
-    /// for this class rather than looping forever).
-    fn reset_scan(&mut self, protect: PageId, mut evict: impl FnMut(PageId) -> Option<(u32, u64)>) {
-        let mut suffix = 0usize;
-        for i in (0..self.k_geq.len()).rev() {
-            suffix += self.cached[i].len();
-            while suffix > noisy_ceil(self.k_geq[i]) {
-                // Prefer a victim of class exactly i; fall back to any
-                // class >= i (only reachable under fractional-input noise).
-                let victim = self.cached[i]
-                    .iter()
-                    .copied()
-                    .find(|&q| q != protect)
-                    .or_else(|| {
-                        self.cached[i..]
-                            .iter()
-                            .flat_map(|v| v.iter().copied())
-                            .find(|&q| q != protect)
-                    });
-                let Some(victim) = victim else { break };
-                let Some((class, weight)) = evict(victim) else {
-                    debug_assert!(false, "reset victim {victim} not evictable");
-                    break;
-                };
-                self.remove(victim, class);
-                self.resets += 1;
-                self.reset_cost += weight;
-                suffix -= 1;
-            }
-        }
-    }
-}
-
-/// Algorithm 2: online rounding for multi-level paging; on a one-level
-/// instance, Algorithm 1 for weighted paging.
-#[derive(Debug, Clone)]
-pub struct RoundingML {
-    inst: MlInstance,
-    beta: f64,
-    rng: StdRng,
-    /// Mirror of the prefix variables `u(p, i)`.
-    u: Vec<Vec<f64>>,
-    book: ClassBook,
-    /// Per-step scratch, reused across steps: the row of `u` as it was
-    /// before the step for every page the step's deltas touch (one slab,
-    /// `stride` slots per page), whether a page's row has been saved yet,
-    /// and the touched pages in first-appearance order.
-    old_u: Vec<f64>,
-    stride: usize,
-    touched: Vec<bool>,
-    order: Vec<PageId>,
-}
-
-impl RoundingML {
-    /// New rounding state with amplification `β` and RNG seed.
-    pub fn new(inst: &MlInstance, beta: f64, seed: u64) -> Self {
-        let classes = num_weight_classes(inst.weights().max_weight());
-        let stride = inst.max_levels() as usize;
-        RoundingML {
-            beta,
-            rng: StdRng::seed_from_u64(seed),
-            u: (0..inst.n())
-                .map(|p| vec![1.0; inst.levels(p as PageId) as usize])
-                .collect(),
-            book: ClassBook::new(classes, inst.k()),
-            old_u: vec![0.0; inst.n() * stride],
-            stride,
-            touched: vec![false; inst.n()],
-            order: Vec::new(),
-            inst: inst.clone(),
-        }
-    }
-
-    /// Rounding with the paper's default `β = 4 log k`.
-    pub fn with_default_beta(inst: &MlInstance, seed: u64) -> Self {
-        let beta = default_beta(inst.k());
-        Self::new(inst, beta, seed)
-    }
-
-    /// `v(p, i) = min(β·u(p,i), 1)` with `v(p, 0) = 1`, over a `u` row.
-    #[inline]
-    fn v_of(&self, row: &[f64], i: Level) -> f64 {
-        if i == 0 {
-            1.0
-        } else {
-            (self.beta * row[i as usize - 1]).min(1.0)
-        }
-    }
-
-    fn class_of(&self, copy: CopyRef) -> u32 {
-        weight_class(self.inst.weight(copy.page, copy.level))
-    }
-
-    /// Serve one step.
-    pub fn on_step(&mut self, req: Request, deltas: &[FracDelta], txn: &mut CacheTxn<'_>) {
+    /// Serve request `req` after `mirror` applied the step's deltas.
+    pub fn step(&mut self, mirror: &RoundingMirror, req: Request, txn: &mut CacheTxn<'_>) {
         let (p_t, i_t) = (req.page, req.level);
 
         // Lines 2-7: fix up the requested page.
         match txn.cache().level_of(p_t) {
             Some(j) if j > i_t => {
                 txn.evict_if_present(CopyRef::new(p_t, j));
-                self.book.remove(p_t, self.class_of(CopyRef::new(p_t, j)));
+                self.remove(p_t, mirror.class_of(p_t, j));
                 txn.fetch_if_absent(CopyRef::new(p_t, i_t));
-                self.book.insert(p_t, self.class_of(CopyRef::new(p_t, i_t)));
+                self.insert(p_t, mirror.class_of(p_t, i_t));
             }
             Some(_) => {}
             None => {
                 txn.fetch_if_absent(CopyRef::new(p_t, i_t));
-                self.book.insert(p_t, self.class_of(CopyRef::new(p_t, i_t)));
-            }
-        }
-
-        // Save the old u row of every page with deltas, then commit the new
-        // values (the demotion rule mixes new values at level i-1 with old
-        // values at level i). Pages are processed in first-appearance
-        // order — it fixes the order of the RNG draws, so runs are
-        // reproducible for a fixed seed.
-        self.order.clear();
-        for d in deltas {
-            let p = d.page as usize;
-            if !std::mem::replace(&mut self.touched[p], true) {
-                self.order.push(d.page);
-                let row = &self.u[p];
-                self.old_u[p * self.stride..][..row.len()].copy_from_slice(row);
-            }
-        }
-        for d in deltas {
-            let row = &mut self.u[d.page as usize];
-            let old = std::mem::replace(&mut row[d.level as usize - 1], d.new_u);
-            // k_{≥i} accounting: u(p,j) enters k_{≥i} for the class range
-            // (class(p, j+1), class(p, j)].
-            let hi = self.class_of(CopyRef::new(d.page, d.level));
-            let lo = if d.level < self.inst.levels(d.page) {
-                self.class_of(CopyRef::new(d.page, d.level + 1)) + 1
-            } else {
-                0
-            };
-            if lo <= hi {
-                self.book.bump_range(lo, hi, old - d.new_u);
+                self.insert(p_t, mirror.class_of(p_t, i_t));
             }
         }
 
         // Lines 8-13: cascading demotions for every page with fractional
-        // movement, other than p_t.
-        for &p in &self.order {
-            self.touched[p as usize] = false;
+        // movement, other than p_t. The demotion rule mixes new values at
+        // level i-1 with old values at level i.
+        for &p in &mirror.order {
             if p == p_t {
                 continue;
             }
             let Some(mut i) = txn.cache().level_of(p) else {
                 continue;
             };
-            let levels = self.inst.levels(p);
-            let old_row = &self.old_u[p as usize * self.stride..][..levels as usize];
+            let levels = mirror.inst.levels(p);
+            let (new_row, old_row) = mirror.rows(p);
             loop {
-                let new_row = &self.u[p as usize];
                 let v_new_i = self.v_of(new_row, i);
                 let v_old_i = self.v_of(old_row, i.min(levels));
                 let dv = v_new_i - v_old_i;
@@ -267,35 +263,105 @@ impl RoundingML {
                 }
                 // Demote (p, i) to (p, i+1); for i = ℓ this is an eviction.
                 txn.evict_if_present(CopyRef::new(p, i));
-                self.book.remove(p, self.class_of(CopyRef::new(p, i)));
+                self.remove(p, mirror.class_of(p, i));
                 if i == levels {
                     break;
                 }
                 i += 1;
                 txn.fetch_if_absent(CopyRef::new(p, i));
-                self.book.insert(p, self.class_of(CopyRef::new(p, i)));
+                self.insert(p, mirror.class_of(p, i));
             }
         }
 
         // Lines 14-17: per-class resets, heaviest class first.
-        let inst = &self.inst;
-        self.book.reset_scan(p_t, |victim| {
-            let level = txn.cache().level_of(victim)?;
-            txn.evict_if_present(CopyRef::new(victim, level)).then(|| {
-                let w = inst.weight(victim, level);
-                (weight_class(w), w)
-            })
-        });
+        self.reset_scan(mirror, p_t, txn);
+    }
+
+    /// The reset scan: for classes in decreasing order, while the cached
+    /// count of classes `≥ i` exceeds `⌈k_{≥i}⌉`, evict a victim of class
+    /// `≥ i` (preferring exactly `i`, per the paper) other than `protect`.
+    /// If the cache and the class lists disagree about a victim (a
+    /// bookkeeping bug), the scan stops for this class rather than looping
+    /// forever.
+    fn reset_scan(&mut self, mirror: &RoundingMirror, protect: PageId, txn: &mut CacheTxn<'_>) {
+        let mut suffix = 0usize;
+        for i in (0..mirror.k_geq.len()).rev() {
+            suffix += self.cached[i].len();
+            while suffix > noisy_ceil(mirror.k_geq[i]) {
+                // Prefer a victim of class exactly i; fall back to any
+                // class >= i (only reachable under fractional-input noise).
+                let victim = self.cached[i]
+                    .iter()
+                    .copied()
+                    .find(|&q| q != protect)
+                    .or_else(|| {
+                        self.cached[i..]
+                            .iter()
+                            .flat_map(|v| v.iter().copied())
+                            .find(|&q| q != protect)
+                    });
+                let Some(victim) = victim else { break };
+                let Some(copy) = txn.evict_page(victim) else {
+                    debug_assert!(false, "reset victim {victim} not evictable");
+                    break;
+                };
+                self.remove(victim, mirror.class_of(victim, copy.level));
+                self.resets += 1;
+                self.reset_cost += mirror.inst.weight(victim, copy.level);
+                suffix -= 1;
+            }
+        }
     }
 
     /// Number of reset evictions so far (instrumentation).
     pub fn reset_evictions(&self) -> u64 {
-        self.book.resets
+        self.resets
     }
 
     /// Total weight of reset evictions so far (instrumentation).
     pub fn reset_cost(&self) -> u64 {
-        self.book.reset_cost
+        self.reset_cost
+    }
+}
+
+/// Algorithm 2: online rounding for multi-level paging; on a one-level
+/// instance, Algorithm 1 for weighted paging. One [`RoundingMirror`]
+/// composed with one [`RoundingCell`].
+#[derive(Debug, Clone)]
+pub struct RoundingML {
+    mirror: RoundingMirror,
+    cell: RoundingCell,
+}
+
+impl RoundingML {
+    /// New rounding state with amplification `β` and RNG seed.
+    pub fn new(inst: &MlInstance, beta: f64, seed: u64) -> Self {
+        RoundingML {
+            mirror: RoundingMirror::new(inst),
+            cell: RoundingCell::new(inst, beta, seed),
+        }
+    }
+
+    /// Rounding with the paper's default `β = 4 log k`.
+    pub fn with_default_beta(inst: &MlInstance, seed: u64) -> Self {
+        let beta = default_beta(inst.k());
+        Self::new(inst, beta, seed)
+    }
+
+    /// Serve one step.
+    pub fn on_step(&mut self, req: Request, deltas: &[FracDelta], txn: &mut CacheTxn<'_>) {
+        self.mirror.apply(deltas);
+        self.cell.step(&self.mirror, req, txn);
+    }
+
+    /// Number of reset evictions so far (instrumentation).
+    pub fn reset_evictions(&self) -> u64 {
+        self.cell.reset_evictions()
+    }
+
+    /// Total weight of reset evictions so far (instrumentation).
+    pub fn reset_cost(&self) -> u64 {
+        self.cell.reset_cost()
     }
 }
 
@@ -397,6 +463,30 @@ mod tests {
         run_policy(&inst, &trace, &mut alg, false).unwrap();
     }
 
+    /// Each step's touched pages come in first-appearance order with
+    /// their rows as they were before that step, also for a page the
+    /// previous step touched, and `k_{≥i}` is the in-cache mass of the
+    /// copies of class `≥ i`.
+    #[test]
+    fn mirror_saves_each_steps_rows_in_first_appearance_order() {
+        // Classes: (0,1) 2, (0,2) 0, (1,1) 3, (1,2) 1.
+        let inst = MlInstance::from_rows(1, vec![vec![4, 1], vec![8, 2]]).unwrap();
+        let d = |page: PageId, level: Level, new_u: f64| FracDelta { page, level, new_u };
+        let mut m = RoundingMirror::new(&inst);
+        m.apply(&[d(1, 2, 0.5), d(0, 2, 0.75), d(1, 2, 0.25)]);
+        assert_eq!(m.order, [1, 0]);
+        assert_eq!(m.rows(1), (&[1.0, 0.25][..], &[1.0, 1.0][..]));
+        assert_eq!(m.k_geq, [1.0, 0.75, 0.0, 0.0]);
+        m.apply(&[d(0, 2, 0.5), d(0, 1, 0.5), d(1, 2, 0.0)]);
+        assert_eq!(m.order, [0, 1]);
+        assert_eq!(m.rows(0), (&[0.5, 0.5][..], &[1.0, 0.75][..]));
+        assert_eq!(m.rows(1), (&[1.0, 0.0][..], &[1.0, 0.25][..]));
+        // x(0,1) = 0.5 at class 2, x(1,2) = 1 at class 1.
+        assert_eq!(m.k_geq, [1.5, 1.5, 0.5, 0.0]);
+        m.apply(&[]);
+        assert!(m.order.is_empty());
+    }
+
     /// The fractional mirror inside the rounding must track the engine's.
     #[test]
     fn rounding_mirror_matches_frac_state() {
@@ -420,7 +510,7 @@ mod tests {
             for p in 0..inst.n() as PageId {
                 for l in 1..=inst.levels(p) {
                     assert!(
-                        (rounding.u[p as usize][l as usize - 1] - mirror.u(p, l)).abs() < 1e-12,
+                        (rounding.mirror.u(p, l) - mirror.u(p, l)).abs() < 1e-12,
                         "mirror mismatch at t={t}"
                     );
                 }

@@ -256,7 +256,7 @@ type ResetStats = (u64, u64);
 /// specs must be `randomized` specs with one `η`; `β` and the seed may
 /// differ per cell. Returns, per cell, the record [`run_cell`] produces
 /// for it and the policy's `(count, cost)` of reset evictions. `on_steps`
-/// receives each cell's step logs a chunk at a time, as in
+/// receives each cell's step logs as they are made, as in
 /// [`run_seed_group`].
 pub fn run_group(
     cells: &[(&Scenario, &str, u64)],

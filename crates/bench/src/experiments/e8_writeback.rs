@@ -78,8 +78,8 @@ fn baselines(rows: &[WbRow], names: &[&str]) -> Vec<(u64, Vec<u64>)> {
 
 /// Every seed of every spec of `cells` on every row through the
 /// reduction, row-major, one job per (row, spec). Each job reduces its
-/// step logs to induced costs as they arrive (a seed group a chunk at a
-/// time), so at most one log per worker is alive at a time.
+/// step logs to induced costs as they arrive (a seed group's one step at
+/// a time), so at most one log per worker is alive at a time.
 fn reduction_cells(rows: &[WbRow], cells: &[(&str, &[u64])]) -> Vec<(RunRecord, InducedWbCost)> {
     let grid: Vec<(&WbRow, &str, &[u64])> = rows
         .iter()

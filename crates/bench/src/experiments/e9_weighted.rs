@@ -12,9 +12,11 @@
 
 use std::sync::Arc;
 
-use wmlp_algos::runner::{self, run_cell, RunRecord, Scenario};
+use wmlp_algos::runner::{self, run_cell, run_group, Manifest, RunRecord, Scenario};
+use wmlp_core::action::StepLog;
 use wmlp_core::instance::{MlInstance, Request};
 use wmlp_flow::weighted_paging_opt;
+use wmlp_sim::stats::ClassBreakdown;
 use wmlp_sim::sweep::par_grid;
 use wmlp_workloads::{scan_trace, weights_pow2_classes, zipf_trace, LevelDist};
 
@@ -23,26 +25,153 @@ use crate::table::{fr, Table};
 
 /// Run E9.
 pub fn run() -> ExperimentOutput {
-    let (ta, ra) = ratios_table();
-    let (tb, rb) = breakdown_table();
-    let mut records = ra;
-    records.extend(rb);
+    let (ta, tb, records) = tables();
     ExperimentOutput::new("e9", vec![ta, tb], records)
+}
+
+/// One job of E9's grid.
+enum Part {
+    /// Part A's grid, without `scan(k+1)`'s randomized seeds.
+    Grid,
+    /// `scan(k+1)`'s randomized seeds and Part B's randomized cell, one
+    /// seed group over the shared scan trace.
+    ScanGroup,
+    /// Part B's cell of a deterministic spec.
+    Breakdown(&'static str),
+}
+
+/// Both tables and the manifest's records: Part A's grid in grid order,
+/// then Part B's cells (`lru`, `landlord`, `randomized`).
+fn tables() -> (Table, Table, Vec<RunRecord>) {
+    let k = 16;
+    let inst = Arc::new(MlInstance::weighted_paging(k, weights_pow2_classes(128, 6, 9)).unwrap());
+    let scan = Arc::new(scan_trace(&inst, k + 1, 12000, 1));
+    let traces: Vec<(&str, Arc<Vec<Request>>)> = vec![
+        (
+            "zipf(0.8)",
+            Arc::new(zipf_trace(&inst, 0.8, 12000, LevelDist::Top, 21)),
+        ),
+        (
+            "zipf(1.2)",
+            Arc::new(zipf_trace(&inst, 1.2, 12000, LevelDist::Top, 22)),
+        ),
+        ("scan(k+1)", scan.clone()),
+        (
+            "phased",
+            Arc::new(wmlp_workloads::phased_trace(
+                &inst,
+                8,
+                2 * k,
+                12000,
+                LevelDist::Top,
+                23,
+            )),
+        ),
+    ];
+
+    let mut grid = Vec::new();
+    let mut opts = Vec::new();
+    for (name, trace) in &traces {
+        // The flow OPTs stay on this thread, one after another. Each peaks
+        // at ~2 MiB of heap; one on a pool thread would stay resident in
+        // that thread's malloc arena and raise the peak RSS of
+        // `experiments all` by ~16 %.
+        opts.push((*name, weighted_paging_opt(&inst, trace) as f64));
+        // Seed 3 matches the historical marking run; the deterministic
+        // baselines ignore it.
+        grid.push(
+            Scenario::new(*name, inst.clone(), trace.clone())
+                .policies(["lru", "fifo", "marking", "landlord", "waterfill"])
+                .seeds([3]),
+        );
+        if *name != "scan(k+1)" {
+            grid.push(
+                Scenario::new(*name, inst.clone(), trace.clone())
+                    .policies(["randomized"])
+                    .seeds(1..=5),
+            );
+        }
+    }
+    let scan_seeds = Scenario::new("scan(k+1)", inst.clone(), scan.clone());
+    let breakdown = Scenario::new("scan-breakdown", inst.clone(), scan);
+    let group_cells: Vec<(&Scenario, &str, u64)> = (1..=5)
+        .map(|seed| (&scan_seeds, "randomized", seed))
+        .chain([(&breakdown, "randomized", 5)])
+        .collect();
+
+    let parts = [
+        Part::Grid,
+        Part::ScanGroup,
+        Part::Breakdown("lru"),
+        Part::Breakdown("landlord"),
+    ];
+    let mut done = par_grid(&parts, |part| match *part {
+        Part::Grid => {
+            let m = runner::run("e9", &grid).unwrap_or_else(|e| panic!("{e}"));
+            (m.runs, None)
+        }
+        Part::ScanGroup => {
+            // Only Part B's cell, the group's last, folds its step logs.
+            let last = group_cells.len() - 1;
+            let mut b = ClassBreakdown::new(&inst);
+            let mut fold = |cell: usize, _: usize, steps: &[StepLog]| {
+                if cell == last {
+                    b.add_steps(&inst, steps);
+                }
+            };
+            let runs = run_group(&group_cells, Some(&mut fold)).unwrap_or_else(|e| panic!("{e}"));
+            (
+                runs.into_iter().map(|(record, _)| record).collect(),
+                Some(b),
+            )
+        }
+        Part::Breakdown(spec) => {
+            let (record, res) =
+                run_cell(&breakdown, spec, 0, true).unwrap_or_else(|e| panic!("{e}"));
+            let b = ClassBreakdown::from_steps(&inst, res.steps.as_ref().unwrap());
+            (vec![record], Some(b))
+        }
+    })
+    .into_iter();
+    let (Some((mut a_runs, _)), Some((mut scan_runs, Some(rnd))), Some(lru), Some(landlord)) =
+        (done.next(), done.next(), done.next(), done.next())
+    else {
+        unreachable!("one result per part")
+    };
+
+    // `scan(k+1)`'s randomized seeds go back to their place in grid order,
+    // right after that trace's deterministic cells.
+    let rnd_record = scan_runs.pop().expect("Part B's cell");
+    let at = a_runs
+        .iter()
+        .rposition(|r| r.scenario == "scan(k+1)")
+        .map_or(a_runs.len(), |i| i + 1);
+    a_runs.splice(at..at, scan_runs);
+    let m = Manifest {
+        name: "e9".into(),
+        runs: a_runs,
+    };
+    let ta = ratios_table(&m, &opts);
+
+    let b_cells = [
+        ("lru", lru),
+        ("landlord", landlord),
+        ("randomized", (vec![rnd_record], Some(rnd))),
+    ];
+    let mut records = m.runs;
+    let mut rows = Vec::new();
+    for (name, (mut cell_records, b)) in b_cells {
+        records.append(&mut cell_records);
+        rows.push((name, b.expect("every Part B cell folds its breakdown")));
+    }
+    (ta, breakdown_table(&rows), records)
 }
 
 /// Part B: where the cost goes — per-weight-class eviction breakdown on
 /// the adversarial scan, the trace where the algorithms differ the most.
 /// LRU burns its budget evicting the heaviest classes indiscriminately;
 /// Landlord and the randomized algorithm shift evictions to cheap classes.
-fn breakdown_table() -> (Table, Vec<RunRecord>) {
-    use wmlp_sim::stats::ClassBreakdown;
-
-    let k = 16;
-    let n = 128;
-    let weights = weights_pow2_classes(n, 6, 9);
-    let inst = Arc::new(MlInstance::weighted_paging(k, weights).unwrap());
-    let trace = Arc::new(scan_trace(&inst, k + 1, 12000, 1));
-
+fn breakdown_table(rows: &[(&str, ClassBreakdown)]) -> Table {
     let mut t = Table::new(
         "E9b: eviction-cost share by weight class on scan(k+1)",
         &[
@@ -54,18 +183,7 @@ fn breakdown_table() -> (Table, Vec<RunRecord>) {
             "dominant",
         ],
     );
-    let scenario = Scenario::new("scan-breakdown", inst.clone(), trace);
-    let algs = [("lru", 0), ("landlord", 0), ("randomized", 5)];
-    // Each job reduces its step log to the class breakdown before returning.
-    let runs = par_grid(&algs, |&(name, seed)| {
-        let (record, res) = run_cell(&scenario, name, seed, true).unwrap_or_else(|e| panic!("{e}"));
-        (
-            record,
-            ClassBreakdown::from_steps(&inst, res.steps.as_ref().unwrap()),
-        )
-    });
-    let mut records = Vec::new();
-    for ((name, _), (record, b)) in algs.into_iter().zip(runs) {
+    for (name, b) in rows {
         let total = b.total_eviction_cost() as f64;
         let share = |lo: usize, hi: usize| -> f64 {
             b.eviction_cost[lo..=hi.min(b.eviction_cost.len() - 1)]
@@ -81,12 +199,13 @@ fn breakdown_table() -> (Table, Vec<RunRecord>) {
             fr(100.0 * share(5, 6)),
             b.dominant_class().map_or("-".into(), |c| c.to_string()),
         ]);
-        records.push(record);
     }
-    (t, records)
+    t
 }
 
-fn ratios_table() -> (Table, Vec<RunRecord>) {
+/// Part A: each policy's ratio to the trace's flow OPT (the randomized
+/// algorithm's mean over its seeds).
+fn ratios_table(m: &Manifest, opts: &[(&str, f64)]) -> Table {
     let mut t = Table::new(
         "E9: weighted paging (l=1, k=16, n=128): ratio to flow OPT",
         &[
@@ -100,54 +219,9 @@ fn ratios_table() -> (Table, Vec<RunRecord>) {
             "randomized",
         ],
     );
-    let k = 16;
-    let n = 128;
-    let weights = weights_pow2_classes(n, 6, 9);
-    let inst = Arc::new(MlInstance::weighted_paging(k, weights).unwrap());
-
-    let traces: Vec<(&str, Vec<Request>)> = vec![
-        (
-            "zipf(0.8)",
-            zipf_trace(&inst, 0.8, 12000, LevelDist::Top, 21),
-        ),
-        (
-            "zipf(1.2)",
-            zipf_trace(&inst, 1.2, 12000, LevelDist::Top, 22),
-        ),
-        ("scan(k+1)", scan_trace(&inst, k + 1, 12000, 1)),
-        (
-            "phased",
-            wmlp_workloads::phased_trace(&inst, 8, 2 * k, 12000, LevelDist::Top, 23),
-        ),
-    ];
-
-    let mut scenarios = Vec::new();
-    let mut meta = Vec::new();
-    for (name, trace) in traces {
-        // The flow OPTs stay on this thread, one after another. Each peaks
-        // at ~2 MiB of heap; one on a pool thread would stay resident in
-        // that thread's malloc arena and raise the peak RSS of
-        // `experiments all` by ~16 %.
-        let opt = weighted_paging_opt(&inst, &trace) as f64;
-        let trace = Arc::new(trace);
-        meta.push((name, opt));
-        // Seed 3 matches the historical marking run; the deterministic
-        // baselines ignore it.
-        scenarios.push(
-            Scenario::new(name, inst.clone(), trace.clone())
-                .policies(["lru", "fifo", "marking", "landlord", "waterfill"])
-                .seeds([3]),
-        );
-        scenarios.push(
-            Scenario::new(name, inst.clone(), trace)
-                .policies(["randomized"])
-                .seeds(1..=5),
-        );
-    }
-    let m = runner::run("e9", &scenarios).unwrap_or_else(|e| panic!("{e}"));
-    for (name, opt) in meta {
-        let ratio = |p: &str| fr(cell_cost(&m, name, p, 3) as f64 / opt);
-        let (rnd, _) = seed_mean_stdev(&m, name, "randomized");
+    for &(name, opt) in opts {
+        let ratio = |p: &str| fr(cell_cost(m, name, p, 3) as f64 / opt);
+        let (rnd, _) = seed_mean_stdev(m, name, "randomized");
         t.row(vec![
             name.to_string(),
             fr(opt),
@@ -159,7 +233,7 @@ fn ratios_table() -> (Table, Vec<RunRecord>) {
             fr(rnd / opt),
         ]);
     }
-    (t, m.runs)
+    t
 }
 
 #[cfg(test)]
@@ -168,7 +242,7 @@ mod tests {
 
     #[test]
     fn e9_all_ratios_at_least_one_and_randomized_within_guarantee() {
-        let t = &ratios_table().0;
+        let t = &tables().0;
         let k = 16f64;
         let guarantee = 8.0 * k.ln() * k.ln(); // generous O(log^2 k)
         for r in 0..t.num_rows() {
@@ -183,7 +257,7 @@ mod tests {
 
     #[test]
     fn e9b_weight_aware_algorithms_avoid_heavy_classes() {
-        let t = breakdown_table().0;
+        let t = tables().1;
         // Row order: lru, landlord, randomized. Heavy-class share
         // (classes 5-6) must be largest for LRU.
         let lru_heavy: f64 = t.cell(0, 4).parse().unwrap();

@@ -13,7 +13,7 @@
 //! loops. The runner runs every seed of a `randomized…` spec as one seed
 //! group, one fractional pass for all of them; E3 and E10a call
 //! [`run_group`] directly for the policy's reset telemetry, and E4/E8's
-//! reduction cells for step logs folded a chunk at a time. Grids, seed
+//! reduction cells and E9b for step logs folded step by step. Grids, seed
 //! groups and independent per-workload solves run on [`par_grid`]'s
 //! scoped threads and are collected in input order, so output does not
 //! depend on the thread count.
@@ -95,7 +95,7 @@ pub fn seed_mean_stdev(m: &Manifest, scenario: &str, policy: &str) -> (f64, f64)
 /// solution. Each record's `cost` is the RW-side eviction cost
 /// (`induced.cost` never exceeds it). A `randomized…` spec's seeds run as
 /// one seed group ([`run_group`]), each cell's step logs folded into its
-/// [`InducedWbTally`] a chunk at a time and dropped; any other spec runs
+/// [`InducedWbTally`] as they are made and dropped; any other spec runs
 /// one [`run_cell`] per seed with its whole step log.
 pub fn wb_reduction_cells(
     label: &str,
@@ -216,7 +216,7 @@ mod tests {
     /// The reduction cells against `run_ml_policy_on_writeback`, which
     /// folds the whole step log at once: water-filling with its whole
     /// step log, and the randomized seeds as one seed group whose step
-    /// logs reach each cell's tally a chunk at a time (1000 requests: one
+    /// logs reach each cell's tally one step at a time (1000 requests: one
     /// full chunk and a partial one). Each group record is also the one
     /// `run_cell` gives on the reduced instance.
     #[test]

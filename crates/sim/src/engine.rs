@@ -14,9 +14,9 @@ use crate::stats::RunCounters;
 
 /// Chunk size [`run_policy`] feeds to [`SimSession::step_batch`]. Large
 /// enough that per-chunk bookkeeping vanishes, small enough that the
-/// fail-fast check after each chunk stays prompt. Drivers that step a
-/// trace chunk by chunk for other reasons (the randomized policy's seed
-/// groups) use the same size.
+/// fail-fast check after each chunk stays prompt. The randomized
+/// policy's seed groups compute their shared fractional stream in chunks
+/// of the same size.
 pub const RUN_POLICY_BATCH: usize = 512;
 
 /// A policy misbehaved at time `t`.

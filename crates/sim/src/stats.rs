@@ -89,13 +89,24 @@ pub struct ClassBreakdown {
 impl ClassBreakdown {
     /// Compute the breakdown of a recorded run.
     pub fn from_steps(inst: &MlInstance, steps: &[StepLog]) -> Self {
+        let mut out = Self::new(inst);
+        out.add_steps(inst, steps);
+        out
+    }
+
+    /// The breakdown of a run that has not stepped yet.
+    pub fn new(inst: &MlInstance) -> Self {
         let classes = num_weight_classes(inst.weights().max_weight());
-        let mut out = ClassBreakdown {
+        ClassBreakdown {
             eviction_cost: vec![0; classes],
             evictions: vec![0; classes],
             fetch_cost: vec![0; classes],
             fetches: vec![0; classes],
-        };
+        }
+    }
+
+    /// Add the actions of `steps`, the run's next steps.
+    pub fn add_steps(&mut self, inst: &MlInstance, steps: &[StepLog]) {
         for step in steps {
             for &a in &step.actions {
                 let c = a.copy();
@@ -103,17 +114,16 @@ impl ClassBreakdown {
                 let cls = weight_class(w) as usize;
                 match a {
                     Action::Evict(_) => {
-                        out.eviction_cost[cls] += w;
-                        out.evictions[cls] += 1;
+                        self.eviction_cost[cls] += w;
+                        self.evictions[cls] += 1;
                     }
                     Action::Fetch(_) => {
-                        out.fetch_cost[cls] += w;
-                        out.fetches[cls] += 1;
+                        self.fetch_cost[cls] += w;
+                        self.fetches[cls] += 1;
                     }
                 }
             }
         }
-        out
     }
 
     /// Total eviction cost across classes.
@@ -308,6 +318,11 @@ mod tests {
         assert_eq!(b.fetch_cost[0], 1);
         assert_eq!(b.total_eviction_cost(), 11);
         assert_eq!(b.dominant_class(), Some(3));
+        let mut folded = ClassBreakdown::new(&inst);
+        for step in steps.chunks(1) {
+            folded.add_steps(&inst, step);
+        }
+        assert_eq!(folded, b);
     }
 
     #[test]
