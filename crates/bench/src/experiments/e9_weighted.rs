@@ -29,19 +29,26 @@ pub fn run() -> ExperimentOutput {
     ExperimentOutput::new("e9", vec![ta, tb], records)
 }
 
-/// One job of E9's grid.
-enum Part {
-    /// Part A's grid, without `scan(k+1)`'s randomized seeds.
-    Grid,
-    /// `scan(k+1)`'s randomized seeds and Part B's randomized cell, one
-    /// seed group over the shared scan trace.
-    ScanGroup,
+/// Part B's workload: the adversarial scan, the trace where the
+/// algorithms differ the most.
+const SCAN: &str = "scan(k+1)";
+
+/// One job of E9's first phase.
+enum Job {
+    /// The randomized policy's seeds on trace `i`, one seed group. The
+    /// scan's group also runs Part B's randomized cell.
+    Group(usize),
     /// Part B's cell of a deterministic spec.
     Breakdown(&'static str),
 }
 
-/// Both tables and the manifest's records: Part A's grid in grid order,
-/// then Part B's cells (`lru`, `landlord`, `randomized`).
+/// Both tables and the manifest's records: Part A in grid order (per
+/// trace, the deterministic cells, then the randomized seeds), then Part
+/// B's cells (`lru`, `landlord`, `randomized`).
+///
+/// The four seed groups and Part B's deterministic cells run as one
+/// `par_grid`, then Part A's deterministic grid through the runner, so
+/// no grid runs inside another's job.
 fn tables() -> (Table, Table, Vec<RunRecord>) {
     let k = 16;
     let inst = Arc::new(MlInstance::weighted_paging(k, weights_pow2_classes(128, 6, 9)).unwrap());
@@ -55,7 +62,7 @@ fn tables() -> (Table, Table, Vec<RunRecord>) {
             "zipf(1.2)",
             Arc::new(zipf_trace(&inst, 1.2, 12000, LevelDist::Top, 22)),
         ),
-        ("scan(k+1)", scan.clone()),
+        (SCAN, scan.clone()),
         (
             "phased",
             Arc::new(wmlp_workloads::phased_trace(
@@ -69,8 +76,9 @@ fn tables() -> (Table, Table, Vec<RunRecord>) {
         ),
     ];
 
-    let mut grid = Vec::new();
     let mut opts = Vec::new();
+    let mut grid = Vec::new();
+    let mut randomized = Vec::new();
     for (name, trace) in &traces {
         // The flow OPTs stay on this thread, one after another. Each peaks
         // at ~2 MiB of heap; one on a pool thread would stay resident in
@@ -84,84 +92,66 @@ fn tables() -> (Table, Table, Vec<RunRecord>) {
                 .policies(["lru", "fifo", "marking", "landlord", "waterfill"])
                 .seeds([3]),
         );
-        if *name != "scan(k+1)" {
-            grid.push(
-                Scenario::new(*name, inst.clone(), trace.clone())
-                    .policies(["randomized"])
-                    .seeds(1..=5),
-            );
-        }
+        randomized.push(Scenario::new(*name, inst.clone(), trace.clone()));
     }
-    let scan_seeds = Scenario::new("scan(k+1)", inst.clone(), scan.clone());
     let breakdown = Scenario::new("scan-breakdown", inst.clone(), scan);
-    let group_cells: Vec<(&Scenario, &str, u64)> = (1..=5)
-        .map(|seed| (&scan_seeds, "randomized", seed))
-        .chain([(&breakdown, "randomized", 5)])
-        .collect();
 
-    let parts = [
-        Part::Grid,
-        Part::ScanGroup,
-        Part::Breakdown("lru"),
-        Part::Breakdown("landlord"),
-    ];
-    let mut done = par_grid(&parts, |part| match *part {
-        Part::Grid => {
-            let m = runner::run("e9", &grid).unwrap_or_else(|e| panic!("{e}"));
-            (m.runs, None)
-        }
-        Part::ScanGroup => {
-            // Only Part B's cell, the group's last, folds its step logs.
-            let last = group_cells.len() - 1;
+    let jobs: Vec<Job> = (0..randomized.len())
+        .map(Job::Group)
+        .chain([Job::Breakdown("lru"), Job::Breakdown("landlord")])
+        .collect();
+    let mut done = par_grid(&jobs, |job| match *job {
+        Job::Group(i) => {
+            let sc = &randomized[i];
+            let mut cells: Vec<_> = (1..=5).map(|seed| (sc, "randomized", seed)).collect();
+            if sc.label != SCAN {
+                let runs = run_group(&cells, None).unwrap_or_else(|e| panic!("{e}"));
+                return (runs.into_iter().map(|(record, _)| record).collect(), None);
+            }
+            // Part B's cell, the group's last, folds its step logs.
+            cells.push((&breakdown, "randomized", 5));
+            let last = cells.len() - 1;
             let mut b = ClassBreakdown::new(&inst);
             let mut fold = |cell: usize, _: usize, steps: &[StepLog]| {
                 if cell == last {
                     b.add_steps(&inst, steps);
                 }
             };
-            let runs = run_group(&group_cells, Some(&mut fold)).unwrap_or_else(|e| panic!("{e}"));
-            (
-                runs.into_iter().map(|(record, _)| record).collect(),
-                Some(b),
-            )
+            let runs = run_group(&cells, Some(&mut fold)).unwrap_or_else(|e| panic!("{e}"));
+            let records = runs.into_iter().map(|(record, _)| record).collect();
+            (records, Some(b))
         }
-        Part::Breakdown(spec) => {
+        Job::Breakdown(spec) => {
             let (record, res) =
                 run_cell(&breakdown, spec, 0, true).unwrap_or_else(|e| panic!("{e}"));
             let b = ClassBreakdown::from_steps(&inst, res.steps.as_ref().unwrap());
             (vec![record], Some(b))
         }
-    })
-    .into_iter();
-    let (Some((mut a_runs, _)), Some((mut scan_runs, Some(rnd))), Some(lru), Some(landlord)) =
-        (done.next(), done.next(), done.next(), done.next())
-    else {
-        unreachable!("one result per part")
-    };
+    });
+    let landlord = done.pop().expect("landlord's cell");
+    let lru = done.pop().expect("lru's cell");
 
-    // `scan(k+1)`'s randomized seeds go back to their place in grid order,
-    // right after that trace's deterministic cells.
-    let rnd_record = scan_runs.pop().expect("Part B's cell");
-    let at = a_runs
-        .iter()
-        .rposition(|r| r.scenario == "scan(k+1)")
-        .map_or(a_runs.len(), |i| i + 1);
-    a_runs.splice(at..at, scan_runs);
+    let deterministic = runner::run("e9", &grid).unwrap_or_else(|e| panic!("{e}"));
+    let mut runs = Vec::new();
+    let mut rnd = None;
+    for (cells, (mut seeds, b)) in deterministic.runs.chunks(5).zip(done) {
+        if let Some(b) = b {
+            rnd = Some((vec![seeds.pop().expect("Part B's cell")], Some(b)));
+        }
+        runs.extend_from_slice(cells);
+        runs.extend(seeds);
+    }
     let m = Manifest {
         name: "e9".into(),
-        runs: a_runs,
+        runs,
     };
     let ta = ratios_table(&m, &opts);
 
-    let b_cells = [
-        ("lru", lru),
-        ("landlord", landlord),
-        ("randomized", (vec![rnd_record], Some(rnd))),
-    ];
     let mut records = m.runs;
     let mut rows = Vec::new();
-    for (name, (mut cell_records, b)) in b_cells {
-        records.append(&mut cell_records);
+    let rnd = rnd.expect("the scan's group runs Part B's cell");
+    for (name, (cell, b)) in [("lru", lru), ("landlord", landlord), ("randomized", rnd)] {
+        records.extend(cell);
         rows.push((name, b.expect("every Part B cell folds its breakdown")));
     }
     (ta, breakdown_table(&rows), records)

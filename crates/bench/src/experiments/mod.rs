@@ -12,8 +12,9 @@
 //! out of the manifest instead of hand-rolling per-module simulation
 //! loops. The runner runs every seed of a `randomized…` spec as one seed
 //! group, one fractional pass for all of them; E3 and E10a call
-//! [`run_group`] directly for the policy's reset telemetry, and E4/E8's
-//! reduction cells and E9b for step logs folded step by step. Grids, seed
+//! [`run_group`] directly for the policy's reset telemetry, E4/E8's
+//! reduction cells for step logs folded step by step, and E9 so that its
+//! scan group also runs E9b's cell and folds that cell's logs. Grids, seed
 //! groups and independent per-workload solves run on [`par_grid`]'s
 //! scoped threads and are collected in input order, so output does not
 //! depend on the thread count.
