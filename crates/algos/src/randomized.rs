@@ -319,12 +319,13 @@ mod tests {
         MlInstance::from_rows(k, rows).unwrap()
     }
 
-    /// An invalid request in the middle of the second chunk: the group
-    /// fails with its first cell's error, which is every cell's own
-    /// `run_policy` error, and each cell's logs up to it are those of a
-    /// run over the trace before it.
+    /// An invalid request in the middle of the second chunk fails the
+    /// group with its first cell's error, which is every cell's own
+    /// `run_policy` error, instead of reaching the fractional algorithm;
+    /// each cell's logs up to it are those of a run over the trace before
+    /// it.
     #[test]
-    fn seed_group_fails_mid_chunk_like_each_cell() {
+    fn seed_group_reports_a_bad_request() {
         let (k, eta) = (4, 0.25);
         let inst = group_instance(k, 2);
         let mut trace = zipf_trace(&inst, 0.9, 2 * RUN_POLICY_BATCH, LevelDist::Uniform, 3);
@@ -356,19 +357,5 @@ mod tests {
             let before = run_policy(&inst, &trace[..bad], &mut alg, true).unwrap();
             assert_eq!(Some(&logs[i]), before.steps.as_ref(), "cell {i}");
         }
-    }
-
-    /// An invalid request fails the group with the first cell's error, as
-    /// `run_policy` fails, instead of reaching the fractional algorithm.
-    #[test]
-    fn seed_group_reports_a_bad_request() {
-        let inst = MlInstance::weighted_paging(2, vec![1, 2, 4]).unwrap();
-        let mut trace: Vec<Request> = (0..700).map(|t| Request::top(t % 3)).collect();
-        trace[600] = Request::top(9);
-        let cells = [SeedCell { beta: 2.0, seed: 1 }; 2];
-        let err = run_seed_group(&inst, &trace, 0.5, &cells, None).unwrap_err();
-        let mut alg = RandomizedMlPaging::new(&inst, 0.5, 2.0, 1);
-        let want = run_policy(&inst, &trace, &mut alg, false).unwrap_err();
-        assert_eq!(err, (0, want));
     }
 }

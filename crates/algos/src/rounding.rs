@@ -63,7 +63,8 @@ pub struct RoundingMirror {
     /// The `u` row of every page the last step's deltas touched, as it
     /// was before the step.
     old_u: Vec<f64>,
-    /// Whether a page's row has been saved during the current step.
+    /// Scratch of `apply`: whether a page's row is saved yet (all false
+    /// between steps).
     touched: Vec<bool>,
     /// The last step's touched pages in first-appearance order.
     order: Vec<PageId>,
@@ -130,11 +131,6 @@ impl RoundingMirror {
                 }
             }
         }
-    }
-
-    /// The mirrored prefix variable `u(p, i)`.
-    pub fn u(&self, p: PageId, i: Level) -> f64 {
-        self.u[self.slot(p, i)]
     }
 
     #[inline]
@@ -510,7 +506,8 @@ mod tests {
             for p in 0..inst.n() as PageId {
                 for l in 1..=inst.levels(p) {
                     assert!(
-                        (rounding.mirror.u(p, l) - mirror.u(p, l)).abs() < 1e-12,
+                        (rounding.mirror.u[rounding.mirror.slot(p, l)] - mirror.u(p, l)).abs()
+                            < 1e-12,
                         "mirror mismatch at t={t}"
                     );
                 }

@@ -674,16 +674,4 @@ mod tests {
             assert_eq!(got, want, "seed {seed}");
         }
     }
-
-    #[test]
-    #[should_panic(expected = "DP state space exceeded")]
-    fn state_blow_up_panics_inside_the_step() {
-        let inst = MlInstance::weighted_paging(3, vec![1, 2, 3, 4, 5, 6]).unwrap();
-        let trace: Vec<Request> = (0..6).map(|p| req(p, 1)).collect();
-        let limits = DpLimits {
-            max_pages: 16,
-            max_states: 4,
-        };
-        opt_multilevel(&inst, &trace, limits);
-    }
 }
