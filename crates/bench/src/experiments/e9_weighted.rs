@@ -132,9 +132,10 @@ fn tables() -> (Table, Table, Vec<RunRecord>) {
     let lru = done.pop().expect("lru's cell");
 
     let deterministic = runner::run("e9", &grid).unwrap_or_else(|e| panic!("{e}"));
+    let per_trace = grid[0].policies.len() * grid[0].seeds.len();
     let mut runs = Vec::new();
     let mut rnd = None;
-    for (cells, (mut seeds, b)) in deterministic.runs.chunks(5).zip(done) {
+    for (cells, (mut seeds, b)) in deterministic.runs.chunks(per_trace).zip(done) {
         if let Some(b) = b {
             rnd = Some((vec![seeds.pop().expect("Part B's cell")], Some(b)));
         }
