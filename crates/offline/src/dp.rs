@@ -215,8 +215,8 @@ fn opt_multilevel_impl(
 
     // For schedule reconstruction, parents[t] lists each state of round
     // t+1 with its predecessor at round t, sorted by state. Each round is
-    // then visited in ascending state order, so ties between equal-cost
-    // predecessors break as they did over an ordered map.
+    // then visited in ascending state order, so of equal-cost
+    // predecessors the smallest state wins, whatever the index's layout.
     let mut dp = Frontier::new(limits.max_states);
     dp.relax(0, 0, 0);
     let mut next = Frontier::new(limits.max_states);
