@@ -15,6 +15,7 @@
 //! [`RoundingMirror`], and steps each cell's [`RoundingCell`] against it in
 //! lockstep, with results equal to separate runs.
 
+use std::ops::Range;
 use std::time::Instant;
 
 use wmlp_core::action::StepLog;
@@ -121,8 +122,9 @@ pub type OnSteps<'a> = &'a mut dyn FnMut(usize, usize, &[StepLog]);
 /// [`SimSession`] serve request `t` against it. Every cell's result and
 /// reset statistics equal those of its own `run_policy` run.
 ///
-/// With `on_steps`, each cell's step log is recorded and handed over as
-/// soon as the cell has served the request, then dropped. A failed step
+/// With `on_steps = Some((folded, f))`, each cell in `folded` records
+/// its step log, handed to `f` as soon as the cell has served the request
+/// and then dropped; the other cells record nothing. A failed step
 /// ends the group with the index of the cell that failed (the first,
 /// among cells failing at the same request) and its error.
 pub fn run_seed_group(
@@ -130,7 +132,7 @@ pub fn run_seed_group(
     trace: &[Request],
     eta: f64,
     cells: &[SeedCell],
-    mut on_steps: Option<OnSteps<'_>>,
+    mut on_steps: Option<(Range<usize>, OnSteps<'_>)>,
 ) -> Result<Vec<GroupRun>, (usize, SimError)> {
     // lint:allow(D2): feeds `counters.wall_nanos` only, like `run_policy`'s
     // capture; `Manifest::canonical` zeroes it.
@@ -146,12 +148,10 @@ pub fn run_seed_group(
             )
         })
         .collect();
-    // One step's batch, shared by the cells.
-    let mut batch = if on_steps.is_some() {
-        BatchLog::recording()
-    } else {
-        BatchLog::new()
-    };
+    // One step's batch, shared by the cells that record nothing, and one
+    // shared by those whose logs are folded.
+    let mut plain = BatchLog::new();
+    let mut recorded = BatchLog::recording();
     let mut deltas = Vec::new();
     let mut ends = Vec::with_capacity(RUN_POLICY_BATCH);
     for (c, chunk) in trace.chunks(RUN_POLICY_BATCH).enumerate() {
@@ -174,11 +174,19 @@ pub fn run_seed_group(
                     cell,
                     mirror: &mirror,
                 };
-                session.step_batch(inst, &mut step, std::slice::from_ref(req), &mut batch);
+                let fold = on_steps
+                    .as_mut()
+                    .filter(|(folded, _)| folded.contains(&idx));
+                let batch = if fold.is_some() {
+                    &mut recorded
+                } else {
+                    &mut plain
+                };
+                session.step_batch(inst, &mut step, std::slice::from_ref(req), batch);
                 if let Some(Err(e)) = batch.outcomes().first() {
                     return Err((idx, e.clone()));
                 }
-                if let (Some(f), Some(steps)) = (on_steps.as_mut(), batch.steps()) {
+                if let (Some((_, f)), Some(steps)) = (fold, batch.steps()) {
                     f(idx, t, steps);
                 }
             }
@@ -282,12 +290,21 @@ mod tests {
                 })
                 .collect();
             for cells in [one, six, thirty] {
+                // Every cell's logs but the first's, if there are others.
+                let folded = cells.len().min(1)..cells.len();
                 let mut logs = vec![Vec::new(); cells.len()];
                 let mut keep = |cell: usize, first_t: usize, steps: &[StepLog]| {
                     assert_eq!(logs[cell].len(), first_t);
                     logs[cell].extend_from_slice(steps);
                 };
-                let group = run_seed_group(&inst, &trace, eta, &cells, Some(&mut keep)).unwrap();
+                let group = run_seed_group(
+                    &inst,
+                    &trace,
+                    eta,
+                    &cells,
+                    Some((folded.clone(), &mut keep)),
+                )
+                .unwrap();
                 let unrecorded = run_seed_group(&inst, &trace, eta, &cells, None).unwrap();
                 for (i, cell) in cells.iter().enumerate() {
                     let mut alg = RandomizedMlPaging::new(&inst, eta, cell.beta, cell.seed);
@@ -301,7 +318,11 @@ mod tests {
                         assert_eq!(run.result.final_cache, want.final_cache, "{at}");
                         assert_eq!(run.reset_stats, alg.reset_stats(), "{at}");
                     }
-                    assert_eq!(Some(&logs[i]), want.steps.as_ref());
+                    if folded.contains(&i) {
+                        assert_eq!(Some(&logs[i]), want.steps.as_ref());
+                    } else {
+                        assert!(logs[i].is_empty(), "cell {i} was not to be folded");
+                    }
                 }
             }
         }
@@ -341,7 +362,7 @@ mod tests {
         let mut keep = |cell: usize, _: usize, steps: &[StepLog]| {
             logs[cell].extend_from_slice(steps);
         };
-        let err = run_seed_group(&inst, &trace, eta, &cells, Some(&mut keep)).unwrap_err();
+        let err = run_seed_group(&inst, &trace, eta, &cells, Some((0..3, &mut keep))).unwrap_err();
         for (i, cell) in cells.iter().enumerate() {
             let mut alg = RandomizedMlPaging::new(&inst, eta, cell.beta, cell.seed);
             let want = run_policy(&inst, &trace, &mut alg, false).unwrap_err();

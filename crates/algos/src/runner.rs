@@ -20,6 +20,7 @@
 //! of the same grid on different thread counts produce byte-identical
 //! canonical JSON.
 
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -255,12 +256,12 @@ type ResetStats = (u64, u64);
 /// rounding. The scenarios must share one instance and trace, and the
 /// specs must be `randomized` specs with one `η`; `β` and the seed may
 /// differ per cell. Returns, per cell, the record [`run_cell`] produces
-/// for it and the policy's `(count, cost)` of reset evictions. `on_steps`
-/// receives each cell's step logs as they are made, as in
-/// [`run_seed_group`].
+/// for it and the policy's `(count, cost)` of reset evictions. With
+/// `on_steps = Some((folded, f))`, `f` receives the step logs of the
+/// cells in `folded` as they are made, as in [`run_seed_group`].
 pub fn run_group(
     cells: &[(&Scenario, &str, u64)],
-    on_steps: Option<OnSteps<'_>>,
+    on_steps: Option<(Range<usize>, OnSteps<'_>)>,
 ) -> Result<Vec<(RunRecord, ResetStats)>, RunnerError> {
     let Some(&(first, _, _)) = cells.first() else {
         return Ok(Vec::new());

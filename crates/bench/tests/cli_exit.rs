@@ -88,3 +88,26 @@ fn failed_writes_exit_1_after_running_every_id() {
         assert!(stdout.contains(&format!("[{id}] completed in")), "{stdout}");
     }
 }
+
+/// The experiments run side by side, but their output comes in the order
+/// they were named: all of E3's before any of E1's, each ending with its
+/// completion line.
+#[test]
+fn experiments_report_in_the_order_named() {
+    let cwd = scratch_cwd("experiments-order");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["e3", "e1"])
+        .current_dir(&cwd)
+        .output()
+        .expect("run binary");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let at = |needle: &str| {
+        stdout
+            .find(needle)
+            .unwrap_or_else(|| panic!("no `{needle}`: {stdout}"))
+    };
+    assert!(at("== E3:") < at("[e3] completed in"));
+    assert!(at("[e3] completed in") < at("== E1a:"));
+    assert!(at("== E1c:") < at("[e1] completed in"));
+}

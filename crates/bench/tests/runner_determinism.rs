@@ -28,17 +28,49 @@ fn run_grid() -> Manifest {
     run("determinism", &grid()).expect("grid must run")
 }
 
-/// `RAYON_NUM_THREADS=1` and the default worker count must produce
-/// byte-identical canonical manifests (wall times zeroed).
+/// Brackets the probe's manifest in its child's stdout.
+const BEGIN: &str = "<<manifest>>";
+const END: &str = "<</manifest>>";
+
+/// The canonical manifest [`manifest_probe`] prints when it runs alone in
+/// a child process of this test binary under `RAYON_NUM_THREADS=threads`.
+/// Alone in its process, the grid has the whole worker budget at every
+/// call: no other test's grid holds a helper slot, and no other test's
+/// `RAYON_NUM_THREADS` is in force.
+fn manifest_in_child(threads: &str) -> String {
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+        .args(["manifest_probe", "--exact", "--ignored", "--nocapture"])
+        .env("RAYON_NUM_THREADS", threads)
+        .output()
+        .expect("run the probe");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    assert!(out.status.success(), "probe failed: {stdout}");
+    let (_, rest) = stdout.split_once(BEGIN).expect("probe printed a manifest");
+    let (manifest, _) = rest.split_once(END).expect("manifest end marker");
+    manifest.to_string()
+}
+
+/// Prints the grid's canonical manifest; run by
+/// [`manifest_is_byte_identical_across_thread_counts`] in child processes.
+#[test]
+#[ignore = "a probe: its caller runs it in a child process"]
+fn manifest_probe() {
+    println!("{BEGIN}{}{END}", run_grid().canonical().to_json());
+}
+
+/// One worker and four workers must produce byte-identical canonical
+/// manifests (wall times zeroed). Each side runs in its own process with
+/// the worker budget set explicitly, so the four-worker side really has
+/// three helpers to run on, whatever the machine's core count and
+/// whatever other tests of this binary are running.
 #[test]
 fn manifest_is_byte_identical_across_thread_counts() {
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let single = run_grid().canonical().to_json();
-    std::env::remove_var("RAYON_NUM_THREADS");
-    let parallel = run_grid().canonical().to_json();
+    let single = manifest_in_child("1");
+    let parallel = manifest_in_child("4");
     assert_eq!(single, parallel);
     // Sanity: the grid actually produced every cell.
     assert_eq!(run_grid().runs.len(), 4 + 3 * 4);
+    assert!(single.contains("\"randomized(beta=2.5)\""), "{single}");
 }
 
 /// `Manifest::write` writes exactly `Manifest::to_json`, byte for byte.

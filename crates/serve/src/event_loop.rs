@@ -9,7 +9,11 @@
 //! connections through the resumable [`Conn`] state machine:
 //!
 //! * **Reads** are incremental: on readiness the loop reads into
-//!   [`Conn::recv_space`] until `EAGAIN`, decoding every complete frame.
+//!   [`Conn::recv_space`], decoding every complete frame, until a read
+//!   comes back short of the space it was given (or `EAGAIN`). The
+//!   reactor is level-triggered, so bytes arriving after a short read are
+//!   reported by the next `epoll_wait`; no read is spent to learn that
+//!   the socket is empty.
 //!   Each decoded request takes the connection's next sequence number;
 //!   STATS, SHUTDOWN and error replies are produced inline (still
 //!   sequenced), and valid GET/PUTs are routed right here, through
@@ -27,8 +31,10 @@
 //!   window whose frames routed more work to its own shards.
 //! * **Backpressure** is readiness-driven: a connection at
 //!   `max_inflight` outstanding requests (or with ≥ 1 MiB of unflushed
-//!   output) simply drops read interest; replies draining re-arm it. A
-//!   loop blocks only in `epoll_wait`.
+//!   output) simply drops read interest; replies draining re-arm it, and
+//!   the sweep resumes decoding what such a connection had already
+//!   buffered (no readiness event will report it). A loop blocks only in
+//!   `epoll_wait`.
 //! * **Writes** go through the per-connection [`Reorder`] buffer into
 //!   [`Conn`]'s outbound buffer, flushed with `EAGAIN`-aware partial
 //!   writes; write interest is registered only while bytes are pending
@@ -132,6 +138,21 @@ pub(crate) fn register_loop(
     Ok(())
 }
 
+/// One event loop's socket syscalls, counted by the loop itself (plain
+/// counters, no clock, nothing decided by them) and returned when it
+/// exits.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IoCounts {
+    /// `read`s on client sockets.
+    pub reads: u64,
+    /// Of those, the ones that returned `WouldBlock`.
+    pub empty_reads: u64,
+    /// `write`s on client sockets.
+    pub writes: u64,
+    /// `epoll_wait`s.
+    pub waits: u64,
+}
+
 /// Everything the loop tracks per connection. The protocol state machine
 /// ([`Conn`]) is the same one blocking clients drive through
 /// `FrameReader`/`write_frame`; only the driving changes.
@@ -152,6 +173,9 @@ struct ConnState {
     read_closed: bool,
     /// The socket is unusable (write error); close without draining.
     dead: bool,
+    /// The last read pass stopped at the in-flight cap or the outbound
+    /// high-water mark, possibly with complete frames still buffered.
+    read_paused: bool,
 }
 
 /// Ring, once each, every loop marked in `wake` other than `me`, and
@@ -185,7 +209,7 @@ pub(crate) fn run_io_loop(
     mut listener: Option<TcpListener>,
     router: Arc<Router>,
     mut shards: LocalShards,
-) {
+) -> IoCounts {
     let shared = Arc::clone(&peers[me]);
     let mut conns: BTreeMap<u64, ConnState> = BTreeMap::new();
     let mut next_id: u64 = FIRST_CONN_ID - 1;
@@ -200,8 +224,10 @@ pub(crate) fn run_io_loop(
     let mut wake = vec![false; peers.len()];
     let mut shutdown_seen = false;
     let mut counted_out = false;
+    let mut io = IoCounts::default();
 
     loop {
+        io.waits += 1;
         if reactor.wait(&mut events, -1).is_err() {
             break;
         }
@@ -259,11 +285,11 @@ pub(crate) fn run_io_loop(
                 continue;
             };
             if writable {
-                flush_conn(cs);
+                flush_conn(cs, &mut io);
             }
             if readable {
                 let at = ConnAddr { lp: me, conn: id };
-                service_read(&inner, &router, &mut wake, at, cs);
+                service_read(&inner, &router, &mut wake, at, cs, &mut io);
             }
             touched.push(id);
         }
@@ -300,14 +326,15 @@ pub(crate) fn run_io_loop(
                 let Some(cs) = conns.get_mut(&id) else {
                     continue;
                 };
-                flush_conn(cs);
-                if !cs.dead && !cs.read_closed && cs.inflight < inner.max_inflight {
-                    // Replies draining may have unblocked frames already
-                    // buffered inbound; the socket read below is
-                    // non-blocking and harmless when there is nothing new.
+                flush_conn(cs, &mut io);
+                if cs.read_paused && !cs.dead && cs.inflight < inner.max_inflight {
+                    // Replies draining unblocked a connection that stopped
+                    // reading at a cap: it may hold whole frames inbound,
+                    // which no readiness event will report. Any other
+                    // connection's new bytes are the next `epoll_wait`'s.
                     let at = ConnAddr { lp: me, conn: id };
-                    service_read(&inner, &router, &mut wake, at, cs);
-                    flush_conn(cs);
+                    service_read(&inner, &router, &mut wake, at, cs, &mut io);
+                    flush_conn(cs, &mut io);
                 }
                 let gone =
                     cs.dead || (cs.read_closed && cs.inflight == 0 && !cs.conn.wants_write());
@@ -350,6 +377,7 @@ pub(crate) fn run_io_loop(
     for (_, stream) in adopted {
         let _ = stream.shutdown(Shutdown::Both);
     }
+    io
 }
 
 /// Accept until `EAGAIN`, assigning each connection to loop `id % N`:
@@ -432,12 +460,13 @@ fn adopt_conn(
             interest: Interest::READABLE,
             read_closed: false,
             dead: false,
+            read_paused: false,
         },
     );
 }
 
-/// Read until `EAGAIN`/EOF/backpressure, decoding and dispatching every
-/// complete frame of connection `at`. Decoding always runs ahead of the
+/// Read until a short read, `EAGAIN`, EOF or backpressure, decoding and
+/// dispatching every complete frame of connection `at`. Decoding always runs ahead of the
 /// next socket read, so frames buffered before an EOF are still served
 /// (the `FrameReader` contract, readiness-style).
 fn service_read(
@@ -446,7 +475,9 @@ fn service_read(
     wake: &mut [bool],
     at: ConnAddr,
     cs: &mut ConnState,
+    io: &mut IoCounts,
 ) {
+    let mut short = false;
     loop {
         while !cs.read_closed && cs.inflight < inner.max_inflight {
             match cs.conn.next_frame() {
@@ -473,21 +504,31 @@ fn service_read(
                 }
             }
         }
-        if cs.read_closed
-            || cs.inflight >= inner.max_inflight
-            || cs.conn.pending().len() >= OUTBOUND_HIGH_WATER
-        {
+        cs.read_paused = !cs.read_closed
+            && (cs.inflight >= inner.max_inflight
+                || cs.conn.pending().len() >= OUTBOUND_HIGH_WATER);
+        if cs.read_closed || cs.read_paused || short {
             break;
         }
-        match cs.stream.read(cs.conn.recv_space()) {
+        let space = cs.conn.recv_space();
+        let asked = space.len();
+        io.reads += 1;
+        match cs.stream.read(space) {
             Ok(0) => {
                 // Clean EOF; trailing partial-frame bytes are dropped
                 // (what `FrameReader` reports as `TruncatedEof`).
                 cs.read_closed = true;
                 break;
             }
-            Ok(n) => cs.conn.recv_commit(n),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Ok(n) => {
+                cs.conn.recv_commit(n);
+                // Decode what arrived, then stop: the socket had no more.
+                short = n < asked;
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                io.empty_reads += 1;
+                break;
+            }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
                 cs.read_closed = true;
@@ -582,8 +623,9 @@ fn deliver_reply(cs: &mut ConnState, seq: u64, frame: Frame) {
 }
 
 /// Write pending outbound bytes until `EAGAIN` or the buffer empties.
-fn flush_conn(cs: &mut ConnState) {
+fn flush_conn(cs: &mut ConnState, io: &mut IoCounts) {
     while !cs.dead && cs.conn.wants_write() {
+        io.writes += 1;
         match cs.stream.write(cs.conn.pending()) {
             Ok(0) => cs.dead = true,
             Ok(n) => cs.conn.advance(n),

@@ -175,6 +175,12 @@ fn main() {
     // line for the resolved port, so keep its shape stable.
     println!("listening on {}", handle.addr());
     handle.wait_stopped();
+    for (i, io) in handle.io_counts().iter().enumerate() {
+        println!(
+            "io-{i}: {} reads ({} would block), {} writes, {} epoll_waits",
+            io.reads, io.empty_reads, io.writes, io.waits
+        );
+    }
     let stats = handle.stats();
     println!(
         "served {} requests ({} hits, {} fetches, {} evictions, cost {}), {} errors",

@@ -71,6 +71,7 @@ use wmlp_core::wire::WireStats;
 use wmlp_router::{DrainGate, PartitionMode, PartitionSpec, Partitioner, Route};
 use wmlp_store::{RecoverMode, SegmentStore, StoreOptions};
 
+pub use crate::event_loop::IoCounts;
 use crate::event_loop::{register_loop, run_io_loop, LoopShared};
 use crate::shard::{
     shard_instances, ConnAddr, FanoutAck, LocalShards, ReplyTo, ShardJob, ShardMsg, ShardQueues,
@@ -248,7 +249,9 @@ pub struct ServerHandle {
     /// The event loops: they own every client socket and every shard,
     /// and their exit means all connections have drained and every
     /// store has been flushed.
-    io: Vec<JoinHandle<()>>,
+    io: Vec<JoinHandle<IoCounts>>,
+    /// What each loop returned when it exited, in loop order.
+    io_counts: Vec<IoCounts>,
 }
 
 impl ServerHandle {
@@ -285,8 +288,15 @@ impl ServerHandle {
     /// are final.
     pub fn wait_stopped(&mut self) {
         for h in self.io.drain(..) {
-            let _ = h.join();
+            // A loop that panicked counted nothing it could report.
+            self.io_counts.push(h.join().unwrap_or_default());
         }
+    }
+
+    /// Each event loop's socket syscalls, in loop order; empty until
+    /// [`ServerHandle::wait_stopped`] has returned.
+    pub fn io_counts(&self) -> &[IoCounts] {
+        &self.io_counts
     }
 
     /// [`ServerHandle::wait_stopped`], returning the final aggregate stats.
@@ -378,7 +388,7 @@ pub fn start(inst: Arc<MlInstance>, cfg: &ServeConfig) -> Result<ServerHandle, S
 
     let peers = Arc::new(io_shareds);
     let mut listener = Some(listener); // loop 0 owns it
-    let io_handles: Vec<JoinHandle<()>> = reactors
+    let io_handles: Vec<JoinHandle<IoCounts>> = reactors
         .into_iter()
         .zip(own)
         .enumerate()
@@ -388,7 +398,7 @@ pub fn start(inst: Arc<MlInstance>, cfg: &ServeConfig) -> Result<ServerHandle, S
             let router = Arc::clone(&router);
             let listener = listener.take();
             spawn_named(format!("io-{i}"), move || {
-                run_io_loop(inner, i, reactor, peers, listener, router, shards);
+                run_io_loop(inner, i, reactor, peers, listener, router, shards)
             })
         })
         .collect();
@@ -396,6 +406,7 @@ pub fn start(inst: Arc<MlInstance>, cfg: &ServeConfig) -> Result<ServerHandle, S
     Ok(ServerHandle {
         inner,
         io: io_handles,
+        io_counts: Vec::new(),
     })
 }
 

@@ -237,6 +237,49 @@ fn sharded_server_serves_gets_puts_stats_and_shuts_down() {
     assert_eq!(final_stats.cost, cost_sum);
 }
 
+/// A closed-loop request costs one `read`: two connections, each with
+/// one request in flight, on one event loop. Reading stops at a short
+/// read, and the sweep re-reads only a connection that stopped at a cap,
+/// so a loop never reads a socket to learn that it is empty: per
+/// connection, at most one read beyond its requests (its EOF) and one
+/// for slack, and next to no `WouldBlock` reads.
+#[test]
+fn a_closed_loop_request_costs_one_read() {
+    const CONNS: usize = 2;
+    const PER_CONN: usize = 2_000;
+    let inst = Arc::new(default_instance(1024, 3, 128, 7).unwrap());
+    let cfg = ServeConfig {
+        io_threads: 1,
+        ..serve_cfg(2)
+    };
+    let mut handle = start(inst, &cfg).unwrap();
+    let addr = handle.addr();
+    let clients: Vec<_> = (0..CONNS)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr);
+                for i in 0..PER_CONN {
+                    let page = ((i * 7 + c) % 1024) as u32;
+                    let reply = client.roundtrip(&request_frame(Request::new(page, 1), b""));
+                    assert!(matches!(reply, Frame::Served { .. }), "{reply:?}");
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("client");
+    }
+    handle.shutdown();
+    handle.wait_stopped();
+    let [io] = handle.io_counts() else {
+        panic!("one loop: {:?}", handle.io_counts());
+    };
+    let requests = (CONNS * PER_CONN) as u64;
+    assert!(io.reads <= requests + 2 * CONNS as u64, "{io:?}");
+    assert!(io.empty_reads * 100 <= requests, "{io:?}");
+    assert!(io.writes >= requests, "{io:?}");
+}
+
 /// 200 requests over the whole page range at mixed levels (level 1 is a
 /// PUT on the wire).
 fn mixed_requests(inst: &MlInstance) -> Vec<Request> {

@@ -13,8 +13,9 @@
 //!   log-bucketed latency histogram.
 //! * [`adversary`] — the adaptive Sleator–Tarjan adversary that requests
 //!   whatever a deterministic policy does not have cached.
-//! * [`sweep`] — an order-preserving parallel map on scoped std threads
-//!   for experiment grids, and per-seed summary statistics.
+//! * [`sweep`] — an order-preserving parallel map on scoped std threads,
+//!   under one worker budget per process, for experiments and their
+//!   grids; and per-seed summary statistics.
 
 #![warn(missing_docs)]
 
@@ -31,4 +32,4 @@ pub use engine::{
 };
 pub use frac_engine::{run_fractional, FracRunResult};
 pub use stats::{ClassBreakdown, Histogram, RunCounters};
-pub use sweep::{mean_and_stdev, par_grid};
+pub use sweep::{mean_and_stdev, par_each_ordered, par_grid};
