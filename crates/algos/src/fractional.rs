@@ -29,6 +29,39 @@
 //! and `P(above)` true, as narrow as the rounding noise of the sum allows
 //! (a few ulps for a deficit of a sizeable fraction of a page).
 //!
+//! **The stop without the replay.** Let `τ*` be the least float with `P`
+//! true. When the bracket's low end is a normal float with
+//! `τ_event < 2¹² · below` (and `τ_event ≤ f64::MAX / 2`), the 70 steps
+//! provably end at `τ*` itself, so `stop_time` bisects the bit patterns
+//! between the bracket ends for it instead of replaying them (about 99 %
+//! of the suite's stops). The proof, with `T = τ_event`, `lo < τ* ≤ hi`
+//! throughout (`P(0)` is false because `P(below)` is):
+//!
+//! * *Adjacent ends stay put at `τ*`.* With no float strictly between
+//!   `lo` and `hi`, the midpoint rounds to one of them and the step
+//!   changes nothing; and `hi` is then `τ*`.
+//! * *Non-adjacent ends get a midpoint strictly between them.* Take a
+//!   float `m` strictly between: `2m` is a float nearer to `lo + hi` than
+//!   `2·lo` or `2·hi` are (both at distance `hi − lo`), so `lo + hi` rounds
+//!   to neither, and halving is exact.
+//! * *While `lo = 0`* the midpoint `hi/2` is exact: step `j` probes
+//!   `T/2^j`, and the first probe below `τ*` comes at
+//!   `j₁ = ⌊log₂(T/τ*)⌋ + 1 ≤ 12`, leaving `lo₁ = T/2^j₁` and `hi = 2·lo₁`.
+//! * *After that* `lo` and `hi` stay in `[lo₁, 2·lo₁]`. With
+//!   `2^E ≤ lo₁ < 2^{E+1}` and `u = 2^{E−52}`, every float there is a
+//!   multiple of `u`, so the width `W = hi − lo` counts whole `u`s and
+//!   starts below `2⁵³·u`. `lo + hi < 2^{E+3}` rounds by at most `2u`, so
+//!   the midpoint is within `u` of the true one and `W' − 2u ≤ (W − 2u)/2`:
+//!   53 steps bring `W` to at most `2u`, and one more makes the ends
+//!   adjacent (at most one float lies between them then, and the midpoint
+//!   is it).
+//!
+//! So the ends are adjacent after at most `⌊log₂(T/τ*)⌋ + 55 ≤ 66 < 70`
+//! steps. The normal-range condition keeps every halving above exact and
+//! every sum finite. Elsewhere — a bracket still at `0`, or `T/below` of
+//! `2¹²` or more — the 70 decisions are replayed as before; debug builds
+//! replay them after the loop-free path too and assert the same float.
+//!
 //! **Monotonicity, assumed once.** Both shortcuts below rest on one
 //! property of the floating-point evaluation: IEEE division by a positive
 //! `w`, the multiply by `a + η > 0`, the subtractions of constants, `min`
@@ -452,11 +485,13 @@ impl ExpMemo {
     }
 }
 
-/// What one stop cost: gain evaluations, and the `exp` calls they made.
+/// What one stop cost: gain evaluations, the `exp` calls they made, and
+/// whether it was found without replaying the bisection.
 #[derive(Debug, Clone, Copy, Default)]
 struct StopCost {
     evals: u32,
     exps: u32,
+    loop_free: bool,
 }
 
 /// What is known about the stopping predicate `P(τ) := gain(τ) ≥ needed`
@@ -505,6 +540,36 @@ impl StopSearch<'_> {
             );
         }
         inferred
+    }
+
+    /// The upper end of [`BISECTION_STEPS`] bisection steps of
+    /// `[0, tau_event]` on `P`, each midpoint decision read off the
+    /// bracket where it can be and evaluated where it cannot.
+    fn replay(&mut self, tau_event: f64) -> f64 {
+        let (mut lo, mut hi) = (0.0f64, tau_event);
+        for _ in 0..BISECTION_STEPS {
+            let mid = 0.5 * (lo + hi);
+            if self.reached(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi
+    }
+
+    /// The least float with `P` true: the bracket's upper end once its
+    /// ends are adjacent floats. Both ends are positive, so their bit
+    /// patterns order like the floats, and bisecting the patterns probes
+    /// only floats strictly inside the bracket.
+    fn least_reached(&mut self) -> f64 {
+        loop {
+            let (lo, hi) = (self.memo.below.to_bits(), self.memo.above.to_bits());
+            if hi - lo <= 1 {
+                return self.memo.above;
+            }
+            self.probe::<false>(f64::from_bits(lo + (hi - lo) / 2));
+        }
     }
 
     /// Narrow the bracket around the stop, given the evaluation
@@ -572,12 +637,25 @@ const MAX_NARROWING_PROBES: u32 = 16;
 /// Midpoint decisions of the bisection that defines the stopping time.
 const BISECTION_STEPS: u32 = 70;
 
+/// Whether [`BISECTION_STEPS`] steps from `[0, tau_event]` provably end
+/// on adjacent floats, given a bracket whose low end `below` has `P`
+/// false: `below` normal with room for halving, `tau_event` at most
+/// `f64::MAX / 2`, and `tau_event < 2¹² · below` (the module doc's proof:
+/// at most 66 steps). Scaling by `2¹²` is exact or overflows to `∞`,
+/// either way on the right side of the comparison.
+fn loop_free_applies(below: f64, tau_event: f64) -> bool {
+    below >= 4.0 * f64::MIN_POSITIVE && tau_event <= f64::MAX / 2.0 && tau_event < 4096.0 * below
+}
+
 /// The stopping time of one segment: `None` if `gain(tau_event) < needed`
 /// (the segment runs to its event), otherwise the upper end of
 /// [`BISECTION_STEPS`] bisection steps of `[0, tau_event]` on
 /// `gain(τ) ≥ needed` — bit for bit the float that loop returns, from the
-/// handful of evaluations that a narrow bracket leaves undecided. Starts a
-/// segment in `memo`, whose [`ExpMemo::at`] then serves the advance.
+/// handful of evaluations that a narrow bracket leaves undecided. Where
+/// [`loop_free_applies`], that float is the least one with `P` true and is
+/// found without the 70 steps; debug builds replay them anyway and assert
+/// the same float. Starts a segment in `memo`, whose [`ExpMemo::at`] then
+/// serves the advance.
 fn stop_time(
     pages: &[ActivePage],
     memo: &mut ExpMemo,
@@ -594,21 +672,29 @@ fn stop_time(
         cost: StopCost::default(),
     };
     let (gain, slope) = search.probe::<true>(tau_event);
-    if gain >= needed {
-        search.narrow(tau_event, gain, slope);
-        let (mut lo, mut hi) = (0.0f64, tau_event);
-        for _ in 0..BISECTION_STEPS {
-            let mid = 0.5 * (lo + hi);
-            if search.reached(mid) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        (Some(hi), search.cost)
-    } else {
-        (None, search.cost)
+    if gain < needed {
+        return (None, search.cost);
     }
+    search.narrow(tau_event, gain, slope);
+    let tau = if loop_free_applies(search.memo.below, tau_event) {
+        search.cost.loop_free = true;
+        let tau = search.least_reached();
+        if cfg!(debug_assertions) {
+            // The ends are adjacent now, so the replay evaluates nothing
+            // new: every decision is inferred, and re-evaluated by
+            // `reached` in this build.
+            let replayed = search.replay(tau_event);
+            debug_assert_eq!(
+                tau.to_bits(),
+                replayed.to_bits(),
+                "the loop-free stop {tau:e} differs from the replay's {replayed:e}"
+            );
+        }
+        tau
+    } else {
+        search.replay(tau_event)
+    };
+    (Some(tau), search.cost)
 }
 
 /// Emit `u(q, j) = value` for all `j` in `from..=ℓ_q`.
@@ -799,6 +885,24 @@ mod tests {
         .max(EPS * (1.0 + 1e-9))
     }
 
+    /// A random segment for case `case` of a differential test, with its
+    /// `η` and event time.
+    fn random_segment(rng: &mut StdRng, case: u32) -> (Vec<ActivePage>, f64, f64) {
+        let eta = [1e-3, 1.0 / 128.0, 1.0 / 16.0, 0.5, 10.0][case as usize % 5];
+        let n = if case.is_multiple_of(100) {
+            152
+        } else {
+            rng.gen_range(1..=32)
+        };
+        let pages = match case % 3 {
+            0 => random_pages(rng, n, |r| (1u64 << r.gen_range(0..=8u32)) as f64),
+            1 => random_pages(rng, n, |r| r.gen_range(1..=256u64) as f64),
+            _ => random_pages(rng, n, |_| 16.0),
+        };
+        let tau_event = time_to_first_event(&pages, eta);
+        (pages, eta, tau_event)
+    }
+
     /// ≥ 10⁵ seeded stops, bit for bit, and what they cost. Locating the
     /// float the bisection returns takes at least `log₂` of the stretch of
     /// `τ` (in ulps) over which the rounding noise of the summed gain hides
@@ -806,24 +910,18 @@ mod tests {
     /// page, ~2²⁷ when it sits at `EPS` under `η = 10` — so the evaluation
     /// bound is stated separately for deficits of at least 1 % of a page.
     /// The `exp` calls per stop are reported beside the evaluations.
+    ///
+    /// Then stops pinned at `τ_event/τ*` in `[2¹¹, 2¹³]`, either side of
+    /// the loop-free path's `2¹²` bound, where each path must find at
+    /// least 1 000 of them, and at `2¹⁷` or more, where only the replay
+    /// may run.
     #[test]
     fn stop_time_matches_the_70_step_bisection_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(0x57_0915);
         let (mut stops, mut total, mut exps, mut max, mut max_resolved) =
             (0u64, 0u64, 0u64, 0u32, 0u32);
         for case in 0..120_000u32 {
-            let eta = [1e-3, 1.0 / 128.0, 1.0 / 16.0, 0.5, 10.0][case as usize % 5];
-            let n = if case % 100 == 0 {
-                152
-            } else {
-                rng.gen_range(1..=32)
-            };
-            let pages = match case % 3 {
-                0 => random_pages(&mut rng, n, |r| (1u64 << r.gen_range(0..=8u32)) as f64),
-                1 => random_pages(&mut rng, n, |r| r.gen_range(1..=256u64) as f64),
-                _ => random_pages(&mut rng, n, |_| 16.0),
-            };
-            let tau_event = time_to_first_event(&pages, eta);
+            let (pages, eta, tau_event) = random_segment(&mut rng, case);
             let needed = random_needed(&mut rng, case, gain_at(&pages, tau_event, eta));
             if let Some(cost) = check_stop(&pages, needed, tau_event, eta) {
                 stops += 1;
@@ -836,6 +934,31 @@ mod tests {
             }
         }
         assert!(stops >= 100_000, "only {stops} of the cases had a stop");
+        // Stops by the replay and by the loop-free path, near `2¹²`.
+        let mut paths = [0u32; 2];
+        for case in 0..12_000u32 {
+            let (pages, eta, tau_event) = random_segment(&mut rng, case);
+            let far = case % 3 == 0;
+            let log_ratio = if far {
+                17.0 + 6.0 * rng.gen::<f64>()
+            } else {
+                11.0 + 2.0 * rng.gen::<f64>()
+            };
+            let needed = gain_at(&pages, tau_event / log_ratio.exp2(), eta);
+            if let Some(cost) = check_stop(&pages, needed, tau_event, eta) {
+                assert!(
+                    !(far && cost.loop_free),
+                    "case {case}: loop-free at 2^{log_ratio}"
+                );
+                if !far {
+                    paths[usize::from(cost.loop_free)] += 1;
+                }
+            }
+        }
+        assert!(
+            paths.iter().all(|&n| n >= 1_000),
+            "stops near 2^12 by the replay, by the loop-free path: {paths:?}"
+        );
         let mean = total as f64 / stops as f64;
         let mean_exps = exps as f64 / stops as f64;
         assert!(

@@ -58,8 +58,8 @@ pub mod wb_baselines;
 pub use adapters::{run_ml_policy_on_writeback, WbViaRwResult};
 pub use baselines::{Fifo, Landlord, Lru, Marking};
 pub use fractional::FracMultiplicative;
-pub use quantize::Quantized;
-pub use randomized::{run_seed_group, GroupRun, OnSteps, RandomizedMlPaging, SeedCell};
+pub use quantize::{Quantized, QuantizedStream};
+pub use randomized::{run_seed_group, GroupRun, OnDeltas, OnSteps, RandomizedMlPaging, SeedCell};
 pub use registry::{PolicyRegistry, PolicySpec, WbPolicyRegistry};
 pub use rounding::RoundingML;
 pub use waterfill::WaterFill;

@@ -14,40 +14,35 @@
 //!   `δ·w(p,i)` of the inner stream's per variable-touch, which the
 //!   `δ = 1/(4k)` choice makes a vanishing overhead in practice (the
 //!   Lemma's factor-2 guarantee is validated empirically in the tests).
+//!
+//! The quantization itself is [`QuantizedStream`], a map from one delta
+//! stream to another: it quantizes a stream computed elsewhere (E10c folds
+//! its grids from the stream of a seed group's fractional pass), and
+//! [`Quantized`] is the inner policy's stream through one.
 
 use wmlp_core::instance::{MlInstance, Request};
 use wmlp_core::policy::{FracDelta, FractionalPolicy};
 use wmlp_core::types::{Level, PageId};
 
-/// A quantizing wrapper around a fractional policy.
+/// The δ-grid ceiling of a fractional delta stream, fed one request at a
+/// time.
 #[derive(Debug, Clone)]
-pub struct Quantized<F> {
-    inner: F,
-    name: String,
+pub struct QuantizedStream {
     delta: f64,
     /// Last *reported* (quantized) value per variable, to emit deltas only
     /// on actual grid movements.
     reported: Vec<Vec<f64>>,
-    scratch: Vec<FracDelta>,
 }
 
-impl<F: FractionalPolicy> Quantized<F> {
-    /// Wrap `inner` with the paper's grid `δ = 1/(4k)`.
-    pub fn new(inst: &MlInstance, inner: F) -> Self {
-        Self::with_delta(inst, inner, 1.0 / (4.0 * inst.k() as f64))
-    }
-
-    /// Wrap with an explicit grid size `δ ∈ (0, 1]`.
-    pub fn with_delta(inst: &MlInstance, inner: F, delta: f64) -> Self {
+impl QuantizedStream {
+    /// The stream on the grid `δ ∈ (0, 1]`, from the all-missing state.
+    pub fn new(inst: &MlInstance, delta: f64) -> Self {
         assert!(delta > 0.0 && delta <= 1.0);
-        Quantized {
-            name: format!("{}+quantized", inner.name()),
-            inner,
+        QuantizedStream {
             delta,
             reported: (0..inst.n())
                 .map(|p| vec![1.0; inst.levels(p as PageId) as usize])
                 .collect(),
-            scratch: Vec::new(),
         }
     }
 
@@ -56,28 +51,15 @@ impl<F: FractionalPolicy> Quantized<F> {
         self.delta
     }
 
-    /// Access the wrapped policy.
-    pub fn inner(&self) -> &F {
-        &self.inner
+    /// The last reported value of `u(page, level)`.
+    pub fn u(&self, page: PageId, level: Level) -> f64 {
+        self.reported[page as usize][level as usize - 1]
     }
 
-    #[inline]
-    fn snap(&self, u: f64) -> f64 {
-        // Ceiling to the δ-grid, clamped into [0, 1]; tiny negative noise
-        // from the inner solver maps to 0.
-        ((u / self.delta).ceil() * self.delta).clamp(0.0, 1.0)
-    }
-}
-
-impl<F: FractionalPolicy> FractionalPolicy for Quantized<F> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn on_request(&mut self, t: usize, req: Request, out: &mut Vec<FracDelta>) {
-        self.scratch.clear();
-        self.inner.on_request(t, req, &mut self.scratch);
-        for d in &self.scratch {
+    /// Append to `out` the quantized deltas of request `req`, whose inner
+    /// deltas are `deltas`: one per variable whose grid value moved.
+    pub fn step(&mut self, req: Request, deltas: &[FracDelta], out: &mut Vec<FracDelta>) {
+        for d in deltas {
             let snapped = if d.page == req.page && d.level >= req.level {
                 // The served prefix is exactly 0; never round it up.
                 debug_assert!(d.new_u <= 1e-7);
@@ -97,8 +79,64 @@ impl<F: FractionalPolicy> FractionalPolicy for Quantized<F> {
         }
     }
 
+    #[inline]
+    fn snap(&self, u: f64) -> f64 {
+        // Ceiling to the δ-grid, clamped into [0, 1]; tiny negative noise
+        // from the inner solver maps to 0.
+        ((u / self.delta).ceil() * self.delta).clamp(0.0, 1.0)
+    }
+}
+
+/// A quantizing wrapper around a fractional policy: its stream through a
+/// [`QuantizedStream`].
+#[derive(Debug, Clone)]
+pub struct Quantized<F> {
+    inner: F,
+    name: String,
+    stream: QuantizedStream,
+    scratch: Vec<FracDelta>,
+}
+
+impl<F: FractionalPolicy> Quantized<F> {
+    /// Wrap `inner` with the paper's grid `δ = 1/(4k)`.
+    pub fn new(inst: &MlInstance, inner: F) -> Self {
+        Self::with_delta(inst, inner, 1.0 / (4.0 * inst.k() as f64))
+    }
+
+    /// Wrap with an explicit grid size `δ ∈ (0, 1]`.
+    pub fn with_delta(inst: &MlInstance, inner: F, delta: f64) -> Self {
+        Quantized {
+            name: format!("{}+quantized", inner.name()),
+            inner,
+            stream: QuantizedStream::new(inst, delta),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// The grid size in use.
+    pub fn delta(&self) -> f64 {
+        self.stream.delta()
+    }
+
+    /// Access the wrapped policy.
+    pub fn inner(&self) -> &F {
+        &self.inner
+    }
+}
+
+impl<F: FractionalPolicy> FractionalPolicy for Quantized<F> {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn on_request(&mut self, t: usize, req: Request, out: &mut Vec<FracDelta>) {
+        self.scratch.clear();
+        self.inner.on_request(t, req, &mut self.scratch);
+        self.stream.step(req, &self.scratch, out);
+    }
+
     fn u(&self, page: PageId, level: Level) -> f64 {
-        self.reported[page as usize][level as usize - 1]
+        self.stream.u(page, level)
     }
 }
 
@@ -106,8 +144,8 @@ impl<F: FractionalPolicy> FractionalPolicy for Quantized<F> {
 mod tests {
     use super::*;
     use crate::fractional::FracMultiplicative;
-    use wmlp_sim::frac_engine::run_fractional;
-    use wmlp_workloads::{zipf_trace, LevelDist};
+    use wmlp_sim::frac_engine::{run_fractional, FracFold};
+    use wmlp_workloads::{weights_pow2_classes, zipf_trace, LevelDist};
 
     fn inst() -> MlInstance {
         MlInstance::from_rows(4, (0..12).map(|_| vec![16, 4]).collect()).unwrap()
@@ -176,6 +214,43 @@ mod tests {
             txn.finish();
             assert!(cache.occupancy() <= inst.k(), "over capacity at t={t}");
             assert!(cache.serves(req), "unserved at t={t}");
+        }
+    }
+
+    /// On E10c's workload and each of its four grids, the stream form fed
+    /// the raw stream emits the wrapper's deltas, step for step, and its
+    /// folded cost is the wrapper's `run_fractional` cost, bit for bit.
+    #[test]
+    fn stream_form_equals_the_wrapper_on_e10c_grids() {
+        let k = 16;
+        let inst = MlInstance::weighted_paging(k, weights_pow2_classes(64, 5, 13)).unwrap();
+        let trace = zipf_trace(&inst, 1.0, 4000, LevelDist::Top, 31);
+        let k = k as f64;
+        for delta in [1.0 / (64.0 * k), 1.0 / (4.0 * k), 1.0 / k, 0.25] {
+            let mut wrapper = Quantized::with_delta(&inst, FracMultiplicative::new(&inst), delta);
+            let (mut raw, mut stream) = (
+                FracMultiplicative::new(&inst),
+                QuantizedStream::new(&inst, delta),
+            );
+            let mut fold = FracFold::new(&inst, trace.len(), 256);
+            let (mut want, mut inner, mut got) = (Vec::new(), Vec::new(), Vec::new());
+            for (t, &req) in trace.iter().enumerate() {
+                want.clear();
+                inner.clear();
+                got.clear();
+                wrapper.on_request(t, req, &mut want);
+                raw.on_request(t, req, &mut inner);
+                stream.step(req, &inner, &mut got);
+                assert_eq!(got, want, "delta {delta}, t = {t}");
+                fold.step(t, req, &got).unwrap();
+            }
+            let mut alone = Quantized::with_delta(&inst, FracMultiplicative::new(&inst), delta);
+            let want = run_fractional(&inst, &trace, &mut alone, 256, None).unwrap();
+            assert_eq!(
+                fold.finish().cost.to_bits(),
+                want.cost.to_bits(),
+                "delta {delta}"
+            );
         }
     }
 

@@ -13,7 +13,10 @@
 //! `(instance, trace, η)` sees the same fractional delta stream.
 //! [`run_seed_group`] computes that stream once, applies it once to one
 //! [`RoundingMirror`], and steps each cell's [`RoundingCell`] against it in
-//! lockstep, with results equal to separate runs.
+//! lockstep, with results equal to separate runs. It also hands the stream
+//! to an observer, so that a caller wanting the fractional cost of the
+//! same `(instance, trace, η)`, or a quantized form of it, folds that from
+//! the group's pass instead of computing the stream again.
 
 use std::ops::Range;
 use std::time::Instant;
@@ -111,6 +114,12 @@ pub struct GroupRun {
 /// request logged, the logs of that request and the ones after it)`.
 pub type OnSteps<'a> = &'a mut dyn FnMut(usize, usize, &[StepLog]);
 
+/// Receives a seed group's fractional stream: `(t, request t, the deltas
+/// the group's [`FracMultiplicative`] produced for it)`, once every cell
+/// has served request `t` — the stream `run_fractional` would fold for a
+/// `FracMultiplicative::with_eta(inst, eta)`.
+pub type OnDeltas<'a> = &'a mut dyn FnMut(usize, Request, &[FracDelta]);
+
 /// Run one [`RandomizedMlPaging::new`]`(inst, eta, cell.beta, cell.seed)`
 /// per cell over `trace`, computing the shared fractional stream once.
 ///
@@ -124,15 +133,18 @@ pub type OnSteps<'a> = &'a mut dyn FnMut(usize, usize, &[StepLog]);
 ///
 /// With `on_steps = Some((folded, f))`, each cell in `folded` records
 /// its step log, handed to `f` as soon as the cell has served the request
-/// and then dropped; the other cells record nothing. A failed step
-/// ends the group with the index of the cell that failed (the first,
-/// among cells failing at the same request) and its error.
+/// and then dropped; the other cells record nothing. With
+/// `on_deltas = Some(f)`, `f` sees each request's deltas once the cells
+/// have served it. A failed step ends the group with the index of the
+/// cell that failed (the first, among cells failing at the same request)
+/// and its error; `f` never sees that request.
 pub fn run_seed_group(
     inst: &MlInstance,
     trace: &[Request],
     eta: f64,
     cells: &[SeedCell],
     mut on_steps: Option<(Range<usize>, OnSteps<'_>)>,
+    mut on_deltas: Option<OnDeltas<'_>>,
 ) -> Result<Vec<GroupRun>, (usize, SimError)> {
     // lint:allow(D2): feeds `counters.wall_nanos` only, like `run_policy`'s
     // capture; `Manifest::canonical` zeroes it.
@@ -167,8 +179,9 @@ pub fn run_seed_group(
         }
         let mut from = 0;
         for (t, (req, &end)) in (first_t..).zip(chunk.iter().zip(&ends)) {
-            mirror.apply(&deltas[from..end]);
+            let step_deltas = &deltas[from..end];
             from = end;
+            mirror.apply(step_deltas);
             for (idx, (cell, session)) in runs.iter_mut().enumerate() {
                 let mut step = CellStep {
                     cell,
@@ -189,6 +202,9 @@ pub fn run_seed_group(
                 if let (Some((_, f)), Some(steps)) = (fold, batch.steps()) {
                     f(idx, t, steps);
                 }
+            }
+            if let Some(f) = on_deltas.as_mut() {
+                f(t, *req, step_deltas);
             }
         }
     }
@@ -231,7 +247,9 @@ impl OnlinePolicy for CellStep<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wmlp_core::types::{Level, PageId};
     use wmlp_sim::engine::run_policy;
+    use wmlp_sim::frac_engine::{run_fractional, FracFold, FracSimError};
     use wmlp_workloads::{zipf_trace, LevelDist};
 
     #[test]
@@ -303,9 +321,10 @@ mod tests {
                     eta,
                     &cells,
                     Some((folded.clone(), &mut keep)),
+                    None,
                 )
                 .unwrap();
-                let unrecorded = run_seed_group(&inst, &trace, eta, &cells, None).unwrap();
+                let unrecorded = run_seed_group(&inst, &trace, eta, &cells, None, None).unwrap();
                 for (i, cell) in cells.iter().enumerate() {
                     let mut alg = RandomizedMlPaging::new(&inst, eta, cell.beta, cell.seed);
                     let want = run_policy(&inst, &trace, &mut alg, true).unwrap();
@@ -340,6 +359,110 @@ mod tests {
         MlInstance::from_rows(k, rows).unwrap()
     }
 
+    /// Append to a step's deltas either an unserved request (`u(p_t, i_t)`
+    /// back to one half) or a `u` out of range on the next page.
+    fn corrupt(unserve: bool, req: Request, deltas: &mut Vec<FracDelta>) {
+        deltas.push(if unserve {
+            FracDelta {
+                page: req.page,
+                level: req.level,
+                new_u: 0.5,
+            }
+        } else {
+            FracDelta {
+                page: (req.page + 1) % 24,
+                level: 1,
+                new_u: 1.5,
+            }
+        });
+    }
+
+    /// The fractional algorithm with step `at`'s deltas [`corrupt`]ed.
+    struct Corrupted {
+        inner: FracMultiplicative,
+        at: usize,
+        unserve: bool,
+    }
+
+    impl FractionalPolicy for Corrupted {
+        fn name(&self) -> &str {
+            "corrupted"
+        }
+
+        fn on_request(&mut self, t: usize, req: Request, out: &mut Vec<FracDelta>) {
+            self.inner.on_request(t, req, out);
+            if t == self.at {
+                corrupt(self.unserve, req, out);
+            }
+        }
+
+        fn u(&self, page: PageId, level: Level) -> f64 {
+            self.inner.u(page, level)
+        }
+    }
+
+    /// A seed group's observed stream, folded, is `run_fractional`'s run
+    /// of the group's fractional algorithm: the same cost bits and final
+    /// state, for `ℓ ∈ {1, 2, 3}`, over a trace ending in a partial chunk.
+    /// Corrupted at one step (in the second chunk, on an invariant check),
+    /// it fails with the error `run_fractional` gives the same corruption,
+    /// at that step.
+    #[test]
+    fn seed_group_stream_folds_like_run_fractional() {
+        let (k, check_every) = (5, 64);
+        let eta = 1.0 / k as f64;
+        let at = RUN_POLICY_BATCH + 2 * check_every;
+        for levels in [1u8, 2, 3] {
+            let inst = group_instance(k, levels);
+            let trace = zipf_trace(&inst, 0.9, RUN_POLICY_BATCH + 276, LevelDist::Uniform, 29);
+            let cells: Vec<SeedCell> = (0..3)
+                .map(|seed| SeedCell {
+                    beta: default_beta(k),
+                    seed,
+                })
+                .collect();
+            let fold_group = |corruption: Option<bool>| {
+                let mut fold = FracFold::new(&inst, trace.len(), check_every);
+                let (mut err, mut seen, mut step) = (None, 0, Vec::new());
+                let mut observe = |t: usize, req: Request, deltas: &[FracDelta]| {
+                    assert_eq!(t, seen, "requests observed in order, once each");
+                    seen += 1;
+                    step.clear();
+                    step.extend_from_slice(deltas);
+                    if let (Some(unserve), true) = (corruption, t == at) {
+                        corrupt(unserve, req, &mut step);
+                    }
+                    if err.is_none() {
+                        err = fold.step(t, req, &step).err();
+                    }
+                };
+                run_seed_group(&inst, &trace, eta, &cells, None, Some(&mut observe)).unwrap();
+                assert_eq!(seen, trace.len());
+                err.map_or_else(|| Ok(fold.finish()), Err)
+            };
+            let frac = || FracMultiplicative::with_eta(&inst, eta);
+            let want = run_fractional(&inst, &trace, &mut frac(), check_every, None).unwrap();
+            let got = fold_group(None).unwrap();
+            assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "levels {levels}");
+            assert_eq!(got.final_state, want.final_state, "levels {levels}");
+            for unserve in [true, false] {
+                let mut policy = Corrupted {
+                    inner: frac(),
+                    at,
+                    unserve,
+                };
+                let want =
+                    run_fractional(&inst, &trace, &mut policy, check_every, None).unwrap_err();
+                match want {
+                    FracSimError::NotServed { t, .. } => assert!(unserve && t == at, "{want}"),
+                    FracSimError::Invariant { t, .. } => assert!(!unserve && t == at, "{want}"),
+                }
+                let got = fold_group(Some(unserve)).unwrap_err();
+                assert_eq!(got, want, "levels {levels}");
+            }
+        }
+    }
+
     /// An invalid request in the middle of the second chunk fails the
     /// group with its first cell's error, which is every cell's own
     /// `run_policy` error, instead of reaching the fractional algorithm;
@@ -362,7 +485,8 @@ mod tests {
         let mut keep = |cell: usize, _: usize, steps: &[StepLog]| {
             logs[cell].extend_from_slice(steps);
         };
-        let err = run_seed_group(&inst, &trace, eta, &cells, Some((0..3, &mut keep))).unwrap_err();
+        let err =
+            run_seed_group(&inst, &trace, eta, &cells, Some((0..3, &mut keep)), None).unwrap_err();
         for (i, cell) in cells.iter().enumerate() {
             let mut alg = RandomizedMlPaging::new(&inst, eta, cell.beta, cell.seed);
             let want = run_policy(&inst, &trace, &mut alg, false).unwrap_err();

@@ -47,7 +47,8 @@ fn noisy_ceil(x: f64) -> usize {
 
 /// The seed-independent half of the rounding: the mirror of the prefix
 /// variables `u(p, i)`, each step's saved old rows and touched pages, the
-/// fractional class masses `k_{≥ i}`, and the weight class of every copy.
+/// fractional class masses `k_{≥ i}` and their reset caps `⌈k_{≥ i}⌉`,
+/// and the weight class of every copy.
 ///
 /// All of it is a function of the fractional delta stream alone, so every
 /// [`RoundingCell`] fed by one stream (the seeds and `β`s of one seed
@@ -70,6 +71,9 @@ pub struct RoundingMirror {
     order: Vec<PageId>,
     /// `k_geq[i] = Σ` fractional in-cache mass of copies with class `≥ i`.
     k_geq: Vec<f64>,
+    /// `caps[i] = ⌈k_geq[i]⌉` (noise-robust): the most class-`≥ i` copies
+    /// a cell's reset scan leaves cached.
+    caps: Vec<usize>,
     /// Weight class of copy `(p, i)` at slot `p·stride + i − 1`.
     class: Vec<u8>,
 }
@@ -85,13 +89,15 @@ impl RoundingMirror {
                 class[p as usize * stride + i as usize - 1] = weight_class(inst.weight(p, i)) as u8;
             }
         }
+        let classes = num_weight_classes(inst.weights().max_weight());
         RoundingMirror {
             stride,
             u: vec![1.0; inst.n() * stride],
             old_u: vec![0.0; inst.n() * stride],
             touched: vec![false; inst.n()],
             order: Vec::new(),
-            k_geq: vec![0.0; num_weight_classes(inst.weights().max_weight())],
+            k_geq: vec![0.0; classes],
+            caps: vec![0; classes],
             class,
             inst: inst.clone(),
         }
@@ -99,7 +105,8 @@ impl RoundingMirror {
 
     /// Commit one step's deltas: save the old `u` row of every page with
     /// deltas, in first-appearance order (it fixes the order of the cells'
-    /// RNG draws), then write the new values and move `k_{≥ i}`.
+    /// RNG draws), then write the new values and move `k_{≥ i}` and its
+    /// caps.
     pub fn apply(&mut self, deltas: &[FracDelta]) {
         self.order.clear();
         for d in deltas {
@@ -129,6 +136,11 @@ impl RoundingMirror {
                 for k in &mut self.k_geq[lo..=hi] {
                     *k += delta;
                 }
+            }
+        }
+        if !deltas.is_empty() {
+            for (cap, &k) in self.caps.iter_mut().zip(&self.k_geq) {
+                *cap = noisy_ceil(k);
             }
         }
     }
@@ -281,9 +293,9 @@ impl RoundingCell {
     /// forever.
     fn reset_scan(&mut self, mirror: &RoundingMirror, protect: PageId, txn: &mut CacheTxn<'_>) {
         let mut suffix = 0usize;
-        for i in (0..mirror.k_geq.len()).rev() {
+        for i in (0..mirror.caps.len()).rev() {
             suffix += self.cached[i].len();
-            while suffix > noisy_ceil(mirror.k_geq[i]) {
+            while suffix > mirror.caps[i] {
                 // Prefer a victim of class exactly i; fall back to any
                 // class >= i (only reachable under fractional-input noise).
                 let victim = self.cached[i]
@@ -473,12 +485,14 @@ mod tests {
         assert_eq!(m.order, [1, 0]);
         assert_eq!(m.rows(1), (&[1.0, 0.25][..], &[1.0, 1.0][..]));
         assert_eq!(m.k_geq, [1.0, 0.75, 0.0, 0.0]);
+        assert_eq!(m.caps, [1, 1, 0, 0]);
         m.apply(&[d(0, 2, 0.5), d(0, 1, 0.5), d(1, 2, 0.0)]);
         assert_eq!(m.order, [0, 1]);
         assert_eq!(m.rows(0), (&[0.5, 0.5][..], &[1.0, 0.75][..]));
         assert_eq!(m.rows(1), (&[1.0, 0.0][..], &[1.0, 0.25][..]));
         // x(0,1) = 0.5 at class 2, x(1,2) = 1 at class 1.
         assert_eq!(m.k_geq, [1.5, 1.5, 0.5, 0.0]);
+        assert_eq!(m.caps, [2, 2, 1, 0]);
         m.apply(&[]);
         assert!(m.order.is_empty());
     }

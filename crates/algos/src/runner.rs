@@ -32,7 +32,7 @@ use wmlp_sim::engine::{run_policy, RunResult, SimError};
 use wmlp_sim::stats::RunCounters;
 use wmlp_sim::sweep::par_grid;
 
-use crate::randomized::{run_seed_group, OnSteps, SeedCell};
+use crate::randomized::{run_seed_group, OnDeltas, OnSteps, SeedCell};
 use crate::registry::{randomized_params, PolicyRegistry};
 
 /// One workload plus the policy × seed grid to run over it.
@@ -201,7 +201,7 @@ pub fn run(name: impl Into<String>, scenarios: &[Scenario]) -> Result<Manifest, 
     let results = par_grid(&jobs, |&(sc, spec, seeds, group)| {
         if group {
             let cells: Vec<_> = seeds.iter().map(|&seed| (sc, spec, seed)).collect();
-            return Ok(run_group(&cells, None)?
+            return Ok(run_group(&cells, None, None)?
                 .into_iter()
                 .map(|(record, _)| record)
                 .collect());
@@ -258,10 +258,12 @@ type ResetStats = (u64, u64);
 /// differ per cell. Returns, per cell, the record [`run_cell`] produces
 /// for it and the policy's `(count, cost)` of reset evictions. With
 /// `on_steps = Some((folded, f))`, `f` receives the step logs of the
-/// cells in `folded` as they are made, as in [`run_seed_group`].
+/// cells in `folded` as they are made, and with `on_deltas`, the group's
+/// fractional stream, as in [`run_seed_group`].
 pub fn run_group(
     cells: &[(&Scenario, &str, u64)],
     on_steps: Option<(Range<usize>, OnSteps<'_>)>,
+    on_deltas: Option<OnDeltas<'_>>,
 ) -> Result<Vec<(RunRecord, ResetStats)>, RunnerError> {
     let Some(&(first, _, _)) = cells.first() else {
         return Ok(Vec::new());
@@ -295,6 +297,7 @@ pub fn run_group(
         eta.unwrap_or_default(),
         &seed_cells,
         on_steps,
+        on_deltas,
     )
     .map_err(|(i, error)| {
         let (sc, spec, seed) = cells[i];
@@ -507,7 +510,7 @@ mod tests {
             .iter()
             .flat_map(|(spec, _)| [3, 4].map(|seed| (&sc, spec.as_str(), seed)))
             .collect();
-        let group = run_group(&cells, None).unwrap();
+        let group = run_group(&cells, None, None).unwrap();
         for ((_, spec, seed), (record, resets)) in cells.into_iter().zip(group) {
             let (via_cell, _) = run_cell(&sc, spec, seed, false).unwrap();
             assert_eq!(canonical(record), canonical(via_cell), "{spec}");
@@ -557,7 +560,7 @@ mod tests {
             vec![(&good, "randomized", 1), (&good, "randomized(eta=0.1)", 1)],
             vec![(&good, "randomized", 1), (&sc, "randomized", 1)],
         ] {
-            let err = run_group(&cells, None).unwrap_err();
+            let err = run_group(&cells, None, None).unwrap_err();
             assert!(
                 matches!(err, RunnerError::UnknownPolicy { ref spec, .. } if spec == cells[1].1),
                 "{err}"

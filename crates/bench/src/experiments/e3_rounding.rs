@@ -16,15 +16,15 @@
 //! `k`'s eight seeds run as one seed group (`run_group`): one
 //! fractional pass feeds all eight roundings, and each cell yields both
 //! the record the registry's `randomized` spec produces and its reset
-//! cost.
+//! cost. That pass is the fractional algorithm's own run on the trace, so
+//! the `frac` column is folded from its stream too.
 
 use std::sync::Arc;
 
 use wmlp_algos::runner::{run_group, Manifest, Scenario};
-use wmlp_algos::FracMultiplicative;
 use wmlp_core::instance::MlInstance;
 use wmlp_flow::weighted_paging_opt;
-use wmlp_sim::frac_engine::run_fractional;
+use wmlp_sim::frac_engine::FracFold;
 use wmlp_sim::sweep::par_grid;
 use wmlp_workloads::{weights_pow2_classes, zipf_trace, LevelDist};
 
@@ -50,7 +50,8 @@ pub fn run() -> ExperimentOutput {
             "reset share",
         ],
     );
-    // Per k: the workload, its flow optimum and the fractional cost.
+    // Per k: the workload, its flow optimum, the seed group and the
+    // fractional cost of the group's stream.
     let rows = par_grid(&[2usize, 4, 8, 16, 32], |&k| {
         let n = 4 * k;
         let weights = weights_pow2_classes(n, 5, 100 + k as u64);
@@ -58,27 +59,29 @@ pub fn run() -> ExperimentOutput {
         let trace = Arc::new(zipf_trace(&inst, 1.0, 2500, LevelDist::Top, 500 + k as u64));
         let opt = weighted_paging_opt(&inst, &trace) as f64;
 
-        let mut frac = FracMultiplicative::new(&inst);
-        let fc = run_fractional(&inst, &trace, &mut frac, 128, None)
-            .expect("feasible")
-            .cost;
-        (k, Scenario::new(format!("zipf-k{k}"), inst, trace), opt, fc)
-    });
-    let (runs, resets): (Vec<_>, Vec<_>) = par_grid(&rows, |(_, sc, _, _)| {
+        let sc = Scenario::new(format!("zipf-k{k}"), inst.clone(), trace.clone());
         let cells: Vec<_> = (0..SEEDS as u64)
-            .map(|seed| (sc, "randomized", seed))
+            .map(|seed| (&sc, "randomized", seed))
             .collect();
-        run_group(&cells, None).unwrap_or_else(|e| panic!("{e}"))
-    })
-    .into_iter()
-    .flatten()
-    .unzip();
+        let mut frac = FracFold::new(&inst, trace.len(), 128);
+        let runs = run_group(
+            &cells,
+            None,
+            Some(&mut |t, req, deltas| frac.step(t, req, deltas).expect("feasible")),
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+        (k, sc.label, opt, frac.finish().cost, runs)
+    });
+    let (runs, resets): (Vec<_>, Vec<_>) = rows
+        .iter()
+        .flat_map(|(.., group)| group.iter().cloned())
+        .unzip();
     let m = Manifest {
         name: "e3".into(),
         runs,
     };
-    for ((k, sc, opt, fc), resets) in rows.into_iter().zip(resets.chunks(SEEDS)) {
-        let (mean, sd) = seed_mean_stdev(&m, &sc.label, "randomized");
+    for (&(k, ref label, opt, fc, _), resets) in rows.iter().zip(resets.chunks(SEEDS)) {
+        let (mean, sd) = seed_mean_stdev(&m, label, "randomized");
         let reset_mean =
             resets.iter().map(|&(_, cost)| cost as f64).sum::<f64>() / resets.len() as f64;
         let beta = wmlp_algos::rounding::default_beta(k);

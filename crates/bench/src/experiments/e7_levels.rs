@@ -6,14 +6,17 @@
 //! (for `ℓ ≤ 7`, where the DP is available) and the rounding loss
 //! `randomized / fractional` for every `ℓ`. Expected shape: both ratios
 //! stay flat (no growth in `ℓ`).
+//!
+//! Each `ℓ` is one job: its DP optimum, its water-filling cell, and its
+//! five randomized seeds as one seed group, whose fractional stream also
+//! gives the `frac` column.
 
 use std::sync::Arc;
 
-use wmlp_algos::runner::{self, Scenario};
-use wmlp_algos::FracMultiplicative;
+use wmlp_algos::runner::{run_cell, run_group, Manifest, Scenario};
 use wmlp_core::instance::MlInstance;
 use wmlp_offline::{opt_multilevel, DpLimits};
-use wmlp_sim::frac_engine::run_fractional;
+use wmlp_sim::frac_engine::FracFold;
 use wmlp_sim::sweep::par_grid;
 use wmlp_workloads::{zipf_trace, LevelDist};
 
@@ -35,7 +38,7 @@ pub fn run() -> ExperimentOutput {
             "rnd/opt",
         ],
     );
-    // Per ℓ: the workload, its fractional cost and (ℓ ≤ 7) the DP optimum.
+    // Per ℓ: the DP optimum (ℓ ≤ 7), the records and the fractional cost.
     let solved = par_grid(&[1u8, 2, 3, 4, 6, 8], |&levels| {
         let rows: Vec<Vec<u64>> = (0..8)
             .map(|_| {
@@ -53,30 +56,31 @@ pub fn run() -> ExperimentOutput {
             600 + levels as u64,
         ));
 
-        let mut frac = FracMultiplicative::new(&inst);
-        let fc = run_fractional(&inst, &trace, &mut frac, 64, None)
-            .expect("feasible")
-            .cost;
         let opt = (levels <= 7)
             .then(|| opt_multilevel(&inst, &trace, DpLimits::default()).fetch_cost as f64);
-        (levels, inst, trace, fc, opt)
+
+        let sc = Scenario::new(format!("levels-{levels}"), inst.clone(), trace.clone());
+        let (waterfill, _) = run_cell(&sc, "waterfill", 0, false).unwrap_or_else(|e| panic!("{e}"));
+        let cells: Vec<_> = (1..=5).map(|seed| (&sc, "randomized", seed)).collect();
+        let mut frac = FracFold::new(&inst, trace.len(), 64);
+        let group = run_group(
+            &cells,
+            None,
+            Some(&mut |t, req, deltas| frac.step(t, req, deltas).expect("feasible")),
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+        let mut records = vec![waterfill];
+        records.extend(group.into_iter().map(|(record, _)| record));
+        (levels, sc.label, frac.finish().cost, opt, records)
     });
-    let mut scenarios = Vec::new();
-    let mut meta = Vec::new();
-    for (levels, inst, trace, fc, opt) in solved {
-        let label = format!("levels-{levels}");
-        meta.push((levels, label.clone(), fc, opt));
-        scenarios.push(
-            Scenario::new(label.clone(), inst.clone(), trace.clone()).policies(["waterfill"]),
-        );
-        scenarios.push(
-            Scenario::new(label, inst, trace)
-                .policies(["randomized"])
-                .seeds(1..=5),
-        );
-    }
-    let m = runner::run("e7", &scenarios).unwrap_or_else(|e| panic!("{e}"));
-    for (levels, label, fc, opt) in meta {
+    let m = Manifest {
+        name: "e7".into(),
+        runs: solved
+            .iter()
+            .flat_map(|row| row.4.iter().cloned())
+            .collect(),
+    };
+    for (levels, label, fc, opt, _) in solved {
         let wf = cell_cost(&m, &label, "waterfill", 0);
         let (rnd, _) = seed_mean_stdev(&m, &label, "randomized");
         let (opt_s, wf_ratio, rnd_ratio) = match opt {

@@ -13,9 +13,10 @@
 //!
 //! Native writeback baselines come from [`WbPolicyRegistry`]; the paper's
 //! algorithms run through the shared runner on the reduced RW instance
-//! (their records land in the manifest). Both run on [`par_grid`], one
-//! job per `w1/w2` row, one per water-filling cell and one per row's
-//! randomized seeds, which run as one seed group (`wb_reduction_cells`).
+//! (their records land in the manifest). Both parts run on one
+//! [`par_grid`], one job per `w1/w2` row's baselines, one per water-filling
+//! cell and one per row's randomized seeds, which run as one seed group
+//! (`wb_reduction_cells`); so no part waits for another's last job.
 
 use wmlp_algos::runner::RunRecord;
 use wmlp_algos::WbPolicyRegistry;
@@ -29,11 +30,78 @@ use crate::table::{fr, Table};
 
 /// Run E8.
 pub fn run() -> ExperimentOutput {
-    let (ta, ra) = sweep_table();
-    let (tb, rb) = shifting_table();
-    let mut records = ra;
-    records.extend(rb);
-    ExperimentOutput::new("e8", vec![ta, tb], records)
+    let (tables, records): (Vec<_>, Vec<_>) = run_parts(vec![sweep_part(), shifting_part()])
+        .into_iter()
+        .unzip();
+    ExperimentOutput::new("e8", tables, records.concat())
+}
+
+/// One table of E8: its `w1/w2` rows, the native baselines run on each,
+/// the paper's `(spec, seeds)` cells run on each through the reduction,
+/// and how the table is made from the results.
+struct Part {
+    rows: Vec<WbRow>,
+    natives: &'static [&'static str],
+    cells: &'static [(&'static str, &'static [u64])],
+    table: fn(&[WbRow], Vec<RowBaselines>, &[Reduced]) -> Table,
+}
+
+/// A row's clairvoyant OPT estimate and native baseline costs.
+type RowBaselines = (u64, Vec<u64>);
+
+/// A reduction cell's record and induced writeback cost.
+type Reduced = (RunRecord, InducedWbCost);
+
+/// One job of [`run_parts`]'s grid: a row's native baselines, or one
+/// `(spec, seeds)` cell of a row through the reduction.
+enum Job<'a> {
+    Natives(&'a WbRow, &'a [&'a str]),
+    Reduction(&'a WbRow, &'a str, &'a [u64]),
+}
+
+/// Every part's jobs as one [`par_grid`], the reduction cells (the
+/// longest jobs) first; per part, its table and its reduction records
+/// (rows in order, cells in order within a row).
+fn run_parts(parts: Vec<Part>) -> Vec<(Table, Vec<RunRecord>)> {
+    let cells = parts.iter().flat_map(|part| {
+        part.rows.iter().flat_map(|row| {
+            part.cells
+                .iter()
+                .map(move |&(spec, seeds)| Job::Reduction(row, spec, seeds))
+        })
+    });
+    let natives = parts
+        .iter()
+        .flat_map(|part| part.rows.iter().map(|row| Job::Natives(row, part.natives)));
+    let jobs: Vec<Job> = cells.chain(natives).collect();
+    // A job's result: a row's baselines, or a cell's runs.
+    let mut done = par_grid(&jobs, |job| match *job {
+        Job::Natives(row, names) => (Some(baselines(row, names)), Vec::new()),
+        Job::Reduction(row, spec, seeds) => (
+            None,
+            wb_reduction_cells(&row.label, &row.inst, &row.trace, spec, seeds),
+        ),
+    })
+    .into_iter();
+    let runs: Vec<Vec<_>> = parts
+        .iter()
+        .map(|part| {
+            let jobs = part.rows.len() * part.cells.len();
+            done.by_ref()
+                .take(jobs)
+                .flat_map(|(_, runs)| runs)
+                .collect()
+        })
+        .collect();
+    parts
+        .iter()
+        .zip(runs)
+        .map(|(part, runs)| {
+            let natives = done.by_ref().take(part.rows.len()).filter_map(|(n, _)| n);
+            let table = (part.table)(&part.rows, natives.collect(), &runs);
+            (table, runs.into_iter().map(|(record, _)| record).collect())
+        })
+        .collect()
 }
 
 /// One `w1/w2` point of a sweep: `k = 16, n = 64, w2 = 1` and its trace.
@@ -59,45 +127,37 @@ fn wb_rows(prefix: &str, w1s: &[u64], trace: impl Fn(&WbInstance) -> Vec<WbReque
         .collect()
 }
 
-/// Per row: the clairvoyant greedy upper bound on OPT (exact OPT is
-/// NP-hard) and the cost of each named native writeback baseline.
-fn baselines(rows: &[WbRow], names: &[&str]) -> Vec<(u64, Vec<u64>)> {
+/// The clairvoyant greedy upper bound on a row's OPT (exact OPT is
+/// NP-hard) and the cost of each named native writeback baseline on it.
+fn baselines(row: &WbRow, names: &[&str]) -> RowBaselines {
     let reg = WbPolicyRegistry::standard();
-    par_grid(rows, |row| {
-        let opt_est = wmlp_offline::wb_offline_heuristic(&row.inst, &row.trace);
-        let costs = names
-            .iter()
-            .map(|name| {
-                let mut p = reg.build(name, &row.inst, 0).expect("registry wb policy");
-                run_wb_policy(&row.inst, &row.trace, p.as_mut()).cost
-            })
-            .collect();
-        (opt_est, costs)
-    })
-}
-
-/// Every seed of every spec of `cells` on every row through the
-/// reduction, row-major, one job per (row, spec). Each job reduces its
-/// step logs to induced costs as they arrive (a seed group's one step at
-/// a time), so at most one log per worker is alive at a time.
-fn reduction_cells(rows: &[WbRow], cells: &[(&str, &[u64])]) -> Vec<(RunRecord, InducedWbCost)> {
-    let grid: Vec<(&WbRow, &str, &[u64])> = rows
+    let opt_est = wmlp_offline::wb_offline_heuristic(&row.inst, &row.trace);
+    let costs = names
         .iter()
-        .flat_map(|row| cells.iter().map(move |&(spec, seeds)| (row, spec, seeds)))
+        .map(|name| {
+            let mut p = reg.build(name, &row.inst, 0).expect("registry wb policy");
+            run_wb_policy(&row.inst, &row.trace, p.as_mut()).cost
+        })
         .collect();
-    par_grid(&grid, |&(row, spec, seeds)| {
-        wb_reduction_cells(&row.label, &row.inst, &row.trace, spec, seeds)
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    (opt_est, costs)
 }
 
 /// Part B: the same comparison on a temporal-shift workload where both
 /// the hot set and the write-heavy subset rotate over time — recency
 /// information matters more here, so the gap between aware and oblivious
 /// narrows but does not close.
-fn shifting_table() -> (Table, Vec<RunRecord>) {
+fn shifting_part() -> Part {
+    Part {
+        rows: wb_rows("shift", &[1, 16, 256], |inst| {
+            wb_shifting_trace(inst, 12000, 8, 24, 0.8, 55)
+        }),
+        natives: &["wb-lru", "wb-greedydual"],
+        cells: &[("waterfill", &[0]), ("randomized", &[1])],
+        table: shifting_table,
+    }
+}
+
+fn shifting_table(rows: &[WbRow], natives: Vec<RowBaselines>, runs: &[Reduced]) -> Table {
     let mut t = Table::new(
         "E8b: shifting working set (k=16, n=64, 8 phases, w2=1)",
         &[
@@ -110,12 +170,6 @@ fn shifting_table() -> (Table, Vec<RunRecord>) {
             "winner",
         ],
     );
-    let rows = wb_rows("shift", &[1, 16, 256], |inst| {
-        wb_shifting_trace(inst, 12000, 8, 24, 0.8, 55)
-    });
-    let cells: [(&str, &[u64]); 2] = [("waterfill", &[0]), ("randomized", &[1])];
-    let natives = baselines(&rows, &["wb-lru", "wb-greedydual"]);
-    let runs = reduction_cells(&rows, &cells);
     for ((row, (opt_est, native)), run) in rows
         .iter()
         .zip(natives)
@@ -140,10 +194,22 @@ fn shifting_table() -> (Table, Vec<RunRecord>) {
             winner.to_string(),
         ]);
     }
-    (t, runs.into_iter().map(|(record, _)| record).collect())
+    t
 }
 
-fn sweep_table() -> (Table, Vec<RunRecord>) {
+fn sweep_part() -> Part {
+    Part {
+        rows: wb_rows("zipf", &[1, 4, 16, 64, 256], |inst| {
+            wb_zipf_trace(inst, 1.0, 12000, 0.3, 0.9, 0.05, 77)
+        }),
+        natives: &["wb-lru", "wb-fifo", "wb-greedydual"],
+        // Waterfill, then the randomized algorithm over 4 seeds (its mean).
+        cells: &[("waterfill", &[0]), ("randomized", &[0, 1, 2, 3])],
+        table: sweep_table,
+    }
+}
+
+fn sweep_table(rows: &[WbRow], natives: Vec<RowBaselines>, runs: &[Reduced]) -> Table {
     let mut t = Table::new(
         "E8: writeback-aware vs oblivious across w1/w2 (k=16, n=64, Zipf)",
         &[
@@ -158,13 +224,6 @@ fn sweep_table() -> (Table, Vec<RunRecord>) {
             "winner/opt-est",
         ],
     );
-    let rows = wb_rows("zipf", &[1, 4, 16, 64, 256], |inst| {
-        wb_zipf_trace(inst, 1.0, 12000, 0.3, 0.9, 0.05, 77)
-    });
-    // Waterfill, then the randomized algorithm over 4 seeds (its mean).
-    let cells: [(&str, &[u64]); 2] = [("waterfill", &[0]), ("randomized", &[0, 1, 2, 3])];
-    let natives = baselines(&rows, &["wb-lru", "wb-fifo", "wb-greedydual"]);
-    let runs = reduction_cells(&rows, &cells);
     for ((row, (opt_est, native)), run) in rows
         .iter()
         .zip(natives)
@@ -198,7 +257,7 @@ fn sweep_table() -> (Table, Vec<RunRecord>) {
             fr(best / opt_est as f64),
         ]);
     }
-    (t, runs.into_iter().map(|(record, _)| record).collect())
+    t
 }
 
 #[cfg(test)]
@@ -207,7 +266,7 @@ mod tests {
 
     #[test]
     fn e8_awareness_wins_at_high_cost_ratio() {
-        let t = &sweep_table().0;
+        let t = &run_parts(vec![sweep_part()])[0].0;
         let last = t.num_rows() - 1;
         // At w1/w2 = 256, some writeback-aware algorithm must beat
         // oblivious LRU by a clear margin.
@@ -223,7 +282,7 @@ mod tests {
 
     #[test]
     fn e8b_awareness_also_wins_under_shifting_working_sets() {
-        let t = shifting_table().0;
+        let t = &run_parts(vec![shifting_part()])[0].0;
         let last = t.num_rows() - 1; // w1/w2 = 256
         let lru: u64 = t.cell(last, 2).parse().unwrap();
         let gd: u64 = t.cell(last, 3).parse().unwrap();

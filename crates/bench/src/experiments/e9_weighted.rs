@@ -105,7 +105,7 @@ fn tables() -> (Table, Table, Vec<RunRecord>) {
             let sc = &randomized[i];
             let mut cells: Vec<_> = (1..=5).map(|seed| (sc, "randomized", seed)).collect();
             if sc.label != SCAN {
-                let runs = run_group(&cells, None).unwrap_or_else(|e| panic!("{e}"));
+                let runs = run_group(&cells, None, None).unwrap_or_else(|e| panic!("{e}"));
                 return (runs.into_iter().map(|(record, _)| record).collect(), None);
             }
             // Part B's cell, the group's last, folds its step logs; only
@@ -114,8 +114,8 @@ fn tables() -> (Table, Table, Vec<RunRecord>) {
             let mut b = ClassBreakdown::new(&inst);
             let mut fold = |_: usize, _: usize, steps: &[StepLog]| b.add_steps(&inst, steps);
             let part_b = cells.len() - 1..cells.len();
-            let runs =
-                run_group(&cells, Some((part_b, &mut fold))).unwrap_or_else(|e| panic!("{e}"));
+            let runs = run_group(&cells, Some((part_b, &mut fold)), None)
+                .unwrap_or_else(|e| panic!("{e}"));
             let records = runs.into_iter().map(|(record, _)| record).collect();
             (records, Some(b))
         }

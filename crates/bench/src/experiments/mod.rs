@@ -126,7 +126,7 @@ pub fn wb_reduction_cells(
             tallies[cell].step(req, step);
         }
     };
-    let records = run_group(&cells, Some((0..cells.len(), &mut fold)))
+    let records = run_group(&cells, Some((0..cells.len(), &mut fold)), None)
         .unwrap_or_else(|e| panic!("writeback reduction cells `{label}`: {e}"));
     records
         .into_iter()

@@ -6,6 +6,11 @@
 //! at weight `w(p,i)`), (b) check the fractional feasibility invariants,
 //! and (c) optionally hand the delta stream to an observer — this is how
 //! the online rounding consumes the fractional solution.
+//!
+//! (a) and (b) are a [`FracFold`], which takes a delta stream one request
+//! at a time from whoever computed it: [`run_fractional`] is a loop of a
+//! policy's `on_request` over one, and a seed group that already computes
+//! the stream for its roundings folds its cost with one too.
 
 use wmlp_core::fractional::{FracCost, FracState, EPS};
 use wmlp_core::instance::{MlInstance, Request};
@@ -58,11 +63,79 @@ impl std::fmt::Display for FracSimError {
 
 impl std::error::Error for FracSimError {}
 
+/// The validation and costing of one fractional delta stream over a
+/// trace, fed one request at a time: each request's deltas are charged in
+/// order at the instance's weights and written to a mirror of `u`, the
+/// request must then be served, and the full (`O(nℓ)`) invariant check
+/// runs every `check_every` requests and after the last: `1` checks after
+/// every request (tests), larger values amortize it (benchmarks); `0`
+/// disables it.
+#[derive(Debug, Clone)]
+pub struct FracFold<'a> {
+    inst: &'a MlInstance,
+    trace_len: usize,
+    check_every: usize,
+    mirror: FracState,
+    cost: FracCost,
+}
+
+impl<'a> FracFold<'a> {
+    /// A fold from the all-missing state over a trace of `trace_len`
+    /// requests.
+    pub fn new(inst: &'a MlInstance, trace_len: usize, check_every: usize) -> Self {
+        FracFold {
+            inst,
+            trace_len,
+            check_every,
+            mirror: FracState::empty(inst),
+            cost: FracCost::new(),
+        }
+    }
+
+    /// Fold request `t`'s `deltas`, then check that `req` is served and,
+    /// at the cadence, every invariant. After an error the fold's state
+    /// is unspecified.
+    pub fn step(
+        &mut self,
+        t: usize,
+        req: Request,
+        deltas: &[FracDelta],
+    ) -> Result<(), FracSimError> {
+        let inst = self.inst;
+        for d in deltas {
+            let old = self.mirror.u(d.page, d.level);
+            self.cost.charge(inst, d.page, d.level, old, d.new_u);
+            self.mirror.set_u(d.page, d.level, d.new_u);
+        }
+        let residual = self.mirror.u(req.page, req.level);
+        if residual > EPS {
+            return Err(FracSimError::NotServed { t, residual });
+        }
+        if self.check_every > 0 && (t.is_multiple_of(self.check_every) || t + 1 == self.trace_len) {
+            self.mirror
+                .check_invariants(inst.k())
+                .map_err(|what| FracSimError::Invariant { t, what })?;
+        }
+        Ok(())
+    }
+
+    /// The mirrored state after the requests folded so far.
+    pub fn state(&self) -> &FracState {
+        &self.mirror
+    }
+
+    /// The movement cost and final state.
+    pub fn finish(self) -> FracRunResult {
+        FracRunResult {
+            cost: self.cost.total(),
+            final_state: self.mirror,
+        }
+    }
+}
+
 /// Run a fractional policy over a trace from the all-missing state,
-/// validating every step and charging the movement cost. `check_every`
-/// controls how often the (O(nℓ)) full invariant check runs: `1` checks
-/// after every request (tests), larger values amortize it (benchmarks);
-/// `0` disables it.
+/// validating every step and charging the movement cost through one
+/// [`FracFold`] (`check_every` is its invariant-check cadence).
 pub fn run_fractional(
     inst: &MlInstance,
     trace: &[Request],
@@ -70,36 +143,17 @@ pub fn run_fractional(
     check_every: usize,
     mut observer: Option<FracObserver<'_>>,
 ) -> Result<FracRunResult, FracSimError> {
-    let mut mirror = FracState::empty(inst);
-    let mut cost = FracCost::new();
+    let mut fold = FracFold::new(inst, trace.len(), check_every);
     let mut deltas: Vec<FracDelta> = Vec::new();
     for (t, &req) in trace.iter().enumerate() {
         deltas.clear();
         policy.on_request(t, req, &mut deltas);
-        for d in &deltas {
-            let old = mirror.u(d.page, d.level);
-            cost.charge(inst, d.page, d.level, old, d.new_u);
-            mirror.set_u(d.page, d.level, d.new_u);
-        }
-        if mirror.u(req.page, req.level) > EPS {
-            return Err(FracSimError::NotServed {
-                t,
-                residual: mirror.u(req.page, req.level),
-            });
-        }
-        if check_every > 0 && (t % check_every == 0 || t + 1 == trace.len()) {
-            mirror
-                .check_invariants(inst.k())
-                .map_err(|what| FracSimError::Invariant { t, what })?;
-        }
+        fold.step(t, req, &deltas)?;
         if let Some(obs) = observer.as_mut() {
-            obs(t, req, &deltas, &mirror);
+            obs(t, req, &deltas, fold.state());
         }
     }
-    Ok(FracRunResult {
-        cost: cost.total(),
-        final_state: mirror,
-    })
+    Ok(fold.finish())
 }
 
 #[cfg(test)]
