@@ -83,11 +83,18 @@
 //! **Per-request cost.** The pages holding any cache mass are kept as a
 //! sorted index maintained by `set_y`, and the eviction phase reuses its
 //! buffers, so a request costs `O(|support| · evaluations)` page terms and
-//! no allocation, independent of `n`. `exp(τ/w)` depends on `τ` and `w`
-//! only, so an evaluation calls it once per *distinct weight* of the
-//! segment, `O(distinct weights · evaluations)` in all, and fewer once the
-//! bracket has settled some weights; advancing the segment reuses the
-//! evaluation at the chosen `τ`.
+//! no allocation, independent of `n`. `y`, the weights and their ids live
+//! in flat slabs of `stride` slots per page. Outside the gain evaluations
+//! a segment costs two passes over its pages: building them (activation,
+//! or the in-place event compaction, which runs only when some page
+//! reached its ceiling) lists their weights and folds the event time as
+//! it goes, and one loop advances every page, writes `y` and notes the
+//! ceilings. `exp(τ/w)` depends on `τ` and `w` only, so an evaluation
+//! calls it once per *distinct weight* of the segment, and inside an
+//! evaluated bracket only for the weights still *open* there (the two
+//! ends disagree); a settled weight keeps its value, which debug builds
+//! re-check against a fresh `exp` on every fill. Advancing the segment
+//! reuses the evaluation at the chosen `τ`.
 
 use wmlp_core::fractional::EPS;
 use wmlp_core::instance::{MlInstance, Request};
@@ -97,11 +104,20 @@ use wmlp_core::types::{Level, PageId, Weight};
 /// The fractional multiplicative-update algorithm.
 #[derive(Debug, Clone)]
 pub struct FracMultiplicative {
-    inst: MlInstance,
+    k: usize,
     /// The paper's `η` (default `1/k`); configurable for the E10 ablation.
     eta: f64,
-    /// `y[q][j-1]` = fraction of copy `(q, j)` in the cache.
-    y: Vec<Vec<f64>>,
+    /// Slots per page in the `y`, `weight` and `weight_id` slabs.
+    stride: usize,
+    /// `ℓ_q` of every page.
+    levels: Vec<Level>,
+    /// `y(q, j)` = fraction of copy `(q, j)` in the cache, at slot
+    /// `q · stride + j − 1`; the slots past `ℓ_q` stay 0.
+    y: Vec<f64>,
+    /// `w(q, j)`, and its dense id among the instance's distinct weights,
+    /// at the same slots.
+    weight: Vec<f64>,
+    weight_id: Vec<u32>,
     /// The pages with some `y(q, j) > EPS`, ascending: exactly the pages
     /// the eviction phase can take mass from.
     support: Vec<PageId>,
@@ -113,24 +129,20 @@ pub struct FracMultiplicative {
     /// `total_mass_drift_stays_below_1e_9_over_200k_requests` — against
     /// the `EPS = 1e-7` the deficit is compared with.
     total_mass: f64,
-    /// Dense id of `w(q, j)` among the instance's distinct weights, at
-    /// `weight_id[q · stride + j − 1]` (one slab, `stride` slots per page).
-    weight_id: Vec<u32>,
-    stride: usize,
     /// Eviction-phase buffers, kept across segments and requests.
     active: Vec<ActivePage>,
-    next_active: Vec<ActivePage>,
     exps: ExpMemo,
 }
 
 /// Integration state for one page during the eviction phase.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct ActivePage {
     q: PageId,
     /// Active level `i_q` (deepest level with positive `y`).
     i: Level,
-    /// `a = u(q, i_q)` (equals `u(q, j)` for all `j ≥ i_q`).
+    /// `a = u(q, i_q)` (equals `u(q, j)` for all `j ≥ i_q`), and `a + η`.
     a: f64,
+    ae: f64,
     /// Segment ceiling `b = u(q, i_q − 1)`; the event `y(q,i_q) = 0` fires
     /// when `a` reaches `b`.
     b: f64,
@@ -149,7 +161,7 @@ impl ActivePage {
         if self.b - self.a <= 0.0 {
             0.0
         } else {
-            self.w * (((self.b + eta) / (self.a + eta)).ln())
+            self.w * (((self.b + eta) / self.ae).ln())
         }
     }
 }
@@ -168,53 +180,57 @@ impl FracMultiplicative {
         distinct.sort_unstable();
         distinct.dedup();
         let stride = inst.max_levels() as usize;
+        let mut weight = vec![0.0; inst.n() * stride];
         let mut weight_id = vec![0; inst.n() * stride];
         for (p, row) in rows().enumerate() {
-            for (slot, w) in weight_id[p * stride..].iter_mut().zip(row) {
-                *slot = distinct.partition_point(|d| d < w) as u32;
+            let slots = p * stride..p * stride + row.len();
+            for ((w, id), &v) in weight[slots.clone()]
+                .iter_mut()
+                .zip(&mut weight_id[slots])
+                .zip(row)
+            {
+                *w = v as f64;
+                *id = distinct.partition_point(|&d| d < v) as u32;
             }
         }
         FracMultiplicative {
+            k: inst.k(),
             eta,
-            y: (0..inst.n())
-                .map(|p| vec![0.0; inst.levels(p as PageId) as usize])
-                .collect(),
+            stride,
+            levels: rows().map(|row| row.len() as Level).collect(),
+            y: vec![0.0; inst.n() * stride],
+            weight,
+            weight_id,
             support: Vec::new(),
             total_mass: 0.0,
-            weight_id,
-            stride,
             active: Vec::new(),
-            next_active: Vec::new(),
             exps: ExpMemo::new(distinct.into_iter().map(|w| w as f64).collect()),
-            inst: inst.clone(),
         }
     }
 
-    /// `w(q, i)` and its weight id.
-    fn weight_of(&self, q: PageId, i: Level) -> (f64, u32) {
-        (
-            self.inst.weight(q, i) as f64,
-            self.weight_id[q as usize * self.stride + i as usize - 1],
-        )
+    /// Page `q`'s `y` row, `stride` slots.
+    fn row(&self, q: PageId) -> &[f64] {
+        let from = q as usize * self.stride;
+        &self.y[from..from + self.stride]
     }
 
     /// `u(q, j) = 1 − Σ_{h ≤ j} y(q, h)`.
     fn compute_u(&self, q: PageId, j: Level) -> f64 {
-        let row = &self.y[q as usize];
-        let s: f64 = row[..j as usize].iter().sum();
+        let s: f64 = self.row(q)[..j as usize].iter().sum();
         (1.0 - s).clamp(0.0, 1.0)
     }
 
     /// Deepest level of `q` with positive `y`, if any.
     fn active_level(&self, q: PageId) -> Option<Level> {
-        let row = &self.y[q as usize];
-        row.iter()
+        self.row(q)
+            .iter()
             .rposition(|&v| v > EPS)
             .map(|idx| (idx + 1) as Level)
     }
 
     fn set_y(&mut self, q: PageId, j: Level, v: f64) {
-        let row = &mut self.y[q as usize];
+        let from = q as usize * self.stride;
+        let row = &mut self.y[from..from + self.stride];
         let old = std::mem::replace(&mut row[j as usize - 1], v);
         self.total_mass += v - old;
         // Crossing EPS at this level moves `q` into or out of the support
@@ -234,131 +250,123 @@ impl FracMultiplicative {
         }
     }
 
-    /// Build the [`ActivePage`] record for `q`, or `None` if massless.
+    /// Build the [`ActivePage`] record for `q`, or `None` if massless:
+    /// one read of its row, whose prefix sum above the active level gives
+    /// `b` and, with that level's `y` added, `a` — the left folds
+    /// `compute_u` takes for each.
     fn activate(&self, q: PageId) -> Option<ActivePage> {
-        let i = self.active_level(q)?;
-        let a = self.compute_u(q, i);
-        let b = self.compute_u(q, i - 1);
-        let (w, wid) = self.weight_of(q, i);
+        let row = self.row(q);
+        let top = row.iter().rposition(|&v| v > EPS)?;
+        let above: f64 = row[..top].iter().sum();
+        let a = (1.0 - (above + row[top])).clamp(0.0, 1.0);
+        let slot = q as usize * self.stride + top;
         Some(ActivePage {
             q,
-            i,
+            i: (top + 1) as Level,
             a,
-            b,
-            w,
-            wid,
+            ae: a + self.eta,
+            b: (1.0 - above).clamp(0.0, 1.0),
+            w: self.weight[slot],
+            wid: self.weight_id[slot],
             a_start: a,
-            i_start: i,
+            i_start: (top + 1) as Level,
         })
     }
 
     /// Step 2: evict `needed` total mass from all pages except `p_t`,
     /// appending the resulting `u` deltas to `out`.
     fn evict_phase(&mut self, p_t: PageId, mut needed: f64, out: &mut Vec<FracDelta>) {
+        let eta = self.eta;
         let mut active = std::mem::take(&mut self.active);
-        let mut next_active = std::mem::take(&mut self.next_active);
+        let mut exps = std::mem::take(&mut self.exps);
         active.clear();
-        active.extend(
-            self.support
-                .iter()
-                .filter(|&&q| q != p_t)
-                .filter_map(|&q| self.activate(q)),
-        );
+        exps.begin_segment();
+        for &q in &self.support {
+            if q == p_t {
+                continue;
+            }
+            if let Some(ap) = self.activate(q) {
+                exps.scan(&ap, eta);
+                active.push(ap);
+            }
+        }
 
         while needed > EPS && !active.is_empty() {
             // Time until the first event (some y(q, i_q) hitting zero).
-            let tau_event = time_to_first_event(&active, self.eta);
+            let tau_event = exps.end_scan(&active, eta);
 
             // Either the capacity constraint is met inside this segment,
             // at the stopping time, or the segment runs to its event.
-            let tau = stop_time(&active, &mut self.exps, needed, tau_event, self.eta)
+            let tau = stop_time(&active, &mut exps, needed, tau_event, eta)
                 .0
                 .unwrap_or(tau_event);
 
-            // Advance every active page by tau and materialize into y.
-            let eta = self.eta;
-            let e = self.exps.at(tau);
+            // Advance every active page by tau and materialize into y,
+            // noting whether any page reached its ceiling.
+            let e = exps.at(tau);
+            let mut events = false;
             for ap in &mut active {
-                let new_a = ((ap.a + eta) * e[ap.wid as usize] - eta).min(ap.b);
+                let new_a = (ap.ae * e[ap.wid as usize] - eta).min(ap.b);
                 needed -= new_a - ap.a;
                 ap.a = new_a;
-            }
-            for ap in &active {
+                ap.ae = new_a + eta;
                 self.set_y(ap.q, ap.i, (ap.b - ap.a).max(0.0));
+                events |= ap.b - ap.a <= EPS;
             }
 
-            // Process events: pages whose segment finished move their
-            // active level up or drop out.
-            next_active.clear();
-            for mut ap in active.drain(..) {
-                if ap.b - ap.a > EPS {
-                    next_active.push(ap);
-                    continue;
+            // Process events in place: pages whose segment finished move
+            // their active level up or drop out. The survivors are the
+            // next segment's pages, scanned as they are kept.
+            exps.begin_segment();
+            if events {
+                let mut kept = 0;
+                for idx in 0..active.len() {
+                    let mut ap = active[idx];
+                    if ap.b - ap.a <= EPS {
+                        // y(q, i) hit zero exactly.
+                        self.set_y(ap.q, ap.i, 0.0);
+                        let Some(next) = self.activate(ap.q) else {
+                            // Page fully evicted: flush its deltas now.
+                            emit_page_deltas(&self.levels, ap.q, 1, 1.0, out);
+                            continue;
+                        };
+                        ap = ActivePage {
+                            a_start: ap.a_start,
+                            i_start: ap.i_start,
+                            ..next
+                        };
+                    }
+                    exps.scan(&ap, eta);
+                    active[kept] = ap;
+                    kept += 1;
                 }
-                // y(q, i) hit zero exactly.
-                self.set_y(ap.q, ap.i, 0.0);
-                match self.active_level(ap.q) {
-                    Some(i_new) => {
-                        ap.i = i_new;
-                        ap.a = self.compute_u(ap.q, i_new);
-                        ap.b = self.compute_u(ap.q, i_new - 1);
-                        (ap.w, ap.wid) = self.weight_of(ap.q, i_new);
-                        next_active.push(ap);
-                    }
-                    None => {
-                        // Page fully evicted: flush its deltas now.
-                        emit_page_deltas(&self.inst, ap.q, 1, 1.0, out);
-                    }
+                active.truncate(kept);
+            } else if needed > EPS {
+                for ap in &active {
+                    exps.scan(ap, eta);
                 }
             }
-            std::mem::swap(&mut active, &mut next_active);
         }
 
         // Flush deltas for pages that still hold mass: all levels from the
         // final active level to ℓ now hold u = a.
         for ap in &active {
             if ap.a > ap.a_start || ap.i < ap.i_start {
-                emit_page_deltas(&self.inst, ap.q, ap.i, ap.a, out);
+                emit_page_deltas(&self.levels, ap.q, ap.i, ap.a, out);
             }
         }
         self.active = active;
-        self.next_active = next_active;
+        self.exps = exps;
     }
 }
 
 /// Time until the first event of the segment: the least
-/// [`ActivePage::time_to_event`] over `pages`, calling `ln` only for the
-/// pages that can still attain it.
-///
-/// A page's time is `w·ln r` for its ratio `r = (b + η)/(a + η) ≥ 1`, as
-/// `time_to_event` rounds it, and `w·(r − 1)/r ≤ w·ln r`. A page whose
-/// lower bound exceeds the least time evaluated so far by a relative
-/// `1e-9` — far more than the few ulps either side is off by — takes
-/// longer than that page and is skipped; every other page is evaluated,
-/// so the least page is, and the result is the full fold's float. A page
-/// at its ceiling (`b − a ≤ 0`) has time 0 and is always evaluated.
-/// Bounding `ln r` of the rounded `r`, rather than `ln((b + η)/(a + η))`
-/// of the exact ratio, keeps the bound that tight however close `r` is
-/// to 1.
+/// [`ActivePage::time_to_event`] over `pages`, as the full fold takes it.
 fn time_to_first_event(pages: &[ActivePage], eta: f64) -> f64 {
-    let (mut least, mut cap) = (f64::INFINITY, f64::INFINITY);
-    for ap in pages {
-        let r = (ap.b + eta) / (ap.a + eta);
-        if ap.b - ap.a <= 0.0 || ap.w * (r - 1.0) <= cap * r {
-            least = least.min(ap.time_to_event(eta));
-            cap = least * (1.0 + 1e-9);
-        }
-    }
-    debug_assert_eq!(
-        least.to_bits(),
-        pages
-            .iter()
-            .map(|ap| ap.time_to_event(eta))
-            .fold(f64::INFINITY, f64::min)
-            .to_bits(),
-        "bounded event time differs from the full fold"
-    );
-    least
+    pages
+        .iter()
+        .map(|ap| ap.time_to_event(eta))
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// `gain(τ) = Σ_q a_q(τ) − a_q(0)` over `pages` (page order), given
@@ -369,7 +377,7 @@ fn time_to_first_event(pages: &[ActivePage], eta: f64) -> f64 {
 fn gain_and_slope<const SLOPE: bool>(pages: &[ActivePage], e: &[f64], eta: f64) -> (f64, f64) {
     let (mut gain, mut slope) = (0.0, 0.0);
     for ap in pages {
-        let grown = (ap.a + eta) * e[ap.wid as usize];
+        let grown = ap.ae * e[ap.wid as usize];
         gain += (grown - eta).min(ap.b) - ap.a;
         if SLOPE {
             slope += grown / ap.w;
@@ -378,26 +386,40 @@ fn gain_and_slope<const SLOPE: bool>(pages: &[ActivePage], e: &[f64], eta: f64) 
     (gain, slope)
 }
 
-/// `exp(τ/w)` by weight id for one segment's evaluations: at the latest
-/// evaluated `τ` and at the two ends of the segment's stop bracket, each
-/// filled for the segment's weights only.
-#[derive(Debug, Clone)]
+/// One segment's weights and `exp(τ/w)` by weight id: at the latest
+/// evaluated `τ` and at the two ends of the segment's stop bracket.
+///
+/// A segment starts with [`ExpMemo::begin_segment`], takes its pages one
+/// by one through [`ExpMemo::scan`] as the eviction phase builds them, and
+/// [`ExpMemo::end_scan`] returns its event time.
+#[derive(Debug, Clone, Default)]
 struct ExpMemo {
     /// The instance's distinct weights, ascending; a weight id indexes them.
     weights: Vec<f64>,
     /// The segment's weight ids, each once (sized for every weight, so
     /// it never grows).
     ids: Vec<u32>,
-    /// Marks for building `ids`; all false between segments.
+    /// Marks for building `ids`: set for the listed ids only.
     listed: Vec<bool>,
+    /// The bounded event-time search over the scanned pages: the least
+    /// time evaluated so far, and the bound past which a page is skipped.
+    least: f64,
+    cap: f64,
+    /// The segment's *open* weight ids: all of them until both bracket
+    /// ends are evaluated, then those whose two ends gave different
+    /// floats. A *settled* id (any other) has one value at every `τ`
+    /// strictly inside the bracket, which `at_tau` keeps.
+    open: Vec<u32>,
     /// Largest evaluated `τ` with `P(τ)` false (`−∞` before the first).
     below: f64,
     /// Smallest evaluated `τ` with `P(τ)` true (`+∞` before the first).
     above: f64,
     at_below: Vec<f64>,
     at_above: Vec<f64>,
-    /// At the latest [`ExpMemo::fill`].
+    /// At the latest [`ExpMemo::fill`], for every id of the segment.
     at_tau: Vec<f64>,
+    /// At a decision that debug builds re-evaluate outside the bracket.
+    at_check: Vec<f64>,
 }
 
 impl ExpMemo {
@@ -407,67 +429,118 @@ impl ExpMemo {
             weights,
             ids: Vec::with_capacity(len),
             listed: vec![false; len],
+            least: f64::INFINITY,
+            cap: f64::INFINITY,
+            open: Vec::with_capacity(len),
             below: f64::NEG_INFINITY,
             above: f64::INFINITY,
             at_below: vec![0.0; len],
             at_above: vec![0.0; len],
             at_tau: vec![0.0; len],
+            at_check: vec![0.0; len],
         }
     }
 
-    /// Start a segment over `pages`: list its distinct weights and forget
-    /// the previous segment's bracket.
-    fn begin_segment(&mut self, pages: &[ActivePage]) {
-        self.ids.clear();
-        for ap in pages {
-            if !std::mem::replace(&mut self.listed[ap.wid as usize], true) {
-                self.ids.push(ap.wid);
-            }
-        }
+    /// Start a segment: forget the previous segment's weights, event time
+    /// and bracket.
+    fn begin_segment(&mut self) {
         for &id in &self.ids {
             self.listed[id as usize] = false;
         }
+        self.ids.clear();
+        self.least = f64::INFINITY;
+        self.cap = f64::INFINITY;
         self.below = f64::NEG_INFINITY;
         self.above = f64::INFINITY;
     }
 
+    /// Take one page of the segment, in page order: list its weight and
+    /// fold its event time into the bounded search.
+    ///
+    /// A page's time is `w·ln r` for its ratio `r = (b + η)/(a + η) ≥ 1`,
+    /// as `time_to_event` rounds it, and `w·(r − 1)/r ≤ w·ln r`. A page
+    /// whose lower bound exceeds the least time evaluated so far by a
+    /// relative `1e-9` — far more than the few ulps either side is off by
+    /// — takes longer than that page and is skipped; every other page is
+    /// evaluated, so the least page is, and the result is the full fold's
+    /// float with `ln` called for a few pages only. A page at its ceiling
+    /// (`b − a ≤ 0`) has time 0 and is always evaluated. Bounding `ln r`
+    /// of the rounded `r`, rather than `ln((b + η)/(a + η))` of the exact
+    /// ratio, keeps the bound that tight however close `r` is to 1.
+    fn scan(&mut self, ap: &ActivePage, eta: f64) {
+        if !std::mem::replace(&mut self.listed[ap.wid as usize], true) {
+            self.ids.push(ap.wid);
+        }
+        let r = (ap.b + eta) / ap.ae;
+        if ap.b - ap.a <= 0.0 || ap.w * (r - 1.0) <= self.cap * r {
+            self.least = self.least.min(ap.time_to_event(eta));
+            self.cap = self.least * (1.0 + 1e-9);
+        }
+    }
+
+    /// Close the scan of `pages` and return their event time.
+    fn end_scan(&mut self, pages: &[ActivePage], eta: f64) -> f64 {
+        self.open.clear();
+        self.open.extend_from_slice(&self.ids);
+        debug_assert_eq!(
+            self.least.to_bits(),
+            time_to_first_event(pages, eta).to_bits(),
+            "bounded event time differs from the full fold"
+        );
+        self.least
+    }
+
+    /// Whether both bracket ends have been evaluated and `tau` lies
+    /// strictly between them.
+    fn squeezes(&self, tau: f64) -> bool {
+        self.below.is_finite() && self.above.is_finite() && self.below < tau && tau < self.above
+    }
+
     /// Set `at_tau` to `exp(tau/w)` for the segment's weights, and return
     /// how many `exp` calls that took. Strictly inside an evaluated
-    /// bracket, a weight whose two ends gave the same float takes that
-    /// float (the module doc's monotonicity); anywhere else every weight
-    /// is evaluated.
+    /// bracket only the open ids are evaluated: a settled id's value is
+    /// already in `at_tau` (the module doc's monotonicity). Anywhere else
+    /// every weight is evaluated, and every id is open again.
     fn fill(&mut self, tau: f64) -> u32 {
-        let squeeze = self.below.is_finite()
-            && self.above.is_finite()
-            && self.below < tau
-            && tau < self.above;
-        let mut calls = 0;
-        for &id in &self.ids {
-            let id = id as usize;
-            self.at_tau[id] = if squeeze && self.at_below[id] == self.at_above[id] {
+        if !self.squeezes(tau) {
+            self.open.clear();
+            self.open.extend_from_slice(&self.ids);
+        }
+        for &id in &self.open {
+            self.at_tau[id as usize] = (tau / self.weights[id as usize]).exp();
+        }
+        if cfg!(debug_assertions) {
+            for &id in &self.ids {
+                let id = id as usize;
                 debug_assert_eq!(
-                    self.at_below[id].to_bits(),
+                    self.at_tau[id].to_bits(),
                     (tau / self.weights[id]).exp().to_bits(),
                     "exp is not monotone around {:e}",
                     tau / self.weights[id]
                 );
-                self.at_below[id]
-            } else {
-                calls += 1;
-                (tau / self.weights[id]).exp()
-            };
+            }
         }
-        calls
+        self.open.len() as u32
     }
 
-    /// Make the latest fill, at `tau`, the bracket end on its side.
+    /// Make the latest fill, at `tau`, the bracket end on its side: copy
+    /// the open ids' values there, and settle those whose two ends now
+    /// agree.
     fn settle(&mut self, tau: f64, reached: bool) {
-        if reached {
+        let end = if reached {
             self.above = tau;
-            std::mem::swap(&mut self.at_above, &mut self.at_tau);
+            &mut self.at_above
         } else {
             self.below = tau;
-            std::mem::swap(&mut self.at_below, &mut self.at_tau);
+            &mut self.at_below
+        };
+        for &id in &self.open {
+            end[id as usize] = self.at_tau[id as usize];
+        }
+        if self.below.is_finite() && self.above.is_finite() {
+            let (at_below, at_above) = (&self.at_below, &self.at_above);
+            self.open
+                .retain(|&id| at_below[id as usize] != at_above[id as usize]);
         }
     }
 
@@ -530,9 +603,13 @@ impl StopSearch<'_> {
             return self.probe::<false>(tau).0 >= self.needed;
         };
         if cfg!(debug_assertions) {
-            // `tau` is outside the bracket, so this fill reuses nothing.
-            self.memo.fill(tau);
-            let gain = gain_and_slope::<false>(self.pages, &self.memo.at_tau, self.eta).0;
+            // Fresh values for every weight, in a buffer of their own: the
+            // settled values in `at_tau` serve the probes still to come.
+            let memo = &mut *self.memo;
+            for &id in &memo.ids {
+                memo.at_check[id as usize] = (tau / memo.weights[id as usize]).exp();
+            }
+            let gain = gain_and_slope::<false>(self.pages, &memo.at_check, self.eta).0;
             debug_assert_eq!(
                 inferred,
                 gain >= self.needed,
@@ -587,8 +664,8 @@ impl StopSearch<'_> {
     fn narrow(&mut self, tau_event: f64, gain: f64, slope: f64) {
         let (mut base, mut slope_0) = (0.0, 0.0);
         for ap in self.pages {
-            base += ap.a + self.eta;
-            slope_0 += (ap.a + self.eta) / ap.w;
+            base += ap.ae;
+            slope_0 += ap.ae / ap.w;
         }
         // ln G(τ) − ln G(root) as ln(1 + (gain − needed)/G(root)): the
         // residual is formed before the logarithm, so it keeps its digits.
@@ -654,8 +731,8 @@ fn loop_free_applies(below: f64, tau_event: f64) -> bool {
 /// handful of evaluations that a narrow bracket leaves undecided. Where
 /// [`loop_free_applies`], that float is the least one with `P` true and is
 /// found without the 70 steps; debug builds replay them anyway and assert
-/// the same float. Starts a segment in `memo`, whose [`ExpMemo::at`] then
-/// serves the advance.
+/// the same float. `memo` holds the segment's ended scan of `pages`; its
+/// [`ExpMemo::at`] then serves the advance.
 fn stop_time(
     pages: &[ActivePage],
     memo: &mut ExpMemo,
@@ -663,7 +740,6 @@ fn stop_time(
     tau_event: f64,
     eta: f64,
 ) -> (Option<f64>, StopCost) {
-    memo.begin_segment(pages);
     let mut search = StopSearch {
         pages,
         memo,
@@ -699,13 +775,13 @@ fn stop_time(
 
 /// Emit `u(q, j) = value` for all `j` in `from..=ℓ_q`.
 fn emit_page_deltas(
-    inst: &MlInstance,
+    levels: &[Level],
     q: PageId,
     from: Level,
     value: f64,
     out: &mut Vec<FracDelta>,
 ) {
-    for j in from..=inst.levels(q) {
+    for j in from..=levels[q as usize] {
         out.push(FracDelta {
             page: q,
             level: j,
@@ -726,16 +802,16 @@ impl FractionalPolicy for FracMultiplicative {
         // Step 1: u(p_t, j) = 0 for j >= i_t. Equivalently, evict copies
         // deeper than i_t and fill copy i_t up to one unit of prefix mass.
         if deficit > 0.0 || self.active_level(p).is_some_and(|l| l > i) {
-            for j in (i + 1)..=self.inst.levels(p) {
+            for j in (i + 1)..=self.levels[p as usize] {
                 self.set_y(p, j, 0.0);
             }
-            let prefix_below: f64 = self.y[p as usize][..i as usize - 1].iter().sum();
+            let prefix_below: f64 = self.row(p)[..i as usize - 1].iter().sum();
             self.set_y(p, i, 1.0 - prefix_below);
-            emit_page_deltas(&self.inst, p, i, 0.0, out);
+            emit_page_deltas(&self.levels, p, i, 0.0, out);
         }
 
         // Step 2: restore the capacity constraint.
-        let needed = self.total_mass - self.inst.k() as f64;
+        let needed = self.total_mass - self.k as f64;
         if needed > EPS {
             self.evict_phase(p, needed, out);
         }
@@ -796,11 +872,12 @@ mod tests {
         })
     }
 
-    fn page(a: f64, b: f64, w: f64) -> ActivePage {
+    fn page(a: f64, b: f64, w: f64, eta: f64) -> ActivePage {
         ActivePage {
             q: 0,
             i: 1,
             a,
+            ae: a + eta,
             b,
             w,
             wid: 0,
@@ -809,15 +886,22 @@ mod tests {
         }
     }
 
-    /// Give `pages` dense weight ids, and the memo they index.
-    fn with_ids(pages: &mut [ActivePage]) -> ExpMemo {
+    /// Give `pages` dense weight ids, and the memo they index, with the
+    /// segment scanned under `eta` and its scan ended.
+    fn with_ids(pages: &mut [ActivePage], eta: f64) -> ExpMemo {
         let mut weights: Vec<f64> = pages.iter().map(|ap| ap.w).collect();
         weights.sort_by(f64::total_cmp);
         weights.dedup();
         for ap in pages.iter_mut() {
             ap.wid = weights.partition_point(|&w| w < ap.w) as u32;
         }
-        ExpMemo::new(weights)
+        let mut memo = ExpMemo::new(weights);
+        memo.begin_segment();
+        for ap in pages.iter() {
+            memo.scan(ap, eta);
+        }
+        memo.end_scan(pages, eta);
+        memo
     }
 
     /// `stop_time` against the reference, bit for bit, and the `exp` the
@@ -826,7 +910,7 @@ mod tests {
     fn check_stop(pages: &[ActivePage], needed: f64, tau_event: f64, eta: f64) -> Option<StopCost> {
         let want = stop_time_reference(pages, needed, tau_event, eta);
         let mut pages = pages.to_vec();
-        let mut memo = with_ids(&mut pages);
+        let mut memo = with_ids(&mut pages, eta);
         let (got, cost) = stop_time(&pages, &mut memo, needed, tau_event, eta);
         assert_eq!(
             got.map(f64::to_bits),
@@ -853,6 +937,7 @@ mod tests {
     fn random_pages(
         rng: &mut StdRng,
         n: usize,
+        eta: f64,
         mut weight: impl FnMut(&mut StdRng) -> f64,
     ) -> Vec<ActivePage> {
         (0..n)
@@ -868,7 +953,7 @@ mod tests {
                     rng.gen::<f64>()
                 };
                 let gap = ((1.0 - a) * shrink).max(2.0 * EPS);
-                page(a, (a + gap).min(1.0), weight(rng))
+                page(a, (a + gap).min(1.0), weight(rng), eta)
             })
             .collect()
     }
@@ -895,9 +980,9 @@ mod tests {
             rng.gen_range(1..=32)
         };
         let pages = match case % 3 {
-            0 => random_pages(rng, n, |r| (1u64 << r.gen_range(0..=8u32)) as f64),
-            1 => random_pages(rng, n, |r| r.gen_range(1..=256u64) as f64),
-            _ => random_pages(rng, n, |_| 16.0),
+            0 => random_pages(rng, n, eta, |r| (1u64 << r.gen_range(0..=8u32)) as f64),
+            1 => random_pages(rng, n, eta, |r| r.gen_range(1..=256u64) as f64),
+            _ => random_pages(rng, n, eta, |_| 16.0),
         };
         let tau_event = time_to_first_event(&pages, eta);
         (pages, eta, tau_event)
@@ -984,9 +1069,9 @@ mod tests {
                 rng.gen_range(1..=32)
             };
             let mut pages = match case % 3 {
-                0 => random_pages(&mut rng, n, |r| (1u64 << r.gen_range(0..=8u32)) as f64),
-                1 => random_pages(&mut rng, n, |r| r.gen_range(1..=256u64) as f64),
-                _ => random_pages(&mut rng, n, |_| 16.0),
+                0 => random_pages(&mut rng, n, eta, |r| (1u64 << r.gen_range(0..=8u32)) as f64),
+                1 => random_pages(&mut rng, n, eta, |r| r.gen_range(1..=256u64) as f64),
+                _ => random_pages(&mut rng, n, eta, |_| 16.0),
             };
             if case % 50 == 0 {
                 let ap = &mut pages[rng.gen_range(0..n)];
@@ -996,8 +1081,9 @@ mod tests {
                 .iter()
                 .map(|ap| ap.time_to_event(eta))
                 .fold(f64::INFINITY, f64::min);
+            let memo = with_ids(&mut pages, eta);
             assert_eq!(
-                time_to_first_event(&pages, eta).to_bits(),
+                memo.least.to_bits(),
                 full.to_bits(),
                 "case {case}: eta={eta:e} pages={pages:?}"
             );
@@ -1014,13 +1100,13 @@ mod tests {
         for case in 0..2_000u32 {
             let eta = [1e-3, 1.0 / 32.0, 10.0][case as usize % 3];
             let (distinct, mut pages) = if case % 2 == 0 {
-                (1, random_pages(&mut rng, 256, |_| 16.0))
+                (1, random_pages(&mut rng, 256, eta, |_| 16.0))
             } else {
                 let mut w = pow2.iter();
-                let pages = random_pages(&mut rng, 256, |_| *w.next().unwrap_or(&1) as f64);
+                let pages = random_pages(&mut rng, 256, eta, |_| *w.next().unwrap_or(&1) as f64);
                 (9, pages)
             };
-            let mut memo = with_ids(&mut pages);
+            let mut memo = with_ids(&mut pages, eta);
             let tau_event = time_to_first_event(&pages, eta);
             let needed = random_needed(&mut rng, case, gain_at(&pages, tau_event, eta));
             let (_, cost) = stop_time(&pages, &mut memo, needed, tau_event, eta);
@@ -1041,9 +1127,8 @@ mod tests {
     fn a_probe_outside_the_bracket_takes_no_squeezed_value() {
         let eta = 1.0 / 128.0;
         let heavy = (1u64 << 40) as f64;
-        let mut pages = vec![page(0.0, 1.0, 1.0), page(0.0, 1.0, heavy)];
-        let mut memo = with_ids(&mut pages);
-        memo.begin_segment(&pages);
+        let mut pages = vec![page(0.0, 1.0, 1.0, eta), page(0.0, 1.0, heavy, eta)];
+        let mut memo = with_ids(&mut pages, eta);
         let (below, above) = (1.0, 1.0 + 1e-6);
         let mut search = StopSearch {
             pages: &pages,
@@ -1065,11 +1150,11 @@ mod tests {
             assert_eq!(search.memo.at_tau[1], settled(tau));
         }
         // Past the bracket `P` is inferred; a debug build re-evaluates it
-        // there, from real `exp` calls.
-        search.memo.at_tau.fill(0.0);
+        // there, from real `exp` calls, in a buffer of its own.
+        search.memo.at_check.fill(0.0);
         assert!(search.reached(2.0));
         if cfg!(debug_assertions) {
-            assert_eq!(search.memo.at_tau[1], settled(2.0));
+            assert_eq!(search.memo.at_check[1], settled(2.0));
         }
         assert_eq!(search.cost.evals, 2);
     }
@@ -1078,15 +1163,15 @@ mod tests {
     fn stop_time_edge_cases_match_the_bisection() {
         let eta = 1.0 / 128.0;
         let mixed = vec![
-            page(0.0, 0.4, 1.0),
-            page(0.25, 0.9, 16.0),
-            page(0.5, 1.0, 64.0),
-            page(0.875, 0.875 + 3.0 * EPS, 256.0),
+            page(0.0, 0.4, 1.0, eta),
+            page(0.25, 0.9, 16.0, eta),
+            page(0.5, 1.0, 64.0, eta),
+            page(0.875, 0.875 + 3.0 * EPS, 256.0, eta),
         ];
         let equal: Vec<_> = (0..9)
-            .map(|i| page(0.1 * i as f64, 0.1 * i as f64 + 0.1, 8.0))
+            .map(|i| page(0.1 * i as f64, 0.1 * i as f64 + 0.1, 8.0, eta))
             .collect();
-        let single = vec![page(0.3, 1.0, 32.0)];
+        let single = vec![page(0.3, 1.0, 32.0, eta)];
         for pages in [&mixed, &equal, &single] {
             let tau_event = time_to_first_event(pages, eta);
             let full = gain_at(pages, tau_event, eta);
@@ -1111,7 +1196,7 @@ mod tests {
             }
         }
         // tau_event == 0: a page already at its ceiling.
-        let stuck = vec![page(0.5, 0.5, 4.0), page(0.1, 0.6, 4.0)];
+        let stuck = vec![page(0.5, 0.5, 4.0, eta), page(0.1, 0.6, 4.0, eta)];
         assert_eq!(time_to_first_event(&stuck, eta), 0.0);
         for needed in [0.0, -1e-18, 1e-18, EPS] {
             check_stop(&stuck, needed, 0.0, eta);
@@ -1136,7 +1221,7 @@ mod tests {
                 mirror.set_u(d.page, d.level, d.new_u);
             }
             if t % 1000 == 999 {
-                let exact: f64 = alg.y.iter().flatten().sum();
+                let exact: f64 = alg.y.iter().sum();
                 worst = worst.max((alg.total_mass - exact).abs());
             }
         }

@@ -76,6 +76,9 @@ pub struct RoundingMirror {
     caps: Vec<usize>,
     /// Weight class of copy `(p, i)` at slot `p·stride + i − 1`.
     class: Vec<u8>,
+    /// The least class whose `k_{≥ i}` holds `u(p, i)`, at the same slot:
+    /// `class(p, i + 1) + 1`, or 0 at `i = ℓ_p`.
+    lo_class: Vec<u8>,
 }
 
 impl RoundingMirror {
@@ -83,10 +86,15 @@ impl RoundingMirror {
     pub fn new(inst: &MlInstance) -> Self {
         let stride = inst.max_levels() as usize;
         let mut class = vec![0; inst.n() * stride];
+        let mut lo_class = vec![0; inst.n() * stride];
         for p in 0..inst.n() as PageId {
+            let from = p as usize * stride;
             for i in 1..=inst.levels(p) {
-                // At most 64 classes for 64-bit weights.
-                class[p as usize * stride + i as usize - 1] = weight_class(inst.weight(p, i)) as u8;
+                // At most 65 classes for 64-bit weights.
+                class[from + i as usize - 1] = weight_class(inst.weight(p, i)) as u8;
+            }
+            for i in 1..inst.levels(p) {
+                lo_class[from + i as usize - 1] = class[from + i as usize] + 1;
             }
         }
         let classes = num_weight_classes(inst.weights().max_weight());
@@ -99,6 +107,7 @@ impl RoundingMirror {
             k_geq: vec![0.0; classes],
             caps: vec![0; classes],
             class,
+            lo_class,
             inst: inst.clone(),
         }
     }
@@ -106,43 +115,45 @@ impl RoundingMirror {
     /// Commit one step's deltas: save the old `u` row of every page with
     /// deltas, in first-appearance order (it fixes the order of the cells'
     /// RNG draws), then write the new values and move `k_{≥ i}` and its
-    /// caps.
+    /// caps — one pass over the deltas. `u(p, j)` enters `k_{≥ i}` for
+    /// the class range `(class(p, j+1), class(p, j)]`, so a delta adds
+    /// `old − new` to each class of its range.
     pub fn apply(&mut self, deltas: &[FracDelta]) {
         self.order.clear();
         for d in deltas {
-            let p = d.page as usize;
-            if !std::mem::replace(&mut self.touched[p], true) {
-                self.order.push(d.page);
-                let slots = p * self.stride..(p + 1) * self.stride;
-                self.old_u[slots.clone()].copy_from_slice(&self.u[slots]);
+            let (lo, hi, delta) = self.write(d);
+            for k in self.k_geq.iter_mut().take(hi + 1).skip(lo) {
+                *k += delta;
             }
         }
         for &p in &self.order {
             self.touched[p as usize] = false;
-        }
-        for d in deltas {
-            let slot = self.slot(d.page, d.level);
-            let old = std::mem::replace(&mut self.u[slot], d.new_u);
-            // k_{≥i} accounting: u(p,j) enters k_{≥i} for the class range
-            // (class(p, j+1), class(p, j)].
-            let hi = self.class[slot] as usize;
-            let lo = if d.level < self.inst.levels(d.page) {
-                self.class[slot + 1] as usize + 1
-            } else {
-                0
-            };
-            if lo <= hi {
-                let delta = old - d.new_u;
-                for k in &mut self.k_geq[lo..=hi] {
-                    *k += delta;
-                }
-            }
         }
         if !deltas.is_empty() {
             for (cap, &k) in self.caps.iter_mut().zip(&self.k_geq) {
                 *cap = noisy_ceil(k);
             }
         }
+    }
+
+    /// Write one delta: save its page's row first if this step has not
+    /// yet, then set the new `u`. Returns the delta's class range
+    /// `lo..=hi` (empty when `lo > hi`) and what leaves `u` there.
+    #[inline]
+    fn write(&mut self, d: &FracDelta) -> (usize, usize, f64) {
+        let p = d.page as usize;
+        if !std::mem::replace(&mut self.touched[p], true) {
+            self.order.push(d.page);
+            let slots = p * self.stride..(p + 1) * self.stride;
+            self.old_u[slots.clone()].copy_from_slice(&self.u[slots]);
+        }
+        let slot = self.slot(d.page, d.level);
+        let old = std::mem::replace(&mut self.u[slot], d.new_u);
+        (
+            self.lo_class[slot] as usize,
+            self.class[slot] as usize,
+            old - d.new_u,
+        )
     }
 
     #[inline]

@@ -101,8 +101,11 @@ mod tests {
         assert!(sent_rx
             .recv_timeout(std::time::Duration::from_millis(50))
             .is_err());
+        // A batch of at most one: once item 0 is taken the blocked send
+        // may land before `recv_batch` looks again, and a larger batch
+        // would then take item 1 as well.
         let mut out = Vec::new();
-        assert_eq!(rx.recv_batch(&mut out, 4), 1);
+        assert_eq!(rx.recv_batch(&mut out, 1), 1);
         assert_eq!(sent_rx.recv(), Ok(1));
         assert_eq!(drain(&rx, 4), vec![1]);
         producer.join().unwrap();
