@@ -509,6 +509,8 @@ impl ExpMemo {
         for &id in &self.open {
             self.at_tau[id as usize] = (tau / self.weights[id as usize]).exp();
         }
+        #[cfg(test)]
+        tally(0, self.open.len() as u64);
         if cfg!(debug_assertions) {
             for &id in &self.ids {
                 let id = id as usize;
@@ -558,6 +560,21 @@ impl ExpMemo {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Gain evaluations and `exp` calls made on this thread so far.
+    static TALLY: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+}
+
+/// Add to this thread's [`TALLY`].
+#[cfg(test)]
+fn tally(evals: u64, exps: u64) {
+    TALLY.with(|t| {
+        let (e, x) = t.get();
+        t.set((e + evals, x + exps));
+    });
+}
+
 /// What one stop cost: gain evaluations, the `exp` calls they made, and
 /// whether it was found without replaying the bisection.
 #[derive(Debug, Clone, Copy, Default)]
@@ -585,6 +602,8 @@ impl StopSearch<'_> {
     /// stop there.
     fn probe<const SLOPE: bool>(&mut self, tau: f64) -> (f64, f64) {
         debug_assert!(self.memo.below < tau && tau < self.memo.above);
+        #[cfg(test)]
+        tally(1, 0);
         self.cost.evals += 1;
         self.cost.exps += self.memo.fill(tau);
         let (gain, slope) = gain_and_slope::<SLOPE>(self.pages, &self.memo.at_tau, self.eta);
@@ -1236,6 +1255,38 @@ mod tests {
             .filter(|&q| alg.active_level(q).is_some())
             .collect();
         assert_eq!(alg.support, support);
+    }
+
+    /// The work and output per request on the benchmark's
+    /// `policy-randomized` stream (`wmlp_serve::default_instance(1024, 2,
+    /// 128, 7)`, Zipf 0.9, uniform levels, `η = 1/k`): gain evaluations
+    /// and `exp` calls may not grow past these totals, and the deltas
+    /// emitted are exactly these.
+    #[test]
+    fn benchmark_stream_work_per_request_is_pinned() {
+        const REQUESTS: usize = 10_000;
+        let rows = ml_rows_geometric(1024, 2, 16, 256, 4, 7);
+        let inst = MlInstance::from_rows(128, rows).unwrap();
+        let trace = zipf_trace(&inst, 0.9, REQUESTS, LevelDist::Uniform, 1);
+        let mut alg = FracMultiplicative::new(&inst);
+        let mut out = Vec::new();
+        let mut deltas = 0u64;
+        TALLY.with(|t| t.set((0, 0)));
+        for (t, &req) in trace.iter().enumerate() {
+            out.clear();
+            alg.on_request(t, req, &mut out);
+            deltas += out.len() as u64;
+        }
+        let (evals, exps) = TALLY.with(|t| t.get());
+        let per = |n: u64| n as f64 / REQUESTS as f64;
+        assert!(
+            evals <= 116_918 && exps <= 6_793_600 && deltas == 2_572_409,
+            "per request: {:.4} gain evaluations (at most 11.6918), {:.4} exp calls \
+             (at most 679.3600), {:.4} deltas (exactly 257.2409)",
+            per(evals),
+            per(exps),
+            per(deltas)
+        );
     }
 
     #[test]
