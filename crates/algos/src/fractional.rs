@@ -1249,7 +1249,7 @@ mod tests {
         let inst = MlInstance::weighted_paging(2, vec![4, 4, 4]).unwrap();
         let trace = vec![Request::top(0), Request::top(1)];
         let mut alg = FracMultiplicative::new(&inst);
-        let res = run_fractional(&inst, &trace, &mut alg, 1, None).unwrap();
+        let res = run_fractional(&inst, &trace, &mut alg, 1).unwrap();
         assert_eq!(res.cost, 0.0, "no eviction needed below capacity");
         assert!((res.final_state.occupancy() - 2.0).abs() < 1e-9);
     }
@@ -1261,7 +1261,7 @@ mod tests {
         let inst = MlInstance::weighted_paging(2, vec![8, 8, 8]).unwrap();
         let trace = vec![Request::top(0), Request::top(1), Request::top(2)];
         let mut alg = FracMultiplicative::new(&inst);
-        run_fractional(&inst, &trace, &mut alg, 1, None).unwrap();
+        run_fractional(&inst, &trace, &mut alg, 1).unwrap();
         let u0 = alg.u(0, 1);
         let u1 = alg.u(1, 1);
         assert!((u0 - u1).abs() < 1e-6, "u0={u0} u1={u1}");
@@ -1274,7 +1274,7 @@ mod tests {
         let inst = MlInstance::weighted_paging(2, vec![100, 1, 10]).unwrap();
         let trace = vec![Request::top(0), Request::top(1), Request::top(2)];
         let mut alg = FracMultiplicative::new(&inst);
-        run_fractional(&inst, &trace, &mut alg, 1, None).unwrap();
+        run_fractional(&inst, &trace, &mut alg, 1).unwrap();
         assert!(
             alg.u(0, 1) < alg.u(1, 1),
             "heavy page kept more: u0={} u1={}",
@@ -1290,7 +1290,7 @@ mod tests {
         // move all of page 0's mass to the prefix {1}.
         let trace = vec![Request::new(0, 2), Request::new(0, 1)];
         let mut alg = FracMultiplicative::new(&inst);
-        let res = run_fractional(&inst, &trace, &mut alg, 1, None).unwrap();
+        let res = run_fractional(&inst, &trace, &mut alg, 1).unwrap();
         assert!(alg.u(0, 1) < 1e-9);
         assert!((alg.compute_u(0, 2)) < 1e-9);
         // y(0,2) must now be zero: the full unit sits at level 1.
@@ -1305,7 +1305,7 @@ mod tests {
                 .unwrap();
         let trace = zipf_trace(&inst, 1.0, 600, LevelDist::Uniform, 3);
         let mut alg = FracMultiplicative::new(&inst);
-        let res = run_fractional(&inst, &trace, &mut alg, 1, None).unwrap();
+        let res = run_fractional(&inst, &trace, &mut alg, 1).unwrap();
         assert!(res.cost > 0.0);
         assert!(res.final_state.occupancy() <= inst.k() as f64 + 1e-6);
     }
@@ -1316,9 +1316,7 @@ mod tests {
         let trace = zipf_trace(&inst, 0.8, 400, LevelDist::Top, 5);
         let cost = |eta: f64| {
             let mut alg = FracMultiplicative::with_eta(&inst, eta);
-            run_fractional(&inst, &trace, &mut alg, 8, None)
-                .unwrap()
-                .cost
+            run_fractional(&inst, &trace, &mut alg, 8).unwrap().cost
         };
         let c_small = cost(1e-3);
         let c_large = cost(10.0);

@@ -157,7 +157,7 @@ mod tests {
         let trace = zipf_trace(&inst, 1.0, 500, LevelDist::Uniform, 3);
         let mut alg = Quantized::new(&inst, FracMultiplicative::new(&inst));
         let delta = alg.delta();
-        let res = run_fractional(&inst, &trace, &mut alg, 1, None).expect("feasible");
+        let res = run_fractional(&inst, &trace, &mut alg, 1).expect("feasible");
         // Every final value sits on the grid.
         for p in 0..inst.n() as u32 {
             for l in 1..=inst.levels(p) {
@@ -175,7 +175,7 @@ mod tests {
     fn quantized_cost_within_lemma_4_5_factor() {
         let inst = inst();
         let trace = zipf_trace(&inst, 1.0, 800, LevelDist::TopProb(0.3), 5);
-        let raw = run_fractional(&inst, &trace, &mut FracMultiplicative::new(&inst), 16, None)
+        let raw = run_fractional(&inst, &trace, &mut FracMultiplicative::new(&inst), 16)
             .unwrap()
             .cost;
         let quant = run_fractional(
@@ -183,7 +183,6 @@ mod tests {
             &trace,
             &mut Quantized::new(&inst, FracMultiplicative::new(&inst)),
             16,
-            None,
         )
         .unwrap()
         .cost;
@@ -245,7 +244,7 @@ mod tests {
                 fold.step(t, req, &got).unwrap();
             }
             let mut alone = Quantized::with_delta(&inst, FracMultiplicative::new(&inst), delta);
-            let want = run_fractional(&inst, &trace, &mut alone, 256, None).unwrap();
+            let want = run_fractional(&inst, &trace, &mut alone, 256).unwrap();
             assert_eq!(
                 fold.finish().cost.to_bits(),
                 want.cost.to_bits(),
@@ -259,6 +258,6 @@ mod tests {
         let inst = inst();
         let trace = zipf_trace(&inst, 1.0, 300, LevelDist::Uniform, 9);
         let mut alg = Quantized::with_delta(&inst, FracMultiplicative::new(&inst), 0.25);
-        run_fractional(&inst, &trace, &mut alg, 1, None).expect("feasible on coarse grid");
+        run_fractional(&inst, &trace, &mut alg, 1).expect("feasible on coarse grid");
     }
 }

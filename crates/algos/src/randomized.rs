@@ -441,7 +441,7 @@ mod tests {
                 err.map_or_else(|| Ok(fold.finish()), Err)
             };
             let frac = || FracMultiplicative::with_eta(&inst, eta);
-            let want = run_fractional(&inst, &trace, &mut frac(), check_every, None).unwrap();
+            let want = run_fractional(&inst, &trace, &mut frac(), check_every).unwrap();
             let got = fold_group(None).unwrap();
             assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "levels {levels}");
             assert_eq!(got.final_state, want.final_state, "levels {levels}");
@@ -451,8 +451,7 @@ mod tests {
                     at,
                     unserve,
                 };
-                let want =
-                    run_fractional(&inst, &trace, &mut policy, check_every, None).unwrap_err();
+                let want = run_fractional(&inst, &trace, &mut policy, check_every).unwrap_err();
                 match want {
                     FracSimError::NotServed { t, .. } => assert!(unserve && t == at, "{want}"),
                     FracSimError::Invariant { t, .. } => assert!(!unserve && t == at, "{want}"),

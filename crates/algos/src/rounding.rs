@@ -429,9 +429,7 @@ mod tests {
         let inst = MlInstance::weighted_paging(4, vec![2, 4, 8, 16, 32, 2, 4, 8]).unwrap();
         let trace = zipf_trace(&inst, 0.9, 1500, LevelDist::Top, 21);
         let mut frac = FracMultiplicative::new(&inst);
-        let frac_cost = run_fractional(&inst, &trace, &mut frac, 16, None)
-            .unwrap()
-            .cost;
+        let frac_cost = run_fractional(&inst, &trace, &mut frac, 16).unwrap().cost;
         let mut alg = RandomizedMlPaging::with_default_beta(&inst, 77);
         let res = run_policy(&inst, &trace, &mut alg, false).unwrap();
         let ratio = res.ledger.eviction_cost as f64 / frac_cost.max(1.0);

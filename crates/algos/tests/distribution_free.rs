@@ -115,7 +115,7 @@ fn chaotic_fractional_stream_is_itself_feasible() {
     let inst = MlInstance::from_rows(3, (0..10).map(|_| vec![16, 4, 1]).collect()).unwrap();
     let trace = zipf_trace(&inst, 1.0, 600, LevelDist::Uniform, 17);
     let mut frac = ChaoticFrac::new(&inst, 3);
-    run_fractional(&inst, &trace, &mut frac, 1, None)
+    run_fractional(&inst, &trace, &mut frac, 1)
         .expect("the chaotic policy must satisfy the fractional invariants");
 }
 

@@ -92,7 +92,7 @@ fn eta_streams() -> Vec<(f64, Option<PaperStream>)> {
             return (paper.frac, Some(paper));
         }
         let mut alg = FracMultiplicative::with_eta(&inst, ETA_MULTS[i] / K as f64);
-        let cost = run_fractional(&inst, &trace, &mut alg, CHECK_EVERY, None)
+        let cost = run_fractional(&inst, &trace, &mut alg, CHECK_EVERY)
             .expect("feasible")
             .cost;
         (cost, None)

@@ -30,7 +30,7 @@ pub fn run() -> ExperimentOutput {
 
 fn frac_cost(inst: &MlInstance, trace: &[wmlp_core::instance::Request]) -> f64 {
     let mut alg = FracMultiplicative::new(inst);
-    run_fractional(inst, trace, &mut alg, 64, None)
+    run_fractional(inst, trace, &mut alg, 64)
         .expect("fractional algorithm must be feasible")
         .cost
 }

@@ -3,22 +3,16 @@
 //! Runs a [`FractionalPolicy`], maintaining an independent mirror of the
 //! prefix variables `u(p,i,t)` from the policy's reported deltas. The
 //! mirror is used to (a) charge the LP movement cost (increases of `u(p,i)`
-//! at weight `w(p,i)`), (b) check the fractional feasibility invariants,
-//! and (c) optionally hand the delta stream to an observer — this is how
-//! the online rounding consumes the fractional solution.
+//! at weight `w(p,i)`) and (b) check the fractional feasibility invariants.
 //!
-//! (a) and (b) are a [`FracFold`], which takes a delta stream one request
-//! at a time from whoever computed it: [`run_fractional`] is a loop of a
+//! Both are a [`FracFold`], which takes a delta stream one request at a
+//! time from whoever computed it: [`run_fractional`] is a loop of a
 //! policy's `on_request` over one, and a seed group that already computes
 //! the stream for its roundings folds its cost with one too.
 
 use wmlp_core::fractional::{FracCost, FracState, EPS};
 use wmlp_core::instance::{MlInstance, Request};
 use wmlp_core::policy::{FracDelta, FractionalPolicy};
-
-/// Observer callback invoked after each validated fractional step with
-/// `(t, request, this step's deltas, the full mirror state)`.
-pub type FracObserver<'a> = &'a mut dyn FnMut(usize, Request, &[FracDelta], &FracState);
 
 /// Outcome of a fractional run.
 #[derive(Debug, Clone)]
@@ -119,11 +113,6 @@ impl<'a> FracFold<'a> {
         Ok(())
     }
 
-    /// The mirrored state after the requests folded so far.
-    pub fn state(&self) -> &FracState {
-        &self.mirror
-    }
-
     /// The movement cost and final state.
     pub fn finish(self) -> FracRunResult {
         FracRunResult {
@@ -141,7 +130,6 @@ pub fn run_fractional(
     trace: &[Request],
     policy: &mut dyn FractionalPolicy,
     check_every: usize,
-    mut observer: Option<FracObserver<'_>>,
 ) -> Result<FracRunResult, FracSimError> {
     let mut fold = FracFold::new(inst, trace.len(), check_every);
     let mut deltas: Vec<FracDelta> = Vec::new();
@@ -149,9 +137,6 @@ pub fn run_fractional(
         deltas.clear();
         policy.on_request(t, req, &mut deltas);
         fold.step(t, req, &deltas)?;
-        if let Some(obs) = observer.as_mut() {
-            obs(t, req, &deltas, fold.state());
-        }
     }
     Ok(fold.finish())
 }
@@ -235,18 +220,7 @@ mod tests {
             Request::top(0),
         ];
         let mut policy = ToyFrac::new(&inst);
-        let mut seen = 0usize;
-        let res = run_fractional(
-            &inst,
-            &trace,
-            &mut policy,
-            1,
-            Some(&mut |_, _, deltas: &[FracDelta], _: &FracState| {
-                seen += deltas.len();
-            }),
-        )
-        .unwrap();
-        assert!(seen > 0);
+        let res = run_fractional(&inst, &trace, &mut policy, 1).unwrap();
         // Serving 0,1 fills the cache free of eviction; request 2 must
         // evict one unit (cost 4·(sum of increases)=4), request 0 again
         // evicts more.
@@ -269,7 +243,7 @@ mod tests {
     #[test]
     fn unserved_fractional_detected() {
         let inst = MlInstance::weighted_paging(1, vec![1, 1]).unwrap();
-        let err = run_fractional(&inst, &[Request::top(0)], &mut Liar, 1, None).unwrap_err();
+        let err = run_fractional(&inst, &[Request::top(0)], &mut Liar, 1).unwrap_err();
         assert!(matches!(err, FracSimError::NotServed { t: 0, .. }));
     }
 }

@@ -103,7 +103,7 @@ fn randomized_and_fractional_feasible() {
         run_policy(&inst, &trace, &mut alg, false).expect("feasible");
 
         let mut frac = wmlp::algos::FracMultiplicative::new(&inst);
-        let res = run_fractional(&inst, &trace, &mut frac, 1, None).expect("fractional feasible");
+        let res = run_fractional(&inst, &trace, &mut frac, 1).expect("fractional feasible");
         assert!(res.cost >= -1e-9);
     }
 }

@@ -9,7 +9,7 @@ use wmlp::core::instance::MlInstance;
 use wmlp::core::policy::FractionalPolicy;
 use wmlp::core::types::PageId;
 use wmlp::sim::engine::run_policy;
-use wmlp::sim::frac_engine::run_fractional;
+use wmlp::sim::frac_engine::{run_fractional, FracFold};
 use wmlp::workloads::{phased_trace, zipf_trace, LevelDist};
 
 #[test]
@@ -33,7 +33,7 @@ fn fractional_invariants_hold_over_long_runs() {
         2,
     ));
     let mut alg = FracMultiplicative::new(&inst);
-    let res = run_fractional(&inst, &trace, &mut alg, 25, None).expect("no drift");
+    let res = run_fractional(&inst, &trace, &mut alg, 25).expect("no drift");
     assert!(res.cost.is_finite() && res.cost > 0.0);
     // The policy's internal state agrees with the engine's mirror at the
     // end — catches any delta under- or over-reporting.
@@ -52,7 +52,7 @@ fn quantized_fractional_survives_long_runs() {
     let inst = MlInstance::from_rows(6, (0..32).map(|_| vec![32, 8, 2]).collect()).unwrap();
     let trace = zipf_trace(&inst, 1.1, 15_000, LevelDist::Uniform, 3);
     let mut alg = Quantized::new(&inst, FracMultiplicative::new(&inst));
-    run_fractional(&inst, &trace, &mut alg, 50, None).expect("quantized stream stays feasible");
+    run_fractional(&inst, &trace, &mut alg, 50).expect("quantized stream stays feasible");
 }
 
 #[test]
@@ -81,18 +81,17 @@ fn fractional_state_mirror_is_exactly_reconstructible() {
     let trace = zipf_trace(&inst, 1.0, 3_000, LevelDist::TopProb(0.4), 6);
     let mut alg = FracMultiplicative::new(&inst);
     let mut replayed = FracState::empty(&inst);
-    let res = run_fractional(
-        &inst,
-        &trace,
-        &mut alg,
-        100,
-        Some(&mut |_, _, deltas: &[_], _: &FracState| {
-            for d in deltas {
-                replayed.set_u(d.page, d.level, d.new_u);
-            }
-        }),
-    )
-    .unwrap();
+    let mut fold = FracFold::new(&inst, trace.len(), 100);
+    let mut deltas = Vec::new();
+    for (t, &req) in trace.iter().enumerate() {
+        deltas.clear();
+        alg.on_request(t, req, &mut deltas);
+        fold.step(t, req, &deltas).unwrap();
+        for d in &deltas {
+            replayed.set_u(d.page, d.level, d.new_u);
+        }
+    }
+    let res = fold.finish();
     for p in 0..inst.n() as PageId {
         for l in 1..=inst.levels(p) {
             assert_eq!(replayed.u(p, l), res.final_state.u(p, l));
