@@ -1075,22 +1075,27 @@ mod tests {
                 (9, pages)
             };
             let mut memo = with_ids(&mut pages, eta);
+            assert!(memo.ids.len() <= distinct, "{} weight ids", memo.ids.len());
             let tau_event = time_to_first_event(&pages, eta);
             let needed = random_needed(&mut rng, case, gain_at(&pages, tau_event, eta));
-            let stop = stop_time(&pages, &mut memo, needed, tau_event, eta);
-            assert!(memo.ids.len() <= distinct, "{} weight ids", memo.ids.len());
+            let mut search = StopSearch {
+                pages: &pages,
+                memo: &mut memo,
+                needed,
+                eta,
+            };
+            let (gain, slope) = search.probe(tau_event);
+            if gain >= needed {
+                search.narrow(tau_event, gain, slope);
+            }
             // Every fill calls `exp` at most once per listed id, and at
-            // least once: inside the stop's bracket (an open weight), at
-            // its ends and past the event (every weight).
-            let (below, above) = (memo.below.max(0.0), memo.above);
-            let inside = stop
-                .map(|_| f64::from_bits(below.to_bits() + (above.to_bits() - below.to_bits()) / 2))
-                .filter(|&tau| below < tau && tau < above);
-            for tau in inside
-                .into_iter()
-                .chain([below, above, 2.0 * tau_event + 1.0])
-            {
-                let exps = counted(|| memo.fill(tau)).1.exps;
+            // least once: strictly inside the bracket that the Newton step
+            // leaves (an open weight), at its ends and past the event
+            // (every weight).
+            let (below, above) = (search.memo.below.max(0.0), search.memo.above);
+            let mid = f64::from_bits(below.to_bits() + (above.to_bits() - below.to_bits()) / 2);
+            for tau in [mid, below, above, 2.0 * tau_event + 1.0] {
+                let exps = counted(|| search.memo.fill(tau)).1.exps;
                 assert!(
                     (1..=distinct as u64).contains(&exps),
                     "case {case}: {exps} exp calls at tau = {tau:e}"
