@@ -509,16 +509,15 @@ impl ExpMemo {
         }
     }
 
-    /// `exp(tau/w)` by weight id for the segment's weights: a bracket
-    /// end's values when `tau` is that end, else a fresh fill.
-    fn at(&mut self, tau: f64) -> &[f64] {
+    /// `exp(tau/w)` by weight id for the segment's weights at `tau`, which
+    /// is an end of the stop's bracket: the stop is the upper end, and the
+    /// event of a segment without a stop is the lower end.
+    fn at(&self, tau: f64) -> &[f64] {
+        debug_assert!(tau == self.above || tau == self.below);
         if tau == self.above {
             &self.at_above
-        } else if tau == self.below {
-            &self.at_below
         } else {
-            self.fill(tau);
-            &self.at_tau
+            &self.at_below
         }
     }
 }
@@ -532,10 +531,7 @@ thread_local! {
 /// Add to this thread's [`TALLY`].
 #[cfg(test)]
 fn tally(evals: u64, exps: u64) {
-    TALLY.with(|t| {
-        let (e, x) = t.get();
-        t.set((e + evals, x + exps));
-    });
+    TALLY.with(|t| t.set((t.get().0 + evals, t.get().1 + exps)));
 }
 
 /// What is known about the stopping predicate `P(τ) := gain(τ) ≥ needed`
@@ -562,23 +558,20 @@ impl StopSearch<'_> {
         (gain, slope)
     }
 
-    /// Decide `P(tau)` strictly inside the bracket, and move the bracket
-    /// end on its side of the stop there. Between two evaluated ends, if
-    /// every open weight's `exp` came out as one end's, every input of the
-    /// sum is that end's (a settled weight's is both ends'), so the sum
-    /// would repeat that end's float: the decision is that end's, taken
-    /// without summing.
+    /// Decide `P(tau)` strictly inside a bracket whose two ends are
+    /// evaluated, and move the bracket end on its side of the stop there.
+    /// If every open weight's `exp` came out as one end's, every input of
+    /// the sum is that end's (a settled weight's is both ends'), so the
+    /// sum would repeat that end's float: the decision is that end's,
+    /// taken without summing.
     fn decide(&mut self, tau: f64) {
-        debug_assert!(self.memo.below < tau && tau < self.memo.above);
+        debug_assert!(self.memo.squeezes(tau));
         self.memo.fill(tau);
         let memo = &*self.memo;
-        let squeezed = memo.squeezes(tau);
         let like = |end: &[f64]| {
-            squeezed
-                && memo
-                    .open
-                    .iter()
-                    .all(|&id| memo.at_tau[id as usize] == end[id as usize])
+            memo.open
+                .iter()
+                .all(|&id| memo.at_tau[id as usize] == end[id as usize])
         };
         let reached = if like(&memo.at_below) {
             false
@@ -600,7 +593,7 @@ impl StopSearch<'_> {
     /// floats strictly inside the bracket.
     fn least_reached(&mut self) -> f64 {
         if self.memo.below < 0.0 && self.memo.above > 0.0 {
-            self.decide(0.0);
+            self.probe(0.0);
         }
         while self.memo.above > 0.0 {
             let (lo, hi) = (self.memo.below.to_bits(), self.memo.above.to_bits());
@@ -824,23 +817,12 @@ mod tests {
         hi
     }
 
-    /// Gain evaluations and `exp` calls.
-    #[derive(Debug, Clone, Copy)]
-    struct StopCost {
-        evals: u64,
-        exps: u64,
-    }
-
     /// `f`'s result, with the gain evaluations and `exp` calls it made.
-    fn counted<T>(f: impl FnOnce() -> T) -> (T, StopCost) {
-        let (evals, exps) = TALLY.with(|t| t.get());
+    fn counted<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
+        let before = TALLY.with(|t| t.get());
         let result = f();
-        let (evals_after, exps_after) = TALLY.with(|t| t.get());
-        let cost = StopCost {
-            evals: evals_after - evals,
-            exps: exps_after - exps,
-        };
-        (result, cost)
+        let after = TALLY.with(|t| t.get());
+        (result, (after.0 - before.0, after.1 - before.1))
     }
 
     fn page(a: f64, b: f64, w: f64, eta: f64) -> ActivePage {
@@ -878,7 +860,12 @@ mod tests {
     /// `stop_time` against the reference, bit for bit, and the `exp` the
     /// advance then reads against a real one; returns the stop's cost when
     /// the segment contains a stop.
-    fn check_stop(pages: &[ActivePage], needed: f64, tau_event: f64, eta: f64) -> Option<StopCost> {
+    fn check_stop(
+        pages: &[ActivePage],
+        needed: f64,
+        tau_event: f64,
+        eta: f64,
+    ) -> Option<(u64, u64)> {
         let want = stop_time_reference(pages, needed, tau_event, eta);
         let mut pages = pages.to_vec();
         let mut memo = with_ids(&mut pages, eta);
@@ -980,13 +967,13 @@ mod tests {
         for case in 0..120_000u32 {
             let (pages, eta, tau_event) = random_segment(&mut rng, case);
             let needed = random_needed(&mut rng, case, gain_at(&pages, tau_event, eta));
-            if let Some(cost) = check_stop(&pages, needed, tau_event, eta) {
+            if let Some((evals, stop_exps)) = check_stop(&pages, needed, tau_event, eta) {
                 stops += 1;
-                total += cost.evals;
-                exps += cost.exps;
-                max = max.max(cost.evals);
+                total += evals;
+                exps += stop_exps;
+                max = max.max(evals);
                 if needed >= 0.01 {
-                    max_resolved = max_resolved.max(cost.evals);
+                    max_resolved = max_resolved.max(evals);
                 }
             }
         }
@@ -1095,7 +1082,7 @@ mod tests {
             let (below, above) = (search.memo.below.max(0.0), search.memo.above);
             let mid = f64::from_bits(below.to_bits() + (above.to_bits() - below.to_bits()) / 2);
             for tau in [mid, below, above, 2.0 * tau_event + 1.0] {
-                let exps = counted(|| search.memo.fill(tau)).1.exps;
+                let (_, (_, exps)) = counted(|| search.memo.fill(tau));
                 assert!(
                     (1..=distinct as u64).contains(&exps),
                     "case {case}: {exps} exp calls at tau = {tau:e}"
@@ -1120,20 +1107,20 @@ mod tests {
             needed: gain_at(&pages, above, eta),
             eta,
         };
-        let ((), cost) = counted(|| {
+        let ((), (evals, _)) = counted(|| {
             search.probe(above);
             search.probe(below);
         });
-        assert_eq!(cost.evals, 2);
+        assert_eq!(evals, 2);
         assert_eq!((search.memo.below, search.memo.above), (below, above));
         let settled = |tau: f64| (tau / heavy).exp();
         assert_eq!(settled(below), settled(above), "the heavy weight settles");
         assert_ne!(settled(below), settled(2.0));
 
-        let exps = |memo: &mut ExpMemo, tau: f64| counted(|| memo.fill(tau)).1.exps;
-        assert_eq!(exps(search.memo, 0.5 * (below + above)), 1);
+        let fill = |memo: &mut ExpMemo, tau: f64| counted(|| memo.fill(tau)).1;
+        assert_eq!(fill(search.memo, 0.5 * (below + above)), (0, 1));
         for tau in [0.0, 0.5, below, above, 2.0, 1e3] {
-            assert_eq!(exps(search.memo, tau), 2, "tau = {tau}");
+            assert_eq!(fill(search.memo, tau), (0, 2), "tau = {tau}");
             assert_eq!(search.memo.at_tau[1], settled(tau));
         }
     }
