@@ -1004,7 +1004,7 @@ mod tests {
         assert!(
             mean <= 16.0 && max_resolved <= 24 && max <= 40 && mean_exps <= MEAN_EXPS_BOUND,
             "evaluations per stop: mean {mean:.2}, max {max_resolved} at needed >= 0.01, \
-             max {max} overall (the reference takes up to 64); exp calls per stop: mean \
+             max {max} overall (the reference takes about 64); exp calls per stop: mean \
              {mean_exps:.2}"
         );
     }
